@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--heterogeneous", type=_comma_list, default=(),
                      metavar="A,B", help="covariates interacted with treatment")
     est.add_argument("--classical", action=argparse.BooleanOptionalAction, default=False,
-                     help="linear family: classical instead of robust variance")
+                     help="linear family only: classical instead of robust variance")
     _add_output_options(est)
 
     eff = commands.add_parser("effect", help="restate a coefficient as exp(beta)-1")
@@ -401,6 +401,8 @@ _FAMILY_FITTERS = {
 
 
 def _run_estimate(args):
+    if args.classical and args.family != "linear":
+        raise ValueError("--classical applies only to the linear family")
     dataset, labels = load_csv_dataset(
         args.csv, args.outcome, args.group, args.period,
         weights=args.weights, cluster=args.cluster, covariates=args.covariates,

@@ -1,23 +1,27 @@
-"""Model fitting: weighted OLS, Poisson QMLE, logistic QMLE, multinomial logit.
+"""Model fitting: weighted OLS and three canonical-link quasi-likelihood fits.
 
-Every fit solves a weighted first-order condition
+The Poisson QMLE (ratio-in-ratios), the logistic QMLE and the multinomial
+logit (ratio-in-odds-ratios) each maximize sum_i w_i (y_i eta_i - b(eta_i))
+over the linear predictor eta_i = x_i beta, with score sum_i w_i (y_i -
+b'(eta_i)) x_i and Hessian weight b''(eta_i). Each family is one record in
+_FAMILIES: cumulant and mean, curvature, outcome domain and separation test.
+One Newton routine fits every record; robust_vcov reads the same records, with
+OLS as the identity link b(eta) = eta^2 / 2.
 
-    sum_i w_i (y_i - mu_i(b)) x_i = 0
-
-and reports a sandwich covariance A^{-1} B A^{-1}, where A is the negative
-Hessian at the optimum and B the outer product of per-observation scores,
-summed within clusters first when cluster ids are supplied. No small-sample
-degrees-of-freedom correction is applied unless requested.
-
-The quasi-likelihood maximizers share a Newton iteration with step halving;
-linear predictors are clamped at +/- FitOptions.linear_predictor_cap inside
-exp(), and a clamp that is still active at the final iterate raises instead
-of returning a silently unreliable estimate.
+Covariances are sandwiches A^{-1} B A^{-1}: A is the negative Hessian at the
+optimum, B the outer product of per-observation scores, summed within
+clusters first when cluster ids are supplied. No small-sample correction is
+applied unless requested. Newton steps are halved until the maximand does
+not decrease; linear predictors are clamped at +/- the linear-predictor cap,
+and a clamp still active at the optimum, or a perfectly predicted outcome,
+raises instead of returning a silently unreliable estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -255,60 +259,149 @@ def _sandwich(bread, scores, clusters, small_sample_correction=False):
     return (vcov + vcov.T) / 2.0
 
 
-def _poisson_objective(values, y, w, cap):
-    def objective(beta):
-        eta = np.clip(values @ beta, -cap, cap)
-        mu = np.exp(eta)
-        value = float(np.sum(w * (y * eta - mu)))
-        resid = w * (y - mu)
-        grad = values.T @ resid
-        hess = -(values.T * (w * mu)) @ values
-        return value, grad, hess
+@dataclass(frozen=True)
+class _Family:
+    """One canonical-link family: the fit maximizes sum w (y*eta - b(eta)).
 
-    return objective
+    moments(eta) gives (b(eta), b'(eta)); for the multinomial eta is (n, C)
+    and b'(eta) the class probabilities. curvature(w, mean) gives the Hessian
+    row weights w * b''(eta), as (C, C, n) class-pair blocks for the
+    multinomial. in_domain(y) is False for outcomes outside the domain that
+    the string domain names. guard builds the error for a fit that diverges
+    toward the linear-predictor cap (None: the identity link is never
+    capped), and separated(y, mean) flags a perfectly predicted boundary fit.
+    """
 
-
-def _logit_objective(values, y, w, cap):
-    def objective(beta):
-        eta = np.clip(values @ beta, -cap, cap)
-        p = expit(eta)
-        value = float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
-        resid = w * (y - p)
-        grad = values.T @ resid
-        hess = -(values.T * (w * p * (1.0 - p))) @ values
-        return value, grad, hess
-
-    return objective
+    name: str
+    moments: Callable
+    curvature: Callable
+    in_domain: Callable
+    domain: str
+    guard: Callable | None = None
+    separated: Callable | None = None
 
 
-def _multinomial_parts(values, ymat, w, cap, beta):
-    n, p = values.shape
-    n_classes = ymat.shape[1]
-    b = beta.reshape(n_classes, p)
-    eta = np.clip(values @ b.T, -cap, cap)
+def _exp_moments(eta):
+    mu = np.exp(eta)
+    return mu, mu
+
+
+def _logit_separated(y, p):
+    if not np.all((y == 0) | (y == 1)):
+        return False
+    gap = np.where(y == 1, 1.0 - p, p)
+    return bool(np.all(gap <= 1e-6))
+
+
+def _softmax_moments(eta):
+    # class 0 is the base with eta = 0
     top = np.maximum(eta.max(axis=1), 0.0)
     lse = top + np.log(np.exp(-top) + np.sum(np.exp(eta - top[:, None]), axis=1))
-    probs = np.exp(eta - lse[:, None])
-    value = float(np.sum(w * (np.sum(ymat * eta, axis=1) - lse)))
-    resid = w[:, None] * (ymat - probs)
-    grad = (resid.T @ values).reshape(n_classes * p)
+    return lse, np.exp(eta - lse[:, None])
+
+
+def _softmax_curvature(w, probs):
+    # block (c, d) weights w * p_c * (1[c == d] - p_d)
+    p = probs.T
+    return w * (p[:, None, :] * (np.eye(p.shape[0])[:, :, None] - p[None, :, :]))
+
+
+def _multinomial_separated(ymat, probs):
+    # probability of each row's observed class; rows without an indicator are class 0
+    p_obs = np.where(ymat.any(axis=1), np.sum(ymat * probs, axis=1), 1.0 - probs.sum(axis=1))
+    return bool(np.all(p_obs >= 1.0 - 1e-6))
+
+
+_GAUSSIAN = _Family("ols", lambda eta: (0.5 * eta**2, eta), lambda w, mu: w,
+                    lambda y: True, "finite y")
+_POISSON = _Family(
+    "poisson_qmle", _exp_moments, lambda w, mu: w * mu,
+    lambda y: not np.any(y < 0), "non-negative y",
+    guard=partial(OverflowGuardError, "linear-predictor cap active at the optimum; "
+                                      "estimates would overflow without the guard"),
+)
+_LOGIT = _Family(
+    "logit_qmle", lambda eta: (np.logaddexp(0.0, eta), expit(eta)),
+    lambda w, p: w * p * (1.0 - p),
+    lambda y: not np.any((y < 0) | (y > 1)), "y in [0, 1]",
+    guard=partial(SeparationError, "coefficients diverged toward the linear-predictor "
+                                   "cap; the outcome is perfectly separated"),
+    separated=_logit_separated,
+)
+_MULTINOMIAL = _Family(
+    "multinomial_logit", _softmax_moments, _softmax_curvature,
+    lambda y: np.all(y == np.floor(y)) and not np.any(y < 0), "integer class labels >= 0",
+    guard=partial(SeparationError, "multinomial coefficients diverged toward the "
+                                   "linear-predictor cap; a class is perfectly separated"),
+    separated=_multinomial_separated,
+)
+_FAMILIES = {f.name: f for f in (_GAUSSIAN, _POISSON, _LOGIT, _MULTINOMIAL)}
+
+
+def _inputs(family, X, y, weights):
+    """Design, names, outcome and weights after the shared and the family's checks."""
+    values, names = _as_design(X)
+    y, w = _check_inputs(values, names, y, weights)
+    if not family.in_domain(y):
+        raise ValueError(f"{family.name} requires {family.domain}")
+    return values, names, y, w
+
+
+def _class_matrix(labels, n_classes):
+    """(n, C) indicators of classes 1..C; class 0 is the base."""
+    return (labels[:, None] == np.arange(1, n_classes + 1)).astype(float)
+
+
+def _evaluate(family, values, y, w, beta, cap):
+    """(value, grad, hess, eta, mean, resid) at beta; eta is taken before the cap.
+
+    y is (n,), or (n, C) class indicators with C blocks of p in beta.
+    resid = w * (y - mean) is each row's score before the design row.
+    """
+    blocks = y.ndim == 2
+    eta = values @ (beta.reshape(y.shape[1], -1).T if blocks else beta)
+    capped = eta if family.guard is None else np.clip(eta, -cap, cap)
+    cumulant, mean = family.moments(capped)
+    if blocks:
+        value = float(np.sum(w * (np.sum(y * capped, axis=1) - cumulant)))
+        resid = w[:, None] * (y - mean)
+        grad = (resid.T @ values).reshape(-1)
+    else:
+        value = float(np.sum(w * (y * capped - cumulant)))
+        resid = w * (y - mean)
+        grad = values.T @ resid
+    return value, grad, _hessian(values, family.curvature(w, mean)), eta, mean, resid
+
+
+def _hessian(values, weight):
+    """-sum_i weight_i x_i x_i', one p x p block per class pair for (C, C, n) weights."""
+    if weight.ndim == 1:
+        return -(values.T * weight) @ values
+    n_classes, p = weight.shape[0], values.shape[1]
     hess = np.zeros((n_classes * p, n_classes * p))
     for c in range(n_classes):
         for d in range(c, n_classes):
-            block = probs[:, c] * ((1.0 if c == d else 0.0) - probs[:, d])
-            h = -(values.T * (w * block)) @ values
+            h = -(values.T * weight[c, d]) @ values
             hess[c * p:(c + 1) * p, d * p:(d + 1) * p] = h
             if d != c:
                 hess[d * p:(d + 1) * p, c * p:(c + 1) * p] = h
-    return value, grad, hess, probs, resid
+    return hess
 
 
-def _multinomial_objective(values, ymat, w, cap):
-    def objective(beta):
-        value, grad, hess, _, _ = _multinomial_parts(values, ymat, w, cap, beta)
-        return value, grad, hess
+def _score_rows(values, resid):
+    """Per-observation scores resid_i x_i, class block by class block for (n, C) resid."""
+    if resid.ndim == 1:
+        return resid[:, None] * values
+    return np.einsum("nc,nk->nck", resid, values).reshape(values.shape[0], -1)
 
-    return objective
+
+def _objective(family, values, y, w, cap):
+    return lambda beta: _evaluate(family, values, y, w, beta, cap)[:3]
+
+
+_poisson_objective = partial(_objective, _POISSON)
+_logit_objective = partial(_objective, _LOGIT)
+_multinomial_objective = partial(_objective, _MULTINOMIAL)
 
 
 def fit_ols(X, y, weights=None, clusters=None, robust=True):
@@ -317,27 +410,24 @@ def fit_ols(X, y, weights=None, clusters=None, robust=True):
     robust=False reports the classical homoskedastic covariance instead
     (vcov_kind "classical_ols", sigma^2 = sum w e^2 / (sum w - p)).
     """
-    values, names = _as_design(X)
-    y, w = _check_inputs(values, names, y, weights)
+    values, names, y, w = _inputs(_GAUSSIAN, X, y, weights)
     n, p = values.shape
 
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(values * sw[:, None], y * sw, rcond=None)
-    resid = y - values @ beta
-    score = values.T @ (w * resid)
+    _, score, hess, fitted, _, weighted_resid = _evaluate(_GAUSSIAN, values, y, w, beta, None)
+    resid = y - fitted
     score_norm = float(np.max(np.abs(score)))
-    bread = (values.T * w) @ values
 
     if robust:
-        scores = (w * resid)[:, None] * values
-        vcov = _sandwich(bread, scores, clusters)
+        vcov = _sandwich(-hess, _score_rows(values, weighted_resid), clusters)
         vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
     else:
         total = float(w.sum())
         if total <= p:
             raise ValueError("classical variance needs total weight > p")
         sigma2 = float(np.sum(w * resid**2)) / (total - p)
-        vcov = sigma2 * np.linalg.inv(bread)
+        vcov = sigma2 * np.linalg.inv(-hess)
         vcov = (vcov + vcov.T) / 2.0
         vcov_kind = "classical_ols"
 
@@ -355,39 +445,37 @@ def fit_ols(X, y, weights=None, clusters=None, robust=True):
     )
 
 
-def _finish_qmle(family, values, names, y, w, clusters, options, diag, beta,
-                 objective, score_rows, cap_error, perfect_fit=None):
-    if family == "multinomial_logit":
-        eta = values @ beta.reshape(-1, values.shape[1]).T
-    else:
-        eta = values @ beta
-    if float(np.max(np.abs(eta))) >= options.linear_predictor_cap:
-        raise cap_error
+def _fit_qmle(family, values, names, y, w, clusters, options):
+    """Newton fit of one family, its cap and separation guards, and the sandwich."""
+    cap = options.linear_predictor_cap
+    n_classes = y.shape[1] if y.ndim == 2 else 0
+    tol = options.gradient_tolerance * (1.0 + float(w.sum()))
+    init = np.zeros(values.shape[1] * max(n_classes, 1))
+    beta, diag = maximize(_objective(family, values, y, w, cap), init, options, tolerance=tol)
+    value, _, hess, eta, mean, resid = _evaluate(family, values, y, w, beta, cap)
+    if float(np.max(np.abs(eta))) >= cap:
+        raise family.guard()
     # Divergent fits can stall "converged" below the cap once the saturated
     # rows' score drops under the tolerance; a perfectly predicted boundary
     # fit is the signature of that divergence.
-    if diag.converged and perfect_fit is not None and perfect_fit(beta):
-        raise cap_error
-    value, grad, hess = objective(beta)
+    if diag.converged and family.separated is not None and family.separated(y, mean):
+        raise family.guard()
     if diag.converged:
-        vcov = _sandwich(-hess, score_rows(beta), clusters)
-        vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
+        vcov = _sandwich(-hess, _score_rows(values, resid), clusters)
     else:
-        k = beta.size
-        vcov = np.full((k, k), np.nan)
-        vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
+        vcov = np.full((beta.size, beta.size), np.nan)
     return FitResult(
-        family=family,
+        family=family.name,
         names=names,
         coefficients=beta,
         vcov=vcov,
-        vcov_kind=vcov_kind,
+        vcov_kind="cluster_sandwich" if clusters is not None else "sandwich",
         loglik=value,
         iterations=diag.iterations,
         converged=diag.converged,
         score_norm=diag.score_norm,
         n_obs=values.shape[0],
-        n_classes=0 if family != "multinomial_logit" else beta.size // values.shape[1],
+        n_classes=n_classes,
     )
 
 
@@ -398,66 +486,18 @@ def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = Fi
     censored-at-zero outcomes); only the conditional mean must be
     exponential for the estimate to be consistent.
     """
-    values, names = _as_design(X)
-    y, w = _check_inputs(values, names, y, weights)
-    if np.any(y < 0):
-        raise ValueError("poisson_qmle requires non-negative y")
+    values, names, y, w = _inputs(_POISSON, X, y, weights)
     if float(np.sum(w * y)) == 0.0:
         raise OverflowGuardError(
             "outcome is identically zero; the exponential mean has no finite optimum"
         )
-
-    cap = options.linear_predictor_cap
-    objective = _poisson_objective(values, y, w, cap)
-    tol = options.gradient_tolerance * (1.0 + float(w.sum()))
-    beta, diag = maximize(objective, np.zeros(values.shape[1]), options, tolerance=tol)
-
-    def score_rows(b):
-        mu = np.exp(np.clip(values @ b, -cap, cap))
-        return (w * (y - mu))[:, None] * values
-
-    return _finish_qmle(
-        "poisson_qmle", values, names, y, w, clusters, options, diag, beta,
-        objective, score_rows,
-        OverflowGuardError(
-            "linear-predictor cap active at the optimum; "
-            "estimates would overflow without the guard"
-        ),
-    )
+    return _fit_qmle(_POISSON, values, names, y, w, clusters, options)
 
 
 def fit_logit_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
     """Logistic quasi-MLE for binary or fractional y in [0, 1]."""
-    values, names = _as_design(X)
-    y, w = _check_inputs(values, names, y, weights)
-    if np.any((y < 0) | (y > 1)):
-        raise ValueError("logit_qmle requires y in [0, 1]")
-
-    cap = options.linear_predictor_cap
-    objective = _logit_objective(values, y, w, cap)
-    tol = options.gradient_tolerance * (1.0 + float(w.sum()))
-    beta, diag = maximize(objective, np.zeros(values.shape[1]), options, tolerance=tol)
-
-    def score_rows(b):
-        p = expit(np.clip(values @ b, -cap, cap))
-        return (w * (y - p))[:, None] * values
-
-    def perfect_fit(b):
-        if not np.all((y == 0) | (y == 1)):
-            return False
-        p = expit(np.clip(values @ b, -cap, cap))
-        gap = np.where(y == 1, 1.0 - p, p)
-        return bool(np.all(gap <= 1e-6))
-
-    return _finish_qmle(
-        "logit_qmle", values, names, y, w, clusters, options, diag, beta,
-        objective, score_rows,
-        SeparationError(
-            "coefficients diverged toward the linear-predictor cap; "
-            "the outcome is perfectly separated"
-        ),
-        perfect_fit=perfect_fit,
-    )
+    values, names, y, w = _inputs(_LOGIT, X, y, weights)
+    return _fit_qmle(_LOGIT, values, names, y, w, clusters, options)
 
 
 def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -468,94 +508,45 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
     block per class in design-column order; names carry the class index,
     e.g. "treat[1]".
     """
-    values, names = _as_design(X)
-    y_arr = np.asarray(y)
-    y_float, w = _check_inputs(values, names, y_arr, weights)
-    if not np.all(y_float == np.floor(y_float)) or np.any(y_float < 0):
-        raise ValueError("multinomial_logit requires integer class labels >= 0")
-    labels = y_float.astype(np.int64)
+    values, names, y, w = _inputs(_MULTINOMIAL, X, y, weights)
+    labels = y.astype(np.int64)
     n_classes = int(labels.max())
     if n_classes < 1:
         raise ValueError("multinomial_logit needs at least 2 observed classes")
-    observed = np.unique(labels)
-    missing = sorted(set(range(n_classes + 1)) - set(observed.tolist()))
+    missing = sorted(set(range(n_classes + 1)) - set(np.unique(labels).tolist()))
     if missing:
         raise ValueError(f"classes never observed: {missing}")
-
-    n, p = values.shape
-    ymat = np.zeros((n, n_classes))
-    for c in range(1, n_classes + 1):
-        ymat[:, c - 1] = labels == c
-
-    cap = options.linear_predictor_cap
-    objective = _multinomial_objective(values, ymat, w, cap)
-    tol = options.gradient_tolerance * (1.0 + float(w.sum()))
-    beta, diag = maximize(objective, np.zeros(n_classes * p), options, tolerance=tol)
-
     full_names = [f"{name}[{c}]" for c in range(1, n_classes + 1) for name in names]
-
-    def score_rows(b):
-        _, _, _, _, resid = _multinomial_parts(values, ymat, w, cap, b)
-        return np.einsum("nc,nk->nck", resid, values).reshape(n, n_classes * p)
-
-    def perfect_fit(b):
-        _, _, _, probs, _ = _multinomial_parts(values, ymat, w, cap, b)
-        base = 1.0 - probs.sum(axis=1)
-        p_obs = np.where(labels == 0, base, probs[np.arange(n), np.maximum(labels - 1, 0)])
-        return bool(np.all(p_obs >= 1.0 - 1e-6))
-
-    return _finish_qmle(
-        "multinomial_logit", values, full_names, y_float, w, clusters, options,
-        diag, beta, objective, score_rows,
-        SeparationError(
-            "multinomial coefficients diverged toward the linear-predictor cap; "
-            "a class is perfectly separated"
-        ),
-        perfect_fit=perfect_fit,
-    )
+    return _fit_qmle(_MULTINOMIAL, values, full_names, _class_matrix(labels, n_classes),
+                     w, clusters, options)
 
 
 def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
                 small_sample_correction=False, options: FitOptions = FitOptions()):
     """Sandwich covariance A^{-1} B A^{-1} at beta_hat for any supported family.
 
-    A is the negative Hessian of the weighted quasi-likelihood, B the outer
+    family is "ols", "poisson_qmle", "logit_qmle" or "multinomial_logit". A
+    is the negative Hessian of the weighted quasi-likelihood, B the outer
     product of per-observation scores, summed within clusters first when
     cluster ids are given. The optional correction multiplies by G/(G-1)
-    (clustered) or n/(n-p) (unclustered).
+    (clustered) or n/(n-p) (unclustered). Inputs are checked as the fits
+    check them; beta_hat must hold p coefficients, or C blocks of p for the
+    multinomial with labels in 0..C. Bad input raises ValueError.
     """
-    values, names = _as_design(X)
-    y_arr = np.asarray(y, float)
-    if weights is None:
-        w = np.ones(values.shape[0])
-    else:
-        w = np.asarray(weights, float)
-    beta = np.asarray(beta_hat, float)
-    cap = options.linear_predictor_cap
-
-    if family == "ols":
-        resid = y_arr - values @ beta
-        scores = (w * resid)[:, None] * values
-        bread = (values.T * w) @ values
-    elif family == "poisson_qmle":
-        mu = np.exp(np.clip(values @ beta, -cap, cap))
-        scores = (w * (y_arr - mu))[:, None] * values
-        bread = (values.T * (w * mu)) @ values
-    elif family == "logit_qmle":
-        p = expit(np.clip(values @ beta, -cap, cap))
-        scores = (w * (y_arr - p))[:, None] * values
-        bread = (values.T * (w * p * (1.0 - p))) @ values
-    elif family == "multinomial_logit":
-        labels = y_arr.astype(np.int64)
-        n, p = values.shape
-        n_classes = beta.size // p
-        ymat = np.zeros((n, n_classes))
-        for c in range(1, n_classes + 1):
-            ymat[:, c - 1] = labels == c
-        _, _, hess, _, resid = _multinomial_parts(values, ymat, w, cap, beta)
-        scores = np.einsum("nc,nk->nck", resid, values).reshape(n, n_classes * p)
-        bread = -hess
-    else:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-
-    return _sandwich(bread, scores, clusters, small_sample_correction)
+    record = _FAMILIES[family]
+    values, _, y, w = _inputs(record, X, y, weights)
+    beta = np.asarray(beta_hat, float)
+    p = values.shape[1]
+    if record is _MULTINOMIAL:
+        n_classes = beta.size // p
+        if n_classes < 1 or beta.shape != (n_classes * p,) or np.any(y > n_classes):
+            raise ValueError(f"multinomial beta_hat must hold C blocks of {p} "
+                             "coefficients, with class labels in 0..C")
+        y = _class_matrix(y, n_classes)
+    elif beta.shape != (p,):
+        raise ValueError(f"beta_hat must have length {p}")
+    _, _, hess, _, _, resid = _evaluate(record, values, y, w, beta,
+                                        options.linear_predictor_cap)
+    return _sandwich(-hess, _score_rows(values, resid), clusters, small_sample_correction)

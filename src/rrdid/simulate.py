@@ -417,12 +417,10 @@ def analytic_trend_check(model: str, beta_qtau: float, *,
         return (beta_pre + beta_tau * s + beta_q * q
                 + beta_qtau * t * q + covariate_shift)
 
-    if model == "exponential":
-        m = {(q, s): math.exp(index(q, s)) for q in (0, 1) for s in (0, 1)}
-        return (m[(1, 1)] / m[(1, 0)]) / (m[(0, 1)] / m[(0, 0)])
-    if model == "logit":
-        # the population odds p/(1-p) of a logistic model equal exp(index);
-        # the closed form avoids the 1-p cancellation at extreme indexes
+    if model in ("exponential", "logit"):
+        # the exponential mean is exp(index), and so are the population odds
+        # p/(1-p) of a logistic model; the closed form avoids the 1-p
+        # cancellation at extreme indexes
         r = {(q, s): math.exp(index(q, s)) for q in (0, 1) for s in (0, 1)}
         return (r[(1, 1)] / r[(1, 0)]) / (r[(0, 1)] / r[(0, 0)])
     if model == "multinomial":

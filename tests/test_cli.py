@@ -153,6 +153,22 @@ def test_estimate_linear_classical_variance(capsys, linear_csv):
     assert payload["results"]["fit"]["vcov_kind"] == "classical_ols"
 
 
+@pytest.mark.parametrize("family", ["poisson", "logit", "multinomial"])
+def test_estimate_classical_rejected_outside_linear(capsys, linear_csv, family):
+    # the quasi-likelihood fits only report sandwich variances
+    code, _, payload = run_json(capsys, [
+        "estimate", "--family", family, "--csv", linear_csv,
+        "--outcome", "y", "--group", "grp", "--period", "period",
+        "--post", "2", "--classical",
+    ])
+    assert code == 1
+    assert payload["results"] is None
+    assert payload["errors"] == [{
+        "kind": "ValueError",
+        "message": "--classical applies only to the linear family",
+    }]
+
+
 def test_estimate_multinomial_per_class_effects(capsys, multinomial_csv):
     path, table = multinomial_csv
     code, _, payload = run_json(capsys, [

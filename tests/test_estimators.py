@@ -56,6 +56,14 @@ def logit_data(seed=1, n=60):
     return X, y, w
 
 
+def multinomial_data(seed=2, n=24):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=n)])
+    labels = rng.integers(0, 3, n).astype(float)
+    w = rng.uniform(0.5, 2.0, n)
+    return X, labels, w
+
+
 # --- the Newton driver ------------------------------------------------------
 
 
@@ -317,6 +325,40 @@ def test_poisson_sandwich_matches_loops():
                                rtol=1e-10, atol=1e-14)
 
 
+@pytest.mark.parametrize("clustered", [False, True])
+@pytest.mark.parametrize("family", ["logit_qmle", "multinomial_logit"])
+def test_logit_and_multinomial_sandwich_match_loops(family, clustered):
+    # a binary logit is the multinomial with one contrast class, so one loop
+    # over classes builds both families' scores and bread
+    if family == "logit_qmle":
+        X, y, w = logit_data(seed=18, n=20)
+        fitter = fit_logit_qmle
+    else:
+        X, y, w = multinomial_data(seed=19)
+        fitter = fit_multinomial_logit
+    n, p = X.shape
+    clusters = np.arange(n) % 5 if clustered else None
+    fit = fitter(X, y, w, clusters=clusters, options=TIGHT)
+    blocks = fit.coefficients.reshape(-1, p)
+    k = fit.coefficients.size
+    scores = np.zeros((n, k))
+    bread = np.zeros((k, k))
+    for i in range(n):
+        expo = [np.exp(X[i] @ b) for b in blocks]
+        probs = [e / (1.0 + sum(expo)) for e in expo]
+        for c in range(len(blocks)):
+            hit = 1.0 if y[i] == c + 1 else 0.0
+            scores[i, c * p:(c + 1) * p] = w[i] * (hit - probs[c]) * X[i]
+            for d in range(len(blocks)):
+                bread[c * p:(c + 1) * p, d * p:(d + 1) * p] += (
+                    w[i] * probs[c] * ((c == d) - probs[d]) * np.outer(X[i], X[i])
+                )
+    expected = looped_sandwich(X, scores, bread, clusters)
+    np.testing.assert_allclose(fit.vcov, expected, rtol=1e-10, atol=1e-14)
+    again = robust_vcov(family, X, y, w, fit.coefficients, clusters=clusters)
+    np.testing.assert_allclose(again, expected, rtol=1e-10, atol=1e-14)
+
+
 def test_ols_sandwich_matches_loops():
     rng = np.random.default_rng(14)
     n = 12
@@ -352,6 +394,26 @@ def test_robust_vcov_rejects_unknown_family():
     X, y, w = poisson_data(seed=16, n=10)
     with pytest.raises(ValueError, match="family"):
         robust_vcov("probit", X, y, w, np.zeros(2))
+
+
+def test_robust_vcov_validates_inputs():
+    X, y, w = poisson_data(seed=16, n=10)
+    beta = fit_poisson_qmle(X, y, w).coefficients
+    Xm, labels, wm = multinomial_data(seed=16)
+    mbeta = fit_multinomial_logit(Xm, labels, wm).coefficients
+    cases = [
+        ("poisson_qmle", X, y, -w, beta, "weights"),
+        ("poisson_qmle", X, np.full_like(y, np.nan), w, beta, "non-finite"),
+        ("poisson_qmle", X, y - 10.0, w, beta, "non-negative"),
+        ("logit_qmle", X, y + 2.0, w, beta, r"\[0, 1\]"),
+        ("ols", X, y, w, np.zeros(3), "length 2"),
+        ("multinomial_logit", Xm, labels + 0.5, wm, mbeta, "integer"),
+        ("multinomial_logit", Xm, labels, wm, mbeta[:2], "0..C"),
+        ("multinomial_logit", Xm, labels, wm, mbeta[:3], "blocks"),
+    ]
+    for family, design, outcome, weights, coef, message in cases:
+        with pytest.raises(ValueError, match=message):
+            robust_vcov(family, design, outcome, weights, coef)
 
 
 def test_weight_duplication_equivalence():
