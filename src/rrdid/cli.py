@@ -30,17 +30,15 @@ import sys
 
 import numpy as np
 
-from .design import DesignSpec, RcsDataset, build_design, summarize_cells
+from .design import DesignSpec, RcsDataset, build_design, cell_masks, cell_mean, summarize_cells
 from .effects import effect_report, lin_dd_proportional, proportional_effect
 from .errors import (
     CsvParseError,
-    EmptyCellError,
     MonteCarloAbort,
     NonFiniteObjectiveError,
     OverflowGuardError,
     RedrawRequired,
     SeparationError,
-    SingularDesignError,
     SingularHessianError,
 )
 from .estimators import fit_logit_qmle, fit_multinomial_logit, fit_ols, fit_poisson_qmle
@@ -49,14 +47,11 @@ from .simulate import Scenario, run_monte_carlo
 __all__ = ["run_cli", "main", "canonical_json", "load_csv_dataset"]
 
 _DATA_ERRORS = (
-    CsvParseError,
-    EmptyCellError,
     MonteCarloAbort,
     NonFiniteObjectiveError,
     OverflowGuardError,
     RedrawRequired,
     SeparationError,
-    SingularDesignError,
     SingularHessianError,
     ValueError,
     OSError,
@@ -235,15 +230,16 @@ def _add_output_options(sub):
                      help="flat key = value file mirroring the flags; flags override")
 
 
-def _add_csv_options(sub, with_weights=True, with_cluster=True):
+def _add_csv_options(sub, with_cluster=True):
     sub.add_argument("--csv", required=True, help="input CSV path")
     sub.add_argument("--outcome", required=True, help="outcome column")
     sub.add_argument("--group", required=True, help="0/1 group column")
     sub.add_argument("--period", required=True, help="integer period column")
     sub.add_argument("--post", required=True, type=int,
-                     help="first treated period, in the period column's units")
-    if with_weights:
-        sub.add_argument("--weights", default=None, help="weight column")
+                     help="treated period, in the period column's units: the "
+                          "treatment column marks t == post only, while cell "
+                          "summaries and the log transform pool t >= post")
+    sub.add_argument("--weights", default=None, help="weight column")
     if with_cluster:
         sub.add_argument("--cluster", default=None, help="cluster id column")
 
@@ -473,44 +469,28 @@ def _run_estimate(args):
         }
     }
 
+    # multinomial names carry the class, e.g. "treat[2]"; the stem is the design column
+    def stem(name):
+        return name.partition("[")[0]
+
     if args.family == "linear":
         results["effects"] = []
-        mask = (dataset.q == 1) & (dataset.t >= post)
+        # the fit succeeded, so the treated post cell is not empty
+        ybar = cell_mean(dataset, cell_masks(dataset, post)[(1, 1)])
         transform = None
-        if mask.any():
-            w = dataset.weights[mask]
-            ybar = float(np.sum(w * dataset.y[mask]) / np.sum(w))
-            try:
-                transform = lin_dd_proportional(fit.coef("treat"), ybar)
-            except (RedrawRequired, ValueError) as exc:
-                warnings.append(f"log transform unavailable: {exc}")
-        else:
-            warnings.append("log transform unavailable: treated post cell is empty")
+        try:
+            transform = lin_dd_proportional(fit.coef("treat"), ybar)
+        except (RedrawRequired, ValueError) as exc:
+            warnings.append(f"log transform unavailable: {exc}")
         results["lin_dd_transform"] = transform
-    elif args.family == "multinomial":
+    else:
         results["effects"] = [
-            _effect_payload(proportional_effect(fit, f"treat[{c}]"), f"treat[{c}]")
-            for c in range(1, fit.n_classes + 1)
+            _effect_payload(proportional_effect(fit, name), name)
+            for name in fit.names if stem(name) == "treat"
         ]
-    else:
-        results["effects"] = [_effect_payload(proportional_effect(fit, "treat"), "treat")]
-
-    if args.trend:
-        trend_names = (
-            [f"group_trend[{c}]" for c in range(1, fit.n_classes + 1)]
-            if args.family == "multinomial" else ["group_trend"]
-        )
-        results["trend_test"] = [
-            {
-                "name": name,
-                "estimate": fit.coef(name),
-                "se": fit.se(name),
-                "t_value": fit.t_value(name),
-            }
-            for name in trend_names
-        ]
-    else:
-        results["trend_test"] = None
+    results["trend_test"] = [
+        row for row in coef_table if stem(row["name"]) == "group_trend"
+    ] or None
     return echo, results, warnings
 
 

@@ -19,6 +19,8 @@ __all__ = [
     "DesignMatrix",
     "CellStats",
     "build_design",
+    "cell_masks",
+    "cell_mean",
     "summarize_cells",
 ]
 
@@ -169,6 +171,11 @@ class DesignMatrix:
         return self.values[:, self.index(name)]
 
 
+def _check_period(dataset: RcsDataset, period: int, what: str) -> None:
+    if not 0 <= period < dataset.n_periods:
+        raise ValueError(f"{what} outside the dataset's period range")
+
+
 def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
     """Assemble the regressor matrix for a two-group DD design.
 
@@ -177,10 +184,8 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
     Treatment is D = Q * 1[t == post_period].
     """
     T = dataset.n_periods
-    if not 0 <= spec.post_period < T:
-        raise ValueError("post_period outside the dataset's period range")
-    if not 0 <= spec.base_period < T:
-        raise ValueError("base_period outside the dataset's period range")
+    _check_period(dataset, spec.post_period, "post_period")
+    _check_period(dataset, spec.base_period, "base_period")
 
     cols = [np.ones(dataset.n)]
     names = ["const"]
@@ -214,6 +219,11 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
     for name in hetero:
         cols.append(treat * dataset.covariates[name])
         names.append(f"treat:{name}")
+    # coefficients are looked up by name, so a covariate named like a design
+    # column would silently stand in for it
+    clashes = sorted({name for name in names if names.count(name) > 1})
+    if clashes:
+        raise ValueError(f"covariate names clash with design columns: {', '.join(clashes)}")
 
     return DesignMatrix(
         values=np.column_stack(cols),
@@ -238,26 +248,39 @@ class CellStats:
     sd: float
 
 
+def cell_masks(dataset: RcsDataset, post_period: int) -> dict:
+    """Row masks of the four (group, pre/post) cells, keyed (group, post).
+
+    Post pools every period t >= post_period and pre every earlier one;
+    keys come in the order (0, False), (0, True), (1, False), (1, True).
+    This is the one place the cell statistics decide which rows are post.
+    """
+    _check_period(dataset, post_period, "post_period")
+    is_post = dataset.t >= post_period
+    return {(g, post): (dataset.q == g) & (is_post == post)
+            for g in (0, 1) for post in (False, True)}
+
+
+def cell_mean(dataset: RcsDataset, mask: np.ndarray, values=None) -> float:
+    """Weighted mean over the rows in mask of values (default dataset.y)."""
+    y = dataset.y if values is None else values
+    w = dataset.weights[mask]
+    return float(np.sum(w * y[mask]) / np.sum(w))
+
+
 def summarize_cells(dataset: RcsDataset, post_period: int) -> list:
     """Weighted mean/SD/count of y in the four (group, pre/post) cells.
 
     Pre pools every period before post_period. Empty cells are reported
     with count 0 rather than raised.
     """
-    if not 0 <= post_period < dataset.n_periods:
-        raise ValueError("post_period outside the dataset's period range")
-    is_post = dataset.t >= post_period
     out = []
-    for g in (0, 1):
-        for post in (False, True):
-            mask = (dataset.q == g) & (is_post == post)
-            count = int(mask.sum())
-            if count == 0:
-                out.append(CellStats(g, post, 0, float("nan"), float("nan")))
-                continue
-            w = dataset.weights[mask]
-            y = dataset.y[mask]
-            mean = float(np.sum(w * y) / np.sum(w))
-            sd = float(np.sqrt(np.sum(w * (y - mean) ** 2) / np.sum(w)))
-            out.append(CellStats(g, post, count, mean, sd))
+    for (g, post), mask in cell_masks(dataset, post_period).items():
+        count = int(mask.sum())
+        if count == 0:
+            out.append(CellStats(g, post, 0, float("nan"), float("nan")))
+            continue
+        mean = cell_mean(dataset, mask)
+        sd = float(np.sqrt(cell_mean(dataset, mask, (dataset.y - mean) ** 2)))
+        out.append(CellStats(g, post, count, mean, sd))
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import RcsDataset
+from .design import RcsDataset, cell_masks, cell_mean
 from .errors import EmptyCellError, RedrawRequired
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "effect_report",
     "proportional_effect",
     "lin_dd_proportional",
+    "double_ratio",
     "nonparametric_rr",
     "nonparametric_ror",
 ]
@@ -129,25 +130,26 @@ def lin_dd_proportional(beta_d_hat, ybar_11):
     return math.log(argument)
 
 
-def _cell_masks(dataset: RcsDataset, post_period, covariate_cell):
-    if not 0 <= post_period < dataset.n_periods:
-        raise ValueError("post_period outside the dataset's period range")
+def double_ratio(cells) -> float:
+    """(r11/r10) / (r01/r00) for per-cell values keyed (group, post)."""
+    return (cells[(1, 1)] / cells[(1, 0)]) / (cells[(0, 1)] / cells[(0, 0)])
+
+
+def _filtered_cells(dataset: RcsDataset, post_period, covariate_cell):
+    """cell_masks restricted to the covariate_cell rows; no cell may be empty."""
+    masks = cell_masks(dataset, post_period)
     keep = np.ones(dataset.n, dtype=bool)
     if covariate_cell:
         for name, value in covariate_cell.items():
             if name not in dataset.covariates:
                 raise ValueError(f"unknown covariate {name!r}")
             keep &= dataset.covariates[name] == value
-    is_post = dataset.t >= post_period
-    masks = {}
-    for g in (0, 1):
-        for post in (0, 1):
-            mask = keep & (dataset.q == g) & (is_post == bool(post))
-            if not mask.any():
-                raise EmptyCellError(
-                    f"cell (group={g}, {'post' if post else 'pre'}) is empty"
-                )
-            masks[(g, post)] = mask
+    for (g, post), mask in masks.items():
+        mask &= keep
+        if not mask.any():
+            raise EmptyCellError(
+                f"cell (group={g}, {'post' if post else 'pre'}) is empty"
+            )
     return masks
 
 
@@ -158,17 +160,14 @@ def nonparametric_rr(dataset: RcsDataset, post_period, covariate_cell=None):
     covariate_cell restricts to rows matching the given covariate values
     exactly. All four cell means must be positive.
     """
-    masks = _cell_masks(dataset, post_period, covariate_cell)
     means = {}
-    for key, mask in masks.items():
-        w = dataset.weights[mask]
-        means[key] = float(np.sum(w * dataset.y[mask]) / np.sum(w))
-        if not means[key] > 0:
-            g, post = key
+    for (g, post), mask in _filtered_cells(dataset, post_period, covariate_cell).items():
+        means[(g, post)] = cell_mean(dataset, mask)
+        if not means[(g, post)] > 0:
             raise ValueError(
                 f"cell (group={g}, {'post' if post else 'pre'}) has non-positive mean"
             )
-    return (means[(1, 1)] / means[(1, 0)]) / (means[(0, 1)] / means[(0, 0)])
+    return double_ratio(means)
 
 
 def nonparametric_ror(dataset: RcsDataset, post_period, class_c=1, covariate_cell=None):
@@ -177,19 +176,14 @@ def nonparametric_ror(dataset: RcsDataset, post_period, class_c=1, covariate_cel
 
     Weighted proportions; every cell needs positive mass on both classes.
     """
-    masks = _cell_masks(dataset, post_period, covariate_cell)
     ratios = {}
-    for key, mask in masks.items():
-        w = dataset.weights[mask]
-        y = dataset.y[mask]
-        total = np.sum(w)
-        p_c = float(np.sum(w * (y == class_c)) / total)
-        p_0 = float(np.sum(w * (y == 0)) / total)
+    for (g, post), mask in _filtered_cells(dataset, post_period, covariate_cell).items():
+        p_c = cell_mean(dataset, mask, dataset.y == class_c)
+        p_0 = cell_mean(dataset, mask, dataset.y == 0)
         if p_c <= 0 or p_0 <= 0:
-            g, post = key
             raise ValueError(
                 f"cell (group={g}, {'post' if post else 'pre'}) has zero proportion "
                 f"for class {class_c if p_c <= 0 else 0}"
             )
-        ratios[key] = p_c / p_0
-    return (ratios[(1, 1)] / ratios[(1, 0)]) / (ratios[(0, 1)] / ratios[(0, 0)])
+        ratios[(g, post)] = p_c / p_0
+    return double_ratio(ratios)

@@ -395,6 +395,12 @@ def _score_rows(values, resid):
     return np.einsum("nc,nk->nck", resid, values).reshape(values.shape[0], -1)
 
 
+def _check_cap(family, eta, cap):
+    """Raise the family's guard error when a capped linear predictor reaches the cap."""
+    if family.guard is not None and float(np.max(np.abs(eta))) >= cap:
+        raise family.guard()
+
+
 def _objective(family, values, y, w, cap):
     return lambda beta: _evaluate(family, values, y, w, beta, cap)[:3]
 
@@ -453,8 +459,7 @@ def _fit_qmle(family, values, names, y, w, clusters, options):
     init = np.zeros(values.shape[1] * max(n_classes, 1))
     beta, diag = maximize(_objective(family, values, y, w, cap), init, options, tolerance=tol)
     value, _, hess, eta, mean, resid = _evaluate(family, values, y, w, beta, cap)
-    if float(np.max(np.abs(eta))) >= cap:
-        raise family.guard()
+    _check_cap(family, eta, cap)
     # Divergent fits can stall "converged" below the cap once the saturated
     # rows' score drops under the tolerance; a perfectly predicted boundary
     # fit is the signature of that divergence.
@@ -531,7 +536,10 @@ def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
     cluster ids are given. The optional correction multiplies by G/(G-1)
     (clustered) or n/(n-p) (unclustered). Inputs are checked as the fits
     check them; beta_hat must hold p coefficients, or C blocks of p for the
-    multinomial with labels in 0..C. Bad input raises ValueError.
+    multinomial with labels in 0..C. Bad input raises ValueError. Like the
+    fits, a non-identity family raises its guard error when a linear
+    predictor reaches linear_predictor_cap, where the clamp would make the
+    matrix silently wrong.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -547,6 +555,7 @@ def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
         y = _class_matrix(y, n_classes)
     elif beta.shape != (p,):
         raise ValueError(f"beta_hat must have length {p}")
-    _, _, hess, _, _, resid = _evaluate(record, values, y, w, beta,
-                                        options.linear_predictor_cap)
+    cap = options.linear_predictor_cap
+    _, _, hess, eta, _, resid = _evaluate(record, values, y, w, beta, cap)
+    _check_cap(record, eta, cap)
     return _sandwich(-hess, _score_rows(values, resid), clusters, small_sample_correction)

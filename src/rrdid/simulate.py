@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignSpec, RcsDataset, build_design
-from .effects import lin_dd_proportional
+from .design import DesignSpec, RcsDataset, build_design, cell_masks, cell_mean
+from .effects import double_ratio, lin_dd_proportional
 from .errors import (
     MonteCarloAbort,
     OverflowGuardError,
@@ -33,7 +33,7 @@ from .errors import (
     SingularDesignError,
     SingularHessianError,
 )
-from .estimators import FitOptions, fit_logit_qmle, fit_ols, fit_poisson_qmle
+from .estimators import fit_logit_qmle, fit_ols, fit_poisson_qmle
 
 __all__ = [
     "Scenario",
@@ -52,6 +52,16 @@ N_PERIODS = 4
 POST_PERIOD = 3
 FAMILIES = ("positive", "count", "censored", "binary", "multinomial")
 _MAX_REDRAWS = 1000
+_DESIGN = DesignSpec(post_period=POST_PERIOD, include_period_dummies=True,
+                     include_group_trend=True)
+
+
+def _check_betas_t(params) -> None:
+    """Store params.betas_t as a tuple of N_PERIODS floats, or raise ValueError."""
+    betas = tuple(float(b) for b in params.betas_t)
+    if len(betas) != N_PERIODS:
+        raise ValueError(f"betas_t must have length {N_PERIODS}")
+    object.__setattr__(params, "betas_t", betas)
 
 
 @dataclass(frozen=True)
@@ -64,10 +74,7 @@ class MultinomialClassParams:
     beta_d: float = 0.0
 
     def __post_init__(self):
-        betas = tuple(float(b) for b in self.betas_t)
-        if len(betas) != N_PERIODS:
-            raise ValueError(f"betas_t must have length {N_PERIODS}")
-        object.__setattr__(self, "betas_t", betas)
+        _check_betas_t(self)
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,7 @@ class Scenario:
             raise ValueError("repetitions must be at least 1")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        betas = tuple(float(b) for b in self.betas_t)
-        if len(betas) != N_PERIODS:
-            raise ValueError(f"betas_t must have length {N_PERIODS}")
-        object.__setattr__(self, "betas_t", betas)
+        _check_betas_t(self)
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be non-negative")
         if self.family == "multinomial":
@@ -144,14 +148,15 @@ def replication_rng(seed: int, replication_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _linear_index(scenario: Scenario, q: np.ndarray) -> np.ndarray:
+def _linear_index(params, q: np.ndarray) -> np.ndarray:
+    """(n, 4) index from a Scenario's or a MultinomialClassParams' betas."""
     t = np.arange(N_PERIODS)
     d = q[:, None] * (t == POST_PERIOD)
     lin = (
-        np.asarray(scenario.betas_t)[None, :]
-        + scenario.beta_q * q[:, None]
-        + scenario.beta_qtau * t[None, :] * q[:, None]
-        + scenario.beta_d * d
+        np.asarray(params.betas_t)[None, :]
+        + params.beta_q * q[:, None]
+        + params.beta_qtau * t[None, :] * q[:, None]
+        + params.beta_d * d
     )
     return lin
 
@@ -162,17 +167,10 @@ def _draw_panel(scenario: Scenario, rng: np.random.Generator) -> Panel:
     family = scenario.family
 
     if family == "multinomial":
-        t = np.arange(N_PERIODS)
-        d = q[:, None] * (t == POST_PERIOD)
         n_total = len(scenario.multinomial_extras)
         utilities = np.empty((n, N_PERIODS, n_total))
         for j, params in enumerate(scenario.multinomial_extras):
-            utilities[:, :, j] = (
-                np.asarray(params.betas_t)[None, :]
-                + params.beta_q * q[:, None]
-                + params.beta_qtau * t[None, :] * q[:, None]
-                + params.beta_d * d
-            )
+            utilities[:, :, j] = _linear_index(params, q)
         utilities += scenario.noise_scale * rng.gumbel(size=(n, N_PERIODS, n_total))
         y = np.argmax(utilities, axis=2).astype(float)
         return Panel(y=y, q=q)
@@ -217,30 +215,21 @@ def dgp_draw(scenario: Scenario, replication_index: int,
 
 
 def panel_to_rcs(panel: Panel, scenario: Scenario, replication_index: int,
-                 rng: np.random.Generator | None = None,
-                 force_period: int | None = None) -> RcsDataset:
+                 rng: np.random.Generator | None = None) -> RcsDataset:
     """Keep one uniformly chosen period per subject (repeated cross-section).
 
-    force_period pins every subject to one period (testing switch). When no
-    rng is passed, the stream is re-derived from (seed, replication_index);
-    drivers that already consumed that stream for the panel draw should pass
-    their rng so the sampling continues it.
+    When no rng is passed, the stream is re-derived from (seed,
+    replication_index); drivers that already consumed that stream for the
+    panel draw should pass their rng so the sampling continues it.
     """
     n = panel.y.shape[0]
-    if force_period is not None:
-        if not 0 <= force_period < N_PERIODS:
-            raise ValueError("force_period outside the period range")
-        s = np.full(n, force_period, dtype=np.int64)
-    else:
-        if rng is None:
-            # a fresh (seed, rep) stream would replay the very words the
-            # panel's group draw consumed, tying the sampled period to q;
-            # a spawned child stream is independent of the parent
-            ss = np.random.SeedSequence(
-                entropy=scenario.seed, spawn_key=(replication_index,)
-            )
-            rng = np.random.default_rng(ss.spawn(1)[0])
-        s = rng.integers(0, N_PERIODS, size=n)
+    if rng is None:
+        # a fresh (seed, rep) stream would replay the very words the
+        # panel's group draw consumed, tying the sampled period to q;
+        # a spawned child stream is independent of the parent
+        ss = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(replication_index,))
+        rng = np.random.default_rng(ss.spawn(1)[0])
+    s = rng.integers(0, N_PERIODS, size=n)
     return RcsDataset(
         y=panel.y[np.arange(n), s],
         q=panel.q,
@@ -277,37 +266,35 @@ _FIT_ERRORS = (OverflowGuardError, SeparationError, SingularDesignError,
                SingularHessianError)
 
 
-def _one_replication(scenario, rep, fit_family, fit_options, has_transform,
-                     counterfactual_transform_mean):
+def _one_replication(scenario, rep, counterfactual):
+    """(redraws, estimates) of one replication; estimates is None when a fit fails.
+
+    The QMLE is looked up by module-level name on every call, so wrappers
+    installed on this module see each fit.
+    """
     rng = replication_rng(scenario.seed, rep)
-    design_spec = DesignSpec(
-        post_period=POST_PERIOD,
-        include_period_dummies=True,
-        include_group_trend=True,
-    )
+    fit_qmle = fit_logit_qmle if scenario.family == "binary" else fit_poisson_qmle
     redraws = 0
     for _ in range(_MAX_REDRAWS):
         panel = _draw_panel(scenario, rng)
         data = panel_to_rcs(panel, scenario, rep, rng=rng)
         try:
-            matrix = build_design(data, design_spec)
-            qfit = fit_family(matrix, data.y, data.weights, options=fit_options)
+            matrix = build_design(data, _DESIGN)
+            qfit = fit_qmle(matrix, data.y, data.weights)
             if not qfit.converged:
-                return {"ok": False, "redraws": redraws}
+                return redraws, None
             lfit = fit_ols(matrix, data.y, data.weights)
         except _FIT_ERRORS:
-            return {"ok": False, "redraws": redraws}
+            return redraws, None
         est = {
             "qmle_beta_qtau": qfit.coef("group_trend"),
             "qmle_beta_d": qfit.coef("treat"),
             "lindd_beta_qtau": lfit.coef("group_trend"),
             "lindd_beta_d": lfit.coef("treat"),
         }
-        if has_transform:
-            mask = (data.q == 1) & (data.t >= POST_PERIOD)
-            w = data.weights[mask]
-            ybar = float(np.sum(w * data.y[mask]) / np.sum(w))
-            if counterfactual_transform_mean:
+        if scenario.family != "binary":
+            ybar = cell_mean(data, cell_masks(data, POST_PERIOD)[(1, 1)])
+            if counterfactual:
                 ybar = ybar - lfit.coef("treat")
             if ybar <= 0:
                 redraws += 1
@@ -317,15 +304,14 @@ def _one_replication(scenario, rep, fit_family, fit_options, has_transform,
             except RedrawRequired:
                 redraws += 1
                 continue
-        return {"ok": True, "redraws": redraws, "est": est}
+        return redraws, est
     raise MonteCarloAbort(
         f"replication {rep} exceeded {_MAX_REDRAWS} redraws of the log transform"
     )
 
 
 def run_monte_carlo(scenario: Scenario, threads: int = 1,
-                    counterfactual_transform_mean: bool = False,
-                    fit_options: FitOptions = FitOptions()) -> McSummary:
+                    counterfactual_transform_mean: bool = False) -> McSummary:
     """Replicate a scenario and summarize |bias|, SD, and RMSE per estimator.
 
     Each replication fits the family's QMLE (Poisson for the exponential-mean
@@ -344,15 +330,10 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
             "run_monte_carlo covers the positive, count, censored, and binary "
             "families; multinomial scenarios are for dgp_draw and the analytic checks"
         )
-    fit_family = fit_logit_qmle if scenario.family == "binary" else fit_poisson_qmle
-    has_transform = scenario.family != "binary"
     reps = scenario.repetitions
 
     def worker(rep):
-        return _one_replication(
-            scenario, rep, fit_family, fit_options, has_transform,
-            counterfactual_transform_mean,
-        )
+        return _one_replication(scenario, rep, counterfactual_transform_mean)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -360,7 +341,7 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
     else:
         results = [worker(rep) for rep in range(reps)]
 
-    ok = [r for r in results if r["ok"]]
+    ok = [est for _, est in results if est is not None]
     failed = reps - len(ok)
     if failed > 0.05 * reps:
         raise MonteCarloAbort(
@@ -368,30 +349,23 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
             "the summary would be misleading"
         )
 
-    truth = {
-        "qmle_beta_qtau": scenario.beta_qtau,
-        "qmle_beta_d": scenario.beta_d,
-        "lindd_beta_qtau": scenario.beta_qtau,
-        "lindd_beta_d": scenario.beta_d,
-        "lindd_transform": scenario.beta_d,
-    }
-    row_keys = ["qmle_beta_qtau", "qmle_beta_d", "lindd_beta_qtau", "lindd_beta_d"]
-    if has_transform:
-        row_keys.append("lindd_transform")
-
+    # the abort rule leaves at least one replication, and every one
+    # carries the same rows
     rows = {}
-    for key in row_keys:
-        values = np.array([r["est"][key] for r in ok])
-        mean = float(values.mean()) if values.size else float("nan")
-        abs_bias = abs(mean - truth[key])
-        sd = float(np.sqrt(np.mean((values - mean) ** 2))) if values.size else float("nan")
-        rmse = float(np.sqrt(np.mean((values - truth[key]) ** 2))) if values.size else float("nan")
-        rows[key] = McRow(abs_bias=abs_bias, sd=sd, rmse=rmse)
+    for key in ok[0]:
+        values = np.array([est[key] for est in ok])
+        truth = scenario.beta_qtau if key.endswith("beta_qtau") else scenario.beta_d
+        mean = float(values.mean())
+        rows[key] = McRow(
+            abs_bias=abs(mean - truth),
+            sd=float(np.sqrt(np.mean((values - mean) ** 2))),
+            rmse=float(np.sqrt(np.mean((values - truth) ** 2))),
+        )
 
     return McSummary(
         scenario=scenario,
         rows=rows,
-        redraw_count=sum(r["redraws"] for r in results),
+        redraw_count=sum(redraws for redraws, _ in results),
         effective_repetitions=len(ok),
         failed_repetitions=failed,
     )
@@ -421,8 +395,7 @@ def analytic_trend_check(model: str, beta_qtau: float, *,
         # the exponential mean is exp(index), and so are the population odds
         # p/(1-p) of a logistic model; the closed form avoids the 1-p
         # cancellation at extreme indexes
-        r = {(q, s): math.exp(index(q, s)) for q in (0, 1) for s in (0, 1)}
-        return (r[(1, 1)] / r[(1, 0)]) / (r[(0, 1)] / r[(0, 0)])
+        return double_ratio({(q, s): math.exp(index(q, s)) for q in (0, 1) for s in (0, 1)})
     if model == "multinomial":
         if not class_contrasts:
             raise ValueError("multinomial check needs class_contrasts")
@@ -442,5 +415,5 @@ def analytic_trend_check(model: str, beta_qtau: float, *,
                 ]
                 # p_c / p_0: the shared softmax denominator cancels
                 r[(q, s)] = math.exp(etas[class_c - 1])
-        return (r[(1, 1)] / r[(1, 0)]) / (r[(0, 1)] / r[(0, 0)])
+        return double_ratio(r)
     raise ValueError(f"unknown model {model!r}")

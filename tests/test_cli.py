@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rrdid import nonparametric_rr, summarize_cells
 from rrdid.cli import canonical_json, load_csv_dataset, run_cli
 
 
@@ -261,6 +266,43 @@ def test_summarize_cells(capsys, linear_csv):
     out = capsys.readouterr().out
     assert code == 0
     assert "post" in out and "pre" in out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_cell_statistics_share_one_post_definition(data):
+    # several periods with post before the last one: the cell summaries, the
+    # nonparametric ratio and the linear-DD log transform must all pool the
+    # same t >= post rows
+    n_periods = data.draw(st.integers(3, 5))
+    post = data.draw(st.integers(1, n_periods - 2))
+    positive = st.floats(0.1, 10.0)
+    rows = [
+        [2000 + t, g, data.draw(positive), data.draw(positive)]
+        for g in (0, 1) for t in range(n_periods)
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(os.path.join(tmp, "cells.csv"), ["year", "grp", "y", "w"], rows)
+        target = os.path.join(tmp, "out.json")
+        assert run_cli([
+            "estimate", "--family", "linear", "--csv", path, "--outcome", "y",
+            "--group", "grp", "--period", "year", "--post", str(2000 + post),
+            "--weights", "w", "--format", "json", "--output", target,
+        ]) == 0
+        with open(target, encoding="utf-8") as handle:
+            results = json.load(handle)["results"]
+        dataset, _ = load_csv_dataset(path, "y", "grp", "year", weights="w")
+
+    m = {(c.group, c.post): c.mean for c in summarize_cells(dataset, post)}
+    assert nonparametric_rr(dataset, post) == (
+        (m[(1, True)] / m[(1, False)]) / (m[(0, True)] / m[(0, False)])
+    )
+    beta_d = next(row["estimate"] for row in results["fit"]["coefficients"]
+                  if row["name"] == "treat")
+    argument = beta_d / m[(1, True)] + 1.0
+    expected = math.log(argument) if argument > 0 else None
+    assert results["lin_dd_transform"] == expected
 
 
 def test_simulate_json_and_text(capsys):

@@ -58,6 +58,15 @@ def test_design_rejects_out_of_range_periods():
         build_design(data, DesignSpec(post_period=2, base_period=-1))
 
 
+def test_design_rejects_covariates_named_like_design_columns():
+    base = toy_dataset()
+    for name in ("treat", "group_trend", "period_1"):
+        data = RcsDataset(y=base.y, q=base.q, t=base.t, n_periods=3,
+                          covariates={name: base.covariates["x"]})
+        with pytest.raises(ValueError, match=name):
+            build_design(data, DesignSpec(post_period=2, include_group_trend=True))
+
+
 def test_heterogeneous_covariates_must_exist():
     data = toy_dataset()
     spec = DesignSpec(post_period=2, heterogeneous_covariates=("nope",))

@@ -416,6 +416,21 @@ def test_robust_vcov_validates_inputs():
             robust_vcov(family, design, outcome, weights, coef)
 
 
+@pytest.mark.parametrize("family, data, error", [
+    ("poisson_qmle", poisson_data, OverflowGuardError),
+    ("logit_qmle", logit_data, SeparationError),
+])
+def test_robust_vcov_applies_the_cap_guard(family, data, error):
+    # with an intercept, beta = (40, 0) puts every linear predictor past the
+    # cap of 30; clamped, it would return the matrix of beta = (35, 0)
+    X, y, w = data(seed=16, n=10)
+    for beta in ((40.0, 0.0), (-30.0, 0.0)):
+        with pytest.raises(error):
+            robust_vcov(family, X, y, w, np.array(beta))
+    assert np.all(np.isfinite(robust_vcov(family, X, y, w, np.array([5.0, 0.0]))))
+    assert np.all(np.isfinite(robust_vcov("ols", X, y, w, np.array([40.0, 0.0]))))
+
+
 def test_weight_duplication_equivalence():
     X, y, w = poisson_data(seed=17, n=12)
     clusters = np.arange(12) // 3

@@ -229,16 +229,6 @@ def test_panel_to_rcs_period_draw_independent_of_group():
     assert abs(float(np.corrcoef(data.q, data.t)[0, 1])) < 0.01
 
 
-def test_panel_to_rcs_force_period():
-    sc = scenario(n=30)
-    panel = dgp_draw(sc, 0)
-    data = panel_to_rcs(panel, sc, 0, force_period=2)
-    np.testing.assert_array_equal(data.t, np.full(30, 2))
-    np.testing.assert_array_equal(data.y, panel.y[:, 2])
-    with pytest.raises(ValueError):
-        panel_to_rcs(panel, sc, 0, force_period=4)
-
-
 # --- the Monte Carlo driver ----------------------------------------------------
 
 
