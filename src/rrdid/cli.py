@@ -382,6 +382,7 @@ def _run_simulate(args):
             for key, row in summary.rows.items()
         },
         "redraw_count": summary.redraw_count,
+        "failures_by_kind": summary.failures_by_kind,
         "effective_repetitions": summary.effective_repetitions,
         "failed_repetitions": summary.failed_repetitions,
     }
@@ -587,9 +588,12 @@ def _render_simulate(payload):
             f"{_ROW_LABELS[key]:<20}{_num(row['abs_bias'], 2):>8}"
             f"{_num(row['sd'], 2):>8}{_num(row['rmse'], 2):>8}"
         )
+    kinds = ", ".join(f"{kind} {count}"
+                      for kind, count in results["failures_by_kind"].items() if count)
     lines.append(
-        "effective repetitions {effective_repetitions}, "
-        "failures {failed_repetitions}, redraws {redraw_count}".format(**results)
+        "effective repetitions {effective_repetitions}, failures {failed_repetitions}"
+        "{kinds}, redraws {redraw_count}".format(kinds=f" ({kinds})" if kinds else "",
+                                                 **results)
     )
     return "\n".join(lines)
 

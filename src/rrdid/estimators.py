@@ -45,6 +45,7 @@ __all__ = [
     "fit_poisson_qmle",
     "fit_logit_qmle",
     "fit_multinomial_logit",
+    "fit_cell_sums",
     "robust_vcov",
 ]
 
@@ -75,10 +76,15 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class NewtonDiagnostics:
+    """How a Newton ascent ended; for a batch each field holds one entry per
+    problem, and singular marks the problems stopped by a singular Hessian
+    (a single problem raises SingularHessianError instead)."""
+
     iterations: int
     converged: bool
     score_norm: float
     value: float
+    singular: bool = False
 
 
 @dataclass(frozen=True)
@@ -134,49 +140,80 @@ class FitResult:
 
 
 def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None):
-    """Newton ascent with step halving.
+    """Newton ascent with step halving, for one problem or a batch of them.
 
     objective(beta) must return (value, gradient, hessian). Convergence is
     max-abs gradient <= tolerance (default options.gradient_tolerance,
     unscaled); a step shorter than 1e-12 also stops the iteration. Returns
     (argmax, NewtonDiagnostics). An init already at the optimum returns
     immediately with 0 iterations.
+
+    A 2-d init (B, p) runs B problems in one loop: objective then maps (B, p)
+    to values (B,), gradients (B, p) and Hessians (B, p, p), tolerance may
+    hold one entry per problem, every decision above is taken per problem,
+    and the diagnostics hold arrays. A 1-d init is a batch of one.
     """
-    tol = options.gradient_tolerance if tolerance is None else float(tolerance)
+    tol = options.gradient_tolerance if tolerance is None else np.asarray(tolerance, float)
     beta = np.array(init, float, copy=True)
-    value, grad, hess = objective(beta)
-    if not np.isfinite(value):
-        raise NonFiniteObjectiveError("objective non-finite at the starting point")
+    if beta.ndim == 1:
+        def batch_of_one(b):
+            value, grad, hess = objective(b[0])
+            return np.array([value]), np.asarray(grad)[None], np.asarray(hess)[None]
 
-    iterations = 0
-    for _ in range(options.max_iterations):
-        score_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if score_norm <= tol:
-            return beta, NewtonDiagnostics(iterations, True, score_norm, value)
-        try:
-            direction = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
+        beta, diag = maximize(batch_of_one, beta[None], options, tol)
+        if diag.singular[0]:
             raise SingularHessianError("Hessian is singular at the current iterate")
+        return beta[0], NewtonDiagnostics(int(diag.iterations[0]), bool(diag.converged[0]),
+                                          float(diag.score_norm[0]), float(diag.value[0]))
 
-        step = 1.0
-        accepted = None
+    value, grad, hess = objective(beta)
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteObjectiveError("objective non-finite at the starting point")
+    n_problems = beta.shape[0]
+    iterations = np.zeros(n_problems, int)
+    singular = np.zeros(n_problems, bool)
+    running = np.ones(n_problems, bool)
+    for _ in range(options.max_iterations):
+        running &= ~(np.max(np.abs(grad), axis=1, initial=0.0) <= tol)
+        if not running.any():
+            break
+        direction = np.zeros_like(beta)
+        direction[running], singular[running] = _newton_directions(hess[running], grad[running])
+        running &= ~singular
+
+        step = np.ones(n_problems)
+        searching = running.copy()
         for _ in range(options.step_halving_max):
-            candidate = beta + step * direction
+            candidate = beta + step[:, None] * direction
             cand_value, cand_grad, cand_hess = objective(candidate)
             # accept any non-decrease up to rounding noise
-            if np.isfinite(cand_value) and cand_value >= value - 1e-12 * (1 + abs(value)):
-                accepted = (candidate, cand_value, cand_grad, cand_hess)
+            accept = searching & np.isfinite(cand_value) & (
+                cand_value >= value - 1e-12 * (1 + np.abs(value)))
+            beta[accept], value[accept] = candidate[accept], cand_value[accept]
+            grad[accept], hess[accept] = cand_grad[accept], cand_hess[accept]
+            searching &= ~accept
+            if not searching.any():
                 break
-            step /= 2.0
-        if accepted is None:
-            break
-        beta, value, grad, hess = accepted
-        iterations += 1
-        if step * float(np.max(np.abs(direction))) < 1e-12:
-            break
+            step[searching] /= 2.0
+        # a problem with no acceptable step stops where it is
+        running &= ~searching
+        iterations += running
+        running &= ~(step * np.max(np.abs(direction), axis=1, initial=0.0) < 1e-12)
 
-    score_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    return beta, NewtonDiagnostics(iterations, score_norm <= tol, score_norm, value)
+    score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
+    return beta, NewtonDiagnostics(iterations, score_norm <= tol, score_norm, value, singular)
+
+
+def _newton_directions(hess, grad):
+    """Solutions of -hess d = grad per problem, and which Hessians are singular (d = 0)."""
+    try:
+        return np.linalg.solve(-hess, grad[..., None])[..., 0], np.zeros(len(grad), bool)
+    except np.linalg.LinAlgError:
+        if len(grad) == 1:
+            return np.zeros_like(grad), np.ones(1, bool)
+    # one singular matrix fails the stacked solve; solve the problems one by one
+    parts = [_newton_directions(hess[i:i + 1], grad[i:i + 1]) for i in range(len(grad))]
+    return np.concatenate([d for d, _ in parts]), np.concatenate([s for _, s in parts])
 
 
 def _as_design(X):
@@ -230,10 +267,10 @@ def _cluster_sum(scores, clusters):
     clusters = np.asarray(clusters)
     if clusters.shape[0] != scores.shape[0]:
         raise ValueError("clusters must match the number of observations")
-    _, codes = np.unique(clusters, return_inverse=True)
-    summed = np.zeros((codes.max() + 1, scores.shape[1]))
-    np.add.at(summed, codes, scores)
-    return summed
+    # codes number the clusters in sorted-label order
+    labels, codes = np.unique(clusters, return_inverse=True)
+    return np.column_stack([np.bincount(codes, weights=col, minlength=labels.size)
+                            for col in scores.T])
 
 
 def _sandwich(bread, scores, clusters, small_sample_correction=False):
@@ -355,17 +392,28 @@ def _class_matrix(labels, n_classes):
 def _evaluate(family, values, y, w, beta, cap):
     """(value, grad, hess, eta, mean, resid) at beta; eta is taken before the cap.
 
-    y is (n,), or (n, C) class indicators with C blocks of p in beta.
+    y is (n,), or (n, C) class indicators with C blocks of p in beta. A 2-d
+    beta (B, p) evaluates B fits on the same design rows: y and w are then
+    (B, n), and value, grad and hess gain a leading axis of length B.
     resid = w * (y - mean) is each row's score before the design row.
     """
-    blocks = y.ndim == 2
-    eta = values @ (beta.reshape(y.shape[1], -1).T if blocks else beta)
+    batch = beta.ndim == 2
+    blocks = y.ndim == 2 and not batch
+    if batch:
+        # one product per fit, so a fit's bits do not depend on its batch
+        eta = (values @ beta[:, :, None])[:, :, 0]
+    else:
+        eta = values @ (beta.reshape(y.shape[1], -1).T if blocks else beta)
     capped = eta if family.guard is None else np.clip(eta, -cap, cap)
     cumulant, mean = family.moments(capped)
     if blocks:
         value = float(np.sum(w * (np.sum(y * capped, axis=1) - cumulant)))
         resid = w[:, None] * (y - mean)
         grad = (resid.T @ values).reshape(-1)
+    elif batch:
+        value = np.sum(w * (y * capped - cumulant), axis=1)
+        resid = w * (y - mean)
+        grad = (resid[:, None, :] @ values)[:, 0, :]
     else:
         value = float(np.sum(w * (y * capped - cumulant)))
         resid = w * (y - mean)
@@ -374,9 +422,10 @@ def _evaluate(family, values, y, w, beta, cap):
 
 
 def _hessian(values, weight):
-    """-sum_i weight_i x_i x_i', one p x p block per class pair for (C, C, n) weights."""
-    if weight.ndim == 1:
-        return -(values.T * weight) @ values
+    """-sum_i weight_i x_i x_i': one p x p matrix for (n,) weights, one per fit
+    for (B, n), one p x p block per class pair for (C, C, n)."""
+    if weight.ndim < 3:
+        return -(values.T * weight[..., None, :]) @ values
     n_classes, p = weight.shape[0], values.shape[1]
     hess = np.zeros((n_classes * p, n_classes * p))
     for c in range(n_classes):
@@ -399,6 +448,21 @@ def _check_cap(family, eta, cap):
     """Raise the family's guard error when a capped linear predictor reaches the cap."""
     if family.guard is not None and float(np.max(np.abs(eta))) >= cap:
         raise family.guard()
+
+
+def _check_guards(family, y, eta, mean, converged, cap):
+    """Raise the family's guard error for a fit that diverged, at or below the cap."""
+    _check_cap(family, eta, cap)
+    # Divergent fits can stall "converged" below the cap once the saturated
+    # rows' score drops under the tolerance; a perfectly predicted boundary
+    # fit is the signature of that divergence.
+    if converged and family.separated is not None and family.separated(y, mean):
+        raise family.guard()
+
+
+def _identically_zero(w, y):
+    """The exponential mean has no finite optimum when every weighted outcome is 0."""
+    return np.sum(w * y, axis=-1) == 0.0
 
 
 def _objective(family, values, y, w, cap):
@@ -459,12 +523,7 @@ def _fit_qmle(family, values, names, y, w, clusters, options):
     init = np.zeros(values.shape[1] * max(n_classes, 1))
     beta, diag = maximize(_objective(family, values, y, w, cap), init, options, tolerance=tol)
     value, _, hess, eta, mean, resid = _evaluate(family, values, y, w, beta, cap)
-    _check_cap(family, eta, cap)
-    # Divergent fits can stall "converged" below the cap once the saturated
-    # rows' score drops under the tolerance; a perfectly predicted boundary
-    # fit is the signature of that divergence.
-    if diag.converged and family.separated is not None and family.separated(y, mean):
-        raise family.guard()
+    _check_guards(family, y, eta, mean, diag.converged, cap)
     if diag.converged:
         vcov = _sandwich(-hess, _score_rows(values, resid), clusters)
     else:
@@ -492,7 +551,7 @@ def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = Fi
     exponential for the estimate to be consistent.
     """
     values, names, y, w = _inputs(_POISSON, X, y, weights)
-    if float(np.sum(w * y)) == 0.0:
+    if _identically_zero(w, y):
         raise OverflowGuardError(
             "outcome is identically zero; the exponential mean has no finite optimum"
         )
@@ -524,6 +583,89 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
     full_names = [f"{name}[{c}]" for c in range(1, n_classes + 1) for name in names]
     return _fit_qmle(_MULTINOMIAL, values, full_names, _class_matrix(labels, n_classes),
                      w, clusters, options)
+
+
+def fit_cell_sums(family, X, counts, sums):
+    """Fit B datasets whose regressors are constant within cells, in one batch.
+
+    X (k, p) holds the design row of each of k cells; counts and sums (B, k)
+    hold each dataset's total weight and weighted outcome sum per cell. The
+    weighted least-squares and quasi-likelihood fits depend on the data only
+    through these sums, so dataset r's fit equals, up to rounding, the
+    row-level fit_ols, fit_poisson_qmle or fit_logit_qmle (family "ols",
+    "poisson_qmle" or "logit_qmle") of its rows at the default FitOptions,
+    with the same stopping rules and guards. Returns (coefficients (B, p),
+    failures): failures[r] is None for a converged fit, "not_converged", or
+    the name of the error the row-level fit raises (SingularDesignError,
+    SingularHessianError, OverflowGuardError, SeparationError); a failed
+    row's coefficients are NaN.
+    """
+    if family not in ("ols", "poisson_qmle", "logit_qmle"):
+        raise ValueError(f"fit_cell_sums fits ols, poisson_qmle or logit_qmle, not {family!r}")
+    record = _FAMILIES[family]
+    values, names = _as_design(X)
+    counts, sums = np.asarray(counts, float), np.asarray(sums, float)
+    if counts.ndim != 2 or counts.shape != sums.shape or counts.shape[1] != values.shape[0]:
+        raise ValueError("counts and sums must be (B, k) for a design of k cells")
+    if not (np.all(np.isfinite(counts)) and np.all(np.isfinite(sums))) or np.any(counts < 0):
+        raise ValueError("counts must be non-negative and counts and sums finite")
+    if np.any((counts == 0) & (sums != 0)):
+        raise ValueError("a cell without observations must have a zero sum")
+    # a cell without observations drops out, as absent rows do at row level
+    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    if not record.in_domain(means):
+        raise ValueError(f"{family} requires {record.domain}")
+
+    coefficients = np.full((counts.shape[0], values.shape[1]), np.nan)
+    failures = [None] * counts.shape[0]
+    # one rank check per pattern of empty cells
+    patterns, which = np.unique(counts > 0, axis=0, return_inverse=True)
+    for j, keep in enumerate(patterns):
+        rows = np.flatnonzero(which.reshape(-1) == j)
+        try:
+            _check_full_rank(values[keep], np.ones(int(keep.sum())), names)
+        except SingularDesignError:
+            kinds = ["SingularDesignError"] * rows.size
+        else:
+            beta, kinds = _fit_cells(record, values[keep], means[rows][:, keep],
+                                     counts[rows][:, keep])
+            failed = np.array([kind is not None for kind in kinds])
+            coefficients[rows] = np.where(failed[:, None], np.nan, beta)
+        for r, kind in zip(rows, kinds):
+            failures[r] = kind
+    return coefficients, failures
+
+
+def _fit_cells(family, values, y, w):
+    """(coefficients, failure kinds) of full-rank cell fits; y is the cell mean."""
+    options = FitOptions()
+    beta = np.zeros((y.shape[0], values.shape[1]))
+    if family is _GAUSSIAN:
+        # least squares is one Newton step from zero
+        _, grad, hess, *_ = _evaluate(family, values, y, w, beta, None)
+        beta, singular = _newton_directions(hess, grad)
+        return beta, ["SingularHessianError" if s else None for s in singular]
+
+    cap = options.linear_predictor_cap
+    zero = _identically_zero(w, y) if family is _POISSON else np.zeros(y.shape[0], bool)
+    kinds = ["OverflowGuardError" if z else None for z in zero]
+    fit = np.flatnonzero(~zero)
+    y, w = y[fit], w[fit]
+    tol = options.gradient_tolerance * (1.0 + w.sum(axis=1))
+    beta[fit], diag = maximize(_objective(family, values, y, w, cap), beta[fit], options,
+                               tolerance=tol)
+    _, _, _, eta, mean, _ = _evaluate(family, values, y, w, beta[fit], cap)
+    for i, r in enumerate(fit):
+        if diag.singular[i]:
+            kinds[r] = "SingularHessianError"
+            continue
+        try:
+            _check_guards(family, y[i], eta[i], mean[i], diag.converged[i], cap)
+        except (OverflowGuardError, SeparationError) as err:
+            kinds[r] = type(err).__name__
+        else:
+            kinds[r] = None if diag.converged[i] else "not_converged"
+    return beta, kinds
 
 
 def robust_vcov(family, X, y, weights, beta_hat, clusters=None,

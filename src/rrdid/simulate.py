@@ -6,6 +6,9 @@ one uniformly chosen period per subject. Replication r of a scenario draws
 from an RNG stream keyed by (seed, r), so results are independent of thread
 count and redraws within a replication extend that stream only.
 
+The Monte Carlo driver keeps only each draw's (q, t) cell counts and outcome
+sums and fits every replication from them, all replications in one batch.
+
 Outcome families:
     positive   Y = exp(lin + N(0,1))
     count      Y ~ Poisson(exp(lin))
@@ -19,21 +22,18 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignSpec, RcsDataset, build_design, cell_masks, cell_mean
+from .design import DesignSpec, RcsDataset, build_design, cell_masks
 from .effects import double_ratio, lin_dd_proportional
-from .errors import (
-    MonteCarloAbort,
-    OverflowGuardError,
-    RedrawRequired,
-    SeparationError,
-    SingularDesignError,
-    SingularHessianError,
-)
-from .estimators import fit_logit_qmle, fit_ols, fit_poisson_qmle
+from .errors import MonteCarloAbort, RedrawRequired
+from .estimators import fit_cell_sums
+# Not called here, since replications are fitted on cell sums; they stay
+# bound because bench/tracing.py wraps these names on this module.
+from .estimators import fit_logit_qmle, fit_ols, fit_poisson_qmle  # noqa: F401
 
 __all__ = [
     "Scenario",
@@ -54,6 +54,11 @@ FAMILIES = ("positive", "count", "censored", "binary", "multinomial")
 _MAX_REDRAWS = 1000
 _DESIGN = DesignSpec(post_period=POST_PERIOD, include_period_dummies=True,
                      include_group_trend=True)
+# one row per (q, t) cell, in the order q * N_PERIODS + t
+_CELLS = RcsDataset(y=np.zeros(2 * N_PERIODS), q=np.repeat([0, 1], N_PERIODS),
+                    t=np.tile(np.arange(N_PERIODS), 2), n_periods=N_PERIODS)
+FAILURE_KINDS = ("not_converged", "OverflowGuardError", "SeparationError",
+                 "SingularDesignError", "SingularHessianError")
 
 
 def _check_betas_t(params) -> None:
@@ -222,20 +227,29 @@ def panel_to_rcs(panel: Panel, scenario: Scenario, replication_index: int,
     replication_index); drivers that already consumed that stream for the
     panel draw should pass their rng so the sampling continues it.
     """
-    n = panel.y.shape[0]
     if rng is None:
         # a fresh (seed, rep) stream would replay the very words the
         # panel's group draw consumed, tying the sampled period to q;
         # a spawned child stream is independent of the parent
         ss = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(replication_index,))
         rng = np.random.default_rng(ss.spawn(1)[0])
-    s = rng.integers(0, N_PERIODS, size=n)
-    return RcsDataset(
-        y=panel.y[np.arange(n), s],
-        q=panel.q,
-        t=s,
-        n_periods=N_PERIODS,
-    )
+    y, s = _sample_periods(panel, rng)
+    return RcsDataset(y=y, q=panel.q, t=s, n_periods=N_PERIODS)
+
+
+def _sample_periods(panel: Panel, rng: np.random.Generator):
+    """(y, t): each subject's outcome in one period t drawn uniformly from rng."""
+    t = rng.integers(0, N_PERIODS, size=panel.y.shape[0])
+    return panel.y[np.arange(t.size), t], t
+
+
+def _draw_cells(scenario: Scenario, rng: np.random.Generator):
+    """Observation counts and outcome sums of the _CELLS cells of one draw from rng."""
+    panel = _draw_panel(scenario, rng)
+    y, t = _sample_periods(panel, rng)
+    cell = panel.q * N_PERIODS + t
+    return (np.bincount(cell, minlength=_CELLS.n),
+            np.bincount(cell, weights=y, minlength=_CELLS.n))
 
 
 @dataclass(frozen=True)
@@ -253,61 +267,55 @@ class McSummary:
     lindd_beta_qtau, lindd_beta_d (linear DD), and lindd_transform
     (log(beta_d/ybar + 1), absent for the binary family). SDs use the
     replication count as denominator, so rmse^2 = abs_bias^2 + sd^2.
+    failures_by_kind counts the failed replications by FAILURE_KINDS entry:
+    a QMLE that did not converge, or the error the row-level fit raises.
     """
 
     scenario: Scenario
     rows: dict = field(default_factory=dict)
     redraw_count: int = 0
+    failures_by_kind: dict = field(default_factory=dict)
     effective_repetitions: int = 0
     failed_repetitions: int = 0
 
 
-_FIT_ERRORS = (OverflowGuardError, SeparationError, SingularDesignError,
-               SingularHessianError)
+def _fit_draws(scenario, design, counts, sums, counterfactual):
+    """(failure kind, estimates) of each draw, fitted on its cell counts and sums.
 
-
-def _one_replication(scenario, rep, counterfactual):
-    """(redraws, estimates) of one replication; estimates is None when a fit fails.
-
-    The QMLE is looked up by module-level name on every call, so wrappers
-    installed on this module see each fit.
+    estimates is None for a failed fit and for a draw whose log transform is
+    undefined, which the caller draws again.
     """
-    rng = replication_rng(scenario.seed, rep)
-    fit_qmle = fit_logit_qmle if scenario.family == "binary" else fit_poisson_qmle
-    redraws = 0
-    for _ in range(_MAX_REDRAWS):
-        panel = _draw_panel(scenario, rng)
-        data = panel_to_rcs(panel, scenario, rep, rng=rng)
-        try:
-            matrix = build_design(data, _DESIGN)
-            qfit = fit_qmle(matrix, data.y, data.weights)
-            if not qfit.converged:
-                return redraws, None
-            lfit = fit_ols(matrix, data.y, data.weights)
-        except _FIT_ERRORS:
-            return redraws, None
+    trend, treat = design.index("group_trend"), design.index("treat")
+    qmle = "logit_qmle" if scenario.family == "binary" else "poisson_qmle"
+    qbeta, qfailed = fit_cell_sums(qmle, design, counts, sums)
+    lbeta, lfailed = fit_cell_sums("ols", design, counts, sums)
+    post = cell_masks(_CELLS, POST_PERIOD)[(1, 1)]
+    out = []
+    for i in range(counts.shape[0]):
+        kind = qfailed[i] or lfailed[i]
+        if kind is not None:
+            out.append((kind, None))
+            continue
         est = {
-            "qmle_beta_qtau": qfit.coef("group_trend"),
-            "qmle_beta_d": qfit.coef("treat"),
-            "lindd_beta_qtau": lfit.coef("group_trend"),
-            "lindd_beta_d": lfit.coef("treat"),
+            "qmle_beta_qtau": float(qbeta[i, trend]),
+            "qmle_beta_d": float(qbeta[i, treat]),
+            "lindd_beta_qtau": float(lbeta[i, trend]),
+            "lindd_beta_d": float(lbeta[i, treat]),
         }
         if scenario.family != "binary":
-            ybar = cell_mean(data, cell_masks(data, POST_PERIOD)[(1, 1)])
+            # a fitted design has observations in the treated post cell
+            ybar = float(sums[i, post].sum() / counts[i, post].sum())
             if counterfactual:
-                ybar = ybar - lfit.coef("treat")
+                ybar = ybar - est["lindd_beta_d"]
             if ybar <= 0:
-                redraws += 1
-                continue
-            try:
-                est["lindd_transform"] = lin_dd_proportional(lfit.coef("treat"), ybar)
-            except RedrawRequired:
-                redraws += 1
-                continue
-        return redraws, est
-    raise MonteCarloAbort(
-        f"replication {rep} exceeded {_MAX_REDRAWS} redraws of the log transform"
-    )
+                est = None
+            else:
+                try:
+                    est["lindd_transform"] = lin_dd_proportional(est["lindd_beta_d"], ybar)
+                except RedrawRequired:
+                    est = None
+        out.append((None, est))
+    return out
 
 
 def run_monte_carlo(scenario: Scenario, threads: int = 1,
@@ -316,10 +324,15 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
 
     Each replication fits the family's QMLE (Poisson for the exponential-mean
     families, logit for binary) and the linear DD regression on the same
-    design (period dummies, group, group trend, treatment). Replications
-    whose QMLE fails are excluded; more than 5% failures aborts. A draw whose
-    log transform is undefined is redrawn in full, extending only that
-    replication's stream, so summaries are identical for any thread count.
+    design (period dummies, group, group trend, treatment). Regressors are
+    constant within the eight (q, t) cells, so each replication is kept as
+    its cell counts and sums, and all of them are fitted in one batch by
+    fit_cell_sums, with the row-level fits' stopping rules and guards.
+    Replications whose QMLE fails are excluded; more than 5% failures aborts.
+    A draw whose log transform is undefined is redrawn in full, extending
+    only that replication's stream, and the redrawn replications are refitted
+    as a smaller batch; summaries are identical for any thread count, which
+    only spreads the draws.
 
     counterfactual_transform_mean rescales the transform by the implied
     untreated mean (observed treated-post mean minus the DD estimate)
@@ -331,17 +344,36 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
             "families; multinomial scenarios are for dgp_draw and the analytic checks"
         )
     reps = scenario.repetitions
+    design = build_design(_CELLS, _DESIGN)
+    rngs = [replication_rng(scenario.seed, rep) for rep in range(reps)]
+    estimates = [None] * reps
+    failures = dict.fromkeys(FAILURE_KINDS, 0)
+    redraws = 0
+    pending = list(range(reps))
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for _ in range(_MAX_REDRAWS):
+            draws = (pool.map if pool else map)(lambda rep: _draw_cells(scenario, rngs[rep]),
+                                                pending)
+            counts, sums = (np.array(part, float) for part in zip(*draws))
+            redrawn = []
+            fits = _fit_draws(scenario, design, counts, sums, counterfactual_transform_mean)
+            for rep, (kind, est) in zip(pending, fits):
+                if kind is not None:
+                    failures[kind] += 1
+                elif est is None:
+                    redrawn.append(rep)
+                else:
+                    estimates[rep] = est
+            redraws += len(redrawn)
+            pending = redrawn
+            if not pending:
+                break
+    if pending:
+        raise MonteCarloAbort(
+            f"replication {pending[0]} exceeded {_MAX_REDRAWS} redraws of the log transform"
+        )
 
-    def worker(rep):
-        return _one_replication(scenario, rep, counterfactual_transform_mean)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(reps)))
-    else:
-        results = [worker(rep) for rep in range(reps)]
-
-    ok = [est for _, est in results if est is not None]
+    ok = [est for est in estimates if est is not None]
     failed = reps - len(ok)
     if failed > 0.05 * reps:
         raise MonteCarloAbort(
@@ -365,7 +397,8 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
     return McSummary(
         scenario=scenario,
         rows=rows,
-        redraw_count=sum(redraws for redraws, _ in results),
+        redraw_count=redraws,
+        failures_by_kind=failures,
         effective_repetitions=len(ok),
         failed_repetitions=failed,
     )

@@ -325,6 +325,18 @@ def test_simulate_json_and_text(capsys):
     assert "effective repetitions 12" in out
 
 
+def test_simulate_reports_failures_by_kind(capsys):
+    argv = ["simulate", "--family", "binary", "--n", "80", "--reps", "100",
+            "--seed", "3", "--beta-qtau", "0.5", "--beta-d", "0.5"]
+    code, _, payload = run_json(capsys, argv)
+    assert code == 0
+    results = payload["results"]
+    assert results["failures_by_kind"]["SeparationError"] == 3
+    assert sum(results["failures_by_kind"].values()) == results["failed_repetitions"] == 3
+    assert run_cli(argv) == 0
+    assert "failures 3 (SeparationError 3), redraws 0" in capsys.readouterr().out
+
+
 # --- canonical JSON ------------------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from rrdid import (
     nonparametric_rr,
     robust_vcov,
 )
+from rrdid.estimators import _cluster_sum
 from rrdid.errors import (
     NonFiniteObjectiveError,
     OverflowGuardError,
@@ -115,6 +116,33 @@ def test_maximize_step_halving_handles_overshoot():
     beta, diag = maximize(objective, np.array([2.0]), tolerance=1e-10)
     assert abs(beta[0]) < 1e-2
     assert diag.converged
+
+
+def test_maximize_batch_decides_per_problem():
+    # two quadratic bowls around a linear problem, whose Hessian is singular:
+    # it alone stops, and the bowls end exactly where single runs end
+    def bowl(center, A):
+        def objective(b):
+            d = b - center
+            return -0.5 * d @ A @ d, -A @ d, -A
+        return objective
+
+    problems = [bowl(np.array([1.5, -2.0]), np.array([[2.0, 0.3], [0.3, 1.0]])),
+                lambda b: (float(b.sum()), np.ones(2), np.zeros((2, 2))),
+                bowl(np.array([-0.7, 3.0]), np.array([[1.0, -0.2], [-0.2, 0.5]]))]
+
+    def batch(b):
+        parts = [problem(row) for problem, row in zip(problems, b)]
+        return tuple(np.array(part) for part in zip(*parts))
+
+    beta, diag = maximize(batch, np.full((3, 2), 0.25))
+    assert diag.singular.tolist() == [False, True, False]
+    assert diag.converged.tolist() == [True, False, True]
+    assert beta[1].tolist() == [0.25, 0.25]
+    for i in (0, 2):
+        single, one = maximize(problems[i], np.full(2, 0.25))
+        assert beta[i].tobytes() == single.tobytes()
+        assert (diag.iterations[i], diag.value[i]) == (one.iterations, one.value)
 
 
 # --- grid-search oracles: nothing nearby beats the fitted optimum -----------
@@ -611,6 +639,19 @@ def test_t_value_edge_cases():
     assert fit.t_value("b") == np.inf
     with pytest.raises(ValueError, match="unknown coefficient"):
         fit.coef("c")
+
+
+@pytest.mark.parametrize("ids", ["string", "integer"])
+def test_cluster_sum_matches_per_cluster_loop(ids):
+    rng = np.random.default_rng(8)
+    scores = rng.normal(size=(300, 4))
+    codes = rng.integers(0, 17, 300)
+    clusters = np.array([f"psu-{c}" for c in codes]) if ids == "string" else 7 * codes - 40
+    totals = {}
+    for label, row in zip(clusters.tolist(), scores):
+        totals[label] = totals.get(label, 0.0) + row
+    expected = np.array([totals[label] for label in sorted(totals)])
+    np.testing.assert_array_equal(_cluster_sum(scores, clusters), expected)
 
 
 def test_cluster_length_mismatch():

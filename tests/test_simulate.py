@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 from rrdid import (
     MultinomialClassParams,
+    build_design,
+    fit_logit_qmle,
+    fit_ols,
+    fit_poisson_qmle,
     Scenario,
     analytic_trend_check,
     dgp_draw,
@@ -15,8 +19,15 @@ from rrdid import (
     replication_rng,
     run_monte_carlo,
 )
-from rrdid.errors import MonteCarloAbort
-from rrdid.simulate import N_PERIODS, POST_PERIOD
+from rrdid.errors import (
+    MonteCarloAbort,
+    OverflowGuardError,
+    SeparationError,
+    SingularDesignError,
+    SingularHessianError,
+)
+from rrdid.estimators import fit_cell_sums
+from rrdid.simulate import _CELLS, _DESIGN, N_PERIODS, POST_PERIOD, _draw_cells
 
 
 def scenario(**kw):
@@ -282,6 +293,77 @@ def test_run_monte_carlo_aborts_on_frequent_failures():
                   beta_qtau=0.5, beta_d=0.5)
     with pytest.raises(MonteCarloAbort, match="failed to converge"):
         run_monte_carlo(sc)
+
+
+@pytest.mark.parametrize("family, n, seed, kinds", [
+    ("censored", 40, 2, {"OverflowGuardError": 1, "SingularDesignError": 2}),
+    ("binary", 80, 3, {"SeparationError": 3}),
+])
+def test_run_monte_carlo_counts_failures_by_kind(family, n, seed, kinds):
+    # the row-level fits of these draws fail with exactly these errors
+    sc = Scenario(family=family, n=n, repetitions=100, seed=seed,
+                  beta_qtau=0.5, beta_d=0.5)
+    summary = run_monte_carlo(sc)
+    assert summary.failures_by_kind == {
+        "not_converged": 0, "OverflowGuardError": 0, "SeparationError": 0,
+        "SingularDesignError": 0, "SingularHessianError": 0, **kinds,
+    }
+    assert summary.failed_repetitions == sum(kinds.values())
+    assert summary.effective_repetitions == 100 - sum(kinds.values())
+
+
+_ROW_ERRORS = (OverflowGuardError, SeparationError, SingularDesignError,
+               SingularHessianError)
+
+
+@given(st.sampled_from(["positive", "count", "censored", "binary"]),
+       st.integers(20, 400), st.floats(-1, 1), st.floats(-1, 1),
+       st.integers(0, 2**16), st.integers(0, 50))
+@settings(max_examples=120, deadline=None)
+# every row perfectly predicted while the fit stops below the linear-predictor cap
+@example("binary", 21, 0.55, 0.44, 6270, 14)
+def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep):
+    sc = Scenario(family=family, n=n, repetitions=1, seed=seed,
+                  beta_qtau=beta_qtau, beta_d=beta_d)
+    counts, sums = _draw_cells(sc, replication_rng(seed, rep))
+    rng = replication_rng(seed, rep)
+    data = panel_to_rcs(dgp_draw(sc, rep, rng=rng), sc, rep, rng=rng)
+    design = build_design(data, _DESIGN)
+    qmle = ("logit_qmle", fit_logit_qmle) if family == "binary" else \
+        ("poisson_qmle", fit_poisson_qmle)
+    # A cell whose outcomes all sit on the domain's boundary (all 0, or all 1
+    # for binary) puts the QMLE optimum at infinity; such a fit stops wherever
+    # the score first drops under the tolerance, and the two paths' rounding
+    # moves that point by up to ~1e-5, so only their decisions are compared.
+    means = sums[counts > 0] / counts[counts > 0]
+    finite = not np.any((means == 0) | ((means == 1) & (family == "binary")))
+    for name, row_fit in (qmle, ("ols", fit_ols)):
+        beta, (failure,) = fit_cell_sums(name, build_design(_CELLS, _DESIGN),
+                                         counts[None], sums[None])
+        try:
+            fit = row_fit(design, data.y, data.weights)
+        except _ROW_ERRORS as err:
+            assert failure == type(err).__name__
+            continue
+        assert failure == (None if fit.converged else "not_converged")
+        if failure is None and (finite or name == "ols"):
+            np.testing.assert_allclose(beta[0], fit.coefficients, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("family, qmle", [("positive", "poisson_qmle"),
+                                          ("binary", "logit_qmle")])
+def test_cell_fit_bits_do_not_depend_on_the_batch(family, qmle):
+    sc = Scenario(family=family, n=60, repetitions=37, seed=4,
+                  beta_qtau=0.5, beta_d=0.5)
+    draws = [_draw_cells(sc, replication_rng(sc.seed, rep)) for rep in range(37)]
+    counts, sums = (np.array(part, float) for part in zip(*draws))
+    cells = build_design(_CELLS, _DESIGN)
+    for name in (qmle, "ols"):
+        batch, failures = fit_cell_sums(name, cells, counts, sums)
+        for r in range(37):
+            alone, (failure,) = fit_cell_sums(name, cells, counts[r:r + 1], sums[r:r + 1])
+            assert failure == failures[r]
+            assert alone[0].tobytes() == batch[r].tobytes()
 
 
 def test_run_monte_carlo_rejects_multinomial():
