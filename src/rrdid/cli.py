@@ -10,7 +10,12 @@ thread count, and parsing then re-rendering reproduces the bytes.
 CSV inputs are comma-separated UTF-8 with a header row, decimal points,
 and no missing values in bound columns. Period values may be arbitrary
 integers (e.g. years); they are mapped onto 0..T-1 in sorted order, and
---post / --base-period are given in the original units.
+--post / --base-period are given in the original units. Plain files are
+read with np.loadtxt's C parser; files with quotes, CR line endings, NUL
+bytes, blank lines or ragged rows, and fields only Python's float() accepts
+(1_000, non-ASCII digits), go to the slower row-by-row reader, which also
+reports every error with its row number. Either way the accepted input and
+the result are the same.
 
 Exit codes: 0 success, 2 usage error, 1 data or convergence error (in JSON
 mode the error object is written to stdout).
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -137,11 +143,121 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     Returns (dataset, period_labels): the distinct period values sorted
     ascending, with dataset.t holding their 0-based ranks.
     """
-    bound = {outcome, group, period, *covariates}
+    numeric = {outcome, group, period, *covariates}
     if weights:
-        bound.add(weights)
+        numeric.add(weights)
+    bound = numeric | {cluster} if cluster else numeric
+    # a cluster column that is also bound as a number is read as neither
+    columns = None if cluster in numeric else _read_columns(path, bound, cluster)
+    if columns is None:
+        columns = _read_rows(path, bound, cluster)
+    rows, cluster_values = columns
+
+    if not len(rows[outcome]):
+        raise CsvParseError("row 2: no data rows after the header")
+
+    raw_periods = np.asarray(rows[period])
+    if not np.all(raw_periods == np.floor(raw_periods)):
+        raise ValueError(f"period column {period!r} must contain integers")
+    labels, t = np.unique(raw_periods.astype(np.int64), return_inverse=True)
+
+    dataset = RcsDataset(
+        y=np.asarray(rows[outcome]),
+        q=np.asarray(rows[group]),
+        t=t,
+        covariates={name: np.asarray(rows[name]) for name in covariates},
+        weights=np.asarray(rows[weights]) if weights else None,
+        clusters=np.asarray(cluster_values) if cluster else None,
+        n_periods=len(labels),
+    )
+    return dataset, [int(v) for v in labels]
+
+
+# csv.reader gives quotes and lone-CR line ends a meaning np.loadtxt does not
+# share, and rejects NUL
+_ROW_PARSER_BYTES = (b'"', b"\r", b"\0")
+# np.loadtxt opens a str path through np.lib._datasource, which would read a
+# file with one of these suffixes as compressed
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _read_columns(path, bound, cluster):
+    """The columns _read_rows returns, read with np.loadtxt's C parser.
+
+    Returns None for every file on which that might differ from _read_rows:
+    anything but a plain path, bytes csv.reader treats specially, invalid
+    UTF-8, no data line, a blank line or a field count that differs from
+    the header's, a line past csv.field_size_limit(), and every field that
+    np.loadtxt rejects (it accepts no number float() rejects, and parses
+    the same value: both call PyOS_string_to_double after stripping the
+    same whitespace). _read_rows then reads the file and reports any error.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        return None
+    # an absolute path is never taken for a URL
+    path = os.path.abspath(path)
+    if not isinstance(path, str) or path.endswith(_COMPRESSED_SUFFIXES):
+        return None
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        data.decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if any(special in data for special in _ROW_PARSER_BYTES):
+        return None
+
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if data and not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    # csv.reader reads an empty first line as a header without columns
+    if ends.size < 2 or ends[0] == 0:
+        return None
+    header = [h.strip() for h in data[:ends[0]].decode("utf-8").split(",")]
+    if any(name not in header for name in bound):
+        return None
+    n_rows, n_commas = ends.size - 1, len(header) - 1
+    if max(ends[0], np.max(np.diff(ends)) - 1) >= csv.field_size_limit():
+        return None
+    commas = np.flatnonzero(buf == ord(","))
+    if np.any(np.diff(np.searchsorted(commas, ends)) != n_commas):
+        return None
+
+    names = sorted(bound - {cluster})
+    options = dict(delimiter=",", comments=None, skiprows=1, ndmin=2, encoding="utf-8")
+    labels = None
+    try:
+        values = np.loadtxt(path, usecols=[header.index(name) for name in names], **options)
+        if cluster:
+            # field j of a data line lies between its j-th and (j+1)-th separator,
+            # counting the line ends; its length in bytes bounds its length in
+            # characters, so a string column that wide truncates nothing
+            seps = np.column_stack([ends[:-1], commas[n_commas:].reshape(n_rows, n_commas),
+                                    ends[1:]])
+            j = header.index(cluster)
+            width = max(int(np.max(seps[:, j + 1] - seps[:, j])) - 1, 1)
+            labels = np.loadtxt(path, dtype=f"<U{width}", usecols=[j], **options)[:, 0]
+    except (OSError, ValueError):
+        return None
+    # np.loadtxt skips blank lines, which pass the comma count in a one-column file
+    if len(values) != n_rows:
+        return None
     if cluster:
-        bound.add(cluster)
+        labels = np.char.strip(labels)
+        widths = np.char.str_len(labels)
+        if widths.min() == 0:
+            return None
+        # np.asarray of the row parser's str list is as wide as its longest label
+        labels = labels.astype(f"<U{widths.max()}")
+    return {name: values[:, j] for j, name in enumerate(names)}, labels
+
+
+def _read_rows(path, bound, cluster):
+    """Every bound column as a list, parsed row by row; cluster ids apart.
+
+    Errors carry the 1-based row number of the offending line.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -172,25 +288,7 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
                         f"row {row_number}: missing value in bound column {cluster!r}"
                     )
                 cluster_values.append(value)
-
-    if not rows[outcome]:
-        raise CsvParseError("row 2: no data rows after the header")
-
-    raw_periods = np.asarray(rows[period])
-    if not np.all(raw_periods == np.floor(raw_periods)):
-        raise ValueError(f"period column {period!r} must contain integers")
-    labels, t = np.unique(raw_periods.astype(np.int64), return_inverse=True)
-
-    dataset = RcsDataset(
-        y=np.asarray(rows[outcome]),
-        q=np.asarray(rows[group]),
-        t=t,
-        covariates={name: np.asarray(rows[name]) for name in covariates},
-        weights=np.asarray(rows[weights]) if weights else None,
-        clusters=np.asarray(cluster_values) if cluster else None,
-        n_periods=len(labels),
-    )
-    return dataset, [int(v) for v in labels]
+    return rows, cluster_values
 
 
 def _period_index(labels, value, what):
@@ -309,6 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(summ)
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # building the tree costs more than a parse; every parse starts from the
+    # declared defaults, so one tree serves every run_cli call
+    return build_parser()
 
 
 def _read_config_args(path):
@@ -699,7 +804,7 @@ def run_cli(argv=None) -> int:
     convergence error (JSON mode writes a machine-readable error object).
     """
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         # the config file may carry required options, so it has to be read
         # before the full parse; its flags go right after the subcommand so

@@ -249,15 +249,42 @@ def _check_inputs(values, names, y, weights):
 
 
 def _check_full_rank(values, weights, names):
-    # pivoted QR on the weighted design identifies which columns collide
     weighted = values * np.sqrt(weights)[:, None]
+    if not _gram_proves_full_rank(weighted):
+        _check_full_rank_qr(weighted, names)
+
+
+def _gram_proves_full_rank(weighted):
+    """Whether the Gram matrix A'A proves that the pivoted QR finds A full rank.
+
+    For A P = Q R, |r_kk| >= sigma_min(A) for every k and |r_00| <= sigma_max(A),
+    so the QR's test min |r_kk| > max(n, p) eps |r_00| passes whenever
+    sigma_min / sigma_max exceeds max(n, p) eps plus the QR's relative
+    backward error, O(n p^1.5 eps). Forming A'A and eigvalsh move its
+    eigenvalues, the squared singular values, by about n p eps lambda_max at
+    most, so lambda_min >= 100 n p eps lambda_max puts sigma_min / sigma_max
+    near 10 (n p eps)^(1/2) or above, far past both terms. Closer calls, and
+    Grams near underflow or overflow, are left to the QR.
+    """
+    n, p = weighted.shape
+    gram = weighted.T @ weighted
+    if p == 0 or not np.all(np.isfinite(gram)):
+        return False
+    eigenvalues = np.linalg.eigvalsh(gram)
+    tau = 100.0 * max(n, p) * p * np.finfo(float).eps
+    return bool(eigenvalues[0] >= tau * eigenvalues[-1]
+                and eigenvalues[0] > np.sqrt(np.finfo(float).tiny))
+
+
+def _check_full_rank_qr(weighted, names):
+    # pivoted QR on the weighted design identifies which columns collide
     r, piv = scipy.linalg.qr(weighted, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r[: values.shape[1], :]))
+    diag = np.abs(np.diag(r[: weighted.shape[1], :]))
     if diag.size == 0 or diag[0] == 0:
         raise SingularDesignError(names)
-    cutoff = diag[0] * max(values.shape) * np.finfo(float).eps
+    cutoff = diag[0] * max(weighted.shape) * np.finfo(float).eps
     rank = int(np.sum(diag > cutoff))
-    if rank < values.shape[1]:
+    if rank < weighted.shape[1]:
         raise SingularDesignError([names[j] for j in sorted(piv[rank:])])
 
 

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrdid import nonparametric_rr, summarize_cells
+from rrdid import cli, nonparametric_rr, summarize_cells
 from rrdid.cli import canonical_json, load_csv_dataset, run_cli
 
 
@@ -516,3 +518,34 @@ def test_config_file_errors(capsys, tmp_path):
     assert run_cli(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert run_cli(["simulate", "--config"]) == 2
     capsys.readouterr()
+
+
+def test_back_to_back_runs_match_fresh_processes(capsys, tmp_path, logit_csv):
+    cfg = tmp_path / "estimate.cfg"
+    cfg.write_text("family = logit\noutcome = y\ngroup = grp\nperiod = year\npost = 2010\n"
+                   "weights = w\ncluster = cell\ntrend = true\nperiod_dummies = false\n")
+    runs = [
+        ["simulate", "--family", "count", "--n", "200", "--reps", "4", "--seed", "2",
+         "--format", "json"],
+        ["estimate", "--config", str(cfg), "--csv", logit_csv, "--format", "json"],
+        ["estimate", "--family", "logit", "--csv", logit_csv, "--outcome", "y",
+         "--group", "grp", "--period", "year", "--post", "2010", "--weights", "w"],
+    ]
+    in_process = []
+    for argv in runs:
+        code = run_cli(argv)
+        in_process.append((code, capsys.readouterr().out))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "rrdid", *argv], capture_output=True,
+                              text=True, env=env, check=False)
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
+    assert [code for code, _ in in_process] == [0, 0, 0]
+    assert '"trend":true' in in_process[1][1]
+    # nothing the config file set leaks into the plain run after it
+    assert "group trend test" not in in_process[2][1]
+    assert "period_1" in in_process[2][1]

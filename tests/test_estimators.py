@@ -25,7 +25,12 @@ from rrdid import (
     nonparametric_rr,
     robust_vcov,
 )
-from rrdid.estimators import _cluster_sum
+from rrdid.estimators import (
+    _check_full_rank,
+    _check_full_rank_qr,
+    _cluster_sum,
+    _gram_proves_full_rank,
+)
 from rrdid.errors import (
     NonFiniteObjectiveError,
     OverflowGuardError,
@@ -667,3 +672,73 @@ def test_weight_scale_invariance(scale):
     a = fit_poisson_qmle(X, y, w, options=TIGHT)
     b = fit_poisson_qmle(X, y, w * scale, options=TIGHT)
     np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-9)
+
+
+# --- rank check: Gram eigenvalues first, pivoted QR for the close calls -------------------
+
+
+@st.composite
+def rank_designs(draw):
+    """(X, weights): random designs with duplicated, scaled-copy, nearly collinear,
+    zero and badly scaled columns."""
+    n, p = draw(st.integers(2, 60)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = [rng.standard_normal(n)]
+    for _ in range(p - 1):
+        kind = draw(st.sampled_from(["fresh", "ones", "duplicate", "scaled", "near",
+                                     "zero", "rescaled"]))
+        base = columns[draw(st.integers(0, len(columns) - 1))]
+        if kind == "fresh":
+            columns.append(rng.standard_normal(n))
+        elif kind == "ones":
+            columns.append(np.ones(n))
+        elif kind == "duplicate":
+            columns.append(base.copy())
+        elif kind == "scaled":
+            columns.append(base * draw(st.sampled_from([2.0, -0.5, 3.7, 1e-3, 1e6])))
+        elif kind == "near":
+            noise = draw(st.sampled_from([1e-15, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3]))
+            columns.append(base + noise * rng.standard_normal(n))
+        elif kind == "zero":
+            columns.append(np.zeros(n))
+        else:
+            columns.append(rng.standard_normal(n) * 10.0 ** draw(st.integers(-9, 9)))
+    order = draw(st.permutations(range(p)))
+    weights = np.ones(n) if draw(st.booleans()) else rng.uniform(0.1, 10.0, n)
+    return np.column_stack([columns[j] for j in order]), weights
+
+
+def _rank_decision(check, *args):
+    try:
+        check(*args)
+    except SingularDesignError as exc:
+        return exc.columns
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_designs())
+def test_rank_check_matches_pivoted_qr(design):
+    X, w = design
+    names = [f"x{j}" for j in range(X.shape[1])]
+    weighted = X * np.sqrt(w)[:, None]
+    assert (_rank_decision(_check_full_rank, X, w, names)
+            == _rank_decision(_check_full_rank_qr, weighted, names))
+
+
+def test_rank_check_sends_badly_scaled_designs_to_the_qr():
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(100)
+    well = np.column_stack([np.ones(100), x, x**2])
+    assert _gram_proves_full_rank(well)
+    # full rank, but too badly scaled for the Gram test to prove it
+    scaled = np.column_stack([np.ones(100), 1e-7 * x])
+    assert not _gram_proves_full_rank(scaled)
+    _check_full_rank(scaled, np.ones(100), ["const", "x"])
+    # a singular design is never proven full rank and keeps the QR's names
+    singular = np.column_stack([np.ones(100), x, 3.0 * x])
+    assert not _gram_proves_full_rank(singular)
+    with pytest.raises(SingularDesignError) as info:
+        _check_full_rank(singular, np.ones(100), ["const", "x", "x3"])
+    assert info.value.columns == _rank_decision(_check_full_rank_qr, singular,
+                                                ["const", "x", "x3"])
