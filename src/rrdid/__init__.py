@@ -26,9 +26,11 @@ from .effects import (
     proportional_effect,
 )
 from .errors import (
+    ColumnBindingError,
     CsvParseError,
     EmptyCellError,
     MonteCarloAbort,
+    NegativeVarianceError,
     NonFiniteObjectiveError,
     OverflowGuardError,
     RedrawRequired,
@@ -46,6 +48,7 @@ from .estimators import (
     fit_poisson_qmle,
     maximize,
     robust_vcov,
+    standard_error,
 )
 from .simulate import (
     McRow,

@@ -15,7 +15,8 @@ read with np.loadtxt's C parser; files with quotes, CR line endings, NUL
 bytes, blank lines or ragged rows, and fields only Python's float() accepts
 (1_000, non-ASCII digits), go to the slower row-by-row reader, which also
 reports every error with its row number. Either way the accepted input and
-the result are the same.
+the result are the same. A --cluster column holds labels and may not also
+be bound as a number (outcome, group, period, weights or covariate).
 
 Exit codes: 0 success, 2 usage error, 1 data or convergence error (in JSON
 mode the error object is written to stdout).
@@ -39,8 +40,10 @@ import numpy as np
 from .design import DesignSpec, RcsDataset, build_design, cell_masks, cell_mean, summarize_cells
 from .effects import effect_report, lin_dd_proportional, proportional_effect
 from .errors import (
+    ColumnBindingError,
     CsvParseError,
     MonteCarloAbort,
+    NegativeVarianceError,
     NonFiniteObjectiveError,
     OverflowGuardError,
     RedrawRequired,
@@ -54,6 +57,7 @@ __all__ = ["run_cli", "main", "canonical_json", "load_csv_dataset"]
 
 _DATA_ERRORS = (
     MonteCarloAbort,
+    NegativeVarianceError,
     NonFiniteObjectiveError,
     OverflowGuardError,
     RedrawRequired,
@@ -146,9 +150,11 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     numeric = {outcome, group, period, *covariates}
     if weights:
         numeric.add(weights)
+    if cluster in numeric:
+        raise ColumnBindingError(f"cluster column {cluster!r} is also bound as a numeric "
+                                 "column; a column holds cluster ids or numbers, not both")
     bound = numeric | {cluster} if cluster else numeric
-    # a cluster column that is also bound as a number is read as neither
-    columns = None if cluster in numeric else _read_columns(path, bound, cluster)
+    columns = _read_columns(path, bound, cluster)
     if columns is None:
         columns = _read_rows(path, bound, cluster)
     rows, cluster_values = columns
@@ -269,6 +275,8 @@ def _read_rows(path, bound, cluster):
         if missing:
             raise ValueError(f"unknown column binding(s): {', '.join(missing)}")
         idx = {name: header.index(name) for name in bound}
+        # fields are read in header order, so a row's first bad field is named
+        order = sorted(bound, key=idx.get)
 
         rows = {name: [] for name in bound}
         cluster_values = []
@@ -277,11 +285,10 @@ def _read_rows(path, bound, cluster):
                 raise CsvParseError(
                     f"row {row_number}: expected {len(header)} fields, got {len(row)}"
                 )
-            for name in bound:
-                if name == cluster:
+            for name in order:
+                if name != cluster:
+                    rows[name].append(_parse_number(row[idx[name]], name, row_number))
                     continue
-                rows[name].append(_parse_number(row[idx[name]], name, row_number))
-            if cluster:
                 value = row[idx[cluster]].strip()
                 if value == "":
                     raise CsvParseError(
@@ -556,7 +563,7 @@ def _run_estimate(args):
         {
             "name": name,
             "estimate": fit.coefficients[i],
-            "se": float(np.sqrt(fit.vcov[i, i])),
+            "se": fit.se(name),
             "t_value": fit.t_value(name),
         }
         for i, name in enumerate(fit.names)

@@ -146,16 +146,31 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Numeric regressor matrix with named columns."""
+    """Numeric regressor matrix with named columns.
+
+    cells, when given, holds each row's cell index, and every column is
+    constant within a cell: the fits then run on the cells' sums.
+    """
 
     values: np.ndarray
     column_names: tuple
     treatment_column: int
     trend_column: int | None
+    cells: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, float))
+        values = _frozen_array(self.values, float)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "column_names", tuple(self.column_names))
+        if self.cells is not None:
+            cells = _frozen_array(self.cells, np.intp)
+            if cells.shape != values.shape[:1] or cells.size == 0 or cells.min() < 0:
+                raise ValueError("cells must hold one non-negative index per design row")
+            some_row = np.zeros(cells.max() + 1, np.intp)
+            some_row[cells] = np.arange(cells.size)
+            if not np.array_equal(values, values[some_row[cells]]):
+                raise ValueError("design rows must be constant within cells")
+            object.__setattr__(self, "cells", cells)
 
     @property
     def n_columns(self) -> int:
@@ -181,7 +196,9 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
 
     Column order: intercept, period dummies (base omitted), group,
     group trend, treatment, covariates, treatment-interacted covariates.
-    Treatment is D = Q * 1[t == post_period].
+    Treatment is D = Q * 1[t == post_period]. Without covariates every
+    column is a function of the (group, period) cell, and the design records
+    each row's cell q * n_periods + t.
     """
     T = dataset.n_periods
     _check_period(dataset, spec.post_period, "post_period")
@@ -230,6 +247,7 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
         column_names=names,
         treatment_column=treatment_column,
         trend_column=trend_column,
+        cells=None if dataset.covariates else dataset.q * T + dataset.t,
     )
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .design import RcsDataset, cell_masks, cell_mean
 from .errors import EmptyCellError, RedrawRequired
+from .estimators import standard_error
 
 __all__ = [
     "EffectReport",
@@ -108,7 +109,7 @@ def proportional_effect(fit, target, rare_event_note=False):
         c[fit.index(name)] = float(weight)
     beta = float(c @ fit.coefficients)
     var = float(c @ fit.vcov @ c)
-    se = math.sqrt(max(var, 0.0))
+    se = standard_error(var, np.sum(np.abs(c)) ** 2 * np.max(np.abs(np.diag(fit.vcov))))
     return effect_report(beta, se, kind, rare_event_note)
 
 

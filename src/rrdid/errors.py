@@ -22,6 +22,10 @@ class SeparationError(RuntimeError):
     """Perfect separation: coefficients diverged until the linear-predictor cap hit."""
 
 
+class NegativeVarianceError(RuntimeError):
+    """A variance is negative beyond round-off; the covariance is not positive semidefinite."""
+
+
 class NonFiniteObjectiveError(RuntimeError):
     """Objective evaluated to a non-finite value at the starting point."""
 
@@ -43,3 +47,7 @@ class MonteCarloAbort(RuntimeError):
 
 class CsvParseError(ValueError):
     """Malformed CSV input; message carries the 1-based row number."""
+
+
+class ColumnBindingError(ValueError):
+    """One CSV column bound to two roles that read it differently."""

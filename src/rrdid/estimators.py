@@ -5,20 +5,30 @@ logit (ratio-in-odds-ratios) each maximize sum_i w_i (y_i eta_i - b(eta_i))
 over the linear predictor eta_i = x_i beta, with score sum_i w_i (y_i -
 b'(eta_i)) x_i and Hessian weight b''(eta_i). Each family is one record in
 _FAMILIES: cumulant and mean, curvature, outcome domain and separation test.
-One Newton routine fits every record; robust_vcov reads the same records, with
-OLS as the identity link b(eta) = eta^2 / 2.
+OLS is the identity link b(eta) = eta^2 / 2, solved by one Newton step.
+
+One batched Newton driver, _fit, fits every record on cells. Rows that share
+a design row enter the maximand only through their total weight n_c and
+weighted mean outcome ybar_c, as n_c (ybar_c eta_c - b(eta_c)). A design
+that build_design makes without covariate columns records each row's
+(group, period) cell, and its fit runs on those at most 2T cells; any other
+design runs with every row as its own cell (counts w, means y).
+fit_cell_sums hands the driver many cell datasets at once.
 
 Covariances are sandwiches A^{-1} B A^{-1}: A is the negative Hessian at the
-optimum, B the outer product of per-observation scores, summed within
-clusters first when cluster ids are supplied. No small-sample correction is
-applied unless requested. Newton steps are halved until the maximand does
-not decrease; linear predictors are clamped at +/- the linear-predictor cap,
-and a clamp still active at the optimum, or a perfectly predicted outcome,
-raises instead of returning a silently unreliable estimate.
+optimum, B the outer product of the per-row scores w_i (y_i - mu_i) x_i,
+summed within clusters first when cluster ids are supplied. B is taken in
+one pass over the rows after the fit, so a fit on cells keeps the row-level
+sandwich exactly. No small-sample correction is applied unless requested.
+Newton steps are halved until the maximand does not decrease; linear
+predictors are clamped at +/- the linear-predictor cap, and a clamp still
+active at the optimum, or a perfectly predicted outcome, raises instead of
+returning a silently unreliable estimate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -29,6 +39,7 @@ from scipy.special import expit
 
 from .design import DesignMatrix
 from .errors import (
+    NegativeVarianceError,
     NonFiniteObjectiveError,
     OverflowGuardError,
     SeparationError,
@@ -47,6 +58,7 @@ __all__ = [
     "fit_multinomial_logit",
     "fit_cell_sums",
     "robust_vcov",
+    "standard_error",
 ]
 
 
@@ -78,13 +90,39 @@ class FitOptions:
 class NewtonDiagnostics:
     """How a Newton ascent ended; for a batch each field holds one entry per
     problem, and singular marks the problems stopped by a singular Hessian
-    (a single problem raises SingularHessianError instead)."""
+    (a single problem raises SingularHessianError instead). hessian is the
+    Hessian at the returned point, from its last accepted evaluation."""
 
     iterations: int
     converged: bool
     score_norm: float
     value: float
     singular: bool = False
+    hessian: np.ndarray | None = None
+
+
+# A variance computed as a sum of terms bounded by scale is off by round-off
+# of order eps * scale; below -_ROUND_OFF * scale it is not round-off.
+_ROUND_OFF = 1e-8
+
+
+def standard_error(variance, scale) -> float:
+    """sqrt(variance) for a variance computed from terms bounded by scale.
+
+    For a covariance matrix, scale is the largest |diagonal| entry (times
+    (sum |c_j|)^2 for a combination c'Vc). A variance a little below zero is
+    round-off of a true value near zero and reads as 0; one below -1e-8 *
+    scale cannot be round-off and raises NegativeVarianceError. NaN stays
+    NaN.
+    """
+    variance = float(variance)
+    if variance < 0:
+        if variance < -_ROUND_OFF * float(scale):
+            raise NegativeVarianceError(
+                f"variance {variance:.3g} is negative beyond round-off of its scale "
+                f"{float(scale):.3g}; the covariance matrix is not positive semidefinite")
+        variance = 0.0
+    return math.sqrt(variance)
 
 
 @dataclass(frozen=True)
@@ -129,7 +167,7 @@ class FitResult:
 
     def se(self, name: str) -> float:
         i = self.index(name)
-        return float(np.sqrt(self.vcov[i, i]))
+        return standard_error(self.vcov[i, i], np.max(np.abs(np.diag(self.vcov))))
 
     def t_value(self, name: str) -> float:
         se = self.se(name)
@@ -164,7 +202,8 @@ def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None
         if diag.singular[0]:
             raise SingularHessianError("Hessian is singular at the current iterate")
         return beta[0], NewtonDiagnostics(int(diag.iterations[0]), bool(diag.converged[0]),
-                                          float(diag.score_norm[0]), float(diag.value[0]))
+                                          float(diag.score_norm[0]), float(diag.value[0]),
+                                          hessian=diag.hessian[0])
 
     value, grad, hess = objective(beta)
     if not np.all(np.isfinite(value)):
@@ -201,7 +240,8 @@ def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None
         running &= ~(step * np.max(np.abs(direction), axis=1, initial=0.0) < 1e-12)
 
     score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
-    return beta, NewtonDiagnostics(iterations, score_norm <= tol, score_norm, value, singular)
+    return beta, NewtonDiagnostics(iterations, score_norm <= tol, score_norm, value, singular,
+                                   hess)
 
 
 def _newton_directions(hess, grad):
@@ -217,12 +257,13 @@ def _newton_directions(hess, grad):
 
 
 def _as_design(X):
+    """(values, column names, each row's cell or None)."""
     if isinstance(X, DesignMatrix):
-        return X.values, list(X.column_names)
+        return X.values, list(X.column_names), X.cells
     values = np.asarray(X, float)
     if values.ndim != 2:
         raise ValueError("design must be a 2-d array or DesignMatrix")
-    return values, [f"x{j}" for j in range(values.shape[1])]
+    return values, [f"x{j}" for j in range(values.shape[1])], None
 
 
 def _check_inputs(values, names, y, weights):
@@ -291,19 +332,48 @@ def _check_full_rank_qr(weighted, names):
 def _cluster_sum(scores, clusters):
     if clusters is None:
         return scores
-    clusters = np.asarray(clusters)
-    if clusters.shape[0] != scores.shape[0]:
-        raise ValueError("clusters must match the number of observations")
     # codes number the clusters in sorted-label order
     labels, codes = np.unique(clusters, return_inverse=True)
     return np.column_stack([np.bincount(codes, weights=col, minlength=labels.size)
                             for col in scores.T])
 
 
-def _sandwich(bread, scores, clusters, small_sample_correction=False):
-    """A^{-1} B A^{-1} with B accumulated from (cluster-summed) score rows."""
-    grouped = _cluster_sum(scores, clusters)
-    meat = grouped.T @ grouped
+def _sum_cells(index, n_cells, rows):
+    """Sums over the rows of each cell along the last axis of rows; index holds
+    each row's cell."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    sums = [np.bincount(index, weights=part, minlength=n_cells) for part in flat]
+    return np.array(sums).reshape(rows.shape[:-1] + (n_cells,))
+
+
+def _sandwich(bread, values, resid, index=None, clusters=None, small_sample_correction=False):
+    """A^{-1} B A^{-1}, with B the outer product of the row scores.
+
+    values holds one design row per cell and index each row's cell (None:
+    row i is cell i); resid (n,), or (n, C) for C class blocks, holds each
+    row's w_i (y_i - mu_i), so row i scores resid_i (x) values[index_i].
+    On cells, B sums x_c x_c' (x) each cell's class-pair residual moments,
+    and clustered, each (cluster, cell) pair adds its residual sum times x_c
+    to its cluster's score.
+    """
+    n, k = resid.shape[0], values.shape[0]
+    r = resid.reshape(n, -1).T
+    if clusters is not None and np.shape(clusters)[0] != n:
+        raise ValueError("clusters must match the number of observations")
+    if index is not None and clusters is None:
+        moments = _sum_cells(index, k, r[:, None, :] * r[None, :, :])
+        meat = -_hessian(values, moments[None] if resid.ndim == 2 else moments[:, 0])[0]
+        groups = n
+    else:
+        if index is not None:
+            codes = np.unique(clusters, return_inverse=True)[1].reshape(-1)
+            pairs, pair = np.unique(codes * k + index, return_inverse=True)
+            resid = _sum_cells(pair.reshape(-1), pairs.size, r).T.reshape(
+                (pairs.size,) + resid.shape[1:])
+            clusters, values = pairs // k, values[pairs % k]
+        grouped = _cluster_sum(_score_rows(values, resid), clusters)
+        meat = grouped.T @ grouped
+        groups = grouped.shape[0]
     try:
         half = np.linalg.solve(bread, meat)
         vcov = np.linalg.solve(bread, half.T).T
@@ -311,15 +381,13 @@ def _sandwich(bread, scores, clusters, small_sample_correction=False):
         raise SingularHessianError("sandwich bread matrix is singular")
     if small_sample_correction:
         if clusters is not None:
-            g = grouped.shape[0]
-            if g < 2:
+            if groups < 2:
                 raise ValueError("small-sample correction needs at least 2 clusters")
-            vcov = vcov * (g / (g - 1))
+            vcov = vcov * (groups / (groups - 1))
         else:
-            n, p = scores.shape[0], bread.shape[0]
-            if n <= p:
+            if groups <= bread.shape[0]:
                 raise ValueError("small-sample correction needs n > p")
-            vcov = vcov * (n / (n - p))
+            vcov = vcov * (groups / (groups - bread.shape[0]))
     return (vcov + vcov.T) / 2.0
 
 
@@ -327,9 +395,9 @@ def _sandwich(bread, scores, clusters, small_sample_correction=False):
 class _Family:
     """One canonical-link family: the fit maximizes sum w (y*eta - b(eta)).
 
-    moments(eta) gives (b(eta), b'(eta)); for the multinomial eta is (n, C)
+    moments(eta) gives (b(eta), b'(eta)); for the multinomial eta is (..., C)
     and b'(eta) the class probabilities. curvature(w, mean) gives the Hessian
-    row weights w * b''(eta), as (C, C, n) class-pair blocks for the
+    weights w * b''(eta) of B fits, as (B, C, C, k) class-pair blocks for the
     multinomial. in_domain(y) is False for outcomes outside the domain that
     the string domain names. guard builds the error for a fit that diverges
     toward the linear-predictor cap (None: the identity link is never
@@ -359,15 +427,16 @@ def _logit_separated(y, p):
 
 def _softmax_moments(eta):
     # class 0 is the base with eta = 0
-    top = np.maximum(eta.max(axis=1), 0.0)
-    lse = top + np.log(np.exp(-top) + np.sum(np.exp(eta - top[:, None]), axis=1))
-    return lse, np.exp(eta - lse[:, None])
+    top = np.maximum(eta.max(axis=-1), 0.0)
+    lse = top + np.log(np.exp(-top) + np.sum(np.exp(eta - top[..., None]), axis=-1))
+    return lse, np.exp(eta - lse[..., None])
 
 
 def _softmax_curvature(w, probs):
     # block (c, d) weights w * p_c * (1[c == d] - p_d)
-    p = probs.T
-    return w * (p[:, None, :] * (np.eye(p.shape[0])[:, :, None] - p[None, :, :]))
+    p = probs.transpose(0, 2, 1)
+    eye = np.eye(p.shape[1])[:, :, None]
+    return w[:, None, None, :] * (p[:, :, None, :] * (eye - p[:, None, :, :]))
 
 
 def _multinomial_separated(ymat, probs):
@@ -403,12 +472,12 @@ _FAMILIES = {f.name: f for f in (_GAUSSIAN, _POISSON, _LOGIT, _MULTINOMIAL)}
 
 
 def _inputs(family, X, y, weights):
-    """Design, names, outcome and weights after the shared and the family's checks."""
-    values, names = _as_design(X)
+    """Design, names, cells, outcome and weights after the shared and the family's checks."""
+    values, names, cells = _as_design(X)
     y, w = _check_inputs(values, names, y, weights)
     if not family.in_domain(y):
         raise ValueError(f"{family.name} requires {family.domain}")
-    return values, names, y, w
+    return values, names, cells, y, w
 
 
 def _class_matrix(labels, n_classes):
@@ -416,52 +485,48 @@ def _class_matrix(labels, n_classes):
     return (labels[:, None] == np.arange(1, n_classes + 1)).astype(float)
 
 
-def _evaluate(family, values, y, w, beta, cap):
-    """(value, grad, hess, eta, mean, resid) at beta; eta is taken before the cap.
+def _score(family, values, y, w, beta, cap):
+    """(value, grad, eta, mean) of B fits on the same k design rows at beta (B, P).
 
-    y is (n,), or (n, C) class indicators with C blocks of p in beta. A 2-d
-    beta (B, p) evaluates B fits on the same design rows: y and w are then
-    (B, n), and value, grad and hess gain a leading axis of length B.
-    resid = w * (y - mean) is each row's score before the design row.
+    y and w are (B, k), or y is (B, k, C) class indicators or shares with C
+    blocks of p in beta. eta is taken before the cap.
     """
-    batch = beta.ndim == 2
-    blocks = y.ndim == 2 and not batch
-    if batch:
+    if y.ndim == 3:
+        eta = values @ beta.reshape(len(beta), y.shape[2], -1).transpose(0, 2, 1)
+    else:
         # one product per fit, so a fit's bits do not depend on its batch
         eta = (values @ beta[:, :, None])[:, :, 0]
-    else:
-        eta = values @ (beta.reshape(y.shape[1], -1).T if blocks else beta)
     capped = eta if family.guard is None else np.clip(eta, -cap, cap)
     cumulant, mean = family.moments(capped)
-    if blocks:
-        value = float(np.sum(w * (np.sum(y * capped, axis=1) - cumulant)))
-        resid = w[:, None] * (y - mean)
-        grad = (resid.T @ values).reshape(-1)
-    elif batch:
+    if y.ndim == 3:
+        value = np.sum(w * (np.sum(y * capped, axis=2) - cumulant), axis=1)
+        resid = w[:, :, None] * (y - mean)
+        grad = (resid.transpose(0, 2, 1) @ values).reshape(len(beta), -1)
+    else:
         value = np.sum(w * (y * capped - cumulant), axis=1)
         resid = w * (y - mean)
         grad = (resid[:, None, :] @ values)[:, 0, :]
-    else:
-        value = float(np.sum(w * (y * capped - cumulant)))
-        resid = w * (y - mean)
-        grad = values.T @ resid
-    return value, grad, _hessian(values, family.curvature(w, mean)), eta, mean, resid
+    return value, grad, eta, mean
+
+
+def _evaluate(family, values, y, w, beta, cap):
+    """_score's (value, grad, eta, mean) with the Hessian after grad."""
+    value, grad, eta, mean = _score(family, values, y, w, beta, cap)
+    return value, grad, _hessian(values, family.curvature(w, mean)), eta, mean
 
 
 def _hessian(values, weight):
-    """-sum_i weight_i x_i x_i': one p x p matrix for (n,) weights, one per fit
-    for (B, n), one p x p block per class pair for (C, C, n)."""
-    if weight.ndim < 3:
-        return -(values.T * weight[..., None, :]) @ values
-    n_classes, p = weight.shape[0], values.shape[1]
-    hess = np.zeros((n_classes * p, n_classes * p))
+    """-sum_i weight_i x_i x_i' per fit: (B, p, p) for (B, k) weights, and
+    (B, Cp, Cp) of p x p class-pair blocks for (B, C, C, k)."""
+    if weight.ndim == 2:
+        return -(values.T * weight[:, None, :]) @ values
+    n_fits, n_classes, p = weight.shape[0], weight.shape[1], values.shape[1]
+    hess = np.zeros((n_fits, n_classes, p, n_classes, p))
     for c in range(n_classes):
         for d in range(c, n_classes):
-            h = -(values.T * weight[c, d]) @ values
-            hess[c * p:(c + 1) * p, d * p:(d + 1) * p] = h
-            if d != c:
-                hess[d * p:(d + 1) * p, c * p:(c + 1) * p] = h
-    return hess
+            block = -(values.T * weight[:, c, d, None, :]) @ values
+            hess[:, c, :, d, :] = hess[:, d, :, c, :] = block
+    return hess.reshape(n_fits, n_classes * p, n_classes * p)
 
 
 def _score_rows(values, resid):
@@ -477,13 +542,13 @@ def _check_cap(family, eta, cap):
         raise family.guard()
 
 
-def _check_guards(family, y, eta, mean, converged, cap):
+def _check_guards(family, y, eta, mean, separable, cap):
     """Raise the family's guard error for a fit that diverged, at or below the cap."""
     _check_cap(family, eta, cap)
     # Divergent fits can stall "converged" below the cap once the saturated
     # rows' score drops under the tolerance; a perfectly predicted boundary
     # fit is the signature of that divergence.
-    if converged and family.separated is not None and family.separated(y, mean):
+    if separable and family.separated is not None and family.separated(y, mean):
         raise family.guard()
 
 
@@ -493,12 +558,143 @@ def _identically_zero(w, y):
 
 
 def _objective(family, values, y, w, cap):
-    return lambda beta: _evaluate(family, values, y, w, beta, cap)[:3]
+    """(value, grad, hess) at beta: B fits for beta (B, P), one fit for a 1-d beta
+    with y (k,) or (k, C) and w (k,)."""
+    def objective(beta):
+        if beta.ndim == 2:
+            return _evaluate(family, values, y, w, beta, cap)[:3]
+        value, grad, hess = _evaluate(family, values, y[None], w[None], beta[None], cap)[:3]
+        return value[0], grad[0], hess[0]
+
+    return objective
 
 
 _poisson_objective = partial(_objective, _POISSON)
 _logit_objective = partial(_objective, _LOGIT)
 _multinomial_objective = partial(_objective, _MULTINOMIAL)
+
+
+def _fit(family, values, counts, means, options, pure=True, lstsq=False):
+    """Fit B datasets on the same k cells in one batched Newton.
+
+    values (k, p) holds each cell's design row, counts (B, k) each dataset's
+    total weight per cell and means (B, k), or (B, k, C) class shares, its
+    weighted mean outcome per cell; every cell needs a positive count. pure
+    says whether the rows of every cell share one outcome, which a perfectly
+    predicted boundary fit needs. Least squares is one Newton step from zero,
+    solved on the batch's normal equations, or with lstsq on each dataset's
+    count-weighted cells: the normal equations square the design's condition
+    number, which a covariate such as a calendar year makes large.
+    Returns (beta (B, P), failures, diag, mean): failures[r] is None,
+    "not_converged" or the name of the error the fit raises, diag the
+    NewtonDiagnostics with the Hessian at beta, mean the fitted cell means.
+    """
+    cap = options.linear_predictor_cap
+    n_blocks = means.shape[2] if means.ndim == 3 else 1
+    beta = np.zeros((counts.shape[0], values.shape[1] * n_blocks))
+    if family is _GAUSSIAN:
+        _, grad, hess, *_ = _evaluate(family, values, means, counts, beta, cap)
+        if lstsq:
+            root = np.sqrt(counts)
+            beta = np.array([np.linalg.lstsq(values * r[:, None], m * r, rcond=None)[0]
+                             for r, m in zip(root, means)])
+            singular = np.zeros(len(beta), bool)
+        else:
+            beta, singular = _newton_directions(hess, grad)
+        value, grad, eta, mean = _score(family, values, means, counts, beta, cap)
+        score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
+        diag = NewtonDiagnostics(np.zeros(len(beta), int), ~singular, score_norm, value,
+                                 singular, hess)
+    else:
+        tol = options.gradient_tolerance * (1.0 + counts.sum(axis=1))
+        beta, diag = maximize(_objective(family, values, means, counts, cap), beta, options,
+                              tolerance=tol)
+        # the bread is the Hessian of the last accepted step; only the means are new
+        _, _, eta, mean = _score(family, values, means, counts, beta, cap)
+
+    failures = []
+    for r in range(len(beta)):
+        if diag.singular[r]:
+            failures.append("SingularHessianError")
+            continue
+        if family.guard is not None:
+            try:
+                _check_guards(family, means[r], eta[r], mean[r], diag.converged[r] and pure, cap)
+            except (OverflowGuardError, SeparationError) as err:
+                failures.append(type(err).__name__)
+                continue
+        failures.append(None if diag.converged[r] else "not_converged")
+    return beta, failures, diag, mean
+
+
+def _cells(values, cells, y, w):
+    """(cell design, counts, means, index, pure) of one dataset.
+
+    With cells (each row's cell of a cell-constant design) the cells are the
+    non-empty ones and index maps each row to its cell; pure says whether the
+    rows of every cell share one outcome. Without, every row is its own cell.
+    """
+    if cells is None:
+        return values, w, y, None, True
+    totals = np.bincount(cells, weights=w)
+    keep = np.flatnonzero(totals)
+    index = np.zeros(totals.size, np.intp)
+    index[keep] = np.arange(keep.size)
+    index = index[cells]
+    # the design is constant within cells, so any of a cell's rows gives its row
+    some_row = np.zeros(keep.size, np.intp)
+    some_row[index] = np.arange(index.size)
+    sums = _sum_cells(index, keep.size, w * y.T)
+    pure = np.array_equal(y, y[some_row][index])
+    return values[some_row], totals[keep], (sums / totals[keep]).T, index, pure
+
+
+def _fit_dataset(family, values, names, cells, y, w, clusters, options, robust=True):
+    """One dataset's fit by _fit, on its cells when cells is given, then one
+    pass over the rows for the residuals behind the covariance.
+
+    y is (n,), or (n, C) class indicators. A failed fit raises its error; a
+    fit that did not converge reports a NaN covariance.
+    """
+    cell_values, counts, means, index, pure = _cells(values, cells, y, w)
+    beta, (failure,), diag, mean = _fit(family, cell_values, counts[None], means[None],
+                                        options, pure, lstsq=True)
+    if failure == "SingularHessianError":
+        raise SingularHessianError("Hessian is singular at the current iterate")
+    if failure not in (None, "not_converged"):
+        raise family.guard()
+    fitted = mean[0] if index is None else mean[0][index]
+    error = y - fitted
+    resid = (w[:, None] if y.ndim == 2 else w) * error
+    hess, converged = diag.hessian[0], bool(diag.converged[0])
+    # the OLS loglik is the Gaussian one, -1/2 sum w e^2
+    loglik = -0.5 * float(np.sum(w * error**2)) if family is _GAUSSIAN else float(diag.value[0])
+    vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
+    if not robust:
+        total = float(w.sum())
+        if total <= values.shape[1]:
+            raise ValueError("classical variance needs total weight > p")
+        sigma2 = float(np.sum(w * error**2)) / (total - values.shape[1])
+        vcov = sigma2 * np.linalg.inv(-hess)
+        vcov = (vcov + vcov.T) / 2.0
+        vcov_kind = "classical_ols"
+    elif converged:
+        vcov = _sandwich(-hess, cell_values, resid, index, clusters)
+    else:
+        vcov = np.full((beta.shape[1], beta.shape[1]), np.nan)
+    return FitResult(
+        family=family.name,
+        names=names,
+        coefficients=beta[0],
+        vcov=vcov,
+        vcov_kind=vcov_kind,
+        loglik=loglik,
+        iterations=int(diag.iterations[0]),
+        converged=converged,
+        score_norm=float(diag.score_norm[0]),
+        n_obs=values.shape[0],
+        n_classes=y.shape[1] if y.ndim == 2 else 0,
+    )
 
 
 def fit_ols(X, y, weights=None, clusters=None, robust=True):
@@ -507,67 +703,8 @@ def fit_ols(X, y, weights=None, clusters=None, robust=True):
     robust=False reports the classical homoskedastic covariance instead
     (vcov_kind "classical_ols", sigma^2 = sum w e^2 / (sum w - p)).
     """
-    values, names, y, w = _inputs(_GAUSSIAN, X, y, weights)
-    n, p = values.shape
-
-    sw = np.sqrt(w)
-    beta, *_ = np.linalg.lstsq(values * sw[:, None], y * sw, rcond=None)
-    _, score, hess, fitted, _, weighted_resid = _evaluate(_GAUSSIAN, values, y, w, beta, None)
-    resid = y - fitted
-    score_norm = float(np.max(np.abs(score)))
-
-    if robust:
-        vcov = _sandwich(-hess, _score_rows(values, weighted_resid), clusters)
-        vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
-    else:
-        total = float(w.sum())
-        if total <= p:
-            raise ValueError("classical variance needs total weight > p")
-        sigma2 = float(np.sum(w * resid**2)) / (total - p)
-        vcov = sigma2 * np.linalg.inv(-hess)
-        vcov = (vcov + vcov.T) / 2.0
-        vcov_kind = "classical_ols"
-
-    return FitResult(
-        family="ols",
-        names=names,
-        coefficients=beta,
-        vcov=vcov,
-        vcov_kind=vcov_kind,
-        loglik=-0.5 * float(np.sum(w * resid**2)),
-        iterations=0,
-        converged=True,
-        score_norm=score_norm,
-        n_obs=n,
-    )
-
-
-def _fit_qmle(family, values, names, y, w, clusters, options):
-    """Newton fit of one family, its cap and separation guards, and the sandwich."""
-    cap = options.linear_predictor_cap
-    n_classes = y.shape[1] if y.ndim == 2 else 0
-    tol = options.gradient_tolerance * (1.0 + float(w.sum()))
-    init = np.zeros(values.shape[1] * max(n_classes, 1))
-    beta, diag = maximize(_objective(family, values, y, w, cap), init, options, tolerance=tol)
-    value, _, hess, eta, mean, resid = _evaluate(family, values, y, w, beta, cap)
-    _check_guards(family, y, eta, mean, diag.converged, cap)
-    if diag.converged:
-        vcov = _sandwich(-hess, _score_rows(values, resid), clusters)
-    else:
-        vcov = np.full((beta.size, beta.size), np.nan)
-    return FitResult(
-        family=family.name,
-        names=names,
-        coefficients=beta,
-        vcov=vcov,
-        vcov_kind="cluster_sandwich" if clusters is not None else "sandwich",
-        loglik=value,
-        iterations=diag.iterations,
-        converged=diag.converged,
-        score_norm=diag.score_norm,
-        n_obs=values.shape[0],
-        n_classes=n_classes,
-    )
+    values, names, cells, y, w = _inputs(_GAUSSIAN, X, y, weights)
+    return _fit_dataset(_GAUSSIAN, values, names, cells, y, w, clusters, FitOptions(), robust)
 
 
 def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -577,18 +714,18 @@ def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = Fi
     censored-at-zero outcomes); only the conditional mean must be
     exponential for the estimate to be consistent.
     """
-    values, names, y, w = _inputs(_POISSON, X, y, weights)
+    values, names, cells, y, w = _inputs(_POISSON, X, y, weights)
     if _identically_zero(w, y):
         raise OverflowGuardError(
             "outcome is identically zero; the exponential mean has no finite optimum"
         )
-    return _fit_qmle(_POISSON, values, names, y, w, clusters, options)
+    return _fit_dataset(_POISSON, values, names, cells, y, w, clusters, options)
 
 
 def fit_logit_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
     """Logistic quasi-MLE for binary or fractional y in [0, 1]."""
-    values, names, y, w = _inputs(_LOGIT, X, y, weights)
-    return _fit_qmle(_LOGIT, values, names, y, w, clusters, options)
+    values, names, cells, y, w = _inputs(_LOGIT, X, y, weights)
+    return _fit_dataset(_LOGIT, values, names, cells, y, w, clusters, options)
 
 
 def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -599,7 +736,7 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
     block per class in design-column order; names carry the class index,
     e.g. "treat[1]".
     """
-    values, names, y, w = _inputs(_MULTINOMIAL, X, y, weights)
+    values, names, cells, y, w = _inputs(_MULTINOMIAL, X, y, weights)
     labels = y.astype(np.int64)
     n_classes = int(labels.max())
     if n_classes < 1:
@@ -608,8 +745,8 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
     if missing:
         raise ValueError(f"classes never observed: {missing}")
     full_names = [f"{name}[{c}]" for c in range(1, n_classes + 1) for name in names]
-    return _fit_qmle(_MULTINOMIAL, values, full_names, _class_matrix(labels, n_classes),
-                     w, clusters, options)
+    return _fit_dataset(_MULTINOMIAL, values, full_names, cells,
+                        _class_matrix(labels, n_classes), w, clusters, options)
 
 
 def fit_cell_sums(family, X, counts, sums):
@@ -617,20 +754,21 @@ def fit_cell_sums(family, X, counts, sums):
 
     X (k, p) holds the design row of each of k cells; counts and sums (B, k)
     hold each dataset's total weight and weighted outcome sum per cell. The
-    weighted least-squares and quasi-likelihood fits depend on the data only
-    through these sums, so dataset r's fit equals, up to rounding, the
-    row-level fit_ols, fit_poisson_qmle or fit_logit_qmle (family "ols",
-    "poisson_qmle" or "logit_qmle") of its rows at the default FitOptions,
-    with the same stopping rules and guards. Returns (coefficients (B, p),
-    failures): failures[r] is None for a converged fit, "not_converged", or
-    the name of the error the row-level fit raises (SingularDesignError,
-    SingularHessianError, OverflowGuardError, SeparationError); a failed
-    row's coefficients are NaN.
+    fits depend on the data only through these sums, so this is the batch
+    entry to the driver behind every fit: dataset r's fit equals, up to
+    rounding, the row-level fit_ols, fit_poisson_qmle or fit_logit_qmle
+    (family "ols", "poisson_qmle" or "logit_qmle") of its rows at the
+    default FitOptions, with the same stopping rules and guards (a cell
+    counts as perfectly predicted from its mean alone). Returns
+    (coefficients (B, p), failures): failures[r] is None for a converged
+    fit, "not_converged", or the name of the error the row-level fit raises
+    (SingularDesignError, SingularHessianError, OverflowGuardError,
+    SeparationError); a failed row's coefficients are NaN.
     """
     if family not in ("ols", "poisson_qmle", "logit_qmle"):
         raise ValueError(f"fit_cell_sums fits ols, poisson_qmle or logit_qmle, not {family!r}")
     record = _FAMILIES[family]
-    values, names = _as_design(X)
+    values, names, _ = _as_design(X)
     counts, sums = np.asarray(counts, float), np.asarray(sums, float)
     if counts.ndim != 2 or counts.shape != sums.shape or counts.shape[1] != values.shape[0]:
         raise ValueError("counts and sums must be (B, k) for a design of k cells")
@@ -644,7 +782,7 @@ def fit_cell_sums(family, X, counts, sums):
         raise ValueError(f"{family} requires {record.domain}")
 
     coefficients = np.full((counts.shape[0], values.shape[1]), np.nan)
-    failures = [None] * counts.shape[0]
+    failures = ["SingularDesignError"] * counts.shape[0]
     # one rank check per pattern of empty cells
     patterns, which = np.unique(counts > 0, axis=0, return_inverse=True)
     for j, keep in enumerate(patterns):
@@ -652,47 +790,19 @@ def fit_cell_sums(family, X, counts, sums):
         try:
             _check_full_rank(values[keep], np.ones(int(keep.sum())), names)
         except SingularDesignError:
-            kinds = ["SingularDesignError"] * rows.size
-        else:
-            beta, kinds = _fit_cells(record, values[keep], means[rows][:, keep],
-                                     counts[rows][:, keep])
-            failed = np.array([kind is not None for kind in kinds])
-            coefficients[rows] = np.where(failed[:, None], np.nan, beta)
+            continue  # these rows keep their SingularDesignError
+        y, w = means[rows][:, keep], counts[rows][:, keep]
+        if record is _POISSON:
+            zero = _identically_zero(w, y)
+            for r in rows[zero]:
+                failures[r] = "OverflowGuardError"
+            rows, y, w = rows[~zero], y[~zero], w[~zero]
+        beta, kinds, *_ = _fit(record, values[keep], w, y, FitOptions())
+        fitted = np.array([kind is None for kind in kinds], bool)
+        coefficients[rows[fitted]] = beta[fitted]
         for r, kind in zip(rows, kinds):
             failures[r] = kind
     return coefficients, failures
-
-
-def _fit_cells(family, values, y, w):
-    """(coefficients, failure kinds) of full-rank cell fits; y is the cell mean."""
-    options = FitOptions()
-    beta = np.zeros((y.shape[0], values.shape[1]))
-    if family is _GAUSSIAN:
-        # least squares is one Newton step from zero
-        _, grad, hess, *_ = _evaluate(family, values, y, w, beta, None)
-        beta, singular = _newton_directions(hess, grad)
-        return beta, ["SingularHessianError" if s else None for s in singular]
-
-    cap = options.linear_predictor_cap
-    zero = _identically_zero(w, y) if family is _POISSON else np.zeros(y.shape[0], bool)
-    kinds = ["OverflowGuardError" if z else None for z in zero]
-    fit = np.flatnonzero(~zero)
-    y, w = y[fit], w[fit]
-    tol = options.gradient_tolerance * (1.0 + w.sum(axis=1))
-    beta[fit], diag = maximize(_objective(family, values, y, w, cap), beta[fit], options,
-                               tolerance=tol)
-    _, _, _, eta, mean, _ = _evaluate(family, values, y, w, beta[fit], cap)
-    for i, r in enumerate(fit):
-        if diag.singular[i]:
-            kinds[r] = "SingularHessianError"
-            continue
-        try:
-            _check_guards(family, y[i], eta[i], mean[i], diag.converged[i], cap)
-        except (OverflowGuardError, SeparationError) as err:
-            kinds[r] = type(err).__name__
-        else:
-            kinds[r] = None if diag.converged[i] else "not_converged"
-    return beta, kinds
 
 
 def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
@@ -713,7 +823,7 @@ def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     record = _FAMILIES[family]
-    values, _, y, w = _inputs(record, X, y, weights)
+    values, _, _, y, w = _inputs(record, X, y, weights)
     beta = np.asarray(beta_hat, float)
     p = values.shape[1]
     if record is _MULTINOMIAL:
@@ -725,6 +835,8 @@ def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
     elif beta.shape != (p,):
         raise ValueError(f"beta_hat must have length {p}")
     cap = options.linear_predictor_cap
-    _, _, hess, eta, _, resid = _evaluate(record, values, y, w, beta, cap)
+    _, _, hess, eta, mean = _evaluate(record, values, y[None], w[None], beta[None], cap)
     _check_cap(record, eta, cap)
-    return _sandwich(-hess, _score_rows(values, resid), clusters, small_sample_correction)
+    resid = (w[:, None] if y.ndim == 2 else w) * (y - mean[0])
+    return _sandwich(-hess[0], values, resid, clusters=clusters,
+                     small_sample_correction=small_sample_correction)

@@ -448,6 +448,67 @@ def test_cli_reports_csv_error_as_json(capsys, tmp_path):
     assert "row 3" in payload["errors"][0]["message"]
 
 
+@pytest.mark.parametrize("extra", [["--group", "g", "--cluster", "g"],
+                                   ["--group", "g", "--cluster", "y"]])
+def test_cluster_column_bound_as_a_number_is_refused(capsys, tmp_path, extra):
+    path = write_csv(tmp_path / "bind.csv", ["y", "g", "t"],
+                     [[1.0, 0, 1], [2.0, 0, 2], [3.0, 1, 1], [4.0, 1, 2]])
+    code, _, payload = run_json(capsys, [
+        "estimate", "--family", "linear", "--csv", path, "--outcome", "y",
+        "--period", "t", "--post", "2", *extra,
+    ])
+    assert code == 1
+    cluster = extra[-1]
+    assert payload["errors"] == [{
+        "kind": "ColumnBindingError",
+        "message": f"cluster column {cluster!r} is also bound as a numeric column; "
+                   "a column holds cluster ids or numbers, not both",
+    }]
+
+
+def test_row_error_names_the_first_bad_field_in_header_order(tmp_path):
+    # row 2 leaves both t and x blank; the message must not depend on set order
+    path = write_csv(tmp_path / "blank.csv", ["y", "g", "t", "w", "x"],
+                     [[1.0, 0, "", 1.0, ""], [2.0, 1, 2002, 1.0, 0.5]])
+    argv = ["estimate", "--family", "linear", "--csv", path, "--outcome", "y",
+            "--group", "g", "--period", "t", "--weights", "w", "--covariates", "x",
+            "--post", "2002", "--format", "json"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outputs = []
+    # under the set iteration these two seeds reported different columns
+    for seed in ("1", "3"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-m", "rrdid", *argv], capture_output=True,
+                              text=True, env=env, check=False)
+        outputs.append((proc.returncode, proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["errors"] == [{
+        "kind": "CsvParseError",
+        "message": "row 2: missing value in bound column 't'",
+    }]
+
+
+def test_estimate_clips_round_off_negative_variance(capsys, tmp_path):
+    # saturated: four rows in four cells, so every residual and every variance
+    # is round-off, and some variances come out a hair below zero
+    rng = np.random.default_rng(0)
+    negative = 0
+    for i in range(100):
+        y, w = np.round(rng.uniform(-5, 5, 4), 1), np.round(rng.uniform(0.5, 3, 4), 1)
+        path = write_csv(tmp_path / f"saturated{i}.csv", ["y", "g", "t", "w"],
+                         zip(y, [0, 0, 1, 1], [0, 1, 0, 1], w))
+        code, _, payload = run_json(capsys, [
+            "estimate", "--family", "linear", "--csv", path, "--outcome", "y",
+            "--group", "g", "--period", "t", "--weights", "w", "--post", "1",
+        ])
+        assert code == 0
+        fit = payload["results"]["fit"]
+        negative += min(fit["vcov"][j][j] for j in range(4)) < 0
+        for j, row in enumerate(fit["coefficients"]):
+            assert row["se"] == (math.sqrt(fit["vcov"][j][j]) if fit["vcov"][j][j] > 0 else 0)
+    assert negative
+
+
 def test_cli_missing_file_is_data_error(capsys, tmp_path):
     code = run_cli([
         "estimate", "--family", "linear", "--csv", str(tmp_path / "nope.csv"),

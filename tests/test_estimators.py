@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrdid import (
+    DesignMatrix,
     DesignSpec,
     FitOptions,
     FitResult,
@@ -23,7 +24,10 @@ from rrdid import (
     maximize,
     nonparametric_ror,
     nonparametric_rr,
+    proportional_effect,
+    RcsDataset,
     robust_vcov,
+    standard_error,
 )
 from rrdid.estimators import (
     _check_full_rank,
@@ -32,6 +36,7 @@ from rrdid.estimators import (
     _gram_proves_full_rank,
 )
 from rrdid.errors import (
+    NegativeVarianceError,
     NonFiniteObjectiveError,
     OverflowGuardError,
     SeparationError,
@@ -636,6 +641,42 @@ def test_nonconverged_fit_reports_nan_vcov():
     assert np.isnan(fit.vcov).all()
 
 
+def test_saturated_ols_standard_errors_clip_round_off():
+    # four rows in four cells: the residuals, and so the sandwich, are round-off,
+    # and some variances come out a hair below zero
+    rng = np.random.default_rng(0)
+    negative = 0
+    for _ in range(100):
+        data = RcsDataset(y=np.round(rng.uniform(-5, 5, 4), 1), q=[0, 0, 1, 1], t=[0, 1, 0, 1],
+                          weights=np.round(rng.uniform(0.5, 3, 4), 1))
+        fit = fit_ols(build_design(data, DesignSpec(post_period=1)), data.y, data.weights)
+        variances = np.diag(fit.vcov)
+        assert np.max(np.abs(variances)) < 1e-26
+        negative += variances.min() < 0
+        assert [fit.se(name) for name in fit.names] == np.sqrt(np.maximum(variances, 0)).tolist()
+    assert negative
+
+
+def test_standard_error_clips_round_off_and_rejects_negative_variances():
+    assert standard_error(4.0, 4.0) == 2.0
+    assert standard_error(-5e-48, 2e-30) == 0.0
+    assert np.isnan(standard_error(float("nan"), 1.0))
+    with pytest.raises(NegativeVarianceError):
+        standard_error(-1e-3, 1.0)
+    fit = FitResult(family="poisson_qmle", names=("a", "b"), coefficients=[0.1, 0.2],
+                    vcov=[[-0.5, 0.0], [0.0, 1.0]], vcov_kind="sandwich", loglik=0.0,
+                    iterations=1, converged=True, score_norm=0.0, n_obs=4)
+    with pytest.raises(NegativeVarianceError):
+        fit.se("a")
+    with pytest.raises(NegativeVarianceError):
+        proportional_effect(fit, {"a": 1.0, "b": 0.1})
+    tiny = FitResult(family="poisson_qmle", names=("a", "b"), coefficients=[0.1, 0.2],
+                     vcov=[[-1e-20, 0.0], [0.0, 1.0]], vcov_kind="sandwich", loglik=0.0,
+                     iterations=1, converged=True, score_norm=0.0, n_obs=4)
+    assert tiny.se("a") == 0.0
+    assert proportional_effect(tiny, "a").se_beta == 0.0
+
+
 def test_t_value_edge_cases():
     fit = FitResult(family="ols", names=("a", "b"), coefficients=[0.0, 2.0],
                     vcov=np.zeros((2, 2)), vcov_kind="sandwich", loglik=0.0,
@@ -742,3 +783,137 @@ def test_rank_check_sends_badly_scaled_designs_to_the_qr():
         _check_full_rank(singular, np.ones(100), ["const", "x", "x3"])
     assert info.value.columns == _rank_decision(_check_full_rank_qr, singular,
                                                 ["const", "x", "x3"])
+
+
+# --- cell-sum fits of cell-constant designs against the row path --------------
+
+_FITTERS = {"poisson": fit_poisson_qmle, "logit": fit_logit_qmle,
+            "fractional": fit_logit_qmle, "multinomial": fit_multinomial_logit,
+            "ols": fit_ols}
+
+
+@st.composite
+def cell_constant_fits(draw):
+    """(family, dataset, spec): random rows in random (group, period) cells, some
+    cells empty, with or without weights, clusters and period or trend columns."""
+    family = draw(st.sampled_from(sorted(_FITTERS)))
+    n_periods = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = [(g, p) for g in (0, 1) for p in range(n_periods)]
+    empty = draw(st.sets(st.sampled_from(cells), max_size=2))
+    n_classes = draw(st.integers(3, 4))
+    # every cell's rows share one class: perfectly predicted by a saturated design
+    separable = family in ("logit", "multinomial") and draw(st.integers(0, 3)) == 0
+    ys, qs, ts = [], [], []
+    for g, p in cells:
+        if (g, p) in empty:
+            continue
+        size = int(rng.integers(8, 25) if family == "multinomial" else rng.integers(2, 12))
+        if family == "poisson":
+            y = rng.poisson(rng.uniform(0.3, 4.0), size)
+        elif family == "logit":
+            y = rng.random(size) < rng.uniform(0.1, 0.9)
+        elif family == "fractional":
+            y = rng.uniform(0.0, 1.0, size)
+            y[rng.random(size) < 0.2] = rng.integers(0, 2)
+        elif family == "multinomial":
+            y = rng.choice(n_classes, size, p=rng.dirichlet(np.full(n_classes, 4.0)))
+        else:
+            y = rng.normal(rng.uniform(-2.0, 2.0), 1.0, size)
+        if separable:
+            y = np.full(size, y[0])
+        ys.append(np.asarray(y, float))
+        qs.append(np.full(size, g))
+        ts.append(np.full(size, p))
+    y, q, t = np.concatenate(ys), np.concatenate(qs), np.concatenate(ts)
+    # shuffle, so that a cell's rows are not contiguous
+    order = rng.permutation(y.size)
+    y, q, t = y[order], q[order], t[order]
+    weights = rng.uniform(0.2, 3.0, y.size) if draw(st.booleans()) else None
+    clusters = draw(st.sampled_from(["none", "across", "single"]))
+    clusters = {"none": None, "single": np.arange(y.size),
+                "across": rng.integers(0, int(rng.integers(2, 6)), y.size)}[clusters]
+    data = RcsDataset(y=y, q=q, t=t, weights=weights, clusters=clusters,
+                      n_periods=n_periods)
+    spec = DesignSpec(post_period=draw(st.integers(1, n_periods - 1)),
+                      include_period_dummies=draw(st.booleans()),
+                      include_group_trend=draw(st.booleans()))
+    return family, data, spec
+
+
+def _fit_or_error(fitter, X, data):
+    try:
+        return fitter(X, data.y, data.weights, clusters=data.clusters)
+    except (ValueError, RuntimeError) as err:
+        return err
+
+
+def _close(a, b, rtol=1e-10):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return float(np.max(np.abs(a - b))) <= rtol * float(np.max(np.abs(b)))
+
+
+@given(cell_constant_fits())
+@settings(max_examples=300, deadline=None)
+def test_cell_sum_fit_matches_row_fit(case):
+    family, data, spec = case
+    design = build_design(data, spec)
+    assert design.cells is not None
+    cells = _fit_or_error(_FITTERS[family], design, data)
+    rows = _fit_or_error(_FITTERS[family], design.values, data)
+    assert type(cells) is type(rows)
+    if isinstance(rows, SingularDesignError):
+        # the row path names the columns of a bare array x0, x1, ...
+        assert [f"x{design.index(name)}" for name in cells.columns] == list(rows.columns)
+    if isinstance(rows, Exception):
+        return
+    assert (cells.converged, cells.n_obs, cells.vcov_kind) == \
+        (rows.converged, rows.n_obs, rows.vcov_kind)
+    # A cell whose outcomes all sit on the domain's boundary puts the optimum
+    # at infinity; both paths stop where the score first drops under the
+    # tolerance, a point rounding moves, so only their decisions are compared.
+    key = data.q * data.n_periods + data.t
+    if family == "multinomial":
+        boundary = any(np.unique(data.y[key == k]).size < np.unique(data.y).size
+                       for k in np.unique(key))
+    else:
+        low, high = {"poisson": (0, None), "ols": (None, None)}.get(family, (0, 1))
+        boundary = any(np.all(data.y[key == k] == low) or np.all(data.y[key == k] == high)
+                       for k in np.unique(key))
+    if not rows.converged or boundary:
+        return
+    assert _close(cells.coefficients, rows.coefficients)
+    # when the rows of every cell share one outcome, a saturated fit leaves
+    # only round-off residuals, and the sandwich (with the OLS loglik) is noise
+    if not all(np.unique(data.y[key == k]).size == 1 for k in np.unique(key)):
+        assert _close(cells.vcov, rows.vcov)
+        assert _close(cells.loglik, rows.loglik)
+
+
+@pytest.mark.parametrize("fitter, labels", [(fit_logit_qmle, [0, 1, 0, 1]),
+                                            (fit_multinomial_logit, [0, 1, 2, 1])])
+def test_cell_fit_reads_purity_from_rows_not_means(fitter, labels):
+    # every cell's rows share one outcome but for one row of negligible weight,
+    # which leaves its cell's mean exactly on the boundary; the row fit does not
+    # call that perfectly predicted, so neither may the cell fit
+    y = np.append(np.repeat(labels, 3), 0.0)
+    q, t = np.repeat([0, 0, 1, 1, 1], [3, 3, 3, 3, 1]), np.repeat([0, 1, 0, 1, 1], [3, 3, 3, 3, 1])
+    data = RcsDataset(y=y, q=q, t=t, weights=np.append(np.ones(12), 1e-17))
+    design = build_design(data, DesignSpec(post_period=1))
+    assert fitter(design.values, data.y, data.weights).converged
+    assert fitter(design, data.y, data.weights).converged
+
+
+def test_covariate_designs_carry_no_cell_index():
+    data = RcsDataset(y=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], q=[0, 0, 1, 1, 0, 1],
+                      t=[0, 1, 0, 1, 1, 0], covariates={"x": [0.5, 1.0, 0.2, 0.7, 0.1, 0.9]})
+    assert build_design(data, DesignSpec(post_period=1)).cells is None
+    plain = RcsDataset(y=data.y, q=data.q, t=data.t)
+    assert build_design(plain, DesignSpec(post_period=1)).cells.tolist() == [0, 1, 2, 3, 1, 2]
+
+
+def test_design_cells_must_hold_constant_rows():
+    values = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
+    DesignMatrix(values, ("const", "x"), 1, None, cells=[0, 1, 0])
+    with pytest.raises(ValueError, match="constant within cells"):
+        DesignMatrix(values, ("const", "x"), 1, None, cells=[0, 0, 1])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rrdid import cli
 from rrdid.cli import load_csv_dataset
+from rrdid.errors import ColumnBindingError
 
 # column role -> fields both readers accept
 PLAIN = {
@@ -139,8 +140,8 @@ def test_plain_csv_never_reaches_row_parser(tmp_path, monkeypatch):
     assert dataset.clusters.dtype == expected[0].clusters.dtype == np.dtype("<U8")
     assert np.array_equal(dataset.clusters, expected[0].clusters)
     assert dataset.covariates["x"].tobytes() == expected[0].covariates["x"].tobytes()
-    # a cluster column also bound as a number goes to the row parser
-    with pytest.raises(AssertionError, match="row parser"):
+    # a cluster column also bound as a number is refused before either parser runs
+    with pytest.raises(ColumnBindingError, match="'visits'"):
         load_csv_dataset(path, "visits", "treated", "year", cluster="visits")
 
 
