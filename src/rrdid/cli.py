@@ -341,9 +341,9 @@ def _add_csv_options(sub, with_cluster=True):
     sub.add_argument("--group", required=True, help="0/1 group column")
     sub.add_argument("--period", required=True, help="integer period column")
     sub.add_argument("--post", required=True, type=int,
-                     help="treated period, in the period column's units: the "
-                          "treatment column marks t == post only, while cell "
-                          "summaries and the log transform pool t >= post")
+                     help="first treated period, in the period column's units; "
+                          "the treatment column, cell summaries and the log "
+                          "transform all pool every period t >= post")
     sub.add_argument("--weights", default=None, help="weight column")
     if with_cluster:
         sub.add_argument("--cluster", default=None, help="cluster id column")

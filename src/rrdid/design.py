@@ -3,8 +3,10 @@
 The regressor layout is fixed so that downstream code can locate the
 treatment and group-trend columns by name: intercept, period dummies
 (base period omitted), group dummy Q, group trend t*Q (optional),
-treatment D = Q * 1[t == post], covariates, then treatment-interacted
-covariates for heterogeneous effects.
+treatment D = Q * 1[t >= post], covariates, then treatment-interacted
+covariates for heterogeneous effects. Post means t >= post everywhere: the
+treatment column and the (group, pre/post) cell statistics pool every
+period from post on, the pooled-QMLE reading of Wooldridge (2023).
 """
 
 from __future__ import annotations
@@ -196,9 +198,10 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
 
     Column order: intercept, period dummies (base omitted), group,
     group trend, treatment, covariates, treatment-interacted covariates.
-    Treatment is D = Q * 1[t == post_period]. Without covariates every
-    column is a function of the (group, period) cell, and the design records
-    each row's cell q * n_periods + t.
+    Treatment is D = Q * 1[t >= post_period], the rule cell_masks uses, so
+    one treat coefficient pools every period from post_period on. Without
+    covariates every column is a function of the (group, period) cell, and
+    the design records each row's cell q * n_periods + t.
     """
     T = dataset.n_periods
     _check_period(dataset, spec.post_period, "post_period")
@@ -221,7 +224,7 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
         names.append("group_trend")
         trend_column = len(names) - 1
 
-    treat = (dataset.q * (dataset.t == spec.post_period)).astype(float)
+    treat = (dataset.q * (dataset.t >= spec.post_period)).astype(float)
     cols.append(treat)
     names.append("treat")
     treatment_column = len(names) - 1

@@ -12,6 +12,7 @@ that as a signal to redraw the replication.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +177,11 @@ def nonparametric_ror(dataset: RcsDataset, post_period, class_c=1, covariate_cel
     R_qs = p(y = c) / p(y = 0) per cell, then (R11/R10) / (R01/R00).
 
     Weighted proportions; every cell needs positive mass on both classes.
+    class_c must be an integer >= 1 (class 0 is the base); anything else
+    raises ValueError.
     """
+    if isinstance(class_c, bool) or not isinstance(class_c, numbers.Integral) or class_c < 1:
+        raise ValueError(f"class_c must be an integer class label >= 1, not {class_c!r}")
     ratios = {}
     for (g, post), mask in _filtered_cells(dataset, post_period, covariate_cell).items():
         p_c = cell_mean(dataset, mask, dataset.y == class_c)

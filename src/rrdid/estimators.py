@@ -1,22 +1,28 @@
 """Model fitting: weighted OLS and three canonical-link quasi-likelihood fits.
 
 The Poisson QMLE (ratio-in-ratios), the logistic QMLE and the multinomial
-logit (ratio-in-odds-ratios) each maximize sum_i w_i (y_i eta_i - b(eta_i))
-over the linear predictor eta_i = x_i beta, with score sum_i w_i (y_i -
-b'(eta_i)) x_i and Hessian weight b''(eta_i). Each family is one record in
-_FAMILIES: cumulant and mean, curvature, outcome domain and separation test.
-OLS is the identity link b(eta) = eta^2 / 2, solved by one Newton step.
+logit (ratio-in-odds-ratios) each maximize sum_i w_i (y_i'eta_i - b(eta_i))
+over the linear predictors eta_i = (x_i beta_1, ..., x_i beta_C) of C
+outcome classes, with score sum_i w_i (y_i - b'(eta_i)) (x) x_i and Hessian
+weights b''(eta_i). Each family is one record in _FAMILIES: cumulant and
+mean, curvature, outcome domain and separation test. Every outcome is held
+in one layout, (datasets, cells, classes): OLS, Poisson and logit have one
+class, the multinomial one per non-base category. The logit is the
+one-class softmax, b(eta) = log(1 + e^eta), so it shares the multinomial's
+record functions and its fits equal the two-category multinomial's bit for
+bit. OLS is the identity link b(eta) = eta^2 / 2, solved by one Newton step.
 
 One batched Newton driver, _fit, fits every record on cells. Rows that share
 a design row enter the maximand only through their total weight n_c and
-weighted mean outcome ybar_c, as n_c (ybar_c eta_c - b(eta_c)). A design
+weighted mean outcome ybar_c, as n_c (ybar_c'eta_c - b(eta_c)). A design
 that build_design makes without covariate columns records each row's
 (group, period) cell, and its fit runs on those at most 2T cells; any other
 design runs with every row as its own cell (counts w, means y).
-fit_cell_sums hands the driver many cell datasets at once.
+fit_cell_sums hands the driver many cell datasets at once, and the driver
+decides each dataset's failure kind with array reductions over the batch.
 
 Covariances are sandwiches A^{-1} B A^{-1}: A is the negative Hessian at the
-optimum, B the outer product of the per-row scores w_i (y_i - mu_i) x_i,
+optimum, B the outer product of the per-row scores w_i (y_i - mu_i) (x) x_i,
 summed within clusters first when cluster ids are supplied. B is taken in
 one pass over the rows after the fit, so a fit on cells keeps the row-level
 sandwich exactly. No small-sample correction is applied unless requested.
@@ -30,12 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit
 
 from .design import DesignMatrix
 from .errors import (
@@ -350,26 +354,25 @@ def _sandwich(bread, values, resid, index=None, clusters=None, small_sample_corr
     """A^{-1} B A^{-1}, with B the outer product of the row scores.
 
     values holds one design row per cell and index each row's cell (None:
-    row i is cell i); resid (n,), or (n, C) for C class blocks, holds each
-    row's w_i (y_i - mu_i), so row i scores resid_i (x) values[index_i].
-    On cells, B sums x_c x_c' (x) each cell's class-pair residual moments,
-    and clustered, each (cluster, cell) pair adds its residual sum times x_c
-    to its cluster's score.
+    row i is cell i); resid (n, C) holds each row's w_i (y_i - mu_i) for its
+    C classes, so row i scores resid_i (x) values[index_i]. On cells, B sums
+    x_c x_c' (x) each cell's class-pair residual moments, and clustered,
+    each (cluster, cell) pair adds its residual sum times x_c to its
+    cluster's score.
     """
     n, k = resid.shape[0], values.shape[0]
-    r = resid.reshape(n, -1).T
+    r = resid.T
     if clusters is not None and np.shape(clusters)[0] != n:
         raise ValueError("clusters must match the number of observations")
     if index is not None and clusters is None:
         moments = _sum_cells(index, k, r[:, None, :] * r[None, :, :])
-        meat = -_hessian(values, moments[None] if resid.ndim == 2 else moments[:, 0])[0]
+        meat = -_hessian(values, moments[None])[0]
         groups = n
     else:
         if index is not None:
             codes = np.unique(clusters, return_inverse=True)[1].reshape(-1)
             pairs, pair = np.unique(codes * k + index, return_inverse=True)
-            resid = _sum_cells(pair.reshape(-1), pairs.size, r).T.reshape(
-                (pairs.size,) + resid.shape[1:])
+            resid = _sum_cells(pair.reshape(-1), pairs.size, r).T
             clusters, values = pairs // k, values[pairs % k]
         grouped = _cluster_sum(_score_rows(values, resid), clusters)
         meat = grouped.T @ grouped
@@ -393,15 +396,19 @@ def _sandwich(bread, values, resid, index=None, clusters=None, small_sample_corr
 
 @dataclass(frozen=True)
 class _Family:
-    """One canonical-link family: the fit maximizes sum w (y*eta - b(eta)).
+    """One canonical-link family: the fit maximizes sum w (y'eta - b(eta)).
 
-    moments(eta) gives (b(eta), b'(eta)); for the multinomial eta is (..., C)
-    and b'(eta) the class probabilities. curvature(w, mean) gives the Hessian
-    weights w * b''(eta) of B fits, as (B, C, C, k) class-pair blocks for the
-    multinomial. in_domain(y) is False for outcomes outside the domain that
-    the string domain names. guard builds the error for a fit that diverges
-    toward the linear-predictor cap (None: the identity link is never
-    capped), and separated(y, mean) flags a perfectly predicted boundary fit.
+    Outcomes, linear predictors and means share one layout, (B, k, C): B
+    fits on k cells with C outcome classes, one for OLS, Poisson and logit
+    and one per non-base class for the multinomial. moments(eta) gives
+    (b(eta) (B, k), b'(eta) (B, k, C)); curvature(w, mean) gives the
+    Hessian weights w * b''(eta) as (B, C, C, k) class-pair blocks. The
+    logit is the one-class softmax and shares the multinomial's functions.
+    in_domain(y) is False for outcomes outside the domain that the string
+    domain names. guard is the error class, raised with message, for a fit
+    that diverges toward the linear-predictor cap (None: the identity link
+    is never capped), and separated(y, mean) flags each fit (B,) whose
+    boundary outcomes are all perfectly predicted.
     """
 
     name: str
@@ -409,20 +416,14 @@ class _Family:
     curvature: Callable
     in_domain: Callable
     domain: str
-    guard: Callable | None = None
+    guard: type | None = None
+    message: str = ""
     separated: Callable | None = None
 
 
 def _exp_moments(eta):
     mu = np.exp(eta)
-    return mu, mu
-
-
-def _logit_separated(y, p):
-    if not np.all((y == 0) | (y == 1)):
-        return False
-    gap = np.where(y == 1, 1.0 - p, p)
-    return bool(np.all(gap <= 1e-6))
+    return mu[..., 0], mu
 
 
 def _softmax_moments(eta):
@@ -439,34 +440,33 @@ def _softmax_curvature(w, probs):
     return w[:, None, None, :] * (p[:, :, None, :] * (eye - p[:, None, :, :]))
 
 
-def _multinomial_separated(ymat, probs):
-    # probability of each row's observed class; rows without an indicator are class 0
-    p_obs = np.where(ymat.any(axis=1), np.sum(ymat * probs, axis=1), 1.0 - probs.sum(axis=1))
-    return bool(np.all(p_obs >= 1.0 - 1e-6))
+def _softmax_separated(y, probs):
+    # probability of each cell's observed class; cells without an indicator are class 0
+    p_obs = np.where(y.any(axis=2), np.sum(y * probs, axis=2), 1.0 - probs.sum(axis=2))
+    return np.all((y == 0) | (y == 1), axis=(1, 2)) & np.all(p_obs >= 1.0 - 1e-6, axis=1)
 
 
-_GAUSSIAN = _Family("ols", lambda eta: (0.5 * eta**2, eta), lambda w, mu: w,
-                    lambda y: True, "finite y")
+_GAUSSIAN = _Family("ols", lambda eta: (0.5 * eta[..., 0]**2, eta),
+                    lambda w, mu: w[:, None, None], lambda y: True, "finite y")
 _POISSON = _Family(
-    "poisson_qmle", _exp_moments, lambda w, mu: w * mu,
+    "poisson_qmle", _exp_moments, lambda w, mu: (w * mu[..., 0])[:, None, None],
     lambda y: not np.any(y < 0), "non-negative y",
-    guard=partial(OverflowGuardError, "linear-predictor cap active at the optimum; "
-                                      "estimates would overflow without the guard"),
+    OverflowGuardError, "linear-predictor cap active at the optimum; "
+                        "estimates would overflow without the guard",
 )
 _LOGIT = _Family(
-    "logit_qmle", lambda eta: (np.logaddexp(0.0, eta), expit(eta)),
-    lambda w, p: w * p * (1.0 - p),
+    "logit_qmle", _softmax_moments, _softmax_curvature,
     lambda y: not np.any((y < 0) | (y > 1)), "y in [0, 1]",
-    guard=partial(SeparationError, "coefficients diverged toward the linear-predictor "
-                                   "cap; the outcome is perfectly separated"),
-    separated=_logit_separated,
+    SeparationError, "coefficients diverged toward the linear-predictor cap; "
+                     "the outcome is perfectly separated",
+    _softmax_separated,
 )
 _MULTINOMIAL = _Family(
     "multinomial_logit", _softmax_moments, _softmax_curvature,
     lambda y: np.all(y == np.floor(y)) and not np.any(y < 0), "integer class labels >= 0",
-    guard=partial(SeparationError, "multinomial coefficients diverged toward the "
-                                   "linear-predictor cap; a class is perfectly separated"),
-    separated=_multinomial_separated,
+    SeparationError, "multinomial coefficients diverged toward the linear-predictor cap; "
+                     "a class is perfectly separated",
+    _softmax_separated,
 )
 _FAMILIES = {f.name: f for f in (_GAUSSIAN, _POISSON, _LOGIT, _MULTINOMIAL)}
 
@@ -486,26 +486,18 @@ def _class_matrix(labels, n_classes):
 
 
 def _score(family, values, y, w, beta, cap):
-    """(value, grad, eta, mean) of B fits on the same k design rows at beta (B, P).
+    """(value, grad, eta, mean) of B fits on the same k design rows at beta.
 
-    y and w are (B, k), or y is (B, k, C) class indicators or shares with C
-    blocks of p in beta. eta is taken before the cap.
+    y is (B, k, C), w (B, k) and beta (B, Cp) holds C blocks of p; eta is
+    taken before the cap.
     """
-    if y.ndim == 3:
-        eta = values @ beta.reshape(len(beta), y.shape[2], -1).transpose(0, 2, 1)
-    else:
-        # one product per fit, so a fit's bits do not depend on its batch
-        eta = (values @ beta[:, :, None])[:, :, 0]
+    # one product per fit, so a fit's bits do not depend on its batch
+    eta = values @ beta.reshape(len(beta), y.shape[2], values.shape[1]).transpose(0, 2, 1)
     capped = eta if family.guard is None else np.clip(eta, -cap, cap)
     cumulant, mean = family.moments(capped)
-    if y.ndim == 3:
-        value = np.sum(w * (np.sum(y * capped, axis=2) - cumulant), axis=1)
-        resid = w[:, :, None] * (y - mean)
-        grad = (resid.transpose(0, 2, 1) @ values).reshape(len(beta), -1)
-    else:
-        value = np.sum(w * (y * capped - cumulant), axis=1)
-        resid = w * (y - mean)
-        grad = (resid[:, None, :] @ values)[:, 0, :]
+    value = np.sum(w * (np.sum(y * capped, axis=2) - cumulant), axis=1)
+    resid = w[:, :, None] * (y - mean)
+    grad = (resid.transpose(0, 2, 1) @ values).reshape(beta.shape)
     return value, grad, eta, mean
 
 
@@ -516,10 +508,8 @@ def _evaluate(family, values, y, w, beta, cap):
 
 
 def _hessian(values, weight):
-    """-sum_i weight_i x_i x_i' per fit: (B, p, p) for (B, k) weights, and
-    (B, Cp, Cp) of p x p class-pair blocks for (B, C, C, k)."""
-    if weight.ndim == 2:
-        return -(values.T * weight[:, None, :]) @ values
+    """-sum_i weight_i (x) x_i x_i' per fit: (B, Cp, Cp) of p x p class-pair
+    blocks for (B, C, C, k) weights."""
     n_fits, n_classes, p = weight.shape[0], weight.shape[1], values.shape[1]
     hess = np.zeros((n_fits, n_classes, p, n_classes, p))
     for c in range(n_classes):
@@ -530,26 +520,8 @@ def _hessian(values, weight):
 
 
 def _score_rows(values, resid):
-    """Per-observation scores resid_i x_i, class block by class block for (n, C) resid."""
-    if resid.ndim == 1:
-        return resid[:, None] * values
-    return np.einsum("nc,nk->nck", resid, values).reshape(values.shape[0], -1)
-
-
-def _check_cap(family, eta, cap):
-    """Raise the family's guard error when a capped linear predictor reaches the cap."""
-    if family.guard is not None and float(np.max(np.abs(eta))) >= cap:
-        raise family.guard()
-
-
-def _check_guards(family, y, eta, mean, separable, cap):
-    """Raise the family's guard error for a fit that diverged, at or below the cap."""
-    _check_cap(family, eta, cap)
-    # Divergent fits can stall "converged" below the cap once the saturated
-    # rows' score drops under the tolerance; a perfectly predicted boundary
-    # fit is the signature of that divergence.
-    if separable and family.separated is not None and family.separated(y, mean):
-        raise family.guard()
+    """Per-observation scores resid_i (x) x_i, class block by class block."""
+    return (resid[:, :, None] * values[:, None, :]).reshape(values.shape[0], -1)
 
 
 def _identically_zero(w, y):
@@ -558,45 +530,32 @@ def _identically_zero(w, y):
 
 
 def _objective(family, values, y, w, cap):
-    """(value, grad, hess) at beta: B fits for beta (B, P), one fit for a 1-d beta
-    with y (k,) or (k, C) and w (k,)."""
-    def objective(beta):
-        if beta.ndim == 2:
-            return _evaluate(family, values, y, w, beta, cap)[:3]
-        value, grad, hess = _evaluate(family, values, y[None], w[None], beta[None], cap)[:3]
-        return value[0], grad[0], hess[0]
-
-    return objective
-
-
-_poisson_objective = partial(_objective, _POISSON)
-_logit_objective = partial(_objective, _LOGIT)
-_multinomial_objective = partial(_objective, _MULTINOMIAL)
+    """maximize's objective: (value, grad, hess) of B fits at beta (B, Cp)."""
+    return lambda beta: _evaluate(family, values, y, w, beta, cap)[:3]
 
 
 def _fit(family, values, counts, means, options, pure=True, lstsq=False):
     """Fit B datasets on the same k cells in one batched Newton.
 
     values (k, p) holds each cell's design row, counts (B, k) each dataset's
-    total weight per cell and means (B, k), or (B, k, C) class shares, its
-    weighted mean outcome per cell; every cell needs a positive count. pure
-    says whether the rows of every cell share one outcome, which a perfectly
+    total weight per cell and means (B, k, C) its weighted mean outcome, or
+    class shares, per cell; every cell needs a positive count. pure says
+    whether the rows of every cell share one outcome, which a perfectly
     predicted boundary fit needs. Least squares is one Newton step from zero,
     solved on the batch's normal equations, or with lstsq on each dataset's
     count-weighted cells: the normal equations square the design's condition
     number, which a covariate such as a calendar year makes large.
-    Returns (beta (B, P), failures, diag, mean): failures[r] is None,
+    Returns (beta (B, Cp), failures, diag, mean): failures[r] is None,
     "not_converged" or the name of the error the fit raises, diag the
     NewtonDiagnostics with the Hessian at beta, mean the fitted cell means.
     """
     cap = options.linear_predictor_cap
-    n_blocks = means.shape[2] if means.ndim == 3 else 1
-    beta = np.zeros((counts.shape[0], values.shape[1] * n_blocks))
+    beta = np.zeros((counts.shape[0], values.shape[1] * means.shape[2]))
     if family is _GAUSSIAN:
         _, grad, hess, *_ = _evaluate(family, values, means, counts, beta, cap)
         if lstsq:
-            root = np.sqrt(counts)
-            beta = np.array([np.linalg.lstsq(values * r[:, None], m * r, rcond=None)[0]
+            root = np.sqrt(counts)[:, :, None]
+            beta = np.array([np.linalg.lstsq(values * r, m * r, rcond=None)[0].T.reshape(-1)
                              for r, m in zip(root, means)])
             singular = np.zeros(len(beta), bool)
         else:
@@ -612,23 +571,22 @@ def _fit(family, values, counts, means, options, pure=True, lstsq=False):
         # the bread is the Hessian of the last accepted step; only the means are new
         _, _, eta, mean = _score(family, values, means, counts, beta, cap)
 
-    failures = []
-    for r in range(len(beta)):
-        if diag.singular[r]:
-            failures.append("SingularHessianError")
-            continue
-        if family.guard is not None:
-            try:
-                _check_guards(family, means[r], eta[r], mean[r], diag.converged[r] and pure, cap)
-            except (OverflowGuardError, SeparationError) as err:
-                failures.append(type(err).__name__)
-                continue
-        failures.append(None if diag.converged[r] else "not_converged")
-    return beta, failures, diag, mean
+    failures = np.full(len(beta), None, object)
+    failures[~diag.converged] = "not_converged"
+    if family.guard is not None:
+        diverged = np.max(np.abs(eta), axis=(1, 2)) >= cap
+        # Divergent fits can stall "converged" below the cap once the saturated
+        # rows' score drops under the tolerance; a perfectly predicted boundary
+        # fit is the signature of that divergence.
+        if family.separated is not None:
+            diverged |= diag.converged & pure & family.separated(means, mean)
+        failures[diverged] = family.guard.__name__
+    failures[diag.singular] = "SingularHessianError"
+    return beta, failures.tolist(), diag, mean
 
 
 def _cells(values, cells, y, w):
-    """(cell design, counts, means, index, pure) of one dataset.
+    """(cell design, counts, means, index, pure) of one dataset with outcome y (n, C).
 
     With cells (each row's cell of a cell-constant design) the cells are the
     non-empty ones and index maps each row to its cell; pure says whether the
@@ -653,8 +611,8 @@ def _fit_dataset(family, values, names, cells, y, w, clusters, options, robust=T
     """One dataset's fit by _fit, on its cells when cells is given, then one
     pass over the rows for the residuals behind the covariance.
 
-    y is (n,), or (n, C) class indicators. A failed fit raises its error; a
-    fit that did not converge reports a NaN covariance.
+    y is (n, C): one outcome column, or C class indicators. A failed fit
+    raises its error; a fit that did not converge reports a NaN covariance.
     """
     cell_values, counts, means, index, pure = _cells(values, cells, y, w)
     beta, (failure,), diag, mean = _fit(family, cell_values, counts[None], means[None],
@@ -662,19 +620,20 @@ def _fit_dataset(family, values, names, cells, y, w, clusters, options, robust=T
     if failure == "SingularHessianError":
         raise SingularHessianError("Hessian is singular at the current iterate")
     if failure not in (None, "not_converged"):
-        raise family.guard()
+        raise family.guard(family.message)
     fitted = mean[0] if index is None else mean[0][index]
     error = y - fitted
-    resid = (w[:, None] if y.ndim == 2 else w) * error
+    resid = w[:, None] * error
     hess, converged = diag.hessian[0], bool(diag.converged[0])
     # the OLS loglik is the Gaussian one, -1/2 sum w e^2
-    loglik = -0.5 * float(np.sum(w * error**2)) if family is _GAUSSIAN else float(diag.value[0])
+    loglik = (-0.5 * float(np.sum(w[:, None] * error**2)) if family is _GAUSSIAN
+              else float(diag.value[0]))
     vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
     if not robust:
         total = float(w.sum())
         if total <= values.shape[1]:
             raise ValueError("classical variance needs total weight > p")
-        sigma2 = float(np.sum(w * error**2)) / (total - values.shape[1])
+        sigma2 = float(np.sum(w[:, None] * error**2)) / (total - values.shape[1])
         vcov = sigma2 * np.linalg.inv(-hess)
         vcov = (vcov + vcov.T) / 2.0
         vcov_kind = "classical_ols"
@@ -693,7 +652,7 @@ def _fit_dataset(family, values, names, cells, y, w, clusters, options, robust=T
         converged=converged,
         score_norm=float(diag.score_norm[0]),
         n_obs=values.shape[0],
-        n_classes=y.shape[1] if y.ndim == 2 else 0,
+        n_classes=y.shape[1] if family is _MULTINOMIAL else 0,
     )
 
 
@@ -704,7 +663,8 @@ def fit_ols(X, y, weights=None, clusters=None, robust=True):
     (vcov_kind "classical_ols", sigma^2 = sum w e^2 / (sum w - p)).
     """
     values, names, cells, y, w = _inputs(_GAUSSIAN, X, y, weights)
-    return _fit_dataset(_GAUSSIAN, values, names, cells, y, w, clusters, FitOptions(), robust)
+    return _fit_dataset(_GAUSSIAN, values, names, cells, y[:, None], w, clusters,
+                        FitOptions(), robust)
 
 
 def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -719,13 +679,17 @@ def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = Fi
         raise OverflowGuardError(
             "outcome is identically zero; the exponential mean has no finite optimum"
         )
-    return _fit_dataset(_POISSON, values, names, cells, y, w, clusters, options)
+    return _fit_dataset(_POISSON, values, names, cells, y[:, None], w, clusters, options)
 
 
 def fit_logit_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
-    """Logistic quasi-MLE for binary or fractional y in [0, 1]."""
+    """Logistic quasi-MLE for binary or fractional y in [0, 1].
+
+    The logit is the one-class multinomial logit: on 0/1 outcomes its fit
+    equals fit_multinomial_logit's, coefficient for coefficient.
+    """
     values, names, cells, y, w = _inputs(_LOGIT, X, y, weights)
-    return _fit_dataset(_LOGIT, values, names, cells, y, w, clusters, options)
+    return _fit_dataset(_LOGIT, values, names, cells, y[:, None], w, clusters, options)
 
 
 def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -797,7 +761,7 @@ def fit_cell_sums(family, X, counts, sums):
             for r in rows[zero]:
                 failures[r] = "OverflowGuardError"
             rows, y, w = rows[~zero], y[~zero], w[~zero]
-        beta, kinds, *_ = _fit(record, values[keep], w, y, FitOptions())
+        beta, kinds, *_ = _fit(record, values[keep], w, y[:, :, None], FitOptions())
         fitted = np.array([kind is None for kind in kinds], bool)
         coefficients[rows[fitted]] = beta[fitted]
         for r, kind in zip(rows, kinds):
@@ -834,9 +798,11 @@ def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
         y = _class_matrix(y, n_classes)
     elif beta.shape != (p,):
         raise ValueError(f"beta_hat must have length {p}")
+    else:
+        y = y[:, None]
     cap = options.linear_predictor_cap
     _, _, hess, eta, mean = _evaluate(record, values, y[None], w[None], beta[None], cap)
-    _check_cap(record, eta, cap)
-    resid = (w[:, None] if y.ndim == 2 else w) * (y - mean[0])
-    return _sandwich(-hess[0], values, resid, clusters=clusters,
+    if record.guard is not None and np.max(np.abs(eta)) >= cap:
+        raise record.guard(record.message)
+    return _sandwich(-hess[0], values, w[:, None] * (y - mean[0]), clusters=clusters,
                      small_sample_correction=small_sample_correction)

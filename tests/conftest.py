@@ -4,6 +4,27 @@ import pytest
 from rrdid import RcsDataset
 
 
+def fit_objective(family, X, y, w, cap):
+    """(value, grad, hess) at a 1-d beta of one fit's maximand.
+
+    family names an estimators._FAMILIES record ("poisson_qmle",
+    "logit_qmle", "multinomial_logit", "ols"); y is (n,), or (n, C) class
+    indicators for the multinomial. The fits' batched objective sees a
+    batch of one.
+    """
+    from rrdid.estimators import _FAMILIES, _objective
+
+    values = np.asarray(X, float)
+    y = np.asarray(y, float).reshape(values.shape[0], -1)
+    batch = _objective(_FAMILIES[family], values, y[None], np.asarray(w, float)[None], cap)
+
+    def objective(beta):
+        value, grad, hess = batch(np.asarray(beta, float)[None])
+        return value[0], grad[0], hess[0]
+
+    return objective
+
+
 def cell_dataset(cells, n_periods=2):
     """Build an RcsDataset from {(q, t): [(y, weight), ...]} cell rows."""
     y, q, t, w = [], [], [], []

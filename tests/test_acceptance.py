@@ -32,7 +32,7 @@ from rrdid import (
 )
 from rrdid.cli import run_cli
 
-from conftest import binary_cells, class_cells, mean_cells
+from conftest import binary_cells, class_cells, fit_objective, mean_cells
 
 TABLE_SEED = 1
 TIGHT = FitOptions(gradient_tolerance=1e-13)
@@ -182,12 +182,6 @@ def test_criterion_6_saturated_oracles(criterion):
 
 
 def test_criterion_7_numerical_correctness(criterion):
-    from rrdid.estimators import (
-        _logit_objective,
-        _multinomial_objective,
-        _poisson_objective,
-    )
-
     rng = np.random.default_rng(7)
     n = 40
     X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
@@ -204,9 +198,9 @@ def test_criterion_7_numerical_correctness(criterion):
                 -(X.T * w) @ X)
 
     objectives = [
-        (_poisson_objective(X, y_pois, w, 30.0), 3),
-        (_logit_objective(X, y_bin, w, 30.0), 3),
-        (_multinomial_objective(X, ymat, w, 30.0), 6),
+        (fit_objective("poisson_qmle", X, y_pois, w, 30.0), 3),
+        (fit_objective("logit_qmle", X, y_bin, w, 30.0), 3),
+        (fit_objective("multinomial_logit", X, ymat, w, 30.0), 6),
         (ols_objective, 3),
     ]
     grad_worst = 0.0
@@ -226,11 +220,11 @@ def test_criterion_7_numerical_correctness(criterion):
 
     fits = [
         (fit_poisson_qmle(X, y_pois, w, options=TIGHT),
-         _poisson_objective(X, y_pois, w, 30.0)),
+         fit_objective("poisson_qmle", X, y_pois, w, 30.0)),
         (fit_logit_qmle(X, y_bin, w, options=TIGHT),
-         _logit_objective(X, y_bin, w, 30.0)),
+         fit_objective("logit_qmle", X, y_bin, w, 30.0)),
         (fit_multinomial_logit(X, labels.astype(float), w, options=TIGHT),
-         _multinomial_objective(X, ymat, w, 30.0)),
+         fit_objective("multinomial_logit", X, ymat, w, 30.0)),
     ]
     hessian_ok = True
     foc_worst = 0.0

@@ -198,7 +198,7 @@ def test_design_invariants(case):
     assert m.values.shape == (data.n, m.n_columns)
     np.testing.assert_array_equal(m.values[:, 0], np.ones(data.n))
     np.testing.assert_array_equal(
-        m.values[:, m.treatment_column], (data.q * (data.t == post)).astype(float)
+        m.values[:, m.treatment_column], (data.q * (data.t >= post)).astype(float)
     )
-    # treated rows are exactly the group-1 rows in the post period
-    assert m.column("treat").sum() == np.sum((data.q == 1) & (data.t == post))
+    # treated rows are exactly the group-1 rows in the post periods
+    assert m.column("treat").sum() == np.sum((data.q == 1) & (data.t >= post))

@@ -255,6 +255,15 @@ def test_nonparametric_ror_class_argument():
         )
 
 
+@pytest.mark.parametrize("class_c", [0, -1, 1.0, 1.5, "1", True, None])
+def test_nonparametric_ror_rejects_bad_class(class_c):
+    # class 0 against itself would read as exactly 1.0
+    data = class_cells({key: (0.5, 0.3, 0.2) for key in ((0, 0), (0, 1), (1, 0), (1, 1))})
+    with pytest.raises(ValueError, match="class_c"):
+        nonparametric_ror(data, 1, class_c=class_c)
+    assert nonparametric_ror(data, 1, class_c=np.int64(2)) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_nonparametric_ror_zero_proportion():
     # class 1 never occurs in the (0, pre) cell
     data = cell_dataset({

@@ -44,7 +44,7 @@ from rrdid.errors import (
     SingularHessianError,
 )
 
-from conftest import binary_cells, class_cells, mean_cells
+from conftest import binary_cells, class_cells, fit_objective, mean_cells
 
 TIGHT = FitOptions(gradient_tolerance=1e-13)
 
@@ -244,28 +244,22 @@ def central_difference(f, beta, step=1e-5):
 
 @pytest.mark.parametrize("family", ["poisson", "logit", "multinomial", "ols"])
 def test_gradient_matches_finite_differences(family):
-    from rrdid.estimators import (
-        _logit_objective,
-        _multinomial_objective,
-        _poisson_objective,
-    )
-
     rng = np.random.default_rng(7)
     n = 30
     X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
     w = rng.uniform(0.5, 2.0, n)
     if family == "poisson":
         y = rng.poisson(1.0, n).astype(float)
-        obj = _poisson_objective(X, y, w, 30.0)
+        obj = fit_objective("poisson_qmle", X, y, w, 30.0)
         p = 3
     elif family == "logit":
         y = rng.integers(0, 2, n).astype(float)
-        obj = _logit_objective(X, y, w, 30.0)
+        obj = fit_objective("logit_qmle", X, y, w, 30.0)
         p = 3
     elif family == "multinomial":
         labels = rng.integers(0, 3, n)
         ymat = np.column_stack([(labels == 1), (labels == 2)]).astype(float)
-        obj = _multinomial_objective(X, ymat, w, 30.0)
+        obj = fit_objective("multinomial_logit", X, ymat, w, 30.0)
         p = 6
     else:
         y = rng.normal(size=n)
@@ -286,20 +280,14 @@ def test_gradient_matches_finite_differences(family):
 
 
 def test_hessian_negative_definite_at_optimum():
-    from rrdid.estimators import (
-        _logit_objective,
-        _multinomial_objective,
-        _poisson_objective,
-    )
-
     X, y, w = poisson_data(seed=8)
     fit = fit_poisson_qmle(X, y, w, options=TIGHT)
-    _, _, hess = _poisson_objective(X, y, w, 30.0)(fit.coefficients)
+    _, _, hess = fit_objective("poisson_qmle", X, y, w, 30.0)(fit.coefficients)
     assert np.all(np.linalg.eigvalsh(hess) < 0)
 
     X, y, w = logit_data(seed=9)
     fit = fit_logit_qmle(X, y, w, options=TIGHT)
-    _, _, hess = _logit_objective(X, y, w, 30.0)(fit.coefficients)
+    _, _, hess = fit_objective("logit_qmle", X, y, w, 30.0)(fit.coefficients)
     assert np.all(np.linalg.eigvalsh(hess) < 0)
 
     rng = np.random.default_rng(10)
@@ -307,7 +295,7 @@ def test_hessian_negative_definite_at_optimum():
     Xm = np.column_stack([np.ones(50), rng.normal(size=50)])
     fit = fit_multinomial_logit(Xm, labels.astype(float), options=TIGHT)
     ymat = np.column_stack([(labels == 1), (labels == 2)]).astype(float)
-    _, _, hess = _multinomial_objective(Xm, ymat, np.ones(50), 30.0)(fit.coefficients)
+    _, _, hess = fit_objective("multinomial_logit", Xm, ymat, np.ones(50), 30.0)(fit.coefficients)
     assert np.all(np.linalg.eigvalsh(hess) < 0)
 
 
@@ -565,6 +553,47 @@ def test_multinomial_treat_equals_class_ror():
     for c in (1, 2):
         ror = nonparametric_ror(data, post_period=1, class_c=c)
         assert np.exp(fit.coef(f"treat[{c}]")) == pytest.approx(ror, rel=1e-8)
+
+
+@pytest.mark.parametrize("fitter, mean", [
+    (fit_poisson_qmle, np.exp),
+    (fit_logit_qmle, lambda eta: 1.0 / (1.0 + np.exp(-eta))),
+    (fit_ols, lambda eta: eta),
+])
+def test_treat_pools_every_period_from_post(fitter, mean):
+    # noise-free cell means over 5 periods with a 0.4 effect from period 2
+    # on: treat marks t >= post, so the fit recovers the effect exactly
+    q, t = np.repeat([0, 1], 5), np.tile(np.arange(5), 2)
+    period_effect = np.array([0.0, 0.2, -0.1, 0.3, 0.1])
+    eta = -0.8 + period_effect[t] + 0.3 * q + 0.4 * q * (t >= 2)
+    data = RcsDataset(y=mean(eta), q=q, t=t)
+    m = build_design(data, DesignSpec(post_period=2))
+    options = {} if fitter is fit_ols else {"options": TIGHT}
+    assert fitter(m, data.y, **options).coef("treat") == pytest.approx(0.4, abs=1e-9)
+
+
+@pytest.mark.parametrize("covariate", [False, True])
+@pytest.mark.parametrize("weighted, clustered", [(False, False), (True, False), (True, True)])
+def test_logit_is_the_one_class_multinomial(covariate, weighted, clustered):
+    # on 0/1 outcomes the logit and the two-category multinomial run the
+    # same arithmetic, on the design's cells or (with a covariate) its rows
+    rng = np.random.default_rng(17)
+    n = 300
+    q, t = rng.integers(0, 2, n), rng.integers(0, 3, n)
+    x = rng.normal(size=n)
+    eta = -0.3 + 0.4 * t + 0.5 * q + 0.6 * q * (t == 2) + 0.7 * x
+    y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    w = rng.uniform(0.5, 2.0, n) if weighted else None
+    clusters = rng.integers(0, 20, n) if clustered else None
+    data = RcsDataset(y=y, q=q, t=t, covariates={"x": x} if covariate else {})
+    m = build_design(data, DesignSpec(post_period=2))
+    assert (m.cells is None) == covariate
+    logit = fit_logit_qmle(m, y, w, clusters)
+    multinomial = fit_multinomial_logit(m, y, w, clusters)
+    np.testing.assert_array_equal(logit.coefficients, multinomial.coefficients)
+    np.testing.assert_array_equal(logit.vcov, multinomial.vcov)
+    assert logit.loglik == multinomial.loglik
+    assert logit.iterations == multinomial.iterations
 
 
 # --- failure modes ----------------------------------------------------------

@@ -322,6 +322,8 @@ _ROW_ERRORS = (OverflowGuardError, SeparationError, SingularDesignError,
 @settings(max_examples=120, deadline=None)
 # every row perfectly predicted while the fit stops below the linear-predictor cap
 @example("binary", 21, 0.55, 0.44, 6270, 14)
+# an all-zero count draw: no dataset is left for the batched Newton
+@example("count", 20, 0.0, 0.0, 36, 0)
 def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep):
     sc = Scenario(family=family, n=n, repetitions=1, seed=seed,
                   beta_qtau=beta_qtau, beta_d=beta_d)
