@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--heterogeneous", type=_comma_list, default=(),
                      metavar="A,B", help="covariates interacted with treatment")
     est.add_argument("--classical", action=argparse.BooleanOptionalAction, default=False,
-                     help="linear family only: classical instead of robust variance")
+                     help="linear family only, without --cluster: classical instead of "
+                          "robust variance")
     _add_output_options(est)
 
     eff = commands.add_parser("effect", help="restate a coefficient as exp(beta)-1")
@@ -573,6 +574,8 @@ def _run_estimate(args):
             "family": fit.family,
             "converged": fit.converged,
             "iterations": fit.iterations,
+            "step_halvings": fit.step_halvings,
+            "max_abs_eta": fit.max_abs_eta,
             "score_norm": fit.score_norm,
             "loglik": fit.loglik,
             "n_obs": fit.n_obs,
@@ -719,6 +722,8 @@ def _render_fit(results):
             iterations=fit["iterations"], score_norm=fit["score_norm"],
             vcov_kind=fit["vcov_kind"],
         ),
+        "step halvings: {halvings}, max |linear predictor|: {eta:.4g}".format(
+            halvings=fit["step_halvings"], eta=fit["max_abs_eta"]),
         f"{'coefficient':<22}{'estimate':>12}{'se':>12}{'t':>10}",
     ]
     for row in fit["coefficients"]:

@@ -4,9 +4,13 @@ The regressor layout is fixed so that downstream code can locate the
 treatment and group-trend columns by name: intercept, period dummies
 (base period omitted), group dummy Q, group trend t*Q (optional),
 treatment D = Q * 1[t >= post], covariates, then treatment-interacted
-covariates for heterogeneous effects. Post means t >= post everywhere: the
-treatment column and the (group, pre/post) cell statistics pool every
-period from post on, the pooled-QMLE reading of Wooldridge (2023).
+covariates for heterogeneous effects. Every column up to the treatment is
+a function of the row's (group, period) cell: the design records the cells
+and counts those leading cell columns, which the fits handle through
+per-cell sums, leaving only the covariate row columns to the rows. Post
+means t >= post everywhere: the treatment column and the (group, pre/post)
+cell statistics pool every period from post on, the pooled-QMLE reading of
+Wooldridge (2023).
 """
 
 from __future__ import annotations
@@ -150,8 +154,11 @@ class DesignSpec:
 class DesignMatrix:
     """Numeric regressor matrix with named columns.
 
-    cells, when given, holds each row's cell index, and every column is
-    constant within a cell: the fits then run on the cells' sums.
+    cells, when given, holds each row's cell index, and the leading
+    cell_columns columns (default: all of them) are constant within a cell.
+    The fits handle those cell columns through per-cell sums of the rows'
+    weights and residuals, and only the trailing row columns row by row; a
+    design without row columns fits on its cells' sums alone.
     """
 
     values: np.ndarray
@@ -159,20 +166,33 @@ class DesignMatrix:
     treatment_column: int
     trend_column: int | None
     cells: np.ndarray | None = None
+    cell_columns: int | None = None
 
     def __post_init__(self):
         values = _frozen_array(self.values, float)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "column_names", tuple(self.column_names))
-        if self.cells is not None:
-            cells = _frozen_array(self.cells, np.intp)
-            if cells.shape != values.shape[:1] or cells.size == 0 or cells.min() < 0:
-                raise ValueError("cells must hold one non-negative index per design row")
-            some_row = np.zeros(cells.max() + 1, np.intp)
-            some_row[cells] = np.arange(cells.size)
-            if not np.array_equal(values, values[some_row[cells]]):
-                raise ValueError("design rows must be constant within cells")
-            object.__setattr__(self, "cells", cells)
+        if self.cells is None:
+            if self.cell_columns is not None:
+                raise ValueError("cell_columns needs cells")
+            return
+        cells = _frozen_array(self.cells, np.intp)
+        if cells.shape != values.shape[:1] or cells.size == 0 or cells.min() < 0:
+            raise ValueError("cells must hold one non-negative index per design row")
+        n_cell = values.shape[1] if self.cell_columns is None else int(self.cell_columns)
+        if not 0 <= n_cell <= values.shape[1]:
+            raise ValueError("cell_columns must lie between 0 and the number of columns")
+        some_row = np.zeros(cells.max() + 1, np.intp)
+        some_row[cells] = np.arange(cells.size)
+        cell_rows = values[some_row, :n_cell]
+        # compared in blocks of rows, so the temporaries stay small
+        step = 1 << 16
+        if not all(np.array_equal(values[s:s + step, :n_cell],
+                                  cell_rows.take(cells[s:s + step], axis=0))
+                   for s in range(0, cells.size, step)):
+            raise ValueError("cell columns must be constant within cells")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cell_columns", n_cell)
 
     @property
     def n_columns(self) -> int:
@@ -199,35 +219,40 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
     Column order: intercept, period dummies (base omitted), group,
     group trend, treatment, covariates, treatment-interacted covariates.
     Treatment is D = Q * 1[t >= post_period], the rule cell_masks uses, so
-    one treat coefficient pools every period from post_period on. Without
-    covariates every column is a function of the (group, period) cell, and
-    the design records each row's cell q * n_periods + t.
+    one treat coefficient pools every period from post_period on. Every
+    column up to treat is a function of the (group, period) cell: the design
+    records each row's cell q * n_periods + t and counts those leading
+    columns as its cell columns. Covariates and their treat interactions
+    vary within cells and are the trailing row columns.
     """
     T = dataset.n_periods
     _check_period(dataset, spec.post_period, "post_period")
     _check_period(dataset, spec.base_period, "base_period")
 
-    cols = [np.ones(dataset.n)]
+    # each column in its narrowest exact dtype, so that the stacked matrix and
+    # DesignMatrix's float copy of it are the only n x p arrays
+    cols = [np.ones(dataset.n, bool)]
     names = ["const"]
     if spec.include_period_dummies:
         for p in range(T):
             if p == spec.base_period:
                 continue
-            cols.append((dataset.t == p).astype(float))
+            cols.append(dataset.t == p)
             names.append(f"period_{p}")
-    cols.append(dataset.q.astype(float))
+    cols.append(dataset.q)
     names.append("group")
 
     trend_column = None
     if spec.include_group_trend:
-        cols.append(dataset.t.astype(float) * dataset.q)
+        cols.append(dataset.t * dataset.q)
         names.append("group_trend")
         trend_column = len(names) - 1
 
-    treat = (dataset.q * (dataset.t >= spec.post_period)).astype(float)
+    treat = dataset.q * (dataset.t >= spec.post_period)
     cols.append(treat)
     names.append("treat")
     treatment_column = len(names) - 1
+    cell_columns = len(names)
 
     for name in dataset.covariates:
         cols.append(dataset.covariates[name])
@@ -250,7 +275,8 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
         column_names=names,
         treatment_column=treatment_column,
         trend_column=trend_column,
-        cells=None if dataset.covariates else dataset.q * T + dataset.t,
+        cells=dataset.q * T + dataset.t,
+        cell_columns=cell_columns,
     )
 
 

@@ -12,20 +12,31 @@ one-class softmax, b(eta) = log(1 + e^eta), so it shares the multinomial's
 record functions and its fits equal the two-category multinomial's bit for
 bit. OLS is the identity link b(eta) = eta^2 / 2, solved by one Newton step.
 
-One batched Newton driver, _fit, fits every record on cells. Rows that share
-a design row enter the maximand only through their total weight n_c and
-weighted mean outcome ybar_c, as n_c (ybar_c'eta_c - b(eta_c)). A design
-that build_design makes without covariate columns records each row's
-(group, period) cell, and its fit runs on those at most 2T cells; any other
-design runs with every row as its own cell (counts w, means y).
-fit_cell_sums hands the driver many cell datasets at once, and the driver
-decides each dataset's failure kind with array reductions over the batch.
+One batched Newton driver, _fit, fits every record, and one block evaluator
+(_score, _cross) gives it values, scores and Hessians. build_design records
+each row's (group, period) cell and splits the design into cell columns
+(intercept, period dummies, group, trend, treat: functions of the cell,
+held once per non-empty cell as Z) and row columns (covariates and treat
+interactions, held per row as V). Then eta = (Z beta_1)[cell] + V beta_2;
+the score's cell block is Z' times each cell's residual sum and the
+Hessian's cell blocks Z' diag(per-cell sums of w b'') Z and Z' times the
+per-cell sums of w b'' V_j, so only V' diag(w b'') V is a product over
+rows. Without row columns, rows that share a cell enter the maximand only
+through their total weight n_c and weighted mean outcome ybar_c, as
+n_c (ybar_c'eta_c - b(eta_c)), and the fit runs on those at most 2T cells.
+A plain array has only row columns, so it runs row by row. fit_cell_sums
+hands the driver many cell datasets at once, and the driver decides each
+dataset's failure kind with array reductions over the batch.
 
 Covariances are sandwiches A^{-1} B A^{-1}: A is the negative Hessian at the
 optimum, B the outer product of the per-row scores w_i (y_i - mu_i) (x) x_i,
-summed within clusters first when cluster ids are supplied. B is taken in
-one pass over the rows after the fit, so a fit on cells keeps the row-level
-sandwich exactly. No small-sample correction is applied unless requested.
+summed within clusters first when cluster ids are supplied. B is taken
+from the rows after the fit, so a fit on cells keeps the row-level sandwich
+exactly: its cell-column blocks come from per-cell residual moments, or,
+clustered, from each (cluster, cell) pair's residual sum, and only the row
+columns' scores are formed row by row. Clusters are numbered once per fit,
+in sorted-label order. No small-sample correction is applied unless
+requested.
 Newton steps are halved until the maximand does not decrease; linear
 predictors are clamped at +/- the linear-predictor cap, and a clamp still
 active at the optimum, or a perfectly predicted outcome, raises instead of
@@ -36,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -95,7 +106,8 @@ class NewtonDiagnostics:
     """How a Newton ascent ended; for a batch each field holds one entry per
     problem, and singular marks the problems stopped by a singular Hessian
     (a single problem raises SingularHessianError instead). hessian is the
-    Hessian at the returned point, from its last accepted evaluation."""
+    Hessian at the returned point, from its last accepted evaluation, and
+    step_halvings counts the halved Newton steps over all iterations."""
 
     iterations: int
     converged: bool
@@ -103,6 +115,7 @@ class NewtonDiagnostics:
     value: float
     singular: bool = False
     hessian: np.ndarray | None = None
+    step_halvings: int = 0
 
 
 # A variance computed as a sum of terms bounded by scale is off by round-off
@@ -137,6 +150,8 @@ class FitResult:
     class index, e.g. "treat[2]" for the class-2 contrast. t-values are
     asymptotic z-style ratios (no degrees-of-freedom adjustment). loglik
     drops terms constant in the parameters (e.g. log y! for Poisson).
+    step_halvings counts the Newton steps the fit halved, and max_abs_eta
+    is the largest |linear predictor| at the estimate, before the cap.
     """
 
     family: str
@@ -150,6 +165,8 @@ class FitResult:
     score_norm: float
     n_obs: int
     n_classes: int = 0
+    step_halvings: int = 0
+    max_abs_eta: float = float("nan")
 
     def __post_init__(self):
         coef = np.array(self.coefficients, float, copy=True)
@@ -207,13 +224,15 @@ def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None
             raise SingularHessianError("Hessian is singular at the current iterate")
         return beta[0], NewtonDiagnostics(int(diag.iterations[0]), bool(diag.converged[0]),
                                           float(diag.score_norm[0]), float(diag.value[0]),
-                                          hessian=diag.hessian[0])
+                                          hessian=diag.hessian[0],
+                                          step_halvings=int(diag.step_halvings[0]))
 
     value, grad, hess = objective(beta)
     if not np.all(np.isfinite(value)):
         raise NonFiniteObjectiveError("objective non-finite at the starting point")
     n_problems = beta.shape[0]
     iterations = np.zeros(n_problems, int)
+    halvings = np.zeros(n_problems, int)
     singular = np.zeros(n_problems, bool)
     running = np.ones(n_problems, bool)
     for _ in range(options.max_iterations):
@@ -238,6 +257,7 @@ def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None
             if not searching.any():
                 break
             step[searching] /= 2.0
+            halvings += searching
         # a problem with no acceptable step stops where it is
         running &= ~searching
         iterations += running
@@ -245,7 +265,7 @@ def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None
 
     score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
     return beta, NewtonDiagnostics(iterations, score_norm <= tol, score_norm, value, singular,
-                                   hess)
+                                   hess, halvings)
 
 
 def _newton_directions(hess, grad):
@@ -261,13 +281,52 @@ def _newton_directions(hess, grad):
 
 
 def _as_design(X):
-    """(values, column names, each row's cell or None)."""
+    """(values, column names, each row's cell or None, number of cell columns)."""
     if isinstance(X, DesignMatrix):
-        return X.values, list(X.column_names), X.cells
+        return X.values, list(X.column_names), X.cells, X.cell_columns or 0
     values = np.asarray(X, float)
     if values.ndim != 2:
         raise ValueError("design must be a 2-d array or DesignMatrix")
-    return values, [f"x{j}" for j in range(values.shape[1])], None
+    return values, [f"x{j}" for j in range(values.shape[1])], None, 0
+
+
+class _Blocks(NamedTuple):
+    """A design split into its cell columns and its row columns.
+
+    The fits sum over units: the rows of a dataset, or its cells. cell (k,
+    p1) holds the cell columns once per non-empty cell, rows (m, p2) the row
+    columns once per unit, and index each unit's cell (None: unit j is cell
+    j). Unit j's design row is (cell[index[j]], rows[j]); every column of a
+    plain array is a row column.
+    """
+
+    cell: np.ndarray
+    rows: np.ndarray
+    index: np.ndarray | None
+
+
+def _row_blocks(values, cells, n_cell):
+    """The _Blocks of a design's rows, from each row's cell (or None) and its
+    number of leading cell columns."""
+    if cells is None or n_cell == 0:
+        return _Blocks(values[:, :0], values, None)
+    keep = np.flatnonzero(np.bincount(cells))
+    index = np.zeros(cells.max() + 1, np.intp)
+    index[keep] = np.arange(keep.size)
+    index = index[cells]
+    # the cell columns are constant within cells, so any of a cell's rows gives its row
+    some_row = np.zeros(keep.size, np.intp)
+    some_row[index] = np.arange(index.size)
+    return _Blocks(values[some_row, :n_cell], np.ascontiguousarray(values[:, n_cell:]), index)
+
+
+def _unit_rows(blocks):
+    """The (m, p) design rows of the units of blocks."""
+    cell, rows, index = blocks
+    cell = cell if index is None else cell[index]
+    if not rows.shape[1]:
+        return cell
+    return rows if not cell.shape[1] else np.hstack([cell, rows])
 
 
 def _check_inputs(values, names, y, weights):
@@ -333,13 +392,39 @@ def _check_full_rank_qr(weighted, names):
         raise SingularDesignError([names[j] for j in sorted(piv[rank:])])
 
 
-def _cluster_sum(scores, clusters):
-    if clusters is None:
-        return scores
-    # codes number the clusters in sorted-label order
-    labels, codes = np.unique(clusters, return_inverse=True)
-    return np.column_stack([np.bincount(codes, weights=col, minlength=labels.size)
-                            for col in scores.T])
+def _cluster_codes(clusters):
+    """(codes, number of clusters): each row's cluster numbered in sorted-label
+    order, exactly as np.unique(clusters, return_inverse=True) numbers them.
+
+    String labels are first deduplicated through an integer hash of their
+    characters, checked against the labels, so that only the distinct labels
+    are sorted; a hash collision falls back to np.unique.
+    """
+    labels = np.ascontiguousarray(clusters).reshape(-1)
+    if labels.dtype.kind == "U":
+        chars = labels.view(np.uint32).reshape(labels.size, -1)
+        # fixed odd multipliers, invertible mod 2^64: changing one character
+        # always changes the hash
+        odd = np.random.default_rng(chars.shape[1]).integers(
+            0, 2**64, chars.shape[1], dtype=np.uint64, endpoint=False) | np.uint64(1)
+        # one character position at a time keeps the temporaries to one column
+        hashes = np.zeros(labels.size, np.uint64)
+        for j, multiplier in enumerate(odd):
+            hashes += chars[:, j] * multiplier
+        keys, inverse = np.unique(hashes, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        first = np.empty(keys.size, np.intp)
+        first[inverse] = np.arange(labels.size)
+        distinct = labels[first]
+        # checked in blocks of rows, so the temporaries stay small
+        step = 1 << 16
+        if all(np.array_equal(distinct[inverse[s:s + step]], labels[s:s + step])
+               for s in range(0, labels.size, step)):
+            rank = np.empty(keys.size, np.intp)
+            rank[np.argsort(distinct)] = np.arange(keys.size)
+            return rank[inverse], keys.size
+    distinct, codes = np.unique(labels, return_inverse=True)
+    return codes.reshape(-1), distinct.size
 
 
 def _sum_cells(index, n_cells, rows):
@@ -350,33 +435,50 @@ def _sum_cells(index, n_cells, rows):
     return np.array(sums).reshape(rows.shape[:-1] + (n_cells,))
 
 
-def _sandwich(bread, values, resid, index=None, clusters=None, small_sample_correction=False):
+def _sandwich(bread, blocks, resid, clusters=None, small_sample_correction=False):
     """A^{-1} B A^{-1}, with B the outer product of the row scores.
 
-    values holds one design row per cell and index each row's cell (None:
-    row i is cell i); resid (n, C) holds each row's w_i (y_i - mu_i) for its
-    C classes, so row i scores resid_i (x) values[index_i]. On cells, B sums
-    x_c x_c' (x) each cell's class-pair residual moments, and clustered,
-    each (cluster, cell) pair adds its residual sum times x_c to its
-    cluster's score.
+    blocks holds the rows of the design and resid (n, C) each row's
+    w_i (y_i - mu_i) for its C classes, so row i scores resid_i (x) x_i.
+    Unclustered, the cell-column blocks of B sum each cell's class-pair
+    residual moments (times a row column, for the cell x row blocks), and
+    only the row x row blocks multiply row scores. Clustered, each cluster's
+    score adds, for the cell columns, each of its (cluster, cell) pairs'
+    residual sum times the cell's row, and for the row columns, its rows'
+    scores.
     """
-    n, k = resid.shape[0], values.shape[0]
+    n, n_classes = resid.shape
+    cell, rows, index = blocks
+    k, p1, p2 = cell.shape[0], cell.shape[1], rows.shape[1]
     r = resid.T
     if clusters is not None and np.shape(clusters)[0] != n:
         raise ValueError("clusters must match the number of observations")
-    if index is not None and clusters is None:
-        moments = _sum_cells(index, k, r[:, None, :] * r[None, :, :])
-        meat = -_hessian(values, moments[None])[0]
+    row_scores = _score_rows(rows, resid)
+    if clusters is None:
+        p = p1 + p2
+        meat = _cross(blocks, (r[:, None, :] * r[None, :, :])[None])[0].reshape(
+            n_classes, p, n_classes, p)
+        # the row x row blocks are S'S for the row scores S, so a plain
+        # array's meat is the product of its score rows
+        meat[:, p1:, :, p1:] = (row_scores.T @ row_scores).reshape(n_classes, p2, n_classes, p2)
+        meat = meat.reshape(n_classes * p, n_classes * p)
         groups = n
     else:
-        if index is not None:
-            codes = np.unique(clusters, return_inverse=True)[1].reshape(-1)
+        codes, groups = _cluster_codes(clusters)
+        row_scores = row_scores.reshape(n, n_classes, p2)
+        if p1:
             pairs, pair = np.unique(codes * k + index, return_inverse=True)
-            resid = _sum_cells(pair.reshape(-1), pairs.size, r).T
-            clusters, values = pairs // k, values[pairs % k]
-        grouped = _cluster_sum(_score_rows(values, resid), clusters)
+            pair_resid = _sum_cells(pair.reshape(-1), pairs.size, r).T
+            cell_scores = pair_resid[:, :, None] * cell[pairs % k][:, None, :]
+        columns = []
+        for c in range(n_classes):
+            if p1:
+                columns += [np.bincount(pairs // k, weights=cell_scores[:, c, j], minlength=groups)
+                            for j in range(p1)]
+            columns += [np.bincount(codes, weights=row_scores[:, c, j], minlength=groups)
+                        for j in range(p2)]
+        grouped = np.column_stack(columns)
         meat = grouped.T @ grouped
-        groups = grouped.shape[0]
     try:
         half = np.linalg.solve(bread, meat)
         vcov = np.linalg.solve(bread, half.T).T
@@ -472,12 +574,12 @@ _FAMILIES = {f.name: f for f in (_GAUSSIAN, _POISSON, _LOGIT, _MULTINOMIAL)}
 
 
 def _inputs(family, X, y, weights):
-    """Design, names, cells, outcome and weights after the shared and the family's checks."""
-    values, names, cells = _as_design(X)
+    """Row blocks, names, outcome and weights after the shared and the family's checks."""
+    values, names, cells, n_cell = _as_design(X)
     y, w = _check_inputs(values, names, y, weights)
     if not family.in_domain(y):
         raise ValueError(f"{family.name} requires {family.domain}")
-    return values, names, cells, y, w
+    return _row_blocks(values, cells, n_cell), names, y, w
 
 
 def _class_matrix(labels, n_classes):
@@ -485,38 +587,71 @@ def _class_matrix(labels, n_classes):
     return (labels[:, None] == np.arange(1, n_classes + 1)).astype(float)
 
 
-def _score(family, values, y, w, beta, cap):
-    """(value, grad, eta, mean) of B fits on the same k design rows at beta.
+def _score(family, blocks, y, w, beta, cap):
+    """(value, grad, eta, mean) of B fits on the same m units at beta.
 
-    y is (B, k, C), w (B, k) and beta (B, Cp) holds C blocks of p; eta is
-    taken before the cap.
+    y is (B, m, C), w (B, m) and beta (B, Cp) holds C blocks of p; eta is
+    taken before the cap. The cell columns enter eta once per cell and the
+    score through each cell's residual sum.
     """
+    cell, rows, index = blocks
+    p1 = cell.shape[1]
+    coef = beta.reshape(len(beta), y.shape[2], p1 + rows.shape[1]).transpose(0, 2, 1)
     # one product per fit, so a fit's bits do not depend on its batch
-    eta = values @ beta.reshape(len(beta), y.shape[2], values.shape[1]).transpose(0, 2, 1)
+    parts = []
+    if p1:
+        on_cells = cell @ coef[:, :p1]
+        parts.append(on_cells if index is None else on_cells[:, index])
+    if rows.shape[1]:
+        parts.append(rows @ coef[:, p1:])
+    eta = parts[0] if len(parts) == 1 else parts[0] + parts[1]
     capped = eta if family.guard is None else np.clip(eta, -cap, cap)
     cumulant, mean = family.moments(capped)
     value = np.sum(w * (np.sum(y * capped, axis=2) - cumulant), axis=1)
-    resid = w[:, :, None] * (y - mean)
-    grad = (resid.transpose(0, 2, 1) @ values).reshape(beta.shape)
+    resid = (w[:, :, None] * (y - mean)).transpose(0, 2, 1)
+    parts = []
+    if p1:
+        parts.append((resid if index is None else _sum_cells(index, len(cell), resid)) @ cell)
+    if rows.shape[1]:
+        parts.append(resid @ rows)
+    grad = np.concatenate(parts, axis=2).reshape(beta.shape)
     return value, grad, eta, mean
 
 
-def _evaluate(family, values, y, w, beta, cap):
+def _evaluate(family, blocks, y, w, beta, cap):
     """_score's (value, grad, eta, mean) with the Hessian after grad."""
-    value, grad, eta, mean = _score(family, values, y, w, beta, cap)
-    return value, grad, _hessian(values, family.curvature(w, mean)), eta, mean
+    value, grad, eta, mean = _score(family, blocks, y, w, beta, cap)
+    return value, grad, -_cross(blocks, family.curvature(w, mean)), eta, mean
 
 
-def _hessian(values, weight):
-    """-sum_i weight_i (x) x_i x_i' per fit: (B, Cp, Cp) of p x p class-pair
-    blocks for (B, C, C, k) weights."""
-    n_fits, n_classes, p = weight.shape[0], weight.shape[1], values.shape[1]
-    hess = np.zeros((n_fits, n_classes, p, n_classes, p))
+def _cross(blocks, weight):
+    """sum_j weight_j (x) x_j x_j' over the units of blocks, per fit: (B, Cp, Cp)
+    of p x p class-pair blocks for (B, C, C, m) weights.
+
+    The cell x cell blocks weight each cell's row by its summed weights and
+    the cell x row blocks by its sums of weight times a row column; only the
+    row x row blocks are products over the units.
+    """
+    cell, rows, index = blocks
+    n_fits, n_classes = weight.shape[:2]
+    p1, p2 = cell.shape[1], rows.shape[1]
+    if p1:
+        on_cells = weight if index is None else _sum_cells(index, len(cell), weight)
+    out = np.zeros((n_fits, n_classes, p1 + p2, n_classes, p1 + p2))
     for c in range(n_classes):
         for d in range(c, n_classes):
-            block = -(values.T * weight[:, c, d, None, :]) @ values
-            hess[:, c, :, d, :] = hess[:, d, :, c, :] = block
-    return hess.reshape(n_fits, n_classes * p, n_classes * p)
+            block = out[:, c, :, d, :]
+            if p1:
+                block[:, :p1, :p1] = (cell.T * on_cells[:, c, d, None, :]) @ cell
+            if p2:
+                mixed = weight[:, c, d, None, :] * rows.T
+                block[:, p1:, p1:] = mixed @ rows
+            if p1 and p2:
+                mixed_cells = mixed if index is None else _sum_cells(index, len(cell), mixed)
+                block[:, p1:, :p1] = mixed_cells @ cell
+                block[:, :p1, p1:] = block[:, p1:, :p1].transpose(0, 2, 1)
+            out[:, d, :, c, :] = block
+    return out.reshape(n_fits, n_classes * (p1 + p2), n_classes * (p1 + p2))
 
 
 def _score_rows(values, resid):
@@ -529,52 +664,56 @@ def _identically_zero(w, y):
     return np.sum(w * y, axis=-1) == 0.0
 
 
-def _objective(family, values, y, w, cap):
+def _objective(family, blocks, y, w, cap):
     """maximize's objective: (value, grad, hess) of B fits at beta (B, Cp)."""
-    return lambda beta: _evaluate(family, values, y, w, beta, cap)[:3]
+    return lambda beta: _evaluate(family, blocks, y, w, beta, cap)[:3]
 
 
-def _fit(family, values, counts, means, options, pure=True, lstsq=False):
-    """Fit B datasets on the same k cells in one batched Newton.
+def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
+    """Fit B datasets on the same m units in one batched Newton.
 
-    values (k, p) holds each cell's design row, counts (B, k) each dataset's
-    total weight per cell and means (B, k, C) its weighted mean outcome, or
-    class shares, per cell; every cell needs a positive count. pure says
-    whether the rows of every cell share one outcome, which a perfectly
-    predicted boundary fit needs. Least squares is one Newton step from zero,
-    solved on the batch's normal equations, or with lstsq on each dataset's
-    count-weighted cells: the normal equations square the design's condition
-    number, which a covariate such as a calendar year makes large.
-    Returns (beta (B, Cp), failures, diag, mean): failures[r] is None,
-    "not_converged" or the name of the error the fit raises, diag the
-    NewtonDiagnostics with the Hessian at beta, mean the fitted cell means.
+    blocks holds the units' design, counts (B, m) each dataset's total
+    weight per unit and means (B, m, C) its weighted mean outcome, or class
+    shares, per unit; every unit needs a positive count. pure says whether
+    the rows of every unit share one outcome, which a perfectly predicted
+    boundary fit needs. Least squares is one Newton step from zero, solved
+    on the batch's normal equations, or with lstsq on each dataset's
+    count-weighted unit rows: the normal equations square the design's
+    condition number, which a covariate such as a calendar year makes large.
+    Returns (beta (B, Cp), failures, diag, mean, max_eta): failures[r] is
+    None, "not_converged" or the name of the error the fit raises, diag the
+    NewtonDiagnostics with the Hessian at beta, mean the fitted unit means
+    and max_eta each fit's largest |linear predictor|, before the cap.
     """
     cap = options.linear_predictor_cap
-    beta = np.zeros((counts.shape[0], values.shape[1] * means.shape[2]))
+    n_columns = blocks.cell.shape[1] + blocks.rows.shape[1]
+    beta = np.zeros((counts.shape[0], n_columns * means.shape[2]))
     if family is _GAUSSIAN:
-        _, grad, hess, *_ = _evaluate(family, values, means, counts, beta, cap)
+        _, grad, hess, *_ = _evaluate(family, blocks, means, counts, beta, cap)
         if lstsq:
+            values = _unit_rows(blocks)
             root = np.sqrt(counts)[:, :, None]
             beta = np.array([np.linalg.lstsq(values * r, m * r, rcond=None)[0].T.reshape(-1)
                              for r, m in zip(root, means)])
             singular = np.zeros(len(beta), bool)
         else:
             beta, singular = _newton_directions(hess, grad)
-        value, grad, eta, mean = _score(family, values, means, counts, beta, cap)
+        value, grad, eta, mean = _score(family, blocks, means, counts, beta, cap)
         score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
         diag = NewtonDiagnostics(np.zeros(len(beta), int), ~singular, score_norm, value,
-                                 singular, hess)
+                                 singular, hess, np.zeros(len(beta), int))
     else:
         tol = options.gradient_tolerance * (1.0 + counts.sum(axis=1))
-        beta, diag = maximize(_objective(family, values, means, counts, cap), beta, options,
+        beta, diag = maximize(_objective(family, blocks, means, counts, cap), beta, options,
                               tolerance=tol)
         # the bread is the Hessian of the last accepted step; only the means are new
-        _, _, eta, mean = _score(family, values, means, counts, beta, cap)
+        _, _, eta, mean = _score(family, blocks, means, counts, beta, cap)
 
+    max_eta = np.max(np.abs(eta), axis=(1, 2))
     failures = np.full(len(beta), None, object)
     failures[~diag.converged] = "not_converged"
     if family.guard is not None:
-        diverged = np.max(np.abs(eta), axis=(1, 2)) >= cap
+        diverged = max_eta >= cap
         # Divergent fits can stall "converged" below the cap once the saturated
         # rows' score drops under the tolerance; a perfectly predicted boundary
         # fit is the signature of that divergence.
@@ -582,41 +721,40 @@ def _fit(family, values, counts, means, options, pure=True, lstsq=False):
             diverged |= diag.converged & pure & family.separated(means, mean)
         failures[diverged] = family.guard.__name__
     failures[diag.singular] = "SingularHessianError"
-    return beta, failures.tolist(), diag, mean
+    return beta, failures.tolist(), diag, mean, max_eta
 
 
-def _cells(values, cells, y, w):
-    """(cell design, counts, means, index, pure) of one dataset with outcome y (n, C).
+def _units(blocks, y, w):
+    """(unit blocks, counts, means, pure, index) of one dataset with outcome y (n, C).
 
-    With cells (each row's cell of a cell-constant design) the cells are the
-    non-empty ones and index maps each row to its cell; pure says whether the
-    rows of every cell share one outcome. Without, every row is its own cell.
+    A design of cell columns alone fits on its non-empty cells: their total
+    weights and weighted mean outcomes, pure saying whether the rows of every
+    cell share one outcome, and index mapping each row to its cell. Any other
+    design fits on its rows, and index is None.
     """
-    if cells is None:
-        return values, w, y, None, True
-    totals = np.bincount(cells, weights=w)
-    keep = np.flatnonzero(totals)
-    index = np.zeros(totals.size, np.intp)
-    index[keep] = np.arange(keep.size)
-    index = index[cells]
-    # the design is constant within cells, so any of a cell's rows gives its row
-    some_row = np.zeros(keep.size, np.intp)
+    cell, rows, index = blocks
+    if index is None or rows.shape[1]:
+        return blocks, w, y, True, None
+    k = cell.shape[0]
+    totals = np.bincount(index, weights=w, minlength=k)
+    some_row = np.zeros(k, np.intp)
     some_row[index] = np.arange(index.size)
-    sums = _sum_cells(index, keep.size, w * y.T)
+    sums = _sum_cells(index, k, w * y.T)
     pure = np.array_equal(y, y[some_row][index])
-    return values[some_row], totals[keep], (sums / totals[keep]).T, index, pure
+    return _Blocks(cell, np.empty((k, 0)), None), totals, (sums / totals).T, pure, index
 
 
-def _fit_dataset(family, values, names, cells, y, w, clusters, options, robust=True):
-    """One dataset's fit by _fit, on its cells when cells is given, then one
-    pass over the rows for the residuals behind the covariance.
+def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
+    """One dataset's fit by _fit, on its cells when its design has only cell
+    columns, then one pass over the rows for the residuals behind the
+    covariance.
 
     y is (n, C): one outcome column, or C class indicators. A failed fit
     raises its error; a fit that did not converge reports a NaN covariance.
     """
-    cell_values, counts, means, index, pure = _cells(values, cells, y, w)
-    beta, (failure,), diag, mean = _fit(family, cell_values, counts[None], means[None],
-                                        options, pure, lstsq=True)
+    units, counts, means, pure, index = _units(blocks, y, w)
+    beta, (failure,), diag, mean, max_eta = _fit(family, units, counts[None], means[None],
+                                                 options, pure, lstsq=True)
     if failure == "SingularHessianError":
         raise SingularHessianError("Hessian is singular at the current iterate")
     if failure not in (None, "not_converged"):
@@ -630,15 +768,15 @@ def _fit_dataset(family, values, names, cells, y, w, clusters, options, robust=T
               else float(diag.value[0]))
     vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
     if not robust:
-        total = float(w.sum())
-        if total <= values.shape[1]:
+        total, p = float(w.sum()), beta.shape[1]
+        if total <= p:
             raise ValueError("classical variance needs total weight > p")
-        sigma2 = float(np.sum(w[:, None] * error**2)) / (total - values.shape[1])
+        sigma2 = float(np.sum(w[:, None] * error**2)) / (total - p)
         vcov = sigma2 * np.linalg.inv(-hess)
         vcov = (vcov + vcov.T) / 2.0
         vcov_kind = "classical_ols"
     elif converged:
-        vcov = _sandwich(-hess, cell_values, resid, index, clusters)
+        vcov = _sandwich(-hess, blocks, resid, clusters)
     else:
         vcov = np.full((beta.shape[1], beta.shape[1]), np.nan)
     return FitResult(
@@ -651,8 +789,10 @@ def _fit_dataset(family, values, names, cells, y, w, clusters, options, robust=T
         iterations=int(diag.iterations[0]),
         converged=converged,
         score_norm=float(diag.score_norm[0]),
-        n_obs=values.shape[0],
+        n_obs=y.shape[0],
         n_classes=y.shape[1] if family is _MULTINOMIAL else 0,
+        step_halvings=int(diag.step_halvings[0]),
+        max_abs_eta=float(max_eta[0]),
     )
 
 
@@ -660,11 +800,14 @@ def fit_ols(X, y, weights=None, clusters=None, robust=True):
     """Weighted least squares with a robust (sandwich) covariance by default.
 
     robust=False reports the classical homoskedastic covariance instead
-    (vcov_kind "classical_ols", sigma^2 = sum w e^2 / (sum w - p)).
+    (vcov_kind "classical_ols", sigma^2 = sum w e^2 / (sum w - p)); it has
+    no clustered form, so clusters must then be None.
     """
-    values, names, cells, y, w = _inputs(_GAUSSIAN, X, y, weights)
-    return _fit_dataset(_GAUSSIAN, values, names, cells, y[:, None], w, clusters,
-                        FitOptions(), robust)
+    if clusters is not None and not robust:
+        raise ValueError("the classical variance has no clustered form; "
+                         "drop the clusters or use the robust sandwich")
+    blocks, names, y, w = _inputs(_GAUSSIAN, X, y, weights)
+    return _fit_dataset(_GAUSSIAN, blocks, names, y[:, None], w, clusters, FitOptions(), robust)
 
 
 def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -674,12 +817,12 @@ def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = Fi
     censored-at-zero outcomes); only the conditional mean must be
     exponential for the estimate to be consistent.
     """
-    values, names, cells, y, w = _inputs(_POISSON, X, y, weights)
+    blocks, names, y, w = _inputs(_POISSON, X, y, weights)
     if _identically_zero(w, y):
         raise OverflowGuardError(
             "outcome is identically zero; the exponential mean has no finite optimum"
         )
-    return _fit_dataset(_POISSON, values, names, cells, y[:, None], w, clusters, options)
+    return _fit_dataset(_POISSON, blocks, names, y[:, None], w, clusters, options)
 
 
 def fit_logit_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -688,8 +831,8 @@ def fit_logit_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitO
     The logit is the one-class multinomial logit: on 0/1 outcomes its fit
     equals fit_multinomial_logit's, coefficient for coefficient.
     """
-    values, names, cells, y, w = _inputs(_LOGIT, X, y, weights)
-    return _fit_dataset(_LOGIT, values, names, cells, y[:, None], w, clusters, options)
+    blocks, names, y, w = _inputs(_LOGIT, X, y, weights)
+    return _fit_dataset(_LOGIT, blocks, names, y[:, None], w, clusters, options)
 
 
 def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -700,7 +843,7 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
     block per class in design-column order; names carry the class index,
     e.g. "treat[1]".
     """
-    values, names, cells, y, w = _inputs(_MULTINOMIAL, X, y, weights)
+    blocks, names, y, w = _inputs(_MULTINOMIAL, X, y, weights)
     labels = y.astype(np.int64)
     n_classes = int(labels.max())
     if n_classes < 1:
@@ -709,8 +852,8 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
     if missing:
         raise ValueError(f"classes never observed: {missing}")
     full_names = [f"{name}[{c}]" for c in range(1, n_classes + 1) for name in names]
-    return _fit_dataset(_MULTINOMIAL, values, full_names, cells,
-                        _class_matrix(labels, n_classes), w, clusters, options)
+    return _fit_dataset(_MULTINOMIAL, blocks, full_names, _class_matrix(labels, n_classes), w,
+                        clusters, options)
 
 
 def fit_cell_sums(family, X, counts, sums):
@@ -732,7 +875,7 @@ def fit_cell_sums(family, X, counts, sums):
     if family not in ("ols", "poisson_qmle", "logit_qmle"):
         raise ValueError(f"fit_cell_sums fits ols, poisson_qmle or logit_qmle, not {family!r}")
     record = _FAMILIES[family]
-    values, names, _ = _as_design(X)
+    values, names, *_ = _as_design(X)
     counts, sums = np.asarray(counts, float), np.asarray(sums, float)
     if counts.ndim != 2 or counts.shape != sums.shape or counts.shape[1] != values.shape[0]:
         raise ValueError("counts and sums must be (B, k) for a design of k cells")
@@ -761,7 +904,8 @@ def fit_cell_sums(family, X, counts, sums):
             for r in rows[zero]:
                 failures[r] = "OverflowGuardError"
             rows, y, w = rows[~zero], y[~zero], w[~zero]
-        beta, kinds, *_ = _fit(record, values[keep], w, y[:, :, None], FitOptions())
+        cells = _Blocks(values[keep], np.empty((int(keep.sum()), 0)), None)
+        beta, kinds, *_ = _fit(record, cells, w, y[:, :, None], FitOptions())
         fitted = np.array([kind is None for kind in kinds], bool)
         coefficients[rows[fitted]] = beta[fitted]
         for r, kind in zip(rows, kinds):
@@ -787,9 +931,9 @@ def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     record = _FAMILIES[family]
-    values, _, _, y, w = _inputs(record, X, y, weights)
+    blocks, _, y, w = _inputs(record, X, y, weights)
     beta = np.asarray(beta_hat, float)
-    p = values.shape[1]
+    p = blocks.cell.shape[1] + blocks.rows.shape[1]
     if record is _MULTINOMIAL:
         n_classes = beta.size // p
         if n_classes < 1 or beta.shape != (n_classes * p,) or np.any(y > n_classes):
@@ -801,8 +945,8 @@ def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
     else:
         y = y[:, None]
     cap = options.linear_predictor_cap
-    _, _, hess, eta, mean = _evaluate(record, values, y[None], w[None], beta[None], cap)
+    _, _, hess, eta, mean = _evaluate(record, blocks, y[None], w[None], beta[None], cap)
     if record.guard is not None and np.max(np.abs(eta)) >= cap:
         raise record.guard(record.message)
-    return _sandwich(-hess[0], values, w[:, None] * (y - mean[0]), clusters=clusters,
-                     small_sample_correction=small_sample_correction)
+    return _sandwich(-hess[0], blocks, w[:, None] * (y - mean[0]), clusters,
+                     small_sample_correction)

@@ -12,11 +12,12 @@ def fit_objective(family, X, y, w, cap):
     indicators for the multinomial. The fits' batched objective sees a
     batch of one.
     """
-    from rrdid.estimators import _FAMILIES, _objective
+    from rrdid.estimators import _FAMILIES, _objective, _row_blocks
 
     values = np.asarray(X, float)
     y = np.asarray(y, float).reshape(values.shape[0], -1)
-    batch = _objective(_FAMILIES[family], values, y[None], np.asarray(w, float)[None], cap)
+    batch = _objective(_FAMILIES[family], _row_blocks(values, None, 0), y[None],
+                       np.asarray(w, float)[None], cap)
 
     def objective(beta):
         value, grad, hess = batch(np.asarray(beta, float)[None])

@@ -160,6 +160,42 @@ def test_estimate_linear_classical_variance(capsys, linear_csv):
     assert payload["results"]["fit"]["vcov_kind"] == "classical_ols"
 
 
+def test_estimate_classical_variance_refuses_clusters(capsys, tmp_path):
+    # the classical variance has no clustered form; it must not drop --cluster silently
+    rows = [[1, 0, 0, "a"], [2, 0, 1, "a"], [3, 1, 0, "b"], [4, 1, 1, "b"],
+            [2, 0, 0, "c"], [3, 0, 1, "c"], [5, 1, 0, "d"], [6, 1, 1, "d"]]
+    path = write_csv(tmp_path / "small.csv", ["y", "q", "t", "c"], rows)
+    code, _, payload = run_json(capsys, [
+        "estimate", "--family", "linear", "--csv", path, "--outcome", "y", "--group", "q",
+        "--period", "t", "--post", "1", "--cluster", "c", "--classical",
+    ])
+    assert code == 1
+    assert payload["results"] is None
+    assert payload["errors"][0]["kind"] == "ValueError"
+    assert "clustered" in payload["errors"][0]["message"]
+
+
+def test_estimate_reports_newton_diagnostics(capsys, linear_csv, logit_csv):
+    _, _, linear = run_json(capsys, [
+        "estimate", "--family", "linear", "--csv", linear_csv,
+        "--outcome", "y", "--group", "grp", "--period", "period", "--post", "2",
+    ])
+    fit = linear["results"]["fit"]
+    assert fit["step_halvings"] == 0
+    # the saturated cell means 1, 2, 3, 7 are the fitted linear predictors
+    assert fit["max_abs_eta"] == pytest.approx(7.0)
+    argv = ["estimate", "--family", "logit", "--csv", logit_csv, "--outcome", "y",
+            "--group", "grp", "--period", "year", "--weights", "w", "--post", "2010"]
+    _, _, logit = run_json(capsys, argv)
+    fit = logit["results"]["fit"]
+    assert isinstance(fit["step_halvings"], int) and fit["step_halvings"] >= 0
+    # the largest cell odds are 1 * 2 * 3 = 6
+    assert fit["max_abs_eta"] == pytest.approx(math.log(6.0), abs=1e-6)
+    assert run_cli(argv) == 0
+    assert (f"step halvings: {fit['step_halvings']}, max |linear predictor|: "
+            f"{fit['max_abs_eta']:.4g}") in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("family", ["poisson", "logit", "multinomial"])
 def test_estimate_classical_rejected_outside_linear(capsys, linear_csv, family):
     # the quasi-likelihood fits only report sandwich variances

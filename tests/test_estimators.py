@@ -8,6 +8,7 @@ estimators module beyond the fitted numbers themselves.
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from rrdid import (
 from rrdid.estimators import (
     _check_full_rank,
     _check_full_rank_qr,
-    _cluster_sum,
+    _cluster_codes,
     _gram_proves_full_rank,
 )
 from rrdid.errors import (
@@ -513,6 +514,27 @@ def test_ols_classical_variance_formula():
     assert fit.vcov_kind == "classical_ols"
 
 
+def test_ols_classical_variance_refuses_clusters():
+    X, y, w = poisson_data(seed=21, n=20)
+    with pytest.raises(ValueError, match="clustered"):
+        fit_ols(X, y, w, clusters=np.arange(20) % 4, robust=False)
+
+
+def test_newton_diagnostics_count_step_halvings():
+    # from beta = 0 the first Newton step on a mean of 200 overshoots far past
+    # the cap, so the fit must halve it; least squares takes one full step
+    X = np.column_stack([np.ones(6), [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]])
+    y = np.array([190.0, 210.0, 205.0, 195.0, 200.0, 230.0])
+    fit = fit_poisson_qmle(X, y)
+    assert fit.converged and fit.step_halvings > 0
+    np.testing.assert_allclose(fit.max_abs_eta, np.log(y[1::2].mean()), rtol=1e-12)
+    _, diag = maximize(fit_objective("poisson_qmle", X, y, np.ones(6), 30.0), np.zeros(2))
+    assert diag.step_halvings == fit.step_halvings
+    ols = fit_ols(X, y)
+    assert ols.step_halvings == 0
+    np.testing.assert_allclose(ols.max_abs_eta, y[1::2].mean(), rtol=1e-12)
+
+
 def test_ols_double_difference_on_saturated_cells():
     data = mean_cells(1.0, 2.0, 3.0, 7.0, spread=0.0)
     m = build_design(data, DesignSpec(post_period=1))
@@ -576,7 +598,8 @@ def test_treat_pools_every_period_from_post(fitter, mean):
 @pytest.mark.parametrize("weighted, clustered", [(False, False), (True, False), (True, True)])
 def test_logit_is_the_one_class_multinomial(covariate, weighted, clustered):
     # on 0/1 outcomes the logit and the two-category multinomial run the
-    # same arithmetic, on the design's cells or (with a covariate) its rows
+    # same arithmetic, on the design's cells or (with a covariate, a row
+    # column) its rows
     rng = np.random.default_rng(17)
     n = 300
     q, t = rng.integers(0, 2, n), rng.integers(0, 3, n)
@@ -587,7 +610,7 @@ def test_logit_is_the_one_class_multinomial(covariate, weighted, clustered):
     clusters = rng.integers(0, 20, n) if clustered else None
     data = RcsDataset(y=y, q=q, t=t, covariates={"x": x} if covariate else {})
     m = build_design(data, DesignSpec(post_period=2))
-    assert (m.cells is None) == covariate
+    assert (m.cell_columns < m.n_columns) == covariate
     logit = fit_logit_qmle(m, y, w, clusters)
     multinomial = fit_multinomial_logit(m, y, w, clusters)
     np.testing.assert_array_equal(logit.coefficients, multinomial.coefficients)
@@ -726,7 +749,10 @@ def test_cluster_sum_matches_per_cluster_loop(ids):
     for label, row in zip(clusters.tolist(), scores):
         totals[label] = totals.get(label, 0.0) + row
     expected = np.array([totals[label] for label in sorted(totals)])
-    np.testing.assert_array_equal(_cluster_sum(scores, clusters), expected)
+    codes, n_clusters = _cluster_codes(clusters)
+    sums = np.column_stack([np.bincount(codes, weights=col, minlength=n_clusters)
+                            for col in scores.T])
+    np.testing.assert_array_equal(sums, expected)
 
 
 def test_cluster_length_mismatch():
@@ -933,12 +959,18 @@ def test_cell_fit_reads_purity_from_rows_not_means(fitter, labels):
     assert fitter(design, data.y, data.weights).converged
 
 
-def test_covariate_designs_carry_no_cell_index():
+def test_covariate_designs_carry_cells_and_cell_columns():
     data = RcsDataset(y=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], q=[0, 0, 1, 1, 0, 1],
                       t=[0, 1, 0, 1, 1, 0], covariates={"x": [0.5, 1.0, 0.2, 0.7, 0.1, 0.9]})
-    assert build_design(data, DesignSpec(post_period=1)).cells is None
+    design = build_design(data, DesignSpec(post_period=1, heterogeneous_covariates=("x",)))
+    assert design.cells.tolist() == [0, 1, 2, 3, 1, 2]
+    # const, period_1, group and treat are cell columns; x and treat:x are row columns
+    assert design.cell_columns == 4
+    assert design.column_names[design.cell_columns:] == ("x", "treat:x")
     plain = RcsDataset(y=data.y, q=data.q, t=data.t)
-    assert build_design(plain, DesignSpec(post_period=1)).cells.tolist() == [0, 1, 2, 3, 1, 2]
+    plain_design = build_design(plain, DesignSpec(post_period=1))
+    assert plain_design.cells.tolist() == [0, 1, 2, 3, 1, 2]
+    assert plain_design.cell_columns == plain_design.n_columns
 
 
 def test_design_cells_must_hold_constant_rows():
@@ -946,3 +978,160 @@ def test_design_cells_must_hold_constant_rows():
     DesignMatrix(values, ("const", "x"), 1, None, cells=[0, 1, 0])
     with pytest.raises(ValueError, match="constant within cells"):
         DesignMatrix(values, ("const", "x"), 1, None, cells=[0, 0, 1])
+    # only the leading cell columns must be constant; x is a row column here
+    assert DesignMatrix(values, ("const", "x"), 1, None, cells=[0, 0, 1],
+                        cell_columns=1).cell_columns == 1
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="cell_columns"):
+            DesignMatrix(values, ("const", "x"), 1, None, cells=[0, 0, 1], cell_columns=bad)
+    with pytest.raises(ValueError, match="cell_columns needs cells"):
+        DesignMatrix(values, ("const", "x"), 1, None, cell_columns=1)
+    # the rows are compared in blocks; a row past the first block counts too
+    many = np.ones(((1 << 16) + 10, 2))
+    many[-1, 1] = 2.0
+    with pytest.raises(ValueError, match="constant within cells"):
+        DesignMatrix(many, ("const", "x"), 1, None, cells=np.zeros(len(many), int))
+
+
+# --- covariate designs: cell columns through cell sums against the dense rows --
+
+
+@st.composite
+def covariate_fits(draw):
+    """(family, dataset, spec): random rows in random (group, period) cells, some
+    cells empty, with one or two covariates (some interacted with treat), with
+    or without weights, string, integer or no clusters, and period or trend
+    columns."""
+    family = draw(st.sampled_from(sorted(_FITTERS)))
+    n_periods = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = [(g, p) for g in (0, 1) for p in range(n_periods)]
+    empty = draw(st.sets(st.sampled_from(cells), max_size=2))
+    n_classes = draw(st.integers(3, 4))
+    separable = family in ("logit", "multinomial") and draw(st.integers(0, 5)) == 0
+    ys, qs, ts, xs = [], [], [], []
+    for g, p in cells:
+        if (g, p) in empty:
+            continue
+        size = int(rng.integers(8, 25) if family == "multinomial" else rng.integers(3, 14))
+        x = rng.normal(size=size)
+        level = rng.uniform(-1.0, 1.0) + 0.4 * x
+        if family == "poisson":
+            y = rng.poisson(np.exp(level))
+        elif family == "logit":
+            y = rng.random(size) < 1.0 / (1.0 + np.exp(-level))
+        elif family == "fractional":
+            y = 1.0 / (1.0 + np.exp(-level - rng.normal(0.0, 0.5, size)))
+            y[rng.random(size) < 0.2] = rng.integers(0, 2)
+        elif family == "multinomial":
+            y = rng.choice(n_classes, size, p=rng.dirichlet(np.full(n_classes, 4.0)))
+        else:
+            y = rng.normal(level, 1.0)
+        if separable:
+            y = np.full(size, y[0])
+        ys.append(np.asarray(y, float))
+        xs.append(x)
+        qs.append(np.full(size, g))
+        ts.append(np.full(size, p))
+    y, q, t, x = (np.concatenate(v) for v in (ys, qs, ts, xs))
+    order = rng.permutation(y.size)
+    y, q, t, x = y[order], q[order], t[order], x[order]
+    covariates = {"x": x * draw(st.sampled_from([1.0, 10.0])) + draw(st.sampled_from([0.0, 5.0]))}
+    if draw(st.booleans()):
+        covariates["z"] = rng.integers(0, 4, y.size).astype(float)
+    hetero = draw(st.sets(st.sampled_from(sorted(covariates))))
+    weights = rng.uniform(0.2, 3.0, y.size) if draw(st.booleans()) else None
+    ids = rng.integers(0, int(rng.integers(2, 8)), y.size)
+    clusters = {"none": None, "integer": 5 * ids - 7,
+                "string": np.array([f"é{v}" + "x" * (v % 3) for v in ids])}[
+        draw(st.sampled_from(["none", "integer", "string"]))]
+    data = RcsDataset(y=y, q=q, t=t, covariates=covariates, weights=weights,
+                      clusters=clusters, n_periods=n_periods)
+    spec = DesignSpec(post_period=draw(st.integers(1, n_periods - 1)),
+                      include_period_dummies=draw(st.booleans()),
+                      include_group_trend=draw(st.booleans()),
+                      heterogeneous_covariates=tuple(sorted(hetero)))
+    return family, data, spec
+
+
+def _no_finite_optimum(family, X, y):
+    """Whether the maximand keeps rising along some direction d, so that the
+    optimum lies at infinity: no row's linear predictors move against its
+    outcome along d (Poisson: x'd <= 0 where y = 0 and x'd = 0 where y > 0;
+    logit: x'd >= 0 where y = 1, <= 0 where y = 0, = 0 in between;
+    multinomial: the observed class's predictor gains on every other one)
+    while some row moves. Decided by the linear program max sum(A d) over
+    0 <= A d <= 1, whose optimum is 0 or at least 1."""
+    if family == "ols":
+        return False
+    if family == "multinomial":
+        n_classes = int(y.max())
+        blocks = np.eye(n_classes + 1)[:, 1:]  # class 0 has predictor 0
+        rows = [np.kron(blocks[int(k)] - blocks[j], x)
+                for x, k in zip(X, y) for j in range(n_classes + 1) if j != k]
+    else:
+        top = np.inf if family == "poisson" else 1.0
+        rows = []
+        for x, value in zip(X, y):
+            if value > 0:
+                rows.append(x)
+            if value < top:
+                rows.append(-x)
+    A = np.array(rows)
+    result = scipy.optimize.linprog(-A.sum(axis=0), A_ub=np.vstack([A, -A]),
+                                    b_ub=np.r_[np.ones(len(A)), np.zeros(len(A))],
+                                    bounds=(None, None), method="highs")
+    assert result.status == 0
+    return -result.fun > 0.5
+
+
+@given(covariate_fits())
+@settings(max_examples=300, deadline=None)
+def test_covariate_design_fit_matches_dense_fit(case):
+    # a plain array has no cell columns, so its fit takes every column row by
+    # row: the reference for the cell-sum blocks of a covariate design
+    family, data, spec = case
+    design = build_design(data, spec)
+    assert design.cell_columns < design.n_columns
+    blocks = _fit_or_error(_FITTERS[family], design, data)
+    dense = _fit_or_error(_FITTERS[family], design.values, data)
+    assert type(blocks) is type(dense)
+    if isinstance(dense, SingularDesignError):
+        assert [f"x{design.index(name)}" for name in blocks.columns] == list(dense.columns)
+    if isinstance(dense, Exception):
+        return
+    assert (blocks.converged, blocks.n_obs, blocks.vcov_kind) == \
+        (dense.converged, dense.n_obs, dense.vcov_kind)
+    # With the optimum at infinity (an all-boundary cell, or rows separated
+    # by a covariate) both fits stop where the score first drops under the
+    # tolerance, a point rounding moves, so only their decisions are compared.
+    if not dense.converged or _no_finite_optimum(family, design.values, data.y):
+        return
+    assert blocks.iterations == dense.iterations
+    assert _close(blocks.coefficients, dense.coefficients)
+    assert _close(blocks.loglik, dense.loglik)
+    # Round-off in the Hessian, of relative size eps, moves A^{-1} B A^{-1}
+    # by about eps cond(A) relative, in the dense reference as much as in
+    # the blocks; a nearly separated fit can make cond(A) large.
+    record = {"poisson": "poisson_qmle", "ols": "ols",
+              "multinomial": "multinomial_logit"}.get(family, "logit_qmle")
+    y = data.y
+    if family == "multinomial":
+        y = (y[:, None] == np.arange(1, int(y.max()) + 1)).astype(float)
+    _, _, hess = fit_objective(record, design.values, y, data.weights, 30.0)(dense.coefficients)
+    rtol = max(1e-10, 100 * np.finfo(float).eps * np.linalg.cond(hess))
+    assert _close(blocks.vcov, dense.vcov, rtol)
+
+
+@pytest.mark.parametrize("labels", [
+    ["b", "é", "a", "ab", "", "日本", "a", "é", "zz", "b"],
+    ["psu-ä1", "psu-1", "psu-10", "psu-ä1", "q", "psu-1"],
+    [7, -3, 7, 0, 12, -3, 5],
+    [0.5, -2.25, 0.5, 1e300, -0.0, 0.0, 3.0],
+])
+def test_cluster_codes_match_numpy_unique(labels):
+    clusters = np.array(labels * 30)
+    distinct, expected = np.unique(clusters, return_inverse=True)
+    codes, n_clusters = _cluster_codes(clusters)
+    np.testing.assert_array_equal(codes, expected.reshape(-1))
+    assert n_clusters == distinct.size
