@@ -8,6 +8,10 @@ count and redraws within a replication extend that stream only.
 
 The Monte Carlo driver keeps only each draw's (q, t) cell counts and outcome
 sums and fits every replication from them, all replications in one batch.
+Its draw takes every random variate the panel draw takes, in the same order,
+so its cells are bit for bit those of panel_to_rcs(dgp_draw(...)), but it
+forms only the outcome of each subject's kept period. Each family's outcome
+formula is written once (_outcomes) and serves both draws.
 
 Outcome families:
     positive   Y = exp(lin + N(0,1))
@@ -21,6 +25,7 @@ with lin = beta_t + beta_q Q + beta_qtau t Q + beta_d D.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -52,6 +57,8 @@ N_PERIODS = 4
 POST_PERIOD = 3
 FAMILIES = ("positive", "count", "censored", "binary", "multinomial")
 _MAX_REDRAWS = 1000
+# the largest rate Generator.poisson accepts
+_POISSON_RATE_MAX = float(np.iinfo(np.int64).max) - np.sqrt(np.iinfo(np.int64).max) * 10
 _DESIGN = DesignSpec(post_period=POST_PERIOD, include_period_dummies=True,
                      include_group_trend=True)
 # one row per (q, t) cell, in the order q * N_PERIODS + t
@@ -61,12 +68,32 @@ FAILURE_KINDS = ("not_converged", "OverflowGuardError", "SeparationError",
                  "SingularDesignError", "SingularHessianError")
 
 
-def _check_betas_t(params) -> None:
-    """Store params.betas_t as a tuple of N_PERIODS floats, or raise ValueError."""
-    betas = tuple(float(b) for b in params.betas_t)
+def _integer(name: str, value, least: int) -> int:
+    """value as an int, or ValueError unless it is a non-bool integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
+    return int(value)
+
+
+def _finite(name: str, value) -> float:
+    """value as a float, or ValueError unless it is a finite number."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+    return x
+
+
+def _check_params(params, names) -> None:
+    """Store params' betas_t and the named fields as finite floats, or raise ValueError."""
+    betas = tuple(_finite("each betas_t entry", b) for b in params.betas_t)
     if len(betas) != N_PERIODS:
         raise ValueError(f"betas_t must have length {N_PERIODS}")
     object.__setattr__(params, "betas_t", betas)
+    for name in names:
+        object.__setattr__(params, name, _finite(name, getattr(params, name)))
 
 
 @dataclass(frozen=True)
@@ -79,7 +106,7 @@ class MultinomialClassParams:
     beta_d: float = 0.0
 
     def __post_init__(self):
-        _check_betas_t(self)
+        _check_params(self, ("beta_q", "beta_qtau", "beta_d"))
 
 
 @dataclass(frozen=True)
@@ -109,13 +136,9 @@ class Scenario:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        _check_betas_t(self)
+        for name, least in (("n", 1), ("repetitions", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        _check_params(self, ("beta_qtau", "beta_d", "beta_q", "noise_scale"))
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be non-negative")
         if self.family == "multinomial":
@@ -153,58 +176,101 @@ def replication_rng(seed: int, replication_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _linear_index(params, q: np.ndarray) -> np.ndarray:
-    """(n, 4) index from a Scenario's or a MultinomialClassParams' betas."""
+def _linear_index(params) -> np.ndarray:
+    """(2, 4) index of each (q, t) cell from a Scenario's or a MultinomialClassParams' betas."""
+    q = np.arange(2)
     t = np.arange(N_PERIODS)
     d = q[:, None] * (t == POST_PERIOD)
-    lin = (
-        np.asarray(params.betas_t)[None, :]
-        + params.beta_q * q[:, None]
-        + params.beta_qtau * t[None, :] * q[:, None]
-        + params.beta_d * d
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        lin = (
+            np.asarray(params.betas_t)[None, :]
+            + params.beta_q * q[:, None]
+            + params.beta_qtau * t[None, :] * q[:, None]
+            + params.beta_d * d
+        )
+    if not np.isfinite(lin).all():
+        raise ValueError("DGP linear index is not finite; check parameters")
     return lin
+
+
+def _draw_group(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Each subject's group Q, the first draw of every replication."""
+    return (rng.random(n) < 0.5).astype(np.int64)
+
+
+def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
+                   rng: np.random.Generator) -> tuple:
+    """The family's random variates for every (subject, period), drawn from rng.
+
+    lin is the (2, 4) _linear_index table. Each returned array ends in the
+    (n, 4) subject and period axes, so the outcomes of any set of entries are
+    _outcomes of the arrays indexed there.
+    """
+    n = q.size
+    family = scenario.family
+    if family == "positive":
+        return (rng.standard_normal((n, N_PERIODS)),)
+    if family == "count":
+        if scenario.count_shared_rate_intercept:
+            lin = lin - np.asarray(scenario.betas_t)[None, :] + scenario.betas_t[1]
+        with np.errstate(over="ignore"):
+            rate = np.exp(lin)[q]
+        if not np.all(rate <= _POISSON_RATE_MAX):
+            raise ValueError("DGP produced a Poisson rate too large to draw from; "
+                             "check parameters")
+        return (rng.poisson(rate),)
+    if family == "censored":
+        m = rng.poisson(1.0, n)
+        if scenario.censored_extra_term:
+            m = m + 1
+        # one call draws the same stream as m.max() calls of shape (n, 4)
+        z = rng.standard_normal((int(m.max()), n, N_PERIODS))
+        return np.broadcast_to(m[:, None], (n, N_PERIODS)), z
+    if family == "binary":
+        return (rng.logistic(size=(n, N_PERIODS)),)
+    raise ValueError(f"unknown family {family!r}")  # pragma: no cover - Scenario checks
+
+
+def _outcomes(scenario: Scenario, lin: np.ndarray, variates: tuple) -> np.ndarray:
+    """Outcomes of a set of (subject, period) entries from their index and variates."""
+    family = scenario.family
+    s = scenario.noise_scale
+    with np.errstate(over="ignore"):
+        if family == "positive":
+            (z,) = variates
+            y = np.exp(lin + s * z)
+        elif family == "count":
+            (k,) = variates
+            y = k.astype(float)
+        elif family == "censored":
+            m, z = variates
+            y = np.zeros(lin.shape)
+            for j in range(z.shape[0]):
+                y += np.where(m > j, np.exp(lin + s * z[j]), 0.0)
+        else:  # binary
+            (u,) = variates
+            y = (lin + s * u > 0).astype(float)
+    if not np.isfinite(y).all():
+        raise ValueError("DGP produced non-finite outcomes; check parameters")
+    return y
 
 
 def _draw_panel(scenario: Scenario, rng: np.random.Generator) -> Panel:
     n = scenario.n
-    q = (rng.random(n) < 0.5).astype(np.int64)
-    family = scenario.family
+    q = _draw_group(n, rng)
 
-    if family == "multinomial":
+    if scenario.family == "multinomial":
         n_total = len(scenario.multinomial_extras)
         utilities = np.empty((n, N_PERIODS, n_total))
         for j, params in enumerate(scenario.multinomial_extras):
-            utilities[:, :, j] = _linear_index(params, q)
+            utilities[:, :, j] = _linear_index(params)[q]
         utilities += scenario.noise_scale * rng.gumbel(size=(n, N_PERIODS, n_total))
         y = np.argmax(utilities, axis=2).astype(float)
         return Panel(y=y, q=q)
 
-    lin = _linear_index(scenario, q)
-    if family == "positive":
-        y = np.exp(lin + scenario.noise_scale * rng.standard_normal((n, N_PERIODS)))
-    elif family == "count":
-        if scenario.count_shared_rate_intercept:
-            rate_lin = lin - np.asarray(scenario.betas_t)[None, :] + scenario.betas_t[1]
-        else:
-            rate_lin = lin
-        y = rng.poisson(np.exp(rate_lin)).astype(float)
-    elif family == "censored":
-        m = rng.poisson(1.0, n)
-        if scenario.censored_extra_term:
-            m = m + 1
-        y = np.zeros((n, N_PERIODS))
-        for j in range(int(m.max()) if m.size else 0):
-            z = np.exp(lin + scenario.noise_scale * rng.standard_normal((n, N_PERIODS)))
-            y += np.where((m > j)[:, None], z, 0.0)
-    elif family == "binary":
-        u = scenario.noise_scale * rng.logistic(size=(n, N_PERIODS))
-        y = (lin + u > 0).astype(float)
-    else:  # pragma: no cover - guarded by Scenario validation
-        raise ValueError(f"unknown family {family!r}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("DGP produced non-finite outcomes; check parameters")
-    return Panel(y=y, q=q)
+    lin = _linear_index(scenario)
+    variates = _draw_variates(scenario, lin, q, rng)
+    return Panel(y=_outcomes(scenario, lin[q], variates), q=q)
 
 
 def dgp_draw(scenario: Scenario, replication_index: int,
@@ -243,11 +309,29 @@ def _sample_periods(panel: Panel, rng: np.random.Generator):
     return panel.y[np.arange(t.size), t], t
 
 
+def _draw_kept(scenario: Scenario, lin: np.ndarray, rng: np.random.Generator):
+    """(cell, y) of each subject's kept period, as _draw_cells describes.
+
+    lin is the scenario's _linear_index table; cell is q * N_PERIODS + t.
+    """
+    n = scenario.n
+    q = _draw_group(n, rng)
+    variates = _draw_variates(scenario, lin, q, rng)
+    t = rng.integers(0, N_PERIODS, size=n)
+    rows = np.arange(n)
+    y = _outcomes(scenario, lin[q, t], tuple(v[..., rows, t] for v in variates))
+    return q * N_PERIODS + t, y
+
+
 def _draw_cells(scenario: Scenario, rng: np.random.Generator):
-    """Observation counts and outcome sums of the _CELLS cells of one draw from rng."""
-    panel = _draw_panel(scenario, rng)
-    y, t = _sample_periods(panel, rng)
-    cell = panel.q * N_PERIODS + t
+    """Observation counts and outcome sums of the _CELLS cells of one draw from rng.
+
+    Bit for bit the cells of panel_to_rcs(dgp_draw(...)) on the same rng: the
+    draw takes every random variate _draw_panel and _sample_periods take, in
+    their order, but forms only the outcome of each subject's kept period.
+    Only those outcomes are checked for overflow.
+    """
+    cell, y = _draw_kept(scenario, _linear_index(scenario), rng)
     return (np.bincount(cell, minlength=_CELLS.n),
             np.bincount(cell, weights=y, minlength=_CELLS.n))
 
@@ -345,6 +429,7 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
         )
     reps = scenario.repetitions
     design = build_design(_CELLS, _DESIGN)
+    lin = _linear_index(scenario)
     rngs = [replication_rng(scenario.seed, rep) for rep in range(reps)]
     estimates = [None] * reps
     failures = dict.fromkeys(FAILURE_KINDS, 0)
@@ -352,9 +437,17 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
     pending = list(range(reps))
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for _ in range(_MAX_REDRAWS):
-            draws = (pool.map if pool else map)(lambda rep: _draw_cells(scenario, rngs[rep]),
+            draws = (pool.map if pool else map)(lambda rep: _draw_kept(scenario, lin, rngs[rep]),
                                                 pending)
-            counts, sums = (np.array(part, float) for part in zip(*draws))
+            cells, ys = zip(*draws)
+            # one bincount over the batch adds each cell's outcomes in the
+            # order a bincount per replication would
+            ids = np.concatenate(cells) + np.repeat(
+                np.arange(len(pending)) * _CELLS.n, scenario.n)
+            size = len(pending) * _CELLS.n
+            counts = np.bincount(ids, minlength=size).reshape(-1, _CELLS.n).astype(float)
+            sums = np.bincount(ids, weights=np.concatenate(ys),
+                               minlength=size).reshape(-1, _CELLS.n)
             redrawn = []
             fits = _fit_draws(scenario, design, counts, sums, counterfactual_transform_mean)
             for rep, (kind, est) in zip(pending, fits):

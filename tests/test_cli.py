@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,31 @@ def test_simulate_output_is_thread_invariant(capsys):
     assert run_cli(argv + ["--threads", "8"]) == 0
     threaded = capsys.readouterr().out
     assert serial == threaded
+
+
+def test_simulate_redraws_are_thread_invariant(capsys):
+    # redrawn replications extend their own streams and are refitted as a
+    # smaller batch; neither may depend on how the draws were spread
+    argv = ["simulate", "--family", "positive", "--n", "120", "--reps", "80",
+            "--seed", "9", "--beta-d", "-0.5", "--format", "json"]
+    assert run_cli(argv + ["--threads", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert run_cli(argv + ["--threads", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert json.loads(serial)["results"]["redraw_count"] == 64
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "count", "--beta-d", "nan"], "beta_d must be a finite number"),
+    (["--family", "positive", "--betas-t", "800,800,800,800"], "non-finite outcomes"),
+    (["--family", "count", "--betas-t", "50,50,50,50"], "Poisson rate too large"),
+])
+def test_simulate_bad_parameters_are_the_packages_errors(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["simulate", "--n", "50", "--reps", "3", "--seed", "1", *argv])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_json_round_trips_byte_identically(capsys, logit_csv):

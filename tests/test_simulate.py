@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,7 +51,19 @@ def linear_index(sc, q, t):
     dict(repetitions=0),
     dict(seed=-1),
     dict(seed=1.5),
+    dict(seed=True),
+    dict(n=2.5),
+    dict(n=True),
+    dict(n=np.bool_(True)),
+    dict(repetitions=2.5),
+    dict(repetitions=False),
     dict(betas_t=(0.0, 0.0)),
+    dict(betas_t=(0.0, 0.0, math.nan, 0.0)),
+    dict(beta_d=math.nan),
+    dict(beta_qtau=math.inf),
+    dict(beta_q=-math.inf),
+    dict(beta_d="half"),
+    dict(noise_scale=math.nan),
     dict(noise_scale=-0.1),
     dict(family="multinomial"),
     dict(family="multinomial", multinomial_extras=(MultinomialClassParams(),)),
@@ -64,6 +77,15 @@ def test_scenario_validation(bad):
 def test_multinomial_class_params_length():
     with pytest.raises(ValueError):
         MultinomialClassParams(betas_t=(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="beta_d must be a finite number"):
+        MultinomialClassParams(beta_d=math.nan)
+
+
+def test_scenario_takes_numpy_integers_as_python_ints():
+    sc = scenario(n=np.int64(40), repetitions=np.int32(2), seed=np.uint8(3))
+    assert (sc.n, sc.repetitions, sc.seed) == (40, 2, 3)
+    assert all(type(v) is int for v in (sc.n, sc.repetitions, sc.seed))
+    assert dgp_draw(sc, 0).y.tobytes() == dgp_draw(scenario(n=40, seed=3), 0).y.tobytes()
 
 
 # --- reproducible streams -----------------------------------------------------
@@ -238,6 +260,68 @@ def test_panel_to_rcs_period_draw_independent_of_group():
     panel = dgp_draw(sc, 0)
     data = panel_to_rcs(panel, sc, 0)
     assert abs(float(np.corrcoef(data.q, data.t)[0, 1])) < 0.01
+
+
+# --- the Monte Carlo draw ------------------------------------------------------
+
+
+@given(st.sampled_from(["positive", "count", "censored", "binary"]),
+       st.integers(1, 60), st.sampled_from([0.0, 1.0]), st.booleans(),
+       st.floats(-1, 1), st.floats(-1, 1), st.integers(0, 2**16), st.integers(0, 50))
+@settings(max_examples=150, deadline=None)
+@example("censored", 1, 1.0, True, 0.5, 0.5, 0, 0)
+@example("count", 1, 0.0, True, 0.5, -0.5, 0, 0)
+def test_draw_cells_matches_the_panel_draw(family, n, noise_scale, switch,
+                                           beta_qtau, beta_d, seed, rep):
+    # the Monte Carlo's draw takes the panel draw's variates from the same
+    # stream and forms only the kept outcomes; its cells must match bit for bit
+    sc = Scenario(family=family, n=n, repetitions=1, seed=seed, beta_qtau=beta_qtau,
+                  beta_d=beta_d, noise_scale=noise_scale,
+                  count_shared_rate_intercept=switch and family == "count",
+                  censored_extra_term=switch and family == "censored")
+    fast, slow = replication_rng(seed, rep), replication_rng(seed, rep)
+    for _ in range(2):  # a redraw continues the replication's stream
+        counts, sums = _draw_cells(sc, fast)
+        data = panel_to_rcs(dgp_draw(sc, rep, rng=slow), sc, rep, rng=slow)
+        cell = data.q * N_PERIODS + data.t
+        assert counts.tobytes() == np.bincount(cell, minlength=_CELLS.n).tobytes()
+        assert sums.tobytes() == np.bincount(cell, weights=data.y,
+                                             minlength=_CELLS.n).tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("positive", dict(betas_t=(800.0,) * 4), "non-finite outcomes"),
+    ("censored", dict(betas_t=(800.0,) * 4), "non-finite outcomes"),
+    ("count", dict(betas_t=(50.0,) * 4), "Poisson rate too large"),
+    ("binary", dict(betas_t=(1e308,) * 4, beta_q=1e308), "linear index is not finite"),
+])
+def test_dgp_overflow_is_a_typed_error_without_warnings(family, params, message):
+    sc = scenario(family=family, n=50, **params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            dgp_draw(sc, 0)
+        with pytest.raises(ValueError, match=message):
+            _draw_cells(sc, replication_rng(sc.seed, 0))
+
+
+def test_draw_cells_checks_only_the_kept_outcomes():
+    # exp(800) overflows in the treated post period only; a lone treated
+    # subject kept in an earlier period draws fine, while its panel does not
+    sc = scenario(family="positive", n=1, beta_d=800.0)
+    kept_early = 0
+    for rep in range(40):
+        try:
+            counts, sums = _draw_cells(sc, replication_rng(sc.seed, rep))
+        except ValueError:  # kept in the treated post period
+            continue
+        if counts[N_PERIODS:N_PERIODS + POST_PERIOD].sum() == 1:
+            kept_early += 1
+            assert np.all(np.isfinite(sums))
+            with pytest.raises(ValueError, match="non-finite outcomes"):
+                dgp_draw(sc, rep)
+    assert kept_early > 0
 
 
 # --- the Monte Carlo driver ----------------------------------------------------
