@@ -5,12 +5,13 @@ treatment and group-trend columns by name: intercept, period dummies
 (base period omitted), group dummy Q, group trend t*Q (optional),
 treatment D = Q * 1[t >= post], covariates, then treatment-interacted
 covariates for heterogeneous effects. Every column up to the treatment is
-a function of the row's (group, period) cell: the design records the cells
-and counts those leading cell columns, which the fits handle through
-per-cell sums, leaving only the covariate row columns to the rows. Post
-means t >= post everywhere: the treatment column and the (group, pre/post)
-cell statistics pool every period from post on, the pooled-QMLE reading of
-Wooldridge (2023).
+a function of the row's (group, period) cell, so the design holds those
+cell columns once per cell, beside each row's cell and the covariate row
+columns; no n x p matrix is built unless a caller asks for values. The
+fits handle the cell columns through per-cell sums, leaving only the row
+columns to the rows. Post means t >= post everywhere: the treatment column
+and the (group, pre/post) cell statistics pool every period from post on,
+the pooled-QMLE reading of Wooldridge (2023).
 """
 
 from __future__ import annotations
@@ -152,51 +153,53 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Numeric regressor matrix with named columns.
+    """Numeric regressors with named columns, held as a cell design and row columns.
 
-    cells, when given, holds each row's cell index, and the leading
-    cell_columns columns (default: all of them) are constant within a cell.
-    The fits handle those cell columns through per-cell sums of the rows'
-    weights and residuals, and only the trailing row columns row by row; a
-    design without row columns fits on its cells' sums alone.
+    cell_values (k, p1) holds the leading p1 columns once per cell and
+    row_values (n, p2) the trailing p2 columns once per row; cells (n,) holds
+    each row's cell, so row i's regressors are cell_values[cells[i]] followed
+    by row_values[i], and the cell columns are constant within cells by
+    construction. The fits handle the cell columns through per-cell sums of
+    the rows' weights and residuals, and only the row columns row by row; a
+    design without row columns fits on its cells' sums alone. values and
+    column() assemble the dense n x p layout on demand.
     """
 
-    values: np.ndarray
+    cell_values: np.ndarray
+    row_values: np.ndarray
+    cells: np.ndarray
     column_names: tuple
     treatment_column: int
     trend_column: int | None
-    cells: np.ndarray | None = None
-    cell_columns: int | None = None
 
     def __post_init__(self):
-        values = _frozen_array(self.values, float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "column_names", tuple(self.column_names))
-        if self.cells is None:
-            if self.cell_columns is not None:
-                raise ValueError("cell_columns needs cells")
-            return
+        cell_values = _frozen_array(self.cell_values, float)
+        row_values = _frozen_array(self.row_values, float)
         cells = _frozen_array(self.cells, np.intp)
-        if cells.shape != values.shape[:1] or cells.size == 0 or cells.min() < 0:
-            raise ValueError("cells must hold one non-negative index per design row")
-        n_cell = values.shape[1] if self.cell_columns is None else int(self.cell_columns)
-        if not 0 <= n_cell <= values.shape[1]:
-            raise ValueError("cell_columns must lie between 0 and the number of columns")
-        some_row = np.zeros(cells.max() + 1, np.intp)
-        some_row[cells] = np.arange(cells.size)
-        cell_rows = values[some_row, :n_cell]
-        # compared in blocks of rows, so the temporaries stay small
-        step = 1 << 16
-        if not all(np.array_equal(values[s:s + step, :n_cell],
-                                  cell_rows.take(cells[s:s + step], axis=0))
-                   for s in range(0, cells.size, step)):
-            raise ValueError("cell columns must be constant within cells")
+        names = tuple(self.column_names)
+        if cell_values.ndim != 2 or row_values.ndim != 2 or cells.ndim != 1:
+            raise ValueError("cell_values and row_values must be 2-d and cells 1-d")
+        if row_values.shape[0] != cells.size:
+            raise ValueError("row_values and cells must hold one entry per design row")
+        if cells.size == 0 or cells.min() < 0 or cells.max() >= cell_values.shape[0]:
+            raise ValueError("cells must hold at least one row, each a row of cell_values")
+        if len(names) != cell_values.shape[1] + row_values.shape[1]:
+            raise ValueError("column_names must name every cell and row column")
+        object.__setattr__(self, "cell_values", cell_values)
+        object.__setattr__(self, "row_values", row_values)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "cell_columns", n_cell)
+        object.__setattr__(self, "column_names", names)
 
     @property
     def n_columns(self) -> int:
-        return self.values.shape[1]
+        return len(self.column_names)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense (n, p) regressor matrix, a read-only copy."""
+        values = np.hstack([self.cell_values[self.cells], self.row_values])
+        values.setflags(write=False)
+        return values
 
     def index(self, name: str) -> int:
         try:
@@ -214,55 +217,53 @@ def _check_period(dataset: RcsDataset, period: int, what: str) -> None:
 
 
 def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
-    """Assemble the regressor matrix for a two-group DD design.
+    """Assemble the regressors for a two-group DD design.
 
     Column order: intercept, period dummies (base omitted), group,
     group trend, treatment, covariates, treatment-interacted covariates.
     Treatment is D = Q * 1[t >= post_period], the rule cell_masks uses, so
     one treat coefficient pools every period from post_period on. Every
-    column up to treat is a function of the (group, period) cell: the design
-    records each row's cell q * n_periods + t and counts those leading
-    columns as its cell columns. Covariates and their treat interactions
-    vary within cells and are the trailing row columns.
+    column up to treat is a function of the (group, period) cell, so these
+    are evaluated once on the 2T cells, cell q * n_periods + t, and each row
+    records its cell. Covariates and their treat interactions vary within
+    cells and are the row columns.
     """
     T = dataset.n_periods
     _check_period(dataset, spec.post_period, "post_period")
     _check_period(dataset, spec.base_period, "base_period")
 
-    # each column in its narrowest exact dtype, so that the stacked matrix and
-    # DesignMatrix's float copy of it are the only n x p arrays
-    cols = [np.ones(dataset.n, bool)]
+    q, t = np.repeat([0, 1], T), np.tile(np.arange(T), 2)
+    cols = [np.ones(2 * T)]
     names = ["const"]
     if spec.include_period_dummies:
         for p in range(T):
             if p == spec.base_period:
                 continue
-            cols.append(dataset.t == p)
+            cols.append(t == p)
             names.append(f"period_{p}")
-    cols.append(dataset.q)
+    cols.append(q)
     names.append("group")
 
     trend_column = None
     if spec.include_group_trend:
-        cols.append(dataset.t * dataset.q)
+        cols.append(t * q)
         names.append("group_trend")
         trend_column = len(names) - 1
 
-    treat = dataset.q * (dataset.t >= spec.post_period)
+    treat = q * (t >= spec.post_period)
     cols.append(treat)
     names.append("treat")
     treatment_column = len(names) - 1
-    cell_columns = len(names)
 
-    for name in dataset.covariates:
-        cols.append(dataset.covariates[name])
-        names.append(name)
+    cells = dataset.q * T + dataset.t
+    rows = list(dataset.covariates.values())
+    names += list(dataset.covariates)
     hetero = spec.heterogeneous_covariates
     unknown = [name for name in hetero if name not in dataset.covariates]
     if unknown:
         raise ValueError(f"heterogeneous covariates not in dataset: {', '.join(unknown)}")
     for name in hetero:
-        cols.append(treat * dataset.covariates[name])
+        rows.append(treat[cells] * dataset.covariates[name])
         names.append(f"treat:{name}")
     # coefficients are looked up by name, so a covariate named like a design
     # column would silently stand in for it
@@ -271,12 +272,12 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
         raise ValueError(f"covariate names clash with design columns: {', '.join(clashes)}")
 
     return DesignMatrix(
-        values=np.column_stack(cols),
+        cell_values=np.column_stack(cols),
+        row_values=np.column_stack(rows) if rows else np.empty((dataset.n, 0)),
+        cells=cells,
         column_names=names,
         treatment_column=treatment_column,
         trend_column=trend_column,
-        cells=dataset.q * T + dataset.t,
-        cell_columns=cell_columns,
     )
 
 

@@ -13,11 +13,11 @@ record functions and its fits equal the two-category multinomial's bit for
 bit. OLS is the identity link b(eta) = eta^2 / 2, solved by one Newton step.
 
 One batched Newton driver, _fit, fits every record, and one block evaluator
-(_score, _cross) gives it values, scores and Hessians. build_design records
-each row's (group, period) cell and splits the design into cell columns
-(intercept, period dummies, group, trend, treat: functions of the cell,
-held once per non-empty cell as Z) and row columns (covariates and treat
-interactions, held per row as V). Then eta = (Z beta_1)[cell] + V beta_2;
+(_score, _cross) gives it values, scores and Hessians. A DesignMatrix
+holds its cell columns (intercept, period dummies, group, trend, treat:
+functions of the (group, period) cell) once per cell, and the fits keep
+them once per non-empty cell as Z; its row columns (covariates and treat
+interactions) are held per row as V. Then eta = (Z beta_1)[cell] + V beta_2;
 the score's cell block is Z' times each cell's residual sum and the
 Hessian's cell blocks Z' diag(per-cell sums of w b'') Z and Z' times the
 per-cell sums of w b'' V_j, so only V' diag(w b'') V is a product over
@@ -280,16 +280,6 @@ def _newton_directions(hess, grad):
     return np.concatenate([d for d, _ in parts]), np.concatenate([s for _, s in parts])
 
 
-def _as_design(X):
-    """(values, column names, each row's cell or None, number of cell columns)."""
-    if isinstance(X, DesignMatrix):
-        return X.values, list(X.column_names), X.cells, X.cell_columns or 0
-    values = np.asarray(X, float)
-    if values.ndim != 2:
-        raise ValueError("design must be a 2-d array or DesignMatrix")
-    return values, [f"x{j}" for j in range(values.shape[1])], None, 0
-
-
 class _Blocks(NamedTuple):
     """A design split into its cell columns and its row columns.
 
@@ -305,19 +295,18 @@ class _Blocks(NamedTuple):
     index: np.ndarray | None
 
 
-def _row_blocks(values, cells, n_cell):
-    """The _Blocks of a design's rows, from each row's cell (or None) and its
-    number of leading cell columns."""
-    if cells is None or n_cell == 0:
-        return _Blocks(values[:, :0], values, None)
-    keep = np.flatnonzero(np.bincount(cells))
-    index = np.zeros(cells.max() + 1, np.intp)
-    index[keep] = np.arange(keep.size)
-    index = index[cells]
-    # the cell columns are constant within cells, so any of a cell's rows gives its row
-    some_row = np.zeros(keep.size, np.intp)
-    some_row[index] = np.arange(index.size)
-    return _Blocks(values[some_row, :n_cell], np.ascontiguousarray(values[:, n_cell:]), index)
+def _as_design(X):
+    """(_Blocks of the design's rows, column names) of a DesignMatrix, whose
+    empty cells drop out, or of a plain 2-d array."""
+    if isinstance(X, DesignMatrix):
+        keep = np.flatnonzero(np.bincount(X.cells))
+        index = np.zeros(keep[-1] + 1, np.intp)
+        index[keep] = np.arange(keep.size)
+        return _Blocks(X.cell_values[keep], X.row_values, index[X.cells]), list(X.column_names)
+    values = np.asarray(X, float)
+    if values.ndim != 2:
+        raise ValueError("design must be a 2-d array or DesignMatrix")
+    return _Blocks(values[:, :0], values, None), [f"x{j}" for j in range(values.shape[1])]
 
 
 def _unit_rows(blocks):
@@ -329,8 +318,8 @@ def _unit_rows(blocks):
     return rows if not cell.shape[1] else np.hstack([cell, rows])
 
 
-def _check_inputs(values, names, y, weights):
-    n, p = values.shape
+def _check_inputs(blocks, names, y, weights):
+    n, p = blocks.rows.shape[0], blocks.cell.shape[1] + blocks.rows.shape[1]
     if n == 0 or p == 0:
         raise ValueError("design matrix must have at least one row and column")
     y = np.asarray(y, float)
@@ -346,32 +335,34 @@ def _check_inputs(values, names, y, weights):
             raise ValueError("weights must match the number of design rows")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be positive and finite")
-    if not np.all(np.isfinite(values)):
+    if not (np.all(np.isfinite(blocks.cell)) and np.all(np.isfinite(blocks.rows))):
         raise ValueError("design matrix contains non-finite values")
-    _check_full_rank(values, w, names)
+    _check_full_rank(blocks, w, names)
     return y, w
 
 
-def _check_full_rank(values, weights, names):
-    weighted = values * np.sqrt(weights)[:, None]
-    if not _gram_proves_full_rank(weighted):
-        _check_full_rank_qr(weighted, names)
+def _check_full_rank(blocks, weights, names):
+    """Raise SingularDesignError as the pivoted QR of the weighted unit rows
+    does, forming those rows only when the Gram does not prove full rank."""
+    gram = _cross(blocks, weights[None, None, None])[0]
+    if not _gram_proves_full_rank(gram, weights.size):
+        _check_full_rank_qr(_unit_rows(blocks) * np.sqrt(weights)[:, None], names)
 
 
-def _gram_proves_full_rank(weighted):
-    """Whether the Gram matrix A'A proves that the pivoted QR finds A full rank.
+def _gram_proves_full_rank(gram, n):
+    """Whether the Gram A'A of an (n, p) matrix A proves that the pivoted QR finds A full rank.
 
     For A P = Q R, |r_kk| >= sigma_min(A) for every k and |r_00| <= sigma_max(A),
     so the QR's test min |r_kk| > max(n, p) eps |r_00| passes whenever
     sigma_min / sigma_max exceeds max(n, p) eps plus the QR's relative
-    backward error, O(n p^1.5 eps). Forming A'A and eigvalsh move its
+    backward error, O(n p^1.5 eps). Forming A'A, its n-term sums in any
+    order (the cell blocks sum within cells first), and eigvalsh move its
     eigenvalues, the squared singular values, by about n p eps lambda_max at
     most, so lambda_min >= 100 n p eps lambda_max puts sigma_min / sigma_max
     near 10 (n p eps)^(1/2) or above, far past both terms. Closer calls, and
     Grams near underflow or overflow, are left to the QR.
     """
-    n, p = weighted.shape
-    gram = weighted.T @ weighted
+    p = gram.shape[0]
     if p == 0 or not np.all(np.isfinite(gram)):
         return False
     eigenvalues = np.linalg.eigvalsh(gram)
@@ -575,11 +566,11 @@ _FAMILIES = {f.name: f for f in (_GAUSSIAN, _POISSON, _LOGIT, _MULTINOMIAL)}
 
 def _inputs(family, X, y, weights):
     """Row blocks, names, outcome and weights after the shared and the family's checks."""
-    values, names, cells, n_cell = _as_design(X)
-    y, w = _check_inputs(values, names, y, weights)
+    blocks, names = _as_design(X)
+    y, w = _check_inputs(blocks, names, y, weights)
     if not family.in_domain(y):
         raise ValueError(f"{family.name} requires {family.domain}")
-    return _row_blocks(values, cells, n_cell), names, y, w
+    return blocks, names, y, w
 
 
 def _class_matrix(labels, n_classes):
@@ -597,24 +588,27 @@ def _score(family, blocks, y, w, beta, cap):
     cell, rows, index = blocks
     p1 = cell.shape[1]
     coef = beta.reshape(len(beta), y.shape[2], p1 + rows.shape[1]).transpose(0, 2, 1)
-    # one product per fit, so a fit's bits do not depend on its batch
-    parts = []
-    if p1:
-        on_cells = cell @ coef[:, :p1]
-        parts.append(on_cells if index is None else on_cells[:, index])
-    if rows.shape[1]:
-        parts.append(rows @ coef[:, p1:])
-    eta = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-    capped = eta if family.guard is None else np.clip(eta, -cap, cap)
-    cumulant, mean = family.moments(capped)
-    value = np.sum(w * (np.sum(y * capped, axis=2) - cumulant), axis=1)
-    resid = (w[:, :, None] * (y - mean)).transpose(0, 2, 1)
-    parts = []
-    if p1:
-        parts.append((resid if index is None else _sum_cells(index, len(cell), resid)) @ cell)
-    if rows.shape[1]:
-        parts.append(resid @ rows)
-    grad = np.concatenate(parts, axis=2).reshape(beta.shape)
+    # an overflow leaves inf or NaN, which the Newton's finiteness test and
+    # the fit guards decide on
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one product per fit, so a fit's bits do not depend on its batch
+        parts = []
+        if p1:
+            on_cells = cell @ coef[:, :p1]
+            parts.append(on_cells if index is None else on_cells[:, index])
+        if rows.shape[1]:
+            parts.append(rows @ coef[:, p1:])
+        eta = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+        capped = eta if family.guard is None else np.clip(eta, -cap, cap)
+        cumulant, mean = family.moments(capped)
+        value = np.sum(w * (np.sum(y * capped, axis=2) - cumulant), axis=1)
+        resid = (w[:, :, None] * (y - mean)).transpose(0, 2, 1)
+        parts = []
+        if p1:
+            parts.append((resid if index is None else _sum_cells(index, len(cell), resid)) @ cell)
+        if rows.shape[1]:
+            parts.append(resid @ rows)
+        grad = np.concatenate(parts, axis=2).reshape(beta.shape)
     return value, grad, eta, mean
 
 
@@ -875,7 +869,8 @@ def fit_cell_sums(family, X, counts, sums):
     if family not in ("ols", "poisson_qmle", "logit_qmle"):
         raise ValueError(f"fit_cell_sums fits ols, poisson_qmle or logit_qmle, not {family!r}")
     record = _FAMILIES[family]
-    values, names, *_ = _as_design(X)
+    blocks, names = _as_design(X)
+    values = _unit_rows(blocks)
     counts, sums = np.asarray(counts, float), np.asarray(sums, float)
     if counts.ndim != 2 or counts.shape != sums.shape or counts.shape[1] != values.shape[0]:
         raise ValueError("counts and sums must be (B, k) for a design of k cells")
@@ -894,8 +889,9 @@ def fit_cell_sums(family, X, counts, sums):
     patterns, which = np.unique(counts > 0, axis=0, return_inverse=True)
     for j, keep in enumerate(patterns):
         rows = np.flatnonzero(which.reshape(-1) == j)
+        cells = _Blocks(values[keep], np.empty((int(keep.sum()), 0)), None)
         try:
-            _check_full_rank(values[keep], np.ones(int(keep.sum())), names)
+            _check_full_rank(cells, np.ones(len(cells.cell)), names)
         except SingularDesignError:
             continue  # these rows keep their SingularDesignError
         y, w = means[rows][:, keep], counts[rows][:, keep]
@@ -904,7 +900,6 @@ def fit_cell_sums(family, X, counts, sums):
             for r in rows[zero]:
                 failures[r] = "OverflowGuardError"
             rows, y, w = rows[~zero], y[~zero], w[~zero]
-        cells = _Blocks(values[keep], np.empty((int(keep.sum()), 0)), None)
         beta, kinds, *_ = _fit(record, cells, w, y[:, :, None], FitOptions())
         fitted = np.array([kind is None for kind in kinds], bool)
         coefficients[rows[fitted]] = beta[fitted]

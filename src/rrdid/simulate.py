@@ -469,8 +469,9 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
     ok = [est for est in estimates if est is not None]
     failed = reps - len(ok)
     if failed > 0.05 * reps:
+        kinds = ", ".join(f"{kind} {count}" for kind, count in failures.items() if count)
         raise MonteCarloAbort(
-            f"{failed} of {reps} replications failed to converge; "
+            f"{failed} of {reps} replications failed ({kinds}); "
             "the summary would be misleading"
         )
 

@@ -8,16 +8,16 @@ def fit_objective(family, X, y, w, cap):
     """(value, grad, hess) at a 1-d beta of one fit's maximand.
 
     family names an estimators._FAMILIES record ("poisson_qmle",
-    "logit_qmle", "multinomial_logit", "ols"); y is (n,), or (n, C) class
-    indicators for the multinomial. The fits' batched objective sees a
+    "logit_qmle", "multinomial_logit", "ols"); X is a plain array or a
+    DesignMatrix, split into blocks as the fits split it; y is (n,), or
+    (n, C) class indicators for the multinomial. The fits' batched objective sees a
     batch of one.
     """
-    from rrdid.estimators import _FAMILIES, _objective, _row_blocks
+    from rrdid.estimators import _FAMILIES, _as_design, _objective
 
-    values = np.asarray(X, float)
-    y = np.asarray(y, float).reshape(values.shape[0], -1)
-    batch = _objective(_FAMILIES[family], _row_blocks(values, None, 0), y[None],
-                       np.asarray(w, float)[None], cap)
+    blocks, _ = _as_design(X)
+    y = np.asarray(y, float).reshape(blocks.rows.shape[0], -1)
+    batch = _objective(_FAMILIES[family], blocks, y[None], np.asarray(w, float)[None], cap)
 
     def objective(beta):
         value, grad, hess = batch(np.asarray(beta, float)[None])

@@ -43,6 +43,24 @@ def test_base_period_controls_omitted_dummy():
     assert "period_1" not in m.column_names
 
 
+def test_design_values_reproduce_the_dense_layout():
+    # the dense design the columns' formulas give row by row
+    rng = np.random.default_rng(5)
+    q, t = rng.integers(0, 2, 40), rng.integers(0, 4, 40)
+    x, z = rng.normal(size=40), rng.normal(size=40)
+    data = RcsDataset(y=np.ones(40), q=q, t=t, covariates={"x": x, "z": z}, n_periods=4)
+    design = build_design(data, DesignSpec(post_period=2, base_period=1, include_group_trend=True,
+                                           heterogeneous_covariates=("z",)))
+    treat = q * (t >= 2)
+    dense = np.column_stack([np.ones(40), t == 0, t == 2, t == 3, q, t * q, treat, x, z,
+                             treat * z])
+    np.testing.assert_array_equal(design.values, dense)
+    assert design.values.flags.writeable is False
+    for j, name in enumerate(design.column_names):
+        np.testing.assert_array_equal(design.column(name), dense[:, j])
+        assert design.column(name).flags.writeable is False
+
+
 def test_period_dummies_can_be_dropped():
     data = toy_dataset()
     m = build_design(data, DesignSpec(post_period=2, include_period_dummies=False))

@@ -6,6 +6,8 @@ the sandwich with explicit Python loops. Neither path shares code with the
 estimators module beyond the fitted numbers themselves.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -31,10 +33,14 @@ from rrdid import (
     standard_error,
 )
 from rrdid.estimators import (
+    _as_design,
     _check_full_rank,
     _check_full_rank_qr,
     _cluster_codes,
+    _cross,
     _gram_proves_full_rank,
+    _inputs,
+    _POISSON,
 )
 from rrdid.errors import (
     NegativeVarianceError,
@@ -610,7 +616,7 @@ def test_logit_is_the_one_class_multinomial(covariate, weighted, clustered):
     clusters = rng.integers(0, 20, n) if clustered else None
     data = RcsDataset(y=y, q=q, t=t, covariates={"x": x} if covariate else {})
     m = build_design(data, DesignSpec(post_period=2))
-    assert (m.cell_columns < m.n_columns) == covariate
+    assert (m.row_values.shape[1] > 0) == covariate
     logit = fit_logit_qmle(m, y, w, clusters)
     multinomial = fit_multinomial_logit(m, y, w, clusters)
     np.testing.assert_array_equal(logit.coefficients, multinomial.coefficients)
@@ -818,24 +824,76 @@ def test_rank_check_matches_pivoted_qr(design):
     X, w = design
     names = [f"x{j}" for j in range(X.shape[1])]
     weighted = X * np.sqrt(w)[:, None]
-    assert (_rank_decision(_check_full_rank, X, w, names)
+    assert (_rank_decision(_check_full_rank, _as_design(X)[0], w, names)
             == _rank_decision(_check_full_rank_qr, weighted, names))
+
+
+def _rank_case(kind, n_periods, n, seed):
+    """Random rows over the (group, period) cells and a covariate x that is
+    fresh, collinear with cell columns (t*q; the constant 3; t) or nearly so."""
+    rng = np.random.default_rng(seed)
+    q, t = rng.integers(0, 2, n), rng.integers(0, n_periods, n)
+    x = {"fresh": rng.normal(size=n), "tq": t * q, "three": np.full(n, 3.0), "t": t,
+         "near": t + 1e-9 * rng.normal(size=n)}.get(kind)
+    return RcsDataset(y=np.ones(n), q=q, t=t, covariates={} if x is None else {"x": x},
+                      n_periods=n_periods)
+
+
+@st.composite
+def rank_check_designs(draw):
+    """(design, weights): a build_design design with or without trend, period
+    dummies and treat:x, some cells possibly empty, and random weights."""
+    n_periods = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["none", "fresh", "tq", "three", "t", "near"]))
+    data = _rank_case(kind, n_periods, draw(st.integers(4, 60)), draw(st.integers(0, 2**32 - 1)))
+    hetero = ("x",) if kind != "none" and draw(st.booleans()) else ()
+    spec = DesignSpec(post_period=draw(st.integers(1, n_periods - 1)),
+                      include_period_dummies=draw(st.booleans()),
+                      include_group_trend=draw(st.booleans()), heterogeneous_covariates=hetero)
+    weights = np.random.default_rng(data.n).uniform(0.1, 10.0, data.n)
+    return build_design(data, spec), weights if draw(st.booleans()) else np.ones(data.n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_check_designs())
+def test_block_rank_check_decides_as_the_dense_qr(case):
+    # the check reads the design's cell and row blocks; the reference is the
+    # pivoted QR of the dense weighted rows
+    design, w = case
+    names = list(design.column_names)
+    assert (_rank_decision(_check_full_rank, _as_design(design)[0], w, names)
+            == _rank_decision(_check_full_rank_qr, design.values * np.sqrt(w)[:, None], names))
+
+
+@pytest.mark.parametrize("kind, trend, named", [("tq", True, ("x",)), ("three", False, ("const",)),
+                                                ("near", False, None)])
+def test_block_rank_check_names_the_qr_columns(kind, trend, named):
+    design = build_design(_rank_case(kind, 3, 200, 0),
+                          DesignSpec(post_period=2, include_group_trend=trend))
+    blocks, names = _as_design(design)
+    w = np.random.default_rng(8).uniform(0.1, 10.0, 200)
+    # x = t*q equals group_trend, and rounding picks which of the two the QR
+    # names; in these rows it names x
+    assert (_rank_decision(_check_full_rank, blocks, w, names) == named
+            == _rank_decision(_check_full_rank_qr, design.values * np.sqrt(w)[:, None], names))
+    # every one is a close call, which only the QR of the dense rows decides
+    assert not _gram_proves_full_rank(_cross(blocks, w[None, None, None])[0], 200)
 
 
 def test_rank_check_sends_badly_scaled_designs_to_the_qr():
     rng = np.random.default_rng(41)
     x = rng.standard_normal(100)
     well = np.column_stack([np.ones(100), x, x**2])
-    assert _gram_proves_full_rank(well)
+    assert _gram_proves_full_rank(well.T @ well, 100)
     # full rank, but too badly scaled for the Gram test to prove it
     scaled = np.column_stack([np.ones(100), 1e-7 * x])
-    assert not _gram_proves_full_rank(scaled)
-    _check_full_rank(scaled, np.ones(100), ["const", "x"])
+    assert not _gram_proves_full_rank(scaled.T @ scaled, 100)
+    _check_full_rank(_as_design(scaled)[0], np.ones(100), ["const", "x"])
     # a singular design is never proven full rank and keeps the QR's names
     singular = np.column_stack([np.ones(100), x, 3.0 * x])
-    assert not _gram_proves_full_rank(singular)
+    assert not _gram_proves_full_rank(singular.T @ singular, 100)
     with pytest.raises(SingularDesignError) as info:
-        _check_full_rank(singular, np.ones(100), ["const", "x", "x3"])
+        _check_full_rank(_as_design(singular)[0], np.ones(100), ["const", "x", "x3"])
     assert info.value.columns == _rank_decision(_check_full_rank_qr, singular,
                                                 ["const", "x", "x3"])
 
@@ -964,33 +1022,51 @@ def test_covariate_designs_carry_cells_and_cell_columns():
                       t=[0, 1, 0, 1, 1, 0], covariates={"x": [0.5, 1.0, 0.2, 0.7, 0.1, 0.9]})
     design = build_design(data, DesignSpec(post_period=1, heterogeneous_covariates=("x",)))
     assert design.cells.tolist() == [0, 1, 2, 3, 1, 2]
-    # const, period_1, group and treat are cell columns; x and treat:x are row columns
-    assert design.cell_columns == 4
-    assert design.column_names[design.cell_columns:] == ("x", "treat:x")
+    # const, period_1, group and treat are cell columns, held once per cell;
+    # x and treat:x are row columns
+    assert design.cell_values.tolist() == [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]]
+    assert design.column_names[design.cell_values.shape[1]:] == ("x", "treat:x")
+    assert design.row_values.shape == (6, 2)
     plain = RcsDataset(y=data.y, q=data.q, t=data.t)
     plain_design = build_design(plain, DesignSpec(post_period=1))
     assert plain_design.cells.tolist() == [0, 1, 2, 3, 1, 2]
-    assert plain_design.cell_columns == plain_design.n_columns
+    assert plain_design.cell_values.shape[1] == plain_design.n_columns
+    assert plain_design.row_values.shape == (6, 0)
 
 
-def test_design_cells_must_hold_constant_rows():
-    values = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
-    DesignMatrix(values, ("const", "x"), 1, None, cells=[0, 1, 0])
-    with pytest.raises(ValueError, match="constant within cells"):
-        DesignMatrix(values, ("const", "x"), 1, None, cells=[0, 0, 1])
-    # only the leading cell columns must be constant; x is a row column here
-    assert DesignMatrix(values, ("const", "x"), 1, None, cells=[0, 0, 1],
-                        cell_columns=1).cell_columns == 1
-    for bad in (-1, 3):
-        with pytest.raises(ValueError, match="cell_columns"):
-            DesignMatrix(values, ("const", "x"), 1, None, cells=[0, 0, 1], cell_columns=bad)
-    with pytest.raises(ValueError, match="cell_columns needs cells"):
-        DesignMatrix(values, ("const", "x"), 1, None, cell_columns=1)
-    # the rows are compared in blocks; a row past the first block counts too
-    many = np.ones(((1 << 16) + 10, 2))
-    many[-1, 1] = 2.0
-    with pytest.raises(ValueError, match="constant within cells"):
-        DesignMatrix(many, ("const", "x"), 1, None, cells=np.zeros(len(many), int))
+def test_design_matrix_validates_its_blocks():
+    cell_values, row_values = np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([[0.5], [2.0], [3.0]])
+    names = ("const", "group", "x")
+    design = DesignMatrix(cell_values, row_values, [1, 0, 1], names, 1, None)
+    np.testing.assert_array_equal(design.values, [[1, 1, 0.5], [1, 0, 2], [1, 1, 3]])
+    for cells in ([0, 2, 1], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="cells"):
+            DesignMatrix(cell_values, row_values, cells, names, 1, None)
+    with pytest.raises(ValueError, match="one entry per design row"):
+        DesignMatrix(cell_values, row_values, [0, 1], names, 1, None)
+    for bad in (names[:2], names + ("z",)):
+        with pytest.raises(ValueError, match="column_names"):
+            DesignMatrix(cell_values, row_values, [0, 1, 1], bad, 1, None)
+
+
+def test_design_and_input_checks_build_no_dense_design():
+    # the design holds p1 columns per cell and p2 per row, and the input and
+    # rank checks read those blocks, so together they stay below one dense
+    # n x p float matrix
+    rng = np.random.default_rng(3)
+    n = 200_000
+    data = RcsDataset(y=rng.poisson(2.0, n).astype(float), q=rng.integers(0, 2, n),
+                      t=rng.integers(0, 4, n), covariates={"x": rng.normal(size=n)},
+                      weights=rng.uniform(0.5, 2.0, n))
+    tracemalloc.start()
+    try:
+        design = build_design(data, DesignSpec(post_period=2, include_group_trend=True))
+        _inputs(_POISSON, design, data.y, data.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert design.n_columns == 8
+    assert peak < n * design.n_columns * 8
 
 
 # --- covariate designs: cell columns through cell sums against the dense rows --
@@ -1092,7 +1168,7 @@ def test_covariate_design_fit_matches_dense_fit(case):
     # row: the reference for the cell-sum blocks of a covariate design
     family, data, spec = case
     design = build_design(data, spec)
-    assert design.cell_columns < design.n_columns
+    assert design.row_values.shape[1] > 0
     blocks = _fit_or_error(_FITTERS[family], design, data)
     dense = _fit_or_error(_FITTERS[family], design.values, data)
     assert type(blocks) is type(dense)

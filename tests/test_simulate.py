@@ -375,7 +375,17 @@ def test_run_monte_carlo_redraws_on_undefined_transform():
 def test_run_monte_carlo_aborts_on_frequent_failures():
     sc = scenario(family="binary", n=16, repetitions=40, seed=3,
                   beta_qtau=0.5, beta_d=0.5)
-    with pytest.raises(MonteCarloAbort, match="failed to converge"):
+    with pytest.raises(MonteCarloAbort, match=r"^24 of 40 replications failed "
+                                              r"\(SeparationError 4, SingularDesignError 20\);"):
+        run_monte_carlo(sc)
+
+
+def test_run_monte_carlo_decides_overflowing_fits_without_warnings():
+    # outcomes near e^700: the linear fit's maximand overflows, and the fit
+    # guards, not a numpy RuntimeWarning, decide every replication
+    sc = scenario(family="censored", n=50, repetitions=5, seed=1, betas_t=(700.0,) * 4)
+    with pytest.raises(MonteCarloAbort, match=r"^5 of 5 replications failed "
+                                              r"\(OverflowGuardError 5\);"):
         run_monte_carlo(sc)
 
 
