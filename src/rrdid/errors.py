@@ -2,7 +2,11 @@
 
 
 class SingularDesignError(ValueError):
-    """Design matrix is rank deficient; names the offending columns."""
+    """Design matrix is rank deficient; names the offending columns.
+
+    The named columns are those, in design order, that lie in the span of
+    the columns before them, so dropping them leaves a full-rank design.
+    """
 
     def __init__(self, columns):
         self.columns = tuple(columns)
@@ -27,7 +31,8 @@ class NegativeVarianceError(RuntimeError):
 
 
 class NonFiniteObjectiveError(RuntimeError):
-    """Objective evaluated to a non-finite value at the starting point."""
+    """The objective at the starting point, or the log-likelihood or covariance
+    at the estimate, is not finite."""
 
 
 class EmptyCellError(ValueError):

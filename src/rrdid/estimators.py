@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .design import DesignMatrix
 from .errors import (
@@ -342,25 +341,30 @@ def _check_inputs(blocks, names, y, weights):
 
 
 def _check_full_rank(blocks, weights, names):
-    """Raise SingularDesignError as the pivoted QR of the weighted unit rows
+    """Raise SingularDesignError as the rank test of the weighted unit rows
     does, forming those rows only when the Gram does not prove full rank."""
     gram = _cross(blocks, weights[None, None, None])[0]
     if not _gram_proves_full_rank(gram, weights.size):
-        _check_full_rank_qr(_unit_rows(blocks) * np.sqrt(weights)[:, None], names)
+        # an overflow leaves inf, which the QR check refuses
+        with np.errstate(over="ignore"):
+            weighted = _unit_rows(blocks) * np.sqrt(weights)[:, None]
+        _check_full_rank_qr(weighted, names)
 
 
 def _gram_proves_full_rank(gram, n):
-    """Whether the Gram A'A of an (n, p) matrix A proves that the pivoted QR finds A full rank.
+    """Whether the Gram A'A of an (n, p) matrix A proves that _check_full_rank_qr
+    finds A full rank.
 
-    For A P = Q R, |r_kk| >= sigma_min(A) for every k and |r_00| <= sigma_max(A),
-    so the QR's test min |r_kk| > max(n, p) eps |r_00| passes whenever
-    sigma_min / sigma_max exceeds max(n, p) eps plus the QR's relative
-    backward error, O(n p^1.5 eps). Forming A'A, its n-term sums in any
-    order (the cell blocks sum within cells first), and eigvalsh move its
-    eigenvalues, the squared singular values, by about n p eps lambda_max at
-    most, so lambda_min >= 100 n p eps lambda_max puts sigma_min / sigma_max
-    near 10 (n p eps)^(1/2) or above, far past both terms. Closer calls, and
-    Grams near underflow or overflow, are left to the QR.
+    That test finds no column redundant when every leading block of columns
+    A_k has sigma_min(A_k) > max(n, p) eps sigma_max(A), and dropping columns
+    never lowers the smallest singular value, so sigma_min(A) above that
+    cutoff plus the QR's relative backward error, O(n p^1.5 eps), suffices.
+    Forming A'A, its n-term sums in any order (the cell blocks sum within
+    cells first), and eigvalsh move its eigenvalues, the squared singular
+    values, by about n p eps lambda_max at most, so lambda_min >= 100 n p eps
+    lambda_max puts sigma_min / sigma_max near 10 (n p eps)^(1/2) or above,
+    far past both terms. Closer calls, and Grams near underflow or overflow,
+    are left to the QR.
     """
     p = gram.shape[0]
     if p == 0 or not np.all(np.isfinite(gram)):
@@ -372,15 +376,22 @@ def _gram_proves_full_rank(gram, n):
 
 
 def _check_full_rank_qr(weighted, names):
-    # pivoted QR on the weighted design identifies which columns collide
-    r, piv = scipy.linalg.qr(weighted, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r[: weighted.shape[1], :]))
-    if diag.size == 0 or diag[0] == 0:
-        raise SingularDesignError(names)
-    cutoff = diag[0] * max(weighted.shape) * np.finfo(float).eps
-    rank = int(np.sum(diag > cutoff))
-    if rank < weighted.shape[1]:
-        raise SingularDesignError([names[j] for j in sorted(piv[rank:])])
+    """Raise SingularDesignError naming, in design order, each column that adds
+    no rank to the columns before it.
+
+    Ranks are counted as np.linalg.matrix_rank counts them, singular values
+    above max(n, p) eps sigma_max of the whole matrix. The leading k columns
+    of R in weighted = Q R are the R factor of the leading k columns of
+    weighted, so one QR gives the rank of every leading block.
+    """
+    if not np.all(np.isfinite(weighted)):
+        raise ValueError("the weighted design overflows; rescale its columns or the weights")
+    r = np.linalg.qr(weighted, mode="r")
+    cutoff = max(weighted.shape) * np.finfo(float).eps * np.linalg.norm(r, 2)
+    ranks = [0] + [np.linalg.matrix_rank(r[:, :k], tol=cutoff) for k in range(1, r.shape[1] + 1)]
+    redundant = [names[j] for j in range(r.shape[1]) if ranks[j + 1] <= ranks[j]]
+    if redundant:
+        raise SingularDesignError(redundant)
 
 
 def _cluster_codes(clusters):
@@ -436,7 +447,7 @@ def _sandwich(bread, blocks, resid, clusters=None, small_sample_correction=False
     only the row x row blocks multiply row scores. Clustered, each cluster's
     score adds, for the cell columns, each of its (cluster, cell) pairs'
     residual sum times the cell's row, and for the row columns, its rows'
-    scores.
+    scores. Raises NonFiniteObjectiveError when B overflows.
     """
     n, n_classes = resid.shape
     cell, rows, index = blocks
@@ -444,32 +455,38 @@ def _sandwich(bread, blocks, resid, clusters=None, small_sample_correction=False
     r = resid.T
     if clusters is not None and np.shape(clusters)[0] != n:
         raise ValueError("clusters must match the number of observations")
-    row_scores = _score_rows(rows, resid)
-    if clusters is None:
-        p = p1 + p2
-        meat = _cross(blocks, (r[:, None, :] * r[None, :, :])[None])[0].reshape(
-            n_classes, p, n_classes, p)
-        # the row x row blocks are S'S for the row scores S, so a plain
-        # array's meat is the product of its score rows
-        meat[:, p1:, :, p1:] = (row_scores.T @ row_scores).reshape(n_classes, p2, n_classes, p2)
-        meat = meat.reshape(n_classes * p, n_classes * p)
-        groups = n
-    else:
-        codes, groups = _cluster_codes(clusters)
-        row_scores = row_scores.reshape(n, n_classes, p2)
-        if p1:
-            pairs, pair = np.unique(codes * k + index, return_inverse=True)
-            pair_resid = _sum_cells(pair.reshape(-1), pairs.size, r).T
-            cell_scores = pair_resid[:, :, None] * cell[pairs % k][:, None, :]
-        columns = []
-        for c in range(n_classes):
+    # an overflow leaves inf or NaN, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_scores = _score_rows(rows, resid)
+        if clusters is None:
+            p = p1 + p2
+            meat = _cross(blocks, (r[:, None, :] * r[None, :, :])[None])[0].reshape(
+                n_classes, p, n_classes, p)
+            # the row x row blocks are S'S for the row scores S, so a plain
+            # array's meat is the product of its score rows
+            meat[:, p1:, :, p1:] = (row_scores.T @ row_scores).reshape(
+                n_classes, p2, n_classes, p2)
+            meat = meat.reshape(n_classes * p, n_classes * p)
+            groups = n
+        else:
+            codes, groups = _cluster_codes(clusters)
+            row_scores = row_scores.reshape(n, n_classes, p2)
             if p1:
-                columns += [np.bincount(pairs // k, weights=cell_scores[:, c, j], minlength=groups)
-                            for j in range(p1)]
-            columns += [np.bincount(codes, weights=row_scores[:, c, j], minlength=groups)
-                        for j in range(p2)]
-        grouped = np.column_stack(columns)
-        meat = grouped.T @ grouped
+                pairs, pair = np.unique(codes * k + index, return_inverse=True)
+                pair_resid = _sum_cells(pair.reshape(-1), pairs.size, r).T
+                cell_scores = pair_resid[:, :, None] * cell[pairs % k][:, None, :]
+            columns = []
+            for c in range(n_classes):
+                if p1:
+                    columns += [np.bincount(pairs // k, weights=cell_scores[:, c, j],
+                                            minlength=groups) for j in range(p1)]
+                columns += [np.bincount(codes, weights=row_scores[:, c, j], minlength=groups)
+                            for j in range(p2)]
+            grouped = np.column_stack(columns)
+            meat = grouped.T @ grouped
+    if not np.all(np.isfinite(meat)):
+        raise NonFiniteObjectiveError("the scores' outer product overflows; "
+                                      "the covariance is not finite")
     try:
         half = np.linalg.solve(bread, meat)
         vcov = np.linalg.solve(bread, half.T).T
@@ -624,7 +641,8 @@ def _cross(blocks, weight):
 
     The cell x cell blocks weight each cell's row by its summed weights and
     the cell x row blocks by its sums of weight times a row column; only the
-    row x row blocks are products over the units.
+    row x row blocks are products over the units. Overflow leaves inf or NaN
+    entries, which the callers decide on.
     """
     cell, rows, index = blocks
     n_fits, n_classes = weight.shape[:2]
@@ -632,19 +650,20 @@ def _cross(blocks, weight):
     if p1:
         on_cells = weight if index is None else _sum_cells(index, len(cell), weight)
     out = np.zeros((n_fits, n_classes, p1 + p2, n_classes, p1 + p2))
-    for c in range(n_classes):
-        for d in range(c, n_classes):
-            block = out[:, c, :, d, :]
-            if p1:
-                block[:, :p1, :p1] = (cell.T * on_cells[:, c, d, None, :]) @ cell
-            if p2:
-                mixed = weight[:, c, d, None, :] * rows.T
-                block[:, p1:, p1:] = mixed @ rows
-            if p1 and p2:
-                mixed_cells = mixed if index is None else _sum_cells(index, len(cell), mixed)
-                block[:, p1:, :p1] = mixed_cells @ cell
-                block[:, :p1, p1:] = block[:, p1:, :p1].transpose(0, 2, 1)
-            out[:, d, :, c, :] = block
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(n_classes):
+            for d in range(c, n_classes):
+                block = out[:, c, :, d, :]
+                if p1:
+                    block[:, :p1, :p1] = (cell.T * on_cells[:, c, d, None, :]) @ cell
+                if p2:
+                    mixed = weight[:, c, d, None, :] * rows.T
+                    block[:, p1:, p1:] = mixed @ rows
+                if p1 and p2:
+                    mixed_cells = mixed if index is None else _sum_cells(index, len(cell), mixed)
+                    block[:, p1:, :p1] = mixed_cells @ cell
+                    block[:, :p1, p1:] = block[:, p1:, :p1].transpose(0, 2, 1)
+                out[:, d, :, c, :] = block
     return out.reshape(n_fits, n_classes * (p1 + p2), n_classes * (p1 + p2))
 
 
@@ -757,16 +776,25 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
     error = y - fitted
     resid = w[:, None] * error
     hess, converged = diag.hessian[0], bool(diag.converged[0])
-    # the OLS loglik is the Gaussian one, -1/2 sum w e^2
-    loglik = (-0.5 * float(np.sum(w[:, None] * error**2)) if family is _GAUSSIAN
-              else float(diag.value[0]))
+    if family is _GAUSSIAN:
+        # the OLS loglik is the Gaussian one, -1/2 sum w e^2; an overflow
+        # leaves inf, which raises below
+        with np.errstate(over="ignore"):
+            loglik = -0.5 * float(np.sum(w[:, None] * error**2))
+    else:
+        loglik = float(diag.value[0])
+    if not math.isfinite(loglik):
+        raise NonFiniteObjectiveError("log-likelihood is not finite at the estimate")
     vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
     if not robust:
         total, p = float(w.sum()), beta.shape[1]
         if total <= p:
             raise ValueError("classical variance needs total weight > p")
-        sigma2 = float(np.sum(w[:, None] * error**2)) / (total - p)
-        vcov = sigma2 * np.linalg.inv(-hess)
+        sigma2 = -2.0 * loglik / (total - p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vcov = sigma2 * np.linalg.inv(-hess)
+        if not np.all(np.isfinite(vcov)):
+            raise NonFiniteObjectiveError("the classical covariance is not finite")
         vcov = (vcov + vcov.T) / 2.0
         vcov_kind = "classical_ols"
     elif converged:
@@ -871,6 +899,8 @@ def fit_cell_sums(family, X, counts, sums):
     record = _FAMILIES[family]
     blocks, names = _as_design(X)
     values = _unit_rows(blocks)
+    if values.size == 0:
+        raise ValueError("design matrix must have at least one row and column")
     counts, sums = np.asarray(counts, float), np.asarray(sums, float)
     if counts.ndim != 2 or counts.shape != sums.shape or counts.shape[1] != values.shape[0]:
         raise ValueError("counts and sums must be (B, k) for a design of k cells")

@@ -161,6 +161,22 @@ def test_estimate_linear_classical_variance(capsys, linear_csv):
     assert payload["results"]["fit"]["vcov_kind"] == "classical_ols"
 
 
+def test_estimate_huge_linear_outcome_is_a_data_error(capsys, tmp_path):
+    # y up to 1e200 overflows the residual moments: the command fails with a
+    # typed error instead of reporting null standard errors
+    rng = np.random.default_rng(3)
+    y = rng.uniform(0, 1, 40) * 10.0 ** rng.integers(190, 201, 40)
+    path = write_csv(tmp_path / "huge.csv", ["y", "g", "t"],
+                     zip(y, np.arange(40) % 2, 2000 + np.arange(40) // 2 % 4))
+    code, _, payload = run_json(capsys, [
+        "estimate", "--family", "linear", "--csv", path, "--outcome", "y", "--group", "g",
+        "--period", "t", "--post", "2002",
+    ])
+    assert code == 1
+    assert payload["results"] is None
+    assert payload["errors"][0]["kind"] == "NonFiniteObjectiveError"
+
+
 def test_estimate_classical_variance_refuses_clusters(capsys, tmp_path):
     # the classical variance has no clustered form; it must not drop --cluster silently
     rows = [[1, 0, 0, "a"], [2, 0, 1, "a"], [3, 1, 0, "b"], [4, 1, 1, "b"],
@@ -672,3 +688,14 @@ def test_back_to_back_runs_match_fresh_processes(capsys, tmp_path, logit_csv):
     # nothing the config file set leaks into the plain run after it
     assert "group trend test" not in in_process[2][1]
     assert "period_1" in in_process[2][1]
+
+
+def test_package_imports_without_scipy():
+    # the package runs on numpy alone: a fresh interpreter that imports it and
+    # its command line loads no scipy module
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, rrdid, rrdid.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -686,9 +687,8 @@ def test_singular_design_names_columns():
     X = np.column_stack([np.ones(10), x, 2 * x])
     with pytest.raises(SingularDesignError) as info:
         fit_ols(X, rng.normal(size=10))
-    # exactly one of the collinear pair is redundant; the intercept is not
-    assert set(info.value.columns) <= {"x1", "x2"}
-    assert len(info.value.columns) == 1
+    # x2 = 2 x1 lies in the span of the columns before it; x1 does not
+    assert info.value.columns == ("x2",)
 
 
 def test_nonconverged_fit_reports_nan_vcov():
@@ -697,6 +697,28 @@ def test_nonconverged_fit_reports_nan_vcov():
                                                        max_iterations=1))
     assert not fit.converged
     assert np.isnan(fit.vcov).all()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("outcome", "log-likelihood"), ("weights", "outer product"), ("clusters", "outer product"),
+    ("robust_vcov", "outer product"), ("classical", "classical covariance")])
+def test_overflowing_moments_raise_without_warnings(case, message):
+    # finite inputs whose residual moments overflow: y up to 1e200 overflows
+    # sum w e^2, weights of 1e20 on e near 1e140 only the sandwich's
+    # sum (w e)^2 x x', and a design scaled by 1e-10 the classical variance;
+    # any numpy warning fails the test
+    rng = np.random.default_rng(1)
+    X = np.column_stack([np.ones(40), rng.integers(0, 2, 40)])
+    y, w = rng.normal(size=40) * 1e140, np.full(40, 1e20)
+    with pytest.raises(NonFiniteObjectiveError, match=message):
+        if case == "outcome":
+            fit_ols(X, rng.uniform(0, 1, 40) * 10.0 ** rng.integers(190, 201, 40))
+        elif case == "robust_vcov":
+            robust_vcov("ols", X, y, w, np.zeros(2))
+        elif case == "classical":
+            fit_ols(X * 1e-10, y * 1e10, robust=False)
+        else:
+            fit_ols(X, y, w, clusters=np.arange(40) % 5 if case == "clusters" else None)
 
 
 def test_saturated_ols_standard_errors_clip_round_off():
@@ -776,7 +798,7 @@ def test_weight_scale_invariance(scale):
     np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-9)
 
 
-# --- rank check: Gram eigenvalues first, pivoted QR for the close calls -------------------
+# --- rank check: Gram eigenvalues first, then the QR for the close calls -------------------
 
 
 @st.composite
@@ -818,14 +840,34 @@ def _rank_decision(check, *args):
     return None
 
 
+def _prefix_rank_names(weighted, names):
+    """The columns, in order, that leave np.linalg.matrix_rank of the dense
+    leading columns unchanged, at the tolerance of the whole matrix (None:
+    no such column)."""
+    tol = max(weighted.shape) * np.finfo(float).eps * np.linalg.norm(weighted, 2)
+    ranks = [0] + [np.linalg.matrix_rank(weighted[:, :k], tol=tol)
+                   for k in range(1, weighted.shape[1] + 1)]
+    return tuple(name for j, name in enumerate(names) if ranks[j + 1] <= ranks[j]) or None
+
+
+def _pivoted_qr_deficiency(weighted):
+    """How many columns the pivoted QR finds redundant, at its cutoff
+    max(n, p) eps |r_00|."""
+    r = scipy.linalg.qr(weighted, mode="r", pivoting=True)[0]
+    diag = np.abs(np.diag(r))
+    cutoff = max(weighted.shape) * np.finfo(float).eps * diag[0]
+    return weighted.shape[1] - int(np.sum(diag > cutoff))
+
+
 @settings(max_examples=300, deadline=None)
 @given(rank_designs())
-def test_rank_check_matches_pivoted_qr(design):
+def test_rank_check_counts_as_matrix_rank(design):
     X, w = design
     names = [f"x{j}" for j in range(X.shape[1])]
     weighted = X * np.sqrt(w)[:, None]
-    assert (_rank_decision(_check_full_rank, _as_design(X)[0], w, names)
-            == _rank_decision(_check_full_rank_qr, weighted, names))
+    named = _rank_decision(_check_full_rank, _as_design(X)[0], w, names)
+    assert len(named or ()) == X.shape[1] - np.linalg.matrix_rank(weighted)
+    assert named == _prefix_rank_names(weighted, names)
 
 
 def _rank_case(kind, n_periods, n, seed):
@@ -857,27 +899,42 @@ def rank_check_designs(draw):
 @settings(max_examples=300, deadline=None)
 @given(rank_check_designs())
 def test_block_rank_check_decides_as_the_dense_qr(case):
-    # the check reads the design's cell and row blocks; the reference is the
-    # pivoted QR of the dense weighted rows
+    # the check reads the design's cell and row blocks; the references are
+    # the pivoted QR of the dense weighted rows, for whether and how many
+    # columns are redundant, and the ranks of their leading columns, for which
     design, w = case
     names = list(design.column_names)
-    assert (_rank_decision(_check_full_rank, _as_design(design)[0], w, names)
-            == _rank_decision(_check_full_rank_qr, design.values * np.sqrt(w)[:, None], names))
+    weighted = design.values * np.sqrt(w)[:, None]
+    named = _rank_decision(_check_full_rank, _as_design(design)[0], w, names)
+    assert len(named or ()) == _pivoted_qr_deficiency(weighted)
+    assert named == _prefix_rank_names(weighted, names)
 
 
-@pytest.mark.parametrize("kind, trend, named", [("tq", True, ("x",)), ("three", False, ("const",)),
+@pytest.mark.parametrize("kind, trend, named", [("tq", True, ("x",)), ("three", False, ("x",)),
                                                 ("near", False, None)])
 def test_block_rank_check_names_the_qr_columns(kind, trend, named):
     design = build_design(_rank_case(kind, 3, 200, 0),
                           DesignSpec(post_period=2, include_group_trend=trend))
     blocks, names = _as_design(design)
     w = np.random.default_rng(8).uniform(0.1, 10.0, 200)
-    # x = t*q equals group_trend, and rounding picks which of the two the QR
-    # names; in these rows it names x
     assert (_rank_decision(_check_full_rank, blocks, w, names) == named
             == _rank_decision(_check_full_rank_qr, design.values * np.sqrt(w)[:, None], names))
     # every one is a close call, which only the QR of the dense rows decides
     assert not _gram_proves_full_rank(_cross(blocks, w[None, None, None])[0], 200)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind, trend", [("tq", True), ("three", False), ("t", False)])
+def test_rank_error_names_the_redundant_covariate(kind, trend, seed):
+    # x equals group_trend, 3 const, or a combination of const and the period
+    # dummies: the error blames x, the column after those it copies, for any
+    # rows and weights
+    data = _rank_case(kind, 3, 200, seed)
+    design = build_design(data, DesignSpec(post_period=2, include_group_trend=trend))
+    for w in (None, np.random.default_rng(seed).uniform(0.1, 10.0, 200)):
+        with pytest.raises(SingularDesignError) as info:
+            fit_ols(design, data.y, weights=w)
+        assert info.value.columns == ("x",)
 
 
 def test_rank_check_sends_badly_scaled_designs_to_the_qr():
@@ -889,13 +946,12 @@ def test_rank_check_sends_badly_scaled_designs_to_the_qr():
     scaled = np.column_stack([np.ones(100), 1e-7 * x])
     assert not _gram_proves_full_rank(scaled.T @ scaled, 100)
     _check_full_rank(_as_design(scaled)[0], np.ones(100), ["const", "x"])
-    # a singular design is never proven full rank and keeps the QR's names
+    # a singular design is never proven full rank, and the QR names its copy
     singular = np.column_stack([np.ones(100), x, 3.0 * x])
     assert not _gram_proves_full_rank(singular.T @ singular, 100)
     with pytest.raises(SingularDesignError) as info:
         _check_full_rank(_as_design(singular)[0], np.ones(100), ["const", "x", "x3"])
-    assert info.value.columns == _rank_decision(_check_full_rank_qr, singular,
-                                                ["const", "x", "x3"])
+    assert info.value.columns == ("x3",)
 
 
 # --- cell-sum fits of cell-constant designs against the row path --------------
