@@ -188,7 +188,7 @@ _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
 def _read_columns(path, bound, cluster):
-    """The columns _read_rows returns, read with np.loadtxt's C parser.
+    """The columns _read_rows returns, read in one np.loadtxt pass.
 
     Returns None for every file on which that might differ from _read_rows:
     anything but a plain path, bytes csv.reader treats specially, invalid
@@ -197,6 +197,21 @@ def _read_columns(path, bound, cluster):
     np.loadtxt rejects (it accepts no number float() rejects, and parses
     the same value: both call PyOS_string_to_double after stripping the
     same whitespace). _read_rows then reads the file and reports any error.
+
+    The field count is checked on the commas alone. The header line holds
+    n_commas of them by construction, so every data line holds exactly
+    n_commas when the file holds n_commas * (n_rows + 1) and each data
+    line's block of the sorted offsets, commas[n_commas:] reshaped to
+    (n_rows, n_commas), lies strictly between that line's two ends: the
+    blocks are disjoint and cover every comma, so a line with a comma too
+    many or too few pushes some block across a line end.
+
+    One structured np.loadtxt pass then reads every bound column: an f8
+    field per numeric column, in sorted name order, and a <U field as wide
+    as the widest cluster field in bytes (which bounds its width in
+    characters, so no label is truncated). The fields are named f0, f1, ...
+    since a header name may be empty or repeat. The file's bytes and the
+    offsets are dropped first, as np.loadtxt reads the file again.
     """
     if not isinstance(path, (str, os.PathLike)):
         return None
@@ -227,36 +242,46 @@ def _read_columns(path, bound, cluster):
     if max(ends[0], np.max(np.diff(ends)) - 1) >= csv.field_size_limit():
         return None
     commas = np.flatnonzero(buf == ord(","))
-    if np.any(np.diff(np.searchsorted(commas, ends)) != n_commas):
+    if commas.size != n_commas * (n_rows + 1):
+        return None
+    blocks = commas[n_commas:].reshape(n_rows, n_commas)
+    if n_commas and not (np.all(blocks[:, 0] > ends[:-1]) and np.all(blocks[:, -1] < ends[1:])):
         return None
 
     names = sorted(bound - {cluster})
-    options = dict(delimiter=",", comments=None, skiprows=1, ndmin=2, encoding="utf-8")
-    labels = None
+    usecols = [header.index(name) for name in names]
+    dtype = [(f"f{i}", "f8") for i in range(len(names))]
+    if cluster:
+        # field j of a data line lies between its j-th and (j+1)-th separator,
+        # counting the line ends
+        j = header.index(cluster)
+        left = ends[:-1] if j == 0 else blocks[:, j - 1]
+        right = ends[1:] if j == n_commas else blocks[:, j]
+        width = max(int(np.max(right - left)) - 1, 1)
+        usecols.append(j)
+        dtype.append((f"f{len(names)}", f"<U{width}"))
+        del left, right
+    del data, buf, ends, commas, blocks
     try:
-        values = np.loadtxt(path, usecols=[header.index(name) for name in names], **options)
-        if cluster:
-            # field j of a data line lies between its j-th and (j+1)-th separator,
-            # counting the line ends; its length in bytes bounds its length in
-            # characters, so a string column that wide truncates nothing
-            seps = np.column_stack([ends[:-1], commas[n_commas:].reshape(n_rows, n_commas),
-                                    ends[1:]])
-            j = header.index(cluster)
-            width = max(int(np.max(seps[:, j + 1] - seps[:, j])) - 1, 1)
-            labels = np.loadtxt(path, dtype=f"<U{width}", usecols=[j], **options)[:, 0]
+        # max_rows makes np.loadtxt allocate its result once instead of growing
+        # it; it warns on a blank line, which only a one-column file can hold
+        values = np.loadtxt(path, dtype=dtype, usecols=usecols, delimiter=",", comments=None,
+                            skiprows=1, ndmin=1, encoding="utf-8",
+                            max_rows=n_rows if n_commas else None)
     except (OSError, ValueError):
         return None
     # np.loadtxt skips blank lines, which pass the comma count in a one-column file
     if len(values) != n_rows:
         return None
+    labels = None
     if cluster:
-        labels = np.char.strip(labels)
+        labels = np.char.strip(values[f"f{len(names)}"])
         widths = np.char.str_len(labels)
         if widths.min() == 0:
             return None
         # np.asarray of the row parser's str list is as wide as its longest label
         labels = labels.astype(f"<U{widths.max()}")
-    return {name: values[:, j] for j, name in enumerate(names)}, labels
+    return {name: values[f"f{i}"] for i, name in enumerate(names)}, labels
 
 
 def _read_rows(path, bound, cluster):

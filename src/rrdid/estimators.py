@@ -437,6 +437,19 @@ def _sum_cells(index, n_cells, rows):
     return np.array(sums).reshape(rows.shape[:-1] + (n_cells,))
 
 
+def _number_pairs(keys, size):
+    """(pairs, pair): the distinct keys, all in range(size), in ascending
+    order and each key's position among them, as np.unique(keys,
+    return_inverse=True) gives them. When the presence table of all size
+    keys is no longer than keys, its cumulative sum numbers them instead
+    of a sort."""
+    if size > keys.size:
+        pairs, pair = np.unique(keys, return_inverse=True)
+        return pairs, pair.reshape(-1)
+    present = np.bincount(keys, minlength=size) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+
+
 def _sandwich(bread, blocks, resid, clusters=None, small_sample_correction=False):
     """A^{-1} B A^{-1}, with B the outer product of the row scores.
 
@@ -472,8 +485,8 @@ def _sandwich(bread, blocks, resid, clusters=None, small_sample_correction=False
             codes, groups = _cluster_codes(clusters)
             row_scores = row_scores.reshape(n, n_classes, p2)
             if p1:
-                pairs, pair = np.unique(codes * k + index, return_inverse=True)
-                pair_resid = _sum_cells(pair.reshape(-1), pairs.size, r).T
+                pairs, pair = _number_pairs(codes * k + index, groups * k)
+                pair_resid = _sum_cells(pair, pairs.size, r).T
                 cell_scores = pair_resid[:, :, None] * cell[pairs % k][:, None, :]
             columns = []
             for c in range(n_classes):

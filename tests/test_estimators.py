@@ -15,6 +15,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrdid import estimators
 from rrdid import (
     DesignMatrix,
     DesignSpec,
@@ -41,6 +42,7 @@ from rrdid.estimators import (
     _cross,
     _gram_proves_full_rank,
     _inputs,
+    _number_pairs,
     _POISSON,
 )
 from rrdid.errors import (
@@ -781,6 +783,41 @@ def test_cluster_sum_matches_per_cluster_loop(ids):
     sums = np.column_stack([np.bincount(codes, weights=col, minlength=n_clusters)
                             for col in scores.T])
     np.testing.assert_array_equal(sums, expected)
+
+
+def _unique_pairs(keys, size):
+    pairs, pair = np.unique(keys, return_inverse=True)
+    return pairs, pair.reshape(-1)
+
+
+@pytest.mark.parametrize("n_clusters, table", [(150, False), (12, True)])
+def test_pair_numbering_matches_unique(monkeypatch, n_clusters, table):
+    # 16 cells: many clusters make more (cluster, cell) keys than rows and keep
+    # np.unique; few clusters number their keys through the presence table,
+    # some of whose keys no row takes
+    rng = np.random.default_rng(29)
+    n, n_periods = 300, 8
+    q, t, x = rng.integers(0, 2, n), rng.integers(0, n_periods, n), rng.normal(size=n)
+    y = rng.poisson(np.exp(0.2 + 0.1 * t + 0.3 * q + 0.2 * x)).astype(float)
+    w = rng.uniform(0.5, 2.0, n)
+    clusters = np.array([f"psu-{c}" for c in rng.integers(0, n_clusters, n)])
+    m = build_design(RcsDataset(y=y, q=q, t=t, covariates={"x": x}, n_periods=n_periods),
+                     DesignSpec(post_period=4, include_group_trend=True))
+    (cell, _, index), _ = _as_design(m)
+    codes, groups = _cluster_codes(clusters)
+    keys, size = codes * cell.shape[0] + index, groups * cell.shape[0]
+    assert (size <= n) == table
+    pairs, pair = _number_pairs(keys, size)
+    expected = _unique_pairs(keys, size)
+    assert pairs.size < size
+    for got, want in zip((pairs, pair), expected):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    fit = fit_poisson_qmle(m, y, w, clusters=clusters, options=TIGHT)
+    monkeypatch.setattr(estimators, "_number_pairs", _unique_pairs)
+    reference = fit_poisson_qmle(m, y, w, clusters=clusters, options=TIGHT)
+    assert fit.vcov_kind == "cluster_sandwich"
+    assert fit.vcov.tobytes() == reference.vcov.tobytes()
 
 
 def test_cluster_length_mismatch():

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -169,6 +170,22 @@ def test_loader_edge_files_match_row_parser(tmp_path, data, bindings):
     assert _load(path, bindings, "fast") == _load(path, bindings, "row")
 
 
+@pytest.mark.parametrize("data", [
+    b"y,g,t,z\n1,0,1\n1,0,1,z,9\n",
+    b"y,g,t,z\n1,0,1,z,9\n1,0,1",
+    b"y,g,t,z\n1,0,1,z\n1,0,1,,\n1,0,1\n",
+], ids=["short-long", "long-short", "good-long-short"])
+def test_comma_gate_sees_a_short_line_behind_a_long_one(tmp_path, data):
+    # the file holds as many commas as a well-formed one, and np.loadtxt reads
+    # it, since only the unbound last column is short
+    path = tmp_path / "ragged.csv"
+    path.write_bytes(data)
+    bindings = {"outcome": "y", "group": "g", "period": "t"}
+    assert cli._read_columns(path, {"y", "g", "t"}, None) is None
+    assert _load(path, bindings, "fast") == _load(path, bindings, "row")
+    assert _load(path, bindings, "fast")[0] == "raised"
+
+
 @pytest.mark.parametrize("name", ["data.csv.gz", "data.csv.bz2", "data.csv.xz", "data.csv.lzma"])
 def test_loader_reads_compressed_suffix_names_as_text(tmp_path, name):
     # np.loadtxt would open a path with these suffixes as a compressed file
@@ -177,3 +194,49 @@ def test_loader_reads_compressed_suffix_names_as_text(tmp_path, name):
     bindings = {"outcome": "y", "group": "g", "period": "t"}
     assert _load(path, bindings, "fast") == _load(path, bindings, "row")
     assert _load(path, bindings, "fast")[0] == "loaded"
+
+
+@pytest.fixture(scope="module")
+def large_csv(tmp_path_factory):
+    """A 200k-row plain CSV with string cluster labels."""
+    rng = np.random.default_rng(3)
+    n = 200_000
+    columns = (rng.poisson(2, n), np.arange(n) % 2, 2016 + rng.integers(0, 6, n),
+               rng.integers(500, 2500, n) / 1000, rng.integers(0, 900, n),
+               rng.standard_normal(n))
+    path = tmp_path_factory.mktemp("large") / "large.csv"
+    path.write_text("y,g,t,w,c,x\n" + "".join(
+        f"{y},{g},{t},{w:.3f},psu-{c:05d},{x:.4f}\n" for y, g, t, w, c, x in zip(*columns)))
+    return path
+
+
+@pytest.mark.parametrize("cluster", [None, "c"])
+def test_loader_peak_is_bounded_by_what_it_returns(large_csv, cluster):
+    # the byte gate's offsets are dropped before np.loadtxt builds its result
+    tracemalloc.start()
+    try:
+        dataset = load_csv_dataset(large_csv, "y", "g", "t", weights="w", cluster=cluster,
+                                   covariates=("x",))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (dataset[0].clusters is None) == (cluster is None)
+    assert peak <= 3.0 * retained, (peak, retained)
+
+
+@pytest.mark.parametrize("cluster", [None, "c"])
+def test_plain_file_is_tokenized_once(large_csv, monkeypatch, cluster):
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("usecols"))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    dataset, _ = load_csv_dataset(large_csv, "y", "g", "t", weights="w", cluster=cluster,
+                                  covariates=("x",))
+    # one pass reads every bound column, the cluster labels included
+    assert len(calls) == 1
+    assert sorted(calls[0]) == ([0, 1, 2, 3, 4, 5] if cluster else [0, 1, 2, 3, 5])
+    assert dataset.n == 200_000
