@@ -21,8 +21,7 @@ be bound as a number (outcome, group, period, weights or covariate).
 Exit codes: 0 success, 2 usage error, 1 data or convergence error (in JSON
 mode the error object is written to stdout).
 
-The only environment variable consulted is RRDID_THREADS, an optional
-default for --threads.
+No environment variable is consulted.
 """
 
 from __future__ import annotations
@@ -340,19 +339,6 @@ def _comma_floats(text):
     return tuple(float(part) for part in text.split(","))
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("RRDID_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError("RRDID_THREADS must be a positive integer")
-    return value
-
-
 def _add_output_options(sub):
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--output", default=None, help="write to this path instead of stdout")
@@ -393,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--beta-q", type=float, default=0.5)
     sim.add_argument("--betas-t", type=_comma_floats, default=(-2.0, -2.0, -1.0, -1.0),
                      metavar="B0,B1,B2,B3")
-    sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default RRDID_THREADS or 1)")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker threads for the draws (default 1)")
     sim.add_argument("--transform-counterfactual-mean",
                      action=argparse.BooleanOptionalAction, default=False,
                      help="scale the log transform by the implied untreated mean")
@@ -506,12 +492,11 @@ def _run_simulate(args):
         "censored_extra_term": scenario.censored_extra_term,
         "transform_counterfactual_mean": args.transform_counterfactual_mean,
     }
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
+    if args.threads < 1:
         raise ValueError("--threads must be at least 1")
     summary = run_monte_carlo(
         scenario,
-        threads=threads,
+        threads=args.threads,
         counterfactual_transform_mean=args.transform_counterfactual_mean,
     )
     results = {

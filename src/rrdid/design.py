@@ -126,14 +126,6 @@ class RcsDataset:
     def n(self) -> int:
         return self.y.size
 
-    def covariate_matrix(self, names) -> np.ndarray:
-        unknown = [name for name in names if name not in self.covariates]
-        if unknown:
-            raise ValueError(f"unknown covariates: {', '.join(unknown)}")
-        if not names:
-            return np.empty((self.n, 0))
-        return np.column_stack([self.covariates[name] for name in names])
-
 
 @dataclass(frozen=True)
 class DesignSpec:

@@ -66,6 +66,9 @@ _CELLS = RcsDataset(y=np.zeros(2 * N_PERIODS), q=np.repeat([0, 1], N_PERIODS),
                     t=np.tile(np.arange(N_PERIODS), 2), n_periods=N_PERIODS)
 FAILURE_KINDS = ("not_converged", "OverflowGuardError", "SeparationError",
                  "SingularDesignError", "SingularHessianError")
+# the McSummary rows; the binary family has no lindd_transform
+_ROWS = ("qmle_beta_qtau", "qmle_beta_d", "lindd_beta_qtau", "lindd_beta_d",
+         "lindd_transform")
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -323,17 +326,24 @@ def _draw_kept(scenario: Scenario, lin: np.ndarray, rng: np.random.Generator):
     return q * N_PERIODS + t, y
 
 
-def _draw_cells(scenario: Scenario, rng: np.random.Generator):
-    """Observation counts and outcome sums of the _CELLS cells of one draw from rng.
+def _draw_cells(scenario: Scenario, rngs, pool=None):
+    """(counts, sums) of the _CELLS cells of one draw from each of rngs, as
+    (len(rngs), 8) float arrays; pool, when given, maps the draws.
 
     Bit for bit the cells of panel_to_rcs(dgp_draw(...)) on the same rng: the
     draw takes every random variate _draw_panel and _sample_periods take, in
     their order, but forms only the outcome of each subject's kept period.
-    Only those outcomes are checked for overflow.
+    Only those outcomes are checked for overflow. One bincount over the batch
+    adds each cell's outcomes in the order a bincount of that draw would.
     """
-    cell, y = _draw_kept(scenario, _linear_index(scenario), rng)
-    return (np.bincount(cell, minlength=_CELLS.n),
-            np.bincount(cell, weights=y, minlength=_CELLS.n))
+    lin = _linear_index(scenario)
+    draws = (pool.map if pool else map)(lambda rng: _draw_kept(scenario, lin, rng), rngs)
+    cells, ys = zip(*draws)
+    ids = np.concatenate(cells) + np.repeat(np.arange(len(cells)) * _CELLS.n, scenario.n)
+    size = len(cells) * _CELLS.n
+    counts = np.bincount(ids, minlength=size).reshape(-1, _CELLS.n).astype(float)
+    sums = np.bincount(ids, weights=np.concatenate(ys), minlength=size).reshape(-1, _CELLS.n)
+    return counts, sums
 
 
 @dataclass(frozen=True)
@@ -364,42 +374,35 @@ class McSummary:
 
 
 def _fit_draws(scenario, design, counts, sums, counterfactual):
-    """(failure kind, estimates) of each draw, fitted on its cell counts and sums.
+    """(failure kinds, estimates) of the draws, fitted on their cell counts and sums.
 
-    estimates is None for a failed fit and for a draw whose log transform is
-    undefined, which the caller draws again.
+    kinds holds each draw's FAILURE_KINDS entry, or None for a fitted draw.
+    estimates is a (draws, rows) array in _ROWS order, without the
+    transform row for the binary family; a fitted draw's lindd_transform is
+    NaN where the log transform is undefined, and the caller draws it again.
     """
     trend, treat = design.index("group_trend"), design.index("treat")
-    qmle = "logit_qmle" if scenario.family == "binary" else "poisson_qmle"
-    qbeta, qfailed = fit_cell_sums(qmle, design, counts, sums)
+    binary = scenario.family == "binary"
+    qbeta, qfailed = fit_cell_sums("logit_qmle" if binary else "poisson_qmle",
+                                   design, counts, sums)
     lbeta, lfailed = fit_cell_sums("ols", design, counts, sums)
-    post = cell_masks(_CELLS, POST_PERIOD)[(1, 1)]
-    out = []
-    for i in range(counts.shape[0]):
-        kind = qfailed[i] or lfailed[i]
-        if kind is not None:
-            out.append((kind, None))
-            continue
-        est = {
-            "qmle_beta_qtau": float(qbeta[i, trend]),
-            "qmle_beta_d": float(qbeta[i, treat]),
-            "lindd_beta_qtau": float(lbeta[i, trend]),
-            "lindd_beta_d": float(lbeta[i, treat]),
-        }
-        if scenario.family != "binary":
-            # a fitted design has observations in the treated post cell
-            ybar = float(sums[i, post].sum() / counts[i, post].sum())
-            if counterfactual:
-                ybar = ybar - est["lindd_beta_d"]
-            if ybar <= 0:
-                est = None
-            else:
-                try:
-                    est["lindd_transform"] = lin_dd_proportional(est["lindd_beta_d"], ybar)
-                except RedrawRequired:
-                    est = None
-        out.append((None, est))
-    return out
+    kinds = [q or l for q, l in zip(qfailed, lfailed)]
+    rows = [qbeta[:, trend], qbeta[:, treat], lbeta[:, trend], lbeta[:, treat]]
+    if not binary:
+        post = cell_masks(_CELLS, POST_PERIOD)[(1, 1)]
+        # a failed draw may have no observation in the treated post cell
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ybar = sums[:, post].sum(axis=1) / counts[:, post].sum(axis=1)
+        if counterfactual:
+            ybar = ybar - lbeta[:, treat]
+        transform = np.full(len(kinds), math.nan)
+        for i in np.flatnonzero([kind is None for kind in kinds]):
+            try:
+                transform[i] = lin_dd_proportional(lbeta[i, treat], ybar[i])
+            except (ValueError, RedrawRequired):  # undefined where ybar <= 0, too
+                pass
+        rows.append(transform)
+    return kinds, np.column_stack(rows)
 
 
 def run_monte_carlo(scenario: Scenario, threads: int = 1,
@@ -409,14 +412,15 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
     Each replication fits the family's QMLE (Poisson for the exponential-mean
     families, logit for binary) and the linear DD regression on the same
     design (period dummies, group, group trend, treatment). Regressors are
-    constant within the eight (q, t) cells, so each replication is kept as
-    its cell counts and sums, and all of them are fitted in one batch by
-    fit_cell_sums, with the row-level fits' stopping rules and guards.
-    Replications whose QMLE fails are excluded; more than 5% failures aborts.
-    A draw whose log transform is undefined is redrawn in full, extending
-    only that replication's stream, and the redrawn replications are refitted
-    as a smaller batch; summaries are identical for any thread count, which
-    only spreads the draws.
+    constant within the eight (q, t) cells, so _draw_cells collapses a batch
+    of draws to their cell counts and sums, and fit_cell_sums fits the batch
+    with the row-level fits' stopping rules and guards. The estimates are one
+    replications x rows array, summarized over a mask of the fitted
+    replications. Replications whose QMLE fails are excluded; more than 5%
+    failures aborts. A fitted draw whose transform is NaN (undefined) is
+    redrawn in full, extending only that replication's stream, within a
+    smaller batch; summaries are identical for any thread count, which only
+    spreads the draws.
 
     counterfactual_transform_mean rescales the transform by the implied
     untreated mean (observed treated-post mean minus the DD estimate)
@@ -429,57 +433,47 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
         )
     reps = scenario.repetitions
     design = build_design(_CELLS, _DESIGN)
-    lin = _linear_index(scenario)
+    names = _ROWS[:4] if scenario.family == "binary" else _ROWS
     rngs = [replication_rng(scenario.seed, rep) for rep in range(reps)]
-    estimates = [None] * reps
+    estimates = np.empty((reps, len(names)))
+    fitted = np.zeros(reps, dtype=bool)
     failures = dict.fromkeys(FAILURE_KINDS, 0)
     redraws = 0
-    pending = list(range(reps))
+    pending = np.arange(reps)
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for _ in range(_MAX_REDRAWS):
-            draws = (pool.map if pool else map)(lambda rep: _draw_kept(scenario, lin, rngs[rep]),
-                                                pending)
-            cells, ys = zip(*draws)
-            # one bincount over the batch adds each cell's outcomes in the
-            # order a bincount per replication would
-            ids = np.concatenate(cells) + np.repeat(
-                np.arange(len(pending)) * _CELLS.n, scenario.n)
-            size = len(pending) * _CELLS.n
-            counts = np.bincount(ids, minlength=size).reshape(-1, _CELLS.n).astype(float)
-            sums = np.bincount(ids, weights=np.concatenate(ys),
-                               minlength=size).reshape(-1, _CELLS.n)
-            redrawn = []
-            fits = _fit_draws(scenario, design, counts, sums, counterfactual_transform_mean)
-            for rep, (kind, est) in zip(pending, fits):
-                if kind is not None:
-                    failures[kind] += 1
-                elif est is None:
-                    redrawn.append(rep)
-                else:
-                    estimates[rep] = est
-            redraws += len(redrawn)
-            pending = redrawn
-            if not pending:
+            counts, sums = _draw_cells(scenario, [rngs[rep] for rep in pending], pool)
+            kinds, est = _fit_draws(scenario, design, counts, sums,
+                                    counterfactual_transform_mean)
+            for kind in filter(None, kinds):
+                failures[kind] += 1
+            ok = np.array([kind is None for kind in kinds])
+            redraw = ok & np.isnan(est).any(axis=1)
+            done = ok & ~redraw
+            estimates[pending[done]] = est[done]
+            fitted[pending[done]] = True
+            pending = pending[redraw]
+            redraws += pending.size
+            if not pending.size:
                 break
-    if pending:
+    if pending.size:
         raise MonteCarloAbort(
             f"replication {pending[0]} exceeded {_MAX_REDRAWS} redraws of the log transform"
         )
 
-    ok = [est for est in estimates if est is not None]
-    failed = reps - len(ok)
+    effective = int(fitted.sum())
+    failed = reps - effective
     if failed > 0.05 * reps:
-        kinds = ", ".join(f"{kind} {count}" for kind, count in failures.items() if count)
+        by_kind = ", ".join(f"{kind} {count}" for kind, count in failures.items() if count)
         raise MonteCarloAbort(
-            f"{failed} of {reps} replications failed ({kinds}); "
+            f"{failed} of {reps} replications failed ({by_kind}); "
             "the summary would be misleading"
         )
 
-    # the abort rule leaves at least one replication, and every one
-    # carries the same rows
+    # the abort rule leaves at least one replication; each row's values are
+    # contiguous, so every reduction adds them in replication order
     rows = {}
-    for key in ok[0]:
-        values = np.array([est[key] for est in ok])
+    for key, values in zip(names, np.ascontiguousarray(estimates[fitted].T)):
         truth = scenario.beta_qtau if key.endswith("beta_qtau") else scenario.beta_d
         mean = float(values.mean())
         rows[key] = McRow(
@@ -493,7 +487,7 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
         rows=rows,
         redraw_count=redraws,
         failures_by_kind=failures,
-        effective_repetitions=len(ok),
+        effective_repetitions=effective,
         failed_repetitions=failed,
     )
 

@@ -616,16 +616,6 @@ def test_threads_validation(capsys):
     assert code == 1
 
 
-def test_rrdid_threads_env(capsys, monkeypatch):
-    argv = ["simulate", "--family", "positive", "--n", "30", "--reps", "2",
-            "--seed", "0"]
-    monkeypatch.setenv("RRDID_THREADS", "2")
-    assert run_cli(argv) == 0
-    monkeypatch.setenv("RRDID_THREADS", "zero")
-    assert run_cli(argv) == 1
-    capsys.readouterr()
-
-
 def test_config_file_supplies_and_is_overridden(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -133,16 +133,6 @@ def test_dataset_arrays_are_read_only():
         data.covariates["x"][0] = 99.0
 
 
-def test_covariate_matrix():
-    data = toy_dataset()
-    assert data.covariate_matrix(()).shape == (6, 0)
-    np.testing.assert_array_equal(
-        data.covariate_matrix(["x"])[:, 0], data.covariates["x"]
-    )
-    with pytest.raises(ValueError, match="missing"):
-        data.covariate_matrix(["missing"])
-
-
 def test_default_weights_and_period_count():
     data = RcsDataset(y=[1.0, 2.0], q=[0, 1], t=[0, 3])
     assert data.n_periods == 4

@@ -267,27 +267,35 @@ def test_panel_to_rcs_period_draw_independent_of_group():
 
 @given(st.sampled_from(["positive", "count", "censored", "binary"]),
        st.integers(1, 60), st.sampled_from([0.0, 1.0]), st.booleans(),
-       st.floats(-1, 1), st.floats(-1, 1), st.integers(0, 2**16), st.integers(0, 50))
+       st.floats(-1, 1), st.floats(-1, 1), st.integers(0, 2**16), st.integers(0, 50),
+       st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
-@example("censored", 1, 1.0, True, 0.5, 0.5, 0, 0)
-@example("count", 1, 0.0, True, 0.5, -0.5, 0, 0)
+@example("censored", 1, 1.0, True, 0.5, 0.5, 0, 0, 1)
+@example("count", 1, 0.0, True, 0.5, -0.5, 0, 0, 1)
+@example("censored", 3, 1.0, False, 0.5, 0.5, 0, 0, 4)
 def test_draw_cells_matches_the_panel_draw(family, n, noise_scale, switch,
-                                           beta_qtau, beta_d, seed, rep):
+                                           beta_qtau, beta_d, seed, rep, batch):
     # the Monte Carlo's draw takes the panel draw's variates from the same
-    # stream and forms only the kept outcomes; its cells must match bit for bit
+    # stream and forms only the kept outcomes; one bincount collapses a batch
+    # of draws, and each draw's cells must match its own panel's bit for bit
     sc = Scenario(family=family, n=n, repetitions=1, seed=seed, beta_qtau=beta_qtau,
                   beta_d=beta_d, noise_scale=noise_scale,
                   count_shared_rate_intercept=switch and family == "count",
                   censored_extra_term=switch and family == "censored")
-    fast, slow = replication_rng(seed, rep), replication_rng(seed, rep)
-    for _ in range(2):  # a redraw continues the replication's stream
+    reps = range(rep, rep + batch)
+    fast = [replication_rng(seed, r) for r in reps]
+    slow = [replication_rng(seed, r) for r in reps]
+    for _ in range(2):  # a redraw continues each replication's stream
         counts, sums = _draw_cells(sc, fast)
-        data = panel_to_rcs(dgp_draw(sc, rep, rng=slow), sc, rep, rng=slow)
-        cell = data.q * N_PERIODS + data.t
-        assert counts.tobytes() == np.bincount(cell, minlength=_CELLS.n).tobytes()
-        assert sums.tobytes() == np.bincount(cell, weights=data.y,
-                                             minlength=_CELLS.n).tobytes()
-        assert fast.bit_generator.state == slow.bit_generator.state
+        assert counts.shape == sums.shape == (batch, _CELLS.n)
+        for j, r in enumerate(reps):
+            data = panel_to_rcs(dgp_draw(sc, r, rng=slow[j]), sc, r, rng=slow[j])
+            cell = data.q * N_PERIODS + data.t
+            assert counts[j].tobytes() == np.bincount(
+                cell, minlength=_CELLS.n).astype(float).tobytes()
+            assert sums[j].tobytes() == np.bincount(cell, weights=data.y,
+                                                    minlength=_CELLS.n).tobytes()
+            assert fast[j].bit_generator.state == slow[j].bit_generator.state
 
 
 @pytest.mark.parametrize("family, params, message", [
@@ -303,7 +311,7 @@ def test_dgp_overflow_is_a_typed_error_without_warnings(family, params, message)
         with pytest.raises(ValueError, match=message):
             dgp_draw(sc, 0)
         with pytest.raises(ValueError, match=message):
-            _draw_cells(sc, replication_rng(sc.seed, 0))
+            _draw_cells(sc, [replication_rng(sc.seed, 0)])
 
 
 def test_draw_cells_checks_only_the_kept_outcomes():
@@ -313,7 +321,7 @@ def test_draw_cells_checks_only_the_kept_outcomes():
     kept_early = 0
     for rep in range(40):
         try:
-            counts, sums = _draw_cells(sc, replication_rng(sc.seed, rep))
+            (counts,), (sums,) = _draw_cells(sc, [replication_rng(sc.seed, rep)])
         except ValueError:  # kept in the treated post period
             continue
         if counts[N_PERIODS:N_PERIODS + POST_PERIOD].sum() == 1:
@@ -372,6 +380,33 @@ def test_run_monte_carlo_redraws_on_undefined_transform():
     assert summary.failed_repetitions == 0
 
 
+def test_run_monte_carlo_mixes_failures_and_redraws():
+    # at n = 30 some draws fail and some are redrawn, and one of the two
+    # failures comes from a redraw batch; counts and rows are pinned exactly
+    sc = Scenario(family="positive", n=30, repetitions=40, seed=3, beta_d=-0.5)
+    summary = run_monte_carlo(sc)
+    assert summary.redraw_count == 24
+    assert summary.failures_by_kind == {
+        "not_converged": 0, "OverflowGuardError": 0, "SeparationError": 0,
+        "SingularDesignError": 2, "SingularHessianError": 0,
+    }
+    assert summary.effective_repetitions == 38
+    assert summary.failed_repetitions == 2
+    expected = {
+        "qmle_beta_qtau": (0.299018517987151, 0.5298956536231967, 0.6084418442447783),
+        "qmle_beta_d": (0.9045365093050386, 1.1771492940467778, 1.4845426087319191),
+        "lindd_beta_qtau": (0.030836943913720178, 0.29589033377631796,
+                            0.29749286837199773),
+        "lindd_beta_d": (0.6357019961327324, 0.528265334173238, 0.8265478154204409),
+        "lindd_transform": (0.46723788045973985, 0.859688976053406, 0.9784561167902542),
+    }
+    assert list(summary.rows) == list(expected)
+    for key, (abs_bias, sd, rmse) in expected.items():
+        row = summary.rows[key]
+        assert (row.abs_bias, row.sd, row.rmse) == pytest.approx((abs_bias, sd, rmse),
+                                                                 rel=1e-15, abs=0)
+
+
 def test_run_monte_carlo_aborts_on_frequent_failures():
     sc = scenario(family="binary", n=16, repetitions=40, seed=3,
                   beta_qtau=0.5, beta_d=0.5)
@@ -421,7 +456,7 @@ _ROW_ERRORS = (OverflowGuardError, SeparationError, SingularDesignError,
 def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep):
     sc = Scenario(family=family, n=n, repetitions=1, seed=seed,
                   beta_qtau=beta_qtau, beta_d=beta_d)
-    counts, sums = _draw_cells(sc, replication_rng(seed, rep))
+    counts, sums = _draw_cells(sc, [replication_rng(seed, rep)])
     rng = replication_rng(seed, rep)
     data = panel_to_rcs(dgp_draw(sc, rep, rng=rng), sc, rep, rng=rng)
     design = build_design(data, _DESIGN)
@@ -435,7 +470,7 @@ def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep)
     finite = not np.any((means == 0) | ((means == 1) & (family == "binary")))
     for name, row_fit in (qmle, ("ols", fit_ols)):
         beta, (failure,) = fit_cell_sums(name, build_design(_CELLS, _DESIGN),
-                                         counts[None], sums[None])
+                                         counts, sums)
         try:
             fit = row_fit(design, data.y, data.weights)
         except _ROW_ERRORS as err:
@@ -451,8 +486,8 @@ def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep)
 def test_cell_fit_bits_do_not_depend_on_the_batch(family, qmle):
     sc = Scenario(family=family, n=60, repetitions=37, seed=4,
                   beta_qtau=0.5, beta_d=0.5)
-    draws = [_draw_cells(sc, replication_rng(sc.seed, rep)) for rep in range(37)]
-    counts, sums = (np.array(part, float) for part in zip(*draws))
+    draws = [_draw_cells(sc, [replication_rng(sc.seed, rep)]) for rep in range(37)]
+    counts, sums = (np.concatenate(part) for part in zip(*draws))
     cells = build_design(_CELLS, _DESIGN)
     for name in (qmle, "ols"):
         batch, failures = fit_cell_sums(name, cells, counts, sums)
