@@ -9,7 +9,7 @@ a minute on a laptop; use --reps to trade precision for speed.
 Examples:
     python scripts/run_tables.py
     python scripts/run_tables.py --families binary --n 1000 --reps 200
-    python scripts/run_tables.py --threads 8 --seed 7
+    python scripts/run_tables.py --seed 7
 """
 
 import argparse
@@ -29,10 +29,10 @@ ROW_LABELS = {
 }
 
 
-def run_cell(family, n, beta_qtau, beta_d, reps, seed, threads):
+def run_cell(family, n, beta_qtau, beta_d, reps, seed):
     scenario = Scenario(family=family, n=n, repetitions=reps, seed=seed,
                         beta_qtau=beta_qtau, beta_d=beta_d)
-    return run_monte_carlo(scenario, threads=threads)
+    return run_monte_carlo(scenario)
 
 
 def print_block(family, n, cells, out):
@@ -62,15 +62,13 @@ def main(argv=None):
     parser.add_argument("--reps", type=int, default=1000,
                         help="replications per cell (default: 1000)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     grid = [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
     start = time.perf_counter()
     for family, n in itertools.product(args.families, args.n):
         cells = {
-            (bqt, bd): run_cell(family, n, bqt, bd, args.reps, args.seed,
-                                args.threads)
+            (bqt, bd): run_cell(family, n, bqt, bd, args.reps, args.seed)
             for bqt, bd in grid
         }
         print_block(family, n, cells, sys.stdout)

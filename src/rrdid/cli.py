@@ -4,8 +4,8 @@ Four subcommands: simulate (Monte Carlo bias tables), estimate (fit a DD
 model to a CSV), effect (restate a coefficient as a proportional effect),
 and summarize (weighted cell means of a CSV). Output is a text table by
 default or canonical JSON with --format json; JSON output is byte-stable,
-so the same configuration and seed produce identical files regardless of
-thread count, and parsing then re-rendering reproduces the bytes.
+so the same configuration and seed produce identical files in every
+process, and parsing then re-rendering reproduces the bytes.
 
 CSV inputs are comma-separated UTF-8 with a header row, decimal points,
 and no missing values in bound columns. Period values may be arbitrary
@@ -379,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--beta-q", type=float, default=0.5)
     sim.add_argument("--betas-t", type=_comma_floats, default=(-2.0, -2.0, -1.0, -1.0),
                      metavar="B0,B1,B2,B3")
-    sim.add_argument("--threads", type=int, default=1,
-                     help="worker threads for the draws (default 1)")
+    sim.add_argument("--threads", type=int, default=1, choices=(1,),
+                     help="deprecated: the draws run in one thread, and 1 is the only value")
     sim.add_argument("--transform-counterfactual-mean",
                      action=argparse.BooleanOptionalAction, default=False,
                      help="scale the log transform by the implied untreated mean")
@@ -492,11 +492,8 @@ def _run_simulate(args):
         "censored_extra_term": scenario.censored_extra_term,
         "transform_counterfactual_mean": args.transform_counterfactual_mean,
     }
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
     summary = run_monte_carlo(
         scenario,
-        threads=args.threads,
         counterfactual_transform_mean=args.transform_counterfactual_mean,
     )
     results = {

@@ -161,8 +161,6 @@ class DesignMatrix:
     row_values: np.ndarray
     cells: np.ndarray
     column_names: tuple
-    treatment_column: int
-    trend_column: int | None
 
     def __post_init__(self):
         cell_values = _frozen_array(self.cell_values, float)
@@ -236,16 +234,13 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
     cols.append(q)
     names.append("group")
 
-    trend_column = None
     if spec.include_group_trend:
         cols.append(t * q)
         names.append("group_trend")
-        trend_column = len(names) - 1
 
     treat = q * (t >= spec.post_period)
     cols.append(treat)
     names.append("treat")
-    treatment_column = len(names) - 1
 
     cells = dataset.q * T + dataset.t
     rows = list(dataset.covariates.values())
@@ -268,8 +263,6 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
         row_values=np.column_stack(rows) if rows else np.empty((dataset.n, 0)),
         cells=cells,
         column_names=names,
-        treatment_column=treatment_column,
-        trend_column=trend_column,
     )
 
 

@@ -66,6 +66,13 @@ def effect_report(beta, se_beta, kind="proportional", rare_event_note=False):
         raise ValueError("beta must be finite")
     if kind not in ("proportional", "proportional_odds", "class_c_proportional_odds"):
         raise ValueError(f"unknown effect kind {kind!r}")
+    try:
+        ratio = math.exp(beta)
+    except OverflowError:
+        ratio = math.inf
+    if not math.isfinite(ratio * se_beta):
+        raise ValueError(f"beta = {beta!r} with se_beta = {se_beta!r} overflows the "
+                         "effect exp(beta) - 1 or its standard error exp(beta) * se_beta")
     if se_beta == 0:
         t = float("nan") if beta == 0 else math.copysign(float("inf"), beta)
     else:
@@ -73,8 +80,8 @@ def effect_report(beta, se_beta, kind="proportional", rare_event_note=False):
     return EffectReport(
         beta=beta,
         se_beta=se_beta,
-        effect=math.exp(beta) - 1.0,
-        se_effect=math.exp(beta) * se_beta,
+        effect=ratio - 1.0,
+        se_effect=ratio * se_beta,
         t_value=t,
         kind=kind,
         rare_event_note=rare_event_note,

@@ -37,8 +37,8 @@ clustered, from each (cluster, cell) pair's residual sum, and only the row
 columns' scores are formed row by row. Clusters are numbered once per fit,
 in sorted-label order. No small-sample correction is applied unless
 requested.
-Newton steps are halved until the maximand does not decrease; linear
-predictors are clamped at +/- the linear-predictor cap, and a clamp still
+Newton steps are halved, at most _STEP_HALVINGS times, until the maximand
+does not decrease; linear predictors are clamped at +/- _CAP, and a clamp still
 active at the optimum, or a perfectly predicted outcome, raises instead of
 returning a silently unreliable estimate.
 """
@@ -76,28 +76,29 @@ __all__ = [
 ]
 
 
+# the most halvings of one Newton step, and the clamp on |linear predictor|
+# of the capped (non-identity) families
+_STEP_HALVINGS = 30
+_CAP = 30.0
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Iteration controls shared by the quasi-likelihood fits.
 
     gradient_tolerance applies to the max-abs score and is scaled by
-    (1 + total weight) inside the fit functions.
+    (1 + total weight) inside the fit functions; max_iterations bounds the
+    Newton iterations.
     """
 
     gradient_tolerance: float = 1e-8
     max_iterations: int = 100
-    step_halving_max: int = 30
-    linear_predictor_cap: float = 30.0
 
     def __post_init__(self):
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.step_halving_max < 1:
-            raise ValueError("step_halving_max must be at least 1")
-        if self.linear_predictor_cap <= 0:
-            raise ValueError("linear_predictor_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None
 
         step = np.ones(n_problems)
         searching = running.copy()
-        for _ in range(options.step_halving_max):
+        for _ in range(_STEP_HALVINGS):
             candidate = beta + step[:, None] * direction
             cand_value, cand_grad, cand_hess = objective(candidate)
             # accept any non-decrease up to rounding noise
@@ -608,7 +609,7 @@ def _class_matrix(labels, n_classes):
     return (labels[:, None] == np.arange(1, n_classes + 1)).astype(float)
 
 
-def _score(family, blocks, y, w, beta, cap):
+def _score(family, blocks, y, w, beta):
     """(value, grad, eta, mean) of B fits on the same m units at beta.
 
     y is (B, m, C), w (B, m) and beta (B, Cp) holds C blocks of p; eta is
@@ -629,7 +630,7 @@ def _score(family, blocks, y, w, beta, cap):
         if rows.shape[1]:
             parts.append(rows @ coef[:, p1:])
         eta = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-        capped = eta if family.guard is None else np.clip(eta, -cap, cap)
+        capped = eta if family.guard is None else np.clip(eta, -_CAP, _CAP)
         cumulant, mean = family.moments(capped)
         value = np.sum(w * (np.sum(y * capped, axis=2) - cumulant), axis=1)
         resid = (w[:, :, None] * (y - mean)).transpose(0, 2, 1)
@@ -642,9 +643,9 @@ def _score(family, blocks, y, w, beta, cap):
     return value, grad, eta, mean
 
 
-def _evaluate(family, blocks, y, w, beta, cap):
+def _evaluate(family, blocks, y, w, beta):
     """_score's (value, grad, eta, mean) with the Hessian after grad."""
-    value, grad, eta, mean = _score(family, blocks, y, w, beta, cap)
+    value, grad, eta, mean = _score(family, blocks, y, w, beta)
     return value, grad, -_cross(blocks, family.curvature(w, mean)), eta, mean
 
 
@@ -690,9 +691,9 @@ def _identically_zero(w, y):
     return np.sum(w * y, axis=-1) == 0.0
 
 
-def _objective(family, blocks, y, w, cap):
+def _objective(family, blocks, y, w):
     """maximize's objective: (value, grad, hess) of B fits at beta (B, Cp)."""
-    return lambda beta: _evaluate(family, blocks, y, w, beta, cap)[:3]
+    return lambda beta: _evaluate(family, blocks, y, w, beta)[:3]
 
 
 def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
@@ -711,11 +712,10 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
     NewtonDiagnostics with the Hessian at beta, mean the fitted unit means
     and max_eta each fit's largest |linear predictor|, before the cap.
     """
-    cap = options.linear_predictor_cap
     n_columns = blocks.cell.shape[1] + blocks.rows.shape[1]
     beta = np.zeros((counts.shape[0], n_columns * means.shape[2]))
     if family is _GAUSSIAN:
-        _, grad, hess, *_ = _evaluate(family, blocks, means, counts, beta, cap)
+        _, grad, hess, *_ = _evaluate(family, blocks, means, counts, beta)
         if lstsq:
             values = _unit_rows(blocks)
             root = np.sqrt(counts)[:, :, None]
@@ -724,22 +724,22 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
             singular = np.zeros(len(beta), bool)
         else:
             beta, singular = _newton_directions(hess, grad)
-        value, grad, eta, mean = _score(family, blocks, means, counts, beta, cap)
+        value, grad, eta, mean = _score(family, blocks, means, counts, beta)
         score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
         diag = NewtonDiagnostics(np.zeros(len(beta), int), ~singular, score_norm, value,
                                  singular, hess, np.zeros(len(beta), int))
     else:
         tol = options.gradient_tolerance * (1.0 + counts.sum(axis=1))
-        beta, diag = maximize(_objective(family, blocks, means, counts, cap), beta, options,
+        beta, diag = maximize(_objective(family, blocks, means, counts), beta, options,
                               tolerance=tol)
         # the bread is the Hessian of the last accepted step; only the means are new
-        _, _, eta, mean = _score(family, blocks, means, counts, beta, cap)
+        _, _, eta, mean = _score(family, blocks, means, counts, beta)
 
     max_eta = np.max(np.abs(eta), axis=(1, 2))
     failures = np.full(len(beta), None, object)
     failures[~diag.converged] = "not_converged"
     if family.guard is not None:
-        diverged = max_eta >= cap
+        diverged = max_eta >= _CAP
         # Divergent fits can stall "converged" below the cap once the saturated
         # rows' score drops under the tolerance; a perfectly predicted boundary
         # fit is the signature of that divergence.
@@ -952,7 +952,7 @@ def fit_cell_sums(family, X, counts, sums):
 
 
 def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
-                small_sample_correction=False, options: FitOptions = FitOptions()):
+                small_sample_correction=False):
     """Sandwich covariance A^{-1} B A^{-1} at beta_hat for any supported family.
 
     family is "ols", "poisson_qmle", "logit_qmle" or "multinomial_logit". A
@@ -963,7 +963,7 @@ def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
     check them; beta_hat must hold p coefficients, or C blocks of p for the
     multinomial with labels in 0..C. Bad input raises ValueError. Like the
     fits, a non-identity family raises its guard error when a linear
-    predictor reaches linear_predictor_cap, where the clamp would make the
+    predictor reaches +/- _CAP, where the clamp would make the
     matrix silently wrong.
     """
     if family not in _FAMILIES:
@@ -982,9 +982,8 @@ def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
         raise ValueError(f"beta_hat must have length {p}")
     else:
         y = y[:, None]
-    cap = options.linear_predictor_cap
-    _, _, hess, eta, mean = _evaluate(record, blocks, y[None], w[None], beta[None], cap)
-    if record.guard is not None and np.max(np.abs(eta)) >= cap:
+    _, _, hess, eta, mean = _evaluate(record, blocks, y[None], w[None], beta[None])
+    if record.guard is not None and np.max(np.abs(eta)) >= _CAP:
         raise record.guard(record.message)
     return _sandwich(-hess[0], blocks, w[:, None] * (y - mean[0]), clusters,
                      small_sample_correction)

@@ -3,8 +3,8 @@
 Each subject is a short panel (periods 0..3, treatment switches on for the
 Q = 1 group in period 3); the repeated cross-section is sampled by keeping
 one uniformly chosen period per subject. Replication r of a scenario draws
-from an RNG stream keyed by (seed, r), so results are independent of thread
-count and redraws within a replication extend that stream only.
+from an RNG stream keyed by (seed, r), so results depend only on the
+scenario, and redraws within a replication extend that stream only.
 
 The Monte Carlo driver keeps only each draw's (q, t) cell counts and outcome
 sums and fits every replication from them, all replications in one batch.
@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -326,9 +324,9 @@ def _draw_kept(scenario: Scenario, lin: np.ndarray, rng: np.random.Generator):
     return q * N_PERIODS + t, y
 
 
-def _draw_cells(scenario: Scenario, rngs, pool=None):
+def _draw_cells(scenario: Scenario, rngs):
     """(counts, sums) of the _CELLS cells of one draw from each of rngs, as
-    (len(rngs), 8) float arrays; pool, when given, maps the draws.
+    (len(rngs), 8) float arrays.
 
     Bit for bit the cells of panel_to_rcs(dgp_draw(...)) on the same rng: the
     draw takes every random variate _draw_panel and _sample_periods take, in
@@ -337,8 +335,7 @@ def _draw_cells(scenario: Scenario, rngs, pool=None):
     adds each cell's outcomes in the order a bincount of that draw would.
     """
     lin = _linear_index(scenario)
-    draws = (pool.map if pool else map)(lambda rng: _draw_kept(scenario, lin, rng), rngs)
-    cells, ys = zip(*draws)
+    cells, ys = zip(*[_draw_kept(scenario, lin, rng) for rng in rngs])
     ids = np.concatenate(cells) + np.repeat(np.arange(len(cells)) * _CELLS.n, scenario.n)
     size = len(cells) * _CELLS.n
     counts = np.bincount(ids, minlength=size).reshape(-1, _CELLS.n).astype(float)
@@ -405,8 +402,7 @@ def _fit_draws(scenario, design, counts, sums, counterfactual):
     return kinds, np.column_stack(rows)
 
 
-def run_monte_carlo(scenario: Scenario, threads: int = 1,
-                    counterfactual_transform_mean: bool = False) -> McSummary:
+def run_monte_carlo(scenario: Scenario, counterfactual_transform_mean: bool = False) -> McSummary:
     """Replicate a scenario and summarize |bias|, SD, and RMSE per estimator.
 
     Each replication fits the family's QMLE (Poisson for the exponential-mean
@@ -419,8 +415,7 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
     replications. Replications whose QMLE fails are excluded; more than 5%
     failures aborts. A fitted draw whose transform is NaN (undefined) is
     redrawn in full, extending only that replication's stream, within a
-    smaller batch; summaries are identical for any thread count, which only
-    spreads the draws.
+    smaller batch. The draws run in one thread, in replication order.
 
     counterfactual_transform_mean rescales the transform by the implied
     untreated mean (observed treated-post mean minus the DD estimate)
@@ -440,22 +435,21 @@ def run_monte_carlo(scenario: Scenario, threads: int = 1,
     failures = dict.fromkeys(FAILURE_KINDS, 0)
     redraws = 0
     pending = np.arange(reps)
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for _ in range(_MAX_REDRAWS):
-            counts, sums = _draw_cells(scenario, [rngs[rep] for rep in pending], pool)
-            kinds, est = _fit_draws(scenario, design, counts, sums,
-                                    counterfactual_transform_mean)
-            for kind in filter(None, kinds):
-                failures[kind] += 1
-            ok = np.array([kind is None for kind in kinds])
-            redraw = ok & np.isnan(est).any(axis=1)
-            done = ok & ~redraw
-            estimates[pending[done]] = est[done]
-            fitted[pending[done]] = True
-            pending = pending[redraw]
-            redraws += pending.size
-            if not pending.size:
-                break
+    for _ in range(_MAX_REDRAWS):
+        counts, sums = _draw_cells(scenario, [rngs[rep] for rep in pending])
+        kinds, est = _fit_draws(scenario, design, counts, sums,
+                                counterfactual_transform_mean)
+        for kind in filter(None, kinds):
+            failures[kind] += 1
+        ok = np.array([kind is None for kind in kinds])
+        redraw = ok & np.isnan(est).any(axis=1)
+        done = ok & ~redraw
+        estimates[pending[done]] = est[done]
+        fitted[pending[done]] = True
+        pending = pending[redraw]
+        redraws += pending.size
+        if not pending.size:
+            break
     if pending.size:
         raise MonteCarloAbort(
             f"replication {pending[0]} exceeded {_MAX_REDRAWS} redraws of the log transform"

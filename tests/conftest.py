@@ -4,7 +4,7 @@ import pytest
 from rrdid import RcsDataset
 
 
-def fit_objective(family, X, y, w, cap):
+def fit_objective(family, X, y, w):
     """(value, grad, hess) at a 1-d beta of one fit's maximand.
 
     family names an estimators._FAMILIES record ("poisson_qmle",
@@ -17,7 +17,7 @@ def fit_objective(family, X, y, w, cap):
 
     blocks, _ = _as_design(X)
     y = np.asarray(y, float).reshape(blocks.rows.shape[0], -1)
-    batch = _objective(_FAMILIES[family], blocks, y[None], np.asarray(w, float)[None], cap)
+    batch = _objective(_FAMILIES[family], blocks, y[None], np.asarray(w, float)[None])
 
     def objective(beta):
         value, grad, hess = batch(np.asarray(beta, float)[None])

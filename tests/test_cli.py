@@ -302,6 +302,17 @@ def test_effect_subcommand(capsys):
     assert "t 2.50" in out
 
 
+@pytest.mark.parametrize("beta, se", [("800", "1"), ("1", "1e308")])
+def test_effect_overflow_is_a_value_error(capsys, beta, se):
+    # exp(beta), or its standard error exp(beta) * se, is not a finite float
+    code, _, payload = run_json(capsys, ["effect", "--beta", beta, "--se", se])
+    assert code == 1
+    assert payload["results"] is None
+    [error] = payload["errors"]
+    assert error["kind"] == "ValueError"
+    assert f"beta = {float(beta)!r}" in error["message"]
+
+
 def test_summarize_cells(capsys, linear_csv):
     code, _, payload = run_json(capsys, [
         "summarize", "--csv", linear_csv, "--outcome", "y", "--group", "grp",
@@ -370,7 +381,7 @@ def test_simulate_json_and_text(capsys):
                          "lindd_beta_d", "lindd_transform"}
     assert payload["results"]["effective_repetitions"] == 12
     assert payload["config_echo"]["family"] == "positive"
-    # thread count is excluded from the echo so outputs stay comparable
+    # --threads has one value and sets nothing, so the echo leaves it out
     assert "threads" not in payload["config_echo"]
 
     code = run_cli(argv)
@@ -393,29 +404,6 @@ def test_simulate_reports_failures_by_kind(capsys):
 
 
 # --- canonical JSON ------------------------------------------------------------
-
-
-def test_simulate_output_is_thread_invariant(capsys):
-    argv = ["simulate", "--family", "count", "--n", "200", "--reps", "16",
-            "--seed", "7", "--beta-qtau", "0.5", "--beta-d", "0.5",
-            "--format", "json"]
-    assert run_cli(argv + ["--threads", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert run_cli(argv + ["--threads", "8"]) == 0
-    threaded = capsys.readouterr().out
-    assert serial == threaded
-
-
-def test_simulate_redraws_are_thread_invariant(capsys):
-    # redrawn replications extend their own streams and are refitted as a
-    # smaller batch; neither may depend on how the draws were spread
-    argv = ["simulate", "--family", "positive", "--n", "120", "--reps", "80",
-            "--seed", "9", "--beta-d", "-0.5", "--format", "json"]
-    assert run_cli(argv + ["--threads", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert run_cli(argv + ["--threads", "2"]) == 0
-    assert capsys.readouterr().out == serial
-    assert json.loads(serial)["results"]["redraw_count"] == 64
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -609,11 +597,21 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_threads_validation(capsys):
-    code = run_cli(["simulate", "--family", "positive", "--n", "20",
-                    "--reps", "2", "--seed", "0", "--threads", "0"])
-    capsys.readouterr()
-    assert code == 1
+def test_threads_validation(capsys, tmp_path):
+    # the draws run in one thread: --threads survives with 1 as its only value
+    argv = ["simulate", "--family", "positive", "--n", "100", "--reps", "4",
+            "--seed", "0", "--format", "json"]
+    for bad in ("0", "2"):
+        assert run_cli(argv + ["--threads", bad]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+    assert run_cli(argv) == 0
+    plain = capsys.readouterr().out
+    assert run_cli(argv + ["--threads", "1"]) == 0
+    assert capsys.readouterr().out == plain
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("threads = 1\n")
+    assert run_cli(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_config_file_supplies_and_is_overridden(capsys, tmp_path):

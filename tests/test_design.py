@@ -25,8 +25,8 @@ def test_column_order_and_markers():
         "const", "period_1", "period_2", "group", "group_trend",
         "treat", "x", "treat:x",
     )
-    assert m.treatment_column == m.index("treat")
-    assert m.trend_column == m.index("group_trend")
+    assert m.index("group_trend") == 4
+    assert m.index("treat") == 5
     np.testing.assert_array_equal(m.column("const"), np.ones(6))
     np.testing.assert_array_equal(m.column("period_2"), (data.t == 2).astype(float))
     np.testing.assert_array_equal(m.column("group"), data.q.astype(float))
@@ -65,7 +65,7 @@ def test_period_dummies_can_be_dropped():
     data = toy_dataset()
     m = build_design(data, DesignSpec(post_period=2, include_period_dummies=False))
     assert m.column_names == ("const", "group", "treat", "x")
-    assert m.trend_column is None
+    assert "group_trend" not in m.column_names
 
 
 def test_design_rejects_out_of_range_periods():
@@ -206,7 +206,7 @@ def test_design_invariants(case):
     assert m.values.shape == (data.n, m.n_columns)
     np.testing.assert_array_equal(m.values[:, 0], np.ones(data.n))
     np.testing.assert_array_equal(
-        m.values[:, m.treatment_column], (data.q * (data.t >= post)).astype(float)
+        m.values[:, m.index("treat")], (data.q * (data.t >= post)).astype(float)
     )
     # treated rows are exactly the group-1 rows in the post periods
     assert m.column("treat").sum() == np.sum((data.q == 1) & (data.t >= post))

@@ -54,6 +54,11 @@ def test_effect_report_validation():
         effect_report(0.1, math.nan)
     with pytest.raises(ValueError, match="kind"):
         effect_report(0.1, 0.1, kind="percent")
+    # exp(beta) overflows, or exp(beta) * se_beta does
+    with pytest.raises(ValueError, match="beta = 800.0"):
+        effect_report(800.0, 1.0)
+    with pytest.raises(ValueError, match="beta = 1.0"):
+        effect_report(1.0, 1e308)
 
 
 @given(st.floats(-5, 5), st.floats(0, 3))

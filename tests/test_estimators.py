@@ -260,16 +260,16 @@ def test_gradient_matches_finite_differences(family):
     w = rng.uniform(0.5, 2.0, n)
     if family == "poisson":
         y = rng.poisson(1.0, n).astype(float)
-        obj = fit_objective("poisson_qmle", X, y, w, 30.0)
+        obj = fit_objective("poisson_qmle", X, y, w)
         p = 3
     elif family == "logit":
         y = rng.integers(0, 2, n).astype(float)
-        obj = fit_objective("logit_qmle", X, y, w, 30.0)
+        obj = fit_objective("logit_qmle", X, y, w)
         p = 3
     elif family == "multinomial":
         labels = rng.integers(0, 3, n)
         ymat = np.column_stack([(labels == 1), (labels == 2)]).astype(float)
-        obj = fit_objective("multinomial_logit", X, ymat, w, 30.0)
+        obj = fit_objective("multinomial_logit", X, ymat, w)
         p = 6
     else:
         y = rng.normal(size=n)
@@ -292,12 +292,12 @@ def test_gradient_matches_finite_differences(family):
 def test_hessian_negative_definite_at_optimum():
     X, y, w = poisson_data(seed=8)
     fit = fit_poisson_qmle(X, y, w, options=TIGHT)
-    _, _, hess = fit_objective("poisson_qmle", X, y, w, 30.0)(fit.coefficients)
+    _, _, hess = fit_objective("poisson_qmle", X, y, w)(fit.coefficients)
     assert np.all(np.linalg.eigvalsh(hess) < 0)
 
     X, y, w = logit_data(seed=9)
     fit = fit_logit_qmle(X, y, w, options=TIGHT)
-    _, _, hess = fit_objective("logit_qmle", X, y, w, 30.0)(fit.coefficients)
+    _, _, hess = fit_objective("logit_qmle", X, y, w)(fit.coefficients)
     assert np.all(np.linalg.eigvalsh(hess) < 0)
 
     rng = np.random.default_rng(10)
@@ -305,7 +305,7 @@ def test_hessian_negative_definite_at_optimum():
     Xm = np.column_stack([np.ones(50), rng.normal(size=50)])
     fit = fit_multinomial_logit(Xm, labels.astype(float), options=TIGHT)
     ymat = np.column_stack([(labels == 1), (labels == 2)]).astype(float)
-    _, _, hess = fit_objective("multinomial_logit", Xm, ymat, np.ones(50), 30.0)(fit.coefficients)
+    _, _, hess = fit_objective("multinomial_logit", Xm, ymat, np.ones(50))(fit.coefficients)
     assert np.all(np.linalg.eigvalsh(hess) < 0)
 
 
@@ -537,7 +537,7 @@ def test_newton_diagnostics_count_step_halvings():
     fit = fit_poisson_qmle(X, y)
     assert fit.converged and fit.step_halvings > 0
     np.testing.assert_allclose(fit.max_abs_eta, np.log(y[1::2].mean()), rtol=1e-12)
-    _, diag = maximize(fit_objective("poisson_qmle", X, y, np.ones(6), 30.0), np.zeros(2))
+    _, diag = maximize(fit_objective("poisson_qmle", X, y, np.ones(6)), np.zeros(2))
     assert diag.step_halvings == fit.step_halvings
     ols = fit_ols(X, y)
     assert ols.step_halvings == 0
@@ -1130,16 +1130,16 @@ def test_covariate_designs_carry_cells_and_cell_columns():
 def test_design_matrix_validates_its_blocks():
     cell_values, row_values = np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([[0.5], [2.0], [3.0]])
     names = ("const", "group", "x")
-    design = DesignMatrix(cell_values, row_values, [1, 0, 1], names, 1, None)
+    design = DesignMatrix(cell_values, row_values, [1, 0, 1], names)
     np.testing.assert_array_equal(design.values, [[1, 1, 0.5], [1, 0, 2], [1, 1, 3]])
     for cells in ([0, 2, 1], [-1, 0, 1]):
         with pytest.raises(ValueError, match="cells"):
-            DesignMatrix(cell_values, row_values, cells, names, 1, None)
+            DesignMatrix(cell_values, row_values, cells, names)
     with pytest.raises(ValueError, match="one entry per design row"):
-        DesignMatrix(cell_values, row_values, [0, 1], names, 1, None)
+        DesignMatrix(cell_values, row_values, [0, 1], names)
     for bad in (names[:2], names + ("z",)):
         with pytest.raises(ValueError, match="column_names"):
-            DesignMatrix(cell_values, row_values, [0, 1, 1], bad, 1, None)
+            DesignMatrix(cell_values, row_values, [0, 1, 1], bad)
 
 
 def test_design_and_input_checks_build_no_dense_design():
@@ -1287,7 +1287,7 @@ def test_covariate_design_fit_matches_dense_fit(case):
     y = data.y
     if family == "multinomial":
         y = (y[:, None] == np.arange(1, int(y.max()) + 1)).astype(float)
-    _, _, hess = fit_objective(record, design.values, y, data.weights, 30.0)(dense.coefficients)
+    _, _, hess = fit_objective(record, design.values, y, data.weights)(dense.coefficients)
     rtol = max(1e-10, 100 * np.finfo(float).eps * np.linalg.cond(hess))
     assert _close(blocks.vcov, dense.vcov, rtol)
 

@@ -359,16 +359,6 @@ def test_run_monte_carlo_binary_has_no_transform_row():
     }
 
 
-def test_run_monte_carlo_thread_count_does_not_change_results():
-    sc = scenario(family="positive", n=200, repetitions=30, seed=5,
-                  beta_qtau=0.5, beta_d=0.5)
-    serial = run_monte_carlo(sc, threads=1)
-    threaded = run_monte_carlo(sc, threads=4)
-    assert serial.redraw_count == threaded.redraw_count
-    for key in serial.rows:
-        assert serial.rows[key] == threaded.rows[key]
-
-
 def test_run_monte_carlo_redraws_on_undefined_transform():
     # beta_d = -0.5 at n = 120 makes the DD estimate occasionally undershoot
     # -ybar, so the log transform forces redraws without aborting
