@@ -47,7 +47,6 @@ from .estimators import (
     fit_ols,
     fit_poisson_qmle,
     maximize,
-    robust_vcov,
     standard_error,
 )
 from .simulate import (

@@ -19,7 +19,10 @@ the result are the same. A --cluster column holds labels and may not also
 be bound as a number (outcome, group, period, weights or covariate).
 
 Exit codes: 0 success, 2 usage error, 1 data or convergence error (in JSON
-mode the error object is written to stdout).
+mode the error object is written to stdout, or to --output). An --output
+that cannot be written, a missing directory or a directory itself, exits 1
+with "rrdid: cannot write <path>: <reason>" on stderr, whether the payload
+was a result or an error object.
 
 No environment variable is consulted.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -164,6 +168,11 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     raw_periods = np.asarray(rows[period])
     if not np.all(raw_periods == np.floor(raw_periods)):
         raise ValueError(f"period column {period!r} must contain integers")
+    # past 2**53 distinct labels can parse to one float, and the int64 cast
+    # is no longer exact
+    if not np.all(np.abs(raw_periods) <= 2**53):
+        raise ValueError(f"period column {period!r} must contain integers "
+                         "of magnitude at most 2**53")
     labels, t = np.unique(raw_periods.astype(np.int64), return_inverse=True)
 
     dataset = RcsDataset(
@@ -618,16 +627,7 @@ def _run_estimate(args):
 
 
 def _effect_payload(report, target):
-    return {
-        "target": target,
-        "kind": report.kind,
-        "beta": report.beta,
-        "se_beta": report.se_beta,
-        "effect": report.effect,
-        "se_effect": report.se_effect,
-        "t_value": report.t_value,
-        "rare_event_note": report.rare_event_note,
-    }
+    return {"target": target, **dataclasses.asdict(report)}
 
 
 def _run_effect(args):
@@ -701,13 +701,12 @@ def _render_simulate(payload):
         "beta_qtau={beta_qtau:g} beta_d={beta_d:g}".format(**echo),
         f"{'row':<20}{'|Bias|':>8}{'SD':>8}{'RMSE':>8}",
     ]
-    for key in ("qmle_beta_qtau", "qmle_beta_d", "lindd_beta_qtau",
-                "lindd_beta_d", "lindd_transform"):
+    for key, label in _ROW_LABELS.items():
         if key not in results["rows"]:
             continue
         row = results["rows"][key]
         lines.append(
-            f"{_ROW_LABELS[key]:<20}{_num(row['abs_bias'], 2):>8}"
+            f"{label:<20}{_num(row['abs_bias'], 2):>8}"
             f"{_num(row['sd'], 2):>8}{_num(row['rmse'], 2):>8}"
         )
     kinds = ", ".join(f"{kind} {count}"
@@ -797,12 +796,19 @@ _RENDERERS = {
 # ---------------------------------------------------------------------------
 # driver
 
-def _emit(text, args):
-    if args.output:
+def _emit(text, args, code):
+    """Write text to --output, or stdout, and return the exit code: code, or
+    1 when --output cannot be written."""
+    if not args.output:
+        sys.stdout.write(text + "\n")
+        return code
+    try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    except OSError as exc:
+        sys.stderr.write(f"rrdid: cannot write {args.output}: {exc.strerror or exc}\n")
+        return 1
+    return code
 
 
 def _extract_config_path(argv):
@@ -820,7 +826,8 @@ def run_cli(argv=None) -> int:
     """Parse argv, run the command, emit text or canonical JSON.
 
     Returns the process exit code: 0 success, 2 usage error, 1 data or
-    convergence error (JSON mode writes a machine-readable error object).
+    convergence error (JSON mode writes a machine-readable error object) or
+    an --output that cannot be written.
     """
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     parser = _shared_parser()
@@ -850,9 +857,8 @@ def run_cli(argv=None) -> int:
             "errors": [{"kind": type(exc).__name__, "message": str(exc)}],
         }
         if args.format == "json":
-            _emit(canonical_json(payload), args)
-        else:
-            sys.stderr.write(f"rrdid {args.command}: {exc}\n")
+            return _emit(canonical_json(payload), args, 1)
+        sys.stderr.write(f"rrdid {args.command}: {exc}\n")
         return 1
 
     payload = {
@@ -863,10 +869,8 @@ def run_cli(argv=None) -> int:
         "errors": [],
     }
     if args.format == "json":
-        _emit(canonical_json(payload), args)
-    else:
-        _emit(_RENDERERS[args.command](payload), args)
-    return 0
+        return _emit(canonical_json(payload), args, 0)
+    return _emit(_RENDERERS[args.command](payload), args, 0)
 
 
 def main():

@@ -35,8 +35,7 @@ from the rows after the fit, so a fit on cells keeps the row-level sandwich
 exactly: its cell-column blocks come from per-cell residual moments, or,
 clustered, from each (cluster, cell) pair's residual sum, and only the row
 columns' scores are formed row by row. Clusters are numbered once per fit,
-in sorted-label order. No small-sample correction is applied unless
-requested.
+in sorted-label order. No small-sample correction is applied.
 Newton steps are halved, at most _STEP_HALVINGS times, until the maximand
 does not decrease; linear predictors are clamped at +/- _CAP, and a clamp still
 active at the optimum, or a perfectly predicted outcome, raises instead of
@@ -71,7 +70,6 @@ __all__ = [
     "fit_logit_qmle",
     "fit_multinomial_logit",
     "fit_cell_sums",
-    "robust_vcov",
     "standard_error",
 ]
 
@@ -149,9 +147,13 @@ class FitResult:
     coefficients are named by design column; multinomial fits append the
     class index, e.g. "treat[2]" for the class-2 contrast. t-values are
     asymptotic z-style ratios (no degrees-of-freedom adjustment). loglik
-    drops terms constant in the parameters (e.g. log y! for Poisson).
-    step_halvings counts the Newton steps the fit halved, and max_abs_eta
-    is the largest |linear predictor| at the estimate, before the cap.
+    drops terms constant in the parameters (e.g. log y! for Poisson). vcov
+    is the sandwich at the estimate (vcov_kind "sandwich", or
+    "cluster_sandwich" when clusters are given), without a small-sample
+    factor, or the classical OLS variance; NaN when the fit did not
+    converge. step_halvings counts the Newton steps the fit halved, and
+    max_abs_eta is the largest |linear predictor| at the estimate, before
+    the cap.
     """
 
     family: str
@@ -164,7 +166,6 @@ class FitResult:
     converged: bool
     score_norm: float
     n_obs: int
-    n_classes: int = 0
     step_halvings: int = 0
     max_abs_eta: float = float("nan")
 
@@ -451,7 +452,7 @@ def _number_pairs(keys, size):
     return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
-def _sandwich(bread, blocks, resid, clusters=None, small_sample_correction=False):
+def _sandwich(bread, blocks, resid, clusters=None):
     """A^{-1} B A^{-1}, with B the outer product of the row scores.
 
     blocks holds the rows of the design and resid (n, C) each row's
@@ -461,7 +462,8 @@ def _sandwich(bread, blocks, resid, clusters=None, small_sample_correction=False
     only the row x row blocks multiply row scores. Clustered, each cluster's
     score adds, for the cell columns, each of its (cluster, cell) pairs'
     residual sum times the cell's row, and for the row columns, its rows'
-    scores. Raises NonFiniteObjectiveError when B overflows.
+    scores. No small-sample factor is applied. Raises
+    NonFiniteObjectiveError when B overflows.
     """
     n, n_classes = resid.shape
     cell, rows, index = blocks
@@ -481,7 +483,6 @@ def _sandwich(bread, blocks, resid, clusters=None, small_sample_correction=False
             meat[:, p1:, :, p1:] = (row_scores.T @ row_scores).reshape(
                 n_classes, p2, n_classes, p2)
             meat = meat.reshape(n_classes * p, n_classes * p)
-            groups = n
         else:
             codes, groups = _cluster_codes(clusters)
             row_scores = row_scores.reshape(n, n_classes, p2)
@@ -506,15 +507,6 @@ def _sandwich(bread, blocks, resid, clusters=None, small_sample_correction=False
         vcov = np.linalg.solve(bread, half.T).T
     except np.linalg.LinAlgError:
         raise SingularHessianError("sandwich bread matrix is singular")
-    if small_sample_correction:
-        if clusters is not None:
-            if groups < 2:
-                raise ValueError("small-sample correction needs at least 2 clusters")
-            vcov = vcov * (groups / (groups - 1))
-        else:
-            if groups <= bread.shape[0]:
-                raise ValueError("small-sample correction needs n > p")
-            vcov = vcov * (groups / (groups - bread.shape[0]))
     return (vcov + vcov.T) / 2.0
 
 
@@ -825,7 +817,6 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
         converged=converged,
         score_norm=float(diag.score_norm[0]),
         n_obs=y.shape[0],
-        n_classes=y.shape[1] if family is _MULTINOMIAL else 0,
         step_halvings=int(diag.step_halvings[0]),
         max_abs_eta=float(max_eta[0]),
     )
@@ -950,40 +941,3 @@ def fit_cell_sums(family, X, counts, sums):
             failures[r] = kind
     return coefficients, failures
 
-
-def robust_vcov(family, X, y, weights, beta_hat, clusters=None,
-                small_sample_correction=False):
-    """Sandwich covariance A^{-1} B A^{-1} at beta_hat for any supported family.
-
-    family is "ols", "poisson_qmle", "logit_qmle" or "multinomial_logit". A
-    is the negative Hessian of the weighted quasi-likelihood, B the outer
-    product of per-observation scores, summed within clusters first when
-    cluster ids are given. The optional correction multiplies by G/(G-1)
-    (clustered) or n/(n-p) (unclustered). Inputs are checked as the fits
-    check them; beta_hat must hold p coefficients, or C blocks of p for the
-    multinomial with labels in 0..C. Bad input raises ValueError. Like the
-    fits, a non-identity family raises its guard error when a linear
-    predictor reaches +/- _CAP, where the clamp would make the
-    matrix silently wrong.
-    """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    record = _FAMILIES[family]
-    blocks, _, y, w = _inputs(record, X, y, weights)
-    beta = np.asarray(beta_hat, float)
-    p = blocks.cell.shape[1] + blocks.rows.shape[1]
-    if record is _MULTINOMIAL:
-        n_classes = beta.size // p
-        if n_classes < 1 or beta.shape != (n_classes * p,) or np.any(y > n_classes):
-            raise ValueError(f"multinomial beta_hat must hold C blocks of {p} "
-                             "coefficients, with class labels in 0..C")
-        y = _class_matrix(y, n_classes)
-    elif beta.shape != (p,):
-        raise ValueError(f"beta_hat must have length {p}")
-    else:
-        y = y[:, None]
-    _, _, hess, eta, mean = _evaluate(record, blocks, y[None], w[None], beta[None])
-    if record.guard is not None and np.max(np.abs(eta)) >= _CAP:
-        raise record.guard(record.message)
-    return _sandwich(-hess[0], blocks, w[:, None] * (y - mean[0]), clusters,
-                     small_sample_correction)

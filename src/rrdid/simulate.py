@@ -114,7 +114,6 @@ class MultinomialClassParams:
 class Scenario:
     """One Monte Carlo cell: family, true parameters, sample size, seed.
 
-    noise_scale exists for tests that need the noise switched off;
     count_shared_rate_intercept and censored_extra_term expose the
     alternative readings of the count rate and censored sum for
     sensitivity runs (defaults follow the period-specific rate and a
@@ -129,7 +128,6 @@ class Scenario:
     beta_d: float = 0.0
     betas_t: tuple = (-2.0, -2.0, -1.0, -1.0)
     beta_q: float = 0.5
-    noise_scale: float = 1.0
     count_shared_rate_intercept: bool = False
     censored_extra_term: bool = False
     multinomial_extras: tuple | None = None
@@ -139,9 +137,7 @@ class Scenario:
             raise ValueError(f"unknown family {self.family!r}")
         for name, least in (("n", 1), ("repetitions", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        _check_params(self, ("beta_qtau", "beta_d", "beta_q", "noise_scale"))
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be non-negative")
+        _check_params(self, ("beta_qtau", "beta_d", "beta_q"))
         if self.family == "multinomial":
             if not self.multinomial_extras or len(self.multinomial_extras) < 2:
                 raise ValueError(
@@ -235,11 +231,10 @@ def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
 def _outcomes(scenario: Scenario, lin: np.ndarray, variates: tuple) -> np.ndarray:
     """Outcomes of a set of (subject, period) entries from their index and variates."""
     family = scenario.family
-    s = scenario.noise_scale
     with np.errstate(over="ignore"):
         if family == "positive":
             (z,) = variates
-            y = np.exp(lin + s * z)
+            y = np.exp(lin + z)
         elif family == "count":
             (k,) = variates
             y = k.astype(float)
@@ -247,10 +242,10 @@ def _outcomes(scenario: Scenario, lin: np.ndarray, variates: tuple) -> np.ndarra
             m, z = variates
             y = np.zeros(lin.shape)
             for j in range(z.shape[0]):
-                y += np.where(m > j, np.exp(lin + s * z[j]), 0.0)
+                y += np.where(m > j, np.exp(lin + z[j]), 0.0)
         else:  # binary
             (u,) = variates
-            y = (lin + s * u > 0).astype(float)
+            y = (lin + u > 0).astype(float)
     if not np.isfinite(y).all():
         raise ValueError("DGP produced non-finite outcomes; check parameters")
     return y
@@ -265,7 +260,7 @@ def _draw_panel(scenario: Scenario, rng: np.random.Generator) -> Panel:
         utilities = np.empty((n, N_PERIODS, n_total))
         for j, params in enumerate(scenario.multinomial_extras):
             utilities[:, :, j] = _linear_index(params)[q]
-        utilities += scenario.noise_scale * rng.gumbel(size=(n, N_PERIODS, n_total))
+        utilities += rng.gumbel(size=(n, N_PERIODS, n_total))
         y = np.argmax(utilities, axis=2).astype(float)
         return Panel(y=y, q=q)
 

@@ -454,6 +454,19 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert payload["command"] == "effect"
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("beta", ["0", "800"])  # a result, then an error object
+def test_unwritable_output_exits_1_with_a_message(tmp_path, capsys, where, beta):
+    target = tmp_path / "missing" / "out.json" if where == "missing directory" else tmp_path
+    code = run_cli(["effect", "--beta", beta, "--se", "1", "--format", "json",
+                    "--output", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"rrdid: cannot write {target}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 # --- CSV loading ----------------------------------------------------------------
 
 
@@ -499,6 +512,22 @@ def test_load_csv_non_integer_period(tmp_path):
                      [[1.0, 0, 1.5], [2.0, 1, 2]])
     with pytest.raises(ValueError, match="integer"):
         load_csv_dataset(path, "y", "grp", "period")
+
+
+@pytest.mark.parametrize("label", ["inf", "-inf", "1e19", "-9007199254740994"])
+def test_period_beyond_2_53_is_a_value_error(capsys, tmp_path, label):
+    # past 2**53 labels cannot be told apart, and inf would cast to the
+    # smallest int64 and merge with the pre period
+    path = write_csv(tmp_path / "huge.csv", ["y", "grp", "period"],
+                     [[1.0, 0, label], [2.0, 1, label], [1.5, 0, 2001], [2.5, 1, 2001]])
+    code, _, payload = run_json(capsys, [
+        "summarize", "--csv", path, "--outcome", "y", "--group", "grp",
+        "--period", "period", "--post", "2001",
+    ])
+    assert code == 1
+    assert payload["errors"] == [{
+        "kind": "ValueError",
+        "message": "period column 'period' must contain integers of magnitude at most 2**53"}]
 
 
 def test_cli_reports_csv_error_as_json(capsys, tmp_path):

@@ -120,6 +120,12 @@ def test_dataset_validation(bad):
         RcsDataset(**base)
 
 
+@pytest.mark.parametrize("period", [np.inf, 1e19])
+def test_dataset_rejects_periods_beyond_2_53(period):
+    with pytest.raises(ValueError, match=r"magnitude at most 2\*\*53"):
+        RcsDataset(y=[1.0, 2.0, 3.0], q=[0, 1, 1], t=[0, 1, period])
+
+
 def test_dataset_rejects_empty():
     with pytest.raises(ValueError):
         RcsDataset(y=np.array([]), q=np.array([]), t=np.array([]))

@@ -31,7 +31,6 @@ from rrdid import (
     nonparametric_rr,
     proportional_effect,
     RcsDataset,
-    robust_vcov,
     standard_error,
 )
 from rrdid.estimators import (
@@ -356,9 +355,11 @@ def test_poisson_sandwich_matches_loops():
     np.testing.assert_allclose(fit.vcov, expected, rtol=1e-10, atol=1e-14)
     assert fit.vcov_kind == "cluster_sandwich"
 
-    plain = robust_vcov("poisson_qmle", X, y, w, fit.coefficients)
-    np.testing.assert_allclose(plain, looped_sandwich(X, scores, bread),
+    plain = fit_poisson_qmle(X, y, w, options=TIGHT)
+    np.testing.assert_array_equal(plain.coefficients, fit.coefficients)
+    np.testing.assert_allclose(plain.vcov, looped_sandwich(X, scores, bread),
                                rtol=1e-10, atol=1e-14)
+    assert plain.vcov_kind == "sandwich"
 
 
 @pytest.mark.parametrize("clustered", [False, True])
@@ -391,8 +392,6 @@ def test_logit_and_multinomial_sandwich_match_loops(family, clustered):
                 )
     expected = looped_sandwich(X, scores, bread, clusters)
     np.testing.assert_allclose(fit.vcov, expected, rtol=1e-10, atol=1e-14)
-    again = robust_vcov(family, X, y, w, fit.coefficients, clusters=clusters)
-    np.testing.assert_allclose(again, expected, rtol=1e-10, atol=1e-14)
 
 
 def test_ols_sandwich_matches_loops():
@@ -411,60 +410,15 @@ def test_ols_sandwich_matches_loops():
     )
 
 
-def test_small_sample_correction_factors():
-    X, y, w = poisson_data(seed=15, n=10)
-    clusters = np.array([0, 0, 1, 1, 1, 2, 2, 3, 3, 3])
-    fit = fit_poisson_qmle(X, y, w, clusters=clusters, options=TIGHT)
-    base = robust_vcov("poisson_qmle", X, y, w, fit.coefficients, clusters=clusters)
-    bumped = robust_vcov("poisson_qmle", X, y, w, fit.coefficients,
-                         clusters=clusters, small_sample_correction=True)
-    np.testing.assert_allclose(bumped, base * (4 / 3), rtol=1e-12)
-
-    base = robust_vcov("poisson_qmle", X, y, w, fit.coefficients)
-    bumped = robust_vcov("poisson_qmle", X, y, w, fit.coefficients,
-                         small_sample_correction=True)
-    np.testing.assert_allclose(bumped, base * (10 / 8), rtol=1e-12)
-
-
-def test_robust_vcov_rejects_unknown_family():
+@pytest.mark.parametrize("case, message", [("weights", "weights"), ("outcome", "non-finite")])
+def test_fit_validates_weights_and_outcome(case, message):
     X, y, w = poisson_data(seed=16, n=10)
-    with pytest.raises(ValueError, match="family"):
-        robust_vcov("probit", X, y, w, np.zeros(2))
-
-
-def test_robust_vcov_validates_inputs():
-    X, y, w = poisson_data(seed=16, n=10)
-    beta = fit_poisson_qmle(X, y, w).coefficients
-    Xm, labels, wm = multinomial_data(seed=16)
-    mbeta = fit_multinomial_logit(Xm, labels, wm).coefficients
-    cases = [
-        ("poisson_qmle", X, y, -w, beta, "weights"),
-        ("poisson_qmle", X, np.full_like(y, np.nan), w, beta, "non-finite"),
-        ("poisson_qmle", X, y - 10.0, w, beta, "non-negative"),
-        ("logit_qmle", X, y + 2.0, w, beta, r"\[0, 1\]"),
-        ("ols", X, y, w, np.zeros(3), "length 2"),
-        ("multinomial_logit", Xm, labels + 0.5, wm, mbeta, "integer"),
-        ("multinomial_logit", Xm, labels, wm, mbeta[:2], "0..C"),
-        ("multinomial_logit", Xm, labels, wm, mbeta[:3], "blocks"),
-    ]
-    for family, design, outcome, weights, coef, message in cases:
-        with pytest.raises(ValueError, match=message):
-            robust_vcov(family, design, outcome, weights, coef)
-
-
-@pytest.mark.parametrize("family, data, error", [
-    ("poisson_qmle", poisson_data, OverflowGuardError),
-    ("logit_qmle", logit_data, SeparationError),
-])
-def test_robust_vcov_applies_the_cap_guard(family, data, error):
-    # with an intercept, beta = (40, 0) puts every linear predictor past the
-    # cap of 30; clamped, it would return the matrix of beta = (35, 0)
-    X, y, w = data(seed=16, n=10)
-    for beta in ((40.0, 0.0), (-30.0, 0.0)):
-        with pytest.raises(error):
-            robust_vcov(family, X, y, w, np.array(beta))
-    assert np.all(np.isfinite(robust_vcov(family, X, y, w, np.array([5.0, 0.0]))))
-    assert np.all(np.isfinite(robust_vcov("ols", X, y, w, np.array([40.0, 0.0]))))
+    if case == "weights":
+        w = -w
+    else:
+        y = np.full_like(y, np.nan)
+    with pytest.raises(ValueError, match=message):
+        fit_poisson_qmle(X, y, w)
 
 
 def test_weight_duplication_equivalence():
@@ -703,7 +657,7 @@ def test_nonconverged_fit_reports_nan_vcov():
 
 @pytest.mark.parametrize("case, message", [
     ("outcome", "log-likelihood"), ("weights", "outer product"), ("clusters", "outer product"),
-    ("robust_vcov", "outer product"), ("classical", "classical covariance")])
+    ("classical", "classical covariance")])
 def test_overflowing_moments_raise_without_warnings(case, message):
     # finite inputs whose residual moments overflow: y up to 1e200 overflows
     # sum w e^2, weights of 1e20 on e near 1e140 only the sandwich's
@@ -715,8 +669,6 @@ def test_overflowing_moments_raise_without_warnings(case, message):
     with pytest.raises(NonFiniteObjectiveError, match=message):
         if case == "outcome":
             fit_ols(X, rng.uniform(0, 1, 40) * 10.0 ** rng.integers(190, 201, 40))
-        elif case == "robust_vcov":
-            robust_vcov("ols", X, y, w, np.zeros(2))
         elif case == "classical":
             fit_ols(X * 1e-10, y * 1e10, robust=False)
         else:

@@ -63,8 +63,6 @@ def linear_index(sc, q, t):
     dict(beta_qtau=math.inf),
     dict(beta_q=-math.inf),
     dict(beta_d="half"),
-    dict(noise_scale=math.nan),
-    dict(noise_scale=-0.1),
     dict(family="multinomial"),
     dict(family="multinomial", multinomial_extras=(MultinomialClassParams(),)),
     dict(multinomial_extras=(MultinomialClassParams(), MultinomialClassParams())),
@@ -200,19 +198,24 @@ def test_multinomial_family_softmax_shares():
             assert float((values == c).mean()) == pytest.approx(shares[c], abs=0.006)
 
 
-def test_noise_scale_zero_is_deterministic():
-    sc = scenario(family="positive", n=50, noise_scale=0.0,
-                  beta_qtau=0.5, beta_d=0.5)
-    panel = dgp_draw(sc, 0)
-    for t in range(N_PERIODS):
-        expected = np.exp([linear_index(sc, q, t) for q in panel.q])
-        np.testing.assert_allclose(panel.y[:, t], expected, rtol=1e-12)
-
-    sb = scenario(family="binary", n=50, noise_scale=0.0, beta_qtau=0.5)
-    panel = dgp_draw(sb, 0)
-    for t in range(N_PERIODS):
-        expected = np.array([float(linear_index(sb, q, t) > 0) for q in panel.q])
-        np.testing.assert_array_equal(panel.y[:, t], expected)
+def test_panel_draw_replays_from_the_replication_stream():
+    # the panel is the group draw, then one noise draw per (subject, period),
+    # both from the replication's stream; replaying them checks the index and
+    # the noise together
+    for family in ("positive", "binary"):
+        sc = scenario(family=family, n=50, seed=3, beta_qtau=0.5, beta_d=0.5)
+        rng = replication_rng(sc.seed, 0)
+        q = (rng.random(sc.n) < 0.5).astype(np.int64)
+        lin = np.array([[linear_index(sc, g, t) for t in range(N_PERIODS)] for g in q])
+        panel = dgp_draw(sc, 0)
+        np.testing.assert_array_equal(panel.q, q)
+        if family == "positive":
+            expected = np.exp(lin + rng.standard_normal((sc.n, N_PERIODS)))
+            np.testing.assert_allclose(panel.y, expected, rtol=1e-12)
+        else:
+            expected = (lin + rng.logistic(size=(sc.n, N_PERIODS)) > 0).astype(float)
+            np.testing.assert_array_equal(panel.y, expected)
+            assert 0 < expected.sum() < expected.size
 
 
 def test_count_shared_rate_intercept_switch():
@@ -266,20 +269,20 @@ def test_panel_to_rcs_period_draw_independent_of_group():
 
 
 @given(st.sampled_from(["positive", "count", "censored", "binary"]),
-       st.integers(1, 60), st.sampled_from([0.0, 1.0]), st.booleans(),
+       st.integers(1, 60), st.booleans(),
        st.floats(-1, 1), st.floats(-1, 1), st.integers(0, 2**16), st.integers(0, 50),
        st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
-@example("censored", 1, 1.0, True, 0.5, 0.5, 0, 0, 1)
-@example("count", 1, 0.0, True, 0.5, -0.5, 0, 0, 1)
-@example("censored", 3, 1.0, False, 0.5, 0.5, 0, 0, 4)
-def test_draw_cells_matches_the_panel_draw(family, n, noise_scale, switch,
+@example("censored", 1, True, 0.5, 0.5, 0, 0, 1)
+@example("count", 1, True, 0.5, -0.5, 0, 0, 1)
+@example("censored", 3, False, 0.5, 0.5, 0, 0, 4)
+def test_draw_cells_matches_the_panel_draw(family, n, switch,
                                            beta_qtau, beta_d, seed, rep, batch):
     # the Monte Carlo's draw takes the panel draw's variates from the same
     # stream and forms only the kept outcomes; one bincount collapses a batch
     # of draws, and each draw's cells must match its own panel's bit for bit
     sc = Scenario(family=family, n=n, repetitions=1, seed=seed, beta_qtau=beta_qtau,
-                  beta_d=beta_d, noise_scale=noise_scale,
+                  beta_d=beta_d,
                   count_shared_rate_intercept=switch and family == "count",
                   censored_extra_term=switch and family == "censored")
     reps = range(rep, rep + batch)
