@@ -53,7 +53,14 @@ from .errors import (
     SeparationError,
     SingularHessianError,
 )
-from .estimators import fit_logit_qmle, fit_multinomial_logit, fit_ols, fit_poisson_qmle
+from .estimators import (
+    _distinct_labels,
+    _number_pairs,
+    fit_logit_qmle,
+    fit_multinomial_logit,
+    fit_ols,
+    fit_poisson_qmle,
+)
 from .simulate import Scenario, run_monte_carlo
 
 __all__ = ["run_cli", "main", "canonical_json", "load_csv_dataset"]
@@ -148,7 +155,10 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     """Read a header CSV into an RcsDataset.
 
     Returns (dataset, period_labels): the distinct period values sorted
-    ascending, with dataset.t holding their 0-based ranks.
+    ascending, with dataset.t holding their 0-based ranks. With a cluster
+    column, dataset.clusters holds int64 codes: each row's label, stripped
+    of surrounding whitespace, numbered in sorted order of the distinct
+    stripped labels.
     """
     numeric = {outcome, group, period, *covariates}
     if weights:
@@ -160,7 +170,7 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     columns = _read_columns(path, bound, cluster)
     if columns is None:
         columns = _read_rows(path, bound, cluster)
-    rows, cluster_values = columns
+    rows, codes = columns
 
     if not len(rows[outcome]):
         raise CsvParseError("row 2: no data rows after the header")
@@ -168,12 +178,14 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     raw_periods = np.asarray(rows[period])
     if not np.all(raw_periods == np.floor(raw_periods)):
         raise ValueError(f"period column {period!r} must contain integers")
-    # past 2**53 distinct labels can parse to one float, and the int64 cast
-    # is no longer exact
-    if not np.all(np.abs(raw_periods) <= 2**53):
+    # from 2**53 on, distinct labels can parse to one float
+    if not np.all(np.abs(raw_periods) < 2**53):
         raise ValueError(f"period column {period!r} must contain integers "
-                         "of magnitude at most 2**53")
-    labels, t = np.unique(raw_periods.astype(np.int64), return_inverse=True)
+                         "of magnitude below 2**53")
+    t = raw_periods.astype(np.int64)
+    low = int(t.min())
+    labels, t = _number_pairs(t - low, int(t.max()) - low + 1)
+    labels += low
 
     dataset = RcsDataset(
         y=np.asarray(rows[outcome]),
@@ -181,10 +193,25 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
         t=t,
         covariates={name: np.asarray(rows[name]) for name in covariates},
         weights=np.asarray(rows[weights]) if weights else None,
-        clusters=np.asarray(cluster_values) if cluster else None,
+        clusters=codes,
         n_periods=len(labels),
     )
     return dataset, [int(v) for v in labels]
+
+
+def _code_clusters(labels):
+    """Each row's int64 cluster code: the 1-d str array labels, stripped,
+    numbered as np.unique(stripped, return_inverse=True) numbers them. None
+    when a label strips to nothing.
+
+    Only the distinct labels are stripped and sorted.
+    """
+    distinct, inverse = _distinct_labels(labels)
+    stripped = np.char.strip(distinct)
+    if np.char.str_len(stripped).min() == 0:
+        return None
+    _, rank = np.unique(stripped, return_inverse=True)
+    return rank.reshape(-1).astype(np.int64)[inverse]
 
 
 # csv.reader gives quotes and lone-CR line ends a meaning np.loadtxt does not
@@ -193,33 +220,32 @@ _ROW_PARSER_BYTES = (b'"', b"\r", b"\0")
 # np.loadtxt opens a str path through np.lib._datasource, which would read a
 # file with one of these suffixes as compressed
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+# bytes of whole lines the byte gate checks at a time
+_GATE_BLOCK = 1 << 20
 
 
 def _read_columns(path, bound, cluster):
-    """The columns _read_rows returns, read in one np.loadtxt pass.
+    """The numeric columns and cluster codes _read_rows returns, read in one
+    np.loadtxt pass.
 
     Returns None for every file on which that might differ from _read_rows:
     anything but a plain path, bytes csv.reader treats specially, invalid
     UTF-8, no data line, a blank line or a field count that differs from
-    the header's, a line past csv.field_size_limit(), and every field that
-    np.loadtxt rejects (it accepts no number float() rejects, and parses
-    the same value: both call PyOS_string_to_double after stripping the
-    same whitespace). _read_rows then reads the file and reports any error.
+    the header's, a line past csv.field_size_limit(), a cluster label that
+    strips to nothing, and every field that np.loadtxt rejects (it accepts
+    no number float() rejects, and parses the same value: both call
+    PyOS_string_to_double after stripping the same whitespace). _read_rows
+    then reads the file and reports any error.
 
-    The field count is checked on the commas alone. The header line holds
-    n_commas of them by construction, so every data line holds exactly
-    n_commas when the file holds n_commas * (n_rows + 1) and each data
-    line's block of the sorted offsets, commas[n_commas:] reshaped to
-    (n_rows, n_commas), lies strictly between that line's two ends: the
-    blocks are disjoint and cover every comma, so a line with a comma too
-    many or too few pushes some block across a line end.
-
-    One structured np.loadtxt pass then reads every bound column: an f8
-    field per numeric column, in sorted name order, and a <U field as wide
-    as the widest cluster field in bytes (which bounds its width in
+    The byte gate, _gate_lines, checks the file's bytes before np.loadtxt
+    reads it. One structured np.loadtxt pass then reads every bound column:
+    an f8 field per numeric column, in sorted name order, and a <U field as
+    wide as the widest cluster field in bytes (which bounds its width in
     characters, so no label is truncated). The fields are named f0, f1, ...
-    since a header name may be empty or repeat. The file's bytes and the
-    offsets are dropped first, as np.loadtxt reads the file again.
+    since a header name may be empty or repeat. The file's bytes are
+    dropped first, as np.loadtxt reads the file again. The cluster field is
+    coded in place, and each numeric field is copied out, so that the
+    structured array is dropped before the caller copies the columns.
     """
     if not isinstance(path, (str, os.PathLike)):
         return None
@@ -230,70 +256,111 @@ def _read_columns(path, bound, cluster):
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-        data.decode("utf-8")
-    except (OSError, UnicodeDecodeError):
+    except OSError:
         return None
     if any(special in data for special in _ROW_PARSER_BYTES):
         return None
-
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if data and not data.endswith(b"\n"):
-        ends = np.append(ends, len(data))
-    # csv.reader reads an empty first line as a header without columns
-    if ends.size < 2 or ends[0] == 0:
+    # a header line and at least one data line; csv.reader reads an empty
+    # first line as a header without columns
+    first = data.find(b"\n")
+    if first <= 0 or first == len(data) - 1:
         return None
-    header = [h.strip() for h in data[:ends[0]].decode("utf-8").split(",")]
+    try:
+        header = [h.strip() for h in data[:first].decode("utf-8").split(",")]
+    except UnicodeDecodeError:
+        return None
     if any(name not in header for name in bound):
         return None
-    n_rows, n_commas = ends.size - 1, len(header) - 1
-    if max(ends[0], np.max(np.diff(ends)) - 1) >= csv.field_size_limit():
+    gate = _gate_lines(data, first, len(header) - 1, header.index(cluster) if cluster else None)
+    del data
+    if gate is None:
         return None
-    commas = np.flatnonzero(buf == ord(","))
-    if commas.size != n_commas * (n_rows + 1):
-        return None
-    blocks = commas[n_commas:].reshape(n_rows, n_commas)
-    if n_commas and not (np.all(blocks[:, 0] > ends[:-1]) and np.all(blocks[:, -1] < ends[1:])):
-        return None
+    n_rows, width = gate
 
     names = sorted(bound - {cluster})
     usecols = [header.index(name) for name in names]
     dtype = [(f"f{i}", "f8") for i in range(len(names))]
     if cluster:
-        # field j of a data line lies between its j-th and (j+1)-th separator,
-        # counting the line ends
-        j = header.index(cluster)
-        left = ends[:-1] if j == 0 else blocks[:, j - 1]
-        right = ends[1:] if j == n_commas else blocks[:, j]
-        width = max(int(np.max(right - left)) - 1, 1)
-        usecols.append(j)
+        usecols.append(header.index(cluster))
         dtype.append((f"f{len(names)}", f"<U{width}"))
-        del left, right
-    del data, buf, ends, commas, blocks
     try:
         # max_rows makes np.loadtxt allocate its result once instead of growing
         # it; it warns on a blank line, which only a one-column file can hold
         values = np.loadtxt(path, dtype=dtype, usecols=usecols, delimiter=",", comments=None,
                             skiprows=1, ndmin=1, encoding="utf-8",
-                            max_rows=n_rows if n_commas else None)
+                            max_rows=n_rows if len(header) > 1 else None)
     except (OSError, ValueError):
         return None
     # np.loadtxt skips blank lines, which pass the comma count in a one-column file
     if len(values) != n_rows:
         return None
-    labels = None
+    codes = None
     if cluster:
-        labels = np.char.strip(values[f"f{len(names)}"])
-        widths = np.char.str_len(labels)
-        if widths.min() == 0:
+        codes = _code_clusters(values[f"f{len(names)}"])
+        if codes is None:
             return None
-        # np.asarray of the row parser's str list is as wide as its longest label
-        labels = labels.astype(f"<U{widths.max()}")
-    return {name: values[f"f{i}"] for i, name in enumerate(names)}, labels
+    return {name: values[f"f{i}"].copy() for i, name in enumerate(names)}, codes
+
+
+def _gate_lines(data, first, n_commas, cluster_index):
+    """(data lines, widest cluster field in bytes) of the file bytes data,
+    whose header line ends at offset first and holds n_commas commas; None
+    when a data line is not valid UTF-8, is longer than
+    csv.field_size_limit() or does not hold exactly n_commas commas.
+    cluster_index is the cluster column's index, or None.
+
+    The lines are checked in blocks of about _GATE_BLOCK bytes, each ending
+    at a line end, so the offsets stay small. A block of m lines holds
+    exactly n_commas commas on each line when it holds n_commas * m commas
+    and each line's block of the sorted offsets, reshaped to (m, n_commas),
+    lies strictly between that line's two ends: the blocks are disjoint and
+    cover every comma, so a line with a comma too many or too few pushes
+    some block across a line end. A line end never splits a UTF-8
+    character, so decoding block by block checks the whole file.
+    """
+    limit = csv.field_size_limit()
+    if first >= limit:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    view = memoryview(data)
+    n_rows, width = 0, 1
+    start = first + 1
+    while start < len(data):
+        stop = data.find(b"\n", min(start + _GATE_BLOCK, len(data) - 1))
+        if stop < 0:
+            stop = len(data)
+        try:
+            str(view[start:stop], "utf-8")
+        except UnicodeDecodeError:
+            return None
+        block = buf[start:stop]
+        # offsets within the block of each line's two ends; the first line
+        # starts after the newline at start - 1
+        ends = np.append(np.flatnonzero(block == ord("\n")), stop - start)
+        starts = np.append(-1, ends[:-1])
+        if np.max(ends - starts) - 1 >= limit:
+            return None
+        commas = np.flatnonzero(block == ord(","))
+        if commas.size != n_commas * ends.size:
+            return None
+        commas = commas.reshape(ends.size, n_commas)
+        if n_commas and not (np.all(commas[:, 0] > starts) and np.all(commas[:, -1] < ends)):
+            return None
+        if cluster_index is not None:
+            # field j of a line lies between its j-th and (j+1)-th separator,
+            # counting the line ends
+            j = cluster_index
+            left = starts if j == 0 else commas[:, j - 1]
+            right = ends if j == n_commas else commas[:, j]
+            width = max(width, int(np.max(right - left)) - 1)
+        n_rows += ends.size
+        start = stop + 1
+    return n_rows, width
 
 
 def _read_rows(path, bound, cluster):
-    """Every bound column as a list, parsed row by row; cluster ids apart.
+    """Every bound numeric column as a list, parsed row by row, and the
+    cluster codes (None without a cluster column or data rows).
 
     Errors carry the 1-based row number of the offending line.
     """
@@ -328,7 +395,7 @@ def _read_rows(path, bound, cluster):
                         f"row {row_number}: missing value in bound column {cluster!r}"
                     )
                 cluster_values.append(value)
-    return rows, cluster_values
+    return rows, _code_clusters(np.asarray(cluster_values)) if cluster_values else None
 
 
 def _period_index(labels, value, what):

@@ -80,9 +80,9 @@ class RcsDataset:
             raise ValueError("t must match the length of y")
         if not np.all(t == np.floor(t)):
             raise ValueError("t must contain integer period indices")
-        # past 2**53 the int64 cast is no longer exact
-        if not np.all(np.abs(t) <= 2**53):
-            raise ValueError("t must contain integer period indices of magnitude at most 2**53")
+        # from 2**53 on, distinct integers can share one float
+        if not np.all(np.abs(t) < 2**53):
+            raise ValueError("t must contain integer period indices of magnitude below 2**53")
         t = _frozen_array(t, np.int64)
         n_periods = self.n_periods if self.n_periods is not None else int(t.max()) + 1
         if n_periods < 1:

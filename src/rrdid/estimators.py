@@ -396,39 +396,64 @@ def _check_full_rank_qr(weighted, names):
         raise SingularDesignError(redundant)
 
 
+def _distinct_labels(labels):
+    """(distinct, inverse): the distinct strings of the 1-d str array labels,
+    in no set order, and each row's position among them.
+
+    Rows are deduplicated through an integer hash of their characters,
+    checked against the labels, so that a caller sorts only the distinct
+    labels; a hash collision falls back to np.unique. labels may be
+    strided, such as a field of a structured array: it is read in blocks
+    of rows and never copied whole.
+    """
+    chars = labels[:, None].view(np.uint32)
+    # fixed odd multipliers, invertible mod 2^64: changing one character
+    # always changes the hash
+    odd = np.random.default_rng(chars.shape[1]).integers(
+        0, 2**64, chars.shape[1], dtype=np.uint64, endpoint=False) | np.uint64(1)
+    # one character position at a time, over a block of rows that stays in
+    # cache across the positions
+    hashes = np.zeros(labels.size, np.uint64)
+    step = 1 << 14
+    for s in range(0, labels.size, step):
+        block, out = chars[s:s + step], hashes[s:s + step]
+        for j, multiplier in enumerate(odd):
+            out += block[:, j] * multiplier
+    keys, inverse = np.unique(hashes, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    first = np.empty(keys.size, np.intp)
+    first[inverse] = np.arange(labels.size)
+    distinct = labels[first]
+    # checked in blocks of rows, so the temporaries stay small
+    step = 1 << 16
+    if all(np.array_equal(distinct[inverse[s:s + step]], labels[s:s + step])
+           for s in range(0, labels.size, step)):
+        return distinct, inverse
+    distinct, inverse = np.unique(labels, return_inverse=True)
+    return distinct, inverse.reshape(-1)
+
+
 def _cluster_codes(clusters):
     """(codes, number of clusters): each row's cluster numbered in sorted-label
     order, exactly as np.unique(clusters, return_inverse=True) numbers them.
 
-    String labels are first deduplicated through an integer hash of their
-    characters, checked against the labels, so that only the distinct labels
-    are sorted; a hash collision falls back to np.unique.
+    Non-negative integer labels, such as the codes the CSV loader gives, are
+    numbered by _number_pairs: without a hash or a sort when every label is
+    below the number of rows. String labels are deduplicated by
+    _distinct_labels, so that only the distinct labels are sorted. Other
+    labels go to np.unique.
     """
-    labels = np.ascontiguousarray(clusters).reshape(-1)
-    if labels.dtype.kind == "U":
-        chars = labels.view(np.uint32).reshape(labels.size, -1)
-        # fixed odd multipliers, invertible mod 2^64: changing one character
-        # always changes the hash
-        odd = np.random.default_rng(chars.shape[1]).integers(
-            0, 2**64, chars.shape[1], dtype=np.uint64, endpoint=False) | np.uint64(1)
-        # one character position at a time keeps the temporaries to one column
-        hashes = np.zeros(labels.size, np.uint64)
-        for j, multiplier in enumerate(odd):
-            hashes += chars[:, j] * multiplier
-        keys, inverse = np.unique(hashes, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        first = np.empty(keys.size, np.intp)
-        first[inverse] = np.arange(labels.size)
-        distinct = labels[first]
-        # checked in blocks of rows, so the temporaries stay small
-        step = 1 << 16
-        if all(np.array_equal(distinct[inverse[s:s + step]], labels[s:s + step])
-               for s in range(0, labels.size, step)):
-            rank = np.empty(keys.size, np.intp)
-            rank[np.argsort(distinct)] = np.arange(keys.size)
-            return rank[inverse], keys.size
-    distinct, codes = np.unique(labels, return_inverse=True)
-    return codes.reshape(-1), distinct.size
+    labels = np.asarray(clusters).reshape(-1)
+    if np.can_cast(labels.dtype, np.intp) and labels.min() >= 0:
+        distinct, codes = _number_pairs(labels, int(labels.max()) + 1)
+        return codes, distinct.size
+    if labels.dtype.kind != "U":
+        distinct, codes = np.unique(labels, return_inverse=True)
+        return codes.reshape(-1), distinct.size
+    distinct, inverse = _distinct_labels(labels)
+    rank = np.empty(distinct.size, np.intp)
+    rank[np.argsort(distinct)] = np.arange(distinct.size)
+    return rank[inverse], distinct.size
 
 
 def _sum_cells(index, n_cells, rows):

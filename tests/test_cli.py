@@ -516,7 +516,7 @@ def test_load_csv_non_integer_period(tmp_path):
 
 @pytest.mark.parametrize("label", ["inf", "-inf", "1e19", "-9007199254740994"])
 def test_period_beyond_2_53_is_a_value_error(capsys, tmp_path, label):
-    # past 2**53 labels cannot be told apart, and inf would cast to the
+    # from 2**53 on labels cannot be told apart, and inf would cast to the
     # smallest int64 and merge with the pre period
     path = write_csv(tmp_path / "huge.csv", ["y", "grp", "period"],
                      [[1.0, 0, label], [2.0, 1, label], [1.5, 0, 2001], [2.5, 1, 2001]])
@@ -527,7 +527,22 @@ def test_period_beyond_2_53_is_a_value_error(capsys, tmp_path, label):
     assert code == 1
     assert payload["errors"] == [{
         "kind": "ValueError",
-        "message": "period column 'period' must contain integers of magnitude at most 2**53"}]
+        "message": "period column 'period' must contain integers of magnitude below 2**53"}]
+
+
+def test_periods_next_to_2_53_stay_apart(tmp_path):
+    # 2**53 + 1 parses to 2**53, so the two labels would merge into one period
+    path = write_csv(tmp_path / "merge.csv", ["y", "grp", "period"],
+                     [[1.0, 0, "9007199254740993"], [2.0, 1, "9007199254740992"]])
+    with pytest.raises(ValueError, match=r"below 2\*\*53"):
+        load_csv_dataset(path, "y", "grp", "period")
+    # below 2**53 every integer label parses exactly
+    path = write_csv(tmp_path / "apart.csv", ["y", "grp", "period"],
+                     [[1.0, 0, "9007199254740991"], [2.0, 1, "-9007199254740991"],
+                      [1.5, 0, "9007199254740990"]])
+    dataset, labels = load_csv_dataset(path, "y", "grp", "period")
+    assert labels == [-9007199254740991, 9007199254740990, 9007199254740991]
+    assert dataset.t.tolist() == [2, 0, 1]
 
 
 def test_cli_reports_csv_error_as_json(capsys, tmp_path):

@@ -15,7 +15,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrdid import estimators
+from rrdid import cli, estimators
 from rrdid import (
     DesignMatrix,
     DesignSpec,
@@ -772,6 +772,26 @@ def test_pair_numbering_matches_unique(monkeypatch, n_clusters, table):
     assert fit.vcov.tobytes() == reference.vcov.tobytes()
 
 
+def test_cluster_codes_survive_a_hash_collision(monkeypatch):
+    # with every multiplier 1 the hash is the sum of the characters, so "ab"
+    # and "ba" collide, and the check against the labels must catch it
+    class Ones:
+        def __init__(self, seed):
+            pass
+
+        def integers(self, low, high, size, **kwargs):
+            return np.zeros(size, np.uint64)
+
+    labels = np.array(["ab", "ba", "c", "ab", "ba", "ab"])
+    expected = np.unique(labels, return_inverse=True)[1].reshape(-1)
+    monkeypatch.setattr(np.random, "default_rng", Ones)
+    codes, n_clusters = _cluster_codes(labels)
+    np.testing.assert_array_equal(codes, expected)
+    assert n_clusters == 3
+    # the CSV loader's coder, on the same labels padded with spaces
+    np.testing.assert_array_equal(cli._code_clusters(np.char.add(" ", labels)), expected)
+
+
 def test_cluster_length_mismatch():
     X, y, w = poisson_data(seed=24, n=10)
     with pytest.raises(ValueError, match="clusters"):
@@ -1249,10 +1269,19 @@ def test_covariate_design_fit_matches_dense_fit(case):
     ["psu-ä1", "psu-1", "psu-10", "psu-ä1", "q", "psu-1"],
     [7, -3, 7, 0, 12, -3, 5],
     [0.5, -2.25, 0.5, 1e300, -0.0, 0.0, 3.0],
+    [3, 0, 2, 3, 5, 0],                   # dense codes: the presence table
+    [10**6, 3, 10**6, 42],                # the largest code past n: np.unique
 ])
 def test_cluster_codes_match_numpy_unique(labels):
     clusters = np.array(labels * 30)
     distinct, expected = np.unique(clusters, return_inverse=True)
-    codes, n_clusters = _cluster_codes(clusters)
-    np.testing.assert_array_equal(codes, expected.reshape(-1))
-    assert n_clusters == distinct.size
+    cases = [clusters]
+    if clusters.dtype.kind == "U":
+        # the same labels as a strided field of a structured array
+        records = np.zeros(clusters.size, [("x", "f8"), ("c", clusters.dtype)])
+        records["c"] = clusters
+        cases.append(records["c"])
+    for case in cases:
+        codes, n_clusters = _cluster_codes(case)
+        np.testing.assert_array_equal(codes, expected.reshape(-1))
+        assert n_clusters == distinct.size
