@@ -756,7 +756,10 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
     failures = np.full(len(beta), None, object)
     failures[~diag.converged] = "not_converged"
     if family.guard is not None:
-        diverged = max_eta >= _CAP
+        # A fit that stalls against the clamp stops a rounding error or a
+        # halved step away from it, on either side, so a fit that did not
+        # converge that close to the cap diverged as well.
+        diverged = (max_eta >= _CAP) | (~diag.converged & (max_eta >= _CAP * (1 - 1e-6)))
         # Divergent fits can stall "converged" below the cap once the saturated
         # rows' score drops under the tolerance; a perfectly predicted boundary
         # fit is the signature of that divergence.

@@ -34,6 +34,7 @@ from rrdid import (
     standard_error,
 )
 from rrdid.estimators import (
+    NewtonDiagnostics,
     _as_design,
     _check_full_rank,
     _check_full_rank_qr,
@@ -609,6 +610,31 @@ def test_logit_detects_separation():
     y = (x > 0).astype(float)
     with pytest.raises(SeparationError):
         fit_logit_qmle(X, y)
+
+
+@pytest.mark.parametrize("eta, converged, outcome", [
+    (30.0 * (1 - 1e-9), False, SeparationError),  # stalled against the clamp, below it
+    (30.0 + 1e-9, False, SeparationError),         # stalled against the clamp, past it
+    (30.0 * (1 - 1e-9), True, FitResult),          # a converged fit keeps the exact cap
+    (29.9, False, FitResult),                      # not converged, away from the cap
+])
+def test_fit_stalled_at_the_cap_diverged(monkeypatch, eta, converged, outcome):
+    # a dense and a cell-sum fit of one diverging model stall a rounding
+    # error apart, on either side of the cap; both must give one verdict
+    def stalled(objective, init, options, tolerance):
+        return np.array([[eta]]), NewtonDiagnostics(
+            np.array([5]), np.array([converged]), np.array([1e-3]), np.array([-1.0]),
+            np.array([False]), np.array([[[-1.0]]]), np.array([0]))
+
+    monkeypatch.setattr(estimators, "maximize", stalled)
+    try:
+        result = fit_logit_qmle(np.ones((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]))
+    except SeparationError as err:
+        result = err
+    assert type(result) is outcome
+    if outcome is FitResult:
+        assert result.converged is converged
+        assert result.max_abs_eta == eta
 
 
 def test_logit_accepts_fractional_outcomes():
