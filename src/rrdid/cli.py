@@ -11,12 +11,13 @@ CSV inputs are comma-separated UTF-8 with a header row, decimal points,
 and no missing values in bound columns. Period values may be arbitrary
 integers (e.g. years); they are mapped onto 0..T-1 in sorted order, and
 --post / --base-period are given in the original units. Plain files are
-read with np.loadtxt's C parser; files with quotes, CR line endings, NUL
-bytes, blank lines or ragged rows, and fields only Python's float() accepts
-(1_000, non-ASCII digits), go to the slower row-by-row reader, which also
-reports every error with its row number. Either way the accepted input and
-the result are the same. A --cluster column holds labels and may not also
-be bound as a number (outcome, group, period, weights or covariate).
+read with np.loadtxt's C parser, the group and period columns as int64;
+files with quotes, CR line endings, NUL bytes, blank lines or ragged rows,
+and fields only Python's float() accepts (1_000, non-ASCII digits), go to
+the slower row-by-row reader, which also reports every error with its row
+number. Either way the accepted input and the result are the same. A
+--cluster column holds labels and may not also be bound as a number
+(outcome, group, period, weights or covariate).
 
 Exit codes: 0 success, 2 usage error, 1 data or convergence error (in JSON
 mode the error object is written to stdout, or to --output). An --output
@@ -36,7 +37,9 @@ import functools
 import json
 import math
 import os
+import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -155,34 +158,44 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     """Read a header CSV into an RcsDataset.
 
     Returns (dataset, period_labels): the distinct period values sorted
-    ascending, with dataset.t holding their 0-based ranks. With a cluster
-    column, dataset.clusters holds int64 codes: each row's label, stripped
-    of surrounding whitespace, numbered in sorted order of the distinct
-    stripped labels.
+    ascending, with dataset.t holding their 0-based ranks. A period label
+    must be an integer of magnitude below 2**53; one not written as an
+    integer literal (such as 2016.0 or 2e3) must also be below 2**52 in
+    magnitude, since from there on a label with a fraction parses to a
+    float without one. With a cluster column, dataset.clusters holds int64
+    codes: each row's label, stripped of surrounding whitespace, numbered
+    in sorted order of the distinct stripped labels.
+
+    The group and period columns may arrive as int64 (from the np.loadtxt
+    reader) or as floats (from the row parser); either way the dataset is
+    the same, bit for bit.
     """
-    numeric = {outcome, group, period, *covariates}
+    floats = {outcome, *covariates}
     if weights:
-        numeric.add(weights)
+        floats.add(weights)
+    numeric = floats | {group, period}
     if cluster in numeric:
         raise ColumnBindingError(f"cluster column {cluster!r} is also bound as a numeric "
                                  "column; a column holds cluster ids or numbers, not both")
     bound = numeric | {cluster} if cluster else numeric
-    columns = _read_columns(path, bound, cluster)
+    # a column also read as a float keeps float()'s meaning, -0 included
+    columns = _read_columns(path, bound, cluster, {group, period} - floats, period)
     if columns is None:
-        columns = _read_rows(path, bound, cluster)
+        columns = _read_rows(path, bound, cluster, period)
     rows, codes = columns
 
     if not len(rows[outcome]):
         raise CsvParseError("row 2: no data rows after the header")
 
     raw_periods = np.asarray(rows[period])
-    if not np.all(raw_periods == np.floor(raw_periods)):
+    if raw_periods.dtype.kind == "f" and not np.all(raw_periods == np.floor(raw_periods)):
         raise ValueError(f"period column {period!r} must contain integers")
-    # from 2**53 on, distinct labels can parse to one float
-    if not np.all(np.abs(raw_periods) < 2**53):
+    # from 2**53 on, distinct labels can parse to one float; two-sided, since
+    # np.abs leaves the smallest int64 negative
+    if not np.all((raw_periods > -2**53) & (raw_periods < 2**53)):
         raise ValueError(f"period column {period!r} must contain integers "
                          "of magnitude below 2**53")
-    t = raw_periods.astype(np.int64)
+    t = raw_periods.astype(np.int64, copy=False)
     low = int(t.min())
     labels, t = _number_pairs(t - low, int(t.max()) - low + 1)
     labels += low
@@ -224,28 +237,35 @@ _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 _GATE_BLOCK = 1 << 20
 
 
-def _read_columns(path, bound, cluster):
+def _read_columns(path, bound, cluster, integers, period):
     """The numeric columns and cluster codes _read_rows returns, read in one
-    np.loadtxt pass.
+    np.loadtxt pass; the columns named in integers come back as int64.
 
     Returns None for every file on which that might differ from _read_rows:
     anything but a plain path, bytes csv.reader treats specially, invalid
     UTF-8, no data line, a blank line or a field count that differs from
     the header's, a line past csv.field_size_limit(), a cluster label that
-    strips to nothing, and every field that np.loadtxt rejects (it accepts
-    no number float() rejects, and parses the same value: both call
-    PyOS_string_to_double after stripping the same whitespace). _read_rows
-    then reads the file and reports any error.
+    strips to nothing, a period column read as floats that holds a value
+    of magnitude 2**52 or more (whose verdict depends on its text), and
+    every field that np.loadtxt rejects (it accepts no number float()
+    rejects, and parses the same value: both call PyOS_string_to_double
+    after stripping the same whitespace). _read_rows then reads the file
+    and reports any error.
 
     The byte gate, _gate_lines, checks the file's bytes before np.loadtxt
     reads it. One structured np.loadtxt pass then reads every bound column:
-    an f8 field per numeric column, in sorted name order, and a <U field as
-    wide as the widest cluster field in bytes (which bounds its width in
-    characters, so no label is truncated). The fields are named f0, f1, ...
-    since a header name may be empty or repeat. The file's bytes are
-    dropped first, as np.loadtxt reads the file again. The cluster field is
-    coded in place, and each numeric field is copied out, so that the
-    structured array is dropped before the caller copies the columns.
+    a field per numeric column, in sorted name order, i8 for the columns in
+    integers (bound only as group or period) and f8 for the rest, and a <U
+    field as wide as the widest cluster field in bytes (which bounds its
+    width in characters, so no label is truncated). An i8 field takes only
+    an integer literal, [+-]?[0-9]+ between whitespace, whose int64 value
+    is the float()-parsed value whenever the caller accepts it. When that
+    pass fails, on a label such as 2016.0 or 1e0, a second pass reads every
+    numeric column as f8. The fields are named f0, f1, ... since a header
+    name may be empty or repeat. The file's bytes are dropped first, as
+    np.loadtxt reads the file again. The cluster field is coded in place,
+    and each numeric field is copied out, so that the structured array is
+    dropped before the caller copies the columns.
     """
     if not isinstance(path, (str, os.PathLike)):
         return None
@@ -279,20 +299,39 @@ def _read_columns(path, bound, cluster):
 
     names = sorted(bound - {cluster})
     usecols = [header.index(name) for name in names]
-    dtype = [(f"f{i}", "f8") for i in range(len(names))]
+    kinds = ["i8" if name in integers else "f8" for name in names]
     if cluster:
         usecols.append(header.index(cluster))
-        dtype.append((f"f{len(names)}", f"<U{width}"))
-    try:
-        # max_rows makes np.loadtxt allocate its result once instead of growing
-        # it; it warns on a blank line, which only a one-column file can hold
-        values = np.loadtxt(path, dtype=dtype, usecols=usecols, delimiter=",", comments=None,
-                            skiprows=1, ndmin=1, encoding="utf-8",
-                            max_rows=n_rows if len(header) > 1 else None)
-    except (OSError, ValueError):
-        return None
+
+    def parse(numeric_kinds):
+        dtype = [(f"f{i}", kind) for i, kind in enumerate(numeric_kinds)]
+        if cluster:
+            dtype.append((f"f{len(names)}", f"<U{width}"))
+        try:
+            with warnings.catch_warnings():
+                # numpy releases that still parse a float in an integer field,
+                # through the float and truncating it, only warn when they do
+                warnings.simplefilter("error", DeprecationWarning)
+                # max_rows makes np.loadtxt allocate its result once instead of
+                # growing it; it warns on a blank line, which only a one-column
+                # file can hold
+                return np.loadtxt(path, dtype=dtype, usecols=usecols, delimiter=",",
+                                  comments=None, skiprows=1, ndmin=1, encoding="utf-8",
+                                  max_rows=n_rows if len(header) > 1 else None)
+        except (OSError, ValueError, DeprecationWarning):
+            return None
+
+    values = parse(kinds)
+    if values is None and "i8" in kinds:
+        kinds = ["f8"] * len(names)
+        values = parse(kinds)
     # np.loadtxt skips blank lines, which pass the comma count in a one-column file
-    if len(values) != n_rows:
+    if values is None or len(values) != n_rows:
+        return None
+    # from 2**52 on every float is an integer, so only the text tells whether
+    # a label has a fraction; the row parser reads it
+    j = names.index(period)
+    if kinds[j] == "f8" and np.any(np.abs(values[f"f{j}"]) >= 2**52):
         return None
     codes = None
     if cluster:
@@ -358,11 +397,18 @@ def _gate_lines(data, first, n_commas, cluster_index):
     return n_rows, width
 
 
-def _read_rows(path, bound, cluster):
+# an integer literal, as stripped text; np.loadtxt's i8 fields take these alone
+_INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _read_rows(path, bound, cluster, period):
     """Every bound numeric column as a list, parsed row by row, and the
     cluster codes (None without a cluster column or data rows).
 
-    Errors carry the 1-based row number of the offending line.
+    Errors carry the 1-based row number of the offending line. Once every
+    row is read, a period label that is not an integer literal and has a
+    magnitude from 2**52 up to 2**53 is a ValueError: from 2**52 on, a
+    label with a fraction parses to a float without one.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -380,6 +426,7 @@ def _read_rows(path, bound, cluster):
 
         rows = {name: [] for name in bound}
         cluster_values = []
+        inexact = False
         for row_number, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CsvParseError(
@@ -387,7 +434,10 @@ def _read_rows(path, bound, cluster):
                 )
             for name in order:
                 if name != cluster:
-                    rows[name].append(_parse_number(row[idx[name]], name, row_number))
+                    value = _parse_number(row[idx[name]], name, row_number)
+                    rows[name].append(value)
+                    if name == period and 2**52 <= abs(value) < 2**53:
+                        inexact |= not _INTEGER_LITERAL.fullmatch(row[idx[name]].strip())
                     continue
                 value = row[idx[cluster]].strip()
                 if value == "":
@@ -395,6 +445,8 @@ def _read_rows(path, bound, cluster):
                         f"row {row_number}: missing value in bound column {cluster!r}"
                     )
                 cluster_values.append(value)
+    if inexact:
+        raise ValueError(f"period column {period!r} must contain integers")
     return rows, _code_clusters(np.asarray(cluster_values)) if cluster_values else None
 
 

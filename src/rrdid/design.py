@@ -71,17 +71,18 @@ class RcsDataset:
         q = np.asarray(self.q)
         if q.shape != (n,):
             raise ValueError("q must match the length of y")
-        if not np.all(np.isin(q, (0, 1))):
+        if not np.all((q == 0) | (q == 1)):
             raise ValueError("q must contain only 0/1 group indicators")
         q = _frozen_array(q, np.int64)
 
         t = np.asarray(self.t)
         if t.shape != (n,):
             raise ValueError("t must match the length of y")
-        if not np.all(t == np.floor(t)):
+        if t.dtype.kind not in "iu" and not np.all(t == np.floor(t)):
             raise ValueError("t must contain integer period indices")
-        # from 2**53 on, distinct integers can share one float
-        if not np.all(np.abs(t) < 2**53):
+        # from 2**53 on, distinct integers can share one float; two-sided,
+        # since np.abs leaves the smallest int64 negative
+        if not np.all((t > -2**53) & (t < 2**53)):
             raise ValueError("t must contain integer period indices of magnitude below 2**53")
         t = _frozen_array(t, np.int64)
         n_periods = self.n_periods if self.n_periods is not None else int(t.max()) + 1

@@ -44,6 +44,7 @@ returning a silently unreliable estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -708,9 +709,19 @@ def _identically_zero(w, y):
     return np.sum(w * y, axis=-1) == 0.0
 
 
-def _objective(family, blocks, y, w):
-    """maximize's objective: (value, grad, hess) of B fits at beta (B, Cp)."""
-    return lambda beta: _evaluate(family, blocks, y, w, beta)[:3]
+def _objective(family, blocks, y, w, last):
+    """maximize's objective: (value, grad, hess) of B fits at beta (B, Cp).
+
+    The list last holds the latest evaluation's (beta, eta, mean) alone: it
+    is emptied before each evaluation, so the previous one's arrays are
+    freed before the next allocates its own.
+    """
+    def objective(beta):
+        last.clear()
+        value, grad, hess, eta, mean = _evaluate(family, blocks, y, w, beta)
+        last.append((beta.copy(), eta, mean))
+        return value, grad, hess
+    return objective
 
 
 def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
@@ -747,10 +758,15 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
                                  singular, hess, np.zeros(len(beta), int))
     else:
         tol = options.gradient_tolerance * (1.0 + counts.sum(axis=1))
-        beta, diag = maximize(_objective(family, blocks, means, counts), beta, options,
+        last = []
+        beta, diag = maximize(_objective(family, blocks, means, counts, last), beta, options,
                               tolerance=tol)
-        # the bread is the Hessian of the last accepted step; only the means are new
-        _, _, eta, mean = _score(family, blocks, means, counts, beta)
+        # the bread is the Hessian of the last accepted step; the means are
+        # the last evaluation's when it was at beta, in every fit of the batch
+        if last and np.array_equal(last[0][0], beta):
+            _, eta, mean = last.pop()
+        else:
+            _, _, eta, mean = _score(family, blocks, means, counts, beta)
 
     max_eta = np.max(np.abs(eta), axis=(1, 2))
     failures = np.full(len(beta), None, object)
@@ -898,13 +914,20 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
     e.g. "treat[1]".
     """
     blocks, names, y, w = _inputs(_MULTINOMIAL, X, y, weights)
-    labels = y.astype(np.int64)
-    n_classes = int(labels.max())
+    n_classes = int(y.max())
     if n_classes < 1:
         raise ValueError("multinomial_logit needs at least 2 observed classes")
-    missing = sorted(set(range(n_classes + 1)) - set(np.unique(labels).tolist()))
-    if missing:
-        raise ValueError(f"classes never observed: {missing}")
+    # a label past the row count leaves some class unobserved; np.unique
+    # numbers such labels as floats, which hold labels past int64 too
+    labels = y.astype(np.int64) if n_classes < y.size else y
+    observed = _number_pairs(labels, n_classes + 1)[0]
+    n_missing = n_classes + 1 - observed.size
+    if n_missing:
+        # at most the first 20: a huge label leaves too many to list
+        seen = set(observed.tolist())
+        shown = list(itertools.islice((c for c in range(n_classes + 1) if c not in seen), 20))
+        more = f" and {n_missing - len(shown)} more" if n_missing > len(shown) else ""
+        raise ValueError(f"classes never observed: {shown}{more}")
     full_names = [f"{name}[{c}]" for c in range(1, n_classes + 1) for name in names]
     return _fit_dataset(_MULTINOMIAL, blocks, full_names, _class_matrix(labels, n_classes), w,
                         clusters, options)

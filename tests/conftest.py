@@ -17,7 +17,7 @@ def fit_objective(family, X, y, w):
 
     blocks, _ = _as_design(X)
     y = np.asarray(y, float).reshape(blocks.rows.shape[0], -1)
-    batch = _objective(_FAMILIES[family], blocks, y[None], np.asarray(w, float)[None])
+    batch = _objective(_FAMILIES[family], blocks, y[None], np.asarray(w, float)[None], [])
 
     def objective(beta):
         value, grad, hess = batch(np.asarray(beta, float)[None])

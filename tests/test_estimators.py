@@ -637,6 +637,32 @@ def test_fit_stalled_at_the_cap_diverged(monkeypatch, eta, converged, outcome):
         assert result.max_abs_eta == eta
 
 
+def test_row_fit_scores_once_per_evaluation(monkeypatch):
+    # the fitted means come from the Newton's last evaluation, at beta, and
+    # not from one more pass over the rows
+    rng = np.random.default_rng(23)
+    X = np.column_stack([np.ones(200), rng.normal(size=200)])
+    y = rng.poisson(np.exp(0.3 + 0.5 * X[:, 1])).astype(float)
+    scores, evaluations = [], []
+    score, newton = estimators._score, estimators.maximize
+
+    def counted_score(*args):
+        scores.append(args[-1])
+        return score(*args)
+
+    def counted_newton(objective, *args, **kwargs):
+        def counted(beta):
+            evaluations.append(beta)
+            return objective(beta)
+        return newton(counted, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_score", counted_score)
+    monkeypatch.setattr(estimators, "maximize", counted_newton)
+    fit = fit_poisson_qmle(X, y)
+    assert fit.converged and len(evaluations) > 1
+    assert len(scores) == len(evaluations)
+
+
 def test_logit_accepts_fractional_outcomes():
     rng = np.random.default_rng(21)
     X = np.column_stack([np.ones(40), rng.normal(size=40)])
@@ -655,8 +681,16 @@ def test_multinomial_detects_separation():
 
 def test_multinomial_requires_all_classes_observed():
     X = np.ones((5, 1))
-    with pytest.raises(ValueError, match="never observed"):
+    with pytest.raises(ValueError, match=r"never observed: \[1\]$"):
         fit_multinomial_logit(X, np.array([0.0, 0.0, 2.0, 2.0, 2.0]))
+    # a huge label is checked without a table of every class, and one past
+    # int64 is not cast to a negative class
+    with pytest.raises(ValueError,
+                       match=r"never observed: \[1, 3, 4, .*, 21\] and 999999999978 more$"):
+        fit_multinomial_logit(X, np.array([0.0, 0.0, 2.0, 2.0, 1e12]))
+    with pytest.raises(ValueError,
+                       match=r"never observed: \[2, 3, .*, 21\] and 9999999999999999978 more$"):
+        fit_multinomial_logit(X, np.array([0.0, 1.0, 1.0, 1.0, 1e19]))
     with pytest.raises(ValueError, match="at least 2"):
         fit_multinomial_logit(X, np.zeros(5))
     with pytest.raises(ValueError, match="integer"):

@@ -20,8 +20,8 @@ PLAIN = {
     "number": ["0", "1", "2.5", "-3", "1e-3", " 4 ", "\t5", "-0", "0.1", "1e400", "nan",
                "inf", "-Infinity", "9007199254740993", "123456789012345678901234567890",
                " 6", "7\u3000"],
-    "group": ["0", "1", " 1", "0.0", "1e0"],
-    "period": ["2001", "2002", "2003", " 2002 ", "2001.0", "2003.5"],
+    "group": ["0", "1", " 1", "0.0", "1e0", "-0", "+1", "01"],
+    "period": ["2001", "2002", "2003", " 2002 ", "2001.0", "2003.5", "-0", "+2002", "\u30002003"],
     "weight": ["1", "0.5", "2.25", " 3"],
     "cluster": ["a", "b", " a ", "\u00fc", "c#", "x y", "\u6f22", "#", "a\u3000"],
     "other": ["", "z", "#", "1_0", "\u00e9"],
@@ -32,27 +32,35 @@ ODD = {
                '"1"', '"1,5"', "1 2", "nan(1)", '"2\n"', "1\x00"],
     "cluster": ["", "  ", '"q"', '"a,b"', "\u3000", "ab\x00", "a" * 131_073, '"x\ny"'],
 }
+# period labels from 2**52 on, where only the text shows a fraction, and
+# past 2**53 or int64
+BIG_PERIODS = ["4503599627370496.5", "4503599627370496", "4503599627370497",
+               "-4503599627370497.0", "4.5035996273704965e15", "9007199254740991",
+               "9223372036854775807", "-9223372036854775808", "9223372036854775808", "1e19"]
 ROLES = {"y": "number", "g": "group", "t": "period", "w": "weight", "c": "cluster",
          "x": "number", "z": "other"}
 # each flaw alone sends a file to the row parser, or must leave its result unchanged
 FLAWS = ["field", "field", "short", "long", "blank", "crlf", "cr", "crcrlf", "bom",
-         "not_utf8", "header_only", "missing_column"]
+         "not_utf8", "header_only", "missing_column", "big_period", "big_period"]
 NOT_UTF8 = "\ue000"        # stands for a byte that is not UTF-8
 
 
 @st.composite
 def csv_files(draw):
-    """(file bytes, bindings, bound names, plain): a CSV with every bound column
-    and only fields and lines both readers accept, then up to two flaws."""
-    bindings = {"outcome": "y", "group": "g", "period": "t",
+    """(file bytes, bindings, plain): a CSV with every bound column and only
+    fields and lines both readers accept, then up to two flaws."""
+    # a group or period column also bound as a number is read as floats
+    bindings = {"outcome": "g" if draw(st.integers(0, 5)) == 0 else "y",
+                "group": "g", "period": "t",
                 "weights": "w" if draw(st.booleans()) else None,
                 "cluster": "c" if draw(st.booleans()) else None,
-                "covariates": ("x",) if draw(st.booleans()) else ()}
-    bound = {"y", "g", "t", *bindings["covariates"],
+                "covariates": draw(st.sampled_from([(), ("x",), ("t",), ("x", "g")]))}
+    bound = {bindings["outcome"], "g", "t", *bindings["covariates"],
              *(b for b in (bindings["weights"], bindings["cluster"]) if b)}
     flaws = draw(st.lists(st.sampled_from(FLAWS), max_size=2))
 
-    extra = draw(st.lists(st.sampled_from(sorted({"w", "c", "x", "z"} - bound)), unique=True))
+    extra = draw(st.lists(st.sampled_from(sorted({"y", "w", "c", "x", "z"} - bound)),
+                          unique=True))
     names = draw(st.permutations(sorted(bound) + extra))
     if "missing_column" in flaws:
         names.remove(draw(st.sampled_from(sorted(bound))))
@@ -76,6 +84,8 @@ def csv_files(draw):
             row.pop()
         elif flaw == "long":
             row.append("9")
+        elif flaw == "big_period" and "t" in names[:len(row)]:
+            row[names.index("t")] = draw(st.sampled_from(BIG_PERIODS))
     lines = [",".join(header)] + [",".join(row) for row in rows]
     if "blank" in flaws:
         lines.insert(draw(st.integers(1, len(lines))), "")
@@ -85,7 +95,15 @@ def csv_files(draw):
     data = text.encode("utf-8").replace(NOT_UTF8.encode("utf-8"), b"\xff")
     if "bom" in flaws:
         data = b"\xef\xbb\xbf" + data
-    return data, bindings, bound, not flaws
+    return data, bindings, not flaws
+
+
+def _load_fast(path, bindings):
+    """_load's result on the np.loadtxt reader, and whether that left the file
+    to the row parser."""
+    with mock.patch.object(cli, "_read_rows", wraps=cli._read_rows) as read_rows:
+        result = _load(path, bindings, "fast")
+    return result, read_rows.called
 
 
 def _load(path, bindings, reader):
@@ -109,41 +127,81 @@ def _load(path, bindings, reader):
 @settings(max_examples=400, deadline=None)
 @given(csv_files())
 def test_loader_matches_row_parser(case):
-    data, bindings, bound, plain = case
+    data, bindings, plain = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "wb") as handle:
             handle.write(data)
         expected = _load(path, bindings, "row")
-        assert _load(path, bindings, "fast") == expected
-        fast = cli._read_columns(path, bound, bindings["cluster"]) is not None
+        result, slow = _load_fast(path, bindings)
+        assert result == expected
         if plain:
             # a plain file must not leave the fast reader
-            assert fast
+            assert not slow
         # the byte gate decides the same in blocks of about one line
         with mock.patch.object(cli, "_GATE_BLOCK", 1):
-            assert (cli._read_columns(path, bound, bindings["cluster"]) is not None) == fast
-            assert _load(path, bindings, "fast") == expected
+            assert _load_fast(path, bindings) == (expected, slow)
 
 
-def test_plain_csv_never_reaches_row_parser(tmp_path, monkeypatch):
+SURVEY = {"outcome": "visits", "group": "treated", "period": "year", "weights": "wt",
+          "cluster": "psu", "covariates": ("x",)}
+
+
+def _survey_lines(decimals=False):
+    """A plain 200-row survey CSV's lines; with decimals, its group and period
+    labels are written as 1.0 and 2016.0."""
     lines = ["visits,treated,year,wt,psu,x"]
     rng = np.random.default_rng(5)
     for i in range(200):
-        lines.append(f"{rng.poisson(2)},{i % 2},{2016 + i % 6},{rng.integers(500, 2500) / 1000},"
+        group, year = str(i % 2), str(2016 + i % 6)
+        if decimals:
+            group, year = group.replace("1", "1.0"), year + ".0"
+        lines.append(f"{rng.poisson(2)},{group},{year},{rng.integers(500, 2500) / 1000},"
                      f"psu-{i % 7:03d}é,{rng.standard_normal():.4f}")
-    path = tmp_path / "plain.csv"
-    path.write_text("\n".join(lines), encoding="utf-8")       # no final newline
-    with mock.patch.object(cli, "_read_columns", lambda *args: None):
-        expected = load_csv_dataset(path, "visits", "treated", "year", weights="wt",
-                                    cluster="psu", covariates=("x",))
+    return lines
 
+
+def _loadtxt_calls(monkeypatch):
+    """The keyword arguments of every np.loadtxt call from now on."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+def _field_kinds(call, header):
+    """Each column's dtype in one np.loadtxt call, by header name."""
+    return {header[col]: np.dtype(kind).str for col, (_, kind) in zip(call["usecols"],
+                                                                     call["dtype"])}
+
+
+def _refuse_row_parser(monkeypatch):
     def refuse(*args):
         raise AssertionError("a plain CSV reached the row parser")
 
     monkeypatch.setattr(cli, "_read_rows", refuse)
-    dataset, labels = load_csv_dataset(path, "visits", "treated", "year", weights="wt",
-                                       cluster="psu", covariates=("x",))
+
+
+def test_plain_csv_never_reaches_row_parser(tmp_path, monkeypatch):
+    lines = _survey_lines()
+    path = tmp_path / "plain.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")       # no final newline
+    with mock.patch.object(cli, "_read_columns", lambda *args: None):
+        expected = load_csv_dataset(path, **SURVEY)
+
+    _refuse_row_parser(monkeypatch)
+    calls = _loadtxt_calls(monkeypatch)
+    dataset, labels = load_csv_dataset(path, **SURVEY)
+    # one pass, which reads the group and period columns as integers
+    assert len(calls) == 1
+    assert _field_kinds(calls[0], lines[0].split(",")) == {
+        "treated": "<i8", "year": "<i8", "visits": "<f8", "wt": "<f8", "x": "<f8",
+        "psu": "<U9"}
     assert labels == expected[1] == [2016, 2017, 2018, 2019, 2020, 2021]
     # both readers number the stripped labels as np.unique does
     codes = np.unique([line.split(",")[4].strip() for line in lines[1:]],
@@ -155,6 +213,67 @@ def test_plain_csv_never_reaches_row_parser(tmp_path, monkeypatch):
     # a cluster column also bound as a number is refused before either parser runs
     with pytest.raises(ColumnBindingError, match="'visits'"):
         load_csv_dataset(path, "visits", "treated", "year", cluster="visits")
+
+
+def test_decimal_labels_take_the_float_pass(tmp_path, monkeypatch):
+    paths = {}
+    for name, decimals in [("plain", False), ("decimal", True)]:
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("\n".join(_survey_lines(decimals)) + "\n", encoding="utf-8")
+    expected = _load(paths["plain"], SURVEY, "fast")
+    assert expected[0] == "loaded"
+    _refuse_row_parser(monkeypatch)
+    calls = _loadtxt_calls(monkeypatch)
+    # 2016.0 and 1.0 are no int64 literals: the second pass reads them as f8,
+    # and the dataset is the same, bit for bit
+    assert _load(paths["decimal"], SURVEY, "fast") == expected
+    header = _survey_lines()[0].split(",")
+    assert [_field_kinds(call, header)["year"] for call in calls] == ["<i8", "<f8"]
+    assert {kind for name, kind in _field_kinds(calls[1], header).items()
+            if name != "psu"} == {"<f8"}
+
+
+@pytest.mark.parametrize("label", ["-9223372036854775808", "9223372036854775807"])
+def test_int64_extremes_are_beyond_2_53(tmp_path, label):
+    # np.abs of the smallest int64 is itself, which a one-sided bound would pass
+    path = tmp_path / "extreme.csv"
+    path.write_text(f"y,g,t\n1,0,{label}\n2,1,2001\n")
+    bindings = {"outcome": "y", "group": "g", "period": "t"}
+    message = "period column 't' must contain integers of magnitude below 2**53"
+    # the fast reader reads the label as an int64, and load_csv_dataset rejects it
+    assert _load_fast(path, bindings) == (("raised", ValueError, message), False)
+    assert _load(path, bindings, "row") == ("raised", ValueError, message)
+
+
+@pytest.mark.parametrize("labels, expected", [
+    # from 2**52 on a fraction rounds away: only the text shows it
+    (["4503599627370496.5", "4503599627370496"], None),
+    (["-4503599627370497.0", "2001"], None),
+    (["4503599627370497", "4503599627370496"], [4503599627370496, 4503599627370497]),
+    (["2001.0", "2002"], [2001, 2002]),
+])
+def test_period_labels_at_2_52_need_integer_text(tmp_path, labels, expected):
+    path = tmp_path / "labels.csv"
+    path.write_text("y,g,t\n" + "".join(f"{i},{i % 2},{label}\n"
+                                         for i, label in enumerate(labels * 2)))
+    bindings = {"outcome": "y", "group": "g", "period": "t"}
+    results = {reader: _load(path, bindings, reader) for reader in ("fast", "row")}
+    assert results["fast"] == results["row"]
+    if expected is None:
+        assert results["row"] == ("raised", ValueError, "period column 't' must contain integers")
+    else:
+        assert results["row"][:2] == ("loaded", expected)
+
+
+def test_group_bound_as_outcome_keeps_negative_zero(tmp_path):
+    # the column is also the outcome, so it is read as floats: y keeps -0.0
+    path = tmp_path / "zero.csv"
+    path.write_text("g,t\n-0,2001\n1,2001\n0,2002\n1,2002\n")
+    bindings = {"outcome": "g", "group": "g", "period": "t"}
+    fast, slow = _load_fast(path, bindings)
+    assert not slow
+    assert fast == _load(path, bindings, "row")
+    assert fast[3]["y"][2] == np.array([-0.0, 1.0, 0.0, 1.0]).tobytes()
 
 
 def test_padded_cluster_labels_are_one_cluster(tmp_path):
@@ -237,7 +356,7 @@ def test_comma_gate_sees_a_short_line_behind_a_long_one(tmp_path, data):
     path = tmp_path / "ragged.csv"
     path.write_bytes(data)
     bindings = {"outcome": "y", "group": "g", "period": "t"}
-    assert cli._read_columns(path, {"y", "g", "t"}, None) is None
+    assert cli._read_columns(path, {"y", "g", "t"}, None, {"g", "t"}, "t") is None
     assert _load(path, bindings, "fast") == _load(path, bindings, "row")
     assert _load(path, bindings, "fast")[0] == "raised"
 
@@ -295,17 +414,10 @@ def test_clustered_load_peak(large_csv):
 
 @pytest.mark.parametrize("cluster", [None, "c"])
 def test_plain_file_is_tokenized_once(large_csv, monkeypatch, cluster):
-    calls = []
-    loadtxt = np.loadtxt
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("usecols"))
-        return loadtxt(*args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", counted)
+    calls = _loadtxt_calls(monkeypatch)
     dataset, _ = load_csv_dataset(large_csv, "y", "g", "t", weights="w", cluster=cluster,
                                   covariates=("x",))
     # one pass reads every bound column, the cluster labels included
     assert len(calls) == 1
-    assert sorted(calls[0]) == ([0, 1, 2, 3, 4, 5] if cluster else [0, 1, 2, 3, 5])
+    assert sorted(calls[0]["usecols"]) == ([0, 1, 2, 3, 4, 5] if cluster else [0, 1, 2, 3, 5])
     assert dataset.n == 200_000
