@@ -6,8 +6,9 @@ over the linear predictors eta_i = (x_i beta_1, ..., x_i beta_C) of C
 outcome classes, with score sum_i w_i (y_i - b'(eta_i)) (x) x_i and Hessian
 weights b''(eta_i). Each family is one record in _FAMILIES: cumulant and
 mean, curvature, outcome domain and separation test. Every outcome is held
-in one layout, (datasets, cells, classes): OLS, Poisson and logit have one
-class, the multinomial one per non-base category. The logit is the
+in one layout, (datasets, classes, units), so each class's pass over the
+units is one contiguous row: OLS, Poisson and logit have one class, the
+multinomial one per non-base category. The logit is the
 one-class softmax, b(eta) = log(1 + e^eta), so it shares the multinomial's
 record functions and its fits equal the two-category multinomial's bit for
 bit. OLS is the identity link b(eta) = eta^2 / 2, solved by one Newton step.
@@ -346,7 +347,7 @@ def _check_inputs(blocks, names, y, weights):
 def _check_full_rank(blocks, weights, names):
     """Raise SingularDesignError as the rank test of the weighted unit rows
     does, forming those rows only when the Gram does not prove full rank."""
-    gram = _cross(blocks, weights[None, None, None])[0]
+    gram = _cross(blocks, weights[None, None])[0]
     if not _gram_proves_full_rank(gram, weights.size):
         # an overflow leaves inf, which the QR check refuses
         with np.errstate(over="ignore"):
@@ -481,48 +482,49 @@ def _number_pairs(keys, size):
 def _sandwich(bread, blocks, resid, clusters=None):
     """A^{-1} B A^{-1}, with B the outer product of the row scores.
 
-    blocks holds the rows of the design and resid (n, C) each row's
+    blocks holds the rows of the design and resid (C, n) each row's
     w_i (y_i - mu_i) for its C classes, so row i scores resid_i (x) x_i.
-    Unclustered, the cell-column blocks of B sum each cell's class-pair
-    residual moments (times a row column, for the cell x row blocks), and
-    only the row x row blocks multiply row scores. Clustered, each cluster's
-    score adds, for the cell columns, each of its (cluster, cell) pairs'
-    residual sum times the cell's row, and for the row columns, its rows'
-    scores. No small-sample factor is applied. Raises
+    Unclustered, the cell-column blocks of B sum each cell's residual
+    moments of the class pairs c <= d (times a row column, for the cell x
+    row blocks), and only the row x row blocks multiply row scores.
+    Clustered, each cluster's score adds, for the cell columns, each of its
+    (cluster, cell) pairs' residual sum times the cell's row, and for the
+    row columns, its rows' scores. No small-sample factor is applied. Raises
     NonFiniteObjectiveError when B overflows.
     """
-    n, n_classes = resid.shape
+    n_classes, n = resid.shape
     cell, rows, index = blocks
     k, p1, p2 = cell.shape[0], cell.shape[1], rows.shape[1]
-    r = resid.T
     if clusters is not None and np.shape(clusters)[0] != n:
         raise ValueError("clusters must match the number of observations")
     # an overflow leaves inf or NaN, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        row_scores = _score_rows(rows, resid)
+        # the row columns' scores resid_i (x) x_i, one row per class and column
+        row_scores = (resid[:, None, :] * rows.T).reshape(-1, n)
         if clusters is None:
             p = p1 + p2
-            meat = _cross(blocks, (r[:, None, :] * r[None, :, :])[None])[0].reshape(
-                n_classes, p, n_classes, p)
-            # the row x row blocks are S'S for the row scores S, so a plain
+            pairs = _class_pairs(n_classes)
+            moments = np.empty((1, len(pairs), n))
+            for pair, (c, d) in enumerate(pairs):
+                np.multiply(resid[c], resid[d], out=moments[0, pair])
+            meat = _cross(blocks, moments)[0].reshape(n_classes, p, n_classes, p)
+            # the row x row blocks are S S' for the score rows S, so a plain
             # array's meat is the product of its score rows
-            meat[:, p1:, :, p1:] = (row_scores.T @ row_scores).reshape(
+            meat[:, p1:, :, p1:] = (row_scores @ row_scores.T).reshape(
                 n_classes, p2, n_classes, p2)
             meat = meat.reshape(n_classes * p, n_classes * p)
         else:
             codes, groups = _cluster_codes(clusters)
-            row_scores = row_scores.reshape(n, n_classes, p2)
+            row_scores = row_scores.reshape(n_classes, p2, n)
             if p1:
                 pairs, pair = _number_pairs(codes * k + index, groups * k)
-                pair_resid = _sum_cells(pair, pairs.size, r).T
-                cell_scores = pair_resid[:, :, None] * cell[pairs % k][:, None, :]
+                cell_scores = _sum_cells(pair, pairs.size, resid)[:, None, :] * cell[pairs % k].T
             columns = []
             for c in range(n_classes):
                 if p1:
-                    columns += [np.bincount(pairs // k, weights=cell_scores[:, c, j],
-                                            minlength=groups) for j in range(p1)]
-                columns += [np.bincount(codes, weights=row_scores[:, c, j], minlength=groups)
-                            for j in range(p2)]
+                    columns += [np.bincount(pairs // k, weights=s, minlength=groups)
+                                for s in cell_scores[c]]
+                columns += [np.bincount(codes, weights=s, minlength=groups) for s in row_scores[c]]
             grouped = np.column_stack(columns)
             meat = grouped.T @ grouped
     if not np.all(np.isfinite(meat)):
@@ -540,11 +542,12 @@ def _sandwich(bread, blocks, resid, clusters=None):
 class _Family:
     """One canonical-link family: the fit maximizes sum w (y'eta - b(eta)).
 
-    Outcomes, linear predictors and means share one layout, (B, k, C): B
-    fits on k cells with C outcome classes, one for OLS, Poisson and logit
-    and one per non-base class for the multinomial. moments(eta) gives
-    (b(eta) (B, k), b'(eta) (B, k, C)); curvature(w, mean) gives the
-    Hessian weights w * b''(eta) as (B, C, C, k) class-pair blocks. The
+    Outcomes, linear predictors and means share one layout, (B, C, m): B
+    fits on m units with C outcome classes, one for OLS, Poisson and logit
+    and one per non-base class for the multinomial, each class a contiguous
+    row over the units. moments(eta) gives (b(eta) (B, m), b'(eta) (B, C,
+    m)); curvature(w, mean) gives the Hessian weights w * b''(eta) of the
+    P = C (C + 1) / 2 class pairs c <= d of _class_pairs as (B, P, m). The
     logit is the one-class softmax and shares the multinomial's functions.
     in_domain(y) is False for outcomes outside the domain that the string
     domain names. guard is the error class, raised with message, for a fit
@@ -563,35 +566,40 @@ class _Family:
     separated: Callable | None = None
 
 
+def _class_pairs(n_classes):
+    """The class pairs (c, d), c <= d, in the order of every (B, P, m) array
+    of class-pair weights."""
+    return [(c, d) for c in range(n_classes) for d in range(c, n_classes)]
+
+
 def _exp_moments(eta):
     mu = np.exp(eta)
-    return mu[..., 0], mu
+    return mu[:, 0], mu
 
 
 def _softmax_moments(eta):
     # class 0 is the base with eta = 0
-    top = np.maximum(eta.max(axis=-1), 0.0)
-    lse = top + np.log(np.exp(-top) + np.sum(np.exp(eta - top[..., None]), axis=-1))
-    return lse, np.exp(eta - lse[..., None])
+    top = np.maximum(eta.max(axis=1), 0.0)
+    lse = top + np.log(np.exp(-top) + np.sum(np.exp(eta - top[:, None]), axis=1))
+    return lse, np.exp(eta - lse[:, None])
 
 
 def _softmax_curvature(w, probs):
-    # block (c, d) weights w * p_c * (1[c == d] - p_d)
-    p = probs.transpose(0, 2, 1)
-    eye = np.eye(p.shape[1])[:, :, None]
-    return w[:, None, None, :] * (p[:, :, None, :] * (eye - p[:, None, :, :]))
+    # pair (c, d) weights w * p_c * (1[c == d] - p_d)
+    return np.stack([w * (probs[:, c] * ((c == d) - probs[:, d]))
+                     for c, d in _class_pairs(probs.shape[1])], axis=1)
 
 
 def _softmax_separated(y, probs):
-    # probability of each cell's observed class; cells without an indicator are class 0
-    p_obs = np.where(y.any(axis=2), np.sum(y * probs, axis=2), 1.0 - probs.sum(axis=2))
+    # probability of each unit's observed class; units without an indicator are class 0
+    p_obs = np.where(y.any(axis=1), np.sum(y * probs, axis=1), 1.0 - probs.sum(axis=1))
     return np.all((y == 0) | (y == 1), axis=(1, 2)) & np.all(p_obs >= 1.0 - 1e-6, axis=1)
 
 
-_GAUSSIAN = _Family("ols", lambda eta: (0.5 * eta[..., 0]**2, eta),
-                    lambda w, mu: w[:, None, None], lambda y: True, "finite y")
+_GAUSSIAN = _Family("ols", lambda eta: (0.5 * eta[:, 0]**2, eta),
+                    lambda w, mu: w[:, None], lambda y: True, "finite y")
 _POISSON = _Family(
-    "poisson_qmle", _exp_moments, lambda w, mu: (w * mu[..., 0])[:, None, None],
+    "poisson_qmle", _exp_moments, lambda w, mu: (w * mu[:, 0])[:, None],
     lambda y: not np.any(y < 0), "non-negative y",
     OverflowGuardError, "linear-predictor cap active at the optimum; "
                         "estimates would overflow without the guard",
@@ -623,35 +631,35 @@ def _inputs(family, X, y, weights):
 
 
 def _class_matrix(labels, n_classes):
-    """(n, C) indicators of classes 1..C; class 0 is the base."""
-    return (labels[:, None] == np.arange(1, n_classes + 1)).astype(float)
+    """(C, n) indicators of classes 1..C; class 0 is the base."""
+    return (labels == np.arange(1, n_classes + 1)[:, None]).astype(float)
 
 
 def _score(family, blocks, y, w, beta):
     """(value, grad, eta, mean) of B fits on the same m units at beta.
 
-    y is (B, m, C), w (B, m) and beta (B, Cp) holds C blocks of p; eta is
-    taken before the cap. The cell columns enter eta once per cell and the
-    score through each cell's residual sum.
+    y is (B, C, m), w (B, m) and beta (B, Cp) holds C blocks of p; eta and
+    mean are (B, C, m), eta taken before the cap. The cell columns enter eta
+    once per cell and the score through each cell's residual sum.
     """
     cell, rows, index = blocks
     p1 = cell.shape[1]
-    coef = beta.reshape(len(beta), y.shape[2], p1 + rows.shape[1]).transpose(0, 2, 1)
+    coef = beta.reshape(len(beta), y.shape[1], p1 + rows.shape[1])
     # an overflow leaves inf or NaN, which the Newton's finiteness test and
     # the fit guards decide on
     with np.errstate(over="ignore", invalid="ignore"):
         # one product per fit, so a fit's bits do not depend on its batch
         parts = []
         if p1:
-            on_cells = cell @ coef[:, :p1]
-            parts.append(on_cells if index is None else on_cells[:, index])
+            on_cells = coef[:, :, :p1] @ cell.T
+            parts.append(on_cells if index is None else on_cells.take(index, axis=2))
         if rows.shape[1]:
-            parts.append(rows @ coef[:, p1:])
+            parts.append(coef[:, :, p1:] @ rows.T)
         eta = parts[0] if len(parts) == 1 else parts[0] + parts[1]
         capped = eta if family.guard is None else np.clip(eta, -_CAP, _CAP)
         cumulant, mean = family.moments(capped)
-        value = np.sum(w * (np.sum(y * capped, axis=2) - cumulant), axis=1)
-        resid = (w[:, :, None] * (y - mean)).transpose(0, 2, 1)
+        value = np.sum(w * (np.sum(y * capped, axis=1) - cumulant), axis=1)
+        resid = w[:, None] * (y - mean)
         parts = []
         if p1:
             parts.append((resid if index is None else _sum_cells(index, len(cell), resid)) @ cell)
@@ -669,7 +677,8 @@ def _evaluate(family, blocks, y, w, beta):
 
 def _cross(blocks, weight):
     """sum_j weight_j (x) x_j x_j' over the units of blocks, per fit: (B, Cp, Cp)
-    of p x p class-pair blocks for (B, C, C, m) weights.
+    of p x p class-pair blocks for (B, P, m) weights of the P = C (C + 1) / 2
+    class pairs c <= d of _class_pairs; block (d, c) mirrors (c, d).
 
     The cell x cell blocks weight each cell's row by its summed weights and
     the cell x row blocks by its sums of weight times a row column; only the
@@ -677,31 +686,26 @@ def _cross(blocks, weight):
     entries, which the callers decide on.
     """
     cell, rows, index = blocks
-    n_fits, n_classes = weight.shape[:2]
+    n_fits, n_pairs = weight.shape[:2]
+    n_classes = (math.isqrt(8 * n_pairs + 1) - 1) // 2
     p1, p2 = cell.shape[1], rows.shape[1]
     if p1:
         on_cells = weight if index is None else _sum_cells(index, len(cell), weight)
     out = np.zeros((n_fits, n_classes, p1 + p2, n_classes, p1 + p2))
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(n_classes):
-            for d in range(c, n_classes):
-                block = out[:, c, :, d, :]
-                if p1:
-                    block[:, :p1, :p1] = (cell.T * on_cells[:, c, d, None, :]) @ cell
-                if p2:
-                    mixed = weight[:, c, d, None, :] * rows.T
-                    block[:, p1:, p1:] = mixed @ rows
-                if p1 and p2:
-                    mixed_cells = mixed if index is None else _sum_cells(index, len(cell), mixed)
-                    block[:, p1:, :p1] = mixed_cells @ cell
-                    block[:, :p1, p1:] = block[:, p1:, :p1].transpose(0, 2, 1)
-                out[:, d, :, c, :] = block
+        for pair, (c, d) in enumerate(_class_pairs(n_classes)):
+            block = out[:, c, :, d, :]
+            if p1:
+                block[:, :p1, :p1] = (cell.T * on_cells[:, pair, None, :]) @ cell
+            if p2:
+                mixed = weight[:, pair, None, :] * rows.T
+                block[:, p1:, p1:] = mixed @ rows
+            if p1 and p2:
+                mixed_cells = mixed if index is None else _sum_cells(index, len(cell), mixed)
+                block[:, p1:, :p1] = mixed_cells @ cell
+                block[:, :p1, p1:] = block[:, p1:, :p1].transpose(0, 2, 1)
+            out[:, d, :, c, :] = block
     return out.reshape(n_fits, n_classes * (p1 + p2), n_classes * (p1 + p2))
-
-
-def _score_rows(values, resid):
-    """Per-observation scores resid_i (x) x_i, class block by class block."""
-    return (resid[:, :, None] * values[:, None, :]).reshape(values.shape[0], -1)
 
 
 def _identically_zero(w, y):
@@ -728,7 +732,7 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
     """Fit B datasets on the same m units in one batched Newton.
 
     blocks holds the units' design, counts (B, m) each dataset's total
-    weight per unit and means (B, m, C) its weighted mean outcome, or class
+    weight per unit and means (B, C, m) its weighted mean outcome, or class
     shares, per unit; every unit needs a positive count. pure says whether
     the rows of every unit share one outcome, which a perfectly predicted
     boundary fit needs. Least squares is one Newton step from zero, solved
@@ -738,16 +742,17 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
     Returns (beta (B, Cp), failures, diag, mean, max_eta): failures[r] is
     None, "not_converged" or the name of the error the fit raises, diag the
     NewtonDiagnostics with the Hessian at beta, mean the fitted unit means
-    and max_eta each fit's largest |linear predictor|, before the cap.
+    (B, C, m) and max_eta each fit's largest |linear predictor|, before the cap.
     """
     n_columns = blocks.cell.shape[1] + blocks.rows.shape[1]
-    beta = np.zeros((counts.shape[0], n_columns * means.shape[2]))
+    beta = np.zeros((counts.shape[0], n_columns * means.shape[1]))
     if family is _GAUSSIAN:
         _, grad, hess, *_ = _evaluate(family, blocks, means, counts, beta)
         if lstsq:
+            # least squares has one class
             values = _unit_rows(blocks)
-            root = np.sqrt(counts)[:, :, None]
-            beta = np.array([np.linalg.lstsq(values * r, m * r, rcond=None)[0].T.reshape(-1)
+            root = np.sqrt(counts)
+            beta = np.array([np.linalg.lstsq(values * r[:, None], m[0] * r, rcond=None)[0]
                              for r, m in zip(root, means)])
             singular = np.zeros(len(beta), bool)
         else:
@@ -787,7 +792,7 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
 
 
 def _units(blocks, y, w):
-    """(unit blocks, counts, means, pure, index) of one dataset with outcome y (n, C).
+    """(unit blocks, counts, means, pure, index) of one dataset with outcome y (C, n).
 
     A design of cell columns alone fits on its non-empty cells: their total
     weights and weighted mean outcomes, pure saying whether the rows of every
@@ -801,9 +806,10 @@ def _units(blocks, y, w):
     totals = np.bincount(index, weights=w, minlength=k)
     some_row = np.zeros(k, np.intp)
     some_row[index] = np.arange(index.size)
-    sums = _sum_cells(index, k, w * y.T)
-    pure = np.array_equal(y, y[some_row][index])
-    return _Blocks(cell, np.empty((k, 0)), None), totals, (sums / totals).T, pure, index
+    sums = _sum_cells(index, k, w * y)
+    # every class row is compared: cells of labels 0 and 2 differ only in class 2's
+    pure = all(np.array_equal(row, row[some_row][index]) for row in y)
+    return _Blocks(cell, np.empty((k, 0)), None), totals, sums / totals, pure, index
 
 
 def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
@@ -811,7 +817,7 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
     columns, then one pass over the rows for the residuals behind the
     covariance.
 
-    y is (n, C): one outcome column, or C class indicators. A failed fit
+    y is (C, n): one outcome row, or C rows of class indicators. A failed fit
     raises its error; a fit that did not converge reports a NaN covariance.
     """
     units, counts, means, pure, index = _units(blocks, y, w)
@@ -821,19 +827,19 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
         raise SingularHessianError("Hessian is singular at the current iterate")
     if failure not in (None, "not_converged"):
         raise family.guard(family.message)
-    fitted = mean[0] if index is None else mean[0][index]
-    error = y - fitted
-    resid = w[:, None] * error
+    error = y - (mean[0] if index is None else mean[0].take(index, axis=1))
     hess, converged = diag.hessian[0], bool(diag.converged[0])
     if family is _GAUSSIAN:
         # the OLS loglik is the Gaussian one, -1/2 sum w e^2; an overflow
         # leaves inf, which raises below
         with np.errstate(over="ignore"):
-            loglik = -0.5 * float(np.sum(w[:, None] * error**2))
+            loglik = -0.5 * float(np.sum(w * error**2))
     else:
         loglik = float(diag.value[0])
     if not math.isfinite(loglik):
         raise NonFiniteObjectiveError("log-likelihood is not finite at the estimate")
+    # the residuals overwrite the errors, which nothing reads after the loglik
+    resid = np.multiply(w, error, out=error)
     vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
     if not robust:
         total, p = float(w.sum()), beta.shape[1]
@@ -860,7 +866,7 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
         iterations=int(diag.iterations[0]),
         converged=converged,
         score_norm=float(diag.score_norm[0]),
-        n_obs=y.shape[0],
+        n_obs=y.shape[1],
         step_halvings=int(diag.step_halvings[0]),
         max_abs_eta=float(max_eta[0]),
     )
@@ -877,7 +883,7 @@ def fit_ols(X, y, weights=None, clusters=None, robust=True):
         raise ValueError("the classical variance has no clustered form; "
                          "drop the clusters or use the robust sandwich")
     blocks, names, y, w = _inputs(_GAUSSIAN, X, y, weights)
-    return _fit_dataset(_GAUSSIAN, blocks, names, y[:, None], w, clusters, FitOptions(), robust)
+    return _fit_dataset(_GAUSSIAN, blocks, names, y[None], w, clusters, FitOptions(), robust)
 
 
 def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -892,7 +898,7 @@ def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = Fi
         raise OverflowGuardError(
             "outcome is identically zero; the exponential mean has no finite optimum"
         )
-    return _fit_dataset(_POISSON, blocks, names, y[:, None], w, clusters, options)
+    return _fit_dataset(_POISSON, blocks, names, y[None], w, clusters, options)
 
 
 def fit_logit_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -902,7 +908,7 @@ def fit_logit_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitO
     equals fit_multinomial_logit's, coefficient for coefficient.
     """
     blocks, names, y, w = _inputs(_LOGIT, X, y, weights)
-    return _fit_dataset(_LOGIT, blocks, names, y[:, None], w, clusters, options)
+    return _fit_dataset(_LOGIT, blocks, names, y[None], w, clusters, options)
 
 
 def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -985,7 +991,7 @@ def fit_cell_sums(family, X, counts, sums):
             for r in rows[zero]:
                 failures[r] = "OverflowGuardError"
             rows, y, w = rows[~zero], y[~zero], w[~zero]
-        beta, kinds, *_ = _fit(record, cells, w, y[:, :, None], FitOptions())
+        beta, kinds, *_ = _fit(record, cells, w, y[:, None], FitOptions())
         fitted = np.array([kind is None for kind in kinds], bool)
         coefficients[rows[fitted]] = beta[fitted]
         for r, kind in zip(rows, kinds):

@@ -11,12 +11,12 @@ def fit_objective(family, X, y, w):
     "logit_qmle", "multinomial_logit", "ols"); X is a plain array or a
     DesignMatrix, split into blocks as the fits split it; y is (n,), or
     (n, C) class indicators for the multinomial. The fits' batched objective sees a
-    batch of one.
+    batch of one, with y held class-major as (1, C, n).
     """
     from rrdid.estimators import _FAMILIES, _as_design, _objective
 
     blocks, _ = _as_design(X)
-    y = np.asarray(y, float).reshape(blocks.rows.shape[0], -1)
+    y = np.asarray(y, float).reshape(blocks.rows.shape[0], -1).T
     batch = _objective(_FAMILIES[family], blocks, y[None], np.asarray(w, float)[None], [])
 
     def objective(beta):

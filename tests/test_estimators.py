@@ -363,36 +363,60 @@ def test_poisson_sandwich_matches_loops():
     assert plain.vcov_kind == "sandwich"
 
 
+def _softmax_sandwich_cases(family):
+    """(X, y, w) of a plain array, then of DesignMatrix designs of cell columns
+    alone and with a covariate (a row column): with one contrast class for
+    the logit, two and three for the multinomial. Every cell holds every
+    class, so each fit has a finite optimum."""
+    if family == "logit_qmle":
+        cases, contrasts = [logit_data(seed=18, n=20)], (1,)
+    else:
+        cases, contrasts = [multinomial_data(seed=19)], (2, 3)
+    rng = np.random.default_rng(20)
+    n = 96
+    q, t = np.arange(n) % 2, np.arange(n) // 2 % 3
+    x, w = rng.normal(size=n), rng.uniform(0.5, 2.0, n)
+    for n_classes in contrasts:
+        y = rng.permutation(np.arange(n) // 6 % (n_classes + 1)).astype(float)
+        for covariates in ({}, {"x": x}):
+            data = RcsDataset(y=y, q=q, t=t, covariates=covariates)
+            design = build_design(data, DesignSpec(post_period=2))
+            assert (design.row_values.shape[1] > 0) == bool(covariates)
+            assert all(np.unique(y[design.cells == cell]).size == n_classes + 1
+                       for cell in np.unique(design.cells))
+            cases.append((design, y, w))
+    return cases
+
+
 @pytest.mark.parametrize("clustered", [False, True])
 @pytest.mark.parametrize("family", ["logit_qmle", "multinomial_logit"])
 def test_logit_and_multinomial_sandwich_match_loops(family, clustered):
     # a binary logit is the multinomial with one contrast class, so one loop
-    # over classes builds both families' scores and bread
-    if family == "logit_qmle":
-        X, y, w = logit_data(seed=18, n=20)
-        fitter = fit_logit_qmle
-    else:
-        X, y, w = multinomial_data(seed=19)
-        fitter = fit_multinomial_logit
-    n, p = X.shape
-    clusters = np.arange(n) % 5 if clustered else None
-    fit = fitter(X, y, w, clusters=clusters, options=TIGHT)
-    blocks = fit.coefficients.reshape(-1, p)
-    k = fit.coefficients.size
-    scores = np.zeros((n, k))
-    bread = np.zeros((k, k))
-    for i in range(n):
-        expo = [np.exp(X[i] @ b) for b in blocks]
-        probs = [e / (1.0 + sum(expo)) for e in expo]
-        for c in range(len(blocks)):
-            hit = 1.0 if y[i] == c + 1 else 0.0
-            scores[i, c * p:(c + 1) * p] = w[i] * (hit - probs[c]) * X[i]
-            for d in range(len(blocks)):
-                bread[c * p:(c + 1) * p, d * p:(d + 1) * p] += (
-                    w[i] * probs[c] * ((c == d) - probs[d]) * np.outer(X[i], X[i])
-                )
-    expected = looped_sandwich(X, scores, bread, clusters)
-    np.testing.assert_allclose(fit.vcov, expected, rtol=1e-10, atol=1e-14)
+    # over classes builds both families' scores and bread; a DesignMatrix
+    # fit takes its cell columns' sandwich blocks from cell and (cluster,
+    # cell) sums, which the loops form row by row from the dense design
+    fitter = fit_logit_qmle if family == "logit_qmle" else fit_multinomial_logit
+    for design, y, w in _softmax_sandwich_cases(family):
+        X = design.values if isinstance(design, DesignMatrix) else design
+        n, p = X.shape
+        clusters = np.arange(n) % 5 if clustered else None
+        fit = fitter(design, y, w, clusters=clusters, options=TIGHT)
+        blocks = fit.coefficients.reshape(-1, p)
+        k = fit.coefficients.size
+        scores = np.zeros((n, k))
+        bread = np.zeros((k, k))
+        for i in range(n):
+            expo = [np.exp(X[i] @ b) for b in blocks]
+            probs = [e / (1.0 + sum(expo)) for e in expo]
+            for c in range(len(blocks)):
+                hit = 1.0 if y[i] == c + 1 else 0.0
+                scores[i, c * p:(c + 1) * p] = w[i] * (hit - probs[c]) * X[i]
+                for d in range(len(blocks)):
+                    bread[c * p:(c + 1) * p, d * p:(d + 1) * p] += (
+                        w[i] * probs[c] * ((c == d) - probs[d]) * np.outer(X[i], X[i])
+                    )
+        expected = looped_sandwich(X, scores, bread, clusters)
+        np.testing.assert_allclose(fit.vcov, expected, rtol=1e-10, atol=1e-14)
 
 
 def test_ols_sandwich_matches_loops():
@@ -989,7 +1013,7 @@ def test_block_rank_check_names_the_qr_columns(kind, trend, named):
     assert (_rank_decision(_check_full_rank, blocks, w, names) == named
             == _rank_decision(_check_full_rank_qr, design.values * np.sqrt(w)[:, None], names))
     # every one is a close call, which only the QR of the dense rows decides
-    assert not _gram_proves_full_rank(_cross(blocks, w[None, None, None])[0], 200)
+    assert not _gram_proves_full_rank(_cross(blocks, w[None, None])[0], 200)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1129,11 +1153,14 @@ def test_cell_sum_fit_matches_row_fit(case):
 
 
 @pytest.mark.parametrize("fitter, labels", [(fit_logit_qmle, [0, 1, 0, 1]),
-                                            (fit_multinomial_logit, [0, 1, 2, 1])])
+                                            (fit_multinomial_logit, [0, 1, 2, 1]),
+                                            (fit_multinomial_logit, [0, 1, 0, 2])])
 def test_cell_fit_reads_purity_from_rows_not_means(fitter, labels):
     # every cell's rows share one outcome but for one row of negligible weight,
     # which leaves its cell's mean exactly on the boundary; the row fit does not
-    # call that perfectly predicted, so neither may the cell fit
+    # call that perfectly predicted, so neither may the cell fit. With labels
+    # [0, 1, 0, 2] that row's label 0 and its cell's label 2 have the same
+    # class-1 indicator, so only the class-2 indicators tell them apart
     y = np.append(np.repeat(labels, 3), 0.0)
     q, t = np.repeat([0, 0, 1, 1, 1], [3, 3, 3, 3, 1]), np.repeat([0, 1, 0, 1, 1], [3, 3, 3, 3, 1])
     data = RcsDataset(y=y, q=q, t=t, weights=np.append(np.ones(12), 1e-17))
