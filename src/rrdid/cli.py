@@ -57,7 +57,6 @@ from .errors import (
     SingularHessianError,
 )
 from .estimators import (
-    _distinct_labels,
     _number_pairs,
     fit_logit_qmle,
     fit_multinomial_logit,
@@ -212,12 +211,52 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     return dataset, [int(v) for v in labels]
 
 
+def _distinct_labels(labels):
+    """(distinct, inverse): the distinct strings of the 1-d str array labels,
+    in no set order, and each row's position among them.
+
+    Rows are deduplicated through an integer hash of their characters,
+    checked against the labels, so that a caller sorts only the distinct
+    labels; a hash collision falls back to np.unique. labels may be
+    strided, such as a field of a structured array: it is read in blocks
+    of rows and never copied whole.
+    """
+    chars = labels[:, None].view(np.uint32)
+    # fixed odd multipliers, invertible mod 2^64: changing one character
+    # always changes the hash
+    odd = np.random.default_rng(chars.shape[1]).integers(
+        0, 2**64, chars.shape[1], dtype=np.uint64, endpoint=False) | np.uint64(1)
+    # one character position at a time, over a block of rows that stays in
+    # cache across the positions
+    hashes = np.zeros(labels.size, np.uint64)
+    step = 1 << 14
+    for s in range(0, labels.size, step):
+        block, out = chars[s:s + step], hashes[s:s + step]
+        for j, multiplier in enumerate(odd):
+            out += block[:, j] * multiplier
+    keys, inverse = np.unique(hashes, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    first = np.empty(keys.size, np.intp)
+    first[inverse] = np.arange(labels.size)
+    distinct = labels[first]
+    # checked in blocks of rows, so the temporaries stay small
+    step = 1 << 16
+    if all(np.array_equal(distinct[inverse[s:s + step]], labels[s:s + step])
+           for s in range(0, labels.size, step)):
+        return distinct, inverse
+    distinct, inverse = np.unique(labels, return_inverse=True)
+    return distinct, inverse.reshape(-1)
+
+
 def _code_clusters(labels):
     """Each row's int64 cluster code: the 1-d str array labels, stripped,
     numbered as np.unique(stripped, return_inverse=True) numbers them. None
     when a label strips to nothing.
 
-    Only the distinct labels are stripped and sorted.
+    Only the distinct labels, which _distinct_labels finds through a
+    checked hash, are stripped and sorted. The fits number these
+    non-negative codes with a presence table, without a hash or a sort;
+    this is the only place that handles label text.
     """
     distinct, inverse = _distinct_labels(labels)
     stripped = np.char.strip(distinct)

@@ -33,10 +33,15 @@ Covariances are sandwiches A^{-1} B A^{-1}: A is the negative Hessian at the
 optimum, B the outer product of the per-row scores w_i (y_i - mu_i) (x) x_i,
 summed within clusters first when cluster ids are supplied. B is taken
 from the rows after the fit, so a fit on cells keeps the row-level sandwich
-exactly: its cell-column blocks come from per-cell residual moments, or,
-clustered, from each (cluster, cell) pair's residual sum, and only the row
-columns' scores are formed row by row. Clusters are numbered once per fit,
-in sorted-label order. No small-sample correction is applied.
+exactly. Unclustered, B is _cross, the Hessian's block evaluator, of the
+rows' residual moments r_c r_d in place of the curvature weights, so its
+cell-column blocks sum those moments within cells first. Clustered, B is
+G G' for the per-cluster score sums G: the cell columns' from each
+(cluster, cell) pair's residual sum, the row columns' from the rows'
+scores. Clusters are numbered once per fit, in sorted-label order:
+non-negative integer codes, such as the CSV loader's, through a presence
+table, any other labels through np.unique. No small-sample correction is
+applied.
 Newton steps are halved, at most _STEP_HALVINGS times, until the maximand
 does not decrease; linear predictors are clamped at +/- _CAP, and a clamp still
 active at the optimum, or a perfectly predicted outcome, raises instead of
@@ -321,7 +326,7 @@ def _unit_rows(blocks):
     return rows if not cell.shape[1] else np.hstack([cell, rows])
 
 
-def _check_inputs(blocks, names, y, weights):
+def _check_inputs(blocks, names, y, weights, clusters):
     n, p = blocks.rows.shape[0], blocks.cell.shape[1] + blocks.rows.shape[1]
     if n == 0 or p == 0:
         raise ValueError("design matrix must have at least one row and column")
@@ -338,6 +343,8 @@ def _check_inputs(blocks, names, y, weights):
             raise ValueError("weights must match the number of design rows")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be positive and finite")
+    if clusters is not None and np.shape(clusters) != (n,):
+        raise ValueError("clusters must match the number of observations")
     if not (np.all(np.isfinite(blocks.cell)) and np.all(np.isfinite(blocks.rows))):
         raise ValueError("design matrix contains non-finite values")
     _check_full_rank(blocks, w, names)
@@ -398,64 +405,21 @@ def _check_full_rank_qr(weighted, names):
         raise SingularDesignError(redundant)
 
 
-def _distinct_labels(labels):
-    """(distinct, inverse): the distinct strings of the 1-d str array labels,
-    in no set order, and each row's position among them.
-
-    Rows are deduplicated through an integer hash of their characters,
-    checked against the labels, so that a caller sorts only the distinct
-    labels; a hash collision falls back to np.unique. labels may be
-    strided, such as a field of a structured array: it is read in blocks
-    of rows and never copied whole.
-    """
-    chars = labels[:, None].view(np.uint32)
-    # fixed odd multipliers, invertible mod 2^64: changing one character
-    # always changes the hash
-    odd = np.random.default_rng(chars.shape[1]).integers(
-        0, 2**64, chars.shape[1], dtype=np.uint64, endpoint=False) | np.uint64(1)
-    # one character position at a time, over a block of rows that stays in
-    # cache across the positions
-    hashes = np.zeros(labels.size, np.uint64)
-    step = 1 << 14
-    for s in range(0, labels.size, step):
-        block, out = chars[s:s + step], hashes[s:s + step]
-        for j, multiplier in enumerate(odd):
-            out += block[:, j] * multiplier
-    keys, inverse = np.unique(hashes, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    first = np.empty(keys.size, np.intp)
-    first[inverse] = np.arange(labels.size)
-    distinct = labels[first]
-    # checked in blocks of rows, so the temporaries stay small
-    step = 1 << 16
-    if all(np.array_equal(distinct[inverse[s:s + step]], labels[s:s + step])
-           for s in range(0, labels.size, step)):
-        return distinct, inverse
-    distinct, inverse = np.unique(labels, return_inverse=True)
-    return distinct, inverse.reshape(-1)
-
-
 def _cluster_codes(clusters):
     """(codes, number of clusters): each row's cluster numbered in sorted-label
     order, exactly as np.unique(clusters, return_inverse=True) numbers them.
 
     Non-negative integer labels, such as the codes the CSV loader gives, are
     numbered by _number_pairs: without a hash or a sort when every label is
-    below the number of rows. String labels are deduplicated by
-    _distinct_labels, so that only the distinct labels are sorted. Other
-    labels go to np.unique.
+    below the number of rows. Any other labels (negative integers, floats,
+    booleans, strings) go to np.unique.
     """
     labels = np.asarray(clusters).reshape(-1)
-    if np.can_cast(labels.dtype, np.intp) and labels.min() >= 0:
+    if labels.dtype.kind in "iu" and np.can_cast(labels.dtype, np.intp) and labels.min() >= 0:
         distinct, codes = _number_pairs(labels, int(labels.max()) + 1)
         return codes, distinct.size
-    if labels.dtype.kind != "U":
-        distinct, codes = np.unique(labels, return_inverse=True)
-        return codes.reshape(-1), distinct.size
-    distinct, inverse = _distinct_labels(labels)
-    rank = np.empty(distinct.size, np.intp)
-    rank[np.argsort(distinct)] = np.arange(distinct.size)
-    return rank[inverse], distinct.size
+    distinct, codes = np.unique(labels, return_inverse=True)
+    return codes.reshape(-1), distinct.size
 
 
 def _sum_cells(index, n_cells, rows):
@@ -484,49 +448,37 @@ def _sandwich(bread, blocks, resid, clusters=None):
 
     blocks holds the rows of the design and resid (C, n) each row's
     w_i (y_i - mu_i) for its C classes, so row i scores resid_i (x) x_i.
-    Unclustered, the cell-column blocks of B sum each cell's residual
-    moments of the class pairs c <= d (times a row column, for the cell x
-    row blocks), and only the row x row blocks multiply row scores.
-    Clustered, each cluster's score adds, for the cell columns, each of its
-    (cluster, cell) pairs' residual sum times the cell's row, and for the
-    row columns, its rows' scores. No small-sample factor is applied. Raises
+    Unclustered, B is _cross of the rows' residual moments r_c r_d of the
+    class pairs c <= d: its cell-column blocks sum them within cells first.
+    Clustered, B = G G' for the (Cp, clusters) per-cluster score sums G:
+    for the cell columns, each of the cluster's (cluster, cell) pairs'
+    residual sum times the cell's row, and for the row columns, its rows'
+    scores. No small-sample factor is applied. Raises
     NonFiniteObjectiveError when B overflows.
     """
     n_classes, n = resid.shape
     cell, rows, index = blocks
-    k, p1, p2 = cell.shape[0], cell.shape[1], rows.shape[1]
-    if clusters is not None and np.shape(clusters)[0] != n:
-        raise ValueError("clusters must match the number of observations")
+    k, p1 = cell.shape
     # an overflow leaves inf or NaN, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        # the row columns' scores resid_i (x) x_i, one row per class and column
-        row_scores = (resid[:, None, :] * rows.T).reshape(-1, n)
         if clusters is None:
-            p = p1 + p2
             pairs = _class_pairs(n_classes)
             moments = np.empty((1, len(pairs), n))
             for pair, (c, d) in enumerate(pairs):
                 np.multiply(resid[c], resid[d], out=moments[0, pair])
-            meat = _cross(blocks, moments)[0].reshape(n_classes, p, n_classes, p)
-            # the row x row blocks are S S' for the score rows S, so a plain
-            # array's meat is the product of its score rows
-            meat[:, p1:, :, p1:] = (row_scores @ row_scores.T).reshape(
-                n_classes, p2, n_classes, p2)
-            meat = meat.reshape(n_classes * p, n_classes * p)
+            meat = _cross(blocks, moments)[0]
         else:
             codes, groups = _cluster_codes(clusters)
-            row_scores = row_scores.reshape(n_classes, p2, n)
+            # (C, p2, clusters) sums of the row columns' scores; the cell
+            # columns' sums go before them
+            grouped = _sum_cells(codes, groups, resid[:, None, :] * rows.T)
             if p1:
                 pairs, pair = _number_pairs(codes * k + index, groups * k)
                 cell_scores = _sum_cells(pair, pairs.size, resid)[:, None, :] * cell[pairs % k].T
-            columns = []
-            for c in range(n_classes):
-                if p1:
-                    columns += [np.bincount(pairs // k, weights=s, minlength=groups)
-                                for s in cell_scores[c]]
-                columns += [np.bincount(codes, weights=s, minlength=groups) for s in row_scores[c]]
-            grouped = np.column_stack(columns)
-            meat = grouped.T @ grouped
+                grouped = np.concatenate([_sum_cells(pairs // k, groups, cell_scores), grouped],
+                                         axis=1)
+            grouped = grouped.reshape(-1, groups)
+            meat = grouped @ grouped.T
     if not np.all(np.isfinite(meat)):
         raise NonFiniteObjectiveError("the scores' outer product overflows; "
                                       "the covariance is not finite")
@@ -621,10 +573,10 @@ _MULTINOMIAL = _Family(
 _FAMILIES = {f.name: f for f in (_GAUSSIAN, _POISSON, _LOGIT, _MULTINOMIAL)}
 
 
-def _inputs(family, X, y, weights):
+def _inputs(family, X, y, weights, clusters=None):
     """Row blocks, names, outcome and weights after the shared and the family's checks."""
     blocks, names = _as_design(X)
-    y, w = _check_inputs(blocks, names, y, weights)
+    y, w = _check_inputs(blocks, names, y, weights, clusters)
     if not family.in_domain(y):
         raise ValueError(f"{family.name} requires {family.domain}")
     return blocks, names, y, w
@@ -882,7 +834,7 @@ def fit_ols(X, y, weights=None, clusters=None, robust=True):
     if clusters is not None and not robust:
         raise ValueError("the classical variance has no clustered form; "
                          "drop the clusters or use the robust sandwich")
-    blocks, names, y, w = _inputs(_GAUSSIAN, X, y, weights)
+    blocks, names, y, w = _inputs(_GAUSSIAN, X, y, weights, clusters)
     return _fit_dataset(_GAUSSIAN, blocks, names, y[None], w, clusters, FitOptions(), robust)
 
 
@@ -893,7 +845,7 @@ def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = Fi
     censored-at-zero outcomes); only the conditional mean must be
     exponential for the estimate to be consistent.
     """
-    blocks, names, y, w = _inputs(_POISSON, X, y, weights)
+    blocks, names, y, w = _inputs(_POISSON, X, y, weights, clusters)
     if _identically_zero(w, y):
         raise OverflowGuardError(
             "outcome is identically zero; the exponential mean has no finite optimum"
@@ -907,7 +859,7 @@ def fit_logit_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitO
     The logit is the one-class multinomial logit: on 0/1 outcomes its fit
     equals fit_multinomial_logit's, coefficient for coefficient.
     """
-    blocks, names, y, w = _inputs(_LOGIT, X, y, weights)
+    blocks, names, y, w = _inputs(_LOGIT, X, y, weights, clusters)
     return _fit_dataset(_LOGIT, blocks, names, y[None], w, clusters, options)
 
 
@@ -919,7 +871,7 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
     block per class in design-column order; names carry the class index,
     e.g. "treat[1]".
     """
-    blocks, names, y, w = _inputs(_MULTINOMIAL, X, y, weights)
+    blocks, names, y, w = _inputs(_MULTINOMIAL, X, y, weights, clusters)
     n_classes = int(y.max())
     if n_classes < 1:
         raise ValueError("multinomial_logit needs at least 2 observed classes")

@@ -343,24 +343,45 @@ def looped_sandwich(X, scores_rows, bread, clusters=None):
     return inv @ meat @ inv
 
 
-def test_poisson_sandwich_matches_loops():
-    X, y, w = poisson_data(seed=13, n=10)
-    clusters = np.array([0, 0, 0, 1, 1, 1, 2, 2, 3, 3])
-    fit = fit_poisson_qmle(X, y, w, clusters=clusters, options=TIGHT)
-    mu = np.exp(X @ fit.coefficients)
-    scores = (w * (y - mu))[:, None] * X
-    bread = np.zeros((2, 2))
-    for i in range(10):
-        bread += w[i] * mu[i] * np.outer(X[i], X[i])
-    expected = looped_sandwich(X, scores, bread, clusters)
-    np.testing.assert_allclose(fit.vcov, expected, rtol=1e-10, atol=1e-14)
-    assert fit.vcov_kind == "cluster_sandwich"
+def _covariate_design(seed, outcome):
+    """(design, y, w): a DesignMatrix with the trend, a covariate x and its
+    treat:x interaction, so its sandwich has cell x row and row x row blocks;
+    outcome(rng, x) draws y."""
+    rng = np.random.default_rng(seed)
+    n = 96
+    q, t = np.arange(n) % 2, np.arange(n) // 2 % 4
+    x, w = rng.normal(size=n), rng.uniform(0.5, 2.0, n)
+    data = RcsDataset(y=outcome(rng, x), q=q, t=t, covariates={"x": x})
+    design = build_design(data, DesignSpec(post_period=2, include_group_trend=True,
+                                           heterogeneous_covariates=("x",)))
+    assert design.row_values.shape[1] == 2
+    return design, data.y, w
 
-    plain = fit_poisson_qmle(X, y, w, options=TIGHT)
-    np.testing.assert_array_equal(plain.coefficients, fit.coefficients)
-    np.testing.assert_allclose(plain.vcov, looped_sandwich(X, scores, bread),
-                               rtol=1e-10, atol=1e-14)
-    assert plain.vcov_kind == "sandwich"
+
+def _loop_cases(plain, clusters, outcome, seed):
+    """The plain array (X, y, w) with and without clusters, then a covariate
+    design with and without 5 clusters: (X for the loops, design for the
+    fit, y, w, clusters)."""
+    X, y, w = plain
+    design, dy, dw = _covariate_design(seed, outcome)
+    return [(X, X, y, w, None), (X, X, y, w, clusters),
+            (design.values, design, dy, dw, None),
+            (design.values, design, dy, dw, np.arange(dy.size) % 5)]
+
+
+def test_poisson_sandwich_matches_loops():
+    # on a DesignMatrix the cell x row and row x row blocks of the meat come
+    # from cell sums and _cross, which the loops form row by row
+    cases = _loop_cases(poisson_data(seed=13, n=10), np.array([0, 0, 0, 1, 1, 1, 2, 2, 3, 3]),
+                        lambda rng, x: rng.poisson(np.exp(0.3 + 0.4 * x)).astype(float), 15)
+    for X, design, y, w, clusters in cases:
+        fit = fit_poisson_qmle(design, y, w, clusters=clusters, options=TIGHT)
+        mu = np.exp(X @ fit.coefficients)
+        scores = (w * (y - mu))[:, None] * X
+        bread = sum(w[i] * mu[i] * np.outer(X[i], X[i]) for i in range(len(y)))
+        expected = looped_sandwich(X, scores, bread, clusters)
+        np.testing.assert_allclose(fit.vcov, expected, rtol=1e-10, atol=1e-14)
+        assert fit.vcov_kind == ("sandwich" if clusters is None else "cluster_sandwich")
 
 
 def _softmax_sandwich_cases(family):
@@ -425,14 +446,17 @@ def test_ols_sandwich_matches_loops():
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     y = rng.normal(size=n)
     w = rng.uniform(0.5, 2.0, n)
-    clusters = np.repeat([0, 1, 2, 3], 3)
-    fit = fit_ols(X, y, w, clusters=clusters)
-    resid = y - X @ fit.coefficients
-    scores = (w * resid)[:, None] * X
-    bread = (X.T * w) @ X
-    np.testing.assert_allclose(
-        fit.vcov, looped_sandwich(X, scores, bread, clusters), rtol=1e-10, atol=1e-14
-    )
+    cases = _loop_cases((X, y, w), np.repeat([0, 1, 2, 3], 3),
+                        lambda rng, x: 1.0 + 0.5 * x + rng.normal(size=x.size), 16)
+    for X, design, y, w, clusters in cases:
+        fit = fit_ols(design, y, w, clusters=clusters)
+        resid = y - X @ fit.coefficients
+        scores = (w * resid)[:, None] * X
+        bread = (X.T * w) @ X
+        np.testing.assert_allclose(
+            fit.vcov, looped_sandwich(X, scores, bread, clusters), rtol=1e-10, atol=1e-14
+        )
+        assert fit.vcov_kind == ("sandwich" if clusters is None else "cluster_sandwich")
 
 
 @pytest.mark.parametrize("case, message", [("weights", "weights"), ("outcome", "non-finite")])
@@ -869,17 +893,22 @@ def test_cluster_codes_survive_a_hash_collision(monkeypatch):
     labels = np.array(["ab", "ba", "c", "ab", "ba", "ab"])
     expected = np.unique(labels, return_inverse=True)[1].reshape(-1)
     monkeypatch.setattr(np.random, "default_rng", Ones)
-    codes, n_clusters = _cluster_codes(labels)
-    np.testing.assert_array_equal(codes, expected)
-    assert n_clusters == 3
+    distinct, inverse = cli._distinct_labels(labels)
+    np.testing.assert_array_equal(distinct[inverse], labels)
+    assert sorted(distinct.tolist()) == ["ab", "ba", "c"]
     # the CSV loader's coder, on the same labels padded with spaces
     np.testing.assert_array_equal(cli._code_clusters(np.char.add(" ", labels)), expected)
 
 
 def test_cluster_length_mismatch():
+    # checked with the inputs: also when the fit stops before converging,
+    # whose covariance is NaN, and for a 2-d array of n rows
     X, y, w = poisson_data(seed=24, n=10)
-    with pytest.raises(ValueError, match="clusters"):
-        fit_poisson_qmle(X, y, w, clusters=np.zeros(9))
+    for clusters, options in [(np.zeros(9), FitOptions()),
+                              (np.zeros(9), FitOptions(max_iterations=1)),
+                              (np.zeros((10, 2)), FitOptions())]:
+        with pytest.raises(ValueError, match="clusters must match"):
+            fit_poisson_qmle(X, y, w, clusters=clusters, options=options)
 
 
 @given(st.floats(0.1, 10.0))
@@ -1358,6 +1387,7 @@ def test_covariate_design_fit_matches_dense_fit(case):
     [0.5, -2.25, 0.5, 1e300, -0.0, 0.0, 3.0],
     [3, 0, 2, 3, 5, 0],                   # dense codes: the presence table
     [10**6, 3, 10**6, 42],                # the largest code past n: np.unique
+    [True, False, True, True],            # booleans are no codes: np.unique
 ])
 def test_cluster_codes_match_numpy_unique(labels):
     clusters = np.array(labels * 30)

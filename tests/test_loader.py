@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrdid import DesignSpec, build_design, cli, estimators, fit_poisson_qmle
+from rrdid import DesignSpec, build_design, cli, fit_poisson_qmle
 from rrdid.cli import load_csv_dataset
 from rrdid.errors import ColumnBindingError
 from rrdid.estimators import _cluster_codes, _number_pairs
@@ -315,7 +315,7 @@ def test_loader_codes_are_numbered_without_a_hash_or_a_sort(large_csv, monkeypat
 
     for name in ("unique", "sort", "argsort"):
         monkeypatch.setattr(np, name, refuse)
-    monkeypatch.setattr(estimators, "_distinct_labels", refuse)
+    monkeypatch.setattr(cli, "_distinct_labels", refuse)
     codes, groups = _cluster_codes(dataset.clusters)
     np.testing.assert_array_equal(codes, pair)
     assert groups == pairs.size == 900
