@@ -376,6 +376,10 @@ def test_poisson_sandwich_matches_loops():
                         lambda rng, x: rng.poisson(np.exp(0.3 + 0.4 * x)).astype(float), 15)
     for X, design, y, w, clusters in cases:
         fit = fit_poisson_qmle(design, y, w, clusters=clusters, options=TIGHT)
+        if clusters is None:
+            unclustered = fit
+        else:  # each clustered case follows its unclustered one
+            np.testing.assert_array_equal(fit.coefficients, unclustered.coefficients)
         mu = np.exp(X @ fit.coefficients)
         scores = (w * (y - mu))[:, None] * X
         bread = sum(w[i] * mu[i] * np.outer(X[i], X[i]) for i in range(len(y)))
@@ -450,6 +454,10 @@ def test_ols_sandwich_matches_loops():
                         lambda rng, x: 1.0 + 0.5 * x + rng.normal(size=x.size), 16)
     for X, design, y, w, clusters in cases:
         fit = fit_ols(design, y, w, clusters=clusters)
+        if clusters is None:
+            unclustered = fit
+        else:  # each clustered case follows its unclustered one
+            np.testing.assert_array_equal(fit.coefficients, unclustered.coefficients)
         resid = y - X @ fit.coefficients
         scores = (w * resid)[:, None] * X
         bread = (X.T * w) @ X

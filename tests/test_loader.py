@@ -315,7 +315,6 @@ def test_loader_codes_are_numbered_without_a_hash_or_a_sort(large_csv, monkeypat
 
     for name in ("unique", "sort", "argsort"):
         monkeypatch.setattr(np, name, refuse)
-    monkeypatch.setattr(cli, "_distinct_labels", refuse)
     codes, groups = _cluster_codes(dataset.clusters)
     np.testing.assert_array_equal(codes, pair)
     assert groups == pairs.size == 900
