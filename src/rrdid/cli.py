@@ -10,14 +10,14 @@ process, and parsing then re-rendering reproduces the bytes.
 CSV inputs are comma-separated UTF-8 with a header row, decimal points,
 and no missing values in bound columns. Period values may be arbitrary
 integers (e.g. years); they are mapped onto 0..T-1 in sorted order, and
---post / --base-period are given in the original units. Plain files are
-read with np.loadtxt's C parser, the group and period columns as int64;
-files with quotes, CR line endings, NUL bytes, blank lines or ragged rows,
-and fields only Python's float() accepts (1_000, non-ASCII digits), go to
-the slower row-by-row reader, which also reports every error with its row
-number. Either way the accepted input and the result are the same. A
---cluster column holds labels and may not also be bound as a number
-(outcome, group, period, weights or covariate).
+--post / --base-period are given in the original units. Plain files, with
+LF or CRLF line ends, are read with np.loadtxt's C parser, the group and
+period columns as int64; files with quotes, lone CR line ends, NUL bytes,
+blank lines or ragged rows, and fields only Python's float() accepts
+(1_000, non-ASCII digits), go to the slower row-by-row reader, which also
+reports every error with its row number. Either way the accepted input
+and the result are the same. A --cluster column holds labels and may not
+also be bound as a number (outcome, group, period, weights or covariate).
 
 Exit codes: 0 success, 2 usage error, 1 data or convergence error (in JSON
 mode the error object is written to stdout, or to --output). An --output
@@ -198,6 +198,10 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     low = int(t.min())
     labels, t = _number_pairs(t - low, int(t.max()) - low + 1)
     labels += low
+    # RcsDataset adopts a frozen array that owns its data instead of copying it
+    t.setflags(write=False)
+    if codes is not None:
+        codes.setflags(write=False)
 
     dataset = RcsDataset(
         y=np.asarray(rows[outcome]),
@@ -212,22 +216,20 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
 
 
 def _distinct_labels(labels):
-    """(distinct, inverse): the distinct strings of the 1-d str array labels,
-    in no set order, and each row's position among them.
+    """(distinct, inverse): the distinct byte strings of the 1-d S array
+    labels, in no set order, and each row's position among them.
 
-    Rows are deduplicated through an integer hash of their characters,
-    checked against the labels, so that a caller sorts only the distinct
-    labels; a hash collision falls back to np.unique. labels may be
-    strided, such as a field of a structured array: it is read in blocks
-    of rows and never copied whole.
+    Rows are deduplicated through an integer hash of their bytes, checked
+    against the labels, so that a caller sorts only the distinct labels; a
+    hash collision falls back to np.unique.
     """
-    chars = labels[:, None].view(np.uint32)
-    # fixed odd multipliers, invertible mod 2^64: changing one character
-    # always changes the hash
+    chars = labels.view(np.uint8).reshape(labels.size, -1)
+    # fixed odd multipliers, invertible mod 2^64: changing one byte always
+    # changes the hash
     odd = np.random.default_rng(chars.shape[1]).integers(
         0, 2**64, chars.shape[1], dtype=np.uint64, endpoint=False) | np.uint64(1)
-    # one character position at a time, over a block of rows that stays in
-    # cache across the positions
+    # one byte position at a time, over a block of rows that stays in cache
+    # across the positions
     hashes = np.zeros(labels.size, np.uint64)
     step = 1 << 14
     for s in range(0, labels.size, step):
@@ -249,26 +251,29 @@ def _distinct_labels(labels):
 
 
 def _code_clusters(labels):
-    """Each row's int64 cluster code: the 1-d str array labels, stripped,
-    numbered as np.unique(stripped, return_inverse=True) numbers them. None
-    when a label strips to nothing.
+    """Each row's int64 cluster code: the 1-d S array labels, UTF-8 bytes
+    such as the byte gate gathers, decoded and stripped of surrounding
+    whitespace, numbered in sorted order of the distinct stripped labels, as
+    np.unique(stripped, return_inverse=True) numbers them. None when a label
+    strips to nothing.
 
     Only the distinct labels, which _distinct_labels finds through a
-    checked hash, are stripped and sorted. The fits number these
-    non-negative codes with a presence table, without a hash or a sort;
-    this is the only place that handles label text.
+    checked hash of their bytes, are decoded, stripped (by str.strip) and
+    sorted. The fits number these non-negative codes with a presence table,
+    without a hash or a sort; this is the only place that handles label
+    text.
     """
     distinct, inverse = _distinct_labels(labels)
-    stripped = np.char.strip(distinct)
-    if np.char.str_len(stripped).min() == 0:
+    stripped = [label.decode("utf-8").strip() for label in distinct.tolist()]
+    if not all(stripped):
         return None
     _, rank = np.unique(stripped, return_inverse=True)
     return rank.reshape(-1).astype(np.int64)[inverse]
 
 
-# csv.reader gives quotes and lone-CR line ends a meaning np.loadtxt does not
-# share, and rejects NUL
-_ROW_PARSER_BYTES = (b'"', b"\r", b"\0")
+# csv.reader gives quotes a meaning np.loadtxt does not share, and rejects
+# NUL; a CR is taken only right before an LF (_gate_lines)
+_ROW_PARSER_BYTES = (b'"', b"\0")
 # np.loadtxt opens a str path through np.lib._datasource, which would read a
 # file with one of these suffixes as compressed
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
@@ -281,30 +286,29 @@ def _read_columns(path, bound, cluster, integers, period):
     np.loadtxt pass; the columns named in integers come back as int64.
 
     Returns None for every file on which that might differ from _read_rows:
-    anything but a plain path, bytes csv.reader treats specially, invalid
-    UTF-8, no data line, a blank line or a field count that differs from
-    the header's, a line past csv.field_size_limit(), a cluster label that
-    strips to nothing, a period column read as floats that holds a value
-    of magnitude 2**52 or more (whose verdict depends on its text), and
-    every field that np.loadtxt rejects (it accepts no number float()
-    rejects, and parses the same value: both call PyOS_string_to_double
-    after stripping the same whitespace). _read_rows then reads the file
-    and reports any error.
+    anything but a plain path, bytes csv.reader treats specially (a quote,
+    a NUL, a CR not directly before an LF), invalid UTF-8, no data line, a
+    blank line or a field count that differs from the header's, a line past
+    csv.field_size_limit(), a cluster label that strips to nothing, a
+    period column read as floats that holds a value of magnitude 2**52 or
+    more (whose verdict depends on its text), and every field that
+    np.loadtxt rejects (it accepts no number float() rejects, and parses
+    the same value: both call PyOS_string_to_double after stripping the
+    same whitespace). _read_rows then reads the file and reports any error.
 
-    The byte gate, _gate_lines, checks the file's bytes before np.loadtxt
-    reads it. One structured np.loadtxt pass then reads every bound column:
-    a field per numeric column, in sorted name order, i8 for the columns in
-    integers (bound only as group or period) and f8 for the rest, and a <U
-    field as wide as the widest cluster field in bytes (which bounds its
-    width in characters, so no label is truncated). An i8 field takes only
-    an integer literal, [+-]?[0-9]+ between whitespace, whose int64 value
-    is the float()-parsed value whenever the caller accepts it. When that
-    pass fails, on a label such as 2016.0 or 1e0, a second pass reads every
-    numeric column as f8. The fields are named f0, f1, ... since a header
-    name may be empty or repeat. The file's bytes are dropped first, as
-    np.loadtxt reads the file again. The cluster field is coded in place,
-    and each numeric field is copied out, so that the structured array is
-    dropped before the caller copies the columns.
+    The byte gate, _gate_lines, checks the file's bytes block by block and
+    gathers each line's cluster field; those labels are coded before
+    np.loadtxt reads the file again, in text mode, whose universal newlines
+    read a CRLF as an LF. Its one structured pass reads only the numeric
+    columns, so no field is a string: a field per column, in sorted name
+    order, i8 for the columns in integers (bound only as group or period)
+    and f8 for the rest. An i8 field takes only an integer literal,
+    [+-]?[0-9]+ between whitespace, whose int64 value is the float()-parsed
+    value whenever the caller accepts it. When that pass fails, on a label
+    such as 2016.0 or 1e0, a second pass reads every column as f8. The
+    fields are named f0, f1, ... since a header name may be empty or
+    repeat. Each field is copied out and frozen, so that the structured
+    array is dropped and an RcsDataset adopts the copies as they are.
     """
     if not isinstance(path, (str, os.PathLike)):
         return None
@@ -314,38 +318,39 @@ def _read_columns(path, bound, cluster, integers, period):
         return None
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            # a header line and at least one data line (_gate_lines);
+            # csv.reader reads an empty first line as a header without
+            # columns, and ends a line at a lone CR
+            line = handle.readline()
+            text = line.removesuffix(b"\n").removesuffix(b"\r")
+            if (text == line or not text or len(line) > csv.field_size_limit() or b"\r" in text
+                    or any(special in text for special in _ROW_PARSER_BYTES)):
+                return None
+            try:
+                header = [h.strip() for h in text.decode("utf-8").split(",")]
+            except UnicodeDecodeError:
+                return None
+            if any(name not in header for name in bound):
+                return None
+            gate = _gate_lines(handle, len(header) - 1,
+                               header.index(cluster) if cluster else None)
     except OSError:
         return None
-    if any(special in data for special in _ROW_PARSER_BYTES):
-        return None
-    # a header line and at least one data line; csv.reader reads an empty
-    # first line as a header without columns
-    first = data.find(b"\n")
-    if first <= 0 or first == len(data) - 1:
-        return None
-    try:
-        header = [h.strip() for h in data[:first].decode("utf-8").split(",")]
-    except UnicodeDecodeError:
-        return None
-    if any(name not in header for name in bound):
-        return None
-    gate = _gate_lines(data, first, len(header) - 1, header.index(cluster) if cluster else None)
-    del data
     if gate is None:
         return None
-    n_rows, width = gate
+    n_rows, labels = gate
+    codes = _code_clusters(labels) if cluster else None
+    # the labels are freed before np.loadtxt allocates its result
+    del gate, labels
+    if cluster and codes is None:
+        return None
 
     names = sorted(bound - {cluster})
     usecols = [header.index(name) for name in names]
     kinds = ["i8" if name in integers else "f8" for name in names]
-    if cluster:
-        usecols.append(header.index(cluster))
 
-    def parse(numeric_kinds):
-        dtype = [(f"f{i}", kind) for i, kind in enumerate(numeric_kinds)]
-        if cluster:
-            dtype.append((f"f{len(names)}", f"<U{width}"))
+    def parse(kinds):
+        dtype = [(f"f{i}", kind) for i, kind in enumerate(kinds)]
         try:
             with warnings.catch_warnings():
                 # numpy releases that still parse a float in an integer field,
@@ -372,53 +377,62 @@ def _read_columns(path, bound, cluster, integers, period):
     j = names.index(period)
     if kinds[j] == "f8" and np.any(np.abs(values[f"f{j}"]) >= 2**52):
         return None
-    codes = None
-    if cluster:
-        codes = _code_clusters(values[f"f{len(names)}"])
-        if codes is None:
-            return None
-    return {name: values[f"f{i}"].copy() for i, name in enumerate(names)}, codes
+    columns = {}
+    for i, name in enumerate(names):
+        columns[name] = values[f"f{i}"].copy()
+        columns[name].setflags(write=False)
+    return columns, codes
 
 
-def _gate_lines(data, first, n_commas, cluster_index):
-    """(data lines, widest cluster field in bytes) of the file bytes data,
-    whose header line ends at offset first and holds n_commas commas; None
-    when a data line is not valid UTF-8, is longer than
-    csv.field_size_limit() or does not hold exactly n_commas commas.
-    cluster_index is the cluster column's index, or None.
+def _gate_lines(handle, n_commas, cluster_index):
+    """(data lines, cluster labels) of the binary file handle, read from
+    just past the header line, which holds n_commas commas; None when the
+    file has no data line, or a data line holds a quote or a NUL, is not
+    valid UTF-8, is longer than csv.field_size_limit(), holds a CR anywhere
+    but directly before its LF, or does not hold exactly n_commas commas.
+    cluster_index is the cluster column's index, or None; the labels are
+    then each line's field in that column, as an S array of its bytes as
+    wide as the widest (a CR before the LF is no part of a last field), and
+    None without a cluster column.
 
-    The lines are checked in blocks of about _GATE_BLOCK bytes, each ending
-    at a line end, so the offsets stay small. A block of m lines holds
-    exactly n_commas commas on each line when it holds n_commas * m commas
-    and each line's block of the sorted offsets, reshaped to (m, n_commas),
-    lies strictly between that line's two ends: the blocks are disjoint and
-    cover every comma, so a line with a comma too many or too few pushes
-    some block across a line end. A line end never splits a UTF-8
-    character, so decoding block by block checks the whole file.
+    The file is read in blocks of about _GATE_BLOCK bytes, each ending at a
+    line end, so neither the file's bytes nor their offsets are held whole.
+    A block of m lines holds exactly n_commas commas on each line when it
+    holds n_commas * m commas and each line's block of the sorted offsets,
+    reshaped to (m, n_commas), lies strictly between that line's two ends:
+    the blocks are disjoint and cover every comma, so a line with a comma
+    too many or too few pushes some block across a line end. A line end
+    never splits a UTF-8 character, so decoding block by block checks the
+    whole file. Each block's cluster fields are gathered as rows of a
+    sliding window over its bytes, padded at the end, as wide as its widest
+    field, with the bytes past each field's end zeroed; the blocks' S arrays
+    are joined at the widest.
     """
     limit = csv.field_size_limit()
-    if first >= limit:
-        return None
-    buf = np.frombuffer(data, np.uint8)
-    view = memoryview(data)
-    n_rows, width = 0, 1
-    start = first + 1
-    while start < len(data):
-        stop = data.find(b"\n", min(start + _GATE_BLOCK, len(data) - 1))
-        if stop < 0:
-            stop = len(data)
+    n_rows, labels = 0, []
+    while block := handle.read(_GATE_BLOCK):
+        block += handle.readline()
+        if any(special in block for special in _ROW_PARSER_BYTES):
+            return None
         try:
-            str(view[start:stop], "utf-8")
+            block.decode("utf-8")
         except UnicodeDecodeError:
             return None
-        block = buf[start:stop]
-        # offsets within the block of each line's two ends; the first line
-        # starts after the newline at start - 1
-        ends = np.append(np.flatnonzero(block == ord("\n")), stop - start)
+        buf = np.frombuffer(block, np.uint8)
+        # csv.reader ends a line at a lone CR, and np.loadtxt's universal
+        # newlines read a CRLF as an LF
+        crs = np.flatnonzero(buf == ord("\r"))
+        if crs.size and (crs[-1] + 1 == buf.size or np.any(buf[crs + 1] != ord("\n"))):
+            return None
+        # offsets of each line's two ends, the last line's end past the block
+        # when the file ends without an LF; the first line starts at offset 0
+        ends = np.flatnonzero(buf == ord("\n"))
+        if buf[-1] != ord("\n"):
+            ends = np.append(ends, buf.size)
         starts = np.append(-1, ends[:-1])
         if np.max(ends - starts) - 1 >= limit:
             return None
-        commas = np.flatnonzero(block == ord(","))
+        commas = np.flatnonzero(buf == ord(","))
         if commas.size != n_commas * ends.size:
             return None
         commas = commas.reshape(ends.size, n_commas)
@@ -428,12 +442,20 @@ def _gate_lines(data, first, n_commas, cluster_index):
             # field j of a line lies between its j-th and (j+1)-th separator,
             # counting the line ends
             j = cluster_index
-            left = starts if j == 0 else commas[:, j - 1]
+            left = (starts if j == 0 else commas[:, j - 1]) + 1
             right = ends if j == n_commas else commas[:, j]
-            width = max(width, int(np.max(right - left)) - 1)
+            if j == n_commas and crs.size:
+                right = right - ((right > 0) & (buf[right - 1] == ord("\r")))
+            lengths = right - left
+            width = max(int(lengths.max()), 1)
+            window = np.concatenate([buf, np.zeros(width, np.uint8)])
+            fields = np.lib.stride_tricks.sliding_window_view(window, width)[left]
+            fields[np.arange(width) >= lengths[:, None]] = 0
+            labels.append(fields.view(f"S{width}").reshape(-1))
         n_rows += ends.size
-        start = stop + 1
-    return n_rows, width
+    if not n_rows:
+        return None
+    return n_rows, np.concatenate(labels) if labels else None
 
 
 # an integer literal, as stripped text; np.loadtxt's i8 fields take these alone
@@ -486,7 +508,9 @@ def _read_rows(path, bound, cluster, period):
                 cluster_values.append(value)
     if inexact:
         raise ValueError(f"period column {period!r} must contain integers")
-    return rows, _code_clusters(np.asarray(cluster_values)) if cluster_values else None
+    if not cluster_values:
+        return rows, None
+    return rows, _code_clusters(np.array([value.encode("utf-8") for value in cluster_values]))
 
 
 def _period_index(labels, value, what):
@@ -720,13 +744,21 @@ def _run_estimate(args):
     }
 
     matrix = build_design(dataset, spec)
+    ybar = None
     if args.family == "linear":
-        fit = fit_ols(matrix, dataset.y, dataset.weights, clusters=dataset.clusters,
-                      robust=not args.classical)
+        # the treated post cell's mean, for the log transform; without rows
+        # there, the treat column is zero and the fit raises
+        treated_post = cell_masks(dataset, post)[(1, 1)]
+        if treated_post.any():
+            ybar = cell_mean(dataset, treated_post)
+    # the design holds its own cells and covariates, so the fit needs no more
+    # of the dataset than these, and its other columns are released first
+    y, weights, clusters = dataset.y, dataset.weights, dataset.clusters
+    del dataset
+    if args.family == "linear":
+        fit = fit_ols(matrix, y, weights, clusters=clusters, robust=not args.classical)
     else:
-        fit = _FAMILY_FITTERS[args.family](
-            matrix, dataset.y, dataset.weights, clusters=dataset.clusters
-        )
+        fit = _FAMILY_FITTERS[args.family](matrix, y, weights, clusters=clusters)
     if not fit.converged:
         raise ValueError(
             f"{fit.family} did not converge after {fit.iterations} iterations "
@@ -765,8 +797,6 @@ def _run_estimate(args):
 
     if args.family == "linear":
         results["effects"] = []
-        # the fit succeeded, so the treated post cell is not empty
-        ybar = cell_mean(dataset, cell_masks(dataset, post)[(1, 1)])
         transform = None
         try:
             transform = lin_dd_proportional(fit.coef("treat"), ybar)

@@ -33,6 +33,13 @@ __all__ = [
 
 
 def _frozen_array(values, dtype=None):
+    """values as a read-only array of dtype. A read-only array of that dtype
+    that owns its data is adopted as it is; any other input is copied, so
+    that a later change to a writeable input, or to the base of a read-only
+    view, leaves the result unchanged."""
+    if (isinstance(values, np.ndarray) and values.flags.owndata and not values.flags.writeable
+            and (dtype is None or values.dtype == dtype)):
+        return values
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
@@ -41,6 +48,10 @@ def _frozen_array(values, dtype=None):
 @dataclass(frozen=True)
 class RcsDataset:
     """One observation per sampled subject.
+
+    Every column is held read-only: a read-only array of the column's dtype
+    that owns its data, such as the CSV loader's, is adopted without a copy,
+    and any other input is copied.
 
     Attributes:
         y: outcome, real valued (class labels for multinomial fits).
@@ -93,14 +104,14 @@ class RcsDataset:
 
         if self.weights is None:
             w = np.ones(n)
+            w.setflags(write=False)
         else:
             w = np.asarray(self.weights, float)
             if w.shape != (n,):
                 raise ValueError("weights must match the length of y")
             if not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise ValueError("weights must be positive and finite")
-            w = w.copy()
-        w.setflags(write=False)
+            w = _frozen_array(w)
 
         cov = {}
         for name, values in dict(self.covariates).items():
@@ -262,9 +273,13 @@ def build_design(dataset: RcsDataset, spec: DesignSpec) -> DesignMatrix:
     if clashes:
         raise ValueError(f"covariate names clash with design columns: {', '.join(clashes)}")
 
+    row_values = np.column_stack(rows) if rows else np.empty((dataset.n, 0))
+    # frozen, so that DesignMatrix adopts them
+    cells.setflags(write=False)
+    row_values.setflags(write=False)
     return DesignMatrix(
         cell_values=np.column_stack(cols),
-        row_values=np.column_stack(rows) if rows else np.empty((dataset.n, 0)),
+        row_values=row_values,
         cells=cells,
         column_names=names,
     )

@@ -592,7 +592,11 @@ def _score(family, blocks, y, w, beta):
 
     y is (B, C, m), w (B, m) and beta (B, Cp) holds C blocks of p; eta and
     mean are (B, C, m), eta taken before the cap. The cell columns enter eta
-    once per cell and the score through each cell's residual sum.
+    once per cell and the score through each cell's residual sum. Outside
+    the family's moments, at most four unit-length arrays are alive at once:
+    eta, the capped eta, mean and one scratch array, which takes y times
+    the capped eta and then the residuals w (y - mean) in place; the capped
+    eta is dropped before the class sums of the maximand are formed.
     """
     cell, rows, index = blocks
     p1 = cell.shape[1]
@@ -601,17 +605,23 @@ def _score(family, blocks, y, w, beta):
     # the fit guards decide on
     with np.errstate(over="ignore", invalid="ignore"):
         # one product per fit, so a fit's bits do not depend on its batch
-        parts = []
+        eta = None
         if p1:
-            on_cells = coef[:, :, :p1] @ cell.T
-            parts.append(on_cells if index is None else on_cells.take(index, axis=2))
+            eta = coef[:, :, :p1] @ cell.T
+            if index is not None:
+                eta = eta.take(index, axis=2)
         if rows.shape[1]:
-            parts.append(coef[:, :, p1:] @ rows.T)
-        eta = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+            on_rows = coef[:, :, p1:] @ rows.T
+            eta = on_rows if eta is None else np.add(eta, on_rows, out=eta)
+            del on_rows
         capped = eta if family.guard is None else np.clip(eta, -_CAP, _CAP)
         cumulant, mean = family.moments(capped)
-        value = np.sum(w * (np.sum(y * capped, axis=1) - cumulant), axis=1)
-        resid = w[:, None] * (y - mean)
+        scratch = np.multiply(y, capped)
+        del capped
+        inner = np.sum(scratch, axis=1)
+        np.subtract(inner, cumulant, out=inner)
+        value = np.sum(np.multiply(w, inner, out=inner), axis=1)
+        resid = np.multiply(w[:, None], np.subtract(y, mean, out=scratch), out=scratch)
         parts = []
         if p1:
             parts.append((resid if index is None else _sum_cells(index, len(cell), resid)) @ cell)
@@ -767,7 +777,8 @@ def _units(blocks, y, w):
 def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
     """One dataset's fit by _fit, on its cells when its design has only cell
     columns, then one pass over the rows for the residuals behind the
-    covariance.
+    covariance; the fitted means are dropped once the residuals are formed,
+    before the sandwich.
 
     y is (C, n): one outcome row, or C rows of class indicators. A failed fit
     raises its error; a fit that did not converge reports a NaN covariance.
@@ -780,6 +791,8 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
     if failure not in (None, "not_converged"):
         raise family.guard(family.message)
     error = y - (mean[0] if index is None else mean[0].take(index, axis=1))
+    # the sandwich reads only the residuals
+    del mean
     hess, converged = diag.hessian[0], bool(diag.converged[0])
     if family is _GAUSSIAN:
         # the OLS loglik is the Gaussian one, -1/2 sum w e^2; an overflow

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -149,6 +150,54 @@ def test_estimate_linear_reports_transform(capsys, linear_csv):
     )
     assert payload["results"]["effects"] == []
     assert payload["results"]["fit"]["vcov_kind"] == "sandwich"
+
+
+@pytest.mark.parametrize("family", ["linear", "poisson"])
+def test_estimate_releases_the_dataset_before_the_fit(capsys, linear_csv, monkeypatch, family):
+    # the fit reads the design, the outcome, the weights and the clusters; the
+    # dataset, with its group, period and covariate columns, is gone by then
+    datasets, alive = [], []
+    load = cli.load_csv_dataset
+
+    def loader(*args, **kwargs):
+        dataset, labels = load(*args, **kwargs)
+        datasets.append(weakref.ref(dataset))
+        return dataset, labels
+
+    def watched(fit):
+        def fitter(*args, **kwargs):
+            alive.append(datasets[0]() is not None)
+            return fit(*args, **kwargs)
+        return fitter
+
+    monkeypatch.setattr(cli, "load_csv_dataset", loader)
+    monkeypatch.setattr(cli, "fit_ols", watched(cli.fit_ols))
+    monkeypatch.setitem(cli._FAMILY_FITTERS, "poisson", watched(cli.fit_poisson_qmle))
+    code, _, payload = run_json(capsys, [
+        "estimate", "--family", family, "--csv", linear_csv,
+        "--outcome", "y", "--group", "grp", "--period", "period", "--post", "2",
+    ])
+    assert code == 0 and payload["errors"] == []
+    assert alive == [False]
+    if family == "linear":
+        # the treated post cell's mean was taken before the fit
+        assert payload["results"]["lin_dd_transform"] == pytest.approx(math.log(3 / 7 + 1))
+
+
+def test_estimate_linear_without_treated_post_rows(capsys, tmp_path):
+    # no treated post row: the treat column is zero, so the fit raises, and
+    # no mean of the empty cell is taken, or warned about
+    path = write_csv(tmp_path / "empty.csv", ["period", "grp", "y"],
+                     [[1, 0, 1.0], [2, 0, 2.0], [1, 1, 3.0], [1, 1, 4.0], [2, 0, 2.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, payload = run_json(capsys, [
+            "estimate", "--family", "linear", "--csv", path,
+            "--outcome", "y", "--group", "grp", "--period", "period", "--post", "2",
+        ])
+    assert code == 1
+    assert payload["errors"][0]["kind"] == "SingularDesignError"
+    assert "treat" in payload["errors"][0]["message"]
 
 
 def test_estimate_linear_classical_variance(capsys, linear_csv):

@@ -139,6 +139,41 @@ def test_dataset_arrays_are_read_only():
         data.covariates["x"][0] = 99.0
 
 
+def test_dataset_copies_writeable_inputs():
+    # changing an input later leaves the dataset as it was
+    y, w, x = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 1.0]), np.array([0.5, 0.1, 0.2])
+    data = RcsDataset(y=y, q=[0, 1, 1], t=[0, 1, 1], weights=w, covariates={"x": x})
+    for arr in (y, w, x):
+        arr[0] = 99.0
+    assert (data.y[0], data.weights[0], data.covariates["x"][0]) == (1.0, 1.0, 0.5)
+
+
+def test_dataset_adopts_frozen_arrays_that_own_their_data():
+    y, q, t = np.array([1.0, 2.0, 3.0]), np.array([0, 1, 1]), np.array([0, 1, 1])
+    w, x, clusters = np.array([1.0, 2.0, 1.0]), np.array([0.5, 0.1, 0.2]), np.array([3, 3, 4])
+    for arr in (y, q, t, w, x, clusters):
+        arr.setflags(write=False)
+    data = RcsDataset(y=y, q=q, t=t, weights=w, covariates={"x": x}, clusters=clusters)
+    assert data.y is y and data.q is q and data.t is t and data.weights is w
+    assert data.covariates["x"] is x and data.clusters is clusters
+    # one of another dtype is converted, into a frozen copy
+    labels = np.array([1, 2, 3])
+    labels.setflags(write=False)
+    data = RcsDataset(y=labels, q=q, t=t)
+    assert data.y.dtype == np.float64 and not data.y.flags.writeable
+
+
+def test_dataset_copies_read_only_views():
+    # a read-only view of a writeable base can still change through the base
+    base = np.array([1.0, 2.0, 3.0, 4.0])
+    view = base[:3]
+    view.setflags(write=False)
+    data = RcsDataset(y=view, q=[0, 1, 1], t=[0, 1, 1], weights=view)
+    assert data.y is not view and data.weights is not view
+    base[0] = 99.0
+    assert data.y[0] == 1.0 and data.weights[0] == 1.0
+
+
 def test_default_weights_and_period_count():
     data = RcsDataset(y=[1.0, 2.0], q=[0, 1], t=[0, 3])
     assert data.n_periods == 4

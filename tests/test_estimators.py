@@ -889,8 +889,8 @@ def test_pair_numbering_matches_unique(monkeypatch, n_clusters, table):
 
 
 def test_cluster_codes_survive_a_hash_collision(monkeypatch):
-    # with every multiplier 1 the hash is the sum of the characters, so "ab"
-    # and "ba" collide, and the check against the labels must catch it
+    # with every multiplier 1 the hash is the sum of the bytes, so "ab" and
+    # "ba" collide, and the check against the labels must catch it
     class Ones:
         def __init__(self, seed):
             pass
@@ -898,14 +898,14 @@ def test_cluster_codes_survive_a_hash_collision(monkeypatch):
         def integers(self, low, high, size, **kwargs):
             return np.zeros(size, np.uint64)
 
-    labels = np.array(["ab", "ba", "c", "ab", "ba", "ab"])
+    labels = np.array([b"ab", b"ba", b"c", b"ab", b"ba", b"ab"])
     expected = np.unique(labels, return_inverse=True)[1].reshape(-1)
     monkeypatch.setattr(np.random, "default_rng", Ones)
     distinct, inverse = cli._distinct_labels(labels)
     np.testing.assert_array_equal(distinct[inverse], labels)
-    assert sorted(distinct.tolist()) == ["ab", "ba", "c"]
-    # the CSV loader's coder, on the same labels padded with spaces
-    np.testing.assert_array_equal(cli._code_clusters(np.char.add(" ", labels)), expected)
+    assert sorted(distinct.tolist()) == [b"ab", b"ba", b"c"]
+    # the CSV loader's coder, on the same labels' UTF-8 bytes padded with spaces
+    np.testing.assert_array_equal(cli._code_clusters(np.char.add(b" ", labels)), expected)
 
 
 def test_cluster_length_mismatch():
@@ -1256,6 +1256,27 @@ def test_design_and_input_checks_build_no_dense_design():
         tracemalloc.stop()
     assert design.n_columns == 8
     assert peak < n * design.n_columns * 8
+
+
+def test_score_holds_at_most_four_row_arrays():
+    # one Poisson evaluation keeps eta, the capped eta, the means and one
+    # scratch array alive at once; forming every temporary afresh, it peaked
+    # at seven row-length arrays
+    rng = np.random.default_rng(4)
+    n = 200_000
+    design = DesignMatrix(np.column_stack([np.ones(8), np.arange(8) % 2]),
+                          rng.normal(size=(n, 1)), rng.integers(0, 8, n), ("const", "group", "x"))
+    blocks, _ = _as_design(design)
+    y, w = rng.poisson(1.0, (1, 1, n)).astype(float), np.ones((1, n))
+    beta = np.array([[0.1, 0.2, 0.3]])
+    tracemalloc.start()
+    try:
+        value, grad, eta, mean = estimators._score(_POISSON, blocks, y, w, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eta.shape == mean.shape == (1, 1, n)
+    assert peak <= 4.5 * n * 8, peak / (n * 8)
 
 
 # --- covariate designs: cell columns through cell sums against the dense rows --

@@ -39,16 +39,20 @@ BIG_PERIODS = ["4503599627370496.5", "4503599627370496", "4503599627370497",
                "9223372036854775807", "-9223372036854775808", "9223372036854775808", "1e19"]
 ROLES = {"y": "number", "g": "group", "t": "period", "w": "weight", "c": "cluster",
          "x": "number", "z": "other"}
-# each flaw alone sends a file to the row parser, or must leave its result unchanged
-FLAWS = ["field", "field", "short", "long", "blank", "crlf", "cr", "crcrlf", "bom",
-         "not_utf8", "header_only", "missing_column", "big_period", "big_period"]
+# each flaw alone sends a file to the row parser, or must leave its result
+# unchanged; CRLF line ends keep a file plain
+FLAWS = ["field", "field", "short", "long", "blank", "crlf", "cr", "crcrlf", "lone_cr",
+         "final_cr", "mixed_crlf", "bom", "not_utf8", "header_only", "missing_column",
+         "big_period", "big_period"]
+PLAIN_FLAWS = {"crlf", "mixed_crlf"}
 NOT_UTF8 = "\ue000"        # stands for a byte that is not UTF-8
 
 
 @st.composite
 def csv_files(draw):
     """(file bytes, bindings, plain): a CSV with every bound column and only
-    fields and lines both readers accept, then up to two flaws."""
+    fields and lines both readers accept, then up to two flaws; a file whose
+    only flaws are CRLF line ends is plain."""
     # a group or period column also bound as a number is read as floats
     bindings = {"outcome": "g" if draw(st.integers(0, 5)) == 0 else "y",
                 "group": "g", "period": "t",
@@ -86,16 +90,29 @@ def csv_files(draw):
             row.append("9")
         elif flaw == "big_period" and "t" in names[:len(row)]:
             row[names.index("t")] = draw(st.sampled_from(BIG_PERIODS))
+        elif flaw == "lone_cr":
+            # inside a field, or at either end of it
+            at = draw(st.integers(0, len(row[j])))
+            row[j] = row[j][:at] + "\r" + row[j][at:]
     lines = [",".join(header)] + [",".join(row) for row in rows]
     if "blank" in flaws:
         lines.insert(draw(st.integers(1, len(lines))), "")
     newline = {"crlf": "\r\n", "cr": "\r", "crcrlf": "\r\r\n"}
     newline = next((newline[f] for f in flaws if f in newline), "\n")
-    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    if "mixed_crlf" in flaws:
+        # some lines end in CRLF and the others in LF
+        ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+        text = "".join(line + end for line, end in zip(lines, ends))
+        text = text if draw(st.booleans()) else text.removesuffix(ends[-1])
+    else:
+        text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    if "final_cr" in flaws:
+        # a lone CR at the very end of the file
+        text += "\r"
     data = text.encode("utf-8").replace(NOT_UTF8.encode("utf-8"), b"\xff")
     if "bom" in flaws:
         data = b"\xef\xbb\xbf" + data
-    return data, bindings, not flaws
+    return data, bindings, set(flaws) <= PLAIN_FLAWS
 
 
 def _load_fast(path, bindings):
@@ -197,11 +214,12 @@ def test_plain_csv_never_reaches_row_parser(tmp_path, monkeypatch):
     _refuse_row_parser(monkeypatch)
     calls = _loadtxt_calls(monkeypatch)
     dataset, labels = load_csv_dataset(path, **SURVEY)
-    # one pass, which reads the group and period columns as integers
+    # one pass, which reads the group and period columns as integers; the
+    # cluster labels come from the byte gate, so no field is a string
     assert len(calls) == 1
     assert _field_kinds(calls[0], lines[0].split(",")) == {
-        "treated": "<i8", "year": "<i8", "visits": "<f8", "wt": "<f8", "x": "<f8",
-        "psu": "<U9"}
+        "treated": "<i8", "year": "<i8", "visits": "<f8", "wt": "<f8", "x": "<f8"}
+    assert not any(np.dtype(kind).kind in "SU" for _, kind in calls[0]["dtype"])
     assert labels == expected[1] == [2016, 2017, 2018, 2019, 2020, 2021]
     # both readers number the stripped labels as np.unique does
     codes = np.unique([line.split(",")[4].strip() for line in lines[1:]],
@@ -229,8 +247,7 @@ def test_decimal_labels_take_the_float_pass(tmp_path, monkeypatch):
     assert _load(paths["decimal"], SURVEY, "fast") == expected
     header = _survey_lines()[0].split(",")
     assert [_field_kinds(call, header)["year"] for call in calls] == ["<i8", "<f8"]
-    assert {kind for name, kind in _field_kinds(calls[1], header).items()
-            if name != "psu"} == {"<f8"}
+    assert set(_field_kinds(calls[1], header).values()) == {"<f8"}
 
 
 @pytest.mark.parametrize("label", ["-9223372036854775808", "9223372036854775807"])
@@ -370,17 +387,31 @@ def test_loader_reads_compressed_suffix_names_as_text(tmp_path, name):
     assert _load(path, bindings, "fast")[0] == "loaded"
 
 
-@pytest.fixture(scope="module")
-def large_csv(tmp_path_factory):
-    """A 200k-row plain CSV with string cluster labels."""
+def _large_lines(newline):
+    """The lines of a 200k-row plain CSV with string cluster labels."""
     rng = np.random.default_rng(3)
     n = 200_000
     columns = (rng.poisson(2, n), np.arange(n) % 2, 2016 + rng.integers(0, 6, n),
                rng.integers(500, 2500, n) / 1000, rng.integers(0, 900, n),
                rng.standard_normal(n))
+    return "y,g,t,w,c,x" + newline + "".join(
+        f"{y},{g},{t},{w:.3f},psu-{c:05d},{x:.4f}{newline}"
+        for y, g, t, w, c, x in zip(*columns))
+
+
+@pytest.fixture(scope="module")
+def large_csv(tmp_path_factory):
+    """A 200k-row plain CSV with string cluster labels."""
     path = tmp_path_factory.mktemp("large") / "large.csv"
-    path.write_text("y,g,t,w,c,x\n" + "".join(
-        f"{y},{g},{t},{w:.3f},psu-{c:05d},{x:.4f}\n" for y, g, t, w, c, x in zip(*columns)))
+    path.write_bytes(_large_lines("\n").encode())
+    return path
+
+
+@pytest.fixture(scope="module")
+def large_crlf_csv(tmp_path_factory):
+    """large_csv with CRLF line ends."""
+    path = tmp_path_factory.mktemp("large") / "large.csv"
+    path.write_bytes(_large_lines("\r\n").encode())
     return path
 
 
@@ -401,22 +432,49 @@ def test_loader_peak_is_bounded_by_what_it_returns(large_csv, cluster):
 def test_clustered_load_peak(large_csv):
     # the loader that kept the labels as strings, coded them again in the fit
     # and checked the bytes in one piece peaked at 37.4 MiB here (numpy 2.4);
-    # coding them at load in place, it peaks at 23.9 MiB
+    # coding a <U field of the np.loadtxt result, and copying the columns
+    # into the dataset, at 23.9 MiB; coding the byte gate's labels before
+    # np.loadtxt reads the numeric columns alone, which the dataset adopts,
+    # at 16.8 MiB
     tracemalloc.start()
     try:
         load_csv_dataset(large_csv, "y", "g", "t", weights="w", cluster="c", covariates=("x",))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 30.6 * 2**20, peak / 2**20
+    assert peak <= 20.5 * 2**20, peak / 2**20
 
 
-@pytest.mark.parametrize("cluster", [None, "c"])
-def test_plain_file_is_tokenized_once(large_csv, monkeypatch, cluster):
-    calls = _loadtxt_calls(monkeypatch)
-    dataset, _ = load_csv_dataset(large_csv, "y", "g", "t", weights="w", cluster=cluster,
+def test_dataset_adopts_the_loaders_columns(large_csv, monkeypatch):
+    # the loader's frozen column copies and codes become the dataset's, uncopied
+    returned = []
+    read_columns = cli._read_columns
+
+    def spy(*args):
+        returned.append(read_columns(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "_read_columns", spy)
+    dataset, _ = load_csv_dataset(large_csv, "y", "g", "t", weights="w", cluster="c",
                                   covariates=("x",))
-    # one pass reads every bound column, the cluster labels included
+    columns, codes = returned[0]
+    assert dataset.y is columns["y"] and dataset.q is columns["g"]
+    assert dataset.weights is columns["w"] and dataset.covariates["x"] is columns["x"]
+    assert dataset.clusters is codes
+
+
+@pytest.mark.parametrize("cluster, crlf", [(None, False), ("c", False), (None, True), ("c", True)],
+                         ids=["None", "c", "None-crlf", "c-crlf"])
+def test_plain_file_is_tokenized_once(large_csv, large_crlf_csv, monkeypatch, cluster, crlf):
+    path = large_crlf_csv if crlf else large_csv
+    bindings = {"outcome": "y", "group": "g", "period": "t", "weights": "w",
+                "cluster": cluster, "covariates": ("x",)}
+    expected = _load(large_csv, bindings, "fast")
+    _refuse_row_parser(monkeypatch)
+    calls = _loadtxt_calls(monkeypatch)
+    # one pass reads the numeric columns; the byte gate gathers the cluster
+    # labels, so the cluster column is left out
+    assert _load(path, bindings, "fast") == expected
     assert len(calls) == 1
-    assert sorted(calls[0]["usecols"]) == ([0, 1, 2, 3, 4, 5] if cluster else [0, 1, 2, 3, 5])
-    assert dataset.n == 200_000
+    assert sorted(calls[0]["usecols"]) == [0, 1, 2, 3, 5]
+    assert expected[0] == "loaded" and expected[3]["y"][1] == (200_000,)
