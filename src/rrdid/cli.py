@@ -11,13 +11,14 @@ CSV inputs are comma-separated UTF-8 with a header row, decimal points,
 and no missing values in bound columns. Period values may be arbitrary
 integers (e.g. years); they are mapped onto 0..T-1 in sorted order, and
 --post / --base-period are given in the original units. Plain files, with
-LF or CRLF line ends, are read with np.loadtxt's C parser, the group and
-period columns as int64; files with quotes, lone CR line ends, NUL bytes,
-blank lines or ragged rows, and fields only Python's float() accepts
-(1_000, non-ASCII digits), go to the slower row-by-row reader, which also
-reports every error with its row number. Either way the accepted input
-and the result are the same. A --cluster column holds labels and may not
-also be bound as a number (outcome, group, period, weights or covariate).
+LF or CRLF line ends, are read with np.loadtxt's C parser, the group
+column as int8 and the period column as int64; files with quotes, lone CR
+line ends, NUL bytes, blank lines or ragged rows, and fields only
+Python's float() accepts (1_000, non-ASCII digits), go to the slower
+row-by-row reader, which also reports every error with its row number.
+Either way the accepted input and the result are the same. A --cluster
+column holds labels and may not also be bound as a number (outcome,
+group, period, weights or covariate).
 
 Exit codes: 0 success, 2 usage error, 1 data or convergence error (in JSON
 mode the error object is written to stdout, or to --output). An --output
@@ -165,9 +166,9 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     codes: each row's label, stripped of surrounding whitespace, numbered
     in sorted order of the distinct stripped labels.
 
-    The group and period columns may arrive as int64 (from the np.loadtxt
-    reader) or as floats (from the row parser); either way the dataset is
-    the same, bit for bit.
+    The group and period columns may arrive as integers (from the
+    np.loadtxt reader: int8 and int64) or as floats (from the row parser);
+    either way the dataset is the same, bit for bit.
     """
     floats = {outcome, *covariates}
     if weights:
@@ -215,19 +216,32 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     return dataset, [int(v) for v in labels]
 
 
+def _odd_multipliers(width):
+    """One fixed odd multiplier per byte position of a label width bytes
+    wide: splitmix64 of the position, with its low bit set."""
+    mask = 2**64 - 1
+    odd = []
+    for position in range(width):
+        z = (position + 1) * 0x9E3779B97F4A7C15 & mask
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        odd.append(z ^ z >> 31 | 1)
+    return np.array(odd, np.uint64)
+
+
 def _distinct_labels(labels):
     """(distinct, inverse): the distinct byte strings of the 1-d S array
     labels, in no set order, and each row's position among them.
 
-    Rows are deduplicated through an integer hash of their bytes, checked
-    against the labels, so that a caller sorts only the distinct labels; a
-    hash collision falls back to np.unique.
+    Rows are deduplicated through an integer hash of their bytes, with the
+    fixed multipliers of _odd_multipliers, checked against the labels, so
+    that a caller sorts only the distinct labels; a hash collision falls
+    back to np.unique.
     """
     chars = labels.view(np.uint8).reshape(labels.size, -1)
-    # fixed odd multipliers, invertible mod 2^64: changing one byte always
+    # odd multipliers are invertible mod 2^64: changing one byte always
     # changes the hash
-    odd = np.random.default_rng(chars.shape[1]).integers(
-        0, 2**64, chars.shape[1], dtype=np.uint64, endpoint=False) | np.uint64(1)
+    odd = _odd_multipliers(chars.shape[1])
     # one byte position at a time, over a block of rows that stays in cache
     # across the positions
     hashes = np.zeros(labels.size, np.uint64)
@@ -283,7 +297,8 @@ _GATE_BLOCK = 1 << 20
 
 def _read_columns(path, bound, cluster, integers, period):
     """The numeric columns and cluster codes _read_rows returns, read in one
-    np.loadtxt pass; the columns named in integers come back as int64.
+    np.loadtxt pass; the columns named in integers come back as integers:
+    the period column as int64, any other (the group) as int8.
 
     Returns None for every file on which that might differ from _read_rows:
     anything but a plain path, bytes csv.reader treats specially (a quote,
@@ -301,14 +316,18 @@ def _read_columns(path, bound, cluster, integers, period):
     np.loadtxt reads the file again, in text mode, whose universal newlines
     read a CRLF as an LF. Its one structured pass reads only the numeric
     columns, so no field is a string: a field per column, in sorted name
-    order, i8 for the columns in integers (bound only as group or period)
-    and f8 for the rest. An i8 field takes only an integer literal,
-    [+-]?[0-9]+ between whitespace, whose int64 value is the float()-parsed
+    order, i8 for the period and i1 for the group column when integers
+    names them (bound only as group or period), and f8 for the rest. An
+    integer field takes only an integer literal, [+-]?[0-9]+ between
+    whitespace, within its type's range, whose value is the float()-parsed
     value whenever the caller accepts it. When that pass fails, on a label
-    such as 2016.0 or 1e0, a second pass reads every column as f8. The
-    fields are named f0, f1, ... since a header name may be empty or
-    repeat. Each field is copied out and frozen, so that the structured
-    array is dropped and an RcsDataset adopts the copies as they are.
+    such as 2016.0, 1e0 or a group label of 128, a second pass reads every
+    column as f8. The fields are named f0, f1, ... since a header name may
+    be empty or repeat. Each field is copied out and frozen, so that the
+    structured array is dropped and an RcsDataset adopts the copies as
+    they are, all but the int8 group column, which it widens to int64. The
+    structured array, 8 bytes a row per column but 1 for the group's, is
+    alive beside those copies while they are made.
     """
     if not isinstance(path, (str, os.PathLike)):
         return None
@@ -347,7 +366,9 @@ def _read_columns(path, bound, cluster, integers, period):
 
     names = sorted(bound - {cluster})
     usecols = [header.index(name) for name in names]
-    kinds = ["i8" if name in integers else "f8" for name in names]
+    # the group column holds 0/1, so i1 takes every valid label
+    kinds = ["f8" if name not in integers else "i8" if name == period else "i1"
+             for name in names]
 
     def parse(kinds):
         dtype = [(f"f{i}", kind) for i, kind in enumerate(kinds)]
@@ -366,7 +387,7 @@ def _read_columns(path, bound, cluster, integers, period):
             return None
 
     values = parse(kinds)
-    if values is None and "i8" in kinds:
+    if values is None and kinds != ["f8"] * len(names):
         kinds = ["f8"] * len(names)
         values = parse(kinds)
     # np.loadtxt skips blank lines, which pass the comma count in a one-column file

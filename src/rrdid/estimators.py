@@ -473,7 +473,12 @@ def _sandwich(bread, blocks, resid, clusters=None):
             # columns' sums go before them
             grouped = _sum_cells(codes, groups, resid[:, None, :] * rows.T)
             if p1:
-                pairs, pair = _number_pairs(codes * k + index, groups * k)
+                # the codes become the (cluster, cell) keys in place, so the
+                # codes, the keys and the pair numbers are never alive together
+                codes *= k
+                codes += index
+                pairs, pair = _number_pairs(codes, groups * k)
+                del codes
                 cell_scores = _sum_cells(pair, pairs.size, resid)[:, None, :] * cell[pairs % k].T
                 grouped = np.concatenate([_sum_cells(pairs // k, groups, cell_scores), grouped],
                                          axis=1)
@@ -530,10 +535,18 @@ def _exp_moments(eta):
 
 
 def _softmax_moments(eta):
-    # class 0 is the base with eta = 0
-    top = np.maximum(eta.max(axis=1), 0.0)
-    lse = top + np.log(np.exp(-top) + np.sum(np.exp(eta - top[:, None]), axis=1))
-    return lse, np.exp(eta - lse[:, None])
+    # class 0 is the base with eta = 0; one buffer takes the shifted
+    # exponentials, then, once they are summed, the base class's exp(-top)
+    # in its first class row, then the probabilities
+    top = eta.max(axis=1)
+    np.maximum(top, 0.0, out=top)
+    probs = np.subtract(eta, top[:, None])
+    np.exp(probs, out=probs)
+    lse = np.sum(probs, axis=1)
+    base = probs[:, 0]
+    np.add(np.exp(np.negative(top, out=base), out=base), lse, out=lse)
+    np.add(top, np.log(lse, out=lse), out=lse)
+    return lse, np.exp(np.subtract(eta, lse[:, None], out=probs), out=probs)
 
 
 def _softmax_curvature(w, probs):
@@ -588,15 +601,17 @@ def _class_matrix(labels, n_classes):
 
 
 def _score(family, blocks, y, w, beta):
-    """(value, grad, eta, mean) of B fits on the same m units at beta.
+    """(value, grad, max_eta, mean) of B fits on the same m units at beta.
 
-    y is (B, C, m), w (B, m) and beta (B, Cp) holds C blocks of p; eta and
-    mean are (B, C, m), eta taken before the cap. The cell columns enter eta
-    once per cell and the score through each cell's residual sum. Outside
-    the family's moments, at most four unit-length arrays are alive at once:
-    eta, the capped eta, mean and one scratch array, which takes y times
-    the capped eta and then the residuals w (y - mean) in place; the capped
-    eta is dropped before the class sums of the maximand are formed.
+    y is (B, C, m), w (B, m) and beta (B, Cp) holds C blocks of p; mean is
+    (B, C, m) and max_eta (B,) each fit's largest |linear predictor|, taken
+    before the cap. The cell columns enter eta once per cell and the score
+    through each cell's residual sum. Outside the family's moments, at most
+    three unit-length arrays are alive at once: eta, capped in place, mean,
+    and the class sums of the maximand; eta's buffer then takes y times the
+    capped eta and the residuals w (y - mean) in place, except for the
+    identity link, whose mean is eta itself and which takes a scratch array
+    for them instead.
     """
     cell, rows, index = blocks
     p1 = cell.shape[1]
@@ -614,10 +629,13 @@ def _score(family, blocks, y, w, beta):
             on_rows = coef[:, :, p1:] @ rows.T
             eta = on_rows if eta is None else np.add(eta, on_rows, out=eta)
             del on_rows
-        capped = eta if family.guard is None else np.clip(eta, -_CAP, _CAP)
-        cumulant, mean = family.moments(capped)
-        scratch = np.multiply(y, capped)
-        del capped
+        # np.abs makes an all-zero eta's -0.0 a 0.0, as np.abs(eta) would
+        max_eta = np.abs(np.maximum(eta.max(axis=(1, 2)), -eta.min(axis=(1, 2))))
+        if family.guard is not None:
+            np.clip(eta, -_CAP, _CAP, out=eta)
+        cumulant, mean = family.moments(eta)
+        scratch = np.multiply(y, eta, out=None if mean is eta else eta)
+        del eta
         inner = np.sum(scratch, axis=1)
         np.subtract(inner, cumulant, out=inner)
         value = np.sum(np.multiply(w, inner, out=inner), axis=1)
@@ -628,13 +646,13 @@ def _score(family, blocks, y, w, beta):
         if rows.shape[1]:
             parts.append(resid @ rows)
         grad = np.concatenate(parts, axis=2).reshape(beta.shape)
-    return value, grad, eta, mean
+    return value, grad, max_eta, mean
 
 
 def _evaluate(family, blocks, y, w, beta):
-    """_score's (value, grad, eta, mean) with the Hessian after grad."""
-    value, grad, eta, mean = _score(family, blocks, y, w, beta)
-    return value, grad, -_cross(blocks, family.curvature(w, mean)), eta, mean
+    """_score's (value, grad, max_eta, mean) with the Hessian after grad."""
+    value, grad, max_eta, mean = _score(family, blocks, y, w, beta)
+    return value, grad, -_cross(blocks, family.curvature(w, mean)), max_eta, mean
 
 
 def _cross(blocks, weight):
@@ -678,14 +696,14 @@ def _identically_zero(w, y):
 def _objective(family, blocks, y, w, last):
     """maximize's objective: (value, grad, hess) of B fits at beta (B, Cp).
 
-    The list last holds the latest evaluation's (beta, eta, mean) alone: it
-    is emptied before each evaluation, so the previous one's arrays are
+    The list last holds the latest evaluation's (beta, max_eta, mean) alone:
+    it is emptied before each evaluation, so the previous one's means are
     freed before the next allocates its own.
     """
     def objective(beta):
         last.clear()
-        value, grad, hess, eta, mean = _evaluate(family, blocks, y, w, beta)
-        last.append((beta.copy(), eta, mean))
+        value, grad, hess, max_eta, mean = _evaluate(family, blocks, y, w, beta)
+        last.append((beta.copy(), max_eta, mean))
         return value, grad, hess
     return objective
 
@@ -719,7 +737,7 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
             singular = np.zeros(len(beta), bool)
         else:
             beta, singular = _newton_directions(hess, grad)
-        value, grad, eta, mean = _score(family, blocks, means, counts, beta)
+        value, grad, max_eta, mean = _score(family, blocks, means, counts, beta)
         score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
         diag = NewtonDiagnostics(np.zeros(len(beta), int), ~singular, score_norm, value,
                                  singular, hess, np.zeros(len(beta), int))
@@ -731,11 +749,10 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
         # the bread is the Hessian of the last accepted step; the means are
         # the last evaluation's when it was at beta, in every fit of the batch
         if last and np.array_equal(last[0][0], beta):
-            _, eta, mean = last.pop()
+            _, max_eta, mean = last.pop()
         else:
-            _, _, eta, mean = _score(family, blocks, means, counts, beta)
+            _, _, max_eta, mean = _score(family, blocks, means, counts, beta)
 
-    max_eta = np.max(np.abs(eta), axis=(1, 2))
     failures = np.full(len(beta), None, object)
     failures[~diag.converged] = "not_converged"
     if family.guard is not None:

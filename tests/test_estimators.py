@@ -42,6 +42,7 @@ from rrdid.estimators import (
     _cross,
     _gram_proves_full_rank,
     _inputs,
+    _LOGIT,
     _number_pairs,
     _POISSON,
 )
@@ -891,17 +892,20 @@ def test_pair_numbering_matches_unique(monkeypatch, n_clusters, table):
 def test_cluster_codes_survive_a_hash_collision(monkeypatch):
     # with every multiplier 1 the hash is the sum of the bytes, so "ab" and
     # "ba" collide, and the check against the labels must catch it
-    class Ones:
-        def __init__(self, seed):
-            pass
-
-        def integers(self, low, high, size, **kwargs):
-            return np.zeros(size, np.uint64)
-
     labels = np.array([b"ab", b"ba", b"c", b"ab", b"ba", b"ab"])
     expected = np.unique(labels, return_inverse=True)[1].reshape(-1)
-    monkeypatch.setattr(np.random, "default_rng", Ones)
+    monkeypatch.setattr(cli, "_odd_multipliers", lambda width: np.ones(width, np.uint64))
+    unique = np.unique
+    fallbacks = []
+
+    def counted_unique(values, **kwargs):
+        fallbacks.append(np.asarray(values).dtype.kind == "S")
+        return unique(values, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
     distinct, inverse = cli._distinct_labels(labels)
+    # the collision sends the labels themselves to np.unique
+    assert fallbacks == [False, True]
     np.testing.assert_array_equal(distinct[inverse], labels)
     assert sorted(distinct.tolist()) == [b"ab", b"ba", b"c"]
     # the CSV loader's coder, on the same labels' UTF-8 bytes padded with spaces
@@ -1258,25 +1262,60 @@ def test_design_and_input_checks_build_no_dense_design():
     assert peak < n * design.n_columns * 8
 
 
-def test_score_holds_at_most_four_row_arrays():
-    # one Poisson evaluation keeps eta, the capped eta, the means and one
-    # scratch array alive at once; forming every temporary afresh, it peaked
-    # at seven row-length arrays
+@pytest.mark.parametrize("family, arrays", [(_POISSON, 3), (_LOGIT, 4)],
+                         ids=["poisson", "logit"])
+def test_score_holds_few_row_arrays(family, arrays):
+    # one Poisson evaluation keeps eta, capped in place and then reused for
+    # y times it and the residuals, the means and the maximand's class sums
+    # alive at once; forming every temporary afresh, it peaked at seven row
+    # arrays, and at four with a separate capped eta and scratch array. The
+    # softmax moments add the shifted maximum and the log-sum-exp, where
+    # their fresh temporaries made six.
     rng = np.random.default_rng(4)
     n = 200_000
     design = DesignMatrix(np.column_stack([np.ones(8), np.arange(8) % 2]),
                           rng.normal(size=(n, 1)), rng.integers(0, 8, n), ("const", "group", "x"))
     blocks, _ = _as_design(design)
     y, w = rng.poisson(1.0, (1, 1, n)).astype(float), np.ones((1, n))
+    if family is _LOGIT:
+        y = np.minimum(y, 1.0)
     beta = np.array([[0.1, 0.2, 0.3]])
     tracemalloc.start()
     try:
-        value, grad, eta, mean = estimators._score(_POISSON, blocks, y, w, beta)
+        value, grad, max_eta, mean = estimators._score(family, blocks, y, w, beta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert eta.shape == mean.shape == (1, 1, n)
-    assert peak <= 4.5 * n * 8, peak / (n * 8)
+    assert mean.shape == (1, 1, n)
+    eta = design.values @ beta[0]
+    np.testing.assert_allclose(max_eta, [np.max(np.abs(eta))], rtol=1e-14)
+    assert peak <= (arrays + 0.5) * n * 8, peak / (n * 8)
+
+
+def test_clustered_sandwich_peak():
+    # the clustered meat numbers the (cluster, cell) pairs in the buffer of
+    # the renumbered cluster codes, so the codes, the pair keys and the pair
+    # numbers are never alive together: two row arrays at most, where the
+    # codes, the keys and a product of the codes made three
+    rng = np.random.default_rng(6)
+    n = 200_000
+    design = DesignMatrix(np.column_stack([np.ones(8), np.arange(8) % 2]),
+                          rng.normal(size=(n, 1)), rng.integers(0, 8, n), ("const", "group", "x"))
+    blocks, _ = _as_design(design)
+    resid = rng.normal(size=(1, n))
+    clusters = rng.integers(0, 500, n)
+    clusters.setflags(write=False)
+    bread = np.eye(3) * n
+    tracemalloc.start()
+    try:
+        vcov = estimators._sandwich(bread, blocks, resid, clusters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scores = resid[0] * design.values.T
+    sums = np.array([np.bincount(clusters, weights=s, minlength=500) for s in scores])
+    np.testing.assert_allclose(vcov, sums @ sums.T / float(n) ** 2, rtol=1e-10)
+    assert peak <= 2.5 * n * 8, peak / (n * 8)
 
 
 # --- covariate designs: cell columns through cell sums against the dense rows --
