@@ -366,9 +366,8 @@ def _read_columns(path, bound, cluster, integers, period):
 
     names = sorted(bound - {cluster})
     usecols = [header.index(name) for name in names]
-    # the group column holds 0/1, so i1 takes every valid label
-    kinds = ["f8" if name not in integers else "i8" if name == period else "i1"
-             for name in names]
+    # the period is i8; the group column holds 0/1, so i1 takes every valid label
+    kinds = [{period: "i8"}.get(name, "i1") if name in integers else "f8" for name in names]
 
     def parse(kinds):
         dtype = [(f"f{i}", kind) for i, kind in enumerate(kinds)]
@@ -387,7 +386,7 @@ def _read_columns(path, bound, cluster, integers, period):
             return None
 
     values = parse(kinds)
-    if values is None and kinds != ["f8"] * len(names):
+    if values is None and any(kind != "f8" for kind in kinds):
         kinds = ["f8"] * len(names)
         values = parse(kinds)
     # np.loadtxt skips blank lines, which pass the comma count in a one-column file

@@ -535,16 +535,16 @@ def _exp_moments(eta):
 
 
 def _softmax_moments(eta):
-    # class 0 is the base with eta = 0; one buffer takes the shifted
-    # exponentials, then, once they are summed, the base class's exp(-top)
-    # in its first class row, then the probabilities
-    top = eta.max(axis=1)
-    np.maximum(top, 0.0, out=top)
-    probs = np.subtract(eta, top[:, None])
-    np.exp(probs, out=probs)
+    # class 0 is the base with eta = 0, so with top = max(0, max_c eta_c)
+    # lse = top + log(exp(-top) + sum_c exp(eta_c - top))
+    top = np.maximum(eta.max(axis=1), 0.0)
+    probs = np.exp(np.subtract(eta, top[:, None]))
     lse = np.sum(probs, axis=1)
+    # the summed exponentials are scratch: a fresh (B, m) array for exp(-top)
+    # would be a fifth row array on a logit row design
     base = probs[:, 0]
-    np.add(np.exp(np.negative(top, out=base), out=base), lse, out=lse)
+    np.exp(np.negative(top, out=base), out=base)
+    np.add(base, lse, out=lse)
     np.add(top, np.log(lse, out=lse), out=lse)
     return lse, np.exp(np.subtract(eta, lse[:, None], out=probs), out=probs)
 

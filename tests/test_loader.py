@@ -454,14 +454,16 @@ def test_clustered_load_peak(large_csv):
     # coding a <U field of the np.loadtxt result, and copying the columns
     # into the dataset, at 23.9 MiB; coding the byte gate's labels before
     # np.loadtxt reads the numeric columns alone, which the dataset adopts,
-    # at 16.8 MiB; reading the group column as int8, at 14.1 MiB
+    # at 16.8 MiB; reading the group column as int8, at 14.1 MiB. The bound
+    # keeps the earlier 22% headroom, for numpy releases whose np.loadtxt and
+    # bincount allocate differently
     tracemalloc.start()
     try:
         load_csv_dataset(large_csv, "y", "g", "t", weights="w", cluster="c", covariates=("x",))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16.0 * 2**20, peak / 2**20
+    assert peak <= 17.2 * 2**20, peak / 2**20
 
 
 def test_dataset_adopts_the_loaders_columns(large_csv, monkeypatch):
