@@ -32,16 +32,23 @@ dataset's failure kind with array reductions over the batch.
 Covariances are sandwiches A^{-1} B A^{-1}: A is the negative Hessian at the
 optimum, B the outer product of the per-row scores w_i (y_i - mu_i) (x) x_i,
 summed within clusters first when cluster ids are supplied. B is taken
-from the rows after the fit, so a fit on cells keeps the row-level sandwich
-exactly. Unclustered, B is _cross, the Hessian's block evaluator, of the
-rows' residual moments r_c r_d in place of the curvature weights, so its
+after the fit from units, groups of rows that share a design row and an
+outcome, and so a residual direction e: a fit on cells keeps the
+row-level sandwich exactly. The units are the rows, unless the design has
+cell columns alone and its outcome is a class label (the multinomial's,
+or a logit's 0/1); then they are the rows of one (cell, class), or one
+(cluster, cell, class) when clustered, taken from the table of their
+summed weights and squared weights: a unit scores its summed weight
+times e, and its residual moments are its summed squared weights times
+e_c e_d. Unclustered, B is _cross, the Hessian's block evaluator, of the
+units' residual moments r_c r_d in place of the curvature weights, so its
 cell-column blocks sum those moments within cells first. Clustered, B is
 G G' for the per-cluster score sums G: the cell columns' from each
 (cluster, cell) pair's residual sum, the row columns' from the rows'
-scores. Clusters are numbered once per fit, in sorted-label order:
-non-negative integer codes, such as the CSV loader's, through a presence
-table, any other labels through np.unique. No small-sample correction is
-applied.
+scores. The rows' clusters are numbered once per fit, in sorted-label
+order: non-negative integer codes, such as the CSV loader's, through a
+presence table, any other labels through np.unique. No small-sample
+correction is applied.
 Newton steps are halved, at most _STEP_HALVINGS times, until the maximand
 does not decrease; linear predictors are clamped at +/- _CAP, and a clamp still
 active at the optimum, or a perfectly predicted outcome, raises instead of
@@ -308,9 +315,14 @@ def _as_design(X):
     empty cells drop out, or of a plain 2-d array."""
     if isinstance(X, DesignMatrix):
         keep = np.flatnonzero(np.bincount(X.cells))
-        index = np.zeros(keep[-1] + 1, np.intp)
-        index[keep] = np.arange(keep.size)
-        return _Blocks(X.cell_values[keep], X.row_values, index[X.cells]), list(X.column_names)
+        cells = X.cells
+        # np.take and np.bincount copy a read-only index, and a fit with row
+        # columns reads it in every evaluation, so that fit takes a copy
+        if keep.size < len(X.cell_values) or X.row_values.shape[1]:
+            index = np.zeros(keep[-1] + 1, np.intp)
+            index[keep] = np.arange(keep.size)
+            cells = index[cells]
+        return _Blocks(X.cell_values[keep], X.row_values, cells), list(X.column_names)
     values = np.asarray(X, float)
     if values.ndim != 2:
         raise ValueError("design must be a 2-d array or DesignMatrix")
@@ -446,15 +458,17 @@ def _number_pairs(keys, size):
 def _sandwich(bread, blocks, resid, clusters=None):
     """A^{-1} B A^{-1}, with B the outer product of the row scores.
 
-    blocks holds the rows of the design and resid (C, n) each row's
-    w_i (y_i - mu_i) for its C classes, so row i scores resid_i (x) x_i.
-    Unclustered, B is _cross of the rows' residual moments r_c r_d of the
-    class pairs c <= d: its cell-column blocks sum them within cells first.
-    Clustered, B = G G' for the (Cp, clusters) per-cluster score sums G:
-    for the cell columns, each of the cluster's (cluster, cell) pairs'
-    residual sum times the cell's row, and for the row columns, its rows'
-    scores. No small-sample factor is applied. Raises
-    NonFiniteObjectiveError when B overflows.
+    blocks holds the design rows of m units, groups of rows that share a
+    design row and a residual direction (single rows, or the _Units of a
+    class table), and resid (C, m) each unit's residual r_u for its C
+    classes, so unit u scores r_u (x) x_u. Unclustered, B is _cross of the
+    units' residual moments r_c r_d of the class pairs c <= d: its
+    cell-column blocks sum them within cells first. Clustered, clusters
+    holds each unit's cluster and B = G G' for the (Cp, clusters)
+    per-cluster score sums G: for the cell columns, each of the cluster's
+    (cluster, cell) pairs' residual sum times the cell's row, and for the
+    row columns, its units' scores. No small-sample factor is applied.
+    Raises NonFiniteObjectiveError when B overflows.
     """
     n_classes, n = resid.shape
     cell, rows, index = blocks
@@ -770,44 +784,103 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
     return beta, failures.tolist(), diag, mean, max_eta
 
 
-def _units(blocks, y, w):
-    """(unit blocks, counts, means, pure, index) of one dataset with outcome y (C, n).
+class _Units(NamedTuple):
+    """The units a sandwich sums over: groups of rows that share a design row
+    and an outcome, and so one residual direction y_u - mu_u, which the
+    sandwich reads as scale_u (y_u - mu_u).
 
-    A design of cell columns alone fits on its non-empty cells: their total
-    weights and weighted mean outcomes, pure saying whether the rows of every
-    cell share one outcome, and index mapping each row to its cell. Any other
-    design fits on its rows, and index is None.
+    blocks holds their design rows, y (C, m) their outcomes, fitted (m,) the
+    fit unit whose mean is theirs (None: unit j is fit unit j) and clusters
+    their cluster labels (None: unclustered). A single row's scale is its
+    weight, so it reads the row's score. A group's is its summed weight when
+    clustered, so it reads the sum of its rows' scores, and otherwise the
+    root of its summed squared weights, so that its outer product is the
+    sum of its rows' residual moments.
+    """
+
+    blocks: _Blocks
+    y: np.ndarray
+    scale: np.ndarray
+    fitted: np.ndarray | None
+    clusters: np.ndarray | None
+
+
+def _units(family, blocks, y, w, clusters, n_classes):
+    """(fit units, counts, means, pure, _Units) of one dataset with outcome y (n,);
+    with n_classes, y holds the class labels 0..n_classes of a softmax fit.
+
+    A design with row columns fits on its rows, and its sandwich sums over
+    them. A design of cell columns alone fits on its non-empty cells: their
+    total weights and weighted mean outcomes (C, k), with pure saying
+    whether the rows of every cell share one outcome (for the families that
+    test separation). Its sandwich sums over its rows, or, for class labels,
+    over the groups of rows of one (cell, class), or (cluster, cell, class)
+    when clustered, numbered by the key (cluster k + cell) (C + 1) + label:
+    neither the class indicators nor the residuals of the rows are formed.
+    The fit's class sums are per-key sums of the weights, the rows' sums of
+    w y less their exact zeros.
     """
     cell, rows, index = blocks
     if index is None or rows.shape[1]:
-        return blocks, w, y, True, None
+        # labels 0 and 1 are their own indicators of class 1
+        y = y[None] if n_classes in (None, 1) else _class_matrix(y, n_classes)
+        return blocks, w, y, True, _Units(blocks, y, w, None, clusters)
     k = cell.shape[0]
     totals = np.bincount(index, weights=w, minlength=k)
-    some_row = np.zeros(k, np.intp)
-    some_row[index] = np.arange(index.size)
-    sums = _sum_cells(index, k, w * y)
-    # every class row is compared: cells of labels 0 and 2 differ only in class 2's
-    pure = all(np.array_equal(row, row[some_row][index]) for row in y)
-    return _Blocks(cell, np.empty((k, 0)), None), totals, sums / totals, pure, index
+    cells = _Blocks(cell, np.empty((k, 0)), None)
+    if n_classes is None:
+        y = y[None]
+        pure = True
+        if family.separated is not None:
+            some_row = np.zeros(k, np.intp)
+            some_row[index] = np.arange(index.size)
+            pure = np.array_equal(y[0], y[0][some_row][index])
+        means = _sum_cells(index, k, w * y) / totals
+        return cells, totals, means, pure, _Units(blocks, y, w, index, clusters)
+    width = n_classes + 1
+    keys = index * width
+    keys += y.astype(np.intp)
+    sums = np.bincount(keys, weights=w, minlength=k * width).reshape(k, width)
+    pure = bool(np.all(np.count_nonzero(sums, axis=1) == 1))
+    # class-major, as every outcome is held
+    means = np.ascontiguousarray(sums.T[1:]) / totals
+    if clusters is None:
+        groups, group_clusters = np.arange(k * width), None
+        scale = np.sqrt(np.bincount(keys, weights=w * w, minlength=k * width))
+    else:
+        # the cluster codes' buffer becomes the keys in place
+        codes, n_clusters = _cluster_codes(clusters)
+        codes *= k * width
+        codes += keys
+        del keys
+        groups, group = _number_pairs(codes, n_clusters * k * width)
+        del codes
+        scale = np.bincount(group, weights=w, minlength=groups.size)
+        group_clusters = groups // (k * width)
+    at = groups // width % k
+    units = _Units(_Blocks(cell, np.empty((groups.size, 0)), at),
+                   _class_matrix(groups % width, n_classes), scale, at, group_clusters)
+    return cells, totals, means, pure, units
 
 
-def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
-    """One dataset's fit by _fit, on its cells when its design has only cell
-    columns, then one pass over the rows for the residuals behind the
-    covariance; the fitted means are dropped once the residuals are formed,
-    before the sandwich.
+def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True, n_classes=None):
+    """One dataset's fit by _fit on the fit units of _units, then one pass
+    over the sandwich's units for the residuals behind the covariance; the
+    fitted means are dropped once the residuals are formed, before the
+    sandwich.
 
-    y is (C, n): one outcome row, or C rows of class indicators. A failed fit
-    raises its error; a fit that did not converge reports a NaN covariance.
+    y is the (n,) outcome, or with n_classes the class labels 0..n_classes.
+    A failed fit raises its error; a fit that did not converge reports a
+    NaN covariance.
     """
-    units, counts, means, pure, index = _units(blocks, y, w)
-    beta, (failure,), diag, mean, max_eta = _fit(family, units, counts[None], means[None],
+    fit_units, counts, means, pure, units = _units(family, blocks, y, w, clusters, n_classes)
+    beta, (failure,), diag, mean, max_eta = _fit(family, fit_units, counts[None], means[None],
                                                  options, pure, lstsq=True)
     if failure == "SingularHessianError":
         raise SingularHessianError("Hessian is singular at the current iterate")
     if failure not in (None, "not_converged"):
         raise family.guard(family.message)
-    error = y - (mean[0] if index is None else mean[0].take(index, axis=1))
+    error = units.y - (mean[0] if units.fitted is None else mean[0].take(units.fitted, axis=1))
     # the sandwich reads only the residuals
     del mean
     hess, converged = diag.hessian[0], bool(diag.converged[0])
@@ -821,7 +894,7 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
     if not math.isfinite(loglik):
         raise NonFiniteObjectiveError("log-likelihood is not finite at the estimate")
     # the residuals overwrite the errors, which nothing reads after the loglik
-    resid = np.multiply(w, error, out=error)
+    resid = np.multiply(units.scale, error, out=error)
     vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
     if not robust:
         total, p = float(w.sum()), beta.shape[1]
@@ -835,7 +908,7 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
         vcov = (vcov + vcov.T) / 2.0
         vcov_kind = "classical_ols"
     elif converged:
-        vcov = _sandwich(-hess, blocks, resid, clusters)
+        vcov = _sandwich(-hess, units.blocks, resid, units.clusters)
     else:
         vcov = np.full((beta.shape[1], beta.shape[1]), np.nan)
     return FitResult(
@@ -848,7 +921,7 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True):
         iterations=int(diag.iterations[0]),
         converged=converged,
         score_norm=float(diag.score_norm[0]),
-        n_obs=y.shape[1],
+        n_obs=w.size,
         step_halvings=int(diag.step_halvings[0]),
         max_abs_eta=float(max_eta[0]),
     )
@@ -865,7 +938,7 @@ def fit_ols(X, y, weights=None, clusters=None, robust=True):
         raise ValueError("the classical variance has no clustered form; "
                          "drop the clusters or use the robust sandwich")
     blocks, names, y, w = _inputs(_GAUSSIAN, X, y, weights, clusters)
-    return _fit_dataset(_GAUSSIAN, blocks, names, y[None], w, clusters, FitOptions(), robust)
+    return _fit_dataset(_GAUSSIAN, blocks, names, y, w, clusters, FitOptions(), robust)
 
 
 def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -880,7 +953,7 @@ def fit_poisson_qmle(X, y, weights=None, clusters=None, options: FitOptions = Fi
         raise OverflowGuardError(
             "outcome is identically zero; the exponential mean has no finite optimum"
         )
-    return _fit_dataset(_POISSON, blocks, names, y[None], w, clusters, options)
+    return _fit_dataset(_POISSON, blocks, names, y, w, clusters, options)
 
 
 def fit_logit_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -890,7 +963,9 @@ def fit_logit_qmle(X, y, weights=None, clusters=None, options: FitOptions = FitO
     equals fit_multinomial_logit's, coefficient for coefficient.
     """
     blocks, names, y, w = _inputs(_LOGIT, X, y, weights, clusters)
-    return _fit_dataset(_LOGIT, blocks, names, y[None], w, clusters, options)
+    # 0/1 outcomes are the labels of the one-class softmax
+    n_classes = 1 if np.all((y == 0) | (y == 1)) else None
+    return _fit_dataset(_LOGIT, blocks, names, y, w, clusters, options, n_classes=n_classes)
 
 
 def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions = FitOptions()):
@@ -907,8 +982,10 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
         raise ValueError("multinomial_logit needs at least 2 observed classes")
     # a label past the row count leaves some class unobserved; np.unique
     # numbers such labels as floats, which hold labels past int64 too
-    labels = y.astype(np.int64) if n_classes < y.size else y
-    observed = _number_pairs(labels, n_classes + 1)[0]
+    if n_classes < y.size:
+        observed = np.flatnonzero(np.bincount(y.astype(np.int64), minlength=n_classes + 1))
+    else:
+        observed = np.unique(y)
     n_missing = n_classes + 1 - observed.size
     if n_missing:
         # at most the first 20: a huge label leaves too many to list
@@ -917,8 +994,8 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
         more = f" and {n_missing - len(shown)} more" if n_missing > len(shown) else ""
         raise ValueError(f"classes never observed: {shown}{more}")
     full_names = [f"{name}[{c}]" for c in range(1, n_classes + 1) for name in names]
-    return _fit_dataset(_MULTINOMIAL, blocks, full_names, _class_matrix(labels, n_classes), w,
-                        clusters, options)
+    return _fit_dataset(_MULTINOMIAL, blocks, full_names, y, w, clusters, options,
+                        n_classes=n_classes)
 
 
 def fit_cell_sums(family, X, counts, sums):

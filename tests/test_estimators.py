@@ -1210,6 +1210,90 @@ def test_cell_fit_reads_purity_from_rows_not_means(fitter, labels):
     assert fitter(design, data.y, data.weights).converged
 
 
+def _class_table_case(family, weighted, clustered, trend, cells="mixed", seed=0):
+    """(design, dataset) of a cell-only design with a class-label outcome:
+    3-class multinomial labels 0..2 or 0/1 logit outcomes, drawn per row, in
+    every (group, period) cell but (1, 0) with cells="empty", with every row
+    of cell (0, 1) labelled 0 with cells="pure" (and no period dummies, so
+    that the optimum stays finite), and with one label per cell with
+    cells="separated"."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    q, t = rng.integers(0, 2, n), rng.integers(0, 3, n)
+    if cells == "empty":
+        q[(q == 1) & (t == 0)] = 0
+    n_labels = 3 if family == "multinomial" else 2
+    eta = np.column_stack([np.zeros(n)] + [(0.3 * c - 0.4) + 0.2 * c * t - 0.3 * q
+                                           + 0.5 * q * (t == 2) for c in range(1, n_labels)])
+    y = np.argmax(eta + rng.gumbel(size=eta.shape), axis=1).astype(float)
+    if cells == "pure":
+        y[(q == 0) & (t == 1)] = 0.0
+    elif cells == "separated":
+        y = ((q + t) % n_labels).astype(float)
+    data = RcsDataset(y=y, q=q, t=t, weights=rng.uniform(0.5, 2.0, n) if weighted else None,
+                      clusters=rng.integers(0, 12, n) if clustered else None)
+    spec = DesignSpec(post_period=2, include_period_dummies=cells != "pure",
+                      include_group_trend=trend)
+    return build_design(data, spec), data
+
+
+_TABLE_CASES = [(family, weighted, clustered, trend, "mixed")
+                for family in ("multinomial", "logit") for weighted in (False, True)
+                for clustered in (False, True) for trend in (False, True)]
+_TABLE_CASES += [(family, True, clustered, trend, cells)
+                 for family in ("multinomial", "logit") for clustered in (False, True)
+                 for trend, cells in ((False, "empty"), (True, "pure"), (True, "separated"))]
+
+
+@pytest.mark.parametrize("family, weighted, clustered, trend, cells", _TABLE_CASES)
+def test_class_table_fit_matches_row_fit(family, weighted, clustered, trend, cells):
+    # a cell-only design with class labels takes its sandwich from the
+    # (cell, class) or (cluster, cell, class) weight sums; the reference is
+    # the same fit on the dense rows of a plain array
+    design, data = _class_table_case(family, weighted, clustered, trend, cells)
+    fitter = fit_multinomial_logit if family == "multinomial" else fit_logit_qmle
+
+    def fit(X):
+        try:
+            return fitter(X, data.y, data.weights, clusters=data.clusters, options=TIGHT)
+        except SeparationError as err:
+            return err
+
+    table, rows = fit(design), fit(design.values)
+    assert type(table) is type(rows)
+    if cells == "separated":
+        # the trend saturates the design, so every cell is perfectly predicted
+        assert isinstance(table, SeparationError)
+        return
+    assert (table.converged, table.n_obs, table.vcov_kind) == \
+        (rows.converged, rows.n_obs, rows.vcov_kind) == \
+        (True, 400, "cluster_sandwich" if clustered else "sandwich")
+    assert _close(table.coefficients, rows.coefficients, 1e-12)
+    assert _close(table.vcov, rows.vcov, 1e-12)
+    assert _close(table.loglik, rows.loglik, 1e-12)
+
+
+@pytest.mark.parametrize("y, units", [([0.0, 1.0, 1.0, 0.0], 8), ([0.0, 0.5, 1.0, 0.25], 12)],
+                         ids=["binary", "fractional"])
+def test_fractional_logit_takes_the_row_sandwich(monkeypatch, y, units):
+    # 0/1 outcomes are class labels, whose sandwich sums over the (cell,
+    # class) units, all 4 x 2 of them; a fractional outcome is no label, so
+    # its sandwich sums over the rows
+    data = RcsDataset(y=np.tile(y, 3), q=np.repeat([0, 1], 6), t=np.tile([0, 1], 6))
+    design = build_design(data, DesignSpec(post_period=1, include_period_dummies=False))
+    seen = []
+    sandwich = estimators._sandwich
+
+    def spy(bread, blocks, resid, clusters=None):
+        seen.append(resid.shape)
+        return sandwich(bread, blocks, resid, clusters)
+
+    monkeypatch.setattr(estimators, "_sandwich", spy)
+    fit = fit_logit_qmle(design, data.y)
+    assert fit.converged and seen == [(1, units)]
+    assert _close(fit.vcov, fit_logit_qmle(design.values, data.y).vcov)
+
+
 def test_covariate_designs_carry_cells_and_cell_columns():
     data = RcsDataset(y=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], q=[0, 0, 1, 1, 0, 1],
                       t=[0, 1, 0, 1, 1, 0], covariates={"x": [0.5, 1.0, 0.2, 0.7, 0.1, 0.9]})
@@ -1316,6 +1400,31 @@ def test_clustered_sandwich_peak():
     sums = np.array([np.bincount(clusters, weights=s, minlength=500) for s in scores])
     np.testing.assert_allclose(vcov, sums @ sums.T / float(n) ** 2, rtol=1e-10)
     assert peak <= 2.5 * n * 8, peak / (n * 8)
+
+
+@pytest.mark.parametrize("clustered, arrays", [(False, 2.0), (True, 2.13)],
+                         ids=["plain", "clustered"])
+def test_class_table_fit_holds_few_row_arrays(clustered, arrays):
+    # a cell-only 3-class fit forms no class indicators, residuals or
+    # residual moments per row: it peaks at the row keys and one temporary
+    # (the float labels' integer copy, or the squared weights), measured
+    # here at 2.0 row arrays, 2.13 with clusters (whose codes become the
+    # keys); the row sandwich peaked at 9.0 and 8.0. The bound keeps the
+    # 22% headroom of test_clustered_load_peak
+    rng = np.random.default_rng(5)
+    n = 200_000
+    data = RcsDataset(y=rng.integers(0, 3, n).astype(float), q=rng.integers(0, 2, n),
+                      t=rng.integers(0, 4, n), weights=rng.uniform(0.5, 2.0, n),
+                      clusters=rng.integers(0, 500, n) if clustered else None)
+    design = build_design(data, DesignSpec(post_period=3))
+    tracemalloc.start()
+    try:
+        fit = fit_multinomial_logit(design, data.y, data.weights, data.clusters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak <= 1.22 * arrays * n * 8, peak / (n * 8)
 
 
 # --- covariate designs: cell columns through cell sums against the dense rows --
