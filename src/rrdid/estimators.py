@@ -405,14 +405,29 @@ def _check_full_rank_qr(weighted, names):
     Ranks are counted as np.linalg.matrix_rank counts them, singular values
     above max(n, p) eps sigma_max of the whole matrix. The leading k columns
     of R in weighted = Q R are the R factor of the leading k columns of
-    weighted, so one QR gives the rank of every leading block.
+    weighted, so one QR proves every leading block full rank when each
+    block's smallest singular value clears the cutoff by more than the QR's
+    rounding, O(max(n, p) p^1.5 eps sigma_max). A block within that margin
+    (every rank-deficient one among them) is a close call that the QR's
+    rounding could decide either way, so from the first such block on the
+    ranks are those of np.linalg.matrix_rank on the weighted columns
+    themselves.
     """
     if not np.all(np.isfinite(weighted)):
         raise ValueError("the weighted design overflows; rescale its columns or the weights")
+    eps, (n, p) = np.finfo(float).eps, weighted.shape
     r = np.linalg.qr(weighted, mode="r")
-    cutoff = max(weighted.shape) * np.finfo(float).eps * np.linalg.norm(r, 2)
-    ranks = [0] + [np.linalg.matrix_rank(r[:, :k], tol=cutoff) for k in range(1, r.shape[1] + 1)]
-    redundant = [names[j] for j in range(r.shape[1]) if ranks[j + 1] <= ranks[j]]
+    sigmas = [np.linalg.svd(r[:, :k], compute_uv=False) for k in range(1, p + 1)]
+    cutoff = max(n, p) * eps * sigmas[-1][0]
+    margin = (1.0 + 10.0 * p**1.5) * cutoff
+    clear = [s.size == k and s[-1] > margin for k, s in enumerate(sigmas, 1)]
+    if all(clear):
+        return
+    first = clear.index(False)
+    tol = max(n, p) * eps * np.linalg.norm(weighted, 2)
+    ranks = list(range(first + 1)) + [np.linalg.matrix_rank(weighted[:, :k], tol=tol)
+                                      for k in range(first + 1, p + 1)]
+    redundant = [names[j] for j in range(p) if ranks[j + 1] <= ranks[j]]
     if redundant:
         raise SingularDesignError(redundant)
 
