@@ -216,52 +216,64 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     return dataset, [int(v) for v in labels]
 
 
-def _odd_multipliers(width):
-    """One fixed odd multiplier per byte position of a label width bytes
-    wide: splitmix64 of the position, with its low bit set."""
-    mask = 2**64 - 1
-    odd = []
-    for position in range(width):
-        z = (position + 1) * 0x9E3779B97F4A7C15 & mask
-        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
-        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
-        odd.append(z ^ z >> 31 | 1)
-    return np.array(odd, np.uint64)
+def _odd_multipliers(count, salt):
+    """count fixed odd multipliers: splitmix64 of (salt, position), low bit set."""
+    z = np.arange(salt << 32 | 1, (salt << 32) + count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ z >> np.uint64(shift)) * np.uint64(multiplier)
+    return z ^ z >> np.uint64(31) | np.uint64(1)
 
 
-def _distinct_labels(labels):
+# rows coded at a time, and the bucket tables before np.unique takes the rest
+_CODE_BLOCK, _CODE_TABLES = 1 << 14, 3
+
+
+def _distinct_labels(labels, salt=0):
     """(distinct, inverse): the distinct byte strings of the 1-d S array
     labels, in no set order, and each row's position among them.
 
-    Rows are deduplicated through an integer hash of their bytes, with the
-    fixed multipliers of _odd_multipliers, checked against the labels, so
-    that a caller sorts only the distinct labels; a hash collision falls
-    back to np.unique.
+    A label's hash sums its little-endian uint64 words at byte offsets 0,
+    8, ... and width - 8, which cover it (a label narrower than 8 bytes is
+    widened), times the odd multipliers of _odd_multipliers; its top bits
+    pick one of 2n to 4n buckets, owned by one of its rows. A row whose
+    words all equal its owner's holds the owner's label, which no other
+    bucket holds; the rest, about a fifth of the rows when every label
+    differs, go through a table of their own with other multipliers, and
+    after _CODE_TABLES tables through np.unique.
     """
-    chars = labels.view(np.uint8).reshape(labels.size, -1)
-    # odd multipliers are invertible mod 2^64: changing one byte always
-    # changes the hash
-    odd = _odd_multipliers(chars.shape[1])
-    # one byte position at a time, over a block of rows that stays in cache
-    # across the positions
-    hashes = np.zeros(labels.size, np.uint64)
-    step = 1 << 14
-    for s in range(0, labels.size, step):
-        block, out = chars[s:s + step], hashes[s:s + step]
-        for j, multiplier in enumerate(odd):
-            out += block[:, j] * multiplier
-    keys, inverse = np.unique(hashes, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    first = np.empty(keys.size, np.intp)
-    first[inverse] = np.arange(labels.size)
-    distinct = labels[first]
-    # checked in blocks of rows, so the temporaries stay small
-    step = 1 << 16
-    if all(np.array_equal(distinct[inverse[s:s + step]], labels[s:s + step])
-           for s in range(0, labels.size, step)):
-        return distinct, inverse
-    distinct, inverse = np.unique(labels, return_inverse=True)
-    return distinct, inverse.reshape(-1)
+    labels = np.ascontiguousarray(labels, f"S{max(labels.itemsize, 8)}")
+    n, width = labels.size, labels.itemsize
+    words = [np.ndarray(n, "<u8", labels, offset, (width,))
+             for offset in sorted({*range(0, width - 7, 8), width - 8})]
+    bits = n.bit_length() + 1
+    # each row's hash, then its bucket, then its position, and the caller's codes
+    bucket = np.zeros(n, np.int64)
+    hashes = bucket.view(np.uint64)
+    owner = np.empty(1 << bits, np.min_scalar_type(n))  # only buckets in use are written
+    owned, shared = np.empty(n, bool), np.empty(n, bool)
+    blocks = [slice(s, s + _CODE_BLOCK) for s in range(0, n, _CODE_BLOCK)]
+    for rows in blocks:  # a block stays in cache across the words
+        for word, multiplier in zip(words, _odd_multipliers(len(words), salt)):
+            hashes[rows] += word[rows] * multiplier
+        hashes[rows] >>= np.uint64(64 - bits)
+        owner[bucket[rows]] = np.arange(rows.start, min(rows.stop, n))
+    for rows in blocks:
+        owned[rows] = owner[bucket[rows]] == np.arange(rows.start, min(rows.stop, n))
+    owners = np.flatnonzero(owned)
+    owner[bucket[owners]] = np.arange(owners.size)
+    owner_words = [word[owners] for word in words]
+    # each row's bucket becomes its owner's number; its words are checked against the owner's
+    for rows in blocks:
+        bucket[rows] = position = owner[bucket[rows]]
+        shared[rows] = np.any([w[position] != v[rows] for w, v in zip(owner_words, words)], 0)
+    distinct, inverse, left = labels[owners], bucket, np.flatnonzero(shared)
+    if left.size:
+        more, position = (_distinct_labels(labels[left], salt + 1) if salt + 1 < _CODE_TABLES
+                          else np.unique(labels[left], return_inverse=True))
+        inverse[left] = owners.size + position.reshape(-1)
+        distinct = np.concatenate([distinct, more])
+    return distinct, inverse
 
 
 def _code_clusters(labels):
@@ -271,10 +283,9 @@ def _code_clusters(labels):
     np.unique(stripped, return_inverse=True) numbers them. None when a label
     strips to nothing.
 
-    Only the distinct labels, which _distinct_labels finds through a
-    checked hash of their bytes, are decoded, stripped (by str.strip) and
-    sorted. The fits number these non-negative codes with a presence table,
-    without a hash or a sort; this is the only place that handles label
+    Only the distinct labels, which _distinct_labels finds, are decoded,
+    stripped (by str.strip) and sorted. The fits number these non-negative
+    codes with a presence table; this is the only place that handles label
     text.
     """
     distinct, inverse = _distinct_labels(labels)
@@ -282,7 +293,9 @@ def _code_clusters(labels):
     if not all(stripped):
         return None
     _, rank = np.unique(stripped, return_inverse=True)
-    return rank.reshape(-1).astype(np.int64)[inverse]
+    # the positions become the codes in place, as a fresh array would leave a heap hole that
+    # the load's larger arrays cannot use; mode="clip" reads each index before writing its slot
+    return np.take(rank.reshape(-1), inverse, out=inverse, mode="clip")
 
 
 # csv.reader gives quotes a meaning np.loadtxt does not share, and rejects
@@ -297,37 +310,35 @@ _GATE_BLOCK = 1 << 20
 
 def _read_columns(path, bound, cluster, integers, period):
     """The numeric columns and cluster codes _read_rows returns, read in one
-    np.loadtxt pass; the columns named in integers come back as integers:
-    the period column as int64, any other (the group) as int8.
+    np.loadtxt pass; the columns named in integers come back as integers: the
+    period column as int64, any other (the group) as int8.
 
     Returns None for every file on which that might differ from _read_rows:
-    anything but a plain path, bytes csv.reader treats specially (a quote,
-    a NUL, a CR not directly before an LF), invalid UTF-8, no data line, a
-    blank line or a field count that differs from the header's, a line past
-    csv.field_size_limit(), a cluster label that strips to nothing, a
-    period column read as floats that holds a value of magnitude 2**52 or
-    more (whose verdict depends on its text), and every field that
-    np.loadtxt rejects (it accepts no number float() rejects, and parses
-    the same value: both call PyOS_string_to_double after stripping the
-    same whitespace). _read_rows then reads the file and reports any error.
+    anything but a plain path, bytes csv.reader treats specially (a quote, a
+    NUL, a CR not directly before an LF), invalid UTF-8, no data line, a blank
+    line or a field count that differs from the header's, a line past
+    csv.field_size_limit(), a cluster label that strips to nothing, a period
+    column read as floats that holds a value of magnitude 2**52 or more (whose
+    verdict depends on its text), and every field that np.loadtxt rejects (it
+    accepts no number float() rejects, and parses the same value: both call
+    PyOS_string_to_double after stripping the same whitespace). _read_rows then
+    reads the file and reports any error.
 
-    The byte gate, _gate_lines, checks the file's bytes block by block and
-    gathers each line's cluster field; those labels are coded before
-    np.loadtxt reads the file again, in text mode, whose universal newlines
-    read a CRLF as an LF. Its one structured pass reads only the numeric
-    columns, so no field is a string: a field per column, in sorted name
-    order, i8 for the period and i1 for the group column when integers
-    names them (bound only as group or period), and f8 for the rest. An
-    integer field takes only an integer literal, [+-]?[0-9]+ between
-    whitespace, within its type's range, whose value is the float()-parsed
-    value whenever the caller accepts it. When that pass fails, on a label
-    such as 2016.0, 1e0 or a group label of 128, a second pass reads every
-    column as f8. The fields are named f0, f1, ... since a header name may
-    be empty or repeat. Each field is copied out and frozen, so that the
-    structured array is dropped and an RcsDataset adopts the copies as
-    they are, all but the int8 group column, which it widens to int64. The
-    structured array, 8 bytes a row per column but 1 for the group's, is
-    alive beside those copies while they are made.
+    The byte gate, _gate_lines, checks the file's bytes and gathers each line's
+    cluster field, which is coded before np.loadtxt reads the file again in
+    text mode, whose universal newlines read a CRLF as an LF. That one
+    structured pass reads the numeric columns alone, a field f0, f1, ... per
+    column in sorted name order (a header name may be empty or repeat): i8 for
+    the period and i1 for the group column when integers names them (bound only
+    as group or period), f8 for the rest. An integer field takes only an
+    integer literal, [+-]?[0-9]+ between whitespace, within its type's range,
+    whose value is the float()-parsed value whenever the caller accepts it;
+    when that pass fails, on a label such as 2016.0, 1e0 or a group label of
+    128, a second pass reads every column as f8. Each field is copied out and
+    frozen, so that an RcsDataset adopts the copies as they are, all but the
+    int8 group column, which it widens to int64; the structured array, 8 bytes
+    a row per column but 1 for the group's, is alive beside them while they are
+    made.
     """
     if not isinstance(path, (str, os.PathLike)):
         return None
@@ -405,28 +416,26 @@ def _read_columns(path, bound, cluster, integers, period):
 
 
 def _gate_lines(handle, n_commas, cluster_index):
-    """(data lines, cluster labels) of the binary file handle, read from
-    just past the header line, which holds n_commas commas; None when the
-    file has no data line, or a data line holds a quote or a NUL, is not
-    valid UTF-8, is longer than csv.field_size_limit(), holds a CR anywhere
-    but directly before its LF, or does not hold exactly n_commas commas.
-    cluster_index is the cluster column's index, or None; the labels are
-    then each line's field in that column, as an S array of its bytes as
-    wide as the widest (a CR before the LF is no part of a last field), and
-    None without a cluster column.
+    """(data lines, cluster labels) of the binary file handle, read from just
+    past the header line, which holds n_commas commas; None when the file has
+    no data line, or a data line holds a quote or a NUL, is not valid UTF-8, is
+    longer than csv.field_size_limit(), holds a CR anywhere but directly before
+    its LF, or does not hold exactly n_commas commas. cluster_index is the
+    cluster column's index, or None; the labels are then each line's field in
+    that column, as an S array of its bytes as wide as the widest (a CR before
+    the LF is no part of a last field), and None without a cluster column.
 
     The file is read in blocks of about _GATE_BLOCK bytes, each ending at a
-    line end, so neither the file's bytes nor their offsets are held whole.
-    A block of m lines holds exactly n_commas commas on each line when it
-    holds n_commas * m commas and each line's block of the sorted offsets,
-    reshaped to (m, n_commas), lies strictly between that line's two ends:
-    the blocks are disjoint and cover every comma, so a line with a comma
-    too many or too few pushes some block across a line end. A line end
-    never splits a UTF-8 character, so decoding block by block checks the
-    whole file. Each block's cluster fields are gathered as rows of a
-    sliding window over its bytes, padded at the end, as wide as its widest
-    field, with the bytes past each field's end zeroed; the blocks' S arrays
-    are joined at the widest.
+    line end, so neither the file's bytes nor their offsets are held whole. A
+    block of m lines holds exactly n_commas commas on each line when it holds
+    n_commas * m commas and each line's block of the sorted offsets, reshaped
+    to (m, n_commas), lies strictly between that line's two ends: the blocks
+    are disjoint and cover every comma, so a line with a comma too many or too
+    few pushes some block across a line end. A line end never splits a UTF-8
+    character, so decoding block by block checks the whole file. Each block's
+    cluster fields are gathered as rows of a sliding window over its bytes,
+    padded at the end, as wide as its widest field, with the bytes past each
+    field's end zeroed; the blocks' S arrays are joined at the widest.
     """
     limit = csv.field_size_limit()
     n_rows, labels = 0, []
@@ -746,20 +755,11 @@ def _run_estimate(args):
         base_period=base,
     )
     echo = {
-        "family": args.family,
-        "csv": args.csv,
-        "outcome": args.outcome,
-        "group": args.group,
-        "period": args.period,
-        "weights": args.weights,
-        "cluster": args.cluster,
-        "covariates": list(args.covariates),
-        "heterogeneous": list(args.heterogeneous),
-        "post": args.post,
-        "base_period": labels[base],
-        "trend": args.trend,
-        "period_dummies": args.period_dummies,
-        "period_labels": labels,
+        "family": args.family, "csv": args.csv, "outcome": args.outcome, "group": args.group,
+        "period": args.period, "weights": args.weights, "cluster": args.cluster,
+        "covariates": list(args.covariates), "heterogeneous": list(args.heterogeneous),
+        "post": args.post, "base_period": labels[base], "trend": args.trend,
+        "period_dummies": args.period_dummies, "period_labels": labels,
         "classical": args.classical,
     }
 

@@ -14,12 +14,13 @@ record functions and its fits equal the two-category multinomial's bit for
 bit. OLS is the identity link b(eta) = eta^2 / 2, solved by one Newton step.
 
 One batched Newton driver, _fit, fits every record, and one block evaluator
-(_score, _cross) gives it values, scores and Hessians. A DesignMatrix
+(_evaluate, _cross) gives it values, scores and Hessians. A DesignMatrix
 holds its cell columns (intercept, period dummies, group, trend, treat:
 functions of the (group, period) cell) once per cell, and the fits keep
 them once per non-empty cell as Z; its row columns (covariates and treat
 interactions) are held per row as V. Then eta = (Z beta_1)[cell] + V beta_2;
-the score's cell block is Z' times each cell's residual sum and the
+the outcome enters a fit once, as X'Wy, the score is X'Wy - X'W b'(eta),
+whose cell block is Z' times each cell's sum of w b'(eta), and the
 Hessian's cell blocks Z' diag(per-cell sums of w b'') Z and Z' times the
 per-cell sums of w b'' V_j, so only V' diag(w b'') V is a product over
 rows. Without row columns, rows that share a cell enter the maximand only
@@ -29,26 +30,19 @@ A plain array has only row columns, so it runs row by row. fit_cell_sums
 hands the driver many cell datasets at once, and the driver decides each
 dataset's failure kind with array reductions over the batch.
 
-Covariances are sandwiches A^{-1} B A^{-1}: A is the negative Hessian at the
-optimum, B the outer product of the per-row scores w_i (y_i - mu_i) (x) x_i,
-summed within clusters first when cluster ids are supplied. B is taken
-after the fit from units, groups of rows that share a design row and an
-outcome, and so a residual direction e: a fit on cells keeps the
-row-level sandwich exactly. The units are the rows, unless the design has
-cell columns alone and its outcome is a class label (the multinomial's,
-or a logit's 0/1); then they are the rows of one (cell, class), or one
-(cluster, cell, class) when clustered, taken from the table of their
-summed weights and squared weights: a unit scores its summed weight
-times e, and its residual moments are its summed squared weights times
-e_c e_d. Unclustered, B is _cross, the Hessian's block evaluator, of the
-units' residual moments r_c r_d in place of the curvature weights, so its
-cell-column blocks sum those moments within cells first. Clustered, B is
-G G' for the per-cluster score sums G: the cell columns' from each
-(cluster, cell) pair's residual sum, the row columns' from the rows'
-scores. The rows' clusters are numbered once per fit, in sorted-label
-order: non-negative integer codes, such as the CSV loader's, through a
-presence table, any other labels through np.unique. No small-sample
-correction is applied.
+Covariances are sandwiches A^{-1} B A^{-1}, with no small-sample
+correction: A is the negative Hessian at the optimum, B the outer product
+of the per-row scores w_i (y_i - mu_i) (x) x_i, summed within clusters
+first when cluster ids are supplied. B is taken after the fit from _Units,
+groups of rows that share a design row and an outcome, and so a residual
+direction: the rows, or, for a design of cell columns alone whose outcome
+is a class label, the rows of one (cell, class), or (cluster, cell, class),
+taken from the table of their summed weights; so a fit on cells keeps the
+row-level sandwich exactly. Unclustered, B is _cross of the units' residual
+moments; clustered, it is G G' for the per-cluster score sums G. Clusters
+are numbered once per fit, in sorted-label order: non-negative integer
+codes, such as the CSV loader's, through a presence table, any other labels
+through np.unique.
 Newton steps are halved, at most _STEP_HALVINGS times, until the maximand
 does not decrease; linear predictors are clamped at +/- _CAP, and a clamp still
 active at the optimum, or a perfectly predicted outcome, raises instead of
@@ -532,9 +526,10 @@ class _Family:
     fits on m units with C outcome classes, one for OLS, Poisson and logit
     and one per non-base class for the multinomial, each class a contiguous
     row over the units. moments(eta) gives (b(eta) (B, m), b'(eta) (B, C,
-    m)); curvature(w, mean) gives the Hessian weights w * b''(eta) of the
-    P = C (C + 1) / 2 class pairs c <= d of _class_pairs as (B, P, m). The
-    logit is the one-class softmax and shares the multinomial's functions.
+    m)); curvature(w, wm, mean), with wm = w b'(eta), gives the Hessian
+    weights w * b''(eta) of the P = C (C + 1) / 2 class pairs c <= d of
+    _class_pairs as (B, P, m), which for Poisson is wm itself. The logit
+    is the one-class softmax and shares the multinomial's functions.
     in_domain(y) is False for outcomes outside the domain that the string
     domain names. guard is the error class, raised with message, for a fit
     that diverges toward the linear-predictor cap (None: the identity link
@@ -578,10 +573,13 @@ def _softmax_moments(eta):
     return lse, np.exp(np.subtract(eta, lse[:, None], out=probs), out=probs)
 
 
-def _softmax_curvature(w, probs):
-    # pair (c, d) weights w * p_c * (1[c == d] - p_d)
-    return np.stack([w * (probs[:, c] * ((c == d) - probs[:, d]))
-                     for c, d in _class_pairs(probs.shape[1])], axis=1)
+def _softmax_curvature(w, wm, probs):
+    # pair (c, d) weights w p_c (1[c == d] - p_d), each formed in its row
+    pairs = _class_pairs(probs.shape[1])
+    out = np.empty((len(probs), len(pairs), probs.shape[2]))
+    for row, (c, d) in zip(np.moveaxis(out, 1, 0), pairs):
+        np.multiply(wm[:, c], np.subtract(c == d, probs[:, d], out=row), out=row)
+    return out
 
 
 def _softmax_separated(y, probs):
@@ -591,9 +589,9 @@ def _softmax_separated(y, probs):
 
 
 _GAUSSIAN = _Family("ols", lambda eta: (0.5 * eta[:, 0]**2, eta),
-                    lambda w, mu: w[:, None], lambda y: True, "finite y")
+                    lambda w, wm, mu: w[:, None], lambda y: True, "finite y")
 _POISSON = _Family(
-    "poisson_qmle", _exp_moments, lambda w, mu: (w * mu[:, 0])[:, None],
+    "poisson_qmle", _exp_moments, lambda w, wm, mu: wm,
     lambda y: not np.any(y < 0), "non-negative y",
     OverflowGuardError, "linear-predictor cap active at the optimum; "
                         "estimates would overflow without the guard",
@@ -629,18 +627,18 @@ def _class_matrix(labels, n_classes):
     return (labels == np.arange(1, n_classes + 1)[:, None]).astype(float)
 
 
-def _score(family, blocks, y, w, beta):
-    """(value, grad, max_eta, mean) of B fits on the same m units at beta.
+def _evaluate(family, blocks, y, w, xwy, beta):
+    """(value, grad, hess, max_eta, mean) of B fits on the same m units at beta.
 
-    y is (B, C, m), w (B, m) and beta (B, Cp) holds C blocks of p; mean is
-    (B, C, m) and max_eta (B,) each fit's largest |linear predictor|, taken
-    before the cap. The cell columns enter eta once per cell and the score
-    through each cell's residual sum. Outside the family's moments, at most
-    three unit-length arrays are alive at once: eta, capped in place, mean,
-    and the class sums of the maximand; eta's buffer then takes y times the
-    capped eta and the residuals w (y - mean) in place, except for the
-    identity link, whose mean is eta itself and which takes a scratch array
-    for them instead.
+    y is (B, C, m), w (B, m), xwy (B, C, p) the fits' X'Wy and beta (B, Cp);
+    max_eta (B,) is each fit's largest |linear predictor|, before the cap.
+    wm = w b'(eta), formed once in eta's buffer (unless the mean is eta),
+    gives the score xwy - X'wm, whose per-cell sums of wm serve the
+    Hessian's cell block when the curvature is wm (Poisson); the value is
+    beta'xwy - sum w b(eta), or sum w (y'eta - b(eta)) at the capped eta
+    once |eta| reaches the cap. Outside the family's moments and curvature,
+    at most three unit-length arrays are alive at once: eta, then wm; the
+    means; the Hessian's product of the curvature with a row column.
     """
     cell, rows, index = blocks
     p1 = cell.shape[1]
@@ -660,45 +658,51 @@ def _score(family, blocks, y, w, beta):
             del on_rows
         # np.abs makes an all-zero eta's -0.0 a 0.0, as np.abs(eta) would
         max_eta = np.abs(np.maximum(eta.max(axis=(1, 2)), -eta.min(axis=(1, 2))))
-        if family.guard is not None:
+        capped = np.zeros(len(beta), bool) if family.guard is None else ~(max_eta < _CAP)
+        if capped.any():
             np.clip(eta, -_CAP, _CAP, out=eta)
         cumulant, mean = family.moments(eta)
-        scratch = np.multiply(y, eta, out=None if mean is eta else eta)
-        del eta
-        inner = np.sum(scratch, axis=1)
-        np.subtract(inner, cumulant, out=inner)
-        value = np.sum(np.multiply(w, inner, out=inner), axis=1)
-        resid = np.multiply(w[:, None], np.subtract(y, mean, out=scratch), out=scratch)
-        parts = []
-        if p1:
-            parts.append((resid if index is None else _sum_cells(index, len(cell), resid)) @ cell)
-        if rows.shape[1]:
-            parts.append(resid @ rows)
-        grad = np.concatenate(parts, axis=2).reshape(beta.shape)
-    return value, grad, max_eta, mean
+        value = np.einsum("bcp,bcp->b", coef, xwy) - np.einsum("bm,bm->b", w, cumulant)
+        if capped.any():
+            inner = np.sum(y[capped] * eta[capped], axis=1) - cumulant[capped]
+            value[capped] = np.sum(w[capped] * inner, axis=1)
+        del cumulant
+        wm = np.multiply(w[:, None], mean, out=None if mean is eta else eta)
+        on_wm, wm_cells = _transposed(blocks, wm)
+        grad = (xwy - on_wm).reshape(beta.shape)
+        curvature = family.curvature(w, wm, mean)
+        hess = -_cross(blocks, curvature, wm_cells if curvature is wm else None)
+    return value, grad, hess, max_eta, mean
 
 
-def _evaluate(family, blocks, y, w, beta):
-    """_score's (value, grad, max_eta, mean) with the Hessian after grad."""
-    value, grad, max_eta, mean = _score(family, blocks, y, w, beta)
-    return value, grad, -_cross(blocks, family.curvature(w, mean)), max_eta, mean
+def _transposed(blocks, values):
+    """(X'values (B, C, p), per-cell sums (B, C, k) or None without cell
+    columns) of (B, C, m) values on the units of blocks."""
+    cell, rows, index = blocks
+    parts, on_cells = [], None
+    if cell.shape[1]:
+        on_cells = values if index is None else _sum_cells(index, len(cell), values)
+        parts.append(on_cells @ cell)
+    if rows.shape[1]:
+        parts.append(values @ rows)
+    return np.concatenate(parts, axis=2), on_cells
 
 
-def _cross(blocks, weight):
+def _cross(blocks, weight, on_cells=None):
     """sum_j weight_j (x) x_j x_j' over the units of blocks, per fit: (B, Cp, Cp)
     of p x p class-pair blocks for (B, P, m) weights of the P = C (C + 1) / 2
     class pairs c <= d of _class_pairs; block (d, c) mirrors (c, d).
 
-    The cell x cell blocks weight each cell's row by its summed weights and
-    the cell x row blocks by its sums of weight times a row column; only the
-    row x row blocks are products over the units. Overflow leaves inf or NaN
-    entries, which the callers decide on.
+    The cell x cell blocks weight each cell's row by its summed weights
+    (on_cells, when the caller has them), and the row columns' blocks are
+    _transposed of the weights times each row column. Overflow leaves inf
+    or NaN entries, which the callers decide on.
     """
     cell, rows, index = blocks
     n_fits, n_pairs = weight.shape[:2]
     n_classes = (math.isqrt(8 * n_pairs + 1) - 1) // 2
     p1, p2 = cell.shape[1], rows.shape[1]
-    if p1:
+    if p1 and on_cells is None:
         on_cells = weight if index is None else _sum_cells(index, len(cell), weight)
     out = np.zeros((n_fits, n_classes, p1 + p2, n_classes, p1 + p2))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -707,11 +711,7 @@ def _cross(blocks, weight):
             if p1:
                 block[:, :p1, :p1] = (cell.T * on_cells[:, pair, None, :]) @ cell
             if p2:
-                mixed = weight[:, pair, None, :] * rows.T
-                block[:, p1:, p1:] = mixed @ rows
-            if p1 and p2:
-                mixed_cells = mixed if index is None else _sum_cells(index, len(cell), mixed)
-                block[:, p1:, :p1] = mixed_cells @ cell
+                block[:, p1:] = _transposed(blocks, weight[:, pair, None, :] * rows.T)[0]
                 block[:, :p1, p1:] = block[:, p1:, :p1].transpose(0, 2, 1)
             out[:, d, :, c, :] = block
     return out.reshape(n_fits, n_classes * (p1 + p2), n_classes * (p1 + p2))
@@ -723,15 +723,18 @@ def _identically_zero(w, y):
 
 
 def _objective(family, blocks, y, w, last):
-    """maximize's objective: (value, grad, hess) of B fits at beta (B, Cp).
+    """maximize's objective: (value, grad, hess) of B fits at beta (B, Cp),
+    with the outcome taken in once, as X'Wy.
 
     The list last holds the latest evaluation's (beta, max_eta, mean) alone:
     it is emptied before each evaluation, so the previous one's means are
     freed before the next allocates its own.
     """
+    xwy, _ = _transposed(blocks, np.multiply(w[:, None], y, order="C"))
+
     def objective(beta):
         last.clear()
-        value, grad, hess, max_eta, mean = _evaluate(family, blocks, y, w, beta)
+        value, grad, hess, max_eta, mean = _evaluate(family, blocks, y, w, xwy, beta)
         last.append((beta.copy(), max_eta, mean))
         return value, grad, hess
     return objective
@@ -753,10 +756,10 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
     NewtonDiagnostics with the Hessian at beta, mean the fitted unit means
     (B, C, m) and max_eta each fit's largest |linear predictor|, before the cap.
     """
-    n_columns = blocks.cell.shape[1] + blocks.rows.shape[1]
-    beta = np.zeros((counts.shape[0], n_columns * means.shape[1]))
+    beta = np.zeros((len(counts), (blocks.cell.shape[1] + blocks.rows.shape[1]) * means.shape[1]))
+    objective = _objective(family, blocks, means, counts, last := [])
     if family is _GAUSSIAN:
-        _, grad, hess, *_ = _evaluate(family, blocks, means, counts, beta)
+        _, grad, hess = objective(beta)
         if lstsq:
             # least squares has one class
             values = _unit_rows(blocks)
@@ -766,21 +769,18 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
             singular = np.zeros(len(beta), bool)
         else:
             beta, singular = _newton_directions(hess, grad)
-        value, grad, max_eta, mean = _score(family, blocks, means, counts, beta)
+        value, grad, _ = objective(beta)
         score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
         diag = NewtonDiagnostics(np.zeros(len(beta), int), ~singular, score_norm, value,
                                  singular, hess, np.zeros(len(beta), int))
     else:
         tol = options.gradient_tolerance * (1.0 + counts.sum(axis=1))
-        last = []
-        beta, diag = maximize(_objective(family, blocks, means, counts, last), beta, options,
-                              tolerance=tol)
-        # the bread is the Hessian of the last accepted step; the means are
-        # the last evaluation's when it was at beta, in every fit of the batch
-        if last and np.array_equal(last[0][0], beta):
-            _, max_eta, mean = last.pop()
-        else:
-            _, _, max_eta, mean = _score(family, blocks, means, counts, beta)
+        beta, diag = maximize(objective, beta, options, tolerance=tol)
+    # the bread is the Hessian of the last accepted step; the means are the
+    # last evaluation's when it was at beta, in every fit of the batch
+    if not (last and np.array_equal(last[0][0], beta)):
+        objective(beta)
+    _, max_eta, mean = last.pop()
 
     failures = np.full(len(beta), None, object)
     failures[~diag.converged] = "not_converged"

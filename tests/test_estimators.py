@@ -669,6 +669,42 @@ def test_logit_detects_separation():
         fit_logit_qmle(X, y)
 
 
+@pytest.mark.parametrize("units", ["rows", "cells"])
+@pytest.mark.parametrize("fit, outcome, error", [
+    (fit_poisson_qmle, 0.0, OverflowGuardError),  # no visits in the treated post cell
+    (fit_logit_qmle, 1.0, SeparationError),       # every treated post row a success
+], ids=["poisson", "logit"])
+def test_capped_fit_keeps_its_verdict(monkeypatch, units, fit, outcome, error):
+    # the treat coefficient diverges, and at a tolerance the vanishing score
+    # of that cell cannot meet the Newton reaches the cap, where the
+    # maximand is sum w (y eta - b(eta)) at the capped eta; the fit still
+    # raises its error, on a plain array's rows and on a cell design's cells
+    rng = np.random.default_rng(12)
+    q, t = np.repeat([0, 1], 40), np.tile(np.repeat([0, 1], 20), 2)
+    y = rng.integers(0, 2, 80).astype(float)
+    y[(q == 1) & (t == 1)] = outcome
+    data = RcsDataset(y=y, q=q, t=t, weights=rng.uniform(0.5, 2.0, 80))
+    design = build_design(data, DesignSpec(post_period=1))
+    capped = []
+    evaluate = estimators._evaluate
+
+    def spy(family, blocks, y, w, xwy, beta):
+        out = evaluate(family, blocks, y, w, xwy, beta)
+        if out[3][0] >= estimators._CAP:
+            eta = np.clip(estimators._unit_rows(blocks) @ beta[0], -estimators._CAP,
+                          estimators._CAP)
+            b = np.exp(eta) if fit is fit_poisson_qmle else np.logaddexp(0.0, eta)
+            expected = np.sum(w[0] * (y[0, 0] * eta - b))
+            capped.append(abs(out[0][0] - expected) / (1.0 + abs(expected)))
+        return out
+
+    monkeypatch.setattr(estimators, "_evaluate", spy)
+    with pytest.raises(error):
+        fit(design.values if units == "rows" else design, y, data.weights,
+            options=FitOptions(gradient_tolerance=1e-16))
+    assert capped and max(capped) < 1e-13, capped
+
+
 @pytest.mark.parametrize("eta, converged, outcome", [
     (30.0 * (1 - 1e-9), False, SeparationError),  # stalled against the clamp, below it
     (30.0 + 1e-9, False, SeparationError),         # stalled against the clamp, past it
@@ -700,12 +736,12 @@ def test_row_fit_scores_once_per_evaluation(monkeypatch):
     rng = np.random.default_rng(23)
     X = np.column_stack([np.ones(200), rng.normal(size=200)])
     y = rng.poisson(np.exp(0.3 + 0.5 * X[:, 1])).astype(float)
-    scores, evaluations = [], []
-    score, newton = estimators._score, estimators.maximize
+    passes, evaluations = [], []
+    evaluate, newton = estimators._evaluate, estimators.maximize
 
-    def counted_score(*args):
-        scores.append(args[-1])
-        return score(*args)
+    def counted_evaluate(*args):
+        passes.append(args[-1])
+        return evaluate(*args)
 
     def counted_newton(objective, *args, **kwargs):
         def counted(beta):
@@ -713,11 +749,11 @@ def test_row_fit_scores_once_per_evaluation(monkeypatch):
             return objective(beta)
         return newton(counted, *args, **kwargs)
 
-    monkeypatch.setattr(estimators, "_score", counted_score)
+    monkeypatch.setattr(estimators, "_evaluate", counted_evaluate)
     monkeypatch.setattr(estimators, "maximize", counted_newton)
     fit = fit_poisson_qmle(X, y)
     assert fit.converged and len(evaluations) > 1
-    assert len(scores) == len(evaluations)
+    assert len(passes) == len(evaluations)
 
 
 def test_logit_accepts_fractional_outcomes():
@@ -890,26 +926,35 @@ def test_pair_numbering_matches_unique(monkeypatch, n_clusters, table):
 
 
 def test_cluster_codes_survive_a_hash_collision(monkeypatch):
-    # with every multiplier 1 the hash is the sum of the bytes, so "ab" and
-    # "ba" collide, and the check against the labels must catch it
-    labels = np.array([b"ab", b"ba", b"c", b"ab", b"ba", b"ab"])
+    # with every multiplier 1 the hash of a label this short is its word,
+    # whose top bits are 0, so every row falls into one bucket in every
+    # table: each table codes its owner's label alone, and the labels left
+    # after the last table go to np.unique
+    labels = np.array([b"ab", b"ba", b"c", b"ab", b"d", b"ba", b"e", b"ab", b"c"])
     expected = np.unique(labels, return_inverse=True)[1].reshape(-1)
-    monkeypatch.setattr(cli, "_odd_multipliers", lambda width: np.ones(width, np.uint64))
-    unique = np.unique
-    fallbacks = []
+    monkeypatch.setattr(cli, "_odd_multipliers", lambda count, salt: np.ones(count, np.uint64))
+    unique, distinct_labels = np.unique, cli._distinct_labels
+    uniques, tables = [], []
 
     def counted_unique(values, **kwargs):
-        fallbacks.append(np.asarray(values).dtype.kind == "S")
+        uniques.append(np.asarray(values).dtype.kind)
         return unique(values, **kwargs)
 
+    def counted_tables(labels, salt=0):
+        tables.append(labels.size)
+        return distinct_labels(labels, salt)
+
     monkeypatch.setattr(np, "unique", counted_unique)
+    monkeypatch.setattr(cli, "_distinct_labels", counted_tables)
     distinct, inverse = cli._distinct_labels(labels)
-    # the collision sends the labels themselves to np.unique
-    assert fallbacks == [False, True]
+    assert len(tables) == cli._CODE_TABLES and tables[0] == labels.size
+    assert tables == sorted(tables, reverse=True) and uniques == ["S"]
     np.testing.assert_array_equal(distinct[inverse], labels)
-    assert sorted(distinct.tolist()) == [b"ab", b"ba", b"c"]
+    assert sorted(distinct.tolist()) == [b"ab", b"ba", b"c", b"d", b"e"]
     # the CSV loader's coder, on the same labels' UTF-8 bytes padded with spaces
+    uniques.clear()
     np.testing.assert_array_equal(cli._code_clusters(np.char.add(b" ", labels)), expected)
+    assert uniques == ["S", "U"]
 
 
 def test_cluster_length_mismatch():
@@ -1349,12 +1394,14 @@ def test_design_and_input_checks_build_no_dense_design():
 @pytest.mark.parametrize("family, arrays", [(_POISSON, 3), (_LOGIT, 4)],
                          ids=["poisson", "logit"])
 def test_score_holds_few_row_arrays(family, arrays):
-    # one Poisson evaluation keeps eta, capped in place and then reused for
-    # y times it and the residuals, the means and the maximand's class sums
-    # alive at once; forming every temporary afresh, it peaked at seven row
-    # arrays, and at four with a separate capped eta and scratch array. The
-    # softmax moments add the shifted maximum and the log-sum-exp, where
-    # their fresh temporaries made six.
+    # one whole Poisson evaluation (value, score and Hessian) keeps eta,
+    # whose buffer then takes w b'(eta), the means and the Hessian's product
+    # of the curvature with the row column alive at once; forming every
+    # temporary afresh, the score alone peaked at seven row arrays, and at
+    # four with a separate capped eta and scratch array. The softmax moments
+    # add the shifted maximum and the log-sum-exp, where their fresh
+    # temporaries made six, and its curvature takes the place of the
+    # log-sum-exp.
     rng = np.random.default_rng(4)
     n = 200_000
     design = DesignMatrix(np.column_stack([np.ones(8), np.arange(8) % 2]),
@@ -1364,15 +1411,22 @@ def test_score_holds_few_row_arrays(family, arrays):
     if family is _LOGIT:
         y = np.minimum(y, 1.0)
     beta = np.array([[0.1, 0.2, 0.3]])
+    xwy = design.values.T @ y[0, 0]
     tracemalloc.start()
     try:
-        value, grad, max_eta, mean = estimators._score(family, blocks, y, w, beta)
+        value, grad, hess, max_eta, mean = estimators._evaluate(family, blocks, y, w,
+                                                                xwy[None, None], beta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert mean.shape == (1, 1, n)
     eta = design.values @ beta[0]
     np.testing.assert_allclose(max_eta, [np.max(np.abs(eta))], rtol=1e-14)
+    mu = np.exp(eta) if family is _POISSON else 1.0 / (1.0 + np.exp(-eta))
+    curvature = mu if family is _POISSON else mu * (1.0 - mu)
+    X = design.values
+    np.testing.assert_allclose(grad[0], X.T @ (y[0, 0] - mu), rtol=1e-10)
+    np.testing.assert_allclose(hess[0], -(X.T * curvature) @ X, rtol=1e-12)
     assert peak <= (arrays + 0.5) * n * 8, peak / (n * 8)
 
 

@@ -342,6 +342,44 @@ def test_padded_cluster_labels_are_one_cluster(tmp_path):
     assert fits[0].vcov.tobytes() == fits[1].vcov.tobytes()
 
 
+# label pieces: a shared prefix 0 to 12 bytes long, so that labels differ
+# only in their last bytes or only past byte 8, then up to 4 characters of
+# 1 to 3 UTF-8 bytes, whitespace among them: 1 to 24 bytes in all
+_PREFIXES = ["", "a", "psu-", "psu-0000", "\u00fcber-\u00fc", "cluster-0000"]
+_LABEL_CHARS = ["a", "b", "0", " ", "\t", "\u00fc", "\u6f22", "\u3000"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cluster_coder_matches_np_unique(data):
+    # the reference numbers the decoded, stripped labels with np.unique
+    prefix = data.draw(st.sampled_from(_PREFIXES))
+    suffixes = st.lists(st.sampled_from(_LABEL_CHARS), max_size=4).map("".join)
+    pool = data.draw(st.lists(suffixes, min_size=1, max_size=40, unique=True))
+    rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=120))
+    rows = data.draw(st.permutations(rows + list(range(len(pool)))))
+    labels = np.array([(prefix + pool[i]).encode() for i in rows])
+    assert 1 <= labels.itemsize <= 24
+    distinct, inverse = cli._distinct_labels(labels)
+    assert len(set(distinct.tolist())) == distinct.size == len(pool)
+    np.testing.assert_array_equal(distinct[inverse], labels)
+    stripped = [label.decode().strip() for label in labels.tolist()]
+    codes = cli._code_clusters(labels)
+    if not all(stripped):
+        assert codes is None
+    else:
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, np.unique(stripped, return_inverse=True)[1])
+
+
+def test_cluster_coder_on_distinct_labels():
+    # every label distinct: most rows own their bucket, and the rest take
+    # the later tables
+    labels = np.array([b"lab-%08d" % i for i in np.random.default_rng(3).permutation(50_000)])
+    codes = cli._code_clusters(labels)
+    np.testing.assert_array_equal(codes, np.unique(labels, return_inverse=True)[1])
+
+
 def test_loader_codes_are_numbered_without_a_hash_or_a_sort(large_csv, monkeypatch):
     dataset, _ = load_csv_dataset(large_csv, "y", "g", "t", cluster="c")
     pairs, pair = _number_pairs(dataset.clusters, int(dataset.clusters.max()) + 1)

@@ -386,8 +386,8 @@ def test_run_monte_carlo_mixes_failures_and_redraws():
     assert summary.effective_repetitions == 38
     assert summary.failed_repetitions == 2
     expected = {
-        "qmle_beta_qtau": (0.299018517987151, 0.5298956536231967, 0.6084418442447783),
-        "qmle_beta_d": (0.9045365093050386, 1.1771492940467778, 1.4845426087319191),
+        "qmle_beta_qtau": (0.2990185179871507, 0.5298956536231967, 0.6084418442447781),
+        "qmle_beta_d": (0.9045365093050373, 1.1771492940467787, 1.484542608731919),
         "lindd_beta_qtau": (0.030836943913720178, 0.29589033377631796,
                             0.29749286837199773),
         "lindd_beta_d": (0.6357019961327324, 0.528265334173238, 0.8265478154204409),
