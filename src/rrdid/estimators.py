@@ -759,7 +759,6 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
     beta = np.zeros((len(counts), (blocks.cell.shape[1] + blocks.rows.shape[1]) * means.shape[1]))
     objective = _objective(family, blocks, means, counts, last := [])
     if family is _GAUSSIAN:
-        _, grad, hess = objective(beta)
         if lstsq:
             # least squares has one class
             values = _unit_rows(blocks)
@@ -768,8 +767,10 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
                              for r, m in zip(root, means)])
             singular = np.zeros(len(beta), bool)
         else:
+            _, grad, hess = objective(beta)
             beta, singular = _newton_directions(hess, grad)
-        value, grad, _ = objective(beta)
+        # the Gaussian Hessian does not depend on beta
+        value, grad, hess = objective(beta)
         score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
         diag = NewtonDiagnostics(np.zeros(len(beta), int), ~singular, score_norm, value,
                                  singular, hess, np.zeros(len(beta), int))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrdid import cli, nonparametric_rr, summarize_cells
+from rrdid import io as csv_io
 from rrdid.cli import canonical_json, load_csv_dataset, run_cli
 
 
@@ -468,6 +469,55 @@ def test_simulate_bad_parameters_are_the_packages_errors(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+def test_payload_keys_are_pinned(capsys, logit_csv, linear_csv):
+    # each payload is read off its result record, so a field added to a
+    # record reaches the JSON only together with a change here
+    effect = {"target", "kind", "beta", "se_beta", "effect", "se_effect", "t_value",
+              "rare_event_note"}
+    fit = {"family", "converged", "iterations", "step_halvings", "max_abs_eta", "score_norm",
+           "loglik", "n_obs", "vcov_kind", "coefficients", "vcov"}
+    csv_echo = {"csv", "outcome", "group", "period", "weights", "post", "period_labels"}
+    estimate_echo = csv_echo | {"family", "cluster", "covariates", "heterogeneous",
+                                "base_period", "trend", "period_dummies", "classical"}
+    csv_flags = ["--outcome", "y", "--group", "grp", "--period"]
+    payloads = {}
+    for name, argv in {
+        "simulate": ["simulate", "--family", "count", "--n", "200", "--reps", "2", "--seed", "1"],
+        "logit": ["estimate", "--family", "logit", "--csv", logit_csv, *csv_flags, "year",
+                  "--weights", "w", "--post", "2010", "--trend"],
+        "linear": ["estimate", "--family", "linear", "--csv", linear_csv, *csv_flags, "period",
+                   "--post", "2"],
+        "effect": ["effect", "--beta", "0.2", "--se", "0.1"],
+        "summarize": ["summarize", "--csv", linear_csv, *csv_flags, "period", "--post", "2"],
+    }.items():
+        code, _, payloads[name] = run_json(capsys, argv)
+        assert code == 0 and payloads[name]["errors"] == [], name
+
+    simulate = payloads["simulate"]
+    assert set(simulate["config_echo"]) == {
+        "family", "n", "repetitions", "seed", "beta_qtau", "beta_d", "beta_q", "betas_t",
+        "count_shared_rate_intercept", "censored_extra_term", "transform_counterfactual_mean"}
+    assert set(simulate["results"]) == {"rows", "redraw_count", "failures_by_kind",
+                                        "effective_repetitions", "failed_repetitions"}
+    assert {frozenset(row) for row in simulate["results"]["rows"].values()} == {
+        frozenset({"abs_bias", "sd", "rmse"})}
+    for name in ("logit", "linear"):
+        assert set(payloads[name]["config_echo"]) == estimate_echo
+        assert set(payloads[name]["results"]["fit"]) == fit
+        assert {frozenset(row) for row in payloads[name]["results"]["fit"]["coefficients"]} == {
+            frozenset({"name", "estimate", "se", "t_value"})}
+    assert set(payloads["logit"]["results"]) == {"fit", "effects", "trend_test"}
+    assert set(payloads["logit"]["results"]["effects"][0]) == effect
+    assert set(payloads["linear"]["results"]) == {"fit", "effects", "trend_test",
+                                                  "lin_dd_transform"}
+    assert set(payloads["effect"]["config_echo"]) == {"beta", "se", "kind", "rare_event_note"}
+    assert set(payloads["effect"]["results"]) == effect
+    assert set(payloads["summarize"]["config_echo"]) == csv_echo
+    assert set(payloads["summarize"]["results"]) == {"cells"}
+    assert {frozenset(cell) for cell in payloads["summarize"]["results"]["cells"]} == {
+        frozenset({"group", "post", "count", "mean", "sd"})}
+
+
 def test_json_round_trips_byte_identically(capsys, logit_csv):
     code, out, payload = run_json(capsys, [
         "estimate", "--family", "logit", "--csv", logit_csv,
@@ -605,6 +655,49 @@ def test_cli_reports_csv_error_as_json(capsys, tmp_path):
     assert payload["results"] is None
     assert payload["errors"][0]["kind"] == "CsvParseError"
     assert "row 3" in payload["errors"][0]["message"]
+
+
+@pytest.mark.parametrize("command", ["summarize", "estimate"])
+@pytest.mark.parametrize("field", ["1" * 131_073, "2\0"], ids=["oversized", "nul"])
+def test_unreadable_row_is_a_csv_parse_error(capsys, tmp_path, command, field):
+    # csv.reader refuses a field past csv.field_size_limit(), and before
+    # Python 3.11 a NUL, which float() refuses from 3.11 on
+    path = tmp_path / "unreadable.csv"
+    path.write_text(f"y,grp,period\n1,0,2007\n{field},1,2007\n1.5,0,2008\n2,1,2008\n")
+    family = ["--family", "linear"] if command == "estimate" else []
+    code, _, payload = run_json(capsys, [
+        command, *family, "--csv", str(path), "--outcome", "y", "--group", "grp",
+        "--period", "period", "--post", "2008",
+    ])
+    assert code == 1
+    assert [error["kind"] for error in payload["errors"]] == ["CsvParseError"]
+    assert payload["errors"][0]["message"].startswith("row 3: ")
+
+
+def test_cli_binds_no_loader_internals():
+    # a patch of a loader internal on cli would silently do nothing
+    moved = [name for name in vars(csv_io) if name.startswith("_") and not name.startswith("__")]
+    assert "_read_rows" in moved
+    assert [name for name in moved if hasattr(cli, name)] == []
+    assert cli.load_csv_dataset is csv_io.load_csv_dataset
+
+
+def test_summarize_loads_through_the_cli_name(capsys, linear_csv, monkeypatch):
+    # a wrapper set on cli.load_csv_dataset, as the benchmark's tracer sets
+    # one, sees every load
+    paths, load = [], cli.load_csv_dataset
+
+    def loader(path, *args, **kwargs):
+        paths.append(path)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv_dataset", loader)
+    code, _, payload = run_json(capsys, [
+        "summarize", "--csv", linear_csv, "--outcome", "y", "--group", "grp",
+        "--period", "period", "--post", "2",
+    ])
+    assert code == 0 and payload["errors"] == []
+    assert paths == [linear_csv]
 
 
 @pytest.mark.parametrize("extra", [["--group", "g", "--cluster", "g"],

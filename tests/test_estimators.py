@@ -15,7 +15,8 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrdid import cli, estimators
+from rrdid import estimators
+from rrdid import io as csv_io
 from rrdid import (
     DesignMatrix,
     DesignSpec,
@@ -754,6 +755,11 @@ def test_row_fit_scores_once_per_evaluation(monkeypatch):
     fit = fit_poisson_qmle(X, y)
     assert fit.converged and len(evaluations) > 1
     assert len(passes) == len(evaluations)
+    # least squares takes one pass, at its solution: the Gaussian Hessian
+    # does not depend on beta
+    passes.clear()
+    assert fit_ols(X, y).converged
+    assert len(passes) == 1
 
 
 def test_logit_accepts_fractional_outcomes():
@@ -932,8 +938,8 @@ def test_cluster_codes_survive_a_hash_collision(monkeypatch):
     # after the last table go to np.unique
     labels = np.array([b"ab", b"ba", b"c", b"ab", b"d", b"ba", b"e", b"ab", b"c"])
     expected = np.unique(labels, return_inverse=True)[1].reshape(-1)
-    monkeypatch.setattr(cli, "_odd_multipliers", lambda count, salt: np.ones(count, np.uint64))
-    unique, distinct_labels = np.unique, cli._distinct_labels
+    monkeypatch.setattr(csv_io, "_odd_multipliers", lambda count, salt: np.ones(count, np.uint64))
+    unique, distinct_labels = np.unique, csv_io._distinct_labels
     uniques, tables = [], []
 
     def counted_unique(values, **kwargs):
@@ -945,15 +951,15 @@ def test_cluster_codes_survive_a_hash_collision(monkeypatch):
         return distinct_labels(labels, salt)
 
     monkeypatch.setattr(np, "unique", counted_unique)
-    monkeypatch.setattr(cli, "_distinct_labels", counted_tables)
-    distinct, inverse = cli._distinct_labels(labels)
-    assert len(tables) == cli._CODE_TABLES and tables[0] == labels.size
+    monkeypatch.setattr(csv_io, "_distinct_labels", counted_tables)
+    distinct, inverse = csv_io._distinct_labels(labels)
+    assert len(tables) == csv_io._CODE_TABLES and tables[0] == labels.size
     assert tables == sorted(tables, reverse=True) and uniques == ["S"]
     np.testing.assert_array_equal(distinct[inverse], labels)
     assert sorted(distinct.tolist()) == [b"ab", b"ba", b"c", b"d", b"e"]
     # the CSV loader's coder, on the same labels' UTF-8 bytes padded with spaces
     uniques.clear()
-    np.testing.assert_array_equal(cli._code_clusters(np.char.add(b" ", labels)), expected)
+    np.testing.assert_array_equal(csv_io._code_clusters(np.char.add(b" ", labels)), expected)
     assert uniques == ["S", "U"]
 
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrdid import DesignSpec, build_design, cli, fit_poisson_qmle
+from rrdid import DesignSpec, build_design, fit_poisson_qmle
+from rrdid import io as csv_io
 from rrdid.cli import load_csv_dataset
 from rrdid.errors import ColumnBindingError
 from rrdid.estimators import _cluster_codes, _number_pairs
@@ -40,11 +41,11 @@ BIG_PERIODS = ["4503599627370496.5", "4503599627370496", "4503599627370497",
 ROLES = {"y": "number", "g": "group", "t": "period", "w": "weight", "c": "cluster",
          "x": "number", "z": "other"}
 # each flaw alone sends a file to the row parser, or must leave its result
-# unchanged; CRLF line ends keep a file plain
+# unchanged; CRLF line ends and a byte-order mark keep a file plain
 FLAWS = ["field", "field", "short", "long", "blank", "crlf", "cr", "crcrlf", "lone_cr",
          "final_cr", "mixed_crlf", "bom", "not_utf8", "header_only", "missing_column",
          "big_period", "big_period"]
-PLAIN_FLAWS = {"crlf", "mixed_crlf"}
+PLAIN_FLAWS = {"crlf", "mixed_crlf", "bom"}
 NOT_UTF8 = "\ue000"        # stands for a byte that is not UTF-8
 
 
@@ -118,7 +119,7 @@ def csv_files(draw):
 def _load_fast(path, bindings):
     """_load's result on the np.loadtxt reader, and whether that left the file
     to the row parser."""
-    with mock.patch.object(cli, "_read_rows", wraps=cli._read_rows) as read_rows:
+    with mock.patch.object(csv_io, "_read_rows", wraps=csv_io._read_rows) as read_rows:
         result = _load(path, bindings, "fast")
     return result, read_rows.called
 
@@ -127,7 +128,7 @@ def _load(path, bindings, reader):
     """What load_csv_dataset returns or raises, in comparable form."""
     try:
         if reader == "row":
-            with mock.patch.object(cli, "_read_columns", lambda *args: None):
+            with mock.patch.object(csv_io, "_read_columns", lambda *args: None):
                 dataset, labels = load_csv_dataset(path, **bindings)
         else:
             dataset, labels = load_csv_dataset(path, **bindings)
@@ -156,7 +157,7 @@ def test_loader_matches_row_parser(case):
             # a plain file must not leave the fast reader
             assert not slow
         # the byte gate decides the same in blocks of about one line
-        with mock.patch.object(cli, "_GATE_BLOCK", 1):
+        with mock.patch.object(csv_io, "_GATE_BLOCK", 1):
             assert _load_fast(path, bindings) == (expected, slow)
 
 
@@ -201,14 +202,14 @@ def _refuse_row_parser(monkeypatch):
     def refuse(*args):
         raise AssertionError("a plain CSV reached the row parser")
 
-    monkeypatch.setattr(cli, "_read_rows", refuse)
+    monkeypatch.setattr(csv_io, "_read_rows", refuse)
 
 
 def test_plain_csv_never_reaches_row_parser(tmp_path, monkeypatch):
     lines = _survey_lines()
     path = tmp_path / "plain.csv"
     path.write_text("\n".join(lines), encoding="utf-8")       # no final newline
-    with mock.patch.object(cli, "_read_columns", lambda *args: None):
+    with mock.patch.object(csv_io, "_read_columns", lambda *args: None):
         expected = load_csv_dataset(path, **SURVEY)
 
     _refuse_row_parser(monkeypatch)
@@ -232,6 +233,22 @@ def test_plain_csv_never_reaches_row_parser(tmp_path, monkeypatch):
     # a cluster column also bound as a number is refused before either parser runs
     with pytest.raises(ColumnBindingError, match="'visits'"):
         load_csv_dataset(path, "visits", "treated", "year", cluster="visits")
+
+
+def test_byte_order_mark_keeps_a_file_plain(tmp_path, monkeypatch):
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark,
+    # which is no part of the first column's name
+    text = "\n".join(_survey_lines()) + "\n"
+    paths = {}
+    for name, prefix in [("plain", ""), ("bom", "\ufeff")]:
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(prefix + text, encoding="utf-8")
+    assert paths["bom"].read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = _load(paths["plain"], SURVEY, "fast")
+    assert expected[0] == "loaded"
+    assert _load(paths["bom"], SURVEY, "row") == expected
+    _refuse_row_parser(monkeypatch)
+    assert _load(paths["bom"], SURVEY, "fast") == expected
 
 
 def test_decimal_labels_take_the_float_pass(tmp_path, monkeypatch):
@@ -360,11 +377,11 @@ def test_cluster_coder_matches_np_unique(data):
     rows = data.draw(st.permutations(rows + list(range(len(pool)))))
     labels = np.array([(prefix + pool[i]).encode() for i in rows])
     assert 1 <= labels.itemsize <= 24
-    distinct, inverse = cli._distinct_labels(labels)
+    distinct, inverse = csv_io._distinct_labels(labels)
     assert len(set(distinct.tolist())) == distinct.size == len(pool)
     np.testing.assert_array_equal(distinct[inverse], labels)
     stripped = [label.decode().strip() for label in labels.tolist()]
-    codes = cli._code_clusters(labels)
+    codes = csv_io._code_clusters(labels)
     if not all(stripped):
         assert codes is None
     else:
@@ -376,7 +393,7 @@ def test_cluster_coder_on_distinct_labels():
     # every label distinct: most rows own their bucket, and the rest take
     # the later tables
     labels = np.array([b"lab-%08d" % i for i in np.random.default_rng(3).permutation(50_000)])
-    codes = cli._code_clusters(labels)
+    codes = csv_io._code_clusters(labels)
     np.testing.assert_array_equal(codes, np.unique(labels, return_inverse=True)[1])
 
 
@@ -429,7 +446,7 @@ def test_comma_gate_sees_a_short_line_behind_a_long_one(tmp_path, data):
     path = tmp_path / "ragged.csv"
     path.write_bytes(data)
     bindings = {"outcome": "y", "group": "g", "period": "t"}
-    assert cli._read_columns(path, {"y", "g", "t"}, None, {"g", "t"}, "t") is None
+    assert csv_io._read_columns(path, {"y", "g", "t"}, None, {"g", "t"}, "t") is None
     assert _load(path, bindings, "fast") == _load(path, bindings, "row")
     assert _load(path, bindings, "fast")[0] == "raised"
 
@@ -508,13 +525,13 @@ def test_dataset_adopts_the_loaders_columns(large_csv, monkeypatch):
     # the loader's frozen column copies and codes become the dataset's,
     # uncopied, all but the int8 group column, which the dataset widens
     returned = []
-    read_columns = cli._read_columns
+    read_columns = csv_io._read_columns
 
     def spy(*args):
         returned.append(read_columns(*args))
         return returned[-1]
 
-    monkeypatch.setattr(cli, "_read_columns", spy)
+    monkeypatch.setattr(csv_io, "_read_columns", spy)
     dataset, _ = load_csv_dataset(large_csv, "y", "g", "t", weights="w", cluster="c",
                                   covariates=("x",))
     columns, codes = returned[0]
