@@ -14,38 +14,15 @@ record functions and its fits equal the two-category multinomial's bit for
 bit. OLS is the identity link b(eta) = eta^2 / 2, solved by one Newton step.
 
 One batched Newton driver, _fit, fits every record, and one block evaluator
-(_evaluate, _cross) gives it values, scores and Hessians. A DesignMatrix
-holds its cell columns (intercept, period dummies, group, trend, treat:
-functions of the (group, period) cell) once per cell, and the fits keep
-them once per non-empty cell as Z; its row columns (covariates and treat
-interactions) are held per row as V. Then eta = (Z beta_1)[cell] + V beta_2;
-the outcome enters a fit once, as X'Wy, the score is X'Wy - X'W b'(eta),
-whose cell block is Z' times each cell's sum of w b'(eta), and the
-Hessian's cell blocks Z' diag(per-cell sums of w b'') Z and Z' times the
-per-cell sums of w b'' V_j, so only V' diag(w b'') V is a product over
-rows. Without row columns, rows that share a cell enter the maximand only
-through their total weight n_c and weighted mean outcome ybar_c, as
-n_c (ybar_c'eta_c - b(eta_c)), and the fit runs on those at most 2T cells.
-A plain array has only row columns, so it runs row by row. fit_cell_sums
-hands the driver many cell datasets at once, and the driver decides each
-dataset's failure kind with array reductions over the batch.
-
-Covariances are sandwiches A^{-1} B A^{-1}, with no small-sample
-correction: A is the negative Hessian at the optimum, B the outer product
-of the per-row scores w_i (y_i - mu_i) (x) x_i, summed within clusters
-first when cluster ids are supplied. B is taken after the fit from _Units,
-groups of rows that share a design row and an outcome, and so a residual
-direction: the rows, or, for a design of cell columns alone whose outcome
-is a class label, the rows of one (cell, class), or (cluster, cell, class),
-taken from the table of their summed weights; so a fit on cells keeps the
-row-level sandwich exactly. Unclustered, B is _cross of the units' residual
-moments; clustered, it is G G' for the per-cluster score sums G. Clusters
-are numbered once per fit, in sorted-label order: non-negative integer
-codes, such as the CSV loader's, through a presence table, any other labels
-through np.unique.
-Newton steps are halved, at most _STEP_HALVINGS times, until the maximand
-does not decrease; linear predictors are clamped at +/- _CAP, and a clamp still
-active at the optimum, or a perfectly predicted outcome, raises instead of
+(_evaluate, _cross) gives it values, scores and Hessians on the cell and
+row columns of rrdid.blocks. Without row columns, rows that share a cell
+enter the maximand only through their total weight n_c and weighted mean
+outcome ybar_c, as n_c (ybar_c'eta_c - b(eta_c)), and the fit runs on those
+at most 2T cells. A plain array has only row columns, so it runs row by
+row. fit_cell_sums hands the driver many cell datasets at once, and the
+driver decides each dataset's failure kind with array reductions over the
+batch. Linear predictors are clamped at +/- _CAP, and a clamp still active
+at the optimum, or a perfectly predicted outcome, raises instead of
 returning a silently unreliable estimate.
 """
 
@@ -54,19 +31,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .design import DesignMatrix
-from .errors import (
-    NegativeVarianceError,
-    NonFiniteObjectiveError,
-    OverflowGuardError,
-    SeparationError,
-    SingularDesignError,
-    SingularHessianError,
-)
+from .blocks import (_Blocks, _as_design, _class_pairs, _cluster_codes, _cross, _number_pairs,
+                     _sum_cells, _transposed, _unit_rows)
+from .errors import (NegativeVarianceError, NonFiniteObjectiveError, OverflowGuardError,
+                     SeparationError, SingularDesignError, SingularHessianError)
+from .newton import FitOptions, NewtonDiagnostics, _newton_directions, maximize
+from .rank import _check_full_rank
+from .sandwich import _Units, _sandwich
 
 __all__ = [
     "FitOptions",
@@ -82,46 +57,8 @@ __all__ = [
 ]
 
 
-# the most halvings of one Newton step, and the clamp on |linear predictor|
-# of the capped (non-identity) families
-_STEP_HALVINGS = 30
+# the clamp on |linear predictor| of the capped (non-identity) families
 _CAP = 30.0
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Iteration controls shared by the quasi-likelihood fits.
-
-    gradient_tolerance applies to the max-abs score and is scaled by
-    (1 + total weight) inside the fit functions; max_iterations bounds the
-    Newton iterations.
-    """
-
-    gradient_tolerance: float = 1e-8
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-@dataclass(frozen=True)
-class NewtonDiagnostics:
-    """How a Newton ascent ended; for a batch each field holds one entry per
-    problem, and singular marks the problems stopped by a singular Hessian
-    (a single problem raises SingularHessianError instead). hessian is the
-    Hessian at the returned point, from its last accepted evaluation, and
-    step_halvings counts the halved Newton steps over all iterations."""
-
-    iterations: int
-    converged: bool
-    score_norm: float
-    value: float
-    singular: bool = False
-    hessian: np.ndarray | None = None
-    step_halvings: int = 0
 
 
 # A variance computed as a sum of terms bounded by scale is off by round-off
@@ -207,131 +144,6 @@ class FitResult:
         return beta / se
 
 
-def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None):
-    """Newton ascent with step halving, for one problem or a batch of them.
-
-    objective(beta) must return (value, gradient, hessian). Convergence is
-    max-abs gradient <= tolerance (default options.gradient_tolerance,
-    unscaled); a step shorter than 1e-12 also stops the iteration. Returns
-    (argmax, NewtonDiagnostics). An init already at the optimum returns
-    immediately with 0 iterations.
-
-    A 2-d init (B, p) runs B problems in one loop: objective then maps (B, p)
-    to values (B,), gradients (B, p) and Hessians (B, p, p), tolerance may
-    hold one entry per problem, every decision above is taken per problem,
-    and the diagnostics hold arrays. A 1-d init is a batch of one.
-    """
-    tol = options.gradient_tolerance if tolerance is None else np.asarray(tolerance, float)
-    beta = np.array(init, float, copy=True)
-    if beta.ndim == 1:
-        def batch_of_one(b):
-            value, grad, hess = objective(b[0])
-            return np.array([value]), np.asarray(grad)[None], np.asarray(hess)[None]
-
-        beta, diag = maximize(batch_of_one, beta[None], options, tol)
-        if diag.singular[0]:
-            raise SingularHessianError("Hessian is singular at the current iterate")
-        return beta[0], NewtonDiagnostics(int(diag.iterations[0]), bool(diag.converged[0]),
-                                          float(diag.score_norm[0]), float(diag.value[0]),
-                                          hessian=diag.hessian[0],
-                                          step_halvings=int(diag.step_halvings[0]))
-
-    value, grad, hess = objective(beta)
-    if not np.all(np.isfinite(value)):
-        raise NonFiniteObjectiveError("objective non-finite at the starting point")
-    n_problems = beta.shape[0]
-    iterations = np.zeros(n_problems, int)
-    halvings = np.zeros(n_problems, int)
-    singular = np.zeros(n_problems, bool)
-    running = np.ones(n_problems, bool)
-    for _ in range(options.max_iterations):
-        running &= ~(np.max(np.abs(grad), axis=1, initial=0.0) <= tol)
-        if not running.any():
-            break
-        direction = np.zeros_like(beta)
-        direction[running], singular[running] = _newton_directions(hess[running], grad[running])
-        running &= ~singular
-
-        step = np.ones(n_problems)
-        searching = running.copy()
-        for _ in range(_STEP_HALVINGS):
-            candidate = beta + step[:, None] * direction
-            cand_value, cand_grad, cand_hess = objective(candidate)
-            # accept any non-decrease up to rounding noise
-            accept = searching & np.isfinite(cand_value) & (
-                cand_value >= value - 1e-12 * (1 + np.abs(value)))
-            beta[accept], value[accept] = candidate[accept], cand_value[accept]
-            grad[accept], hess[accept] = cand_grad[accept], cand_hess[accept]
-            searching &= ~accept
-            if not searching.any():
-                break
-            step[searching] /= 2.0
-            halvings += searching
-        # a problem with no acceptable step stops where it is
-        running &= ~searching
-        iterations += running
-        running &= ~(step * np.max(np.abs(direction), axis=1, initial=0.0) < 1e-12)
-
-    score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
-    return beta, NewtonDiagnostics(iterations, score_norm <= tol, score_norm, value, singular,
-                                   hess, halvings)
-
-
-def _newton_directions(hess, grad):
-    """Solutions of -hess d = grad per problem, and which Hessians are singular (d = 0)."""
-    try:
-        return np.linalg.solve(-hess, grad[..., None])[..., 0], np.zeros(len(grad), bool)
-    except np.linalg.LinAlgError:
-        if len(grad) == 1:
-            return np.zeros_like(grad), np.ones(1, bool)
-    # one singular matrix fails the stacked solve; solve the problems one by one
-    parts = [_newton_directions(hess[i:i + 1], grad[i:i + 1]) for i in range(len(grad))]
-    return np.concatenate([d for d, _ in parts]), np.concatenate([s for _, s in parts])
-
-
-class _Blocks(NamedTuple):
-    """A design split into its cell columns and its row columns.
-
-    The fits sum over units: the rows of a dataset, or its cells. cell (k,
-    p1) holds the cell columns once per non-empty cell, rows (m, p2) the row
-    columns once per unit, and index each unit's cell (None: unit j is cell
-    j). Unit j's design row is (cell[index[j]], rows[j]); every column of a
-    plain array is a row column.
-    """
-
-    cell: np.ndarray
-    rows: np.ndarray
-    index: np.ndarray | None
-
-
-def _as_design(X):
-    """(_Blocks of the design's rows, column names) of a DesignMatrix, whose
-    empty cells drop out, or of a plain 2-d array."""
-    if isinstance(X, DesignMatrix):
-        keep = np.flatnonzero(np.bincount(X.cells))
-        cells = X.cells
-        # np.take and np.bincount copy a read-only index, and a fit with row
-        # columns reads it in every evaluation, so that fit takes a copy
-        if keep.size < len(X.cell_values) or X.row_values.shape[1]:
-            index = np.zeros(keep[-1] + 1, np.intp)
-            index[keep] = np.arange(keep.size)
-            cells = index[cells]
-        return _Blocks(X.cell_values[keep], X.row_values, cells), list(X.column_names)
-    values = np.asarray(X, float)
-    if values.ndim != 2:
-        raise ValueError("design must be a 2-d array or DesignMatrix")
-    return _Blocks(values[:, :0], values, None), [f"x{j}" for j in range(values.shape[1])]
-
-
-def _unit_rows(blocks):
-    """The (m, p) design rows of the units of blocks."""
-    cell, rows, index = blocks
-    cell = cell if index is None else cell[index]
-    if not rows.shape[1]:
-        return cell
-    return rows if not cell.shape[1] else np.hstack([cell, rows])
-
-
 def _check_inputs(blocks, names, y, weights, clusters):
     n, p = blocks.rows.shape[0], blocks.cell.shape[1] + blocks.rows.shape[1]
     if n == 0 or p == 0:
@@ -355,167 +167,6 @@ def _check_inputs(blocks, names, y, weights, clusters):
         raise ValueError("design matrix contains non-finite values")
     _check_full_rank(blocks, w, names)
     return y, w
-
-
-def _check_full_rank(blocks, weights, names):
-    """Raise SingularDesignError as the rank test of the weighted unit rows
-    does, forming those rows only when the Gram does not prove full rank."""
-    gram = _cross(blocks, weights[None, None])[0]
-    if not _gram_proves_full_rank(gram, weights.size):
-        # an overflow leaves inf, which the QR check refuses
-        with np.errstate(over="ignore"):
-            weighted = _unit_rows(blocks) * np.sqrt(weights)[:, None]
-        _check_full_rank_qr(weighted, names)
-
-
-def _gram_proves_full_rank(gram, n):
-    """Whether the Gram A'A of an (n, p) matrix A proves that _check_full_rank_qr
-    finds A full rank.
-
-    That test finds no column redundant when every leading block of columns
-    A_k has sigma_min(A_k) > max(n, p) eps sigma_max(A), and dropping columns
-    never lowers the smallest singular value, so sigma_min(A) above that
-    cutoff plus the QR's relative backward error, O(n p^1.5 eps), suffices.
-    Forming A'A, its n-term sums in any order (the cell blocks sum within
-    cells first), and eigvalsh move its eigenvalues, the squared singular
-    values, by about n p eps lambda_max at most, so lambda_min >= 100 n p eps
-    lambda_max puts sigma_min / sigma_max near 10 (n p eps)^(1/2) or above,
-    far past both terms. Closer calls, and Grams near underflow or overflow,
-    are left to the QR.
-    """
-    p = gram.shape[0]
-    if p == 0 or not np.all(np.isfinite(gram)):
-        return False
-    eigenvalues = np.linalg.eigvalsh(gram)
-    tau = 100.0 * max(n, p) * p * np.finfo(float).eps
-    return bool(eigenvalues[0] >= tau * eigenvalues[-1]
-                and eigenvalues[0] > np.sqrt(np.finfo(float).tiny))
-
-
-def _check_full_rank_qr(weighted, names):
-    """Raise SingularDesignError naming, in design order, each column that adds
-    no rank to the columns before it.
-
-    Ranks are counted as np.linalg.matrix_rank counts them, singular values
-    above max(n, p) eps sigma_max of the whole matrix. The leading k columns
-    of R in weighted = Q R are the R factor of the leading k columns of
-    weighted, so one QR proves every leading block full rank when each
-    block's smallest singular value clears the cutoff by more than the QR's
-    rounding, O(max(n, p) p^1.5 eps sigma_max). A block within that margin
-    (every rank-deficient one among them) is a close call that the QR's
-    rounding could decide either way, so from the first such block on the
-    ranks are those of np.linalg.matrix_rank on the weighted columns
-    themselves.
-    """
-    if not np.all(np.isfinite(weighted)):
-        raise ValueError("the weighted design overflows; rescale its columns or the weights")
-    eps, (n, p) = np.finfo(float).eps, weighted.shape
-    r = np.linalg.qr(weighted, mode="r")
-    sigmas = [np.linalg.svd(r[:, :k], compute_uv=False) for k in range(1, p + 1)]
-    cutoff = max(n, p) * eps * sigmas[-1][0]
-    margin = (1.0 + 10.0 * p**1.5) * cutoff
-    clear = [s.size == k and s[-1] > margin for k, s in enumerate(sigmas, 1)]
-    if all(clear):
-        return
-    first = clear.index(False)
-    tol = max(n, p) * eps * np.linalg.norm(weighted, 2)
-    ranks = list(range(first + 1)) + [np.linalg.matrix_rank(weighted[:, :k], tol=tol)
-                                      for k in range(first + 1, p + 1)]
-    redundant = [names[j] for j in range(p) if ranks[j + 1] <= ranks[j]]
-    if redundant:
-        raise SingularDesignError(redundant)
-
-
-def _cluster_codes(clusters):
-    """(codes, number of clusters): each row's cluster numbered in sorted-label
-    order, exactly as np.unique(clusters, return_inverse=True) numbers them.
-
-    Non-negative integer labels, such as the codes the CSV loader gives, are
-    numbered by _number_pairs: without a hash or a sort when every label is
-    below the number of rows. Any other labels (negative integers, floats,
-    booleans, strings) go to np.unique.
-    """
-    labels = np.asarray(clusters).reshape(-1)
-    if labels.dtype.kind in "iu" and np.can_cast(labels.dtype, np.intp) and labels.min() >= 0:
-        distinct, codes = _number_pairs(labels, int(labels.max()) + 1)
-        return codes, distinct.size
-    distinct, codes = np.unique(labels, return_inverse=True)
-    return codes.reshape(-1), distinct.size
-
-
-def _sum_cells(index, n_cells, rows):
-    """Sums over the rows of each cell along the last axis of rows; index holds
-    each row's cell."""
-    flat = rows.reshape(-1, rows.shape[-1])
-    sums = [np.bincount(index, weights=part, minlength=n_cells) for part in flat]
-    return np.array(sums).reshape(rows.shape[:-1] + (n_cells,))
-
-
-def _number_pairs(keys, size):
-    """(pairs, pair): the distinct keys, all in range(size), in ascending
-    order and each key's position among them, as np.unique(keys,
-    return_inverse=True) gives them. When the presence table of all size
-    keys is no longer than keys, its cumulative sum numbers them instead
-    of a sort."""
-    if size > keys.size:
-        pairs, pair = np.unique(keys, return_inverse=True)
-        return pairs, pair.reshape(-1)
-    present = np.bincount(keys, minlength=size) > 0
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
-
-
-def _sandwich(bread, blocks, resid, clusters=None):
-    """A^{-1} B A^{-1}, with B the outer product of the row scores.
-
-    blocks holds the design rows of m units, groups of rows that share a
-    design row and a residual direction (single rows, or the _Units of a
-    class table), and resid (C, m) each unit's residual r_u for its C
-    classes, so unit u scores r_u (x) x_u. Unclustered, B is _cross of the
-    units' residual moments r_c r_d of the class pairs c <= d: its
-    cell-column blocks sum them within cells first. Clustered, clusters
-    holds each unit's cluster and B = G G' for the (Cp, clusters)
-    per-cluster score sums G: for the cell columns, each of the cluster's
-    (cluster, cell) pairs' residual sum times the cell's row, and for the
-    row columns, its units' scores. No small-sample factor is applied.
-    Raises NonFiniteObjectiveError when B overflows.
-    """
-    n_classes, n = resid.shape
-    cell, rows, index = blocks
-    k, p1 = cell.shape
-    # an overflow leaves inf or NaN, which raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if clusters is None:
-            pairs = _class_pairs(n_classes)
-            moments = np.empty((1, len(pairs), n))
-            for pair, (c, d) in enumerate(pairs):
-                np.multiply(resid[c], resid[d], out=moments[0, pair])
-            meat = _cross(blocks, moments)[0]
-        else:
-            codes, groups = _cluster_codes(clusters)
-            # (C, p2, clusters) sums of the row columns' scores; the cell
-            # columns' sums go before them
-            grouped = _sum_cells(codes, groups, resid[:, None, :] * rows.T)
-            if p1:
-                # the codes become the (cluster, cell) keys in place, so the
-                # codes, the keys and the pair numbers are never alive together
-                codes *= k
-                codes += index
-                pairs, pair = _number_pairs(codes, groups * k)
-                del codes
-                cell_scores = _sum_cells(pair, pairs.size, resid)[:, None, :] * cell[pairs % k].T
-                grouped = np.concatenate([_sum_cells(pairs // k, groups, cell_scores), grouped],
-                                         axis=1)
-            grouped = grouped.reshape(-1, groups)
-            meat = grouped @ grouped.T
-    if not np.all(np.isfinite(meat)):
-        raise NonFiniteObjectiveError("the scores' outer product overflows; "
-                                      "the covariance is not finite")
-    try:
-        half = np.linalg.solve(bread, meat)
-        vcov = np.linalg.solve(bread, half.T).T
-    except np.linalg.LinAlgError:
-        raise SingularHessianError("sandwich bread matrix is singular")
-    return (vcov + vcov.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -545,12 +196,6 @@ class _Family:
     guard: type | None = None
     message: str = ""
     separated: Callable | None = None
-
-
-def _class_pairs(n_classes):
-    """The class pairs (c, d), c <= d, in the order of every (B, P, m) array
-    of class-pair weights."""
-    return [(c, d) for c in range(n_classes) for d in range(c, n_classes)]
 
 
 def _exp_moments(eta):
@@ -675,48 +320,6 @@ def _evaluate(family, blocks, y, w, xwy, beta):
     return value, grad, hess, max_eta, mean
 
 
-def _transposed(blocks, values):
-    """(X'values (B, C, p), per-cell sums (B, C, k) or None without cell
-    columns) of (B, C, m) values on the units of blocks."""
-    cell, rows, index = blocks
-    parts, on_cells = [], None
-    if cell.shape[1]:
-        on_cells = values if index is None else _sum_cells(index, len(cell), values)
-        parts.append(on_cells @ cell)
-    if rows.shape[1]:
-        parts.append(values @ rows)
-    return np.concatenate(parts, axis=2), on_cells
-
-
-def _cross(blocks, weight, on_cells=None):
-    """sum_j weight_j (x) x_j x_j' over the units of blocks, per fit: (B, Cp, Cp)
-    of p x p class-pair blocks for (B, P, m) weights of the P = C (C + 1) / 2
-    class pairs c <= d of _class_pairs; block (d, c) mirrors (c, d).
-
-    The cell x cell blocks weight each cell's row by its summed weights
-    (on_cells, when the caller has them), and the row columns' blocks are
-    _transposed of the weights times each row column. Overflow leaves inf
-    or NaN entries, which the callers decide on.
-    """
-    cell, rows, index = blocks
-    n_fits, n_pairs = weight.shape[:2]
-    n_classes = (math.isqrt(8 * n_pairs + 1) - 1) // 2
-    p1, p2 = cell.shape[1], rows.shape[1]
-    if p1 and on_cells is None:
-        on_cells = weight if index is None else _sum_cells(index, len(cell), weight)
-    out = np.zeros((n_fits, n_classes, p1 + p2, n_classes, p1 + p2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for pair, (c, d) in enumerate(_class_pairs(n_classes)):
-            block = out[:, c, :, d, :]
-            if p1:
-                block[:, :p1, :p1] = (cell.T * on_cells[:, pair, None, :]) @ cell
-            if p2:
-                block[:, p1:] = _transposed(blocks, weight[:, pair, None, :] * rows.T)[0]
-                block[:, :p1, p1:] = block[:, p1:, :p1].transpose(0, 2, 1)
-            out[:, d, :, c, :] = block
-    return out.reshape(n_fits, n_classes * (p1 + p2), n_classes * (p1 + p2))
-
-
 def _identically_zero(w, y):
     """The exponential mean has no finite optimum when every weighted outcome is 0."""
     return np.sum(w * y, axis=-1) == 0.0
@@ -798,27 +401,6 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
         failures[diverged] = family.guard.__name__
     failures[diag.singular] = "SingularHessianError"
     return beta, failures.tolist(), diag, mean, max_eta
-
-
-class _Units(NamedTuple):
-    """The units a sandwich sums over: groups of rows that share a design row
-    and an outcome, and so one residual direction y_u - mu_u, which the
-    sandwich reads as scale_u (y_u - mu_u).
-
-    blocks holds their design rows, y (C, m) their outcomes, fitted (m,) the
-    fit unit whose mean is theirs (None: unit j is fit unit j) and clusters
-    their cluster labels (None: unclustered). A single row's scale is its
-    weight, so it reads the row's score. A group's is its summed weight when
-    clustered, so it reads the sum of its rows' scores, and otherwise the
-    root of its summed squared weights, so that its outer product is the
-    sum of its rows' residual moments.
-    """
-
-    blocks: _Blocks
-    y: np.ndarray
-    scale: np.ndarray
-    fitted: np.ndarray | None
-    clusters: np.ndarray | None
 
 
 def _units(family, blocks, y, w, clusters, n_classes):

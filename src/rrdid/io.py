@@ -23,9 +23,9 @@ import warnings
 
 import numpy as np
 
+from .blocks import _number_pairs
 from .design import RcsDataset
 from .errors import ColumnBindingError, CsvParseError
-from .estimators import _number_pairs
 
 __all__ = ["load_csv_dataset"]
 

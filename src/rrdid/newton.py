@@ -1,0 +1,133 @@
+"""Newton ascent, for one problem or a batch of them: each step is halved,
+at most _STEP_HALVINGS times, until the maximand does not decrease."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import NonFiniteObjectiveError, SingularHessianError
+
+__all__ = ["FitOptions", "NewtonDiagnostics", "maximize"]
+
+# the most halvings of one Newton step
+_STEP_HALVINGS = 30
+
+
+@dataclass(frozen=True)
+class FitOptions:
+    """Iteration controls shared by the quasi-likelihood fits.
+
+    gradient_tolerance applies to the max-abs score and is scaled by
+    (1 + total weight) inside the fit functions; max_iterations bounds the
+    Newton iterations.
+    """
+
+    gradient_tolerance: float = 1e-8
+    max_iterations: int = 100
+
+    def __post_init__(self):
+        if self.gradient_tolerance <= 0:
+            raise ValueError("gradient_tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+
+
+@dataclass(frozen=True)
+class NewtonDiagnostics:
+    """How a Newton ascent ended; for a batch each field holds one entry per
+    problem, and singular marks the problems stopped by a singular Hessian
+    (a single problem raises SingularHessianError instead). hessian is the
+    Hessian at the returned point, from its last accepted evaluation, and
+    step_halvings counts the halved Newton steps over all iterations."""
+
+    iterations: int
+    converged: bool
+    score_norm: float
+    value: float
+    singular: bool = False
+    hessian: np.ndarray | None = None
+    step_halvings: int = 0
+
+
+def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None):
+    """Newton ascent with step halving, for one problem or a batch of them.
+
+    objective(beta) must return (value, gradient, hessian). Convergence is
+    max-abs gradient <= tolerance (default options.gradient_tolerance,
+    unscaled); a step shorter than 1e-12 also stops the iteration. Returns
+    (argmax, NewtonDiagnostics). An init already at the optimum returns
+    immediately with 0 iterations.
+
+    A 2-d init (B, p) runs B problems in one loop: objective then maps (B, p)
+    to values (B,), gradients (B, p) and Hessians (B, p, p), tolerance may
+    hold one entry per problem, every decision above is taken per problem,
+    and the diagnostics hold arrays. A 1-d init is a batch of one.
+    """
+    tol = options.gradient_tolerance if tolerance is None else np.asarray(tolerance, float)
+    beta = np.array(init, float, copy=True)
+    if beta.ndim == 1:
+        def batch_of_one(b):
+            value, grad, hess = objective(b[0])
+            return np.array([value]), np.asarray(grad)[None], np.asarray(hess)[None]
+
+        beta, diag = maximize(batch_of_one, beta[None], options, tol)
+        if diag.singular[0]:
+            raise SingularHessianError("Hessian is singular at the current iterate")
+        return beta[0], NewtonDiagnostics(int(diag.iterations[0]), bool(diag.converged[0]),
+                                          float(diag.score_norm[0]), float(diag.value[0]),
+                                          hessian=diag.hessian[0],
+                                          step_halvings=int(diag.step_halvings[0]))
+
+    value, grad, hess = objective(beta)
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteObjectiveError("objective non-finite at the starting point")
+    n_problems = beta.shape[0]
+    iterations = np.zeros(n_problems, int)
+    halvings = np.zeros(n_problems, int)
+    singular = np.zeros(n_problems, bool)
+    running = np.ones(n_problems, bool)
+    for _ in range(options.max_iterations):
+        running &= ~(np.max(np.abs(grad), axis=1, initial=0.0) <= tol)
+        if not running.any():
+            break
+        direction = np.zeros_like(beta)
+        direction[running], singular[running] = _newton_directions(hess[running], grad[running])
+        running &= ~singular
+
+        step = np.ones(n_problems)
+        searching = running.copy()
+        for _ in range(_STEP_HALVINGS):
+            candidate = beta + step[:, None] * direction
+            cand_value, cand_grad, cand_hess = objective(candidate)
+            # accept any non-decrease up to rounding noise
+            accept = searching & np.isfinite(cand_value) & (
+                cand_value >= value - 1e-12 * (1 + np.abs(value)))
+            beta[accept], value[accept] = candidate[accept], cand_value[accept]
+            grad[accept], hess[accept] = cand_grad[accept], cand_hess[accept]
+            searching &= ~accept
+            if not searching.any():
+                break
+            step[searching] /= 2.0
+            halvings += searching
+        # a problem with no acceptable step stops where it is
+        running &= ~searching
+        iterations += running
+        running &= ~(step * np.max(np.abs(direction), axis=1, initial=0.0) < 1e-12)
+
+    score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
+    return beta, NewtonDiagnostics(iterations, score_norm <= tol, score_norm, value, singular,
+                                   hess, halvings)
+
+
+def _newton_directions(hess, grad):
+    """Solutions of -hess d = grad per problem, and which Hessians are singular (d = 0)."""
+    try:
+        return np.linalg.solve(-hess, grad[..., None])[..., 0], np.zeros(len(grad), bool)
+    except np.linalg.LinAlgError:
+        if len(grad) == 1:
+            return np.zeros_like(grad), np.ones(1, bool)
+    # one singular matrix fails the stacked solve; solve the problems one by one
+    parts = [_newton_directions(hess[i:i + 1], grad[i:i + 1]) for i in range(len(grad))]
+    return np.concatenate([d for d, _ in parts]), np.concatenate([s for _, s in parts])

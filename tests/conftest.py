@@ -13,7 +13,8 @@ def fit_objective(family, X, y, w):
     (n, C) class indicators for the multinomial. The fits' batched objective sees a
     batch of one, with y held class-major as (1, C, n).
     """
-    from rrdid.estimators import _FAMILIES, _as_design, _objective
+    from rrdid.blocks import _as_design
+    from rrdid.estimators import _FAMILIES, _objective
 
     blocks, _ = _as_design(X)
     y = np.asarray(y, float).reshape(blocks.rows.shape[0], -1).T

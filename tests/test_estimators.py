@@ -6,6 +6,9 @@ the sandwich with explicit Python loops. Neither path shares code with the
 estimators module beyond the fitted numbers themselves.
 """
 
+import ast
+import importlib
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,8 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rrdid.blocks
+import rrdid.sandwich
 from rrdid import estimators
 from rrdid import io as csv_io
 from rrdid import (
@@ -22,6 +27,7 @@ from rrdid import (
     DesignSpec,
     FitOptions,
     FitResult,
+    NewtonDiagnostics,
     build_design,
     fit_logit_qmle,
     fit_multinomial_logit,
@@ -34,19 +40,7 @@ from rrdid import (
     RcsDataset,
     standard_error,
 )
-from rrdid.estimators import (
-    NewtonDiagnostics,
-    _as_design,
-    _check_full_rank,
-    _check_full_rank_qr,
-    _cluster_codes,
-    _cross,
-    _gram_proves_full_rank,
-    _inputs,
-    _LOGIT,
-    _number_pairs,
-    _POISSON,
-)
+from rrdid.blocks import _as_design, _cluster_codes, _cross, _number_pairs, _unit_rows
 from rrdid.errors import (
     NegativeVarianceError,
     NonFiniteObjectiveError,
@@ -55,6 +49,9 @@ from rrdid.errors import (
     SingularDesignError,
     SingularHessianError,
 )
+from rrdid.estimators import _inputs, _LOGIT, _POISSON
+from rrdid.rank import _check_full_rank, _check_full_rank_qr, _gram_proves_full_rank
+from rrdid.sandwich import _sandwich
 
 from conftest import binary_cells, class_cells, fit_objective, mean_cells
 
@@ -692,8 +689,7 @@ def test_capped_fit_keeps_its_verdict(monkeypatch, units, fit, outcome, error):
     def spy(family, blocks, y, w, xwy, beta):
         out = evaluate(family, blocks, y, w, xwy, beta)
         if out[3][0] >= estimators._CAP:
-            eta = np.clip(estimators._unit_rows(blocks) @ beta[0], -estimators._CAP,
-                          estimators._CAP)
+            eta = np.clip(_unit_rows(blocks) @ beta[0], -estimators._CAP, estimators._CAP)
             b = np.exp(eta) if fit is fit_poisson_qmle else np.logaddexp(0.0, eta)
             expected = np.sum(w[0] * (y[0, 0] * eta - b))
             capped.append(abs(out[0][0] - expected) / (1.0 + abs(expected)))
@@ -738,7 +734,7 @@ def test_row_fit_scores_once_per_evaluation(monkeypatch):
     X = np.column_stack([np.ones(200), rng.normal(size=200)])
     y = rng.poisson(np.exp(0.3 + 0.5 * X[:, 1])).astype(float)
     passes, evaluations = [], []
-    evaluate, newton = estimators._evaluate, estimators.maximize
+    evaluate = estimators._evaluate
 
     def counted_evaluate(*args):
         passes.append(args[-1])
@@ -748,7 +744,7 @@ def test_row_fit_scores_once_per_evaluation(monkeypatch):
         def counted(beta):
             evaluations.append(beta)
             return objective(beta)
-        return newton(counted, *args, **kwargs)
+        return maximize(counted, *args, **kwargs)
 
     monkeypatch.setattr(estimators, "_evaluate", counted_evaluate)
     monkeypatch.setattr(estimators, "maximize", counted_newton)
@@ -925,7 +921,10 @@ def test_pair_numbering_matches_unique(monkeypatch, n_clusters, table):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     fit = fit_poisson_qmle(m, y, w, clusters=clusters, options=TIGHT)
-    monkeypatch.setattr(estimators, "_number_pairs", _unique_pairs)
+    # every module whose code numbers pairs: the cluster codes, the clustered
+    # meat's (cluster, cell) keys and the class-label units' keys
+    for module in (rrdid.blocks, rrdid.sandwich, estimators):
+        monkeypatch.setattr(module, "_number_pairs", _unique_pairs)
     reference = fit_poisson_qmle(m, y, w, clusters=clusters, options=TIGHT)
     assert fit.vcov_kind == "cluster_sandwich"
     assert fit.vcov.tobytes() == reference.vcov.tobytes()
@@ -1333,11 +1332,10 @@ def test_fractional_logit_takes_the_row_sandwich(monkeypatch, y, units):
     data = RcsDataset(y=np.tile(y, 3), q=np.repeat([0, 1], 6), t=np.tile([0, 1], 6))
     design = build_design(data, DesignSpec(post_period=1, include_period_dummies=False))
     seen = []
-    sandwich = estimators._sandwich
 
     def spy(bread, blocks, resid, clusters=None):
         seen.append(resid.shape)
-        return sandwich(bread, blocks, resid, clusters)
+        return _sandwich(bread, blocks, resid, clusters)
 
     monkeypatch.setattr(estimators, "_sandwich", spy)
     fit = fit_logit_qmle(design, data.y)
@@ -1452,7 +1450,7 @@ def test_clustered_sandwich_peak():
     bread = np.eye(3) * n
     tracemalloc.start()
     try:
-        vcov = estimators._sandwich(bread, blocks, resid, clusters)
+        vcov = _sandwich(bread, blocks, resid, clusters)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1639,3 +1637,38 @@ def test_cluster_codes_match_numpy_unique(labels):
         codes, n_clusters = _cluster_codes(case)
         np.testing.assert_array_equal(codes, expected.reshape(-1))
         assert n_clusters == distinct.size
+
+
+# the names each module split off estimators defines, and the package
+# modules it may import: the imports run one way, so there is no cycle
+_SPLIT = {
+    "rrdid.newton": ({"errors"}, ("FitOptions", "NewtonDiagnostics", "maximize",
+                                  "_newton_directions", "_STEP_HALVINGS")),
+    "rrdid.blocks": ({"design"}, ("_Blocks", "_as_design", "_unit_rows", "_sum_cells",
+                                  "_number_pairs", "_cluster_codes", "_class_pairs",
+                                  "_transposed", "_cross")),
+    "rrdid.rank": ({"blocks", "errors"}, ("_check_full_rank", "_gram_proves_full_rank",
+                                          "_check_full_rank_qr")),
+    "rrdid.sandwich": ({"blocks", "errors"}, ("_Units", "_sandwich")),
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(_SPLIT))
+def test_split_modules_own_their_names(module_name):
+    # each name is defined where it lives, and estimators binds one only
+    # where its own code reads it: a monkeypatch of a name estimators does
+    # not call then raises AttributeError instead of patching nothing
+    allowed, names = _SPLIT[module_name]
+    module = importlib.import_module(module_name)
+    tree = ast.parse(inspect.getsource(module))
+    imports = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert imports <= allowed, imports
+    read = {node.id for node in ast.walk(ast.parse(inspect.getsource(estimators)))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for name in names:
+        value = getattr(module, name)
+        if callable(value):
+            assert value.__module__ == module_name, name
+        assert not hasattr(estimators, name) or name in read, name
+

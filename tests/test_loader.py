@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from rrdid import DesignSpec, build_design, fit_poisson_qmle
 from rrdid import io as csv_io
+from rrdid.blocks import _cluster_codes, _number_pairs
 from rrdid.cli import load_csv_dataset
 from rrdid.errors import ColumnBindingError
-from rrdid.estimators import _cluster_codes, _number_pairs
 
 # column role -> fields both readers accept
 PLAIN = {
