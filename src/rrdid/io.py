@@ -380,18 +380,33 @@ def _gate_lines(handle, n_commas, cluster_index):
 
 # an integer literal, as stripped text; np.loadtxt's i8 fields take these alone
 _INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
+# the lone surrogates that errors="surrogateescape" reads bytes that are not UTF-8 as
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def _numbered_rows(handle):
     """(1-based row number, fields) of each row csv.reader reads from handle;
     a row it cannot read (a field past csv.field_size_limit(), or before
-    Python 3.11 a NUL) is a CsvParseError that names the row."""
+    Python 3.11 a NUL) is a CsvParseError that names the row, and so is the
+    row that holds the file's first byte that is not UTF-8."""
     row_number = 0
     try:
         for row_number, row in enumerate(csv.reader(handle), start=1):
             yield row_number, row
     except csv.Error as exc:
         raise CsvParseError(f"row {row_number + 1}: {exc}") from None
+    except UnicodeDecodeError:
+        # the decoder reads ahead of csv.reader, so neither the row reached
+        # nor the decoder's offset names the row: the rows are read again,
+        # each invalid byte escaped, up to the first row that holds one
+        handle.seek(0)
+        handle.reconfigure(errors="surrogateescape")
+        for row_number, row in _numbered_rows(handle):
+            if escaped := _ESCAPED_BYTE.search(",".join(row)):
+                byte = ord(escaped.group()) - 0xDC00
+                raise CsvParseError(
+                    f"row {row_number}: byte 0x{byte:02x} is not valid UTF-8") from None
+        raise
 
 
 def _read_rows(path, bound, cluster, period):

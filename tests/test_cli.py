@@ -674,6 +674,25 @@ def test_unreadable_row_is_a_csv_parse_error(capsys, tmp_path, command, field):
     assert payload["errors"][0]["message"].startswith("row 3: ")
 
 
+@pytest.mark.parametrize("rows_before", [1, 9000], ids=["row-3", "past-64KiB"])
+def test_file_that_is_not_utf8_names_its_row(capsys, tmp_path, rows_before):
+    # the text decoder reads the file ahead of csv.reader, in chunks, so its
+    # error's offset is into a chunk; the error names the row of the bad byte
+    lines = [b"y,g,t"] + [b"%d,%d,2001" % (i % 7, i % 2) for i in range(rows_before)]
+    lines += [b"2\xff,1,2001", b"1.5,0,2002", b"2.5,1,2002"]
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert rows_before == 1 or path.stat().st_size > 1 << 16
+    code, _, payload = run_json(capsys, [
+        "summarize", "--csv", str(path), "--outcome", "y", "--group", "g",
+        "--period", "t", "--post", "2002",
+    ])
+    assert code == 1
+    assert payload["errors"] == [{"kind": "CsvParseError",
+                                  "message": f"row {rows_before + 2}: byte 0xff is not valid "
+                                             "UTF-8"}]
+
+
 def test_cli_binds_no_loader_internals():
     # a patch of a loader internal on cli would silently do nothing
     moved = [name for name in vars(csv_io) if name.startswith("_") and not name.startswith("__")]
