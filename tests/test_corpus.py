@@ -33,7 +33,7 @@ def load_corpus_script():
 
 
 def _close(got, want):
-    return got == want or math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0)
+    return math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0)
 
 
 def assert_same_json(got, want, where):
