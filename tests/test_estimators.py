@@ -9,6 +9,7 @@ estimators module beyond the fitted numbers themselves.
 import ast
 import importlib
 import inspect
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -892,6 +893,13 @@ def test_cluster_sum_matches_per_cluster_loop(ids):
     np.testing.assert_array_equal(sums, expected)
 
 
+def _package_modules_binding(name):
+    """Every module of the rrdid package that binds name."""
+    modules = [importlib.import_module(f"rrdid.{info.name}")
+               for info in pkgutil.iter_modules(rrdid.__path__)]
+    return [module for module in modules if hasattr(module, name)]
+
+
 def _unique_pairs(keys, size):
     pairs, pair = np.unique(keys, return_inverse=True)
     return pairs, pair.reshape(-1)
@@ -921,9 +929,13 @@ def test_pair_numbering_matches_unique(monkeypatch, n_clusters, table):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     fit = fit_poisson_qmle(m, y, w, clusters=clusters, options=TIGHT)
-    # every module whose code numbers pairs: the cluster codes, the clustered
-    # meat's (cluster, cell) keys and the class-label units' keys
-    for module in (rrdid.blocks, rrdid.sandwich, estimators):
+    # every package module that binds the name, so that none keeps the real
+    # one; blocks (the cluster codes), sandwich (the clustered meat's
+    # (cluster, cell) keys) and estimators (the class-label units' keys) call it
+    modules = _package_modules_binding("_number_pairs")
+    assert {rrdid.blocks, rrdid.sandwich, estimators} <= set(modules)
+    for module in modules:
+        assert module._number_pairs is _number_pairs, module.__name__
         monkeypatch.setattr(module, "_number_pairs", _unique_pairs)
     reference = fit_poisson_qmle(m, y, w, clusters=clusters, options=TIGHT)
     assert fit.vcov_kind == "cluster_sandwich"
