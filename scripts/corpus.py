@@ -11,18 +11,27 @@ so no echoed path or error message holds the scratch directory.
 OUTDIR receives <name>.json and <name>.txt, each command's stdout in the
 two formats, and index.json, which maps each name to its argv and its two
 exit codes. tests/corpus/ holds the corpus as the code wrote it, and
-tests/test_corpus.py regenerates it and compares the two.
+tests/test_corpus.py regenerates it and compares the two within a rounding
+tolerance.
+
+--exact OTHERDIR compares the corpus written (to OUTDIR, or to a scratch
+directory when no OUTDIR is given) with OTHERDIR byte for byte, such as a
+corpus written by another commit. It prints one line per file that differs
+or exists on one side only, with the largest relative movement of the
+numbers in a file that differs, and exits 1 if any file differs.
 
     python scripts/corpus.py OUTDIR
+    python scripts/corpus.py [OUTDIR] --exact OTHERDIR
 """
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
 import random
-import sys
+import re
 import tempfile
 from pathlib import Path
 
@@ -188,13 +197,55 @@ def write_corpus(outdir, workdir=None):
     (outdir / "index.json").write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
 
 
+# a number as the JSON and text outputs write one
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _movement(got, want):
+    """The largest relative difference between the numbers of two texts, in
+    order, or None when the texts differ in more than their numbers."""
+    if _NUMBER.split(got) != _NUMBER.split(want):
+        return None
+    pairs = [(float(a), float(b)) for a, b in zip(_NUMBER.findall(got), _NUMBER.findall(want))]
+    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b), default=0.0)
+
+
+def compare_exact(directory, other):
+    """One line per file of either corpus directory that is not byte for
+    byte the same in the other: its name, with the largest relative movement
+    of its numbers or the way it differs."""
+    directory, other = Path(directory), Path(other)
+    names = sorted({p.name for p in directory.iterdir()} | {p.name for p in other.iterdir()})
+    lines = []
+    for name in names:
+        if not (directory / name).exists() or not (other / name).exists():
+            side = directory if (directory / name).exists() else other
+            lines.append(f"{name}: only in {side}")
+            continue
+        got, want = ((d / name).read_bytes() for d in (directory, other))
+        if got != want:
+            moved = _movement(got.decode("utf-8"), want.decode("utf-8"))
+            lines.append(f"{name}: " + ("differs beyond its numbers" if moved is None else
+                                        f"largest relative movement {moved:.3g}"))
+    return lines
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        sys.stderr.write("usage: corpus.py OUTDIR\n")
-        return 2
-    write_corpus(argv[0])
-    return 0
+    parser = argparse.ArgumentParser(description="Write the output corpus, and compare it "
+                                                 "byte for byte with another.")
+    parser.add_argument("outdir", nargs="?", help="where to write the corpus")
+    parser.add_argument("--exact", metavar="OTHERDIR", help="corpus to compare with")
+    args = parser.parse_args(argv)
+    if args.outdir is None and args.exact is None:
+        parser.error("give OUTDIR, --exact OTHERDIR, or both")
+    with tempfile.TemporaryDirectory() as scratch:
+        write_corpus(args.outdir or scratch)
+        if args.exact is None:
+            return 0
+        lines = compare_exact(args.outdir or scratch, args.exact)
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

@@ -121,7 +121,7 @@ def _transposed(blocks, values):
         parts.append(on_cells @ cell)
     if rows.shape[1]:
         parts.append(values @ rows)
-    return np.concatenate(parts, axis=2), on_cells
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)), on_cells
 
 
 def _cross(blocks, weight, on_cells=None):
@@ -149,5 +149,6 @@ def _cross(blocks, weight, on_cells=None):
             if p2:
                 block[:, p1:] = _transposed(blocks, weight[:, pair, None, :] * rows.T)[0]
                 block[:, :p1, p1:] = block[:, p1:, :p1].transpose(0, 2, 1)
-            out[:, d, :, c, :] = block
+            if c != d:
+                out[:, d, :, c, :] = block
     return out.reshape(n_fits, n_classes * (p1 + p2), n_classes * (p1 + p2))

@@ -11,7 +11,7 @@ units is one contiguous row: OLS, Poisson and logit have one class, the
 multinomial one per non-base category. The logit is the
 one-class softmax, b(eta) = log(1 + e^eta), so it shares the multinomial's
 record functions and its fits equal the two-category multinomial's bit for
-bit. OLS is the identity link b(eta) = eta^2 / 2, solved by one Newton step.
+bit. OLS is the identity link b(eta) = eta^2 / 2, solved by lstsq, not Newton.
 
 One batched Newton driver, _fit, fits every record, and one block evaluator
 (_evaluate, _cross) gives it values, scores and Hessians on the cell and
@@ -21,9 +21,10 @@ outcome ybar_c, as n_c (ybar_c'eta_c - b(eta_c)), and the fit runs on those
 at most 2T cells. A plain array has only row columns, so it runs row by
 row. fit_cell_sums hands the driver many cell datasets at once, and the
 driver decides each dataset's failure kind with array reductions over the
-batch. Linear predictors are clamped at +/- _CAP, and a clamp still active
-at the optimum, or a perfectly predicted outcome, raises instead of
-returning a silently unreliable estimate.
+batch; least squares on cells is a closed form. Linear predictors are
+clamped at +/- _CAP, and a clamp still active at the optimum, or a
+perfectly predicted outcome, raises instead of returning a silently
+unreliable estimate.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .blocks import (_Blocks, _as_design, _class_pairs, _cluster_codes, _cross, 
                      _sum_cells, _transposed, _unit_rows)
 from .errors import (NegativeVarianceError, NonFiniteObjectiveError, OverflowGuardError,
                      SeparationError, SingularDesignError, SingularHessianError)
-from .newton import FitOptions, NewtonDiagnostics, _newton_directions, maximize
+from .newton import FitOptions, NewtonDiagnostics, maximize
 from .rank import _check_full_rank
 from .sandwich import _Units, _sandwich
 
@@ -298,7 +299,8 @@ def _evaluate(family, blocks, y, w, xwy, beta):
             if index is not None:
                 eta = eta.take(index, axis=2)
         if rows.shape[1]:
-            on_rows = coef[:, :, p1:] @ rows.T
+            # a single row column's product rounds each entry once, as a K = 1 matmul does
+            on_rows = coef[:, :, p1:] * rows.T if rows.shape[1] == 1 else coef[:, :, p1:] @ rows.T
             eta = on_rows if eta is None else np.add(eta, on_rows, out=eta)
             del on_rows
         # np.abs makes an all-zero eta's -0.0 a 0.0, as np.abs(eta) would
@@ -343,17 +345,16 @@ def _objective(family, blocks, y, w, last):
     return objective
 
 
-def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
+def _fit(family, blocks, counts, means, options, pure=True):
     """Fit B datasets on the same m units in one batched Newton.
 
     blocks holds the units' design, counts (B, m) each dataset's total
     weight per unit and means (B, C, m) its weighted mean outcome, or class
     shares, per unit; every unit needs a positive count. pure says whether
     the rows of every unit share one outcome, which a perfectly predicted
-    boundary fit needs. Least squares is one Newton step from zero, solved
-    on the batch's normal equations, or with lstsq on each dataset's
-    count-weighted unit rows: the normal equations square the design's
-    condition number, which a covariate such as a calendar year makes large.
+    boundary fit needs. Least squares is lstsq on each dataset's
+    count-weighted unit rows, not the normal equations, which square their
+    condition number; a covariate such as a calendar year makes it large.
     Returns (beta (B, Cp), failures, diag, mean, max_eta): failures[r] is
     None, "not_converged" or the name of the error the fit raises, diag the
     NewtonDiagnostics with the Hessian at beta, mean the fitted unit means
@@ -362,21 +363,16 @@ def _fit(family, blocks, counts, means, options, pure=True, lstsq=False):
     beta = np.zeros((len(counts), (blocks.cell.shape[1] + blocks.rows.shape[1]) * means.shape[1]))
     objective = _objective(family, blocks, means, counts, last := [])
     if family is _GAUSSIAN:
-        if lstsq:
-            # least squares has one class
-            values = _unit_rows(blocks)
-            root = np.sqrt(counts)
-            beta = np.array([np.linalg.lstsq(values * r[:, None], m[0] * r, rcond=None)[0]
-                             for r, m in zip(root, means)])
-            singular = np.zeros(len(beta), bool)
-        else:
-            _, grad, hess = objective(beta)
-            beta, singular = _newton_directions(hess, grad)
+        # least squares has one class
+        values = _unit_rows(blocks)
+        root = np.sqrt(counts)
+        beta = np.array([np.linalg.lstsq(values * r[:, None], m[0] * r, rcond=None)[0]
+                         for r, m in zip(root, means)])
         # the Gaussian Hessian does not depend on beta
         value, grad, hess = objective(beta)
         score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
-        diag = NewtonDiagnostics(np.zeros(len(beta), int), ~singular, score_norm, value,
-                                 singular, hess, np.zeros(len(beta), int))
+        zero = np.zeros(len(beta), int)
+        diag = NewtonDiagnostics(zero, zero == 0, score_norm, value, zero != 0, hess, zero)
     else:
         tol = options.gradient_tolerance * (1.0 + counts.sum(axis=1))
         beta, diag = maximize(objective, beta, options, tolerance=tol)
@@ -473,7 +469,7 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True, n_
     """
     fit_units, counts, means, pure, units = _units(family, blocks, y, w, clusters, n_classes)
     beta, (failure,), diag, mean, max_eta = _fit(family, fit_units, counts[None], means[None],
-                                                 options, pure, lstsq=True)
+                                                 options, pure)
     if failure == "SingularHessianError":
         raise SingularHessianError("Hessian is singular at the current iterate")
     if failure not in (None, "not_converged"):
@@ -596,17 +592,39 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
                         n_classes=n_classes)
 
 
+def _cell_least_squares(values, counts, means):
+    """(B, p) least squares coefficients of B datasets with counts N and means
+    ybar (B, k) on the full-rank cell design X = values (k, p), in closed form.
+
+    The fitted means mu satisfy X'N (ybar - mu) = 0, so N (ybar - mu) = V lam
+    for a basis V of null(X'), and V'mu = 0: lam = (V'N^-1 V)^-1 V'ybar, mu =
+    ybar - N^-1 V lam and beta = X^+ mu, with V and X^+ from one SVD of X.
+    Every sum reduces elementwise products within one dataset, so its bits
+    do not depend on the batch.
+    """
+    u, s, vt = np.linalg.svd(values)
+    null, pinv = u[:, len(s):].T, (vt.T / s) @ u[:, :len(s)].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(null):
+            scaled = null / counts[:, None]
+            gram = np.sum(scaled[:, :, None] * null, axis=-1)
+            lam = np.linalg.solve(gram, np.sum(null * means[:, None], axis=-1)[..., None])
+            means = means - np.sum(scaled * lam, axis=1)
+        return np.sum(pinv * means[:, None], axis=-1)
+
+
 def fit_cell_sums(family, X, counts, sums):
     """Fit B datasets whose regressors are constant within cells, in one batch.
 
     X (k, p) holds the design row of each of k cells; counts and sums (B, k)
     hold each dataset's total weight and weighted outcome sum per cell. The
-    fits depend on the data only through these sums, so this is the batch
-    entry to the driver behind every fit: dataset r's fit equals, up to
-    rounding, the row-level fit_ols, fit_poisson_qmle or fit_logit_qmle
-    (family "ols", "poisson_qmle" or "logit_qmle") of its rows at the
-    default FitOptions, with the same stopping rules and guards (a cell
-    counts as perfectly predicted from its mean alone). Returns
+    fits depend on the data only through these sums: dataset r's fit equals,
+    up to rounding, the row-level fit_ols, fit_poisson_qmle or
+    fit_logit_qmle (family "ols", "poisson_qmle" or "logit_qmle") of its
+    rows. The QMLEs run the driver behind every fit at the default
+    FitOptions, with the same stopping rules and guards (a cell counts as
+    perfectly predicted from its mean alone); OLS is a closed form on the
+    cells (_cell_least_squares), with no stopping rule. Returns
     (coefficients (B, p), failures): failures[r] is None for a converged
     fit, "not_converged", or the name of the error the row-level fit raises
     (SingularDesignError, SingularHessianError, OverflowGuardError,
@@ -633,25 +651,31 @@ def fit_cell_sums(family, X, counts, sums):
 
     coefficients = np.full((counts.shape[0], values.shape[1]), np.nan)
     failures = ["SingularDesignError"] * counts.shape[0]
-    # one rank check per pattern of empty cells
-    patterns, which = np.unique(counts > 0, axis=0, return_inverse=True)
-    for j, keep in enumerate(patterns):
+    # one rank check per pattern of empty cells, numbered by its packed bits
+    filled = counts > 0
+    packed = np.packbits(filled, axis=1)
+    _, first, which = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1),
+                                return_index=True, return_inverse=True)
+    for j, keep in enumerate(filled[first]):
         rows = np.flatnonzero(which.reshape(-1) == j)
         cells = _Blocks(values[keep], np.empty((int(keep.sum()), 0)), None)
         try:
             _check_full_rank(cells, np.ones(len(cells.cell)), names)
         except SingularDesignError:
             continue  # these rows keep their SingularDesignError
-        y, w = means[rows][:, keep], counts[rows][:, keep]
+        # contiguous, so that each dataset's sums do not depend on the batch
+        y, w = (np.ascontiguousarray(a[rows][:, keep]) for a in (means, counts))
         if record is _POISSON:
             zero = _identically_zero(w, y)
             for r in rows[zero]:
                 failures[r] = "OverflowGuardError"
             rows, y, w = rows[~zero], y[~zero], w[~zero]
-        beta, kinds, *_ = _fit(record, cells, w, y[:, None], FitOptions())
+        if record is _GAUSSIAN:
+            beta, kinds = _cell_least_squares(cells.cell, w, y), [None] * len(rows)
+        else:
+            beta, kinds, *_ = _fit(record, cells, w, y[:, None], FitOptions())
         fitted = np.array([kind is None for kind in kinds], bool)
         coefficients[rows[fitted]] = beta[fitted]
         for r, kind in zip(rows, kinds):
             failures[r] = kind
     return coefficients, failures
-

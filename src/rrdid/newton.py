@@ -104,8 +104,9 @@ def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None
             # accept any non-decrease up to rounding noise
             accept = searching & np.isfinite(cand_value) & (
                 cand_value >= value - 1e-12 * (1 + np.abs(value)))
-            beta[accept], value[accept] = candidate[accept], cand_value[accept]
-            grad[accept], hess[accept] = cand_grad[accept], cand_hess[accept]
+            for kept, new in zip((beta, value, grad, hess), (candidate, cand_value, cand_grad,
+                                                             cand_hess)):
+                np.copyto(kept, new, where=accept.reshape((-1,) + (1,) * (kept.ndim - 1)))
             searching &= ~accept
             if not searching.any():
                 break

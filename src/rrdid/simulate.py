@@ -10,8 +10,9 @@ The Monte Carlo driver keeps only each draw's (q, t) cell counts and outcome
 sums and fits every replication from them, all replications in one batch.
 Its draw takes every random variate the panel draw takes, in the same order,
 so its cells are bit for bit those of panel_to_rcs(dgp_draw(...)), but it
-forms only the outcome of each subject's kept period. Each family's outcome
-formula is written once (_outcomes) and serves both draws.
+forms only the outcome of each subject's kept period, and it reduces each
+draw to its cells before the next: no batch of draws is concatenated. Each
+family's outcome formula is written once (_outcomes) and serves both draws.
 
 Outcome families:
     positive   Y = exp(lin + N(0,1))
@@ -201,7 +202,8 @@ def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
 
     lin is the (2, 4) _linear_index table. Each returned array ends in the
     (n, 4) subject and period axes, so the outcomes of any set of entries are
-    _outcomes of the arrays indexed there.
+    _outcomes of the arrays indexed there. The caller ignores overflow: the
+    rate and outcome checks decide on it.
     """
     n = q.size
     family = scenario.family
@@ -210,8 +212,7 @@ def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
     if family == "count":
         if scenario.count_shared_rate_intercept:
             lin = lin - np.asarray(scenario.betas_t)[None, :] + scenario.betas_t[1]
-        with np.errstate(over="ignore"):
-            rate = np.exp(lin)[q]
+        rate = np.exp(lin)[q]
         if not np.all(rate <= _POISSON_RATE_MAX):
             raise ValueError("DGP produced a Poisson rate too large to draw from; "
                              "check parameters")
@@ -231,21 +232,20 @@ def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
 def _outcomes(scenario: Scenario, lin: np.ndarray, variates: tuple) -> np.ndarray:
     """Outcomes of a set of (subject, period) entries from their index and variates."""
     family = scenario.family
-    with np.errstate(over="ignore"):
-        if family == "positive":
-            (z,) = variates
-            y = np.exp(lin + z)
-        elif family == "count":
-            (k,) = variates
-            y = k.astype(float)
-        elif family == "censored":
-            m, z = variates
-            y = np.zeros(lin.shape)
-            for j in range(z.shape[0]):
-                y += np.where(m > j, np.exp(lin + z[j]), 0.0)
-        else:  # binary
-            (u,) = variates
-            y = (lin + u > 0).astype(float)
+    if family == "positive":
+        (z,) = variates
+        y = np.exp(lin + z)
+    elif family == "count":
+        (k,) = variates
+        y = k.astype(float)
+    elif family == "censored":
+        m, z = variates
+        y = np.zeros(lin.shape)
+        for j in range(z.shape[0]):
+            y += np.where(m > j, np.exp(lin + z[j]), 0.0)
+    else:  # binary
+        (u,) = variates
+        y = (lin + u > 0).astype(float)
     if not np.isfinite(y).all():
         raise ValueError("DGP produced non-finite outcomes; check parameters")
     return y
@@ -265,8 +265,9 @@ def _draw_panel(scenario: Scenario, rng: np.random.Generator) -> Panel:
         return Panel(y=y, q=q)
 
     lin = _linear_index(scenario)
-    variates = _draw_variates(scenario, lin, q, rng)
-    return Panel(y=_outcomes(scenario, lin[q], variates), q=q)
+    with np.errstate(over="ignore"):
+        variates = _draw_variates(scenario, lin, q, rng)
+        return Panel(y=_outcomes(scenario, lin[q], variates), q=q)
 
 
 def dgp_draw(scenario: Scenario, replication_index: int,
@@ -305,36 +306,34 @@ def _sample_periods(panel: Panel, rng: np.random.Generator):
     return panel.y[np.arange(t.size), t], t
 
 
-def _draw_kept(scenario: Scenario, lin: np.ndarray, rng: np.random.Generator):
-    """(cell, y) of each subject's kept period, as _draw_cells describes.
-
-    lin is the scenario's _linear_index table; cell is q * N_PERIODS + t.
-    """
-    n = scenario.n
-    q = _draw_group(n, rng)
-    variates = _draw_variates(scenario, lin, q, rng)
-    t = rng.integers(0, N_PERIODS, size=n)
-    rows = np.arange(n)
-    y = _outcomes(scenario, lin[q, t], tuple(v[..., rows, t] for v in variates))
-    return q * N_PERIODS + t, y
-
-
 def _draw_cells(scenario: Scenario, rngs):
     """(counts, sums) of the _CELLS cells of one draw from each of rngs, as
     (len(rngs), 8) float arrays.
 
-    Bit for bit the cells of panel_to_rcs(dgp_draw(...)) on the same rng: the
+    Bit for bit the cells of panel_to_rcs(dgp_draw(...)) on the same rng: each
     draw takes every random variate _draw_panel and _sample_periods take, in
-    their order, but forms only the outcome of each subject's kept period.
-    Only those outcomes are checked for overflow. One bincount over the batch
-    adds each cell's outcomes in the order a bincount of that draw would.
+    their order, but forms only the outcome of each subject's kept period,
+    and only those outcomes are checked for overflow. Each draw is reduced to
+    its cells, by a bincount as for its own rows, before the next is drawn,
+    so no array spans the batch's subjects.
     """
+    n = scenario.n
     lin = _linear_index(scenario)
-    cells, ys = zip(*[_draw_kept(scenario, lin, rng) for rng in rngs])
-    ids = np.concatenate(cells) + np.repeat(np.arange(len(cells)) * _CELLS.n, scenario.n)
-    size = len(cells) * _CELLS.n
-    counts = np.bincount(ids, minlength=size).reshape(-1, _CELLS.n).astype(float)
-    sums = np.bincount(ids, weights=np.concatenate(ys), minlength=size).reshape(-1, _CELLS.n)
+    # each subject's first entry in the flattened subject and period axes
+    first = np.arange(0, n * N_PERIODS, N_PERIODS)
+    counts, sums = np.empty((2, len(rngs), _CELLS.n))
+    with np.errstate(over="ignore"):
+        for rng, count, total in zip(rngs, counts, sums):
+            q = _draw_group(n, rng)
+            variates = _draw_variates(scenario, lin, q, rng)
+            t = rng.integers(0, N_PERIODS, size=n)
+            kept = first + t
+            cell = q * N_PERIODS + t
+            y = _outcomes(scenario, lin.reshape(-1).take(cell),
+                          tuple(v.reshape(v.shape[:-2] + (n * N_PERIODS,)).take(kept, axis=-1)
+                                for v in variates))
+            count[:] = np.bincount(cell, minlength=_CELLS.n)
+            total[:] = np.bincount(cell, weights=y, minlength=_CELLS.n)
     return counts, sums
 
 
@@ -403,14 +402,15 @@ def run_monte_carlo(scenario: Scenario, counterfactual_transform_mean: bool = Fa
     Each replication fits the family's QMLE (Poisson for the exponential-mean
     families, logit for binary) and the linear DD regression on the same
     design (period dummies, group, group trend, treatment). Regressors are
-    constant within the eight (q, t) cells, so _draw_cells collapses a batch
-    of draws to their cell counts and sums, and fit_cell_sums fits the batch
-    with the row-level fits' stopping rules and guards. The estimates are one
-    replications x rows array, summarized over a mask of the fitted
-    replications. Replications whose QMLE fails are excluded; more than 5%
-    failures aborts. A fitted draw whose transform is NaN (undefined) is
-    redrawn in full, extending only that replication's stream, within a
-    smaller batch. The draws run in one thread, in replication order.
+    constant within the eight (q, t) cells, so _draw_cells reduces each draw
+    to its cell counts and sums as it draws it, and fit_cell_sums fits the
+    batch: the QMLE with the row-level fits' stopping rules and guards, the
+    linear DD in closed form. The estimates are one replications x rows
+    array, summarized over a mask of the fitted replications. Replications
+    whose QMLE fails are excluded; more than 5% failures aborts. A fitted
+    draw whose transform is NaN (undefined) is redrawn in full, extending
+    only that replication's stream, within a smaller batch. The draws run in
+    one thread, in replication order.
 
     counterfactual_transform_mean rescales the transform by the implied
     untreated mean (observed treated-post mean minus the DD estimate)

@@ -173,3 +173,24 @@ def test_corpus_comparison_takes_rounding_noise():
                   line.format("2.73e-12").replace("True", "False")):
         with pytest.raises(AssertionError):
             assert_same_text(moved, line.format("2.73e-12"), "t")
+
+
+def test_exact_comparison_names_each_moved_file(tmp_path):
+    corpus = load_corpus_script()
+    here, there = tmp_path / "here", tmp_path / "there"
+    for directory in (here, there):
+        directory.mkdir()
+        (directory / "same.json").write_text('{"sd": 0.25, "n": 20}\n')
+    (here / "moved.json").write_text('{"sd": 0.5000000000000001, "n": 20}\n')
+    (there / "moved.json").write_text('{"sd": 0.5, "n": 20}\n')
+    (here / "worded.txt").write_text("sd 0.5 over 20 reps\n")
+    (there / "worded.txt").write_text("sd 0.5 over 20 replications\n")
+    (there / "extra.txt").write_text("")
+    assert corpus.compare_exact(here, there) == [
+        f"extra.txt: only in {there}",
+        "moved.json: largest relative movement 2.22e-16",
+        "worded.txt: differs beyond its numbers",
+    ]
+    assert corpus.compare_exact(here, here) == []
+    with pytest.raises(SystemExit):
+        corpus.main([])

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from rrdid import (
+    DesignSpec,
     MultinomialClassParams,
+    RcsDataset,
     build_design,
     fit_logit_qmle,
     fit_ols,
@@ -28,7 +30,8 @@ from rrdid.errors import (
     SingularHessianError,
 )
 from rrdid.estimators import fit_cell_sums
-from rrdid.simulate import _CELLS, _DESIGN, N_PERIODS, POST_PERIOD, _draw_cells
+from rrdid.simulate import (_CELLS, _DESIGN, _POISSON_RATE_MAX, N_PERIODS, POST_PERIOD,
+                            _draw_cells)
 
 
 def scenario(**kw):
@@ -301,6 +304,69 @@ def test_draw_cells_matches_the_panel_draw(family, n, switch,
             assert fast[j].bit_generator.state == slow[j].bit_generator.state
 
 
+@pytest.mark.parametrize("family", ["positive", "count", "censored", "binary"])
+@pytest.mark.parametrize("n", [1, 2, 250, 1000])
+@pytest.mark.parametrize("switch", [False, True])
+def test_draw_cells_matches_each_replication_bit_for_bit(family, n, switch):
+    # each draw is reduced to its cells on its own; a batch of them must give
+    # every replication's own cells, at the sizes of the tables too
+    sc = Scenario(family=family, n=n, repetitions=3, seed=7, beta_qtau=0.5, beta_d=0.5,
+                  count_shared_rate_intercept=switch and family == "count",
+                  censored_extra_term=switch and family == "censored")
+    fast = [replication_rng(sc.seed, r) for r in range(3)]
+    slow = [replication_rng(sc.seed, r) for r in range(3)]
+    for _ in range(2):
+        counts, sums = _draw_cells(sc, fast)
+        for r in range(3):
+            data = panel_to_rcs(dgp_draw(sc, r, rng=slow[r]), sc, r, rng=slow[r])
+            cell = data.q * N_PERIODS + data.t
+            assert counts[r].tobytes() == np.bincount(
+                cell, minlength=_CELLS.n).astype(float).tobytes()
+            assert sums[r].tobytes() == np.bincount(cell, weights=data.y,
+                                                    minlength=_CELLS.n).tobytes()
+
+
+def _raises_value_error(draw):
+    try:
+        draw()
+    except ValueError as err:
+        return str(err).split(";")[0]
+    return None
+
+
+@pytest.mark.parametrize("family, params", [
+    # exp(lin + z) overflows in the treated post cell only, for most z
+    ("positive", dict(beta_d=710.5)),
+    # the Poisson rate is too large to draw in the treated post cell only
+    ("count", dict(beta_d=44.5)),
+])
+def test_draw_cells_raises_on_the_same_draws(family, params):
+    # the reference follows each replication's stream by hand: a kept
+    # outcome that is not finite, or any subject's rate past the largest
+    # that Generator.poisson takes, raises, whether or not it is kept
+    sc = scenario(family=family, n=2, **params)
+    raised = set()
+    for rep in range(60):
+        got = _raises_value_error(lambda: _draw_cells(sc, [replication_rng(sc.seed, rep)]))
+        rng = replication_rng(sc.seed, rep)
+        q = (rng.random(sc.n) < 0.5).astype(np.int64)
+        lin = np.array([[linear_index(sc, g, t) for t in range(N_PERIODS)] for g in (0, 1)])
+        if family == "positive":
+            z = rng.standard_normal((sc.n, N_PERIODS))
+            t = rng.integers(0, N_PERIODS, size=sc.n)
+            with np.errstate(over="ignore"):
+                kept = np.exp(lin[q, t] + z[np.arange(sc.n), t])
+            want = None if np.isfinite(kept).all() else "DGP produced non-finite outcomes"
+        else:
+            with np.errstate(over="ignore"):
+                rate = np.exp(lin)[q]
+            want = (None if np.all(rate <= _POISSON_RATE_MAX) else
+                    "DGP produced a Poisson rate too large to draw from")
+        assert got == want, rep
+        raised.add(got)
+    assert None in raised and len(raised) == 2
+
+
 @pytest.mark.parametrize("family, params, message", [
     ("positive", dict(betas_t=(800.0,) * 4), "non-finite outcomes"),
     ("censored", dict(betas_t=(800.0,) * 4), "non-finite outcomes"),
@@ -375,7 +441,9 @@ def test_run_monte_carlo_redraws_on_undefined_transform():
 
 def test_run_monte_carlo_mixes_failures_and_redraws():
     # at n = 30 some draws fail and some are redrawn, and one of the two
-    # failures comes from a redraw batch; counts and rows are pinned exactly
+    # failures comes from a redraw batch; the counts are pinned exactly, and
+    # the rows to 1e-12, since a change in the fits' summation order moves
+    # them by a few ulps
     sc = Scenario(family="positive", n=30, repetitions=40, seed=3, beta_d=-0.5)
     summary = run_monte_carlo(sc)
     assert summary.redraw_count == 24
@@ -397,7 +465,7 @@ def test_run_monte_carlo_mixes_failures_and_redraws():
     for key, (abs_bias, sd, rmse) in expected.items():
         row = summary.rows[key]
         assert (row.abs_bias, row.sd, row.rmse) == pytest.approx((abs_bias, sd, rmse),
-                                                                 rel=1e-15, abs=0)
+                                                                 rel=1e-12, abs=0)
 
 
 def test_run_monte_carlo_aborts_on_frequent_failures():
@@ -472,6 +540,40 @@ def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep)
         assert failure == (None if fit.converged else "not_converged")
         if failure is None and (finite or name == "ols"):
             np.testing.assert_allclose(beta[0], fit.coefficients, rtol=0, atol=1e-9)
+
+
+@given(st.lists(st.integers(0, 4), min_size=2 * N_PERIODS, max_size=2 * N_PERIODS),
+       st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+# every cell filled; one empty (saturated with the trend); two empty
+@example([3, 1, 2, 4, 1, 2, 3, 1], 0, True)
+@example([3, 1, 2, 0, 1, 2, 3, 1], 1, True)
+@example([3, 1, 0, 4, 1, 2, 0, 1], 2, True)
+# no group trend: k - p = 2, and k - p = 1 with one empty cell
+@example([3, 1, 2, 4, 1, 2, 3, 1], 3, False)
+@example([0, 1, 2, 4, 1, 2, 3, 1], 4, False)
+def test_cell_least_squares_matches_fit_ols(per_cell, seed, trend):
+    # the closed form on cell sums against lstsq on the rows themselves
+    counts = np.array(per_cell, float)
+    if not counts.any():
+        return
+    rng = np.random.default_rng(seed)
+    cell = np.repeat(np.arange(2 * N_PERIODS), per_cell)
+    y = rng.normal(5.0, 3.0, cell.size) * 10.0 ** rng.integers(-3, 4)
+    data = RcsDataset(y=y, q=cell // N_PERIODS, t=cell % N_PERIODS, n_periods=N_PERIODS)
+    spec = DesignSpec(post_period=POST_PERIOD, include_period_dummies=True,
+                      include_group_trend=trend)
+    sums = np.bincount(cell, weights=y, minlength=2 * N_PERIODS)
+    beta, (failure,) = fit_cell_sums("ols", build_design(_CELLS, spec), counts[None], sums[None])
+    try:
+        fit = fit_ols(build_design(data, spec), y)
+    except SingularDesignError:
+        assert failure == "SingularDesignError"
+        assert np.isnan(beta).all()
+        return
+    assert failure is None
+    scale = 1.0 + np.max(np.abs(fit.coefficients))
+    assert np.max(np.abs(beta[0] - fit.coefficients)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("family, qmle", [("positive", "poisson_qmle"),
