@@ -17,8 +17,10 @@ tolerance.
 --exact OTHERDIR compares the corpus written (to OUTDIR, or to a scratch
 directory when no OUTDIR is given) with OTHERDIR byte for byte, such as a
 corpus written by another commit. It prints one line per file that differs
-or exists on one side only, with the largest relative movement of the
-numbers in a file that differs, and exits 1 if any file differs.
+or exists on one side only: "counts differ" when a number written without
+a point or an exponent changed (a failure or redraw count, an iteration
+count, an exit code), and the largest relative movement of the other
+numbers. It exits 1 if any file differs.
 
     python scripts/corpus.py OUTDIR
     python scripts/corpus.py [OUTDIR] --exact OTHERDIR
@@ -197,17 +199,25 @@ def write_corpus(outdir, workdir=None):
     (outdir / "index.json").write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
 
 
-# a number as the JSON and text outputs write one
+# a number as the JSON and text outputs write one; a count has no point or exponent
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_COUNT = re.compile(r"[-+]?\d+")
 
 
 def _movement(got, want):
-    """The largest relative difference between the numbers of two texts, in
-    order, or None when the texts differ in more than their numbers."""
+    """(whether a count differs, the largest relative difference between the
+    other numbers) of two texts' numbers, in order, or None when the texts
+    differ in more than their numbers."""
     if _NUMBER.split(got) != _NUMBER.split(want):
         return None
-    pairs = [(float(a), float(b)) for a, b in zip(_NUMBER.findall(got), _NUMBER.findall(want))]
-    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b), default=0.0)
+    counts, moved = False, 0.0
+    for a, b in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
+        if _COUNT.fullmatch(a) and _COUNT.fullmatch(b):
+            counts |= int(a) != int(b)
+        elif float(a) != float(b):
+            a, b = float(a), float(b)
+            moved = max(moved, abs(a - b) / max(abs(a), abs(b)))
+    return counts, moved
 
 
 def compare_exact(directory, other):
@@ -224,9 +234,15 @@ def compare_exact(directory, other):
             continue
         got, want = ((d / name).read_bytes() for d in (directory, other))
         if got != want:
-            moved = _movement(got.decode("utf-8"), want.decode("utf-8"))
-            lines.append(f"{name}: " + ("differs beyond its numbers" if moved is None else
-                                        f"largest relative movement {moved:.3g}"))
+            movement = _movement(got.decode("utf-8"), want.decode("utf-8"))
+            if movement is None:
+                lines.append(f"{name}: differs beyond its numbers")
+                continue
+            counts, moved = movement
+            parts = ["counts differ"] if counts else []
+            if moved or not counts:
+                parts.append(f"largest relative movement {moved:.3g}")
+            lines.append(f"{name}: " + ", ".join(parts))
     return lines
 
 

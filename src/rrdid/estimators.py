@@ -21,18 +21,22 @@ outcome ybar_c, as n_c (ybar_c'eta_c - b(eta_c)), and the fit runs on those
 at most 2T cells. A plain array has only row columns, so it runs row by
 row. fit_cell_sums hands the driver many cell datasets at once, and the
 driver decides each dataset's failure kind with array reductions over the
-batch; least squares on cells is a closed form. Linear predictors are
-clamped at +/- _CAP, and a clamp still active at the optimum, or a
-perfectly predicted outcome, raises instead of returning a silently
-unreliable estimate.
+batch. On cells, weighted least squares is a closed form on the null space
+of X' (_cell_least_squares), from one SVD per pattern of empty cells: it is
+the linear fit, and it is each Newton direction of the cell QMLEs, the
+weighted fit of their working residuals (_cell_newton_directions), so those
+fits form no Hessian. Linear predictors are clamped at +/- _CAP, and a
+clamp still active at the optimum, or a perfectly predicted outcome,
+raises instead of returning a silently unreliable estimate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,8 +44,8 @@ from .blocks import (_Blocks, _as_design, _class_pairs, _cluster_codes, _cross, 
                      _sum_cells, _transposed, _unit_rows)
 from .errors import (NegativeVarianceError, NonFiniteObjectiveError, OverflowGuardError,
                      SeparationError, SingularDesignError, SingularHessianError)
-from .newton import FitOptions, NewtonDiagnostics, maximize
-from .rank import _check_full_rank
+from .newton import FitOptions, NewtonDiagnostics, _newton_directions, maximize
+from .rank import _check_full_rank, _eigenvalues_prove_full_rank
 from .sandwich import _Units, _sandwich
 
 __all__ = [
@@ -273,11 +277,14 @@ def _class_matrix(labels, n_classes):
     return (labels == np.arange(1, n_classes + 1)[:, None]).astype(float)
 
 
-def _evaluate(family, blocks, y, w, xwy, beta):
+def _evaluate(family, blocks, y, w, xwy, beta, hessian=True):
     """(value, grad, hess, max_eta, mean) of B fits on the same m units at beta.
 
     y is (B, C, m), w (B, m), xwy (B, C, p) the fits' X'Wy and beta (B, Cp);
     max_eta (B,) is each fit's largest |linear predictor|, before the cap.
+    With hessian False, for a one-class fit whose direction rule needs no
+    p x p Hessian, hess is (B, 2, m): each unit's curvature weight w
+    b''(eta) and its working residual w (y - b'(eta)).
     wm = w b'(eta), formed once in eta's buffer (unless the mean is eta),
     gives the score xwy - X'wm, whose per-cell sums of wm serve the
     Hessian's cell block when the curvature is wm (Poisson); the value is
@@ -306,11 +313,12 @@ def _evaluate(family, blocks, y, w, xwy, beta):
         # np.abs makes an all-zero eta's -0.0 a 0.0, as np.abs(eta) would
         max_eta = np.abs(np.maximum(eta.max(axis=(1, 2)), -eta.min(axis=(1, 2))))
         capped = np.zeros(len(beta), bool) if family.guard is None else ~(max_eta < _CAP)
-        if capped.any():
+        any_capped = capped.any()
+        if any_capped:
             np.clip(eta, -_CAP, _CAP, out=eta)
         cumulant, mean = family.moments(eta)
         value = np.einsum("bcp,bcp->b", coef, xwy) - np.einsum("bm,bm->b", w, cumulant)
-        if capped.any():
+        if any_capped:
             inner = np.sum(y[capped] * eta[capped], axis=1) - cumulant[capped]
             value[capped] = np.sum(w[capped] * inner, axis=1)
         del cumulant
@@ -318,6 +326,9 @@ def _evaluate(family, blocks, y, w, xwy, beta):
         on_wm, wm_cells = _transposed(blocks, wm)
         grad = (xwy - on_wm).reshape(beta.shape)
         curvature = family.curvature(w, wm, mean)
+        if not hessian:
+            residual = np.subtract(w[:, None] * y, wm)
+            return value, grad, np.concatenate((curvature, residual), axis=1), max_eta, mean
         hess = -_cross(blocks, curvature, wm_cells if curvature is wm else None)
     return value, grad, hess, max_eta, mean
 
@@ -327,25 +338,26 @@ def _identically_zero(w, y):
     return np.sum(w * y, axis=-1) == 0.0
 
 
-def _objective(family, blocks, y, w, last):
+def _objective(family, blocks, y, w, last, hessian=True):
     """maximize's objective: (value, grad, hess) of B fits at beta (B, Cp),
-    with the outcome taken in once, as X'Wy.
+    with the outcome taken in once, as X'Wy; hessian as _evaluate's.
 
     The list last holds the latest evaluation's (beta, max_eta, mean) alone:
     it is emptied before each evaluation, so the previous one's means are
     freed before the next allocates its own.
     """
     xwy, _ = _transposed(blocks, np.multiply(w[:, None], y, order="C"))
+    evaluate = _evaluate if hessian else functools.partial(_evaluate, hessian=False)
 
     def objective(beta):
         last.clear()
-        value, grad, hess, max_eta, mean = _evaluate(family, blocks, y, w, xwy, beta)
+        value, grad, hess, max_eta, mean = evaluate(family, blocks, y, w, xwy, beta)
         last.append((beta.copy(), max_eta, mean))
         return value, grad, hess
     return objective
 
 
-def _fit(family, blocks, counts, means, options, pure=True):
+def _fit(family, blocks, counts, means, options, pure=True, basis=None):
     """Fit B datasets on the same m units in one batched Newton.
 
     blocks holds the units' design, counts (B, m) each dataset's total
@@ -355,13 +367,17 @@ def _fit(family, blocks, counts, means, options, pure=True):
     boundary fit needs. Least squares is lstsq on each dataset's
     count-weighted unit rows, not the normal equations, which square their
     condition number; a covariate such as a calendar year makes it large.
-    Returns (beta (B, Cp), failures, diag, mean, max_eta): failures[r] is
-    None, "not_converged" or the name of the error the fit raises, diag the
-    NewtonDiagnostics with the Hessian at beta, mean the fitted unit means
-    (B, C, m) and max_eta each fit's largest |linear predictor|, before the cap.
+    A one-class fit on cells may pass their _CellBasis, and its Newton
+    directions are then _cell_newton_directions, from the cells' curvature
+    weights and working residuals instead of the Hessian. Returns (beta (B,
+    Cp), failures, diag, mean, max_eta): failures[r] is None,
+    "not_converged" or the name of the error the fit raises, diag the
+    NewtonDiagnostics with the Hessian at beta (with a basis, the weights
+    and residuals), mean the fitted unit means (B, C, m) and max_eta each
+    fit's largest |linear predictor|, before the cap.
     """
     beta = np.zeros((len(counts), (blocks.cell.shape[1] + blocks.rows.shape[1]) * means.shape[1]))
-    objective = _objective(family, blocks, means, counts, last := [])
+    objective = _objective(family, blocks, means, counts, last := [], hessian=basis is None)
     if family is _GAUSSIAN:
         # least squares has one class
         values = _unit_rows(blocks)
@@ -375,7 +391,11 @@ def _fit(family, blocks, counts, means, options, pure=True):
         diag = NewtonDiagnostics(zero, zero == 0, score_norm, value, zero != 0, hess, zero)
     else:
         tol = options.gradient_tolerance * (1.0 + counts.sum(axis=1))
-        beta, diag = maximize(objective, beta, options, tolerance=tol)
+        if basis is None:
+            beta, diag = maximize(objective, beta, options, tolerance=tol)
+        else:
+            beta, diag = maximize(objective, beta, options, tol,
+                                  functools.partial(_cell_newton_directions, basis))
     # the bread is the Hessian of the last accepted step; the means are the
     # last evaluation's when it was at beta, in every fit of the batch
     if not (last and np.array_equal(last[0][0], beta)):
@@ -592,25 +612,105 @@ def fit_multinomial_logit(X, y, weights=None, clusters=None, options: FitOptions
                         n_classes=n_classes)
 
 
-def _cell_least_squares(values, counts, means):
-    """(B, p) least squares coefficients of B datasets with counts N and means
-    ybar (B, k) on the full-rank cell design X = values (k, p), in closed form.
+class _CellBasis(NamedTuple):
+    """What a full-rank cell design X (k, p) contributes to every weighted
+    least squares fit on it, from one SVD: null (k - p, k), whose
+    orthonormal rows V span null(X'), pinv_t (k, p), the transpose of X^+,
+    and sums (k, k + 1), [1 - I | 1], whose product with a cell vector gives
+    its sum over the other cells of each cell and its total."""
 
-    The fitted means mu satisfy X'N (ybar - mu) = 0, so N (ybar - mu) = V lam
-    for a basis V of null(X'), and V'mu = 0: lam = (V'N^-1 V)^-1 V'ybar, mu =
-    ybar - N^-1 V lam and beta = X^+ mu, with V and X^+ from one SVD of X.
-    Every sum reduces elementwise products within one dataset, so its bits
-    do not depend on the batch.
+    null: np.ndarray
+    pinv_t: np.ndarray
+    sums: np.ndarray
+
+
+def _cell_basis(values, names):
+    """The _CellBasis of the cell design values (k, p), whose columns are
+    named names, or the SingularDesignError of _check_full_rank.
+
+    The rank test shares the SVD: when the squared singular values, the
+    Gram's eigenvalues, prove full rank (_eigenvalues_prove_full_rank),
+    _check_full_rank is skipped; a closer call, or fewer cells than columns,
+    is left to it. A cell whose row is in no linear dependency of the
+    rows (one saturated by its own column, as treat saturates the treated
+    post cell) has a zero entry in every row of V. The SVD leaves rounding
+    there, of order k eps cond(X), which a fit would multiply by that cell's
+    inverse weight, so entries that small are set to the zero they stand
+    for.
     """
     u, s, vt = np.linalg.svd(values)
-    null, pinv = u[:, len(s):].T, (vt.T / s) @ u[:, :len(s)].T
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(null):
-            scaled = null / counts[:, None]
-            gram = np.sum(scaled[:, :, None] * null, axis=-1)
-            lam = np.linalg.solve(gram, np.sum(null * means[:, None], axis=-1)[..., None])
-            means = means - np.sum(scaled * lam, axis=1)
-        return np.sum(pinv * means[:, None], axis=-1)
+    k = len(values)
+    if not (len(s) == values.shape[1] and _eigenvalues_prove_full_rank(s[::-1] ** 2, k)):
+        _check_full_rank(_Blocks(values, np.empty((k, 0)), None), np.ones(k), names)
+    null = u[:, len(s):].T
+    null = np.where(np.abs(null) <= k * np.finfo(float).eps * s[0] / s[-1], 0.0, null)
+    return _CellBasis(null, u[:, :len(s)] @ (vt / s[:, None]),
+                      np.hstack([1.0 - np.eye(k), np.ones((k, 1))]))
+
+
+def _cell_least_squares(basis, weights, weighted):
+    """((B, p) coefficients, singular (B,)) of the weighted least squares
+    fits of B datasets with cell weights W and weighted responses u = W z
+    (B, k) on the cell design X of basis, in closed form: for OLS the cell
+    counts and sums, for a Newton step the curvature weights and working
+    residuals.
+
+    The fitted values mu satisfy X'W (z - mu) = 0, so W (z - mu) = V'lam
+    for the rows V of basis.null, and V mu = 0: with D = W^-1, lam =
+    (V D V')^-1 V z, mu = D (u - V'lam) and beta = X^+ mu. With
+    k - p = 1, as in the paper's design, lam is a division, and mu_i =
+    D_i (u_i G_i - v_i R_i) / G, with G the sum of D_k v_k^2 and G_i and
+    R_i the sums of D_k v_k^2 and D_k v_k u_k over the other cells k != i:
+    a cell of tiny weight (huge D_i) enters mu_i only through D_i, where
+    u_i - v_i lam would lose D_i eps to cancellation. A larger gram V D V'
+    is solved as a Hessian is. A fit is singular, and its coefficients are
+    not to be used, when its gram is not finite and positive (a zero weight
+    makes it infinite), or a solve of its gram fails. Every product is a
+    stacked matmul, one per dataset, so a dataset's bits do not depend on
+    its batch.
+    """
+    null, pinv_t, sums = basis
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inverse = 1.0 / weights
+        if len(null) == 1:
+            v = null[0]
+            terms = np.empty((len(weights), 2, len(v)))
+            np.multiply(inverse, v * v, out=terms[:, 0])
+            np.multiply(inverse * v, weighted, out=terms[:, 1])
+            # a zero in sums drops cell i's own term exactly
+            others = terms @ sums
+            gram = others[:, 0, -1:]
+            fitted = inverse * (weighted * others[:, 0, :-1] - v * others[:, 1, :-1]) / gram
+            singular = ~((gram[:, 0] > 0) & (gram[:, 0] < np.inf))
+        elif len(null):
+            responses = inverse * weighted
+            scaled = null * inverse[:, None]
+            gram = scaled @ null.T
+            diagonal = np.diagonal(gram, axis1=1, axis2=2)
+            lam, singular = _newton_directions(-gram, (responses[:, None] @ null.T)[:, 0])
+            singular |= ~((diagonal > 0) & (diagonal < np.inf)).all(axis=1)
+            fitted = responses - (lam[:, None] @ scaled)[:, 0]
+        else:
+            fitted, singular = inverse * weighted, np.zeros(len(weights), bool)
+        return (fitted[:, None] @ pinv_t)[:, 0], singular
+
+
+def _cell_newton_directions(basis, curvature, grad):
+    """maximize's direction rule for one-class fits on the cells of basis.
+
+    curvature (B, 2, k) holds each cell's weight W = N b''(eta) and working
+    residual r = S - N b'(eta), whose X'r is the score grad. The Newton
+    direction solves X'WX d = X'r: it is the weighted least squares fit
+    (_cell_least_squares) of the responses z = r / W (IRLS; Green 1984),
+    whose weighted responses are r itself. No p x p Hessian is formed or
+    solved, and each cell's residual enters on its own scale, so a cell of
+    tiny weight costs no precision. A singular fit's direction is 0, as
+    _newton_directions gives it.
+    """
+    direction, singular = _cell_least_squares(basis, curvature[:, 0], curvature[:, 1])
+    if singular.any():
+        direction[singular] = 0.0
+    return direction, singular
 
 
 def fit_cell_sums(family, X, counts, sums):
@@ -621,18 +721,34 @@ def fit_cell_sums(family, X, counts, sums):
     fits depend on the data only through these sums: dataset r's fit equals,
     up to rounding, the row-level fit_ols, fit_poisson_qmle or
     fit_logit_qmle (family "ols", "poisson_qmle" or "logit_qmle") of its
-    rows. The QMLEs run the driver behind every fit at the default
-    FitOptions, with the same stopping rules and guards (a cell counts as
-    perfectly predicted from its mean alone); OLS is a closed form on the
-    cells (_cell_least_squares), with no stopping rule. Returns
-    (coefficients (B, p), failures): failures[r] is None for a converged
-    fit, "not_converged", or the name of the error the row-level fit raises
-    (SingularDesignError, SingularHessianError, OverflowGuardError,
-    SeparationError); a failed row's coefficients are NaN.
+    rows. Each pattern of empty cells gets one SVD of its cell design, which
+    its rank check shares (_cell_basis). OLS is a closed form on the cells
+    (_cell_least_squares), with no stopping rule. The QMLEs run maximize,
+    the Newton behind every fit, at the default FitOptions, with the same
+    stopping rules and guards (a cell counts as perfectly predicted from
+    its mean alone); only their Newton directions are taken in closed form,
+    as weighted least squares on the same basis (_cell_newton_directions).
+    Returns (coefficients (B, p), failures): failures[r] is None for a
+    converged fit, "not_converged", or the name of the error the row-level
+    fit raises (SingularDesignError, SingularHessianError,
+    OverflowGuardError, SeparationError); a failed row's coefficients are
+    NaN.
     """
-    if family not in ("ols", "poisson_qmle", "logit_qmle"):
-        raise ValueError(f"fit_cell_sums fits ols, poisson_qmle or logit_qmle, not {family!r}")
-    record = _FAMILIES[family]
+    (coefficients, failures), = _fit_cell_families((family,), X, counts, sums)
+    return coefficients, failures
+
+
+def _fit_cell_families(families, X, counts, sums):
+    """[(coefficients, failures)] of fit_cell_sums for each family name in
+    families, on the same X, counts and sums: the input checks, the
+    numbering of the patterns of empty cells, each pattern's rank check and
+    its _CellBasis are shared by the families."""
+    records = []
+    for family in families:
+        if family not in ("ols", "poisson_qmle", "logit_qmle"):
+            raise ValueError(f"fit_cell_sums fits ols, poisson_qmle or logit_qmle, "
+                             f"not {family!r}")
+        records.append(_FAMILIES[family])
     blocks, names = _as_design(X)
     values = _unit_rows(blocks)
     if values.size == 0:
@@ -646,36 +762,40 @@ def fit_cell_sums(family, X, counts, sums):
         raise ValueError("a cell without observations must have a zero sum")
     # a cell without observations drops out, as absent rows do at row level
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    if not record.in_domain(means):
-        raise ValueError(f"{family} requires {record.domain}")
+    for record in records:
+        if not record.in_domain(means):
+            raise ValueError(f"{record.name} requires {record.domain}")
 
-    coefficients = np.full((counts.shape[0], values.shape[1]), np.nan)
-    failures = ["SingularDesignError"] * counts.shape[0]
-    # one rank check per pattern of empty cells, numbered by its packed bits
+    results = [(np.full((counts.shape[0], values.shape[1]), np.nan),
+                ["SingularDesignError"] * counts.shape[0]) for _ in records]
+    # one rank check and one basis per pattern of empty cells, numbered by its packed bits
     filled = counts > 0
     packed = np.packbits(filled, axis=1)
     _, first, which = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1),
                                 return_index=True, return_inverse=True)
     for j, keep in enumerate(filled[first]):
-        rows = np.flatnonzero(which.reshape(-1) == j)
+        pattern = np.flatnonzero(which.reshape(-1) == j)
         cells = _Blocks(values[keep], np.empty((int(keep.sum()), 0)), None)
         try:
-            _check_full_rank(cells, np.ones(len(cells.cell)), names)
+            basis = _cell_basis(cells.cell, names)
         except SingularDesignError:
             continue  # these rows keep their SingularDesignError
         # contiguous, so that each dataset's sums do not depend on the batch
-        y, w = (np.ascontiguousarray(a[rows][:, keep]) for a in (means, counts))
-        if record is _POISSON:
-            zero = _identically_zero(w, y)
-            for r in rows[zero]:
-                failures[r] = "OverflowGuardError"
-            rows, y, w = rows[~zero], y[~zero], w[~zero]
-        if record is _GAUSSIAN:
-            beta, kinds = _cell_least_squares(cells.cell, w, y), [None] * len(rows)
-        else:
-            beta, kinds, *_ = _fit(record, cells, w, y[:, None], FitOptions())
-        fitted = np.array([kind is None for kind in kinds], bool)
-        coefficients[rows[fitted]] = beta[fitted]
-        for r, kind in zip(rows, kinds):
-            failures[r] = kind
-    return coefficients, failures
+        pattern_y, pattern_w, pattern_s = (np.ascontiguousarray(a[pattern][:, keep])
+                                           for a in (means, counts, sums))
+        for record, (coefficients, failures) in zip(records, results):
+            rows, y, w = pattern, pattern_y, pattern_w
+            if record is _POISSON:
+                zero = _identically_zero(w, y)
+                for r in rows[zero].tolist():
+                    failures[r] = "OverflowGuardError"
+                rows, y, w = rows[~zero], y[~zero], w[~zero]
+            if record is _GAUSSIAN:
+                beta, kinds = _cell_least_squares(basis, w, pattern_s)[0], [None] * len(rows)
+            else:
+                beta, kinds, *_ = _fit(record, cells, w, y[:, None], FitOptions(), basis=basis)
+            fitted = np.array([kind is None for kind in kinds], bool)
+            coefficients[rows[fitted]] = beta[fitted]
+            for r, kind in zip(rows.tolist(), kinds):
+                failures[r] = kind
+    return results

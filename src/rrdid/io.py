@@ -447,8 +447,10 @@ def _read_rows(path, bound, cluster, period):
                     if name == period and 2**52 <= abs(value) < 2**53:
                         inexact |= not _INTEGER_LITERAL.fullmatch(row[idx[name]].strip())
                     continue
-                value = row[idx[cluster]].strip()
-                if value == "":
+                # a blank label raises here, naming its row; _code_clusters
+                # strips the labels, once each
+                value = row[idx[cluster]]
+                if not value or value.isspace():
                     raise CsvParseError(
                         f"row {row_number}: missing value in bound column {cluster!r}"
                     )

@@ -32,10 +32,15 @@ def _gram_proves_full_rank(gram, n):
     far past both terms. Closer calls, and Grams near underflow or overflow,
     are left to the QR.
     """
-    p = gram.shape[0]
-    if p == 0 or not np.all(np.isfinite(gram)):
+    if gram.shape[0] == 0 or not np.all(np.isfinite(gram)):
         return False
-    eigenvalues = np.linalg.eigvalsh(gram)
+    return _eigenvalues_prove_full_rank(np.linalg.eigvalsh(gram), n)
+
+
+def _eigenvalues_prove_full_rank(eigenvalues, n):
+    """_gram_proves_full_rank's test on the Gram's ascending eigenvalues,
+    which squared singular values of A, more accurate still, may stand for."""
+    p = len(eigenvalues)
     tau = 100.0 * max(n, p) * p * np.finfo(float).eps
     return bool(eigenvalues[0] >= tau * eigenvalues[-1]
                 and eigenvalues[0] > np.sqrt(np.finfo(float).tiny))

@@ -34,7 +34,7 @@ import numpy as np
 from .design import DesignSpec, RcsDataset, build_design, cell_masks
 from .effects import double_ratio, lin_dd_proportional
 from .errors import MonteCarloAbort, RedrawRequired
-from .estimators import fit_cell_sums
+from .estimators import _fit_cell_families
 # Not called here, since replications are fitted on cell sums; they stay
 # bound because bench/tracing.py wraps these names on this module.
 from .estimators import fit_logit_qmle, fit_ols, fit_poisson_qmle  # noqa: F401
@@ -196,14 +196,30 @@ def _draw_group(n: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(n) < 0.5).astype(np.int64)
 
 
+class _NormalBuffer:
+    """One buffer that draws of standard normals reuse, grown when a draw
+    needs more; a draw's normals are valid until the next draw."""
+
+    def __init__(self):
+        self._buffer = np.empty(0)
+
+    def draw(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+        """rng.standard_normal(shape), the same stream, in the buffer."""
+        size = math.prod(shape)
+        if self._buffer.size < size:
+            self._buffer = np.empty(size)
+        return rng.standard_normal(out=self._buffer[:size].reshape(shape))
+
+
 def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
-                   rng: np.random.Generator) -> tuple:
+                   rng: np.random.Generator, normals: _NormalBuffer) -> tuple:
     """The family's random variates for every (subject, period), drawn from rng.
 
     lin is the (2, 4) _linear_index table. Each returned array ends in the
     (n, 4) subject and period axes, so the outcomes of any set of entries are
-    _outcomes of the arrays indexed there. The caller ignores overflow: the
-    rate and outcome checks decide on it.
+    _outcomes of the arrays indexed there. The censored family's normals go
+    into normals, so they are valid until its next draw. The caller ignores
+    overflow: the rate and outcome checks decide on it.
     """
     n = q.size
     family = scenario.family
@@ -222,7 +238,7 @@ def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
         if scenario.censored_extra_term:
             m = m + 1
         # one call draws the same stream as m.max() calls of shape (n, 4)
-        z = rng.standard_normal((int(m.max()), n, N_PERIODS))
+        z = normals.draw(rng, (int(m.max()), n, N_PERIODS))
         return np.broadcast_to(m[:, None], (n, N_PERIODS)), z
     if family == "binary":
         return (rng.logistic(size=(n, N_PERIODS)),)
@@ -266,7 +282,7 @@ def _draw_panel(scenario: Scenario, rng: np.random.Generator) -> Panel:
 
     lin = _linear_index(scenario)
     with np.errstate(over="ignore"):
-        variates = _draw_variates(scenario, lin, q, rng)
+        variates = _draw_variates(scenario, lin, q, rng, _NormalBuffer())
         return Panel(y=_outcomes(scenario, lin[q], variates), q=q)
 
 
@@ -315,17 +331,19 @@ def _draw_cells(scenario: Scenario, rngs):
     their order, but forms only the outcome of each subject's kept period,
     and only those outcomes are checked for overflow. Each draw is reduced to
     its cells, by a bincount as for its own rows, before the next is drawn,
-    so no array spans the batch's subjects.
+    so no array spans the batch's subjects, and the censored family's
+    normals of every draw share one buffer.
     """
     n = scenario.n
     lin = _linear_index(scenario)
     # each subject's first entry in the flattened subject and period axes
     first = np.arange(0, n * N_PERIODS, N_PERIODS)
     counts, sums = np.empty((2, len(rngs), _CELLS.n))
+    normals = _NormalBuffer()
     with np.errstate(over="ignore"):
         for rng, count, total in zip(rngs, counts, sums):
             q = _draw_group(n, rng)
-            variates = _draw_variates(scenario, lin, q, rng)
+            variates = _draw_variates(scenario, lin, q, rng, normals)
             t = rng.integers(0, N_PERIODS, size=n)
             kept = first + t
             cell = q * N_PERIODS + t
@@ -374,9 +392,8 @@ def _fit_draws(scenario, design, counts, sums, counterfactual):
     """
     trend, treat = design.index("group_trend"), design.index("treat")
     binary = scenario.family == "binary"
-    qbeta, qfailed = fit_cell_sums("logit_qmle" if binary else "poisson_qmle",
-                                   design, counts, sums)
-    lbeta, lfailed = fit_cell_sums("ols", design, counts, sums)
+    (qbeta, qfailed), (lbeta, lfailed) = _fit_cell_families(
+        ("logit_qmle" if binary else "poisson_qmle", "ols"), design, counts, sums)
     kinds = [q or l for q, l in zip(qfailed, lfailed)]
     rows = [qbeta[:, trend], qbeta[:, treat], lbeta[:, trend], lbeta[:, treat]]
     if not binary:
@@ -387,9 +404,10 @@ def _fit_draws(scenario, design, counts, sums, counterfactual):
         if counterfactual:
             ybar = ybar - lbeta[:, treat]
         transform = np.full(len(kinds), math.nan)
-        for i in np.flatnonzero([kind is None for kind in kinds]):
+        beta_d, level = lbeta[:, treat].tolist(), ybar.tolist()
+        for i in np.flatnonzero([kind is None for kind in kinds]).tolist():
             try:
-                transform[i] = lin_dd_proportional(lbeta[i, treat], ybar[i])
+                transform[i] = lin_dd_proportional(beta_d[i], level[i])
             except (ValueError, RedrawRequired):  # undefined where ybar <= 0, too
                 pass
         rows.append(transform)

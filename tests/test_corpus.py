@@ -186,7 +186,18 @@ def test_exact_comparison_names_each_moved_file(tmp_path):
     (here / "worded.txt").write_text("sd 0.5 over 20 reps\n")
     (there / "worded.txt").write_text("sd 0.5 over 20 replications\n")
     (there / "extra.txt").write_text("")
+    # a count (no point, no exponent) that changed is named apart from the
+    # floats' movement, which a count does not enter
+    (here / "counted.json").write_text('{"redraws": 3, "sd": 0.5, "exit": 0}\n')
+    (there / "counted.json").write_text('{"redraws": 4, "sd": 0.5, "exit": 0}\n')
+    (here / "both.txt").write_text("failed 2 of 40, sd 0.25\n")
+    (there / "both.txt").write_text("failed 1 of 40, sd 0.5\n")
+    (here / "exponent.json").write_text('{"rmse": 1e-05, "n": 20}\n')
+    (there / "exponent.json").write_text('{"rmse": 2e-05, "n": 20}\n')
     assert corpus.compare_exact(here, there) == [
+        "both.txt: counts differ, largest relative movement 0.5",
+        "counted.json: counts differ",
+        "exponent.json: largest relative movement 0.5",
         f"extra.txt: only in {there}",
         "moved.json: largest relative movement 2.22e-16",
         "worded.txt: differs beyond its numbers",

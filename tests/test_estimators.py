@@ -11,6 +11,7 @@ import importlib
 import inspect
 import pkgutil
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,7 +51,9 @@ from rrdid.errors import (
     SingularDesignError,
     SingularHessianError,
 )
-from rrdid.estimators import _inputs, _LOGIT, _POISSON
+from rrdid.estimators import (_cell_basis, _cell_newton_directions, _inputs, _LOGIT,
+                              _POISSON)
+from rrdid.newton import _newton_directions
 from rrdid.rank import _check_full_rank, _check_full_rank_qr, _gram_proves_full_rank
 from rrdid.sandwich import _sandwich
 
@@ -1684,3 +1687,96 @@ def test_split_modules_own_their_names(module_name):
             assert value.__module__ == module_name, name
         assert not hasattr(estimators, name) or name in read, name
 
+
+
+def _cell_rows(trend):
+    """The eight (q, t) cells' rows of the Monte Carlo design: const, period
+    dummies, group, group trend (with trend) and treat, post period 3."""
+    return np.array([[1.0, t == 1, t == 2, t == 3, q] + [t * q] * trend + [q * (t == 3)]
+                     for q in (0, 1) for t in range(4)])
+
+
+def _names(X):
+    return [f"x{j}" for j in range(X.shape[1])]
+
+
+def _exact_newton_direction(X, weights, grad):
+    """The solution of X'WX d = grad, in exact rational arithmetic on the
+    floats given, rounded once."""
+    k, p = X.shape
+    rows = [[sum((Fraction(X[c, i]) * Fraction(weights[c]) * Fraction(X[c, j])
+                  for c in range(k)), Fraction(0)) for j in range(p)] + [Fraction(grad[i])]
+            for i in range(p)]
+    for col in range(p):
+        pivot = next(r for r in range(col, p) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(p):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return np.array([float(rows[i][p] / rows[i][i]) for i in range(p)])
+
+
+@given(st.booleans(), st.lists(st.integers(0, 7), max_size=2, unique=True),
+       st.sampled_from([_POISSON, _LOGIT]), st.floats(0.0, 30.0), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cell_newton_direction_matches_the_hessian_solve(trend, empty, family, cap, data):
+    # The closed-form direction on the cell null space against the dense
+    # Hessian solve, on patterns of empty cells with k - p = 0, 1 and 2, at
+    # linear predictors up to the cap. Both are checked against the exact
+    # Newton direction. The closed form is within 1e-9 of it, relative to
+    # its largest entry, for k - p <= 1, and for k - p = 2 within 100 eps
+    # max(W) / min(W), the cancellation of its gram solve. The dense solve
+    # is within 100 p eps kappa(H) of it, so the two agree to the sum. Only
+    # a gram solve can fail, on a gram V W^-1 V' that rounding has made
+    # singular: that is the singular decision.
+    keep = np.setdiff1d(np.arange(8), empty)
+    X = _cell_rows(trend)[keep]
+    k, p = X.shape
+    if np.linalg.matrix_rank(X) < p:
+        return
+    floats = st.floats(-1.0, 1.0)
+    counts = np.array(data.draw(st.lists(st.floats(1.0, 1000.0), min_size=k, max_size=k)))
+    beta = np.array(data.draw(st.lists(floats, min_size=p, max_size=p)))
+    residuals = np.array(data.draw(st.lists(floats, min_size=k, max_size=k))) * 100.0
+    grad = X.T @ residuals
+    eta = X @ beta
+    if np.max(np.abs(eta)) > 0:
+        eta *= cap / np.max(np.abs(eta))
+    mean = family.moments(eta[None, None])[1]
+    weights = family.curvature(counts[None], counts * mean, mean)[0, 0]
+    hess = -(X.T * weights) @ X
+    dense, (dense_singular,) = _newton_directions(hess[None], grad[None])
+    curvature = np.stack([weights, residuals])[None]
+    basis = _cell_basis(X, _names(X))
+    (direction,), (singular,) = _cell_newton_directions(basis, curvature, grad[None])
+    exact = _exact_newton_direction(X, weights, grad)
+    if singular:
+        null = basis.null
+        assert k - p == 2 and np.linalg.cond((null / weights) @ null.T) > 1e12
+        return
+    scale = np.max(np.abs(exact))
+    eps = np.finfo(float).eps
+    rtol = 1e-9 if k - p <= 1 else 100 * eps * np.max(weights) / np.min(weights)
+    assert np.max(np.abs(direction - exact)) <= rtol * scale
+    if not dense_singular:
+        dense_rtol = 100 * p * eps * np.linalg.cond(hess)
+        assert np.max(np.abs(dense - exact)) <= dense_rtol * scale
+        assert np.max(np.abs(direction - dense)) <= (rtol + dense_rtol) * scale
+
+
+@pytest.mark.parametrize("trend, empty", [(True, ()), (False, (0,)), (False, ())],
+                         ids=["k-p=1", "k-p=1-no-trend", "k-p=2"])
+@pytest.mark.parametrize("weight", [0.0, 5e-324, np.nan])
+def test_cell_newton_direction_singular_gram(trend, empty, weight):
+    # a gram V W^-1 V' that is not finite and positive is the singular
+    # decision, with a zero direction, as a failed LAPACK solve gives it
+    X = np.delete(_cell_rows(trend), list(empty), axis=0)
+    weights = np.linspace(1.0, 2.0, len(X))
+    weights[-1] = weight
+    residuals = np.ones(len(X))
+    batch = np.stack([[np.linspace(1.0, 2.0, len(X)), residuals], [weights, residuals]])
+    grad = np.tile(X.T @ residuals, (2, 1))
+    direction, singular = _cell_newton_directions(_cell_basis(X, _names(X)), batch, grad)
+    assert singular.tolist() == [False, True]
+    assert np.all(direction[1] == 0.0) and np.all(np.isfinite(direction[0]))

@@ -29,7 +29,7 @@ from rrdid.errors import (
     SingularDesignError,
     SingularHessianError,
 )
-from rrdid.estimators import fit_cell_sums
+from rrdid.estimators import _fit_cell_families, fit_cell_sums
 from rrdid.simulate import (_CELLS, _DESIGN, _POISSON_RATE_MAX, N_PERIODS, POST_PERIOD,
                             _draw_cells)
 
@@ -579,17 +579,27 @@ def test_cell_least_squares_matches_fit_ols(per_cell, seed, trend):
 @pytest.mark.parametrize("family, qmle", [("positive", "poisson_qmle"),
                                           ("binary", "logit_qmle")])
 def test_cell_fit_bits_do_not_depend_on_the_batch(family, qmle):
-    sc = Scenario(family=family, n=60, repetitions=37, seed=4,
-                  beta_qtau=0.5, beta_d=0.5)
-    draws = [_draw_cells(sc, [replication_rng(sc.seed, rep)]) for rep in range(37)]
-    counts, sums = (np.concatenate(part) for part in zip(*draws))
+    # at n = 12 one batch mixes patterns of empty cells: full (k - p = 1),
+    # saturated (one empty cell) and rank-deficient ones; the families fitted
+    # together, as the Monte Carlo fits them, equal each fitted alone
     cells = build_design(_CELLS, _DESIGN)
-    for name in (qmle, "ols"):
-        batch, failures = fit_cell_sums(name, cells, counts, sums)
-        for r in range(37):
-            alone, (failure,) = fit_cell_sums(name, cells, counts[r:r + 1], sums[r:r + 1])
-            assert failure == failures[r]
-            assert alone[0].tobytes() == batch[r].tobytes()
+    for n in (60, 12):
+        sc = Scenario(family=family, n=n, repetitions=37, seed=4,
+                      beta_qtau=0.5, beta_d=0.5)
+        draws = [_draw_cells(sc, [replication_rng(sc.seed, rep)]) for rep in range(37)]
+        counts, sums = (np.concatenate(part) for part in zip(*draws))
+        together = _fit_cell_families((qmle, "ols"), cells, counts, sums)
+        for name, (joint, joint_failures) in zip((qmle, "ols"), together):
+            batch, failures = fit_cell_sums(name, cells, counts, sums)
+            assert joint_failures == failures
+            assert joint.tobytes() == batch.tobytes()
+            for r in range(37):
+                alone, (failure,) = fit_cell_sums(name, cells, counts[r:r + 1], sums[r:r + 1])
+                assert failure == failures[r]
+                assert alone[0].tobytes() == batch[r].tobytes()
+        if n == 12:
+            assert {0, 1, 2} <= set(np.sum(counts == 0, axis=1).tolist())
+            assert None in failures and "SingularDesignError" in failures
 
 
 def test_run_monte_carlo_rejects_multinomial():
