@@ -21,13 +21,14 @@ outcome ybar_c, as n_c (ybar_c'eta_c - b(eta_c)), and the fit runs on those
 at most 2T cells. A plain array has only row columns, so it runs row by
 row. fit_cell_sums hands the driver many cell datasets at once, and the
 driver decides each dataset's failure kind with array reductions over the
-batch. On cells, weighted least squares is a closed form on the null space
-of X' (_cell_least_squares), from one SVD per pattern of empty cells: it is
-the linear fit, and it is each Newton direction of the cell QMLEs, the
-weighted fit of their working residuals (_cell_newton_directions), so those
-fits form no Hessian. Linear predictors are clamped at +/- _CAP, and a
-clamp still active at the optimum, or a perfectly predicted outcome,
-raises instead of returning a silently unreliable estimate.
+batch. On at most one cell more than columns, weighted least squares is an
+exact closed form on the null space of X' (_cell_least_squares), from one
+SVD per pattern of empty cells: it is the linear fit, and it is each Newton
+direction of the cell QMLEs, the weighted fit of their working residuals
+(_cell_newton_directions), so those fits form no Hessian. Linear
+predictors are clamped at +/- _CAP, and a clamp still active at the
+optimum, or a perfectly predicted outcome, raises instead of returning a
+silently unreliable estimate.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .blocks import (_Blocks, _as_design, _class_pairs, _cluster_codes, _cross, 
                      _sum_cells, _transposed, _unit_rows)
 from .errors import (NegativeVarianceError, NonFiniteObjectiveError, OverflowGuardError,
                      SeparationError, SingularDesignError, SingularHessianError)
-from .newton import FitOptions, NewtonDiagnostics, _newton_directions, maximize
-from .rank import _check_full_rank, _eigenvalues_prove_full_rank
+from .newton import FitOptions, NewtonDiagnostics, maximize
+from .rank import _check_full_rank, _check_full_rank_qr, _eigenvalues_prove_full_rank
 from .sandwich import _Units, _sandwich
 
 __all__ = [
@@ -626,22 +627,22 @@ class _CellBasis(NamedTuple):
 
 def _cell_basis(values, names):
     """The _CellBasis of the cell design values (k, p), whose columns are
-    named names, or the SingularDesignError of _check_full_rank.
+    named names, or the SingularDesignError of _check_full_rank_qr.
 
     The rank test shares the SVD: when the squared singular values, the
-    Gram's eigenvalues, prove full rank (_eigenvalues_prove_full_rank),
-    _check_full_rank is skipped; a closer call, or fewer cells than columns,
-    is left to it. A cell whose row is in no linear dependency of the
-    rows (one saturated by its own column, as treat saturates the treated
-    post cell) has a zero entry in every row of V. The SVD leaves rounding
-    there, of order k eps cond(X), which a fit would multiply by that cell's
-    inverse weight, so entries that small are set to the zero they stand
-    for.
+    Gram's eigenvalues, prove full rank (_eigenvalues_prove_full_rank), the
+    QR test is skipped; a closer call, or fewer cells than columns, is left
+    to the QR test on the rows themselves. A cell whose row is in no linear
+    dependency of the rows (one saturated by its own column, as treat
+    saturates the treated post cell) has a zero entry in every row of V.
+    The SVD leaves rounding there, of order k eps cond(X), which a fit
+    would multiply by that cell's inverse weight, so entries that small are
+    set to the zero they stand for.
     """
     u, s, vt = np.linalg.svd(values)
     k = len(values)
     if not (len(s) == values.shape[1] and _eigenvalues_prove_full_rank(s[::-1] ** 2, k)):
-        _check_full_rank(_Blocks(values, np.empty((k, 0)), None), np.ones(k), names)
+        _check_full_rank_qr(values, names)
     null = u[:, len(s):].T
     null = np.where(np.abs(null) <= k * np.finfo(float).eps * s[0] / s[-1], 0.0, null)
     return _CellBasis(null, u[:, :len(s)] @ (vt / s[:, None]),
@@ -651,28 +652,26 @@ def _cell_basis(values, names):
 def _cell_least_squares(basis, weights, weighted):
     """((B, p) coefficients, singular (B,)) of the weighted least squares
     fits of B datasets with cell weights W and weighted responses u = W z
-    (B, k) on the cell design X of basis, in closed form: for OLS the cell
-    counts and sums, for a Newton step the curvature weights and working
-    residuals.
+    (B, k) on the cell design X (k, p) of basis, in closed form: for OLS
+    the cell counts and sums, for a Newton step the curvature weights and
+    working residuals. X has at most one cell more than columns, k - p <= 1.
 
-    The fitted values mu satisfy X'W (z - mu) = 0, so W (z - mu) = V'lam
-    for the rows V of basis.null, and V mu = 0: with D = W^-1, lam =
-    (V D V')^-1 V z, mu = D (u - V'lam) and beta = X^+ mu. With
-    k - p = 1, as in the paper's design, lam is a division, and mu_i =
-    D_i (u_i G_i - v_i R_i) / G, with G the sum of D_k v_k^2 and G_i and
-    R_i the sums of D_k v_k^2 and D_k v_k u_k over the other cells k != i:
-    a cell of tiny weight (huge D_i) enters mu_i only through D_i, where
-    u_i - v_i lam would lose D_i eps to cancellation. A larger gram V D V'
-    is solved as a Hessian is. A fit is singular, and its coefficients are
-    not to be used, when its gram is not finite and positive (a zero weight
-    makes it infinite), or a solve of its gram fails. Every product is a
-    stacked matmul, one per dataset, so a dataset's bits do not depend on
-    its batch.
+    With k = p the fit is exact, mu = z and beta = X^-1 z. With k - p = 1,
+    as in the paper's design, the fitted values mu satisfy X'W (z - mu) = 0,
+    so W (z - mu) = v lam for the one row v of basis.null, and v'mu = 0:
+    with D = W^-1, lam = v'z / G and mu_i = D_i (u_i G_i - v_i R_i) / G,
+    with G the sum of D_k v_k^2 and G_i and R_i the sums of D_k v_k^2 and
+    D_k v_k u_k over the other cells k != i, and beta = X^+ mu. A cell of
+    tiny weight (huge D_i) enters mu_i only through D_i, where u_i - v_i
+    lam would lose D_i eps to cancellation. A fit is singular, and its
+    coefficients are not to be used, when its G is not finite and positive
+    (a zero weight makes it infinite). Every product is a stacked matmul,
+    one per dataset, so a dataset's bits do not depend on its batch.
     """
     null, pinv_t, sums = basis
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inverse = 1.0 / weights
-        if len(null) == 1:
+        if len(null):
             v = null[0]
             terms = np.empty((len(weights), 2, len(v)))
             np.multiply(inverse, v * v, out=terms[:, 0])
@@ -682,14 +681,6 @@ def _cell_least_squares(basis, weights, weighted):
             gram = others[:, 0, -1:]
             fitted = inverse * (weighted * others[:, 0, :-1] - v * others[:, 1, :-1]) / gram
             singular = ~((gram[:, 0] > 0) & (gram[:, 0] < np.inf))
-        elif len(null):
-            responses = inverse * weighted
-            scaled = null * inverse[:, None]
-            gram = scaled @ null.T
-            diagonal = np.diagonal(gram, axis1=1, axis2=2)
-            lam, singular = _newton_directions(-gram, (responses[:, None] @ null.T)[:, 0])
-            singular |= ~((diagonal > 0) & (diagonal < np.inf)).all(axis=1)
-            fitted = responses - (lam[:, None] @ scaled)[:, 0]
         else:
             fitted, singular = inverse * weighted, np.zeros(len(weights), bool)
         return (fitted[:, None] @ pinv_t)[:, 0], singular
@@ -713,36 +704,33 @@ def _cell_newton_directions(basis, curvature, grad):
     return direction, singular
 
 
-def fit_cell_sums(family, X, counts, sums):
-    """Fit B datasets whose regressors are constant within cells, in one batch.
+def fit_cell_sums(families, X, counts, sums):
+    """Fit B datasets whose regressors are constant within cells, in one
+    batch, by each family named in families.
 
-    X (k, p) holds the design row of each of k cells; counts and sums (B, k)
-    hold each dataset's total weight and weighted outcome sum per cell. The
-    fits depend on the data only through these sums: dataset r's fit equals,
-    up to rounding, the row-level fit_ols, fit_poisson_qmle or
-    fit_logit_qmle (family "ols", "poisson_qmle" or "logit_qmle") of its
-    rows. Each pattern of empty cells gets one SVD of its cell design, which
-    its rank check shares (_cell_basis). OLS is a closed form on the cells
+    X (k, p) holds the design row of each of k cells, with at most one cell
+    more than columns (k - p <= 1, as in the paper's design with its group
+    trend); a design with more is refused. counts and sums (B, k) hold
+    each dataset's total weight and weighted outcome sum per cell. The fits
+    depend on the data only through these sums: dataset r's fit equals, up
+    to rounding, the row-level fit_ols, fit_poisson_qmle or fit_logit_qmle
+    (family "ols", "poisson_qmle" or "logit_qmle") of its rows. The input
+    checks, the numbering of the patterns of empty cells and each pattern's
+    one SVD of its cell design, which its rank check shares (_cell_basis),
+    serve every family. OLS is the exact closed form on the cells
     (_cell_least_squares), with no stopping rule. The QMLEs run maximize,
     the Newton behind every fit, at the default FitOptions, with the same
     stopping rules and guards (a cell counts as perfectly predicted from
     its mean alone); only their Newton directions are taken in closed form,
     as weighted least squares on the same basis (_cell_newton_directions).
-    Returns (coefficients (B, p), failures): failures[r] is None for a
-    converged fit, "not_converged", or the name of the error the row-level
-    fit raises (SingularDesignError, SingularHessianError,
-    OverflowGuardError, SeparationError); a failed row's coefficients are
-    NaN.
+    Returns one (coefficients (B, p), failures) per family, in the order of
+    families: failures[r] is None for a converged fit, "not_converged", or
+    the name of the error the row-level fit raises (SingularDesignError,
+    SingularHessianError, OverflowGuardError, SeparationError), where an
+    OLS fit whose closed form is singular, as a cell weight too small to
+    invert makes it, reports SingularHessianError; a failed row's
+    coefficients are NaN.
     """
-    (coefficients, failures), = _fit_cell_families((family,), X, counts, sums)
-    return coefficients, failures
-
-
-def _fit_cell_families(families, X, counts, sums):
-    """[(coefficients, failures)] of fit_cell_sums for each family name in
-    families, on the same X, counts and sums: the input checks, the
-    numbering of the patterns of empty cells, each pattern's rank check and
-    its _CellBasis are shared by the families."""
     records = []
     for family in families:
         if family not in ("ols", "poisson_qmle", "logit_qmle"):
@@ -753,6 +741,11 @@ def _fit_cell_families(families, X, counts, sums):
     values = _unit_rows(blocks)
     if values.size == 0:
         raise ValueError("design matrix must have at least one row and column")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("design matrix contains non-finite values")
+    if values.shape[0] - values.shape[1] > 1:
+        raise ValueError(f"fit_cell_sums fits designs with at most one cell more than "
+                         f"columns, not {values.shape[0]} cells on {values.shape[1]} columns")
     counts, sums = np.asarray(counts, float), np.asarray(sums, float)
     if counts.ndim != 2 or counts.shape != sums.shape or counts.shape[1] != values.shape[0]:
         raise ValueError("counts and sums must be (B, k) for a design of k cells")
@@ -791,7 +784,8 @@ def _fit_cell_families(families, X, counts, sums):
                     failures[r] = "OverflowGuardError"
                 rows, y, w = rows[~zero], y[~zero], w[~zero]
             if record is _GAUSSIAN:
-                beta, kinds = _cell_least_squares(basis, w, pattern_s)[0], [None] * len(rows)
+                beta, singular = _cell_least_squares(basis, w, pattern_s)
+                kinds = ["SingularHessianError" if s else None for s in singular.tolist()]
             else:
                 beta, kinds, *_ = _fit(record, cells, w, y[:, None], FitOptions(), basis=basis)
             fitted = np.array([kind is None for kind in kinds], bool)

@@ -34,7 +34,7 @@ import numpy as np
 from .design import DesignSpec, RcsDataset, build_design, cell_masks
 from .effects import double_ratio, lin_dd_proportional
 from .errors import MonteCarloAbort, RedrawRequired
-from .estimators import _fit_cell_families
+from .estimators import fit_cell_sums
 # Not called here, since replications are fitted on cell sums; they stay
 # bound because bench/tracing.py wraps these names on this module.
 from .estimators import fit_logit_qmle, fit_ols, fit_poisson_qmle  # noqa: F401
@@ -392,7 +392,7 @@ def _fit_draws(scenario, design, counts, sums, counterfactual):
     """
     trend, treat = design.index("group_trend"), design.index("treat")
     binary = scenario.family == "binary"
-    (qbeta, qfailed), (lbeta, lfailed) = _fit_cell_families(
+    (qbeta, qfailed), (lbeta, lfailed) = fit_cell_sums(
         ("logit_qmle" if binary else "poisson_qmle", "ols"), design, counts, sums)
     kinds = [q or l for q, l in zip(qfailed, lfailed)]
     rows = [qbeta[:, trend], qbeta[:, treat], lbeta[:, trend], lbeta[:, treat]]

@@ -1722,18 +1722,15 @@ def _exact_newton_direction(X, weights, grad):
 @settings(max_examples=150, deadline=None)
 def test_cell_newton_direction_matches_the_hessian_solve(trend, empty, family, cap, data):
     # The closed-form direction on the cell null space against the dense
-    # Hessian solve, on patterns of empty cells with k - p = 0, 1 and 2, at
-    # linear predictors up to the cap. Both are checked against the exact
-    # Newton direction. The closed form is within 1e-9 of it, relative to
-    # its largest entry, for k - p <= 1, and for k - p = 2 within 100 eps
-    # max(W) / min(W), the cancellation of its gram solve. The dense solve
-    # is within 100 p eps kappa(H) of it, so the two agree to the sum. Only
-    # a gram solve can fail, on a gram V W^-1 V' that rounding has made
-    # singular: that is the singular decision.
+    # Hessian solve, on patterns of empty cells with k - p = 0 and 1, the
+    # designs fit_cell_sums accepts, at linear predictors up to the cap.
+    # Both are checked against the exact Newton direction. The closed form
+    # is within 1e-9 of it, relative to its largest entry, and the dense
+    # solve within 100 p eps kappa(H), so the two agree to the sum.
     keep = np.setdiff1d(np.arange(8), empty)
     X = _cell_rows(trend)[keep]
     k, p = X.shape
-    if np.linalg.matrix_rank(X) < p:
+    if np.linalg.matrix_rank(X) < p or k - p > 1:
         return
     floats = st.floats(-1.0, 1.0)
     counts = np.array(data.draw(st.lists(st.floats(1.0, 1000.0), min_size=k, max_size=k)))
@@ -1751,22 +1748,17 @@ def test_cell_newton_direction_matches_the_hessian_solve(trend, empty, family, c
     basis = _cell_basis(X, _names(X))
     (direction,), (singular,) = _cell_newton_directions(basis, curvature, grad[None])
     exact = _exact_newton_direction(X, weights, grad)
-    if singular:
-        null = basis.null
-        assert k - p == 2 and np.linalg.cond((null / weights) @ null.T) > 1e12
-        return
+    assert not singular
     scale = np.max(np.abs(exact))
-    eps = np.finfo(float).eps
-    rtol = 1e-9 if k - p <= 1 else 100 * eps * np.max(weights) / np.min(weights)
-    assert np.max(np.abs(direction - exact)) <= rtol * scale
+    assert np.max(np.abs(direction - exact)) <= 1e-9 * scale
     if not dense_singular:
-        dense_rtol = 100 * p * eps * np.linalg.cond(hess)
+        dense_rtol = 100 * p * np.finfo(float).eps * np.linalg.cond(hess)
         assert np.max(np.abs(dense - exact)) <= dense_rtol * scale
-        assert np.max(np.abs(direction - dense)) <= (rtol + dense_rtol) * scale
+        assert np.max(np.abs(direction - dense)) <= (1e-9 + dense_rtol) * scale
 
 
-@pytest.mark.parametrize("trend, empty", [(True, ()), (False, (0,)), (False, ())],
-                         ids=["k-p=1", "k-p=1-no-trend", "k-p=2"])
+@pytest.mark.parametrize("trend, empty", [(True, ()), (False, (0,))],
+                         ids=["k-p=1", "k-p=1-no-trend"])
 @pytest.mark.parametrize("weight", [0.0, 5e-324, np.nan])
 def test_cell_newton_direction_singular_gram(trend, empty, weight):
     # a gram V W^-1 V' that is not finite and positive is the singular

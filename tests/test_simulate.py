@@ -29,7 +29,7 @@ from rrdid.errors import (
     SingularDesignError,
     SingularHessianError,
 )
-from rrdid.estimators import _fit_cell_families, fit_cell_sums
+from rrdid.estimators import fit_cell_sums
 from rrdid.simulate import (_CELLS, _DESIGN, _POISSON_RATE_MAX, N_PERIODS, POST_PERIOD,
                             _draw_cells)
 
@@ -530,8 +530,8 @@ def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep)
     means = sums[counts > 0] / counts[counts > 0]
     finite = not np.any((means == 0) | ((means == 1) & (family == "binary")))
     for name, row_fit in (qmle, ("ols", fit_ols)):
-        beta, (failure,) = fit_cell_sums(name, build_design(_CELLS, _DESIGN),
-                                         counts, sums)
+        (beta, (failure,)), = fit_cell_sums((name,), build_design(_CELLS, _DESIGN),
+                                            counts, sums)
         try:
             fit = row_fit(design, data.y, data.weights)
         except _ROW_ERRORS as err:
@@ -543,16 +543,13 @@ def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep)
 
 
 @given(st.lists(st.integers(0, 4), min_size=2 * N_PERIODS, max_size=2 * N_PERIODS),
-       st.integers(0, 2**32 - 1), st.booleans())
+       st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 # every cell filled; one empty (saturated with the trend); two empty
-@example([3, 1, 2, 4, 1, 2, 3, 1], 0, True)
-@example([3, 1, 2, 0, 1, 2, 3, 1], 1, True)
-@example([3, 1, 0, 4, 1, 2, 0, 1], 2, True)
-# no group trend: k - p = 2, and k - p = 1 with one empty cell
-@example([3, 1, 2, 4, 1, 2, 3, 1], 3, False)
-@example([0, 1, 2, 4, 1, 2, 3, 1], 4, False)
-def test_cell_least_squares_matches_fit_ols(per_cell, seed, trend):
+@example([3, 1, 2, 4, 1, 2, 3, 1], 0)
+@example([3, 1, 2, 0, 1, 2, 3, 1], 1)
+@example([3, 1, 0, 4, 1, 2, 0, 1], 2)
+def test_cell_least_squares_matches_fit_ols(per_cell, seed):
     # the closed form on cell sums against lstsq on the rows themselves
     counts = np.array(per_cell, float)
     if not counts.any():
@@ -561,12 +558,11 @@ def test_cell_least_squares_matches_fit_ols(per_cell, seed, trend):
     cell = np.repeat(np.arange(2 * N_PERIODS), per_cell)
     y = rng.normal(5.0, 3.0, cell.size) * 10.0 ** rng.integers(-3, 4)
     data = RcsDataset(y=y, q=cell // N_PERIODS, t=cell % N_PERIODS, n_periods=N_PERIODS)
-    spec = DesignSpec(post_period=POST_PERIOD, include_period_dummies=True,
-                      include_group_trend=trend)
     sums = np.bincount(cell, weights=y, minlength=2 * N_PERIODS)
-    beta, (failure,) = fit_cell_sums("ols", build_design(_CELLS, spec), counts[None], sums[None])
+    (beta, (failure,)), = fit_cell_sums(("ols",), build_design(_CELLS, _DESIGN),
+                                        counts[None], sums[None])
     try:
-        fit = fit_ols(build_design(data, spec), y)
+        fit = fit_ols(build_design(data, _DESIGN), y)
     except SingularDesignError:
         assert failure == "SingularDesignError"
         assert np.isnan(beta).all()
@@ -574,6 +570,50 @@ def test_cell_least_squares_matches_fit_ols(per_cell, seed, trend):
     assert failure is None
     scale = 1.0 + np.max(np.abs(fit.coefficients))
     assert np.max(np.abs(beta[0] - fit.coefficients)) <= 1e-12 * scale
+
+
+def test_cell_ols_reports_a_singular_closed_form():
+    # a cell weight whose inverse overflows leaves the closed form no finite
+    # gram, for the linear fit as for the QMLE's Newton direction
+    counts = np.array([[3, 2, 4, 5, 1, 2, 3, 5e-324]])
+    fits = fit_cell_sums(("ols", "poisson_qmle"), build_design(_CELLS, _DESIGN),
+                         counts, 1.5 * counts)
+    for beta, failures in fits:
+        assert failures == ["SingularHessianError"]
+        assert np.isnan(beta).all()
+
+
+def _with(array, index, value):
+    array = np.array(array, float)
+    array[index] = value
+    return array
+
+
+_CELL_X = build_design(_CELLS, _DESIGN).cell_values
+_TWOS = np.full((1, 2 * N_PERIODS), 2.0)
+
+
+@pytest.mark.parametrize("families, X, counts, sums, message", [
+    (("ols", "probit"), _CELL_X, _TWOS, _TWOS, "not 'probit'"),
+    (("ols",), _CELL_X, _TWOS[0], _TWOS[0], r"must be \(B, k\)"),
+    (("ols",), _CELL_X, _TWOS, _TWOS[:, 1:], r"must be \(B, k\)"),
+    (("ols",), _CELL_X, _TWOS[:, 1:], _TWOS[:, 1:], r"must be \(B, k\)"),
+    (("ols",), _CELL_X, _with(_TWOS, (0, 0), -1.0), _TWOS, "non-negative"),
+    (("ols",), _CELL_X, _with(_TWOS, (0, 0), np.inf), _TWOS, "finite"),
+    (("ols",), _CELL_X, _TWOS, _with(_TWOS, (0, 0), np.nan), "finite"),
+    (("ols",), _CELL_X, _with(_TWOS, (0, 0), 0.0), _TWOS, "zero sum"),
+    (("ols", "poisson_qmle"), _CELL_X, _TWOS, _with(_TWOS, (0, 0), -1.0), "non-negative y"),
+    (("ols", "logit_qmle"), _CELL_X, _TWOS, _with(_TWOS, (0, 0), 3.0), r"y in \[0, 1\]"),
+    (("ols",), build_design(_CELLS, DesignSpec(post_period=POST_PERIOD)), _TWOS, _TWOS,
+     "at most one cell more than columns"),
+    (("ols",), _with(_CELL_X, (0, 0), np.nan), _TWOS, _TWOS, "non-finite"),
+    (("ols",), _with(_CELL_X, (0, 0), np.inf), _TWOS, _TWOS, "non-finite"),
+], ids=["family", "one-dimensional", "sums-shape", "cells", "negative-count",
+        "infinite-count", "nan-sum", "empty-cell-sum", "poisson-domain", "logit-domain",
+        "no-trend", "nan-design", "inf-design"])
+def test_fit_cell_sums_refuses_bad_input(families, X, counts, sums, message):
+    with pytest.raises(ValueError, match=message):
+        fit_cell_sums(families, X, counts, sums)
 
 
 @pytest.mark.parametrize("family, qmle", [("positive", "poisson_qmle"),
@@ -588,13 +628,14 @@ def test_cell_fit_bits_do_not_depend_on_the_batch(family, qmle):
                       beta_qtau=0.5, beta_d=0.5)
         draws = [_draw_cells(sc, [replication_rng(sc.seed, rep)]) for rep in range(37)]
         counts, sums = (np.concatenate(part) for part in zip(*draws))
-        together = _fit_cell_families((qmle, "ols"), cells, counts, sums)
+        together = fit_cell_sums((qmle, "ols"), cells, counts, sums)
         for name, (joint, joint_failures) in zip((qmle, "ols"), together):
-            batch, failures = fit_cell_sums(name, cells, counts, sums)
+            (batch, failures), = fit_cell_sums((name,), cells, counts, sums)
             assert joint_failures == failures
             assert joint.tobytes() == batch.tobytes()
             for r in range(37):
-                alone, (failure,) = fit_cell_sums(name, cells, counts[r:r + 1], sums[r:r + 1])
+                (alone, (failure,)), = fit_cell_sums((name,), cells, counts[r:r + 1],
+                                                     sums[r:r + 1])
                 assert failure == failures[r]
                 assert alone[0].tobytes() == batch[r].tobytes()
         if n == 12:
