@@ -21,14 +21,15 @@ outcome ybar_c, as n_c (ybar_c'eta_c - b(eta_c)), and the fit runs on those
 at most 2T cells. A plain array has only row columns, so it runs row by
 row. fit_cell_sums hands the driver many cell datasets at once, and the
 driver decides each dataset's failure kind with array reductions over the
-batch. On at most one cell more than columns, weighted least squares is an
-exact closed form on the null space of X' (_cell_least_squares), from one
-SVD per pattern of empty cells: it is the linear fit, and it is each Newton
-direction of the cell QMLEs, the weighted fit of their working residuals
-(_cell_newton_directions), so those fits form no Hessian. Linear
-predictors are clamped at +/- _CAP, and a clamp still active at the
-optimum, or a perfectly predicted outcome, raises instead of returning a
-silently unreliable estimate.
+batch; a cell dataset whose cells all have interior means skips the driver
+and is solved in its dual (rrdid.dual). On at most one cell more than
+columns, weighted least squares is an exact closed form on the null space
+of X' (_cell_least_squares), from one SVD per pattern of empty cells: it
+is the linear fit, and it is each Newton direction of the cell QMLEs, the
+weighted fit of their working residuals (_cell_newton_directions), so
+those fits form no Hessian. Linear predictors are clamped at +/- _CAP, and
+a clamp still active at the optimum, or a perfectly predicted outcome,
+raises instead of returning a silently unreliable estimate.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 
 from .blocks import (_Blocks, _as_design, _class_pairs, _cluster_codes, _cross, _number_pairs,
                      _sum_cells, _transposed, _unit_rows)
+from .dual import fit_interior, solves
 from .errors import (NegativeVarianceError, NonFiniteObjectiveError, OverflowGuardError,
                      SeparationError, SingularDesignError, SingularHessianError)
 from .newton import FitOptions, NewtonDiagnostics, maximize
@@ -665,8 +667,9 @@ def _cell_least_squares(basis, weights, weighted):
     tiny weight (huge D_i) enters mu_i only through D_i, where u_i - v_i
     lam would lose D_i eps to cancellation. A fit is singular, and its
     coefficients are not to be used, when its G is not finite and positive
-    (a zero weight makes it infinite). Every product is a stacked matmul,
-    one per dataset, so a dataset's bits do not depend on its batch.
+    (a zero weight makes it infinite), or with k = p when a fitted value is
+    not finite (a weight too small to invert). Every product is a stacked
+    matmul, one per dataset, so a dataset's bits do not depend on its batch.
     """
     null, pinv_t, sums = basis
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -682,7 +685,8 @@ def _cell_least_squares(basis, weights, weighted):
             fitted = inverse * (weighted * others[:, 0, :-1] - v * others[:, 1, :-1]) / gram
             singular = ~((gram[:, 0] > 0) & (gram[:, 0] < np.inf))
         else:
-            fitted, singular = inverse * weighted, np.zeros(len(weights), bool)
+            fitted = inverse * weighted
+            singular = ~np.all(np.isfinite(fitted), axis=1)
         return (fitted[:, None] @ pinv_t)[:, 0], singular
 
 
@@ -718,17 +722,22 @@ def fit_cell_sums(families, X, counts, sums):
     checks, the numbering of the patterns of empty cells and each pattern's
     one SVD of its cell design, which its rank check shares (_cell_basis),
     serve every family. OLS is the exact closed form on the cells
-    (_cell_least_squares), with no stopping rule. The QMLEs run maximize,
-    the Newton behind every fit, at the default FitOptions, with the same
-    stopping rules and guards (a cell counts as perfectly predicted from
-    its mean alone); only their Newton directions are taken in closed form,
-    as weighted least squares on the same basis (_cell_newton_directions).
-    Returns one (coefficients (B, p), failures) per family, in the order of
-    families: failures[r] is None for a converged fit, "not_converged", or
-    the name of the error the row-level fit raises (SingularDesignError,
-    SingularHessianError, OverflowGuardError, SeparationError), where an
-    OLS fit whose closed form is singular, as a cell weight too small to
-    invert makes it, reports SingularHessianError; a failed row's
+    (_cell_least_squares), with no stopping rule. A QMLE whose non-empty
+    cells all have interior means (above 0, and below 1 for the logit) has
+    a finite optimum, which rrdid.dual solves exactly in its one-dimensional
+    dual (_fit_interior), with the linear-predictor cap as its guard. A QMLE
+    with a boundary cell, whose optimum may be infinite, runs maximize, the
+    Newton behind every fit, at the default FitOptions, with the row-level
+    fits' stopping rules and guards (a cell counts as perfectly predicted
+    from its mean alone); only its Newton directions are taken in closed
+    form, as weighted least squares on the same basis
+    (_cell_newton_directions). Returns one (coefficients (B, p), failures)
+    per family, in the order of families: failures[r] is None for a
+    converged fit, "not_converged", or the name of the error the row-level
+    fit raises (SingularDesignError, SingularHessianError,
+    OverflowGuardError, SeparationError), where a fit whose closed form or
+    dual is singular, as a cell weight too small to invert or a cell mean
+    that overflows makes it, reports SingularHessianError; a failed row's
     coefficients are NaN.
     """
     records = []
@@ -753,8 +762,10 @@ def fit_cell_sums(families, X, counts, sums):
         raise ValueError("counts must be non-negative and counts and sums finite")
     if np.any((counts == 0) & (sums != 0)):
         raise ValueError("a cell without observations must have a zero sum")
-    # a cell without observations drops out, as absent rows do at row level
-    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    # a cell without observations drops out, as absent rows do at row level;
+    # a mean that overflows makes its fit singular
+    with np.errstate(over="ignore"):
+        means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     for record in records:
         if not record.in_domain(means):
             raise ValueError(f"{record.name} requires {record.domain}")
@@ -777,19 +788,47 @@ def fit_cell_sums(families, X, counts, sums):
         pattern_y, pattern_w, pattern_s = (np.ascontiguousarray(a[pattern][:, keep])
                                            for a in (means, counts, sums))
         for record, (coefficients, failures) in zip(records, results):
-            rows, y, w = pattern, pattern_y, pattern_w
+            if record is _GAUSSIAN:
+                beta, singular = _cell_least_squares(basis, pattern_w, pattern_s)
+                kinds = np.where(singular, "SingularHessianError", None)
+                _store(coefficients, failures, pattern, beta, kinds)
+                continue
+            dual = solves(record is _LOGIT, basis.null, pattern_y)
+            if dual.any():
+                beta, kinds = _fit_interior(record, basis, pattern_w[dual], pattern_s[dual],
+                                            pattern_y[dual])
+                _store(coefficients, failures, pattern[dual], beta, kinds)
+            rows, y, w = pattern[~dual], pattern_y[~dual], pattern_w[~dual]
             if record is _POISSON:
                 zero = _identically_zero(w, y)
                 for r in rows[zero].tolist():
                     failures[r] = "OverflowGuardError"
                 rows, y, w = rows[~zero], y[~zero], w[~zero]
-            if record is _GAUSSIAN:
-                beta, singular = _cell_least_squares(basis, w, pattern_s)
-                kinds = ["SingularHessianError" if s else None for s in singular.tolist()]
-            else:
+            if len(rows):
                 beta, kinds, *_ = _fit(record, cells, w, y[:, None], FitOptions(), basis=basis)
-            fitted = np.array([kind is None for kind in kinds], bool)
-            coefficients[rows[fitted]] = beta[fitted]
-            for r, kind in zip(rows.tolist(), kinds):
-                failures[r] = kind
+                _store(coefficients, failures, rows, beta, kinds)
     return results
+
+
+def _fit_interior(family, basis, counts, sums, means):
+    """(beta (B, p), failure kinds (B,)) of the Poisson or logit fits of
+    cells whose means are all interior, by rrdid.dual.fit_interior: a fit
+    whose cell means or fitted links are not finite is singular
+    (SingularHessianError), and one whose largest |link| reaches _CAP
+    raises the family's guard, as the Newton's clamp decides it."""
+    beta, eta, converged = fit_interior(family is _LOGIT, basis.null, basis.pinv_t,
+                                        counts, sums)
+    kinds = np.where(converged, None, "not_converged").astype(object)
+    kinds[~(np.max(np.abs(eta), axis=1) < _CAP)] = family.guard.__name__
+    finite = np.all(np.isfinite(means), axis=1) & np.all(np.isfinite(eta), axis=1)
+    kinds[~finite] = "SingularHessianError"
+    return beta, kinds
+
+
+def _store(coefficients, failures, rows, beta, kinds):
+    """Record the fits of rows: coefficients where kinds[r] is None, which
+    marks a converged fit, and each kind among failures."""
+    fitted = np.array([kind is None for kind in kinds], bool)
+    coefficients[rows[fitted]] = beta[fitted]
+    for r, kind in zip(rows.tolist(), kinds):
+        failures[r] = kind

@@ -169,9 +169,10 @@ class Panel:
 
 
 def replication_rng(seed: int, replication_index: int) -> np.random.Generator:
-    """The RNG stream owned by one replication of one scenario."""
+    """The RNG stream owned by one replication of one scenario: the stream of
+    np.random.default_rng(ss), built without its argument checks."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication_index,))
-    return np.random.default_rng(ss)
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _linear_index(params) -> np.ndarray:
@@ -219,7 +220,17 @@ def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
     (n, 4) subject and period axes, so the outcomes of any set of entries are
     _outcomes of the arrays indexed there. The censored family's normals go
     into normals, so they are valid until its next draw. The caller ignores
-    overflow: the rate and outcome checks decide on it.
+    overflow, which the rate and outcome checks decide on, and division by
+    zero, the log of a binary uniform of 0.
+
+    The binary family draws uniforms u, which take the same words of the
+    stream as rng.logistic, and _outcomes turns the kept ones into the
+    logistic variate log(u / (1 - u)), rng.logistic's own formula. An
+    outcome can differ from lin + rng.logistic(...) > 0 on the same stream
+    in two cases: a uniform that is exactly 0, with probability 2^-53, for
+    which rng.logistic draws again; and np.log's SIMD loop, which differs
+    from the C library's log by one ulp in about 0.2% of values, which flips
+    an outcome only when |lin + u| is within an ulp of 0.
     """
     n = q.size
     family = scenario.family
@@ -241,7 +252,7 @@ def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
         z = normals.draw(rng, (int(m.max()), n, N_PERIODS))
         return np.broadcast_to(m[:, None], (n, N_PERIODS)), z
     if family == "binary":
-        return (rng.logistic(size=(n, N_PERIODS)),)
+        return (rng.random((n, N_PERIODS)),)
     raise ValueError(f"unknown family {family!r}")  # pragma: no cover - Scenario checks
 
 
@@ -259,9 +270,9 @@ def _outcomes(scenario: Scenario, lin: np.ndarray, variates: tuple) -> np.ndarra
         y = np.zeros(lin.shape)
         for j in range(z.shape[0]):
             y += np.where(m > j, np.exp(lin + z[j]), 0.0)
-    else:  # binary
+    else:  # binary, from uniforms; a uniform of 0 gives a variate of -inf
         (u,) = variates
-        y = (lin + u > 0).astype(float)
+        y = (lin + np.log(u / (1.0 - u)) > 0).astype(float)
     if not np.isfinite(y).all():
         raise ValueError("DGP produced non-finite outcomes; check parameters")
     return y
@@ -281,7 +292,7 @@ def _draw_panel(scenario: Scenario, rng: np.random.Generator) -> Panel:
         return Panel(y=y, q=q)
 
     lin = _linear_index(scenario)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         variates = _draw_variates(scenario, lin, q, rng, _NormalBuffer())
         return Panel(y=_outcomes(scenario, lin[q], variates), q=q)
 
@@ -340,7 +351,7 @@ def _draw_cells(scenario: Scenario, rngs):
     first = np.arange(0, n * N_PERIODS, N_PERIODS)
     counts, sums = np.empty((2, len(rngs), _CELLS.n))
     normals = _NormalBuffer()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         for rng, count, total in zip(rngs, counts, sums):
             q = _draw_group(n, rng)
             variates = _draw_variates(scenario, lin, q, rng, normals)
@@ -422,8 +433,9 @@ def run_monte_carlo(scenario: Scenario, counterfactual_transform_mean: bool = Fa
     design (period dummies, group, group trend, treatment). Regressors are
     constant within the eight (q, t) cells, so _draw_cells reduces each draw
     to its cell counts and sums as it draws it, and fit_cell_sums fits the
-    batch: the QMLE with the row-level fits' stopping rules and guards, the
-    linear DD in closed form. The estimates are one replications x rows
+    batch: the QMLE exactly in its dual where every cell's mean is interior,
+    else with the row-level fits' stopping rules and guards, the linear DD
+    in closed form. The estimates are one replications x rows
     array, summarized over a mask of the fitted replications. Replications
     whose QMLE fails are excluded; more than 5% failures aborts. A fitted
     draw whose transform is NaN (undefined) is redrawn in full, extending

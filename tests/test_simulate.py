@@ -29,9 +29,12 @@ from rrdid.errors import (
     SingularDesignError,
     SingularHessianError,
 )
-from rrdid.estimators import fit_cell_sums
+from rrdid.estimators import FitOptions, fit_cell_sums
 from rrdid.simulate import (_CELLS, _DESIGN, _POISSON_RATE_MAX, N_PERIODS, POST_PERIOD,
                             _draw_cells)
+
+
+TIGHT = FitOptions(gradient_tolerance=1e-13)
 
 
 def scenario(**kw):
@@ -178,6 +181,20 @@ def test_binary_family_logistic_share():
     for q, t in [(0, 3), (1, 0), (1, 3)]:
         expected = float(expit(linear_index(sc, q, t)))
         assert cell_mean(panel, q, t) == pytest.approx(expected, abs=0.005)
+
+
+def test_binary_outcomes_equal_the_logistic_draw():
+    # the binary draw takes uniforms and forms log(u / (1 - u)) itself; on the
+    # same stream its outcomes are those of rng.logistic, 400 000 of them here
+    sc = scenario(family="binary", n=1000, beta_qtau=0.5, beta_d=0.5, seed=11)
+    lin = np.array([[linear_index(sc, q, t) for t in range(N_PERIODS)] for q in (0, 1)])
+    for rep in range(100):
+        rng = replication_rng(sc.seed, rep)
+        q = (rng.random(sc.n) < 0.5).astype(np.int64)
+        expected = (lin[q] + rng.logistic(size=(sc.n, N_PERIODS)) > 0).astype(float)
+        panel = dgp_draw(sc, rep)
+        np.testing.assert_array_equal(panel.q, q)
+        np.testing.assert_array_equal(panel.y, expected)
 
 
 def test_multinomial_family_softmax_shares():
@@ -454,8 +471,8 @@ def test_run_monte_carlo_mixes_failures_and_redraws():
     assert summary.effective_repetitions == 38
     assert summary.failed_repetitions == 2
     expected = {
-        "qmle_beta_qtau": (0.2990185179871507, 0.5298956536231967, 0.6084418442447781),
-        "qmle_beta_d": (0.9045365093050373, 1.1771492940467787, 1.484542608731919),
+        "qmle_beta_qtau": (0.2990185231451051, 0.5298956559819163, 0.6084418488338761),
+        "qmle_beta_d": (0.9045365140357442, 1.1771492985766696, 1.4845426152062735),
         "lindd_beta_qtau": (0.030836943913720178, 0.29589033377631796,
                             0.29749286837199773),
         "lindd_beta_d": (0.6357019961327324, 0.528265334173238, 0.8265478154204409),
@@ -527,6 +544,9 @@ def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep)
     # for binary) puts the QMLE optimum at infinity; such a fit stops wherever
     # the score first drops under the tolerance, and the two paths' rounding
     # moves that point by up to ~1e-5, so only their decisions are compared.
+    # A table of interior cells is solved exactly in its dual, while a row fit
+    # at the default tolerance stops up to ~1e-6 away, so the QMLE is compared
+    # with a row fit iterated to a tight tolerance.
     means = sums[counts > 0] / counts[counts > 0]
     finite = not np.any((means == 0) | ((means == 1) & (family == "binary")))
     for name, row_fit in (qmle, ("ols", fit_ols)):
@@ -539,6 +559,8 @@ def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep)
             continue
         assert failure == (None if fit.converged else "not_converged")
         if failure is None and (finite or name == "ols"):
+            if name != "ols":
+                fit = row_fit(design, data.y, data.weights, options=TIGHT)
             np.testing.assert_allclose(beta[0], fit.coefficients, rtol=0, atol=1e-9)
 
 
@@ -583,6 +605,27 @@ def test_cell_ols_reports_a_singular_closed_form():
         assert np.isnan(beta).all()
 
 
+def test_saturated_cells_report_a_singular_closed_form():
+    # with one empty cell the design is saturated (k = p) and each fit is
+    # mu = S / N; a weight too small to invert leaves the linear fit no finite
+    # value, and a mean S / N that overflows leaves the QMLE none
+    counts = np.array([[3, 2, 0, 5, 1, 2, 3, 5e-324], [3, 2, 0, 5, 1, 2, 3, 1e-310]])
+    sums = 1.5 * counts
+    sums[1, -1] = 1.0
+    cells = build_design(_CELLS, _DESIGN)
+    (beta, failures), = fit_cell_sums(("ols",), cells, counts[:1], sums[:1])
+    assert failures == ["SingularHessianError"]
+    assert np.isnan(beta).all()
+    (beta, failures), = fit_cell_sums(("poisson_qmle",), cells, counts, sums)
+    assert failures == [None, "SingularHessianError"]
+    # the first table's last mean is 2 S / N, since 1.5 x 5e-324 rounds to 1e-323
+    keep = counts[0] > 0
+    X = cells.cell_values[keep]
+    np.testing.assert_allclose(X @ beta[0], np.log(sums[0, keep] / counts[0, keep]),
+                               rtol=0, atol=1e-14)
+    assert np.isnan(beta[1]).all()
+
+
 def _with(array, index, value):
     array = np.array(array, float)
     array[index] = value
@@ -617,17 +660,26 @@ def test_fit_cell_sums_refuses_bad_input(families, X, counts, sums, message):
 
 
 @pytest.mark.parametrize("family, qmle", [("positive", "poisson_qmle"),
+                                          ("count", "poisson_qmle"),
                                           ("binary", "logit_qmle")])
 def test_cell_fit_bits_do_not_depend_on_the_batch(family, qmle):
     # at n = 12 one batch mixes patterns of empty cells: full (k - p = 1),
-    # saturated (one empty cell) and rank-deficient ones; the families fitted
-    # together, as the Monte Carlo fits them, equal each fitted alone
+    # saturated (one empty cell) and rank-deficient ones; at n = 30 the count
+    # batch mixes tables of interior cells, full and saturated, which the dual
+    # solves, with tables of a boundary cell, full and saturated, which keep
+    # the Newton; the families fitted together, as the Monte Carlo fits them,
+    # equal each fitted alone
     cells = build_design(_CELLS, _DESIGN)
-    for n in (60, 12):
+    for n in (60, 30, 12):
         sc = Scenario(family=family, n=n, repetitions=37, seed=4,
                       beta_qtau=0.5, beta_d=0.5)
         draws = [_draw_cells(sc, [replication_rng(sc.seed, rep)]) for rep in range(37)]
         counts, sums = (np.concatenate(part) for part in zip(*draws))
+        if family == "count" and n == 30:
+            interior = np.all((sums > 0) | (counts == 0), axis=1)
+            saturated = np.sum(counts == 0, axis=1) == 1
+            assert {(True, False), (True, True), (False, False), (False, True)} <= \
+                set(zip(interior.tolist(), saturated.tolist()))
         together = fit_cell_sums((qmle, "ols"), cells, counts, sums)
         for name, (joint, joint_failures) in zip((qmle, "ols"), together):
             (batch, failures), = fit_cell_sums((name,), cells, counts, sums)
