@@ -72,11 +72,20 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+_encode_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _write_json(obj, out):
-    if obj is None:
+    kind = type(obj)
+    # exact floats and strings, most of a payload, skip the isinstance chain
+    if kind is float:
+        out.append(_format_float(obj) if math.isfinite(obj) else "null")
+    elif kind is str:
+        out.append(_encode_string(obj))
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(_encode_string(obj))
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
@@ -93,7 +102,7 @@ def _write_json(obj, out):
             if not first:
                 out.append(",")
             first = False
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(_encode_string(key))
             out.append(":")
             _write_json(obj[key], out)
         out.append("}")
@@ -273,16 +282,22 @@ def _run_simulate(args):
         count_shared_rate_intercept=args.count_shared_rate_intercept,
         censored_extra_term=args.censored_extra_term,
     )
-    echo = dataclasses.asdict(scenario)
-    del echo["multinomial_extras"]
+    echo = _fields(scenario, skip="multinomial_extras")
     echo["transform_counterfactual_mean"] = args.transform_counterfactual_mean
     summary = run_monte_carlo(
         scenario,
         counterfactual_transform_mean=args.transform_counterfactual_mean,
     )
-    results = dataclasses.asdict(summary)
-    del results["scenario"]
+    results = _fields(summary, skip="scenario")
+    results["rows"] = {key: _fields(row) for key, row in summary.rows.items()}
     return echo, results, []
+
+
+def _fields(obj, skip=None) -> dict:
+    """A dataclass instance's fields but skip, by name: asdict without its
+    deep copy, for fields that hold no dataclass."""
+    return {field.name: getattr(obj, field.name)
+            for field in dataclasses.fields(obj) if field.name != skip}
 
 
 _FAMILY_FITTERS = {

@@ -631,6 +631,18 @@ def _cell_basis(values, names):
     """The _CellBasis of the cell design values (k, p), whose columns are
     named names, or the SingularDesignError of _check_full_rank_qr.
 
+    A design's basis is computed once per process, for the 256 designs last
+    asked for (the Monte Carlo's design has 256 patterns of empty cells), and
+    every caller shares its arrays, which are read-only.
+    """
+    values = np.asarray(values, float)
+    return _design_basis(values.shape, values.tobytes(), tuple(names))
+
+
+@functools.lru_cache(maxsize=256)
+def _design_basis(shape, data, names):
+    """_cell_basis of the design whose rows are the float64 bytes data.
+
     The rank test shares the SVD: when the squared singular values, the
     Gram's eigenvalues, prove full rank (_eigenvalues_prove_full_rank), the
     QR test is skipped; a closer call, or fewer cells than columns, is left
@@ -641,14 +653,18 @@ def _cell_basis(values, names):
     would multiply by that cell's inverse weight, so entries that small are
     set to the zero they stand for.
     """
+    values = np.frombuffer(data).reshape(shape)
     u, s, vt = np.linalg.svd(values)
     k = len(values)
     if not (len(s) == values.shape[1] and _eigenvalues_prove_full_rank(s[::-1] ** 2, k)):
-        _check_full_rank_qr(values, names)
+        _check_full_rank_qr(values, list(names))
     null = u[:, len(s):].T
     null = np.where(np.abs(null) <= k * np.finfo(float).eps * s[0] / s[-1], 0.0, null)
-    return _CellBasis(null, u[:, :len(s)] @ (vt / s[:, None]),
-                      np.hstack([1.0 - np.eye(k), np.ones((k, 1))]))
+    basis = _CellBasis(null, u[:, :len(s)] @ (vt / s[:, None]),
+                       np.hstack([1.0 - np.eye(k), np.ones((k, 1))]))
+    for array in basis:
+        array.setflags(write=False)
+    return basis
 
 
 def _cell_least_squares(basis, weights, weighted):

@@ -4,7 +4,11 @@ Each subject is a short panel (periods 0..3, treatment switches on for the
 Q = 1 group in period 3); the repeated cross-section is sampled by keeping
 one uniformly chosen period per subject. Replication r of a scenario draws
 from an RNG stream keyed by (seed, r), so results depend only on the
-scenario, and redraws within a replication extend that stream only.
+scenario, and redraws within a replication extend that stream only. The
+Monte Carlo driver seeds each stream once per process (the paper's tables
+share one seed and one set of replication indices) and carries every
+stream of a run on one generator, whose state it sets before each draw and
+saves after it.
 
 The Monte Carlo driver keeps only each draw's (q, t) cell counts and outcome
 sums and fits every replication from them, all replications in one batch.
@@ -25,6 +29,7 @@ with lin = beta_t + beta_q Q + beta_qtau t Q + beta_d D.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -63,6 +68,7 @@ _DESIGN = DesignSpec(post_period=POST_PERIOD, include_period_dummies=True,
 # one row per (q, t) cell, in the order q * N_PERIODS + t
 _CELLS = RcsDataset(y=np.zeros(2 * N_PERIODS), q=np.repeat([0, 1], N_PERIODS),
                     t=np.tile(np.arange(N_PERIODS), 2), n_periods=N_PERIODS)
+_TREATED_POST = cell_masks(_CELLS, POST_PERIOD)[(1, 1)]
 FAILURE_KINDS = ("not_converged", "OverflowGuardError", "SeparationError",
                  "SingularDesignError", "SingularHessianError")
 # the McSummary rows; the binary family has no lindd_transform
@@ -175,6 +181,22 @@ def replication_rng(seed: int, replication_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+@functools.lru_cache(maxsize=1024)
+def _initial_state(seed: int, replication_index: int) -> dict:
+    """The bit generator state replication_rng(seed, replication_index)
+    starts from, kept for the 1024 streams last asked for, which hold the
+    1000 replications of the paper's tables. Every caller gets the same
+    dict, to set a generator's state from, never to modify."""
+    return replication_rng(seed, replication_index).bit_generator.state
+
+
+@functools.cache
+def _cell_design():
+    """The Monte Carlo's design of the _CELLS cells, built once per process
+    (a DesignMatrix, whose arrays are read-only)."""
+    return build_design(_CELLS, _DESIGN)
+
+
 def _linear_index(params) -> np.ndarray:
     """(2, 4) index of each (q, t) cell from a Scenario's or a MultinomialClassParams' betas."""
     q = np.arange(2)
@@ -212,16 +234,26 @@ class _NormalBuffer:
         return rng.standard_normal(out=self._buffer[:size].reshape(shape))
 
 
-def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
+def _count_rates(scenario: Scenario, lin: np.ndarray) -> np.ndarray:
+    """(2, 4) Poisson rate of each (q, t) cell for the count family, from the
+    _linear_index table lin; an overflow gives inf, which _draw_variates
+    refuses for the draws it reaches."""
+    if scenario.count_shared_rate_intercept:
+        lin = lin - np.asarray(scenario.betas_t)[None, :] + scenario.betas_t[1]
+    return np.exp(lin)
+
+
+def _draw_variates(scenario: Scenario, rates: np.ndarray, q: np.ndarray,
                    rng: np.random.Generator, normals: _NormalBuffer) -> tuple:
     """The family's random variates for every (subject, period), drawn from rng.
 
-    lin is the (2, 4) _linear_index table. Each returned array ends in the
-    (n, 4) subject and period axes, so the outcomes of any set of entries are
-    _outcomes of the arrays indexed there. The censored family's normals go
-    into normals, so they are valid until its next draw. The caller ignores
-    overflow, which the rate and outcome checks decide on, and division by
-    zero, the log of a binary uniform of 0.
+    rates is the count family's _count_rates table, which the other families
+    ignore. Each returned array ends in the (n, 4) subject and period axes,
+    so the outcomes of any set of entries are _outcomes of the arrays indexed
+    there. The censored family's normals go into normals, so they are valid
+    until its next draw. The caller ignores overflow, which the rate and
+    outcome checks decide on, and division by zero, the log of a binary
+    uniform of 0.
 
     The binary family draws uniforms u, which take the same words of the
     stream as rng.logistic, and _outcomes turns the kept ones into the
@@ -237,9 +269,7 @@ def _draw_variates(scenario: Scenario, lin: np.ndarray, q: np.ndarray,
     if family == "positive":
         return (rng.standard_normal((n, N_PERIODS)),)
     if family == "count":
-        if scenario.count_shared_rate_intercept:
-            lin = lin - np.asarray(scenario.betas_t)[None, :] + scenario.betas_t[1]
-        rate = np.exp(lin)[q]
+        rate = rates[q]
         if not np.all(rate <= _POISSON_RATE_MAX):
             raise ValueError("DGP produced a Poisson rate too large to draw from; "
                              "check parameters")
@@ -267,9 +297,10 @@ def _outcomes(scenario: Scenario, lin: np.ndarray, variates: tuple) -> np.ndarra
         y = k.astype(float)
     elif family == "censored":
         m, z = variates
-        y = np.zeros(lin.shape)
-        for j in range(z.shape[0]):
-            y += np.where(m > j, np.exp(lin + z[j]), 0.0)
+        j = np.arange(len(z)).reshape((-1,) + (1,) * m.ndim)
+        # the builtin sum adds the summands j < M in the order of j, from 0;
+        # an axis-0 np.sum of one subject's summands would add them pairwise
+        y = sum(np.where(j < m, np.exp(lin + z), 0.0), np.zeros(lin.shape))
     else:  # binary, from uniforms; a uniform of 0 gives a variate of -inf
         (u,) = variates
         y = (lin + np.log(u / (1.0 - u)) > 0).astype(float)
@@ -293,7 +324,8 @@ def _draw_panel(scenario: Scenario, rng: np.random.Generator) -> Panel:
 
     lin = _linear_index(scenario)
     with np.errstate(over="ignore", divide="ignore"):
-        variates = _draw_variates(scenario, lin, q, rng, _NormalBuffer())
+        variates = _draw_variates(scenario, _count_rates(scenario, lin), q, rng,
+                                  _NormalBuffer())
         return Panel(y=_outcomes(scenario, lin[q], variates), q=q)
 
 
@@ -333,34 +365,42 @@ def _sample_periods(panel: Panel, rng: np.random.Generator):
     return panel.y[np.arange(t.size), t], t
 
 
-def _draw_cells(scenario: Scenario, rngs):
-    """(counts, sums) of the _CELLS cells of one draw from each of rngs, as
-    (len(rngs), 8) float arrays.
+def _draw_cells(scenario: Scenario, rng: np.random.Generator, states: list, reps):
+    """(counts, sums) of the _CELLS cells of one draw from each replication
+    stream in reps, as (len(reps), 8) float arrays.
 
-    Bit for bit the cells of panel_to_rcs(dgp_draw(...)) on the same rng: each
-    draw takes every random variate _draw_panel and _sample_periods take, in
-    their order, but forms only the outcome of each subject's kept period,
-    and only those outcomes are checked for overflow. Each draw is reduced to
-    its cells, by a bincount as for its own rows, before the next is drawn,
-    so no array spans the batch's subjects, and the censored family's
-    normals of every draw share one buffer.
+    states[r] is the bit generator state of replication r's stream. rng
+    carries every draw: its state is set from states[r] before replication
+    r's draw, and states[r] is replaced by the state after it, so a redraw
+    continues that stream only. Bit for bit the cells of
+    panel_to_rcs(dgp_draw(...)) on the same stream: each draw takes every
+    random variate _draw_panel and _sample_periods take, in their order, but
+    forms only the outcome of each subject's kept period, and only those
+    outcomes are checked for overflow. Each draw is reduced to its cells, by
+    a bincount as for its own rows, before the next is drawn, so no array
+    spans the batch's subjects, and the censored family's normals of every
+    draw share one buffer.
     """
     n = scenario.n
     lin = _linear_index(scenario)
     # each subject's first entry in the flattened subject and period axes
     first = np.arange(0, n * N_PERIODS, N_PERIODS)
-    counts, sums = np.empty((2, len(rngs), _CELLS.n))
+    counts, sums = np.empty((2, len(reps), _CELLS.n))
     normals = _NormalBuffer()
+    bit_generator = rng.bit_generator
     with np.errstate(over="ignore", divide="ignore"):
-        for rng, count, total in zip(rngs, counts, sums):
+        rates = _count_rates(scenario, lin)
+        for rep, count, total in zip(reps, counts, sums):
+            bit_generator.state = states[rep]
             q = _draw_group(n, rng)
-            variates = _draw_variates(scenario, lin, q, rng, normals)
+            variates = _draw_variates(scenario, rates, q, rng, normals)
             t = rng.integers(0, N_PERIODS, size=n)
+            states[rep] = bit_generator.state
             kept = first + t
             cell = q * N_PERIODS + t
             y = _outcomes(scenario, lin.reshape(-1).take(cell),
-                          tuple(v.reshape(v.shape[:-2] + (n * N_PERIODS,)).take(kept, axis=-1)
-                                for v in variates))
+                          [v.reshape(v.shape[:-2] + (n * N_PERIODS,)).take(kept, axis=-1)
+                           for v in variates])
             count[:] = np.bincount(cell, minlength=_CELLS.n)
             total[:] = np.bincount(cell, weights=y, minlength=_CELLS.n)
     return counts, sums
@@ -408,10 +448,9 @@ def _fit_draws(scenario, design, counts, sums, counterfactual):
     kinds = [q or l for q, l in zip(qfailed, lfailed)]
     rows = [qbeta[:, trend], qbeta[:, treat], lbeta[:, trend], lbeta[:, treat]]
     if not binary:
-        post = cell_masks(_CELLS, POST_PERIOD)[(1, 1)]
         # a failed draw may have no observation in the treated post cell
         with np.errstate(divide="ignore", invalid="ignore"):
-            ybar = sums[:, post].sum(axis=1) / counts[:, post].sum(axis=1)
+            ybar = sums[:, _TREATED_POST].sum(axis=1) / counts[:, _TREATED_POST].sum(axis=1)
         if counterfactual:
             ybar = ybar - lbeta[:, treat]
         transform = np.full(len(kinds), math.nan)
@@ -440,7 +479,11 @@ def run_monte_carlo(scenario: Scenario, counterfactual_transform_mean: bool = Fa
     whose QMLE fails are excluded; more than 5% failures aborts. A fitted
     draw whose transform is NaN (undefined) is redrawn in full, extending
     only that replication's stream, within a smaller batch. The draws run in
-    one thread, in replication order.
+    one thread, in replication order, all carried by one generator: each
+    replication's stream starts from its replication_rng state, computed
+    once per process for the streams last used (_initial_state), and its
+    state is saved after each draw for its redraws. The cell design and
+    its bases are likewise built once per process.
 
     counterfactual_transform_mean rescales the transform by the implied
     untreated mean (observed treated-post mean minus the DD estimate)
@@ -452,16 +495,18 @@ def run_monte_carlo(scenario: Scenario, counterfactual_transform_mean: bool = Fa
             "families; multinomial scenarios are for dgp_draw and the analytic checks"
         )
     reps = scenario.repetitions
-    design = build_design(_CELLS, _DESIGN)
+    design = _cell_design()
     names = _ROWS[:4] if scenario.family == "binary" else _ROWS
-    rngs = [replication_rng(scenario.seed, rep) for rep in range(reps)]
+    states = [_initial_state(scenario.seed, rep) for rep in range(reps)]
+    # its own seed is never drawn from: _draw_cells sets its state
+    rng = np.random.Generator(np.random.PCG64(0))
     estimates = np.empty((reps, len(names)))
     fitted = np.zeros(reps, dtype=bool)
     failures = dict.fromkeys(FAILURE_KINDS, 0)
     redraws = 0
     pending = np.arange(reps)
     for _ in range(_MAX_REDRAWS):
-        counts, sums = _draw_cells(scenario, [rngs[rep] for rep in pending])
+        counts, sums = _draw_cells(scenario, rng, states, pending.tolist())
         kinds, est = _fit_draws(scenario, design, counts, sums,
                                 counterfactual_transform_mean)
         for kind in filter(None, kinds):

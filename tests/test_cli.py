@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rrdid import cli, nonparametric_rr, summarize_cells
 from rrdid import io as csv_io
@@ -541,6 +542,67 @@ def test_canonical_json_formatting():
         canonical_json({1: "non-string key"})
     with pytest.raises(TypeError):
         canonical_json(object())
+
+
+def _reference_json(obj, out):
+    """canonical_json's writer before it dispatched on exact types and kept
+    one string encoder: the oracle of test_canonical_json_equals_its_reference."""
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append("null" if not math.isfinite(x) else "0" if x == 0.0 else f"{x:.17g}")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be strings")
+            out.append("," if i else "")
+            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(":")
+            _reference_json(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            out.append("," if i else "")
+            _reference_json(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), st.text(st.characters(max_codepoint=31)),
+    st.floats(), st.sampled_from([-0.0, math.nan, -math.inf, 5e-324, 2.2250738585e-313]),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)),
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=25)
+
+
+@given(_JSON_DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_equals_its_reference(doc):
+    # the exact-type dispatch and the shared string encoder change no byte,
+    # and the output still re-renders to itself
+    reference = []
+    _reference_json(doc, reference)
+    text = canonical_json(doc)
+    assert text == "".join(reference)
+    assert canonical_json(json.loads(text)) == text
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rrdid.blocks
@@ -1700,12 +1700,14 @@ def _names(X):
     return [f"x{j}" for j in range(X.shape[1])]
 
 
-def _exact_newton_direction(X, weights, grad):
-    """The solution of X'WX d = grad, in exact rational arithmetic on the
-    floats given, rounded once."""
+def _exact_newton_direction(X, weights, residuals):
+    """The solution of X'WX d = X'r, in exact rational arithmetic on the
+    floats given, rounded once: X'r is formed from the residuals r, not
+    from its rounded float product."""
     k, p = X.shape
     rows = [[sum((Fraction(X[c, i]) * Fraction(weights[c]) * Fraction(X[c, j])
-                  for c in range(k)), Fraction(0)) for j in range(p)] + [Fraction(grad[i])]
+                  for c in range(k)), Fraction(0)) for j in range(p)]
+            + [sum((Fraction(X[c, i]) * Fraction(residuals[c]) for c in range(k)), Fraction(0))]
             for i in range(p)]
     for col in range(p):
         pivot = next(r for r in range(col, p) if rows[r][col] != 0)
@@ -1717,25 +1719,39 @@ def _exact_newton_direction(X, weights, grad):
     return np.array([float(rows[i][p] / rows[i][i]) for i in range(p)])
 
 
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
 @given(st.booleans(), st.lists(st.integers(0, 7), max_size=2, unique=True),
-       st.sampled_from([_POISSON, _LOGIT]), st.floats(0.0, 30.0), st.data())
+       st.sampled_from([_POISSON, _LOGIT]), st.floats(0.0, 30.0),
+       st.lists(st.floats(1.0, 1000.0), min_size=8, max_size=8),
+       st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+       st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
 @settings(max_examples=150, deadline=None)
-def test_cell_newton_direction_matches_the_hessian_solve(trend, empty, family, cap, data):
+# an exact direction of about 1e-316, below any bound relative to it
+@example(False, [0], _POISSON, 0.0, [5.0, 977.0, 1.0, 1.0, 3.0, 2.0, 1.0, 1.0], [0.0] * 7,
+         [0.0, 2.2250738585e-315, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+# saturated (k = p = 6), weights up to e^16: a right-hand side rounded to
+# floats before the solve would be amplified 1e-7 off the exact direction
+@example(False, [2, 0], _POISSON, 16.0, [1.0] * 8, [0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+         [0.0, -0.7376057020405322, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+def test_cell_newton_direction_matches_the_hessian_solve(trend, empty, family, cap,
+                                                        counts, beta, residuals):
     # The closed-form direction on the cell null space against the dense
     # Hessian solve, on patterns of empty cells with k - p = 0 and 1, the
     # designs fit_cell_sums accepts, at linear predictors up to the cap.
     # Both are checked against the exact Newton direction. The closed form
     # is within 1e-9 of it, relative to its largest entry, and the dense
-    # solve within 100 p eps kappa(H), so the two agree to the sum.
+    # solve within 100 p eps kappa(H), so the two agree to the sum. Each
+    # bound admits one subnormal spacing besides, the least error a float
+    # can have where the exact direction is itself subnormal.
     keep = np.setdiff1d(np.arange(8), empty)
     X = _cell_rows(trend)[keep]
     k, p = X.shape
     if np.linalg.matrix_rank(X) < p or k - p > 1:
         return
-    floats = st.floats(-1.0, 1.0)
-    counts = np.array(data.draw(st.lists(st.floats(1.0, 1000.0), min_size=k, max_size=k)))
-    beta = np.array(data.draw(st.lists(floats, min_size=p, max_size=p)))
-    residuals = np.array(data.draw(st.lists(floats, min_size=k, max_size=k))) * 100.0
+    counts, beta = np.array(counts[:k]), np.array(beta[:p])
+    residuals = np.array(residuals[:k]) * 100.0
     grad = X.T @ residuals
     eta = X @ beta
     if np.max(np.abs(eta)) > 0:
@@ -1747,14 +1763,14 @@ def test_cell_newton_direction_matches_the_hessian_solve(trend, empty, family, c
     curvature = np.stack([weights, residuals])[None]
     basis = _cell_basis(X, _names(X))
     (direction,), (singular,) = _cell_newton_directions(basis, curvature, grad[None])
-    exact = _exact_newton_direction(X, weights, grad)
+    exact = _exact_newton_direction(X, weights, residuals)
     assert not singular
     scale = np.max(np.abs(exact))
-    assert np.max(np.abs(direction - exact)) <= 1e-9 * scale
+    assert np.max(np.abs(direction - exact)) <= 1e-9 * scale + _SUBNORMAL
     if not dense_singular:
         dense_rtol = 100 * p * np.finfo(float).eps * np.linalg.cond(hess)
-        assert np.max(np.abs(dense - exact)) <= dense_rtol * scale
-        assert np.max(np.abs(direction - dense)) <= (1e-9 + dense_rtol) * scale
+        assert np.max(np.abs(dense - exact)) <= dense_rtol * scale + _SUBNORMAL
+        assert np.max(np.abs(direction - dense)) <= (1e-9 + dense_rtol) * scale + 2 * _SUBNORMAL
 
 
 @pytest.mark.parametrize("trend, empty", [(True, ()), (False, (0,))],

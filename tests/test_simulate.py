@@ -30,8 +30,9 @@ from rrdid.errors import (
     SingularHessianError,
 )
 from rrdid.estimators import FitOptions, fit_cell_sums
-from rrdid.simulate import (_CELLS, _DESIGN, _POISSON_RATE_MAX, N_PERIODS, POST_PERIOD,
-                            _draw_cells)
+from rrdid.simulate import (_CELLS, _DESIGN, _POISSON_RATE_MAX, _ROWS, FAILURE_KINDS,
+                            N_PERIODS, POST_PERIOD, McRow, McSummary, _draw_cells,
+                            _fit_draws, _initial_state)
 
 
 TIGHT = FitOptions(gradient_tolerance=1e-13)
@@ -46,6 +47,17 @@ def scenario(**kw):
 def linear_index(sc, q, t):
     d = q * (t == POST_PERIOD)
     return (sc.betas_t[t] + sc.beta_q * q + sc.beta_qtau * t * q + sc.beta_d * d)
+
+
+def draw_cells(sc, rngs):
+    """_draw_cells of one draw from each of rngs, carried by one generator as
+    run_monte_carlo carries them; each of rngs is left in the state its own
+    draw would leave it in."""
+    states = [rng.bit_generator.state for rng in rngs]
+    cells = _draw_cells(sc, np.random.Generator(np.random.PCG64(0)), states, range(len(rngs)))
+    for rng, state in zip(rngs, states):
+        rng.bit_generator.state = state
+    return cells
 
 
 # --- scenario validation ------------------------------------------------------
@@ -197,6 +209,35 @@ def test_binary_outcomes_equal_the_logistic_draw():
         np.testing.assert_array_equal(panel.y, expected)
 
 
+@pytest.mark.parametrize("n", [1, 50])
+@pytest.mark.parametrize("extra_term", [False, True])
+def test_censored_outcomes_add_their_summands_in_order(n, extra_term):
+    # the reference replays the stream and adds summand j of every entry in
+    # the order of j, from 0; both draws must give its sums bit for bit, at
+    # n = 1 too, where an axis-0 np.sum of eight or more summands of one
+    # subject would add them pairwise: replications 4950, 12472 and 27476
+    # draw M = 8, 7 and 7 for their one subject (one more with the extra term)
+    sc = scenario(family="censored", n=n, seed=13, beta_qtau=0.5, beta_d=0.5,
+                  censored_extra_term=extra_term)
+    lin = np.array([[linear_index(sc, g, t) for t in range(N_PERIODS)] for g in (0, 1)])
+    deep = 0
+    for rep in [*range(200), 4950, 12472, 27476]:
+        rng = replication_rng(sc.seed, rep)
+        q = (rng.random(n) < 0.5).astype(np.int64)
+        m = rng.poisson(1.0, n) + extra_term
+        z = rng.standard_normal((int(m.max()), n, N_PERIODS))
+        y = np.zeros((n, N_PERIODS))
+        for j in range(len(z)):
+            y += np.where(m[:, None] > j, np.exp(lin[q] + z[j]), 0.0)
+        t = rng.integers(0, N_PERIODS, size=n)
+        deep += int(m.max() >= 3)
+        assert dgp_draw(sc, rep).y.tobytes() == y.tobytes()
+        (counts,), (sums,) = draw_cells(sc, [replication_rng(sc.seed, rep)])
+        assert sums.tobytes() == np.bincount(q * N_PERIODS + t, weights=y[np.arange(n), t],
+                                             minlength=_CELLS.n).tobytes()
+    assert deep >= 10
+
+
 def test_multinomial_family_softmax_shares():
     extras = (
         MultinomialClassParams(),
@@ -309,7 +350,7 @@ def test_draw_cells_matches_the_panel_draw(family, n, switch,
     fast = [replication_rng(seed, r) for r in reps]
     slow = [replication_rng(seed, r) for r in reps]
     for _ in range(2):  # a redraw continues each replication's stream
-        counts, sums = _draw_cells(sc, fast)
+        counts, sums = draw_cells(sc, fast)
         assert counts.shape == sums.shape == (batch, _CELLS.n)
         for j, r in enumerate(reps):
             data = panel_to_rcs(dgp_draw(sc, r, rng=slow[j]), sc, r, rng=slow[j])
@@ -333,7 +374,7 @@ def test_draw_cells_matches_each_replication_bit_for_bit(family, n, switch):
     fast = [replication_rng(sc.seed, r) for r in range(3)]
     slow = [replication_rng(sc.seed, r) for r in range(3)]
     for _ in range(2):
-        counts, sums = _draw_cells(sc, fast)
+        counts, sums = draw_cells(sc, fast)
         for r in range(3):
             data = panel_to_rcs(dgp_draw(sc, r, rng=slow[r]), sc, r, rng=slow[r])
             cell = data.q * N_PERIODS + data.t
@@ -364,7 +405,7 @@ def test_draw_cells_raises_on_the_same_draws(family, params):
     sc = scenario(family=family, n=2, **params)
     raised = set()
     for rep in range(60):
-        got = _raises_value_error(lambda: _draw_cells(sc, [replication_rng(sc.seed, rep)]))
+        got = _raises_value_error(lambda: draw_cells(sc, [replication_rng(sc.seed, rep)]))
         rng = replication_rng(sc.seed, rep)
         q = (rng.random(sc.n) < 0.5).astype(np.int64)
         lin = np.array([[linear_index(sc, g, t) for t in range(N_PERIODS)] for g in (0, 1)])
@@ -397,7 +438,7 @@ def test_dgp_overflow_is_a_typed_error_without_warnings(family, params, message)
         with pytest.raises(ValueError, match=message):
             dgp_draw(sc, 0)
         with pytest.raises(ValueError, match=message):
-            _draw_cells(sc, [replication_rng(sc.seed, 0)])
+            draw_cells(sc, [replication_rng(sc.seed, 0)])
 
 
 def test_draw_cells_checks_only_the_kept_outcomes():
@@ -407,7 +448,7 @@ def test_draw_cells_checks_only_the_kept_outcomes():
     kept_early = 0
     for rep in range(40):
         try:
-            (counts,), (sums,) = _draw_cells(sc, [replication_rng(sc.seed, rep)])
+            (counts,), (sums,) = draw_cells(sc, [replication_rng(sc.seed, rep)])
         except ValueError:  # kept in the treated post period
             continue
         if counts[N_PERIODS:N_PERIODS + POST_PERIOD].sum() == 1:
@@ -485,6 +526,61 @@ def test_run_monte_carlo_mixes_failures_and_redraws():
                                                                  rel=1e-12, abs=0)
 
 
+def reference_monte_carlo(sc):
+    """run_monte_carlo as a Generator of each replication's own computes it:
+    replication r draws its panel, and every redraw of it, from
+    replication_rng(seed, r), and is fitted alone (the fits' bits do not
+    depend on their batch). Scenarios that abort are not covered."""
+    design = build_design(_CELLS, _DESIGN)
+    estimates, redraws = [], 0
+    failures = dict.fromkeys(FAILURE_KINDS, 0)
+    for rep in range(sc.repetitions):
+        rng = replication_rng(sc.seed, rep)
+        while True:
+            data = panel_to_rcs(dgp_draw(sc, rep, rng=rng), sc, rep, rng=rng)
+            cell = data.q * N_PERIODS + data.t
+            counts = np.bincount(cell, minlength=_CELLS.n).astype(float)
+            sums = np.bincount(cell, weights=data.y, minlength=_CELLS.n)
+            (kind,), (est,) = _fit_draws(sc, design, counts[None], sums[None], False)
+            if kind is not None:
+                failures[kind] += 1
+            elif np.isnan(est).any():
+                redraws += 1
+                continue
+            else:
+                estimates.append(est)
+            break
+    names = list(_ROWS[:4] if sc.family == "binary" else _ROWS)
+    rows = {}
+    for key, values in zip(names, np.ascontiguousarray(np.array(estimates).T)):
+        truth = sc.beta_qtau if key.endswith("beta_qtau") else sc.beta_d
+        mean = float(values.mean())
+        rows[key] = McRow(abs_bias=abs(mean - truth),
+                          sd=float(np.sqrt(np.mean((values - mean) ** 2))),
+                          rmse=float(np.sqrt(np.mean((values - truth) ** 2))))
+    return McSummary(scenario=sc, rows=rows, redraw_count=redraws, failures_by_kind=failures,
+                     effective_repetitions=len(estimates),
+                     failed_repetitions=sc.repetitions - len(estimates))
+
+
+def test_run_monte_carlo_equals_a_generator_per_replication():
+    # run_monte_carlo carries every stream on one generator, from states
+    # seeded once per process; neither the seeding cache, cold or warm, nor
+    # another scenario of the same seed run in between may change a bit,
+    # redraws and failures included
+    a = Scenario(family="count", n=100, repetitions=50, seed=5, beta_qtau=0.5, beta_d=0.5)
+    b = Scenario(family="censored", n=40, repetitions=1000, seed=5, beta_qtau=0.5, beta_d=0.5)
+    redraws = Scenario(family="positive", n=30, repetitions=40, seed=3, beta_d=-0.5)
+    expected = {sc: reference_monte_carlo(sc) for sc in (a, b, redraws)}
+    assert expected[redraws].redraw_count and expected[redraws].failed_repetitions
+    _initial_state.cache_clear()
+    for sc in (a, a, b, a, redraws):
+        assert run_monte_carlo(sc) == expected[sc]
+    # the cached states are shared, never modified
+    for seed, rep in ((5, 0), (5, 49), (5, 999), (3, 39)):
+        assert _initial_state(seed, rep) == replication_rng(seed, rep).bit_generator.state
+
+
 def test_run_monte_carlo_aborts_on_frequent_failures():
     sc = scenario(family="binary", n=16, repetitions=40, seed=3,
                   beta_qtau=0.5, beta_d=0.5)
@@ -534,7 +630,7 @@ _ROW_ERRORS = (OverflowGuardError, SeparationError, SingularDesignError,
 def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep):
     sc = Scenario(family=family, n=n, repetitions=1, seed=seed,
                   beta_qtau=beta_qtau, beta_d=beta_d)
-    counts, sums = _draw_cells(sc, [replication_rng(seed, rep)])
+    counts, sums = draw_cells(sc, [replication_rng(seed, rep)])
     rng = replication_rng(seed, rep)
     data = panel_to_rcs(dgp_draw(sc, rep, rng=rng), sc, rep, rng=rng)
     design = build_design(data, _DESIGN)
@@ -673,7 +769,7 @@ def test_cell_fit_bits_do_not_depend_on_the_batch(family, qmle):
     for n in (60, 30, 12):
         sc = Scenario(family=family, n=n, repetitions=37, seed=4,
                       beta_qtau=0.5, beta_d=0.5)
-        draws = [_draw_cells(sc, [replication_rng(sc.seed, rep)]) for rep in range(37)]
+        draws = [draw_cells(sc, [replication_rng(sc.seed, rep)]) for rep in range(37)]
         counts, sums = (np.concatenate(part) for part in zip(*draws))
         if family == "count" and n == 30:
             interior = np.all((sums > 0) | (counts == 0), axis=1)
