@@ -106,14 +106,14 @@ def _number_pairs(keys, size):
 
 
 def _class_pairs(n_classes):
-    """The class pairs (c, d), c <= d, in the order of every (B, P, m) array
+    """The class pairs (c, d), c <= d, in the order of every (P, m) array
     of class-pair weights."""
     return [(c, d) for c in range(n_classes) for d in range(c, n_classes)]
 
 
 def _transposed(blocks, values):
-    """(X'values (B, C, p), per-cell sums (B, C, k) or None without cell
-    columns) of (B, C, m) values on the units of blocks."""
+    """(X'values (C, p), per-cell sums (C, k) or None without cell columns)
+    of (C, m) values on the units of blocks."""
     cell, rows, index = blocks
     parts, on_cells = [], None
     if cell.shape[1]:
@@ -121,13 +121,13 @@ def _transposed(blocks, values):
         parts.append(on_cells @ cell)
     if rows.shape[1]:
         parts.append(values @ rows)
-    return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)), on_cells
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), on_cells
 
 
 def _cross(blocks, weight, on_cells=None):
-    """sum_j weight_j (x) x_j x_j' over the units of blocks, per fit: (B, Cp, Cp)
-    of p x p class-pair blocks for (B, P, m) weights of the P = C (C + 1) / 2
-    class pairs c <= d of _class_pairs; block (d, c) mirrors (c, d).
+    """sum_j weight_j (x) x_j x_j' over the units of blocks: (Cp, Cp) of p x p
+    class-pair blocks for (P, m) weights of the P = C (C + 1) / 2 class
+    pairs c <= d of _class_pairs; block (d, c) mirrors (c, d).
 
     The cell x cell blocks weight each cell's row by its summed weights
     (on_cells, when the caller has them), and the row columns' blocks are
@@ -135,20 +135,20 @@ def _cross(blocks, weight, on_cells=None):
     or NaN entries, which the callers decide on.
     """
     cell, rows, index = blocks
-    n_fits, n_pairs = weight.shape[:2]
+    n_pairs = len(weight)
     n_classes = (math.isqrt(8 * n_pairs + 1) - 1) // 2
     p1, p2 = cell.shape[1], rows.shape[1]
     if p1 and on_cells is None:
         on_cells = weight if index is None else _sum_cells(index, len(cell), weight)
-    out = np.zeros((n_fits, n_classes, p1 + p2, n_classes, p1 + p2))
+    out = np.zeros((n_classes, p1 + p2, n_classes, p1 + p2))
     with np.errstate(over="ignore", invalid="ignore"):
         for pair, (c, d) in enumerate(_class_pairs(n_classes)):
-            block = out[:, c, :, d, :]
+            block = out[c, :, d, :]
             if p1:
-                block[:, :p1, :p1] = (cell.T * on_cells[:, pair, None, :]) @ cell
+                block[:p1, :p1] = (cell.T * on_cells[pair]) @ cell
             if p2:
-                block[:, p1:] = _transposed(blocks, weight[:, pair, None, :] * rows.T)[0]
-                block[:, :p1, p1:] = block[:, p1:, :p1].transpose(0, 2, 1)
+                block[p1:] = _transposed(blocks, weight[pair] * rows.T)[0]
+                block[:p1, p1:] = block[p1:, :p1].T
             if c != d:
-                out[:, d, :, c, :] = block
-    return out.reshape(n_fits, n_classes * (p1 + p2), n_classes * (p1 + p2))
+                out[d, :, c, :] = block
+    return out.reshape(n_classes * (p1 + p2), n_classes * (p1 + p2))

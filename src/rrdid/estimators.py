@@ -6,30 +6,31 @@ over the linear predictors eta_i = (x_i beta_1, ..., x_i beta_C) of C
 outcome classes, with score sum_i w_i (y_i - b'(eta_i)) (x) x_i and Hessian
 weights b''(eta_i). Each family is one record in _FAMILIES: cumulant and
 mean, curvature, outcome domain and separation test. Every outcome is held
-in one layout, (datasets, classes, units), so each class's pass over the
-units is one contiguous row: OLS, Poisson and logit have one class, the
+in one layout, (classes, units), so each class's pass over the units is
+one contiguous row: OLS, Poisson and logit have one class, the
 multinomial one per non-base category. The logit is the
 one-class softmax, b(eta) = log(1 + e^eta), so it shares the multinomial's
 record functions and its fits equal the two-category multinomial's bit for
 bit. OLS is the identity link b(eta) = eta^2 / 2, solved by lstsq, not Newton.
 
-One batched Newton driver, _fit, fits every record, and one block evaluator
-(_evaluate, _cross) gives it values, scores and Hessians on the cell and
-row columns of rrdid.blocks. Without row columns, rows that share a cell
-enter the maximand only through their total weight n_c and weighted mean
-outcome ybar_c, as n_c (ybar_c'eta_c - b(eta_c)), and the fit runs on those
-at most 2T cells. A plain array has only row columns, so it runs row by
-row. fit_cell_sums hands the driver many cell datasets at once, and the
-driver decides each dataset's failure kind with array reductions over the
-batch; a cell dataset whose cells all have interior means skips the driver
-and is solved in its dual (rrdid.dual). On at most one cell more than
-columns, weighted least squares is an exact closed form on the null space
-of X' (_cell_least_squares), from one SVD per pattern of empty cells: it
-is the linear fit, and it is each Newton direction of the cell QMLEs, the
-weighted fit of their working residuals (_cell_newton_directions), so
-those fits form no Hessian. Linear predictors are clamped at +/- _CAP, and
-a clamp still active at the optimum, or a perfectly predicted outcome,
-raises instead of returning a silently unreliable estimate.
+One driver, _fit, fits one dataset of any record, by the Newton of
+rrdid.newton (least squares for OLS), and one block evaluator (_evaluate,
+_cross) gives it values, scores and Hessians on the cell and row columns
+of rrdid.blocks. Without row columns, rows that share a cell enter the
+maximand only through their total weight n_c and weighted mean outcome
+ybar_c, as n_c (ybar_c'eta_c - b(eta_c)), and the fit runs on those at
+most 2T cells. A plain array has only row columns, so it runs row by row.
+fit_cell_sums fits many cell datasets: one whose cells all have interior
+means is solved in its dual (rrdid.dual), vectorized over the datasets,
+and each one with a boundary cell goes to the driver on its own. On at
+most one cell more than columns, weighted least squares is an exact closed
+form on the null space of X' (_cell_least_squares), from one SVD per
+pattern of empty cells: it is the linear fit, and it is each Newton
+direction of the cell QMLEs, the weighted fit of their working residuals
+(_cell_newton_directions), so those fits form no Hessian. Linear
+predictors are clamped at +/- _CAP, and a clamp still active at the
+optimum, or a perfectly predicted outcome, raises instead of returning a
+silently unreliable estimate.
 """
 
 from __future__ import annotations
@@ -181,18 +182,18 @@ def _check_inputs(blocks, names, y, weights, clusters):
 class _Family:
     """One canonical-link family: the fit maximizes sum w (y'eta - b(eta)).
 
-    Outcomes, linear predictors and means share one layout, (B, C, m): B
-    fits on m units with C outcome classes, one for OLS, Poisson and logit
-    and one per non-base class for the multinomial, each class a contiguous
-    row over the units. moments(eta) gives (b(eta) (B, m), b'(eta) (B, C,
-    m)); curvature(w, wm, mean), with wm = w b'(eta), gives the Hessian
-    weights w * b''(eta) of the P = C (C + 1) / 2 class pairs c <= d of
-    _class_pairs as (B, P, m), which for Poisson is wm itself. The logit
-    is the one-class softmax and shares the multinomial's functions.
+    Outcomes, linear predictors and means share one layout, (C, m): a fit
+    on m units with C outcome classes, one for OLS, Poisson and logit and
+    one per non-base class for the multinomial, each class a contiguous row
+    over the units. moments(eta) gives (b(eta) (m,), b'(eta) (C, m));
+    curvature(w, wm, mean), with wm = w b'(eta), gives the Hessian weights
+    w * b''(eta) of the P = C (C + 1) / 2 class pairs c <= d of
+    _class_pairs as (P, m), which for Poisson is wm itself. The logit is
+    the one-class softmax and shares the multinomial's functions.
     in_domain(y) is False for outcomes outside the domain that the string
     domain names. guard is the error class, raised with message, for a fit
     that diverges toward the linear-predictor cap (None: the identity link
-    is never capped), and separated(y, mean) flags each fit (B,) whose
+    is never capped), and separated(y, mean) says whether the fit's
     boundary outcomes are all perfectly predicted.
     """
 
@@ -208,41 +209,41 @@ class _Family:
 
 def _exp_moments(eta):
     mu = np.exp(eta)
-    return mu[:, 0], mu
+    return mu[0], mu
 
 
 def _softmax_moments(eta):
     # class 0 is the base with eta = 0, so with top = max(0, max_c eta_c)
     # lse = top + log(exp(-top) + sum_c exp(eta_c - top))
-    top = np.maximum(eta.max(axis=1), 0.0)
-    probs = np.exp(np.subtract(eta, top[:, None]))
-    lse = np.sum(probs, axis=1)
-    # the summed exponentials are scratch: a fresh (B, m) array for exp(-top)
+    top = np.maximum(eta.max(axis=0), 0.0)
+    probs = np.exp(np.subtract(eta, top))
+    lse = np.sum(probs, axis=0)
+    # the summed exponentials are scratch: a fresh (m,) array for exp(-top)
     # would be a fifth row array on a logit row design
-    base = probs[:, 0]
+    base = probs[0]
     np.exp(np.negative(top, out=base), out=base)
     np.add(base, lse, out=lse)
     np.add(top, np.log(lse, out=lse), out=lse)
-    return lse, np.exp(np.subtract(eta, lse[:, None], out=probs), out=probs)
+    return lse, np.exp(np.subtract(eta, lse, out=probs), out=probs)
 
 
 def _softmax_curvature(w, wm, probs):
     # pair (c, d) weights w p_c (1[c == d] - p_d), each formed in its row
-    pairs = _class_pairs(probs.shape[1])
-    out = np.empty((len(probs), len(pairs), probs.shape[2]))
-    for row, (c, d) in zip(np.moveaxis(out, 1, 0), pairs):
-        np.multiply(wm[:, c], np.subtract(c == d, probs[:, d], out=row), out=row)
+    pairs = _class_pairs(len(probs))
+    out = np.empty((len(pairs), probs.shape[1]))
+    for row, (c, d) in zip(out, pairs):
+        np.multiply(wm[c], np.subtract(c == d, probs[d], out=row), out=row)
     return out
 
 
 def _softmax_separated(y, probs):
     # probability of each unit's observed class; units without an indicator are class 0
-    p_obs = np.where(y.any(axis=1), np.sum(y * probs, axis=1), 1.0 - probs.sum(axis=1))
-    return np.all((y == 0) | (y == 1), axis=(1, 2)) & np.all(p_obs >= 1.0 - 1e-6, axis=1)
+    p_obs = np.where(y.any(axis=0), np.sum(y * probs, axis=0), 1.0 - probs.sum(axis=0))
+    return bool(np.all((y == 0) | (y == 1)) and np.all(p_obs >= 1.0 - 1e-6))
 
 
-_GAUSSIAN = _Family("ols", lambda eta: (0.5 * eta[:, 0]**2, eta),
-                    lambda w, wm, mu: w[:, None], lambda y: True, "finite y")
+_GAUSSIAN = _Family("ols", lambda eta: (0.5 * eta[0]**2, eta),
+                    lambda w, wm, mu: w[None], lambda y: True, "finite y")
 _POISSON = _Family(
     "poisson_qmle", _exp_moments, lambda w, wm, mu: wm,
     lambda y: not np.any(y < 0), "non-negative y",
@@ -281,13 +282,13 @@ def _class_matrix(labels, n_classes):
 
 
 def _evaluate(family, blocks, y, w, xwy, beta, hessian=True):
-    """(value, grad, hess, max_eta, mean) of B fits on the same m units at beta.
+    """(value, grad, hess, max_eta, mean) of one fit on m units at beta.
 
-    y is (B, C, m), w (B, m), xwy (B, C, p) the fits' X'Wy and beta (B, Cp);
-    max_eta (B,) is each fit's largest |linear predictor|, before the cap.
-    With hessian False, for a one-class fit whose direction rule needs no
-    p x p Hessian, hess is (B, 2, m): each unit's curvature weight w
-    b''(eta) and its working residual w (y - b'(eta)).
+    y is (C, m), w (m,), xwy (C, p) the fit's X'Wy and beta (Cp,); max_eta
+    is the largest |linear predictor|, before the cap. With hessian False,
+    for a one-class fit whose direction rule needs no p x p Hessian, hess
+    is (2, m): each unit's curvature weight w b''(eta) and its working
+    residual w (y - b'(eta)).
     wm = w b'(eta), formed once in eta's buffer (unless the mean is eta),
     gives the score xwy - X'wm, whose per-cell sums of wm serve the
     Hessian's cell block when the curvature is wm (Poisson); the value is
@@ -298,58 +299,56 @@ def _evaluate(family, blocks, y, w, xwy, beta, hessian=True):
     """
     cell, rows, index = blocks
     p1 = cell.shape[1]
-    coef = beta.reshape(len(beta), y.shape[1], p1 + rows.shape[1])
+    coef = beta.reshape(len(y), p1 + rows.shape[1])
     # an overflow leaves inf or NaN, which the Newton's finiteness test and
     # the fit guards decide on
     with np.errstate(over="ignore", invalid="ignore"):
-        # one product per fit, so a fit's bits do not depend on its batch
         eta = None
         if p1:
-            eta = coef[:, :, :p1] @ cell.T
+            eta = coef[:, :p1] @ cell.T
             if index is not None:
-                eta = eta.take(index, axis=2)
+                eta = eta.take(index, axis=1)
         if rows.shape[1]:
             # a single row column's product rounds each entry once, as a K = 1 matmul does
-            on_rows = coef[:, :, p1:] * rows.T if rows.shape[1] == 1 else coef[:, :, p1:] @ rows.T
+            on_rows = coef[:, p1:] * rows.T if rows.shape[1] == 1 else coef[:, p1:] @ rows.T
             eta = on_rows if eta is None else np.add(eta, on_rows, out=eta)
             del on_rows
         # np.abs makes an all-zero eta's -0.0 a 0.0, as np.abs(eta) would
-        max_eta = np.abs(np.maximum(eta.max(axis=(1, 2)), -eta.min(axis=(1, 2))))
-        capped = np.zeros(len(beta), bool) if family.guard is None else ~(max_eta < _CAP)
-        any_capped = capped.any()
-        if any_capped:
+        max_eta = np.abs(np.maximum(eta.max(), -eta.min()))
+        capped = family.guard is not None and not max_eta < _CAP
+        if capped:
             np.clip(eta, -_CAP, _CAP, out=eta)
         cumulant, mean = family.moments(eta)
-        value = np.einsum("bcp,bcp->b", coef, xwy) - np.einsum("bm,bm->b", w, cumulant)
-        if any_capped:
-            inner = np.sum(y[capped] * eta[capped], axis=1) - cumulant[capped]
-            value[capped] = np.sum(w[capped] * inner, axis=1)
+        if capped:
+            value = np.sum(w * (np.sum(y * eta, axis=0) - cumulant))
+        else:
+            value = np.einsum("cp,cp->", coef, xwy) - np.einsum("m,m->", w, cumulant)
         del cumulant
-        wm = np.multiply(w[:, None], mean, out=None if mean is eta else eta)
+        wm = np.multiply(w, mean, out=None if mean is eta else eta)
         on_wm, wm_cells = _transposed(blocks, wm)
         grad = (xwy - on_wm).reshape(beta.shape)
         curvature = family.curvature(w, wm, mean)
         if not hessian:
-            residual = np.subtract(w[:, None] * y, wm)
-            return value, grad, np.concatenate((curvature, residual), axis=1), max_eta, mean
+            residual = np.subtract(w * y, wm)
+            return value, grad, np.concatenate((curvature, residual)), max_eta, mean
         hess = -_cross(blocks, curvature, wm_cells if curvature is wm else None)
     return value, grad, hess, max_eta, mean
 
 
 def _identically_zero(w, y):
     """The exponential mean has no finite optimum when every weighted outcome is 0."""
-    return np.sum(w * y, axis=-1) == 0.0
+    return np.sum(w * y) == 0.0
 
 
 def _objective(family, blocks, y, w, last, hessian=True):
-    """maximize's objective: (value, grad, hess) of B fits at beta (B, Cp),
+    """maximize's objective: (value, grad, hess) of one fit at beta (Cp,),
     with the outcome taken in once, as X'Wy; hessian as _evaluate's.
 
     The list last holds the latest evaluation's (beta, max_eta, mean) alone:
     it is emptied before each evaluation, so the previous one's means are
     freed before the next allocates its own.
     """
-    xwy, _ = _transposed(blocks, np.multiply(w[:, None], y, order="C"))
+    xwy, _ = _transposed(blocks, np.multiply(w, y, order="C"))
     evaluate = _evaluate if hessian else functools.partial(_evaluate, hessian=False)
 
     def objective(beta):
@@ -361,65 +360,62 @@ def _objective(family, blocks, y, w, last, hessian=True):
 
 
 def _fit(family, blocks, counts, means, options, pure=True, basis=None):
-    """Fit B datasets on the same m units in one batched Newton.
+    """Fit one dataset on m units, by maximize or, for OLS, least squares.
 
-    blocks holds the units' design, counts (B, m) each dataset's total
-    weight per unit and means (B, C, m) its weighted mean outcome, or class
-    shares, per unit; every unit needs a positive count. pure says whether
-    the rows of every unit share one outcome, which a perfectly predicted
-    boundary fit needs. Least squares is lstsq on each dataset's
-    count-weighted unit rows, not the normal equations, which square their
-    condition number; a covariate such as a calendar year makes it large.
-    A one-class fit on cells may pass their _CellBasis, and its Newton
-    directions are then _cell_newton_directions, from the cells' curvature
-    weights and working residuals instead of the Hessian. Returns (beta (B,
-    Cp), failures, diag, mean, max_eta): failures[r] is None,
-    "not_converged" or the name of the error the fit raises, diag the
-    NewtonDiagnostics with the Hessian at beta (with a basis, the weights
-    and residuals), mean the fitted unit means (B, C, m) and max_eta each
-    fit's largest |linear predictor|, before the cap.
+    blocks holds the units' design, counts (m,) the dataset's total weight
+    per unit and means (C, m) its weighted mean outcome, or class shares,
+    per unit; every unit needs a positive count. pure says whether the rows
+    of every unit share one outcome, which a perfectly predicted boundary
+    fit needs. Least squares is lstsq on the count-weighted unit rows, not
+    the normal equations, which square their condition number; a covariate
+    such as a calendar year makes it large. A one-class fit on cells may
+    pass their _CellBasis, and its Newton directions are then
+    _cell_newton_directions, from the cells' curvature weights and working
+    residuals instead of the Hessian. A singular Newton direction raises
+    SingularHessianError. Returns (beta (Cp,), failure, diag, mean,
+    max_eta): failure is None, "not_converged" or the name of the error the
+    fit raises, diag the NewtonDiagnostics with the Hessian at beta (with a
+    basis, the weights and residuals), mean the fitted unit means (C, m)
+    and max_eta the largest |linear predictor|, before the cap.
     """
-    beta = np.zeros((len(counts), (blocks.cell.shape[1] + blocks.rows.shape[1]) * means.shape[1]))
     objective = _objective(family, blocks, means, counts, last := [], hessian=basis is None)
     if family is _GAUSSIAN:
         # least squares has one class
-        values = _unit_rows(blocks)
         root = np.sqrt(counts)
-        beta = np.array([np.linalg.lstsq(values * r[:, None], m[0] * r, rcond=None)[0]
-                         for r, m in zip(root, means)])
+        beta = np.linalg.lstsq(_unit_rows(blocks) * root[:, None], means[0] * root,
+                               rcond=None)[0]
         # the Gaussian Hessian does not depend on beta
         value, grad, hess = objective(beta)
-        score_norm = np.max(np.abs(grad), axis=1, initial=0.0)
-        zero = np.zeros(len(beta), int)
-        diag = NewtonDiagnostics(zero, zero == 0, score_norm, value, zero != 0, hess, zero)
+        diag = NewtonDiagnostics(0, True, float(np.max(np.abs(grad), initial=0.0)), float(value),
+                                 hess)
     else:
-        tol = options.gradient_tolerance * (1.0 + counts.sum(axis=1))
+        beta = np.zeros((blocks.cell.shape[1] + blocks.rows.shape[1]) * len(means))
+        tol = options.gradient_tolerance * (1.0 + counts.sum())
         if basis is None:
             beta, diag = maximize(objective, beta, options, tolerance=tol)
         else:
             beta, diag = maximize(objective, beta, options, tol,
                                   functools.partial(_cell_newton_directions, basis))
     # the bread is the Hessian of the last accepted step; the means are the
-    # last evaluation's when it was at beta, in every fit of the batch
+    # last evaluation's when it was at beta
     if not (last and np.array_equal(last[0][0], beta)):
         objective(beta)
     _, max_eta, mean = last.pop()
 
-    failures = np.full(len(beta), None, object)
-    failures[~diag.converged] = "not_converged"
+    failure = None if diag.converged else "not_converged"
     if family.guard is not None:
         # A fit that stalls against the clamp stops a rounding error or a
         # halved step away from it, on either side, so a fit that did not
         # converge that close to the cap diverged as well.
-        diverged = (max_eta >= _CAP) | (~diag.converged & (max_eta >= _CAP * (1 - 1e-6)))
+        diverged = max_eta >= _CAP or (not diag.converged and max_eta >= _CAP * (1 - 1e-6))
         # Divergent fits can stall "converged" below the cap once the saturated
         # rows' score drops under the tolerance; a perfectly predicted boundary
         # fit is the signature of that divergence.
         if family.separated is not None:
-            diverged |= diag.converged & pure & family.separated(means, mean)
-        failures[diverged] = family.guard.__name__
-    failures[diag.singular] = "SingularHessianError"
-    return beta, failures.tolist(), diag, mean, max_eta
+            diverged = diverged or (diag.converged and pure and family.separated(means, mean))
+        if diverged:
+            failure = family.guard.__name__
+    return beta, failure, diag, mean, max_eta
 
 
 def _units(family, blocks, y, w, clusters, n_classes):
@@ -491,56 +487,52 @@ def _fit_dataset(family, blocks, names, y, w, clusters, options, robust=True, n_
     NaN covariance.
     """
     fit_units, counts, means, pure, units = _units(family, blocks, y, w, clusters, n_classes)
-    beta, (failure,), diag, mean, max_eta = _fit(family, fit_units, counts[None], means[None],
-                                                 options, pure)
-    if failure == "SingularHessianError":
-        raise SingularHessianError("Hessian is singular at the current iterate")
+    beta, failure, diag, mean, max_eta = _fit(family, fit_units, counts, means, options, pure)
     if failure not in (None, "not_converged"):
         raise family.guard(family.message)
-    error = units.y - (mean[0] if units.fitted is None else mean[0].take(units.fitted, axis=1))
+    error = units.y - (mean if units.fitted is None else mean.take(units.fitted, axis=1))
     # the sandwich reads only the residuals
     del mean
-    hess, converged = diag.hessian[0], bool(diag.converged[0])
     if family is _GAUSSIAN:
         # the OLS loglik is the Gaussian one, -1/2 sum w e^2; an overflow
         # leaves inf, which raises below
         with np.errstate(over="ignore"):
             loglik = -0.5 * float(np.sum(w * error**2))
     else:
-        loglik = float(diag.value[0])
+        loglik = float(diag.value)
     if not math.isfinite(loglik):
         raise NonFiniteObjectiveError("log-likelihood is not finite at the estimate")
     # the residuals overwrite the errors, which nothing reads after the loglik
     resid = np.multiply(units.scale, error, out=error)
     vcov_kind = "cluster_sandwich" if clusters is not None else "sandwich"
     if not robust:
-        total, p = float(w.sum()), beta.shape[1]
+        total, p = float(w.sum()), beta.size
         if total <= p:
             raise ValueError("classical variance needs total weight > p")
         sigma2 = -2.0 * loglik / (total - p)
         with np.errstate(over="ignore", invalid="ignore"):
-            vcov = sigma2 * np.linalg.inv(-hess)
+            vcov = sigma2 * np.linalg.inv(-diag.hessian)
         if not np.all(np.isfinite(vcov)):
             raise NonFiniteObjectiveError("the classical covariance is not finite")
         vcov = (vcov + vcov.T) / 2.0
         vcov_kind = "classical_ols"
-    elif converged:
-        vcov = _sandwich(-hess, units.blocks, resid, units.clusters)
+    elif diag.converged:
+        vcov = _sandwich(-diag.hessian, units.blocks, resid, units.clusters)
     else:
-        vcov = np.full((beta.shape[1], beta.shape[1]), np.nan)
+        vcov = np.full((beta.size, beta.size), np.nan)
     return FitResult(
         family=family.name,
         names=names,
-        coefficients=beta[0],
+        coefficients=beta,
         vcov=vcov,
         vcov_kind=vcov_kind,
         loglik=loglik,
-        iterations=int(diag.iterations[0]),
-        converged=converged,
-        score_norm=float(diag.score_norm[0]),
+        iterations=diag.iterations,
+        converged=diag.converged,
+        score_norm=diag.score_norm,
         n_obs=w.size,
-        step_halvings=int(diag.step_halvings[0]),
-        max_abs_eta=float(max_eta[0]),
+        step_halvings=diag.step_halvings,
+        max_abs_eta=float(max_eta),
     )
 
 
@@ -707,26 +699,26 @@ def _cell_least_squares(basis, weights, weighted):
 
 
 def _cell_newton_directions(basis, curvature, grad):
-    """maximize's direction rule for one-class fits on the cells of basis.
+    """maximize's direction rule for a one-class fit on the cells of basis.
 
-    curvature (B, 2, k) holds each cell's weight W = N b''(eta) and working
+    curvature (2, k) holds each cell's weight W = N b''(eta) and working
     residual r = S - N b'(eta), whose X'r is the score grad. The Newton
     direction solves X'WX d = X'r: it is the weighted least squares fit
     (_cell_least_squares) of the responses z = r / W (IRLS; Green 1984),
     whose weighted responses are r itself. No p x p Hessian is formed or
     solved, and each cell's residual enters on its own scale, so a cell of
-    tiny weight costs no precision. A singular fit's direction is 0, as
-    _newton_directions gives it.
+    tiny weight costs no precision. A singular fit raises
+    SingularHessianError, as _newton_directions does.
     """
-    direction, singular = _cell_least_squares(basis, curvature[:, 0], curvature[:, 1])
-    if singular.any():
-        direction[singular] = 0.0
-    return direction, singular
+    (direction,), (singular,) = _cell_least_squares(basis, curvature[:1], curvature[1:])
+    if singular:
+        raise SingularHessianError("Hessian is singular at the current iterate")
+    return direction
 
 
 def fit_cell_sums(families, X, counts, sums):
-    """Fit B datasets whose regressors are constant within cells, in one
-    batch, by each family named in families.
+    """Fit B datasets whose regressors are constant within cells by each
+    family named in families.
 
     X (k, p) holds the design row of each of k cells, with at most one cell
     more than columns (k - p <= 1, as in the paper's design with its group
@@ -741,9 +733,10 @@ def fit_cell_sums(families, X, counts, sums):
     (_cell_least_squares), with no stopping rule. A QMLE whose non-empty
     cells all have interior means (above 0, and below 1 for the logit) has
     a finite optimum, which rrdid.dual solves exactly in its one-dimensional
-    dual (_fit_interior), with the linear-predictor cap as its guard. A QMLE
-    with a boundary cell, whose optimum may be infinite, runs maximize, the
-    Newton behind every fit, at the default FitOptions, with the row-level
+    dual (_fit_interior), with the linear-predictor cap as its guard; these
+    solves are vectorized over the datasets. A QMLE with a boundary cell,
+    whose optimum may be infinite, runs maximize, the Newton behind every
+    fit, on its own dataset at the default FitOptions, with the row-level
     fits' stopping rules and guards (a cell counts as perfectly predicted
     from its mean alone); only its Newton directions are taken in closed
     form, as weighted least squares on the same basis
@@ -814,15 +807,19 @@ def fit_cell_sums(families, X, counts, sums):
                 beta, kinds = _fit_interior(record, basis, pattern_w[dual], pattern_s[dual],
                                             pattern_y[dual])
                 _store(coefficients, failures, pattern[dual], beta, kinds)
-            rows, y, w = pattern[~dual], pattern_y[~dual], pattern_w[~dual]
-            if record is _POISSON:
-                zero = _identically_zero(w, y)
-                for r in rows[zero].tolist():
+            # a row with a boundary cell, whose optimum may be infinite, takes the Newton alone
+            for r, y, w in zip(pattern[~dual].tolist(), pattern_y[~dual], pattern_w[~dual]):
+                if record is _POISSON and _identically_zero(w, y):
                     failures[r] = "OverflowGuardError"
-                rows, y, w = rows[~zero], y[~zero], w[~zero]
-            if len(rows):
-                beta, kinds, *_ = _fit(record, cells, w, y[:, None], FitOptions(), basis=basis)
-                _store(coefficients, failures, rows, beta, kinds)
+                    continue
+                try:
+                    beta, failures[r], *_ = _fit(record, cells, w, y[None], FitOptions(),
+                                                 basis=basis)
+                except SingularHessianError:
+                    failures[r] = "SingularHessianError"
+                    continue
+                if failures[r] is None:
+                    coefficients[r] = beta
     return results
 
 

@@ -1,5 +1,5 @@
-"""Newton ascent, for one problem or a batch of them: each step is halved,
-at most _STEP_HALVINGS times, until the maximand does not decrease."""
+"""Newton ascent for one problem: each step is halved, at most _STEP_HALVINGS
+times, until the maximand does not decrease."""
 
 from __future__ import annotations
 
@@ -36,118 +36,74 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class NewtonDiagnostics:
-    """How a Newton ascent ended; for a batch each field holds one entry per
-    problem, and singular marks the problems stopped by a singular Hessian
-    (a single problem raises SingularHessianError instead). hessian is the
-    objective's curvature output at the returned point, from its last
-    accepted evaluation (the Hessian, under the default direction rule), and
+    """How the Newton ascent of one problem ended. hessian is the objective's
+    curvature output at the returned point, from its last accepted
+    evaluation (the Hessian, under the default direction rule), and
     step_halvings counts the halved Newton steps over all iterations."""
 
     iterations: int
     converged: bool
     score_norm: float
     value: float
-    singular: bool = False
     hessian: np.ndarray | None = None
     step_halvings: int = 0
 
 
 def _newton_directions(hess, grad):
-    """Solutions of -hess d = grad per problem, and which Hessians are singular (d = 0)."""
+    """The solution d of -hess d = grad; a singular hess raises SingularHessianError."""
     try:
-        return np.linalg.solve(-hess, grad[..., None])[..., 0], np.zeros(len(grad), bool)
+        return np.linalg.solve(-hess, grad)
     except np.linalg.LinAlgError:
-        if len(grad) == 1:
-            return np.zeros_like(grad), np.ones(1, bool)
-    # one singular matrix fails the stacked solve; solve the problems one by one
-    parts = [_newton_directions(hess[i:i + 1], grad[i:i + 1]) for i in range(len(grad))]
-    return np.concatenate([d for d, _ in parts]), np.concatenate([s for _, s in parts])
+        raise SingularHessianError("Hessian is singular at the current iterate") from None
 
 
 def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None,
              directions=_newton_directions):
-    """Newton ascent with step halving, for one problem or a batch of them.
+    """Newton ascent with step halving, for one problem.
 
-    objective(beta) must return (value, gradient, curvature), and
-    directions(curvature, gradient), for a batch of problems, their Newton
-    directions and which of them are singular (direction 0). By default the
-    curvature is the Hessian and the directions solve -hessian d = gradient
-    (_newton_directions); a caller that knows the Hessian's structure can
-    hand back less and solve for the same directions its own way.
-    Convergence is max-abs gradient <= tolerance (default
-    options.gradient_tolerance, unscaled); a step shorter than 1e-12 also
-    stops the iteration. Returns (argmax, NewtonDiagnostics). An init
-    already at the optimum returns immediately with 0 iterations.
-
-    A 2-d init (B, p) runs B problems in one loop: objective then maps (B, p)
-    to values (B,), gradients (B, p) and curvatures (B, ...), Hessians (B,
-    p, p) by default, tolerance may hold one entry per problem, every
-    decision above is taken per problem, and the diagnostics hold arrays. A
-    1-d init is a batch of one.
+    objective(beta) must return (value, gradient, curvature) at a 1-d beta,
+    and directions(curvature, gradient) the Newton direction, or raise
+    SingularHessianError. By default the curvature is the Hessian and the
+    direction solves -hessian d = gradient (_newton_directions); a caller
+    that knows the Hessian's structure can hand back less and solve for the
+    same direction its own way. Convergence is max-abs gradient <= tolerance
+    (default options.gradient_tolerance, unscaled). A step is halved until
+    the value does not fall by more than rounding; when all _STEP_HALVINGS
+    halvings fail, the ascent stops where it is, and that search counts no
+    iteration. A step shorter than 1e-12 also stops the ascent. Returns
+    (argmax, NewtonDiagnostics). An init already at the optimum returns
+    immediately with 0 iterations.
     """
-    tol = options.gradient_tolerance if tolerance is None else np.asarray(tolerance, float)
     beta = np.array(init, float, copy=True)
-    if beta.ndim == 1:
-        def batch_of_one(b):
-            value, grad, curvature = objective(b[0])
-            return np.array([value]), np.asarray(grad)[None], np.asarray(curvature)[None]
-
-        beta, diag = maximize(batch_of_one, beta[None], options, tol, directions)
-        if diag.singular[0]:
-            raise SingularHessianError("Hessian is singular at the current iterate")
-        return beta[0], NewtonDiagnostics(int(diag.iterations[0]), bool(diag.converged[0]),
-                                          float(diag.score_norm[0]), float(diag.value[0]),
-                                          hessian=diag.hessian[0],
-                                          step_halvings=int(diag.step_halvings[0]))
-
+    if beta.ndim != 1:
+        raise ValueError("maximize runs one problem: init must be 1-d")
+    tol = options.gradient_tolerance if tolerance is None else tolerance
     value, grad, curvature = objective(beta)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value):
         raise NonFiniteObjectiveError("objective non-finite at the starting point")
-    n_problems = beta.shape[0]
-    iterations = np.zeros(n_problems, int)
-    halvings = np.zeros(n_problems, int)
-    singular = np.zeros(n_problems, bool)
-    running = np.ones(n_problems, bool)
+    iterations = halvings = 0
     for _ in range(options.max_iterations):
-        running &= ~(np.abs(grad).max(axis=1, initial=0.0) <= tol)
-        if not running.any():
+        if np.abs(grad).max(initial=0.0) <= tol:
             break
-        if running.all():
-            # no problem has stopped, so none is singular yet
-            direction, singular = directions(curvature, grad)
-        else:
-            direction = np.zeros_like(beta)
-            direction[running], singular[running] = directions(curvature[running], grad[running])
-        running &= ~singular
-
-        step = np.ones(n_problems)
-        searching = running.copy()
-        # accept any non-decrease up to rounding noise; a searching problem's
-        # value does not change until it accepts
+        direction = directions(curvature, grad)
+        step = 1.0
+        # accept any non-decrease up to rounding noise
         least = value - 1e-12 * (1 + np.abs(value))
         for _ in range(_STEP_HALVINGS):
-            candidate = beta + step[:, None] * direction
-            cand_value, cand_grad, cand_curvature = objective(candidate)
-            accept = searching & np.isfinite(cand_value) & (cand_value >= least)
-            if accept.all():
-                # every problem steps: keep the candidate's arrays, as the start keeps the first
-                beta, value, grad, curvature = candidate, cand_value, cand_grad, cand_curvature
-                searching[:] = False
+            candidate = beta + step * direction
+            evaluation = objective(candidate)
+            if np.isfinite(evaluation[0]) and evaluation[0] >= least:
                 break
-            for kept, new in zip((beta, value, grad, curvature),
-                                 (candidate, cand_value, cand_grad, cand_curvature)):
-                np.copyto(kept, new, where=accept.reshape((-1,) + (1,) * (kept.ndim - 1)))
-            searching &= ~accept
-            if not searching.any():
-                break
-            step[searching] /= 2.0
-            halvings += searching
-        # a problem with no acceptable step stops where it is
-        running &= ~searching
-        iterations += running
-        running &= ~(step * np.abs(direction).max(axis=1, initial=0.0) < 1e-12)
+            step /= 2.0
+            halvings += 1
+        else:
+            # no acceptable step: stop where it is
+            break
+        beta, (value, grad, curvature) = candidate, evaluation
+        iterations += 1
+        if step * np.abs(direction).max(initial=0.0) < 1e-12:
+            break
 
-    score_norm = np.abs(grad).max(axis=1, initial=0.0)
-    return beta, NewtonDiagnostics(iterations, score_norm <= tol, score_norm, value, singular,
+    score_norm = float(np.abs(grad).max(initial=0.0))
+    return beta, NewtonDiagnostics(iterations, bool(score_norm <= tol), score_norm, float(value),
                                    curvature, halvings)
-

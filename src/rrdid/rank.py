@@ -9,7 +9,7 @@ from .errors import SingularDesignError
 def _check_full_rank(blocks, weights, names):
     """Raise SingularDesignError as the rank test of the weighted unit rows
     does, forming those rows only when the Gram does not prove full rank."""
-    gram = _cross(blocks, weights[None, None])[0]
+    gram = _cross(blocks, weights[None])
     if not _gram_proves_full_rank(gram, weights.size):
         # an overflow leaves inf, which the QR check refuses
         with np.errstate(over="ignore"):

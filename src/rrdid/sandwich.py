@@ -64,10 +64,10 @@ def _sandwich(bread, blocks, resid, clusters=None):
     with np.errstate(over="ignore", invalid="ignore"):
         if clusters is None:
             pairs = _class_pairs(n_classes)
-            moments = np.empty((1, len(pairs), n))
+            moments = np.empty((len(pairs), n))
             for pair, (c, d) in enumerate(pairs):
-                np.multiply(resid[c], resid[d], out=moments[0, pair])
-            meat = _cross(blocks, moments)[0]
+                np.multiply(resid[c], resid[d], out=moments[pair])
+            meat = _cross(blocks, moments)
         else:
             codes, groups = _cluster_codes(clusters)
             # (C, p2, clusters) sums of the row columns' scores; the cell

@@ -473,8 +473,8 @@ def run_monte_carlo(scenario: Scenario, counterfactual_transform_mean: bool = Fa
     constant within the eight (q, t) cells, so _draw_cells reduces each draw
     to its cell counts and sums as it draws it, and fit_cell_sums fits the
     batch: the QMLE exactly in its dual where every cell's mean is interior,
-    else with the row-level fits' stopping rules and guards, the linear DD
-    in closed form. The estimates are one replications x rows
+    else by one Newton per replication, with the row-level fits' stopping
+    rules and guards, and the linear DD in closed form. The estimates are one replications x rows
     array, summarized over a mask of the fitted replications. Replications
     whose QMLE fails are excluded; more than 5% failures aborts. A fitted
     draw whose transform is NaN (undefined) is redrawn in full, extending

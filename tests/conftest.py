@@ -10,21 +10,16 @@ def fit_objective(family, X, y, w):
     family names an estimators._FAMILIES record ("poisson_qmle",
     "logit_qmle", "multinomial_logit", "ols"); X is a plain array or a
     DesignMatrix, split into blocks as the fits split it; y is (n,), or
-    (n, C) class indicators for the multinomial. The fits' batched objective sees a
-    batch of one, with y held class-major as (1, C, n).
+    (n, C) class indicators for the multinomial, held class-major as (C, n)
+    as the fits hold it.
     """
     from rrdid.blocks import _as_design
     from rrdid.estimators import _FAMILIES, _objective
 
     blocks, _ = _as_design(X)
     y = np.asarray(y, float).reshape(blocks.rows.shape[0], -1).T
-    batch = _objective(_FAMILIES[family], blocks, y[None], np.asarray(w, float)[None], [])
-
-    def objective(beta):
-        value, grad, hess = batch(np.asarray(beta, float)[None])
-        return value[0], grad[0], hess[0]
-
-    return objective
+    fit = _objective(_FAMILIES[family], blocks, y, np.asarray(w, float), [])
+    return lambda beta: fit(np.asarray(beta, float))
 
 
 def cell_dataset(cells, n_periods=2):

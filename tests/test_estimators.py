@@ -141,31 +141,51 @@ def test_maximize_step_halving_handles_overshoot():
     assert diag.converged
 
 
-def test_maximize_batch_decides_per_problem():
-    # two quadratic bowls around a linear problem, whose Hessian is singular:
-    # it alone stops, and the bowls end exactly where single runs end
-    def bowl(center, A):
-        def objective(b):
-            d = b - center
-            return -0.5 * d @ A @ d, -A @ d, -A
-        return objective
+def test_maximize_stops_where_no_step_is_acceptable():
+    # the full step from 0 to 1 is accepted; from 1 every halving of the step
+    # lowers the maximand, so the ascent stops at 1 after all 30 halvings,
+    # and that search does not count as an iteration
+    values = {0.0: 0.0, 1.0: 0.5}
+    evaluated = []
 
-    problems = [bowl(np.array([1.5, -2.0]), np.array([[2.0, 0.3], [0.3, 1.0]])),
-                lambda b: (float(b.sum()), np.ones(2), np.zeros((2, 2))),
-                bowl(np.array([-0.7, 3.0]), np.array([[1.0, -0.2], [-0.2, 0.5]]))]
+    def objective(b):
+        evaluated.append(float(b[0]))
+        return values.get(float(b[0]), -1.0), np.ones(1), -np.eye(1)
 
-    def batch(b):
-        parts = [problem(row) for problem, row in zip(problems, b)]
-        return tuple(np.array(part) for part in zip(*parts))
+    beta, diag = maximize(objective, np.zeros(1))
+    assert beta.tolist() == [1.0]
+    assert (diag.iterations, diag.step_halvings, diag.converged) == (1, 30, False)
+    assert diag.value == 0.5 and diag.score_norm == 1.0
+    assert evaluated == [0.0, 1.0] + [1.0 + 0.5**h for h in range(30)]
 
-    beta, diag = maximize(batch, np.full((3, 2), 0.25))
-    assert diag.singular.tolist() == [False, True, False]
-    assert diag.converged.tolist() == [True, False, True]
-    assert beta[1].tolist() == [0.25, 0.25]
-    for i in (0, 2):
-        single, one = maximize(problems[i], np.full(2, 0.25))
-        assert beta[i].tobytes() == single.tobytes()
-        assert (diag.iterations[i], diag.value[i]) == (one.iterations, one.value)
+
+def test_maximize_stops_on_a_step_shorter_than_1e_12():
+    # a flat maximand whose score stays above the tolerance: the first step,
+    # of length 1e-13, is accepted and counted, and ends the ascent
+    def objective(b):
+        return 0.0, np.full(1, 1e-13), -np.eye(1)
+
+    beta, diag = maximize(objective, np.zeros(1), tolerance=1e-20)
+    assert beta.tolist() == [1e-13]
+    assert (diag.iterations, diag.step_halvings, diag.converged) == (1, 0, False)
+
+
+def test_maximize_raises_on_a_singular_hessian_after_a_step():
+    # the full step to 1 is accepted, and the Hessian is singular there
+    def objective(b):
+        x = float(b[0])
+        return -(x - 2.0)**2, np.array([-2.0 * (x - 2.0)]), np.array([[-4.0 if x == 0 else 0.0]])
+
+    with pytest.raises(SingularHessianError):
+        maximize(objective, np.zeros(1), tolerance=1e-20)
+
+
+def test_maximize_refuses_a_batch_of_problems():
+    def objective(b):
+        return -float(b @ b), -2 * b, -2 * np.eye(2)
+
+    with pytest.raises(ValueError, match="one problem"):
+        maximize(objective, np.zeros((3, 2)))
 
 
 # --- grid-search oracles: nothing nearby beats the fitted optimum -----------
@@ -692,11 +712,11 @@ def test_capped_fit_keeps_its_verdict(monkeypatch, units, fit, outcome, error):
 
     def spy(family, blocks, y, w, xwy, beta):
         out = evaluate(family, blocks, y, w, xwy, beta)
-        if out[3][0] >= estimators._CAP:
-            eta = np.clip(_unit_rows(blocks) @ beta[0], -estimators._CAP, estimators._CAP)
+        if out[3] >= estimators._CAP:
+            eta = np.clip(_unit_rows(blocks) @ beta, -estimators._CAP, estimators._CAP)
             b = np.exp(eta) if fit is fit_poisson_qmle else np.logaddexp(0.0, eta)
-            expected = np.sum(w[0] * (y[0, 0] * eta - b))
-            capped.append(abs(out[0][0] - expected) / (1.0 + abs(expected)))
+            expected = np.sum(w * (y[0] * eta - b))
+            capped.append(abs(out[0] - expected) / (1.0 + abs(expected)))
         return out
 
     monkeypatch.setattr(estimators, "_evaluate", spy)
@@ -716,9 +736,7 @@ def test_fit_stalled_at_the_cap_diverged(monkeypatch, eta, converged, outcome):
     # a dense and a cell-sum fit of one diverging model stall a rounding
     # error apart, on either side of the cap; both must give one verdict
     def stalled(objective, init, options, tolerance):
-        return np.array([[eta]]), NewtonDiagnostics(
-            np.array([5]), np.array([converged]), np.array([1e-3]), np.array([-1.0]),
-            np.array([False]), np.array([[[-1.0]]]), np.array([0]))
+        return np.array([eta]), NewtonDiagnostics(5, converged, 1e-3, -1.0, np.array([[-1.0]]), 0)
 
     monkeypatch.setattr(estimators, "maximize", stalled)
     try:
@@ -1119,7 +1137,7 @@ def test_block_rank_check_names_the_qr_columns(kind, trend, named):
     assert (_rank_decision(_check_full_rank, blocks, w, names) == named
             == _rank_decision(_check_full_rank_qr, design.values * np.sqrt(w)[:, None], names))
     # every one is a close call, which only the QR of the dense rows decides
-    assert not _gram_proves_full_rank(_cross(blocks, w[None, None])[0], 200)
+    assert not _gram_proves_full_rank(_cross(blocks, w[None]), 200)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1426,26 +1444,26 @@ def test_score_holds_few_row_arrays(family, arrays):
     design = DesignMatrix(np.column_stack([np.ones(8), np.arange(8) % 2]),
                           rng.normal(size=(n, 1)), rng.integers(0, 8, n), ("const", "group", "x"))
     blocks, _ = _as_design(design)
-    y, w = rng.poisson(1.0, (1, 1, n)).astype(float), np.ones((1, n))
+    y, w = rng.poisson(1.0, (1, n)).astype(float), np.ones(n)
     if family is _LOGIT:
         y = np.minimum(y, 1.0)
-    beta = np.array([[0.1, 0.2, 0.3]])
-    xwy = design.values.T @ y[0, 0]
+    beta = np.array([0.1, 0.2, 0.3])
+    xwy = design.values.T @ y[0]
     tracemalloc.start()
     try:
         value, grad, hess, max_eta, mean = estimators._evaluate(family, blocks, y, w,
-                                                                xwy[None, None], beta)
+                                                                xwy[None], beta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mean.shape == (1, 1, n)
-    eta = design.values @ beta[0]
-    np.testing.assert_allclose(max_eta, [np.max(np.abs(eta))], rtol=1e-14)
+    assert mean.shape == (1, n)
+    eta = design.values @ beta
+    np.testing.assert_allclose(max_eta, np.max(np.abs(eta)), rtol=1e-14)
     mu = np.exp(eta) if family is _POISSON else 1.0 / (1.0 + np.exp(-eta))
     curvature = mu if family is _POISSON else mu * (1.0 - mu)
     X = design.values
-    np.testing.assert_allclose(grad[0], X.T @ (y[0, 0] - mu), rtol=1e-10)
-    np.testing.assert_allclose(hess[0], -(X.T * curvature) @ X, rtol=1e-12)
+    np.testing.assert_allclose(grad, X.T @ (y[0] - mu), rtol=1e-10)
+    np.testing.assert_allclose(hess, -(X.T * curvature) @ X, rtol=1e-12)
     assert peak <= (arrays + 0.5) * n * 8, peak / (n * 8)
 
 
@@ -1756,18 +1774,19 @@ def test_cell_newton_direction_matches_the_hessian_solve(trend, empty, family, c
     eta = X @ beta
     if np.max(np.abs(eta)) > 0:
         eta *= cap / np.max(np.abs(eta))
-    mean = family.moments(eta[None, None])[1]
-    weights = family.curvature(counts[None], counts * mean, mean)[0, 0]
+    mean = family.moments(eta[None])[1]
+    weights = family.curvature(counts, counts * mean, mean)[0]
     hess = -(X.T * weights) @ X
-    dense, (dense_singular,) = _newton_directions(hess[None], grad[None])
-    curvature = np.stack([weights, residuals])[None]
-    basis = _cell_basis(X, _names(X))
-    (direction,), (singular,) = _cell_newton_directions(basis, curvature, grad[None])
+    try:
+        dense = _newton_directions(hess, grad)
+    except SingularHessianError:
+        dense = None
+    curvature = np.stack([weights, residuals])
+    direction = _cell_newton_directions(_cell_basis(X, _names(X)), curvature, grad)
     exact = _exact_newton_direction(X, weights, residuals)
-    assert not singular
     scale = np.max(np.abs(exact))
     assert np.max(np.abs(direction - exact)) <= 1e-9 * scale + _SUBNORMAL
-    if not dense_singular:
+    if dense is not None:
         dense_rtol = 100 * p * np.finfo(float).eps * np.linalg.cond(hess)
         assert np.max(np.abs(dense - exact)) <= dense_rtol * scale + _SUBNORMAL
         assert np.max(np.abs(direction - dense)) <= (1e-9 + dense_rtol) * scale + 2 * _SUBNORMAL
@@ -1778,13 +1797,14 @@ def test_cell_newton_direction_matches_the_hessian_solve(trend, empty, family, c
 @pytest.mark.parametrize("weight", [0.0, 5e-324, np.nan])
 def test_cell_newton_direction_singular_gram(trend, empty, weight):
     # a gram V W^-1 V' that is not finite and positive is the singular
-    # decision, with a zero direction, as a failed LAPACK solve gives it
+    # decision, which raises SingularHessianError, as a failed LAPACK solve does
     X = np.delete(_cell_rows(trend), list(empty), axis=0)
+    basis = _cell_basis(X, _names(X))
     weights = np.linspace(1.0, 2.0, len(X))
-    weights[-1] = weight
     residuals = np.ones(len(X))
-    batch = np.stack([[np.linspace(1.0, 2.0, len(X)), residuals], [weights, residuals]])
-    grad = np.tile(X.T @ residuals, (2, 1))
-    direction, singular = _cell_newton_directions(_cell_basis(X, _names(X)), batch, grad)
-    assert singular.tolist() == [False, True]
-    assert np.all(direction[1] == 0.0) and np.all(np.isfinite(direction[0]))
+    grad = X.T @ residuals
+    assert np.all(np.isfinite(_cell_newton_directions(basis, np.stack([weights, residuals]),
+                                                      grad)))
+    weights[-1] = weight
+    with pytest.raises(SingularHessianError):
+        _cell_newton_directions(basis, np.stack([weights, residuals]), grad)
