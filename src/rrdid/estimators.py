@@ -22,15 +22,14 @@ ybar_c, as n_c (ybar_c'eta_c - b(eta_c)), and the fit runs on those at
 most 2T cells. A plain array has only row columns, so it runs row by row.
 fit_cell_sums fits many cell datasets: one whose cells all have interior
 means is solved in its dual (rrdid.dual), vectorized over the datasets,
-and each one with a boundary cell goes to the driver on its own. On at
-most one cell more than columns, weighted least squares is an exact closed
-form on the null space of X' (_cell_least_squares), from one SVD per
-pattern of empty cells: it is the linear fit, and it is each Newton
-direction of the cell QMLEs, the weighted fit of their working residuals
-(_cell_newton_directions), so those fits form no Hessian. Linear
-predictors are clamped at +/- _CAP, and a clamp still active at the
-optimum, or a perfectly predicted outcome, raises instead of returning a
-silently unreliable estimate.
+and each one with a boundary cell goes to the driver on its own, so it
+stops where the row-level fit of its rows stops. On at most one cell more
+than columns, the linear fit is an exact closed form on the null space of
+X' (_cell_least_squares), from one SVD per pattern of empty cells. Every
+Newton direction, on cells or rows, solves the Hessian (rrdid.newton).
+Linear predictors are clamped at +/- _CAP, and a clamp still active at
+the optimum, or a perfectly predicted outcome, raises instead of
+returning a silently unreliable estimate.
 """
 
 from __future__ import annotations
@@ -281,21 +280,18 @@ def _class_matrix(labels, n_classes):
     return (labels == np.arange(1, n_classes + 1)[:, None]).astype(float)
 
 
-def _evaluate(family, blocks, y, w, xwy, beta, hessian=True):
+def _evaluate(family, blocks, y, w, xwy, beta):
     """(value, grad, hess, max_eta, mean) of one fit on m units at beta.
 
     y is (C, m), w (m,), xwy (C, p) the fit's X'Wy and beta (Cp,); max_eta
-    is the largest |linear predictor|, before the cap. With hessian False,
-    for a one-class fit whose direction rule needs no p x p Hessian, hess
-    is (2, m): each unit's curvature weight w b''(eta) and its working
-    residual w (y - b'(eta)).
-    wm = w b'(eta), formed once in eta's buffer (unless the mean is eta),
-    gives the score xwy - X'wm, whose per-cell sums of wm serve the
-    Hessian's cell block when the curvature is wm (Poisson); the value is
-    beta'xwy - sum w b(eta), or sum w (y'eta - b(eta)) at the capped eta
-    once |eta| reaches the cap. Outside the family's moments and curvature,
-    at most three unit-length arrays are alive at once: eta, then wm; the
-    means; the Hessian's product of the curvature with a row column.
+    is the largest |linear predictor|, before the cap. wm = w b'(eta),
+    formed once in eta's buffer (unless the mean is eta), gives the score
+    xwy - X'wm, whose per-cell sums of wm serve the Hessian's cell block
+    when the curvature is wm (Poisson); the value is beta'xwy - sum w
+    b(eta), or sum w (y'eta - b(eta)) at the capped eta once |eta| reaches
+    the cap. Outside the family's moments and curvature, at most three
+    unit-length arrays are alive at once: eta, then wm; the means; the
+    Hessian's product of the curvature with a row column.
     """
     cell, rows, index = blocks
     p1 = cell.shape[1]
@@ -328,9 +324,6 @@ def _evaluate(family, blocks, y, w, xwy, beta, hessian=True):
         on_wm, wm_cells = _transposed(blocks, wm)
         grad = (xwy - on_wm).reshape(beta.shape)
         curvature = family.curvature(w, wm, mean)
-        if not hessian:
-            residual = np.subtract(w * y, wm)
-            return value, grad, np.concatenate((curvature, residual)), max_eta, mean
         hess = -_cross(blocks, curvature, wm_cells if curvature is wm else None)
     return value, grad, hess, max_eta, mean
 
@@ -340,26 +333,25 @@ def _identically_zero(w, y):
     return np.sum(w * y) == 0.0
 
 
-def _objective(family, blocks, y, w, last, hessian=True):
+def _objective(family, blocks, y, w, last):
     """maximize's objective: (value, grad, hess) of one fit at beta (Cp,),
-    with the outcome taken in once, as X'Wy; hessian as _evaluate's.
+    with the outcome taken in once, as X'Wy.
 
     The list last holds the latest evaluation's (beta, max_eta, mean) alone:
     it is emptied before each evaluation, so the previous one's means are
     freed before the next allocates its own.
     """
     xwy, _ = _transposed(blocks, np.multiply(w, y, order="C"))
-    evaluate = _evaluate if hessian else functools.partial(_evaluate, hessian=False)
 
     def objective(beta):
         last.clear()
-        value, grad, hess, max_eta, mean = evaluate(family, blocks, y, w, xwy, beta)
+        value, grad, hess, max_eta, mean = _evaluate(family, blocks, y, w, xwy, beta)
         last.append((beta.copy(), max_eta, mean))
         return value, grad, hess
     return objective
 
 
-def _fit(family, blocks, counts, means, options, pure=True, basis=None):
+def _fit(family, blocks, counts, means, options, pure=True):
     """Fit one dataset on m units, by maximize or, for OLS, least squares.
 
     blocks holds the units' design, counts (m,) the dataset's total weight
@@ -368,17 +360,14 @@ def _fit(family, blocks, counts, means, options, pure=True, basis=None):
     of every unit share one outcome, which a perfectly predicted boundary
     fit needs. Least squares is lstsq on the count-weighted unit rows, not
     the normal equations, which square their condition number; a covariate
-    such as a calendar year makes it large. A one-class fit on cells may
-    pass their _CellBasis, and its Newton directions are then
-    _cell_newton_directions, from the cells' curvature weights and working
-    residuals instead of the Hessian. A singular Newton direction raises
+    such as a calendar year makes it large. A singular Hessian raises
     SingularHessianError. Returns (beta (Cp,), failure, diag, mean,
     max_eta): failure is None, "not_converged" or the name of the error the
-    fit raises, diag the NewtonDiagnostics with the Hessian at beta (with a
-    basis, the weights and residuals), mean the fitted unit means (C, m)
-    and max_eta the largest |linear predictor|, before the cap.
+    fit raises, diag the NewtonDiagnostics with the Hessian at beta, mean
+    the fitted unit means (C, m) and max_eta the largest |linear
+    predictor|, before the cap.
     """
-    objective = _objective(family, blocks, means, counts, last := [], hessian=basis is None)
+    objective = _objective(family, blocks, means, counts, last := [])
     if family is _GAUSSIAN:
         # least squares has one class
         root = np.sqrt(counts)
@@ -391,11 +380,7 @@ def _fit(family, blocks, counts, means, options, pure=True, basis=None):
     else:
         beta = np.zeros((blocks.cell.shape[1] + blocks.rows.shape[1]) * len(means))
         tol = options.gradient_tolerance * (1.0 + counts.sum())
-        if basis is None:
-            beta, diag = maximize(objective, beta, options, tolerance=tol)
-        else:
-            beta, diag = maximize(objective, beta, options, tol,
-                                  functools.partial(_cell_newton_directions, basis))
+        beta, diag = maximize(objective, beta, options, tolerance=tol)
     # the bread is the Hessian of the last accepted step; the means are the
     # last evaluation's when it was at beta
     if not (last and np.array_equal(last[0][0], beta)):
@@ -662,9 +647,8 @@ def _design_basis(shape, data, names):
 def _cell_least_squares(basis, weights, weighted):
     """((B, p) coefficients, singular (B,)) of the weighted least squares
     fits of B datasets with cell weights W and weighted responses u = W z
-    (B, k) on the cell design X (k, p) of basis, in closed form: for OLS
-    the cell counts and sums, for a Newton step the curvature weights and
-    working residuals. X has at most one cell more than columns, k - p <= 1.
+    (B, k), the cell counts and sums, on the cell design X (k, p) of basis,
+    in closed form. X has at most one cell more than columns, k - p <= 1.
 
     With k = p the fit is exact, mu = z and beta = X^-1 z. With k - p = 1,
     as in the paper's design, the fitted values mu satisfy X'W (z - mu) = 0,
@@ -698,24 +682,6 @@ def _cell_least_squares(basis, weights, weighted):
         return (fitted[:, None] @ pinv_t)[:, 0], singular
 
 
-def _cell_newton_directions(basis, curvature, grad):
-    """maximize's direction rule for a one-class fit on the cells of basis.
-
-    curvature (2, k) holds each cell's weight W = N b''(eta) and working
-    residual r = S - N b'(eta), whose X'r is the score grad. The Newton
-    direction solves X'WX d = X'r: it is the weighted least squares fit
-    (_cell_least_squares) of the responses z = r / W (IRLS; Green 1984),
-    whose weighted responses are r itself. No p x p Hessian is formed or
-    solved, and each cell's residual enters on its own scale, so a cell of
-    tiny weight costs no precision. A singular fit raises
-    SingularHessianError, as _newton_directions does.
-    """
-    (direction,), (singular,) = _cell_least_squares(basis, curvature[:1], curvature[1:])
-    if singular:
-        raise SingularHessianError("Hessian is singular at the current iterate")
-    return direction
-
-
 def fit_cell_sums(families, X, counts, sums):
     """Fit B datasets whose regressors are constant within cells by each
     family named in families.
@@ -735,19 +701,18 @@ def fit_cell_sums(families, X, counts, sums):
     a finite optimum, which rrdid.dual solves exactly in its one-dimensional
     dual (_fit_interior), with the linear-predictor cap as its guard; these
     solves are vectorized over the datasets. A QMLE with a boundary cell,
-    whose optimum may be infinite, runs maximize, the Newton behind every
-    fit, on its own dataset at the default FitOptions, with the row-level
-    fits' stopping rules and guards (a cell counts as perfectly predicted
-    from its mean alone); only its Newton directions are taken in closed
-    form, as weighted least squares on the same basis
-    (_cell_newton_directions). Returns one (coefficients (B, p), failures)
-    per family, in the order of families: failures[r] is None for a
-    converged fit, "not_converged", or the name of the error the row-level
-    fit raises (SingularDesignError, SingularHessianError,
-    OverflowGuardError, SeparationError), where a fit whose closed form or
-    dual is singular, as a cell weight too small to invert or a cell mean
-    that overflows makes it, reports SingularHessianError; a failed row's
-    coefficients are NaN.
+    whose optimum may be infinite, runs _fit, the Newton behind every fit,
+    on its own dataset at the default FitOptions, with the row-level fits'
+    stopping rules and guards (a cell counts as perfectly predicted from its
+    mean alone), so it stops where the row-level fit of its rows stops.
+    Returns one (coefficients (B, p), failures) per family, in the order of
+    families: failures[r] is None for a converged fit, "not_converged", or
+    the name of the error the row-level fit raises (SingularDesignError,
+    SingularHessianError, OverflowGuardError, SeparationError), where a fit
+    whose closed form, dual or Newton start is singular or not finite, as a
+    cell weight too small to invert or a cell mean or total that overflows
+    makes it, reports SingularHessianError; a failed row's coefficients are
+    NaN, and one row's failure leaves the other rows' fits as they are.
     """
     records = []
     for family in families:
@@ -807,17 +772,19 @@ def fit_cell_sums(families, X, counts, sums):
                 beta, kinds = _fit_interior(record, basis, pattern_w[dual], pattern_s[dual],
                                             pattern_y[dual])
                 _store(coefficients, failures, pattern[dual], beta, kinds)
-            # a row with a boundary cell, whose optimum may be infinite, takes the Newton alone
+            # a row with a boundary cell, whose optimum may be infinite, takes
+            # the Newton alone; a total past the float range overflows, and
+            # leaves a non-finite start that fails this row only
             for r, y, w in zip(pattern[~dual].tolist(), pattern_y[~dual], pattern_w[~dual]):
-                if record is _POISSON and _identically_zero(w, y):
-                    failures[r] = "OverflowGuardError"
-                    continue
-                try:
-                    beta, failures[r], *_ = _fit(record, cells, w, y[None], FitOptions(),
-                                                 basis=basis)
-                except SingularHessianError:
-                    failures[r] = "SingularHessianError"
-                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if record is _POISSON and _identically_zero(w, y):
+                        failures[r] = "OverflowGuardError"
+                        continue
+                    try:
+                        beta, failures[r], *_ = _fit(record, cells, w, y[None], FitOptions())
+                    except (SingularHessianError, NonFiniteObjectiveError):
+                        failures[r] = "SingularHessianError"
+                        continue
                 if failures[r] is None:
                     coefficients[r] = beta
     return results

@@ -36,10 +36,9 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class NewtonDiagnostics:
-    """How the Newton ascent of one problem ended. hessian is the objective's
-    curvature output at the returned point, from its last accepted
-    evaluation (the Hessian, under the default direction rule), and
-    step_halvings counts the halved Newton steps over all iterations."""
+    """How the Newton ascent of one problem ended. hessian is the Hessian at
+    the returned point, from its last accepted evaluation, and step_halvings
+    counts the halved Newton steps over all iterations."""
 
     iterations: int
     converged: bool
@@ -57,35 +56,31 @@ def _newton_directions(hess, grad):
         raise SingularHessianError("Hessian is singular at the current iterate") from None
 
 
-def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None,
-             directions=_newton_directions):
+def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None):
     """Newton ascent with step halving, for one problem.
 
-    objective(beta) must return (value, gradient, curvature) at a 1-d beta,
-    and directions(curvature, gradient) the Newton direction, or raise
-    SingularHessianError. By default the curvature is the Hessian and the
-    direction solves -hessian d = gradient (_newton_directions); a caller
-    that knows the Hessian's structure can hand back less and solve for the
-    same direction its own way. Convergence is max-abs gradient <= tolerance
-    (default options.gradient_tolerance, unscaled). A step is halved until
-    the value does not fall by more than rounding; when all _STEP_HALVINGS
-    halvings fail, the ascent stops where it is, and that search counts no
-    iteration. A step shorter than 1e-12 also stops the ascent. Returns
-    (argmax, NewtonDiagnostics). An init already at the optimum returns
-    immediately with 0 iterations.
+    objective(beta) must return (value, gradient, hessian) at a 1-d beta.
+    Each direction solves -hessian d = gradient (_newton_directions), and a
+    singular Hessian raises SingularHessianError. Convergence is max-abs
+    gradient <= tolerance (default options.gradient_tolerance, unscaled).
+    A step is halved until the value does not fall by more than rounding;
+    when all _STEP_HALVINGS halvings fail, the ascent stops where it is, and
+    that search counts no iteration. A step shorter than 1e-12 also stops
+    the ascent. Returns (argmax, NewtonDiagnostics). An init already at the
+    optimum returns immediately with 0 iterations.
     """
     beta = np.array(init, float, copy=True)
     if beta.ndim != 1:
         raise ValueError("maximize runs one problem: init must be 1-d")
     tol = options.gradient_tolerance if tolerance is None else tolerance
-    value, grad, curvature = objective(beta)
+    value, grad, hess = objective(beta)
     if not np.isfinite(value):
         raise NonFiniteObjectiveError("objective non-finite at the starting point")
     iterations = halvings = 0
     for _ in range(options.max_iterations):
         if np.abs(grad).max(initial=0.0) <= tol:
             break
-        direction = directions(curvature, grad)
+        direction = _newton_directions(hess, grad)
         step = 1.0
         # accept any non-decrease up to rounding noise
         least = value - 1e-12 * (1 + np.abs(value))
@@ -99,11 +94,11 @@ def maximize(objective, init, options: FitOptions = FitOptions(), tolerance=None
         else:
             # no acceptable step: stop where it is
             break
-        beta, (value, grad, curvature) = candidate, evaluation
+        beta, (value, grad, hess) = candidate, evaluation
         iterations += 1
         if step * np.abs(direction).max(initial=0.0) < 1e-12:
             break
 
     score_norm = float(np.abs(grad).max(initial=0.0))
     return beta, NewtonDiagnostics(iterations, bool(score_norm <= tol), score_norm, float(value),
-                                   curvature, halvings)
+                                   hess, halvings)

@@ -11,13 +11,12 @@ import importlib
 import inspect
 import pkgutil
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rrdid.blocks
@@ -51,9 +50,7 @@ from rrdid.errors import (
     SingularDesignError,
     SingularHessianError,
 )
-from rrdid.estimators import (_cell_basis, _cell_newton_directions, _inputs, _LOGIT,
-                              _POISSON)
-from rrdid.newton import _newton_directions
+from rrdid.estimators import _inputs, _LOGIT, _POISSON
 from rrdid.rank import _check_full_rank, _check_full_rank_qr, _gram_proves_full_rank
 from rrdid.sandwich import _sandwich
 
@@ -1704,107 +1701,3 @@ def test_split_modules_own_their_names(module_name):
         if callable(value):
             assert value.__module__ == module_name, name
         assert not hasattr(estimators, name) or name in read, name
-
-
-
-def _cell_rows(trend):
-    """The eight (q, t) cells' rows of the Monte Carlo design: const, period
-    dummies, group, group trend (with trend) and treat, post period 3."""
-    return np.array([[1.0, t == 1, t == 2, t == 3, q] + [t * q] * trend + [q * (t == 3)]
-                     for q in (0, 1) for t in range(4)])
-
-
-def _names(X):
-    return [f"x{j}" for j in range(X.shape[1])]
-
-
-def _exact_newton_direction(X, weights, residuals):
-    """The solution of X'WX d = X'r, in exact rational arithmetic on the
-    floats given, rounded once: X'r is formed from the residuals r, not
-    from its rounded float product."""
-    k, p = X.shape
-    rows = [[sum((Fraction(X[c, i]) * Fraction(weights[c]) * Fraction(X[c, j])
-                  for c in range(k)), Fraction(0)) for j in range(p)]
-            + [sum((Fraction(X[c, i]) * Fraction(residuals[c]) for c in range(k)), Fraction(0))]
-            for i in range(p)]
-    for col in range(p):
-        pivot = next(r for r in range(col, p) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(p):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col] / rows[col][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return np.array([float(rows[i][p] / rows[i][i]) for i in range(p)])
-
-
-_SUBNORMAL = np.finfo(float).smallest_subnormal
-
-
-@given(st.booleans(), st.lists(st.integers(0, 7), max_size=2, unique=True),
-       st.sampled_from([_POISSON, _LOGIT]), st.floats(0.0, 30.0),
-       st.lists(st.floats(1.0, 1000.0), min_size=8, max_size=8),
-       st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
-       st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
-@settings(max_examples=150, deadline=None)
-# an exact direction of about 1e-316, below any bound relative to it
-@example(False, [0], _POISSON, 0.0, [5.0, 977.0, 1.0, 1.0, 3.0, 2.0, 1.0, 1.0], [0.0] * 7,
-         [0.0, 2.2250738585e-315, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-# saturated (k = p = 6), weights up to e^16: a right-hand side rounded to
-# floats before the solve would be amplified 1e-7 off the exact direction
-@example(False, [2, 0], _POISSON, 16.0, [1.0] * 8, [0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-         [0.0, -0.7376057020405322, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
-def test_cell_newton_direction_matches_the_hessian_solve(trend, empty, family, cap,
-                                                        counts, beta, residuals):
-    # The closed-form direction on the cell null space against the dense
-    # Hessian solve, on patterns of empty cells with k - p = 0 and 1, the
-    # designs fit_cell_sums accepts, at linear predictors up to the cap.
-    # Both are checked against the exact Newton direction. The closed form
-    # is within 1e-9 of it, relative to its largest entry, and the dense
-    # solve within 100 p eps kappa(H), so the two agree to the sum. Each
-    # bound admits one subnormal spacing besides, the least error a float
-    # can have where the exact direction is itself subnormal.
-    keep = np.setdiff1d(np.arange(8), empty)
-    X = _cell_rows(trend)[keep]
-    k, p = X.shape
-    if np.linalg.matrix_rank(X) < p or k - p > 1:
-        return
-    counts, beta = np.array(counts[:k]), np.array(beta[:p])
-    residuals = np.array(residuals[:k]) * 100.0
-    grad = X.T @ residuals
-    eta = X @ beta
-    if np.max(np.abs(eta)) > 0:
-        eta *= cap / np.max(np.abs(eta))
-    mean = family.moments(eta[None])[1]
-    weights = family.curvature(counts, counts * mean, mean)[0]
-    hess = -(X.T * weights) @ X
-    try:
-        dense = _newton_directions(hess, grad)
-    except SingularHessianError:
-        dense = None
-    curvature = np.stack([weights, residuals])
-    direction = _cell_newton_directions(_cell_basis(X, _names(X)), curvature, grad)
-    exact = _exact_newton_direction(X, weights, residuals)
-    scale = np.max(np.abs(exact))
-    assert np.max(np.abs(direction - exact)) <= 1e-9 * scale + _SUBNORMAL
-    if dense is not None:
-        dense_rtol = 100 * p * np.finfo(float).eps * np.linalg.cond(hess)
-        assert np.max(np.abs(dense - exact)) <= dense_rtol * scale + _SUBNORMAL
-        assert np.max(np.abs(direction - dense)) <= (1e-9 + dense_rtol) * scale + 2 * _SUBNORMAL
-
-
-@pytest.mark.parametrize("trend, empty", [(True, ()), (False, (0,))],
-                         ids=["k-p=1", "k-p=1-no-trend"])
-@pytest.mark.parametrize("weight", [0.0, 5e-324, np.nan])
-def test_cell_newton_direction_singular_gram(trend, empty, weight):
-    # a gram V W^-1 V' that is not finite and positive is the singular
-    # decision, which raises SingularHessianError, as a failed LAPACK solve does
-    X = np.delete(_cell_rows(trend), list(empty), axis=0)
-    basis = _cell_basis(X, _names(X))
-    weights = np.linspace(1.0, 2.0, len(X))
-    residuals = np.ones(len(X))
-    grad = X.T @ residuals
-    assert np.all(np.isfinite(_cell_newton_directions(basis, np.stack([weights, residuals]),
-                                                      grad)))
-    weights[-1] = weight
-    with pytest.raises(SingularHessianError):
-        _cell_newton_directions(basis, np.stack([weights, residuals]), grad)

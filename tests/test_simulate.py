@@ -625,8 +625,14 @@ _ROW_ERRORS = (OverflowGuardError, SeparationError, SingularDesignError,
 @settings(max_examples=120, deadline=None)
 # every row perfectly predicted while the fit stops below the linear-predictor cap
 @example("binary", 21, 0.55, 0.44, 6270, 14)
-# an all-zero count draw: no dataset is left for the batched Newton
+# an all-zero count draw: no dataset is left for the Newton
 @example("count", 20, 0.0, 0.0, 36, 0)
+# accepted boundary fits with no finite optimum: an all-zero control post
+# cell, and all-1 treated post cells
+@example("count", 250, 0.0, 0.0, 1, 153)
+@example("binary", 250, 0.5, 0.5, 5, 6)
+@example("binary", 250, 0.5, 0.5, 5, 546)
+@example("binary", 250, 0.5, 0.5, 5, 1312)
 def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep):
     sc = Scenario(family=family, n=n, repetitions=1, seed=seed,
                   beta_qtau=beta_qtau, beta_d=beta_d)
@@ -637,10 +643,10 @@ def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep)
     qmle = ("logit_qmle", fit_logit_qmle) if family == "binary" else \
         ("poisson_qmle", fit_poisson_qmle)
     # A cell whose outcomes all sit on the domain's boundary (all 0, or all 1
-    # for binary) puts the QMLE optimum at infinity; such a fit stops wherever
-    # the score first drops under the tolerance, and the two paths' rounding
-    # moves that point by up to ~1e-5, so only their decisions are compared.
-    # A table of interior cells is solved exactly in its dual, while a row fit
+    # for binary) may put the QMLE optimum at infinity; such a fit stops
+    # wherever the score first drops under the tolerance, and both paths run
+    # the same Newton on the same cells, so they stop at the same bits. A
+    # table of interior cells is solved exactly in its dual, while a row fit
     # at the default tolerance stops up to ~1e-6 away, so the QMLE is compared
     # with a row fit iterated to a tight tolerance.
     means = sums[counts > 0] / counts[counts > 0]
@@ -654,7 +660,9 @@ def test_cell_fits_match_row_level_fits(family, n, beta_qtau, beta_d, seed, rep)
             assert failure == type(err).__name__
             continue
         assert failure == (None if fit.converged else "not_converged")
-        if failure is None and (finite or name == "ols"):
+        if failure is None and not finite and name != "ols":
+            assert beta[0].tobytes() == fit.coefficients.tobytes()
+        elif failure is None:
             if name != "ols":
                 fit = row_fit(design, data.y, data.weights, options=TIGHT)
             np.testing.assert_allclose(beta[0], fit.coefficients, rtol=0, atol=1e-9)
@@ -692,13 +700,31 @@ def test_cell_least_squares_matches_fit_ols(per_cell, seed):
 
 def test_cell_ols_reports_a_singular_closed_form():
     # a cell weight whose inverse overflows leaves the closed form no finite
-    # gram, for the linear fit as for the QMLE's Newton direction
+    # gram, and the QMLE's dual no finite link
     counts = np.array([[3, 2, 4, 5, 1, 2, 3, 5e-324]])
     fits = fit_cell_sums(("ols", "poisson_qmle"), build_design(_CELLS, _DESIGN),
                          counts, 1.5 * counts)
     for beta, failures in fits:
         assert failures == ["SingularHessianError"]
         assert np.isnan(beta).all()
+
+
+def test_boundary_row_whose_total_overflows_fails_alone():
+    # a boundary row whose weighted total overflows leaves its Newton no
+    # finite start; that row reports SingularHessianError, as the dual does
+    # for a row whose means are not finite, and the other row's fit is the
+    # one it gets alone, with no warning escaping
+    cells = build_design(_CELLS, _DESIGN)
+    counts = np.array([[1e308, 1e308, 10, 10, 10, 10, 10, 10], np.arange(5.0, 13.0)])
+    sums = np.array([[1e308, 1e308, 5, 5, 5, 5, 5, 0], np.arange(1.0, 9.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (beta, failures), = fit_cell_sums(("poisson_qmle",), cells, counts, sums)
+        (alone, alone_failures), = fit_cell_sums(("poisson_qmle",), cells, counts[1:], sums[1:])
+    assert failures == ["SingularHessianError", None]
+    assert alone_failures == [None]
+    assert np.isnan(beta[0]).all()
+    assert beta[1].tobytes() == alone[0].tobytes()
 
 
 def test_saturated_cells_report_a_singular_closed_form():
