@@ -77,10 +77,12 @@ COMMANDS = {
     "estimate_multinomial_covariate": ["estimate", "--family", "multinomial", "--csv",
                                        "panel.csv", "--outcome", "m", *_PANEL[2:],
                                        "--covariates", "x", "--trend"],
-    # the same small file quoted as R writes it, with CRLF line ends, and
-    # with a byte-order mark
+    # the same small file with a quoted number and label column, written as
+    # R's write.csv writes it, with CRLF line ends, and with a byte-order mark
     "estimate_quoted": ["estimate", "--family", "poisson", "--csv", "quoted.csv", *_PANEL,
                         "--covariates", "x", "--cluster", "c"],
+    "estimate_quoted_r": ["estimate", "--family", "poisson", "--csv", "quoted_r.csv", *_PANEL,
+                          "--covariates", "x", "--cluster", "c"],
     "estimate_crlf": ["estimate", "--family", "poisson", "--csv", "crlf.csv", *_PANEL,
                       "--covariates", "x", "--cluster", "c"],
     "estimate_bom": ["estimate", "--family", "poisson", "--csv", "bom.csv", *_PANEL,
@@ -155,6 +157,11 @@ def write_inputs(directory):
     write("bom.csv", "\ufeff" + "\n".join(lines(small)) + "\n")
     quoted = [[f'"{v}"' if j in (0, 8) else v for j, v in enumerate(row)] for row in small]
     write("quoted.csv", "\n".join(lines(quoted)) + "\n")
+    # write.csv quotes the header, the row names it writes first and every string field
+    r_lines = [",".join(f'"{name}"' for name in ["", *header.split(",")])]
+    r_lines += [",".join([f'"{i}"', *(f'"{v}"' if j == 8 else str(v) for j, v in enumerate(row))])
+                for i, row in enumerate(small, start=1)]
+    write("quoted_r.csv", "\n".join(r_lines) + "\n")
     broken = lines(small[:20])
     # file row 3 loses its outcome
     broken[2] = "," + broken[2].split(",", 1)[1]

@@ -311,7 +311,7 @@ _FAMILY_FITTERS = {
 def _run_estimate(args):
     if args.classical and args.family != "linear":
         raise ValueError("--classical applies only to the linear family")
-    dataset, labels = load_csv_dataset(
+    dataset, labels, source = load_csv_dataset(
         args.csv, args.outcome, args.group, args.period,
         weights=args.weights, cluster=args.cluster, covariates=args.covariates,
     )
@@ -366,7 +366,7 @@ def _run_estimate(args):
         }
         for i, name in enumerate(fit.names)
     ]
-    results = {"fit": {**dataclasses.asdict(fit), "coefficients": coef_table}}
+    results = {"fit": {**dataclasses.asdict(fit), "coefficients": coef_table}, "input": source}
     del results["fit"]["names"]
 
     # multinomial names carry the class, e.g. "treat[2]"; the stem is the design column
@@ -405,7 +405,7 @@ def _run_effect(args):
 
 
 def _run_summarize(args):
-    dataset, labels = load_csv_dataset(
+    dataset, labels, _ = load_csv_dataset(
         args.csv, args.outcome, args.group, args.period, weights=args.weights,
     )
     post = _period_index(labels, args.post, "--post")

@@ -5,10 +5,12 @@ and no missing values in bound columns. Period values may be arbitrary
 integers (e.g. years); they are mapped onto 0..T-1 in sorted order, and
 --post / --base-period are given in the original units. Plain files, with
 LF or CRLF line ends, are read with np.loadtxt's C parser, the group
-column as int8 and the period column as int64; files with quotes, lone CR
-line ends, NUL bytes, blank lines or ragged rows, and fields only
-Python's float() accepts (1_000, non-ASCII digits), go to the slower
-row-by-row reader, which also reports every error with its row number.
+column as int8 and the period column as int64; so are files quoted as R's
+write.csv quotes them, each quote around a whole field that holds no
+comma, quote or line end. Files with other quotes, lone CR line ends, NUL
+bytes, blank lines or ragged rows, and fields only Python's float()
+accepts (1_000, non-ASCII digits), go to the slower row-by-row reader,
+which also reports every error with its row number.
 Either way the accepted input and the result are the same. A --cluster
 column holds labels and may not also be bound as a number (outcome,
 group, period, weights or covariate).
@@ -46,14 +48,18 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
                      covariates=()):
     """Read a header CSV into an RcsDataset.
 
-    Returns (dataset, period_labels): the distinct period values sorted
-    ascending, with dataset.t holding their 0-based ranks. A period label
-    must be an integer of magnitude below 2**53; one not written as an
-    integer literal (such as 2016.0 or 2e3) must also be below 2**52 in
-    magnitude, since from there on a label with a fraction parses to a
-    float without one. With a cluster column, dataset.clusters holds int64
-    codes: each row's label, stripped of surrounding whitespace, numbered
-    in sorted order of the distinct stripped labels.
+    Returns (dataset, period_labels, input): the distinct period values
+    sorted ascending, with dataset.t holding their 0-based ranks, and a
+    record of how the file was read: {"rows": data rows, "reader":
+    "loadtxt", "loadtxt_f8" or "row_parser", "declined": the short fixed
+    reason the np.loadtxt reader left the file to the row parser, or None}.
+
+    A period label must be an integer of magnitude below 2**53; one not
+    written as an integer literal (such as 2016.0 or 2e3) must also be
+    below 2**52 in magnitude, since from there on a label with a fraction
+    parses to a float without one. With a cluster column, dataset.clusters
+    holds int64 codes: each row's label, stripped of surrounding
+    whitespace, numbered in sorted order of the distinct stripped labels.
 
     The group and period columns may arrive as integers (from the
     np.loadtxt reader: int8 and int64) or as floats (from the row parser);
@@ -68,10 +74,12 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
                                  "column; a column holds cluster ids or numbers, not both")
     bound = numeric | {cluster} if cluster else numeric
     # a column also read as a float keeps float()'s meaning, -0 included
-    columns = _read_columns(path, bound, cluster, {group, period} - floats, period)
-    if columns is None:
-        columns = _read_rows(path, bound, cluster, period)
-    rows, codes = columns
+    read = _read_columns(path, bound, cluster, {group, period} - floats, period)
+    if isinstance(read, str):
+        declined, reader = read, "row_parser"
+        rows, codes = _read_rows(path, bound, cluster, period)
+    else:
+        declined, (rows, codes, reader) = None, read
 
     if not len(rows[outcome]):
         raise CsvParseError("row 2: no data rows after the header")
@@ -102,7 +110,8 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
         clusters=codes,
         n_periods=len(labels),
     )
-    return dataset, [int(v) for v in labels]
+    labels = [int(v) for v in labels]
+    return dataset, labels, {"rows": len(dataset.y), "reader": reader, "declined": declined}
 
 
 def _odd_multipliers(count, salt):
@@ -187,9 +196,9 @@ def _code_clusters(labels):
     return np.take(rank.reshape(-1), inverse, out=inverse, mode="clip")
 
 
-# csv.reader gives quotes a meaning np.loadtxt does not share, and rejects
-# NUL; a CR is taken only right before an LF (_gate_lines)
-_ROW_PARSER_BYTES = (b'"', b"\0")
+# csv.reader rejects a NUL; a quote is taken only around a whole field
+# (_quotes_delimit_fields), and a CR only right before an LF (_gate_lines)
+_ROW_PARSER_BYTES = (b"\0",)
 # np.loadtxt opens a str path through np.lib._datasource, which would read a
 # file with one of these suffixes as compressed
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
@@ -198,152 +207,254 @@ _GATE_BLOCK = 1 << 20
 
 
 def _read_columns(path, bound, cluster, integers, period):
-    """The numeric columns and cluster codes _read_rows returns, read in one
-    np.loadtxt pass; the columns named in integers come back as integers: the
-    period column as int64, any other (the group) as int8.
+    """(columns, codes, reader): the numeric columns and cluster codes
+    _read_rows returns, read in one np.loadtxt pass, and the reader that read
+    them, "loadtxt" or "loadtxt_f8"; the columns named in integers come back as
+    integers: the period column as int64, any other (the group) as int8.
 
-    Returns None for every file on which that might differ from _read_rows:
-    anything but a plain path, bytes csv.reader treats specially (a quote, a
-    NUL, a CR not directly before an LF), invalid UTF-8, no data line, a blank
-    line or a field count that differs from the header's, a line past
+    Returns the reason, a short fixed string, for every file on which that
+    might differ from _read_rows: anything but a plain path, a compressed
+    suffix, a quote anywhere but around a whole field that holds no comma,
+    quote, CR or LF, a NUL, a CR not directly before an LF, invalid UTF-8, no
+    data line, a field count that differs from the header's, a line past
     csv.field_size_limit(), a cluster label that strips to nothing, a period
     column read as floats that holds a value of magnitude 2**52 or more (whose
-    verdict depends on its text), and every field that np.loadtxt rejects (it
-    accepts no number float() rejects, and parses the same value: both call
-    PyOS_string_to_double after stripping the same whitespace). _read_rows then
-    reads the file and reports any error.
+    verdict depends on its text), and every field or line that np.loadtxt
+    refuses (it accepts no number float() rejects, and parses the same value:
+    both call PyOS_string_to_double after stripping the same whitespace; it
+    refuses a blank line, which csv.reader reads as a row without fields).
+    _read_rows then reads the file and reports any error: it stays the reader
+    of quoted separators, quotes inside a field, lone CR line ends, compressed
+    suffixes and numbers only float() reads, the only source of row-numbered
+    errors, and the tests' reference.
 
-    The byte gate, _gate_lines, checks the file's bytes and gathers each line's
-    cluster field, which is coded before np.loadtxt reads the file again in
-    text mode, whose universal newlines read a CRLF as an LF. That one
-    structured pass reads the numeric columns alone, a field f0, f1, ... per
-    column in sorted name order (a header name may be empty or repeat): i8 for
-    the period and i1 for the group column when integers names them (bound only
-    as group or period), f8 for the rest. An integer field takes only an
-    integer literal, [+-]?[0-9]+ between whitespace, within its type's range,
-    whose value is the float()-parsed value whenever the caller accepts it;
-    when that pass fails, on a label such as 2016.0, 1e0 or a group label of
-    128, a second pass reads every column as f8. Each field is copied out and
+    The header goes through csv.reader once its quotes pass the byte gate's
+    rule. The byte gate, _gate_lines, checks the file's bytes and gathers each
+    line's cluster field, which is coded before np.loadtxt reads the file again
+    in text mode, whose universal newlines read a CRLF as an LF, and with '"'
+    as its quote character, which it strips from a quoted field as csv.reader
+    does. That one structured pass reads the numeric columns, a field f0, f1,
+    ... per column in sorted name order (a header name may be empty or
+    repeat): i8 for the period and i1 for the group column when integers
+    names them (bound only as group or period), f8 for the rest. When the
+    file's last column is not among them, a one-character U field reads it and
+    is dropped: np.loadtxt refuses a row with fewer fields than its usecols
+    reach, and the gate proves each block holds the header's comma count
+    times its lines, so a file it reads holds exactly that many commas on
+    every line. An integer field takes only an integer literal, [+-]?[0-9]+
+    between whitespace, within its type's range, whose value is the
+    float()-parsed value whenever the caller accepts it; when that pass fails,
+    on a label such as 2016.0, 1e0 or a group label of 128, a second pass
+    ("loadtxt_f8") reads every bound column as f8. Each field is copied out and
     frozen, so that an RcsDataset adopts the copies as they are, all but the
     int8 group column, which it widens to int64; the structured array, 8 bytes
     a row per column but 1 for the group's, is alive beside them while they are
     made.
     """
     if not isinstance(path, (str, os.PathLike)):
-        return None
+        return "not a path"
     # an absolute path is never taken for a URL
     path = os.path.abspath(path)
-    if not isinstance(path, str) or path.endswith(_COMPRESSED_SUFFIXES):
-        return None
+    if not isinstance(path, str):
+        return "not a path"
+    if path.endswith(_COMPRESSED_SUFFIXES):
+        return "compressed suffix"
     try:
         with open(path, "rb") as handle:
-            # a header line and at least one data line (_gate_lines);
-            # csv.reader reads an empty first line as a header without
-            # columns, and ends a line at a lone CR
-            line = handle.readline()
-            text = line.removesuffix(b"\n").removesuffix(b"\r")
-            if (text == line or len(line) > csv.field_size_limit() or b"\r" in text
-                    or any(special in text for special in _ROW_PARSER_BYTES)):
-                return None
-            try:
-                # a byte-order mark, as Excel's "CSV UTF-8" export writes, is no part of the header
-                text = text.decode("utf-8").removeprefix("\ufeff")
-            except UnicodeDecodeError:
-                return None
-            header = [h.strip() for h in text.split(",")]
-            if not text or any(name not in header for name in bound):
-                return None
+            header = _read_header(handle.readline())
+            if isinstance(header, str):
+                return header
+            if any(name not in header for name in bound):
+                return "missing column"
             gate = _gate_lines(handle, len(header) - 1,
                                header.index(cluster) if cluster else None)
     except OSError:
-        return None
-    if gate is None:
-        return None
+        return "cannot read"
+    if isinstance(gate, str):
+        return gate
     n_rows, labels = gate
     codes = _code_clusters(labels) if cluster else None
     # the labels are freed before np.loadtxt allocates its result
     del gate, labels
     if cluster and codes is None:
-        return None
+        return "blank cluster label"
 
     names = sorted(bound - {cluster})
     usecols = [header.index(name) for name in names]
+    # np.loadtxt refuses a row shorter than its usecols reach, which proves
+    # the gate's comma count line by line; an unbound last column is read as
+    # a dropped U1 field (S1 would refuse a character past Latin-1)
+    tail = []
+    if len(header) - 1 not in usecols:
+        usecols.append(len(header) - 1)
+        tail = [("tail", "U1")]
     # the period is i8; the group column holds 0/1, so i1 takes every valid label
     kinds = [{period: "i8"}.get(name, "i1") if name in integers else "f8" for name in names]
 
     def parse(kinds):
-        dtype = [(f"f{i}", kind) for i, kind in enumerate(kinds)]
+        dtype = [(f"f{i}", kind) for i, kind in enumerate(kinds)] + tail
         try:
             with warnings.catch_warnings():
                 # numpy releases that still parse a float in an integer field,
-                # through the float and truncating it, only warn when they do
-                warnings.simplefilter("error", DeprecationWarning)
-                # max_rows makes np.loadtxt allocate its result once instead of
-                # growing it; it warns on a blank line, which only a one-column
-                # file can hold
+                # through the float and truncating it, only warn when they do;
+                # a blank line, which max_rows does not count, also warns
+                warnings.simplefilter("error")
+                # max_rows makes np.loadtxt allocate its result once instead of growing it
                 return np.loadtxt(path, dtype=dtype, usecols=usecols, delimiter=",",
-                                  comments=None, skiprows=1, ndmin=1, encoding="utf-8",
-                                  max_rows=n_rows if len(header) > 1 else None)
-        except (OSError, ValueError, DeprecationWarning):
+                                  comments=None, quotechar='"', skiprows=1, ndmin=1,
+                                  encoding="utf-8", max_rows=n_rows)
+        except (OSError, ValueError, Warning):
             return None
 
-    values = parse(kinds)
+    reader, values = "loadtxt", parse(kinds)
     if values is None and any(kind != "f8" for kind in kinds):
-        kinds = ["f8"] * len(names)
+        reader, kinds = "loadtxt_f8", ["f8"] * len(names)
         values = parse(kinds)
-    # np.loadtxt skips blank lines, which pass the comma count in a one-column file
     if values is None or len(values) != n_rows:
-        return None
+        return "field np.loadtxt refused"
     # from 2**52 on every float is an integer, so only the text tells whether
     # a label has a fraction; the row parser reads it
     j = names.index(period)
     if kinds[j] == "f8" and np.any(np.abs(values[f"f{j}"]) >= 2**52):
-        return None
+        return "period of magnitude 2**52"
     columns = {}
     for i, name in enumerate(names):
         columns[name] = values[f"f{i}"].copy()
         columns[name].setflags(write=False)
-    return columns, codes
+    return columns, codes, reader
+
+
+def _read_header(line):
+    """The names of the header line, line, stripped as the row parser strips
+    them, or the reason the row parser reads the file: a header and at least
+    one data line (_gate_lines) are needed, csv.reader reads an empty first
+    line as a header without columns and ends a line at a lone CR, and a
+    quote must delimit a field, as on every data line."""
+    text = line.removesuffix(b"\n").removesuffix(b"\r")
+    if text == line:
+        return "no data line"
+    if len(line) > csv.field_size_limit():
+        return "line too long"
+    if b"\r" in text:
+        return "lone CR"
+    if any(special in text for special in _ROW_PARSER_BYTES):
+        return "NUL byte"
+    # a byte-order mark, as Excel's "CSV UTF-8" export writes, is no part of the header
+    text = text.removeprefix(b"\xef\xbb\xbf")
+    if not text:
+        return "empty header"
+    if b'"' in text:
+        buf = np.frombuffer(text, np.uint8)
+        if not _quotes_delimit_fields(buf, np.flatnonzero(buf == ord(",")), [buf.size]):
+            return "quote inside a field"
+    try:
+        text = text.decode("utf-8")
+    except UnicodeDecodeError:
+        return "not UTF-8"
+    return [name.strip() for name in next(csv.reader([text]))]
+
+
+def _lines_shorter(block, limit):
+    """Whether every line of block is shown, without offsets, to be shorter
+    than limit bytes: each whole aligned chunk of limit // 2 bytes holds an
+    LF, and a line of limit bytes or more would hold a whole chunk. False
+    when a chunk holds none, or when limit is too small for the chunks to pay."""
+    half = limit // 2
+    return half >= 1 << 12 and all(block.find(b"\n", start, start + half) >= 0
+                                   for start in range(0, len(block) - half + 1, half))
+
+
+def _quotes_delimit_fields(buf, commas, ends):
+    """Whether every quote in buf, a block of whole lines with the sorted
+    offsets commas of its commas and ends of its line ends, opens a field, at
+    a line start or right after a comma, or closes the field the quote before
+    it opened, right before a comma, a CR or a line end, with no comma or LF
+    between the two. A CR between them would be a lone CR, which _gate_block
+    refuses. csv.reader and np.loadtxt with quotechar='"' then split each
+    line at its commas alone and strip each quoted field's two quotes."""
+    quotes = np.flatnonzero(buf == ord('"'))
+    if quotes.size % 2:
+        return False
+    opens, closes = quotes[0::2], quotes[1::2]
+    before = buf[opens - 1]
+    after = buf[np.minimum(closes + 1, buf.size - 1)]
+    if not (np.all((opens == 0) | (before == ord(",")) | (before == ord("\n")))
+            and np.all((closes + 1 == buf.size) | (after == ord(",")) | (after == ord("\n"))
+                       | (after == ord("\r")))):
+        return False
+    # the separators before each quote; a pair's two counts differ when it holds one
+    for separators in (commas, ends):
+        counts = np.searchsorted(separators, quotes)
+        if np.any(counts[0::2] != counts[1::2]):
+            return False
+    return True
 
 
 def _gate_lines(handle, n_commas, cluster_index):
     """(data lines, cluster labels) of the binary file handle, read from just
-    past the header line, which holds n_commas commas; None when the file has
-    no data line, or a data line holds a quote or a NUL, is not valid UTF-8, is
-    longer than csv.field_size_limit(), holds a CR anywhere but directly before
-    its LF, or does not hold exactly n_commas commas. cluster_index is the
-    cluster column's index, or None; the labels are then each line's field in
-    that column, as an S array of its bytes as wide as the widest (a CR before
-    the LF is no part of a last field), and None without a cluster column.
+    past the header line, which holds n_commas commas, or the reason the row
+    parser reads the file: no data line, or a block that _gate_block refuses.
+    cluster_index is the cluster column's index, or None; the labels are then
+    each line's field in that column, stripped of its quotes, as an S array
+    of its bytes as wide as the widest, and None without a cluster column.
 
     The file is read in blocks of about _GATE_BLOCK bytes, each ending at a
-    line end, so neither the file's bytes nor their offsets are held whole. A
-    block of m lines holds exactly n_commas commas on each line when it holds
-    n_commas * m commas and each line's block of the sorted offsets, reshaped
-    to (m, n_commas), lies strictly between that line's two ends: the blocks
-    are disjoint and cover every comma, so a line with a comma too many or too
-    few pushes some block across a line end. A line end never splits a UTF-8
-    character, so decoding block by block checks the whole file. Each block's
-    cluster fields are gathered as rows of a sliding window over its bytes,
-    padded at the end, as wide as its widest field, with the bytes past each
-    field's end zeroed; the blocks' S arrays are joined at the widest.
+    line end, so neither the file's bytes nor their offsets are held whole; a
+    block's arrays die with _gate_block, before the next block is read. The
+    blocks' S arrays are joined at the widest.
     """
-    limit = csv.field_size_limit()
     n_rows, labels = 0, []
     while block := handle.read(_GATE_BLOCK):
         block += handle.readline()
-        if any(special in block for special in _ROW_PARSER_BYTES):
-            return None
+        gate = _gate_block(block, n_commas, cluster_index)
+        if isinstance(gate, str):
+            return gate
+        n_rows += gate[0]
+        if cluster_index is not None:
+            labels.append(gate[1])
+    if not n_rows:
+        return "no data line"
+    return n_rows, np.concatenate(labels) if labels else None
+
+
+def _gate_block(block, n_commas, cluster_index):
+    """(lines, cluster labels) of block, whole lines of a file whose header
+    holds n_commas commas, as _gate_lines gathers them (labels None without
+    a cluster column); or the reason the row parser reads the file: a NUL,
+    invalid UTF-8, a CR anywhere but directly before an LF, a line longer
+    than csv.field_size_limit(), a quote that does not delimit a field
+    (_quotes_delimit_fields), or m lines that do not hold n_commas * m
+    commas. Whether each line holds exactly n_commas of them np.loadtxt
+    proves (_read_columns).
+
+    A line end never splits a UTF-8 character, so decoding block by block
+    (an ASCII block needs none) checks the whole file. Offsets are made only
+    where they are needed: of CRs in a block that holds one, of line ends
+    and commas in a clustered block or one that holds a quote, and of line
+    ends where _lines_shorter cannot measure the lines without them. The
+    cluster fields are gathered as rows of a sliding window over the bytes,
+    padded at the end, as wide as the widest field, once each field is
+    shown to lie within its own line (a CR before the LF is no part of a
+    last field); when the fields' widths differ, the bytes past each field's
+    end are zeroed.
+    """
+    if any(special in block for special in _ROW_PARSER_BYTES):
+        return "NUL byte"
+    if not block.isascii():
         try:
             block.decode("utf-8")
         except UnicodeDecodeError:
-            return None
-        buf = np.frombuffer(block, np.uint8)
-        # csv.reader ends a line at a lone CR, and np.loadtxt's universal
-        # newlines read a CRLF as an LF
-        crs = np.flatnonzero(buf == ord("\r"))
-        if crs.size and (crs[-1] + 1 == buf.size or np.any(buf[crs + 1] != ord("\n"))):
-            return None
+            return "not UTF-8"
+    buf = np.frombuffer(block, np.uint8)
+    # csv.reader ends a line at a lone CR, and np.loadtxt's universal
+    # newlines read a CRLF as an LF
+    crs = np.flatnonzero(buf == ord("\r")) if b"\r" in block else None
+    if crs is not None and (crs[-1] + 1 == buf.size or np.any(buf[crs + 1] != ord("\n"))):
+        return "lone CR"
+    limit = csv.field_size_limit()
+    quoted, clustered = b'"' in block, cluster_index is not None
+    offsets = quoted or clustered
+    if offsets or not _lines_shorter(block, limit):
         # offsets of each line's two ends, the last line's end past the block
         # when the file ends without an LF; the first line starts at offset 0
         ends = np.flatnonzero(buf == ord("\n"))
@@ -351,31 +462,42 @@ def _gate_lines(handle, n_commas, cluster_index):
             ends = np.append(ends, buf.size)
         starts = np.append(-1, ends[:-1])
         if np.max(ends - starts) - 1 >= limit:
-            return None
-        commas = np.flatnonzero(buf == ord(","))
-        if commas.size != n_commas * ends.size:
-            return None
-        commas = commas.reshape(ends.size, n_commas)
-        if n_commas and not (np.all(commas[:, 0] > starts) and np.all(commas[:, -1] < ends)):
-            return None
-        if cluster_index is not None:
-            # field j of a line lies between its j-th and (j+1)-th separator,
-            # counting the line ends
-            j = cluster_index
-            left = (starts if j == 0 else commas[:, j - 1]) + 1
-            right = ends if j == n_commas else commas[:, j]
-            if j == n_commas and crs.size:
-                right = right - ((right > 0) & (buf[right - 1] == ord("\r")))
-            lengths = right - left
-            width = max(int(lengths.max()), 1)
-            window = np.concatenate([buf, np.zeros(width, np.uint8)])
-            fields = np.lib.stride_tricks.sliding_window_view(window, width)[left]
-            fields[np.arange(width) >= lengths[:, None]] = 0
-            labels.append(fields.view(f"S{width}").reshape(-1))
-        n_rows += ends.size
-    if not n_rows:
-        return None
-    return n_rows, np.concatenate(labels) if labels else None
+            return "line too long"
+        n_lines = ends.size
+    else:
+        n_lines = np.count_nonzero(buf == ord("\n")) + (not block.endswith(b"\n"))
+    commas = np.flatnonzero(buf == ord(",")) if offsets else None
+    if quoted and not _quotes_delimit_fields(buf, commas, ends):
+        return "quote inside a field"
+    found = commas.size if offsets else np.count_nonzero(buf == ord(","))
+    if found != n_commas * n_lines:
+        return "field count"
+    if not clustered:
+        return n_lines, None
+
+    # field j of a line lies between its j-th and (j+1)-th separator,
+    # counting the line ends, when the line holds n_commas commas
+    j = cluster_index
+    commas = commas.reshape(n_lines, n_commas)
+    left = (starts if j == 0 else commas[:, j - 1]) + 1
+    right = ends if j == n_commas else commas[:, j]
+    # a field that does not lie within its own line, which np.loadtxt would
+    # refuse, could be as wide as the block
+    if not (np.all(left > starts) and np.all(right <= ends) and np.all(right >= left)):
+        return "field count"
+    if j == n_commas and crs is not None:
+        right = right - ((right > 0) & (buf[right - 1] == ord("\r")))
+    if quoted:
+        # a field that starts with a quote ends with one
+        edge = (right > left) & (buf[np.minimum(left, buf.size - 1)] == ord('"'))
+        left, right = left + edge, right - edge
+    lengths = right - left
+    width = max(int(lengths.max()), 1)
+    window = np.concatenate([buf, np.zeros(width, np.uint8)])
+    fields = np.lib.stride_tricks.sliding_window_view(window, width)[left]
+    if lengths.min() < width:
+        fields *= np.arange(width) < lengths[:, None]
+    return n_lines, fields.view(f"S{width}").reshape(-1)
 
 
 # an integer literal, as stripped text; np.loadtxt's i8 fields take these alone

@@ -162,9 +162,9 @@ def test_estimate_releases_the_dataset_before_the_fit(capsys, linear_csv, monkey
     load = cli.load_csv_dataset
 
     def loader(*args, **kwargs):
-        dataset, labels = load(*args, **kwargs)
-        datasets.append(weakref.ref(dataset))
-        return dataset, labels
+        loaded = load(*args, **kwargs)
+        datasets.append(weakref.ref(loaded[0]))
+        return loaded
 
     def watched(fit):
         def fitter(*args, **kwargs):
@@ -409,7 +409,7 @@ def test_cell_statistics_share_one_post_definition(data):
         ]) == 0
         with open(target, encoding="utf-8") as handle:
             results = json.load(handle)["results"]
-        dataset, _ = load_csv_dataset(path, "y", "grp", "year", weights="w")
+        dataset, _, _ = load_csv_dataset(path, "y", "grp", "year", weights="w")
 
     m = {(c.group, c.post): c.mean for c in summarize_cells(dataset, post)}
     assert nonparametric_rr(dataset, post) == (
@@ -507,10 +507,11 @@ def test_payload_keys_are_pinned(capsys, logit_csv, linear_csv):
         assert set(payloads[name]["results"]["fit"]) == fit
         assert {frozenset(row) for row in payloads[name]["results"]["fit"]["coefficients"]} == {
             frozenset({"name", "estimate", "se", "t_value"})}
-    assert set(payloads["logit"]["results"]) == {"fit", "effects", "trend_test"}
+        assert set(payloads[name]["results"]["input"]) == {"rows", "reader", "declined"}
+    assert set(payloads["logit"]["results"]) == {"fit", "effects", "trend_test", "input"}
     assert set(payloads["logit"]["results"]["effects"][0]) == effect
     assert set(payloads["linear"]["results"]) == {"fit", "effects", "trend_test",
-                                                  "lin_dd_transform"}
+                                                  "lin_dd_transform", "input"}
     assert set(payloads["effect"]["config_echo"]) == {"beta", "se", "kind", "rare_event_note"}
     assert set(payloads["effect"]["results"]) == effect
     assert set(payloads["summarize"]["config_echo"]) == csv_echo
@@ -632,7 +633,7 @@ def test_unwritable_output_exits_1_with_a_message(tmp_path, capsys, where, beta)
 
 
 def test_load_csv_maps_period_labels(logit_csv):
-    data, labels = load_csv_dataset(logit_csv, "y", "grp", "year", weights="w")
+    data, labels, _ = load_csv_dataset(logit_csv, "y", "grp", "year", weights="w")
     assert labels == [2007, 2008, 2009, 2010]
     assert data.n_periods == 4
     assert set(np.unique(data.t)) == {0, 1, 2, 3}
@@ -701,7 +702,7 @@ def test_periods_next_to_2_53_stay_apart(tmp_path):
     path = write_csv(tmp_path / "apart.csv", ["y", "grp", "period"],
                      [[1.0, 0, "9007199254740991"], [2.0, 1, "-9007199254740991"],
                       [1.5, 0, "9007199254740990"]])
-    dataset, labels = load_csv_dataset(path, "y", "grp", "period")
+    dataset, labels, _ = load_csv_dataset(path, "y", "grp", "period")
     assert labels == [-9007199254740991, 9007199254740990, 9007199254740991]
     assert dataset.t.tolist() == [2, 0, 1]
 

@@ -141,6 +141,17 @@ def test_corpus_output_unchanged(written, name):
     assert_same_text(got, want, name)
 
 
+def test_quoted_and_plain_twins_read_alike():
+    # one file's rows written with CRLF line ends, with a byte-order mark,
+    # with a quoted number and label column, and as R's write.csv writes them
+    # (quoted header, row names and labels): np.loadtxt reads each, to one result
+    twins = ["estimate_crlf", "estimate_bom", "estimate_quoted", "estimate_quoted_r"]
+    results = [json.loads((STORED / f"{name}.json").read_text())["results"] for name in twins]
+    for result in results:
+        assert result.pop("input") == {"rows": 300, "reader": "loadtxt", "declined": None}
+    assert all(result == results[0] for result in results)
+
+
 def test_corpus_comparison_refuses_a_moved_number():
     want = {"fit": {"estimate": 0.5, "n_obs": 20, "kind": "sandwich"}}
     assert_same_json({"fit": {"estimate": 0.5 * (1 + 1e-10), "n_obs": 20.0,

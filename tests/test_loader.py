@@ -25,7 +25,7 @@ PLAIN = {
     "period": ["2001", "2002", "2003", " 2002 ", "2001.0", "2003.5", "-0", "+2002", "\u30002003"],
     "weight": ["1", "0.5", "2.25", " 3"],
     "cluster": ["a", "b", " a ", "\u00fc", "c#", "x y", "\u6f22", "#", "a\u3000"],
-    "other": ["", "z", "#", "1_0", "\u00e9"],
+    "other": ["", "z", "#", "1_0", "\u00e9", "\u6f22", "\u30002003"],
 }
 # fields at least one reader rejects or reads differently
 ODD = {
@@ -40,11 +40,17 @@ BIG_PERIODS = ["4503599627370496.5", "4503599627370496", "4503599627370497",
                "9223372036854775807", "-9223372036854775808", "9223372036854775808", "1e19"]
 ROLES = {"y": "number", "g": "group", "t": "period", "w": "weight", "c": "cluster",
          "x": "number", "z": "other"}
+# a field, or a header name, quoted where csv.reader and np.loadtxt read a
+# quote differently, or holding a separator: a space before the opening quote
+# or after the closing one, a quote left open, a quote mid-field, a doubled
+# quote, and a quoted comma, LF or CRLF
+MISQUOTED = [' "{}"', '"{}" ', '"{}', '{}"', 'a"{}"', '"{}""x"', '"{}"""', '""""{}',
+             '"{},1"', '"{}\n"', '"\r\n{}"']
 # each flaw alone sends a file to the row parser, or must leave its result
 # unchanged; CRLF line ends and a byte-order mark keep a file plain
 FLAWS = ["field", "field", "short", "long", "blank", "crlf", "cr", "crcrlf", "lone_cr",
          "final_cr", "mixed_crlf", "bom", "not_utf8", "header_only", "missing_column",
-         "big_period", "big_period"]
+         "big_period", "big_period", "misquoted", "misquoted"]
 PLAIN_FLAWS = {"crlf", "mixed_crlf", "bom"}
 NOT_UTF8 = "\ue000"        # stands for a byte that is not UTF-8
 
@@ -52,8 +58,9 @@ NOT_UTF8 = "\ue000"        # stands for a byte that is not UTF-8
 @st.composite
 def csv_files(draw):
     """(file bytes, bindings, plain): a CSV with every bound column and only
-    fields and lines both readers accept, then up to two flaws; a file whose
-    only flaws are CRLF line ends is plain."""
+    fields and lines both readers accept, some of them, header names
+    included, quoted as a whole, as R's write.csv quotes them, then up to two
+    flaws; a file whose only flaws are CRLF line ends is plain."""
     # a group or period column also bound as a number is read as floats
     bindings = {"outcome": "g" if draw(st.integers(0, 5)) == 0 else "y",
                 "group": "g", "period": "t",
@@ -71,18 +78,28 @@ def csv_files(draw):
         names.remove(draw(st.sampled_from(sorted(bound))))
     if draw(st.booleans()):
         names.append(draw(st.sampled_from(names)))          # duplicate header name
-    header = [draw(st.sampled_from([n, f" {n}", f"{n} "])) for n in names]
-    rows = [[draw(st.sampled_from(PLAIN[ROLES[n]])) for n in names]
+    # fields quoted as a whole stay plain: none, all, or each by a coin
+    quoting = draw(st.sampled_from(["none", "some", "all"]))
+
+    def plain(choices):
+        field = draw(st.sampled_from(choices))
+        quote = quoting == "all" or quoting == "some" and draw(st.booleans())
+        return f'"{field}"' if quote else field
+
+    header = [plain([n, f" {n}", f"{n} "]) for n in names]
+    rows = [[plain(PLAIN[ROLES[n]]) for n in names]
             for _ in range(0 if "header_only" in flaws else draw(st.integers(1, 5)))]
 
     for flaw in flaws:
-        row = draw(st.sampled_from(rows)) if rows else []
+        row = draw(st.sampled_from([header, *rows] if flaw == "misquoted" else rows or [[]]))
         if not row:
             continue
         j = draw(st.integers(0, len(row) - 1))
         if flaw == "field":
             role = ROLES[names[j]] if j < len(names) else "other"
             row[j] = draw(st.sampled_from(ODD.get(role, ODD["number"])))
+        elif flaw == "misquoted":
+            row[j] = draw(st.sampled_from(MISQUOTED)).format(row[j].strip('"'))
         elif flaw == "not_utf8":
             row[j] += NOT_UTF8
         elif flaw == "short":
@@ -128,10 +145,10 @@ def _load(path, bindings, reader):
     """What load_csv_dataset returns or raises, in comparable form."""
     try:
         if reader == "row":
-            with mock.patch.object(csv_io, "_read_columns", lambda *args: None):
-                dataset, labels = load_csv_dataset(path, **bindings)
+            with mock.patch.object(csv_io, "_read_columns", lambda *args: "patched"):
+                dataset, labels, _ = load_csv_dataset(path, **bindings)
         else:
-            dataset, labels = load_csv_dataset(path, **bindings)
+            dataset, labels, _ = load_csv_dataset(path, **bindings)
     except Exception as exc:  # noqa: BLE001 - any exception must match too
         return ("raised", type(exc), str(exc))
     arrays = {"y": dataset.y, "q": dataset.q, "t": dataset.t, "weights": dataset.weights,
@@ -156,6 +173,11 @@ def test_loader_matches_row_parser(case):
         if plain:
             # a plain file must not leave the fast reader
             assert not slow
+        if result[0] == "loaded":
+            # the reader the input record names is the one that read the file
+            source = load_csv_dataset(path, **bindings)[2]
+            assert source["rows"] == result[3]["y"][1][0]
+            assert (source["reader"] == "row_parser") == slow == (source["declined"] is not None)
         # the byte gate decides the same in blocks of about one line
         with mock.patch.object(csv_io, "_GATE_BLOCK", 1):
             assert _load_fast(path, bindings) == (expected, slow)
@@ -209,12 +231,12 @@ def test_plain_csv_never_reaches_row_parser(tmp_path, monkeypatch):
     lines = _survey_lines()
     path = tmp_path / "plain.csv"
     path.write_text("\n".join(lines), encoding="utf-8")       # no final newline
-    with mock.patch.object(csv_io, "_read_columns", lambda *args: None):
+    with mock.patch.object(csv_io, "_read_columns", lambda *args: "patched"):
         expected = load_csv_dataset(path, **SURVEY)
 
     _refuse_row_parser(monkeypatch)
     calls = _loadtxt_calls(monkeypatch)
-    dataset, labels = load_csv_dataset(path, **SURVEY)
+    dataset, labels, _ = load_csv_dataset(path, **SURVEY)
     # one pass, which reads the group column as int8 and the period column
     # as int64; the cluster labels come from the byte gate, so no field is
     # a string
@@ -350,7 +372,7 @@ def test_padded_cluster_labels_are_one_cluster(tmp_path):
     spec = DesignSpec(post_period=3)
     fits = []
     for path in paths.values():
-        dataset, _ = load_csv_dataset(path, **bindings)
+        dataset, _, _ = load_csv_dataset(path, **bindings)
         np.testing.assert_array_equal(dataset.clusters, np.unique(columns[3], return_inverse=True)[1])
         fits.append(fit_poisson_qmle(build_design(dataset, spec), dataset.y,
                                      clusters=dataset.clusters))
@@ -398,7 +420,7 @@ def test_cluster_coder_on_distinct_labels():
 
 
 def test_loader_codes_are_numbered_without_a_hash_or_a_sort(large_csv, monkeypatch):
-    dataset, _ = load_csv_dataset(large_csv, "y", "g", "t", cluster="c")
+    dataset, _, _ = load_csv_dataset(large_csv, "y", "g", "t", cluster="c")
     pairs, pair = _number_pairs(dataset.clusters, int(dataset.clusters.max()) + 1)
 
     def refuse(*args, **kwargs):
@@ -435,20 +457,59 @@ def test_loader_edge_files_match_row_parser(tmp_path, data, bindings):
     assert _load(path, bindings, "fast") == _load(path, bindings, "row")
 
 
-@pytest.mark.parametrize("data", [
-    b"y,g,t,z\n1,0,1\n1,0,1,z,9\n",
-    b"y,g,t,z\n1,0,1,z,9\n1,0,1",
-    b"y,g,t,z\n1,0,1,z\n1,0,1,,\n1,0,1\n",
-], ids=["short-long", "long-short", "good-long-short"])
-def test_comma_gate_sees_a_short_line_behind_a_long_one(tmp_path, data):
-    # the file holds as many commas as a well-formed one, and np.loadtxt reads
-    # it, since only the unbound last column is short
+_RAGGED = {"short-long": b"y,g,t,z\n1,0,1\n1,0,1,z,9\n",
+           "long-short": b"y,g,t,z\n1,0,1,z,9\n1,0,1",
+           "good-long-short": b"y,g,t,z\n1,0,1,z\n1,0,1,,\n1,0,1\n",
+           "middle-short-long": b"y,z,g,t,w\n1,z,0,1\n1,z,0,1,9,9\n1,z,0,1,9\n"}
+
+
+@pytest.mark.parametrize("shape, cluster, quote", [
+    pytest.param(shape, cluster, quote, id="-".join(
+        [shape] + ["clustered"] * bool(cluster) + ["quoted"] * bool(quote)))
+    for quote in (b"", b'"') for cluster in (None, "z") for shape in _RAGGED
+])
+def test_comma_gate_sees_a_short_line_behind_a_long_one(tmp_path, shape, cluster, quote):
+    # the file holds as many commas as a well-formed one, and only the
+    # unbound last column is short: np.loadtxt refuses the short line, since
+    # its last field reads that column. A cluster label is gathered by
+    # comma offsets, which the long line shifts; a quoted label and header
+    # name are read as the bare ones.
     path = tmp_path / "ragged.csv"
-    path.write_bytes(data)
-    bindings = {"outcome": "y", "group": "g", "period": "t"}
-    assert csv_io._read_columns(path, {"y", "g", "t"}, None, {"g", "t"}, "t") is None
+    path.write_bytes(_RAGGED[shape].replace(b"z", quote + b"z" + quote))
+    bindings = {"outcome": "y", "group": "g", "period": "t", "cluster": cluster}
+    bound = {"y", "g", "t", cluster} - {None}
+    assert csv_io._read_columns(path, bound, cluster, {"g", "t"}, "t") in (
+        "field np.loadtxt refused", "field count")
     assert _load(path, bindings, "fast") == _load(path, bindings, "row")
     assert _load(path, bindings, "fast")[0] == "raised"
+
+
+# file -> (its bytes, the reader that reads it, the reason the np.loadtxt reader declined it)
+_READERS = {
+    "plain.csv": (b'"y","g","t","c"\n1,0,2001,"a"\n2,1,2002,"b"\n', "loadtxt", None),
+    "decimal.csv": (b"y,g,t,c\n1,0,2001.0,a\n2,1,2002,b\n", "loadtxt_f8", None),
+    "comma.csv": (b'y,g,t,c\n1,0,2001,"a,b"\n2,1,2002,b\n', "row_parser",
+                  "quote inside a field"),
+    "doubled.csv": (b'y,g,t,c\n1,0,2001,"a""b"\n2,1,2002,b\n', "row_parser",
+                    "quote inside a field"),
+    "spaced.csv": (b'y,g,t,c\n1,0,2001, "a"\n2,1,2002,b\n', "row_parser",
+                   "quote inside a field"),
+    "cr.csv": (b"y,g,t,c\r1,0,2001,a\r2,1,2002,b\r", "row_parser", "lone CR"),
+    "data.csv.gz": (b"y,g,t,c\n1,0,2001,a\n2,1,2002,b\n", "row_parser", "compressed suffix"),
+    "digits.csv": (b"y,g,t,c\n1_0,0,2001,a\n2,1,2002,b\n", "row_parser",
+                   "field np.loadtxt refused"),
+}
+
+
+@pytest.mark.parametrize("name", list(_READERS))
+def test_input_names_the_reader(tmp_path, name):
+    data, reader, declined = _READERS[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    bindings = {"outcome": "y", "group": "g", "period": "t", "cluster": "c"}
+    assert load_csv_dataset(path, **bindings)[2] == {
+        "rows": 2, "reader": reader, "declined": declined}
+    assert _load(path, bindings, "fast") == _load(path, bindings, "row")
 
 
 @pytest.mark.parametrize("name", ["data.csv.gz", "data.csv.bz2", "data.csv.xz", "data.csv.lzma"])
@@ -461,15 +522,18 @@ def test_loader_reads_compressed_suffix_names_as_text(tmp_path, name):
     assert _load(path, bindings, "fast")[0] == "loaded"
 
 
-def _large_lines(newline):
-    """The lines of a 200k-row plain CSV with string cluster labels."""
+def _large_lines(newline, quote=""):
+    """The lines of a 200k-row plain CSV with string cluster labels; with
+    quote='"', its header names and labels are quoted, as R's write.csv
+    quotes them."""
     rng = np.random.default_rng(3)
     n = 200_000
     columns = (rng.poisson(2, n), np.arange(n) % 2, 2016 + rng.integers(0, 6, n),
                rng.integers(500, 2500, n) / 1000, rng.integers(0, 900, n),
                rng.standard_normal(n))
-    return "y,g,t,w,c,x" + newline + "".join(
-        f"{y},{g},{t},{w:.3f},psu-{c:05d},{x:.4f}{newline}"
+    header = ",".join(f"{quote}{name}{quote}" for name in "ygtwcx")
+    return header + newline + "".join(
+        f"{y},{g},{t},{w:.3f},{quote}psu-{c:05d}{quote},{x:.4f}{newline}"
         for y, g, t, w, c, x in zip(*columns))
 
 
@@ -486,6 +550,14 @@ def large_crlf_csv(tmp_path_factory):
     """large_csv with CRLF line ends."""
     path = tmp_path_factory.mktemp("large") / "large.csv"
     path.write_bytes(_large_lines("\r\n").encode())
+    return path
+
+
+@pytest.fixture(scope="module")
+def large_quoted_csv(tmp_path_factory):
+    """large_csv with its header names and cluster labels quoted."""
+    path = tmp_path_factory.mktemp("large") / "large.csv"
+    path.write_bytes(_large_lines("\n", '"').encode())
     return path
 
 
@@ -532,9 +604,10 @@ def test_dataset_adopts_the_loaders_columns(large_csv, monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(csv_io, "_read_columns", spy)
-    dataset, _ = load_csv_dataset(large_csv, "y", "g", "t", weights="w", cluster="c",
-                                  covariates=("x",))
-    columns, codes = returned[0]
+    dataset, _, _ = load_csv_dataset(large_csv, "y", "g", "t", weights="w", cluster="c",
+                                     covariates=("x",))
+    columns, codes, reader = returned[0]
+    assert reader == "loadtxt"
     assert columns["g"].dtype == np.int8 and dataset.q.dtype == np.int64
     np.testing.assert_array_equal(dataset.q, columns["g"])
     assert dataset.y is columns["y"]
@@ -542,10 +615,12 @@ def test_dataset_adopts_the_loaders_columns(large_csv, monkeypatch):
     assert dataset.clusters is codes
 
 
-@pytest.mark.parametrize("cluster, crlf", [(None, False), ("c", False), (None, True), ("c", True)],
-                         ids=["None", "c", "None-crlf", "c-crlf"])
-def test_plain_file_is_tokenized_once(large_csv, large_crlf_csv, monkeypatch, cluster, crlf):
-    path = large_crlf_csv if crlf else large_csv
+@pytest.mark.parametrize("cluster, style", [
+    (None, ""), ("c", ""), (None, "crlf"), ("c", "crlf"), (None, "quoted"), ("c", "quoted"),
+], ids=["None", "c", "None-crlf", "c-crlf", "None-quoted", "c-quoted"])
+def test_plain_file_is_tokenized_once(request, large_csv, monkeypatch, cluster, style):
+    # R's write.csv quotes the header names and the string labels
+    path = request.getfixturevalue(f"large_{style}_csv" if style else "large_csv")
     bindings = {"outcome": "y", "group": "g", "period": "t", "weights": "w",
                 "cluster": cluster, "covariates": ("x",)}
     expected = _load(large_csv, bindings, "fast")
