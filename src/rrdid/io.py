@@ -7,10 +7,11 @@ integers (e.g. years); they are mapped onto 0..T-1 in sorted order, and
 LF or CRLF line ends, are read with np.loadtxt's C parser, the group
 column as int8 and the period column as int64; so are files quoted as R's
 write.csv quotes them, each quote around a whole field that holds no
-comma, quote or line end. Files with other quotes, lone CR line ends, NUL
-bytes, blank lines or ragged rows, and fields only Python's float()
-accepts (1_000, non-ASCII digits), go to the slower row-by-row reader,
-which also reports every error with its row number.
+comma, quote or line end. The header line is checked by the data lines'
+rules. Files with other quotes, lone CR line ends, NUL bytes, blank lines,
+ragged rows or lines of csv.field_size_limit() bytes or more, and fields
+only Python's float() accepts (1_000, non-ASCII digits), go to the slower
+row-by-row reader, which also reports every error with its row number.
 Either way the accepted input and the result are the same. A --cluster
 column holds labels and may not also be bound as a number (outcome,
 group, period, weights or covariate).
@@ -196,9 +197,6 @@ def _code_clusters(labels):
     return np.take(rank.reshape(-1), inverse, out=inverse, mode="clip")
 
 
-# csv.reader rejects a NUL; a quote is taken only around a whole field
-# (_quotes_delimit_fields), and a CR only right before an LF (_gate_lines)
-_ROW_PARSER_BYTES = (b"\0",)
 # np.loadtxt opens a str path through np.lib._datasource, which would read a
 # file with one of these suffixes as compressed
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
@@ -216,24 +214,25 @@ def _read_columns(path, bound, cluster, integers, period):
     might differ from _read_rows: anything but a plain path, a compressed
     suffix, a quote anywhere but around a whole field that holds no comma,
     quote, CR or LF, a NUL, a CR not directly before an LF, invalid UTF-8, no
-    data line, a field count that differs from the header's, a line past
-    csv.field_size_limit(), a cluster label that strips to nothing, a period
+    data line, a field count that differs from the header's, a line of
+    csv.field_size_limit() bytes or more, a cluster label that strips to nothing, a period
     column read as floats that holds a value of magnitude 2**52 or more (whose
     verdict depends on its text), and every field or line that np.loadtxt
     refuses (it accepts no number float() rejects, and parses the same value:
     both call PyOS_string_to_double after stripping the same whitespace; it
     refuses a blank line, which csv.reader reads as a row without fields).
-    _read_rows then reads the file and reports any error: it stays the reader
-    of quoted separators, quotes inside a field, lone CR line ends, compressed
-    suffixes and numbers only float() reads, the only source of row-numbered
+    _read_rows then reads the file and reports any error. It stays because
+    it is the only reader of lone CR line ends, quoted separators, quotes
+    inside a field, compressed suffixes, numbers only float() reads and lines
+    of csv.field_size_limit() bytes or more, the only source of row-numbered
     errors, and the tests' reference.
 
-    The header goes through csv.reader once its quotes pass the byte gate's
-    rule. The byte gate, _gate_lines, checks the file's bytes and gathers each
-    line's cluster field, which is coded before np.loadtxt reads the file again
-    in text mode, whose universal newlines read a CRLF as an LF, and with '"'
-    as its quote character, which it strips from a quoted field as csv.reader
-    does. That one structured pass reads the numeric columns, a field f0, f1,
+    The header line passes the byte gate as a block of its own, then
+    csv.reader (_read_header). The byte gate, _gate_lines, checks the file's
+    bytes and gathers each line's cluster field, which is coded before
+    np.loadtxt reads the file again in text mode, whose universal newlines
+    read a CRLF as an LF, and with '"' as its quote character, which it strips
+    from a quoted field as csv.reader does. That one structured pass reads the numeric columns, a field f0, f1,
     ... per column in sorted name order (a header name may be empty or
     repeat): i8 for the period and i1 for the group column when integers
     names them (bound only as group or period), f8 for the rest. When the
@@ -326,47 +325,36 @@ def _read_columns(path, bound, cluster, integers, period):
 
 def _read_header(line):
     """The names of the header line, line, stripped as the row parser strips
-    them, or the reason the row parser reads the file: a header and at least
-    one data line (_gate_lines) are needed, csv.reader reads an empty first
-    line as a header without columns and ends a line at a lone CR, and a
-    quote must delimit a field, as on every data line."""
-    text = line.removesuffix(b"\n").removesuffix(b"\r")
+    them, or the reason the row parser reads the file: any reason _gate_block
+    gives the line as a block of its own, no data line after it (_gate_lines
+    needs at least one), or an empty header, which csv.reader reads as a
+    header without columns."""
+    # a byte-order mark, as Excel's "CSV UTF-8" export writes, is no part of the header
+    line = line.removeprefix(b"\xef\xbb\xbf")
+    gate = _gate_block(line, line.count(b","), None)
+    if isinstance(gate, str):
+        return gate
+    text = line.removesuffix(b"\n")
     if text == line:
         return "no data line"
-    if len(line) > csv.field_size_limit():
-        return "line too long"
-    if b"\r" in text:
-        return "lone CR"
-    if any(special in text for special in _ROW_PARSER_BYTES):
-        return "NUL byte"
-    # a byte-order mark, as Excel's "CSV UTF-8" export writes, is no part of the header
-    text = text.removeprefix(b"\xef\xbb\xbf")
+    text = text.removesuffix(b"\r")
     if not text:
         return "empty header"
-    if b'"' in text:
-        buf = np.frombuffer(text, np.uint8)
-        if not _quotes_delimit_fields(buf, np.flatnonzero(buf == ord(",")), [buf.size]):
-            return "quote inside a field"
-    try:
-        text = text.decode("utf-8")
-    except UnicodeDecodeError:
-        return "not UTF-8"
-    return [name.strip() for name in next(csv.reader([text]))]
+    return [name.strip() for name in next(csv.reader([text.decode("utf-8")]))]
 
 
 def _lines_shorter(block, limit):
-    """Whether every line of block is shown, without offsets, to be shorter
-    than limit bytes: each whole aligned chunk of limit // 2 bytes holds an
-    LF, and a line of limit bytes or more would hold a whole chunk. False
-    when a chunk holds none, or when limit is too small for the chunks to pay."""
+    """Whether every line of block is shown, without splitting it, to be
+    shorter than limit bytes: each whole aligned chunk of limit // 2 bytes
+    holds an LF, and a line of limit bytes or more would hold a whole chunk.
+    False when a chunk holds none, or limit is too small for chunks to pay."""
     half = limit // 2
     return half >= 1 << 12 and all(block.find(b"\n", start, start + half) >= 0
                                    for start in range(0, len(block) - half + 1, half))
 
 
-def _quotes_delimit_fields(buf, commas, ends):
-    """Whether every quote in buf, a block of whole lines with the sorted
-    offsets commas of its commas and ends of its line ends, opens a field, at
+def _quotes_delimit_fields(buf):
+    """Whether every quote in buf, a block of whole lines, opens a field, at
     a line start or right after a comma, or closes the field the quote before
     it opened, right before a comma, a CR or a line end, with no comma or LF
     between the two. A CR between them would be a lone CR, which _gate_block
@@ -382,12 +370,9 @@ def _quotes_delimit_fields(buf, commas, ends):
             and np.all((closes + 1 == buf.size) | (after == ord(",")) | (after == ord("\n"))
                        | (after == ord("\r")))):
         return False
-    # the separators before each quote; a pair's two counts differ when it holds one
-    for separators in (commas, ends):
-        counts = np.searchsorted(separators, quotes)
-        if np.any(counts[0::2] != counts[1::2]):
-            return False
-    return True
+    # whether a separator lies from each quote up to the next; a pair's span holds none
+    separators = (buf == ord(",")) | (buf == ord("\n"))
+    return not np.any(np.logical_or.reduceat(separators, quotes)[0::2])
 
 
 def _gate_lines(handle, n_commas, cluster_index):
@@ -399,7 +384,7 @@ def _gate_lines(handle, n_commas, cluster_index):
     of its bytes as wide as the widest, and None without a cluster column.
 
     The file is read in blocks of about _GATE_BLOCK bytes, each ending at a
-    line end, so neither the file's bytes nor their offsets are held whole; a
+    line end, so neither the file's bytes nor their masks are held whole; a
     block's arrays die with _gate_block, before the next block is read. The
     blocks' S arrays are joined at the widest.
     """
@@ -421,24 +406,24 @@ def _gate_block(block, n_commas, cluster_index):
     """(lines, cluster labels) of block, whole lines of a file whose header
     holds n_commas commas, as _gate_lines gathers them (labels None without
     a cluster column); or the reason the row parser reads the file: a NUL,
-    invalid UTF-8, a CR anywhere but directly before an LF, a line longer
-    than csv.field_size_limit(), a quote that does not delimit a field
-    (_quotes_delimit_fields), or m lines that do not hold n_commas * m
+    invalid UTF-8, a CR anywhere but directly before an LF, a line of
+    csv.field_size_limit() bytes or more, a quote that does not delimit a
+    field (_quotes_delimit_fields), or m lines that do not hold n_commas * m
     commas. Whether each line holds exactly n_commas of them np.loadtxt
-    proves (_read_columns).
+    proves (_read_columns). The header line is gated as a block of its own
+    (_read_header).
 
     A line end never splits a UTF-8 character, so decoding block by block
-    (an ASCII block needs none) checks the whole file. Offsets are made only
-    where they are needed: of CRs in a block that holds one, of line ends
-    and commas in a clustered block or one that holds a quote, and of line
-    ends where _lines_shorter cannot measure the lines without them. The
-    cluster fields are gathered as rows of a sliding window over the bytes,
+    (an ASCII block needs none) checks the whole file. Each rule reads the
+    block's bytes or byte masks, and the quotes' offsets; offsets of line
+    ends and commas are made only in a clustered block, which counts by them
+    and gathers the cluster fields as rows of a sliding window over the bytes,
     padded at the end, as wide as the widest field, once each field is
     shown to lie within its own line (a CR before the LF is no part of a
     last field); when the fields' widths differ, the bytes past each field's
     end are zeroed.
     """
-    if any(special in block for special in _ROW_PARSER_BYTES):
+    if b"\0" in block:
         return "NUL byte"
     if not block.isascii():
         try:
@@ -446,38 +431,38 @@ def _gate_block(block, n_commas, cluster_index):
         except UnicodeDecodeError:
             return "not UTF-8"
     buf = np.frombuffer(block, np.uint8)
-    # csv.reader ends a line at a lone CR, and np.loadtxt's universal
-    # newlines read a CRLF as an LF
-    crs = np.flatnonzero(buf == ord("\r")) if b"\r" in block else None
-    if crs is not None and (crs[-1] + 1 == buf.size or np.any(buf[crs + 1] != ord("\n"))):
-        return "lone CR"
+    # csv.reader ends a line at a lone CR, and np.loadtxt's universal newlines
+    # read a CRLF as an LF; a CR that ends the block is in no pair
+    crlf = b"\r" in block
+    if crlf:
+        crs = buf == ord("\r")
+        if np.count_nonzero(crs) != np.count_nonzero(crs[:-1] & (buf[1:] == ord("\n"))):
+            return "lone CR"
     limit = csv.field_size_limit()
-    quoted, clustered = b'"' in block, cluster_index is not None
-    offsets = quoted or clustered
-    if offsets or not _lines_shorter(block, limit):
-        # offsets of each line's two ends, the last line's end past the block
-        # when the file ends without an LF; the first line starts at offset 0
-        ends = np.flatnonzero(buf == ord("\n"))
-        if buf[-1] != ord("\n"):
-            ends = np.append(ends, buf.size)
-        starts = np.append(-1, ends[:-1])
-        if np.max(ends - starts) - 1 >= limit:
-            return "line too long"
-        n_lines = ends.size
-    else:
-        n_lines = np.count_nonzero(buf == ord("\n")) + (not block.endswith(b"\n"))
-    commas = np.flatnonzero(buf == ord(",")) if offsets else None
-    if quoted and not _quotes_delimit_fields(buf, commas, ends):
+    if not _lines_shorter(block, limit) and max(map(len, block.split(b"\n"))) >= limit:
+        return "line too long"
+    quoted = b'"' in block
+    if quoted and not _quotes_delimit_fields(buf):
         return "quote inside a field"
-    found = commas.size if offsets else np.count_nonzero(buf == ord(","))
-    if found != n_commas * n_lines:
-        return "field count"
-    if not clustered:
+    if cluster_index is None:
+        n_lines = np.count_nonzero(buf == ord("\n")) + (not block.endswith(b"\n"))
+        if np.count_nonzero(buf == ord(",")) != n_commas * n_lines:
+            return "field count"
         return n_lines, None
 
+    # offsets of each line's two ends, the last line's end past the block
+    # when the file ends without an LF; the first line starts at offset 0
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not block.endswith(b"\n"):
+        ends = np.append(ends, buf.size)
+    commas = np.flatnonzero(buf == ord(","))
+    n_lines = ends.size
+    if commas.size != n_commas * n_lines:
+        return "field count"
     # field j of a line lies between its j-th and (j+1)-th separator,
     # counting the line ends, when the line holds n_commas commas
     j = cluster_index
+    starts = np.append(-1, ends[:-1])
     commas = commas.reshape(n_lines, n_commas)
     left = (starts if j == 0 else commas[:, j - 1]) + 1
     right = ends if j == n_commas else commas[:, j]
@@ -485,7 +470,7 @@ def _gate_block(block, n_commas, cluster_index):
     # refuse, could be as wide as the block
     if not (np.all(left > starts) and np.all(right <= ends) and np.all(right >= left)):
         return "field count"
-    if j == n_commas and crs is not None:
+    if j == n_commas and crlf:
         right = right - ((right > 0) & (buf[right - 1] == ord("\r")))
     if quoted:
         # a field that starts with a quote ends with one

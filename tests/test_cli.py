@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from rrdid import cli, nonparametric_rr, summarize_cells
 from rrdid import io as csv_io
 from rrdid.cli import canonical_json, load_csv_dataset, run_cli
+from rrdid.estimators import FitOptions, fit_poisson_qmle
 
 
 def write_csv(path, header, rows):
@@ -226,6 +227,24 @@ def test_estimate_huge_linear_outcome_is_a_data_error(capsys, tmp_path):
     assert code == 1
     assert payload["results"] is None
     assert payload["errors"][0]["kind"] == "NonFiniteObjectiveError"
+
+
+def test_estimate_reports_a_fit_that_did_not_converge(capsys, logit_csv, monkeypatch):
+    # a fit that stops short of its tolerance is no result: the command fails
+    # with the iteration count
+    def one_step(*args, **kwargs):
+        return fit_poisson_qmle(*args, **kwargs, options=FitOptions(max_iterations=1))
+
+    monkeypatch.setitem(cli._FAMILY_FITTERS, "poisson", one_step)
+    code, _, payload = run_json(capsys, [
+        "estimate", "--family", "poisson", "--csv", logit_csv, "--outcome", "y",
+        "--group", "grp", "--period", "year", "--post", "2010", "--weights", "w",
+    ])
+    assert code == 1
+    assert payload["results"] is None
+    [error] = payload["errors"]
+    assert error["kind"] == "ValueError"
+    assert "did not converge after 1 iterations" in error["message"]
 
 
 def test_estimate_classical_variance_refuses_clusters(capsys, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rrdid import estimators
 from rrdid.design import build_design
 from rrdid.dual import fit_interior, solves
 from rrdid.estimators import _cell_basis
@@ -113,3 +114,22 @@ def test_dual_matches_a_decimal_solve(logit, log_weights, log_means, logit_means
     exact = _exact_links(logit, _BASIS.null[0], counts, sums)
     assert converged[0]
     assert np.max(np.abs(eta[0] - exact) / (1.0 + np.abs(exact))) <= 1e-14
+
+
+def test_one_signed_null_row_leaves_the_dual(monkeypatch):
+    # a Poisson design whose null row takes one sign leaves lam unbounded on
+    # one side: the fit takes the Newton, which equals the row-level fit of
+    # the cells as rows weighted by their counts
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    counts, sums = np.array([[3.0, 4.0, 5.0]]), np.array([[6.0, 2.0, 0.5]])
+    assert not solves(False, _cell_basis(X, ["a", "b"]).null, sums / counts).any()
+
+    def refuse(*args):
+        raise AssertionError("the dual solved a fit with a one-signed null row")
+
+    monkeypatch.setattr(estimators, "fit_interior", refuse)
+    (beta, failures), = estimators.fit_cell_sums(("poisson_qmle",), X, counts, sums)
+    assert failures == [None]
+    fit = estimators.fit_poisson_qmle(X, sums[0] / counts[0], counts[0])
+    assert beta[0].tobytes() == fit.coefficients.tobytes()
+    np.testing.assert_allclose(beta[0], [0.93600979, -0.09174234], rtol=0, atol=1e-8)

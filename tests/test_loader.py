@@ -1,5 +1,6 @@
 """The CSV loader's np.loadtxt reader against the row-by-row parser it falls back to."""
 
+import json
 import os
 import tempfile
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from rrdid import DesignSpec, build_design, fit_poisson_qmle
 from rrdid import io as csv_io
 from rrdid.blocks import _cluster_codes, _number_pairs
-from rrdid.cli import load_csv_dataset
+from rrdid.cli import load_csv_dataset, run_cli
 from rrdid.errors import ColumnBindingError
 
 # column role -> fields both readers accept
@@ -632,3 +633,61 @@ def test_plain_file_is_tokenized_once(request, large_csv, monkeypatch, cluster, 
     assert len(calls) == 1
     assert sorted(calls[0]["usecols"]) == [0, 1, 2, 3, 5]
     assert expected[0] == "loaded" and expected[3]["y"][1] == (200_000,)
+
+
+# header line -> the reason the np.loadtxt reader declines the file; each
+# header has one fault, in a name no flag binds
+_HEADERS = {
+    "nul": (b"y,g,t,z\x00", "NUL byte"),
+    "quoted-comma": (b'y,g,t,"z,w"', "quote inside a field"),
+    "lone-cr": (b"y,g,t,z\rw", "lone CR"),
+    "long": (b"y,g,t," + b"z" * 131_072, "line too long"),
+}
+
+
+@pytest.mark.parametrize("name", list(_HEADERS))
+def test_header_is_gated_as_a_data_line(tmp_path, name):
+    # the header line passes the byte gate's rules, as every data line does
+    header, reason = _HEADERS[name]
+    path = tmp_path / "header.csv"
+    path.write_bytes(header + b"\n1,0,2001,a\n2,1,2002,b\n")
+    assert csv_io._read_columns(path, {"y", "g", "t"}, None, {"g", "t"}, "t") == reason
+    bindings = {"outcome": "y", "group": "g", "period": "t"}
+    assert _load(path, bindings, "fast") == _load(path, bindings, "row")
+
+
+def test_unclustered_quoted_crlf_gate_builds_no_offsets(tmp_path, monkeypatch):
+    # an unclustered block's rules read byte masks: the only offsets made are
+    # each quote's own, once, and none of line ends, CRs or commas
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(_large_lines("\r\n", '"').encode())
+    n_quotes = path.read_bytes().count(b'"')
+    sizes = []
+    flatnonzero = np.flatnonzero
+
+    def spy(*args, **kwargs):
+        offsets = flatnonzero(*args, **kwargs)
+        sizes.append(offsets.size)
+        return offsets
+
+    monkeypatch.setattr(np, "flatnonzero", spy)
+    with open(path, "rb") as handle:
+        header = csv_io._read_header(handle.readline())
+        assert csv_io._gate_lines(handle, len(header) - 1, None) == (200_000, None)
+    assert sum(sizes) == n_quotes
+
+
+@pytest.mark.parametrize("blank", ["", "   "])
+def test_blank_cluster_label_is_a_row_numbered_error(tmp_path, capsys, blank):
+    # the fast reader leaves a label that strips to nothing to the row parser,
+    # which names its row
+    path = tmp_path / "blank.csv"
+    path.write_text(f"y,g,t,c\n1,0,2001,a\n2,1,2001,{blank}\n1,0,2002,a\n2,1,2002,b\n")
+    assert csv_io._read_columns(path, {"y", "g", "t", "c"}, "c", {"g", "t"},
+                                "t") == "blank cluster label"
+    code = run_cli(["estimate", "--family", "poisson", "--csv", str(path), "--outcome", "y",
+                    "--group", "g", "--period", "t", "--post", "2002", "--cluster", "c",
+                    "--format", "json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["errors"] == [
+        {"kind": "CsvParseError", "message": "row 3: missing value in bound column 'c'"}]

@@ -22,6 +22,7 @@ from rrdid import (
     replication_rng,
     run_monte_carlo,
 )
+from rrdid import simulate
 from rrdid.errors import (
     MonteCarloAbort,
     OverflowGuardError,
@@ -586,6 +587,16 @@ def test_run_monte_carlo_aborts_on_frequent_failures():
                   beta_qtau=0.5, beta_d=0.5)
     with pytest.raises(MonteCarloAbort, match=r"^24 of 40 replications failed "
                                               r"\(SeparationError 4, SingularDesignError 20\);"):
+        run_monte_carlo(sc)
+
+
+def test_run_monte_carlo_aborts_past_the_redraw_limit(monkeypatch):
+    # a replication whose log transform stays undefined after _MAX_REDRAWS
+    # redraws ends the run, naming the replication
+    monkeypatch.setattr(simulate, "_MAX_REDRAWS", 1)
+    sc = Scenario("positive", n=40, repetitions=50, seed=3, beta_d=-1.0)
+    with pytest.raises(MonteCarloAbort,
+                       match=r"^replication 3 exceeded 1 redraws of the log transform$"):
         run_monte_carlo(sc)
 
 
