@@ -314,6 +314,7 @@ def _run_estimate(args):
     dataset, labels, source = load_csv_dataset(
         args.csv, args.outcome, args.group, args.period,
         weights=args.weights, cluster=args.cluster, covariates=args.covariates,
+        class_labels=args.family == "multinomial",
     )
     post = _period_index(labels, args.post, "--post")
     base = 0 if args.base_period is None else _period_index(labels, args.base_period,
@@ -356,7 +357,7 @@ def _run_estimate(args):
             f"(score norm {fit.score_norm:.3g})"
         )
 
-    warnings = []
+    warnings = [] if clusters is None else _cluster_warnings(clusters, matrix, len(fit.names))
     coef_table = [
         {
             "name": name,
@@ -390,6 +391,35 @@ def _run_estimate(args):
         row for row in coef_table if stem(row["name"]) == "group_trend"
     ] or None
     return echo, results, warnings
+
+
+# the treated clusters below which the cluster sandwich over-rejects (Conley
+# and Taber 2011; MacKinnon and Webb 2017)
+_FEW_TREATED_CLUSTERS = 10
+
+
+def _cluster_warnings(clusters, matrix, n_coefficients):
+    """The warnings on a cluster sandwich from too few clusters: no more
+    clusters than coefficients, when the meat, a sum of one rank-one term
+    per cluster, has rank below the coefficients, or fewer than
+    _FEW_TREATED_CLUSTERS clusters that hold a row with treat = 1.
+
+    clusters holds the loader's codes, 0 to G - 1 with every code in use, so
+    one bincount of the rows' treat values counts both.
+    """
+    treat = matrix.cell_values[:, matrix.index("treat")]
+    treated_rows = np.bincount(clusters, weights=treat[matrix.cells])
+    n_clusters, n_treated = treated_rows.size, np.count_nonzero(treated_rows)
+    warnings = []
+    if n_clusters <= n_coefficients:
+        warnings.append(f"{n_clusters} clusters for {n_coefficients} coefficients: the "
+                        "cluster sandwich has rank below the coefficient count, so its "
+                        "standard errors and t-values are unreliable")
+    if n_treated < _FEW_TREATED_CLUSTERS:
+        warnings.append(f"{n_treated} of {n_clusters} clusters hold a row with treat = 1; "
+                        f"with fewer than {_FEW_TREATED_CLUSTERS} treated clusters the "
+                        "cluster sandwich's t-values over-reject")
+    return warnings
 
 
 def _effect_payload(report, target):

@@ -5,13 +5,17 @@ and no missing values in bound columns. Period values may be arbitrary
 integers (e.g. years); they are mapped onto 0..T-1 in sorted order, and
 --post / --base-period are given in the original units. Plain files, with
 LF or CRLF line ends, are read with np.loadtxt's C parser, the group
-column as int8 and the period column as int64; so are files quoted as R's
-write.csv quotes them, each quote around a whole field that holds no
-comma, quote or line end. The header line is checked by the data lines'
-rules. Files with other quotes, lone CR line ends, NUL bytes, blank lines,
-ragged rows or lines of csv.field_size_limit() bytes or more, and fields
-only Python's float() accepts (1_000, non-ASCII digits), go to the slower
-row-by-row reader, which also reports every error with its row number.
+column as int8 and the period column as int64, and a multinomial's class
+labels (class_labels) as int64 held as float64; a label written as a
+decimal or an exponent, or past int64, sends the file to a second pass
+that reads every column as floats, with the same result. Files quoted as
+R's write.csv quotes them, each quote around a whole field that holds no
+comma, quote or line end, take the same path. The header line is checked
+by the data lines' rules. Files with other quotes, lone CR line ends, NUL
+bytes, blank lines, ragged rows or lines of csv.field_size_limit() bytes
+or more, and fields only Python's float() accepts (1_000, non-ASCII
+digits), go to the slower row-by-row reader, which also reports every
+error with its row number.
 Either way the accepted input and the result are the same. A --cluster
 column holds labels and may not also be bound as a number (outcome,
 group, period, weights or covariate).
@@ -46,7 +50,7 @@ def _parse_number(text, column, row_number):
 
 
 def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
-                     covariates=()):
+                     covariates=(), class_labels=False):
     """Read a header CSV into an RcsDataset.
 
     Returns (dataset, period_labels, input): the distinct period values
@@ -62,23 +66,36 @@ def load_csv_dataset(path, outcome, group, period, weights=None, cluster=None,
     holds int64 codes: each row's label, stripped of surrounding
     whitespace, numbered in sorted order of the distinct stripped labels.
 
+    With class_labels, the outcome holds a multinomial's class labels:
+    integers, whose zero has no sign, so a -0 label reads as +0.0 from
+    either reader. Without it, or when the outcome is also bound as a
+    covariate or the weights, the column keeps float()'s meaning, -0.0
+    included.
+
     The group and period columns may arrive as integers (from the
-    np.loadtxt reader: int8 and int64) or as floats (from the row parser);
-    either way the dataset is the same, bit for bit.
+    np.loadtxt reader: int8 and int64) or as floats (from the row parser),
+    and class labels may be parsed as int64 or as floats; either way the
+    dataset is the same, bit for bit.
     """
-    floats = {outcome, *covariates}
+    floats = {*covariates}
     if weights:
         floats.add(weights)
-    numeric = floats | {group, period}
+    if not class_labels:
+        floats.add(outcome)
+    numeric = floats | {outcome, group, period}
     if cluster in numeric:
         raise ColumnBindingError(f"cluster column {cluster!r} is also bound as a numeric "
                                  "column; a column holds cluster ids or numbers, not both")
     bound = numeric | {cluster} if cluster else numeric
     # a column also read as a float keeps float()'s meaning, -0 included
-    read = _read_columns(path, bound, cluster, {group, period} - floats, period)
+    classes = outcome if class_labels and outcome not in floats else None
+    read = _read_columns(path, bound, cluster, {outcome, group, period} - floats, period,
+                         classes)
     if isinstance(read, str):
         declined, reader = read, "row_parser"
         rows, codes = _read_rows(path, bound, cluster, period)
+        if classes is not None:
+            rows[classes] = np.add(rows[classes], 0.0)
     else:
         declined, (rows, codes, reader) = None, read
 
@@ -204,11 +221,13 @@ _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 _GATE_BLOCK = 1 << 20
 
 
-def _read_columns(path, bound, cluster, integers, period):
+def _read_columns(path, bound, cluster, integers, period, classes=None):
     """(columns, codes, reader): the numeric columns and cluster codes
     _read_rows returns, read in one np.loadtxt pass, and the reader that read
-    them, "loadtxt" or "loadtxt_f8"; the columns named in integers come back as
-    integers: the period column as int64, any other (the group) as int8.
+    them, "loadtxt" or "loadtxt_f8"; the columns named in integers are read as
+    integers: the period column and the class labels' column, classes, as
+    int64, any other (the group) as int8. The period and group columns come
+    back as read, and the class labels as float64, -0.0 made +0.0.
 
     Returns the reason, a short fixed string, for every file on which that
     might differ from _read_rows: anything but a plain path, a compressed
@@ -234,21 +253,22 @@ def _read_columns(path, bound, cluster, integers, period):
     read a CRLF as an LF, and with '"' as its quote character, which it strips
     from a quoted field as csv.reader does. That one structured pass reads the numeric columns, a field f0, f1,
     ... per column in sorted name order (a header name may be empty or
-    repeat): i8 for the period and i1 for the group column when integers
-    names them (bound only as group or period), f8 for the rest. When the
-    file's last column is not among them, a one-character U field reads it and
-    is dropped: np.loadtxt refuses a row with fewer fields than its usecols
-    reach, and the gate proves each block holds the header's comma count
-    times its lines, so a file it reads holds exactly that many commas on
-    every line. An integer field takes only an integer literal, [+-]?[0-9]+
+    repeat): i8 for the period and the class labels and i1 for the group
+    column when integers names them (bound as no float column), f8 for the
+    rest. When the file's last column is not among them, a one-character U
+    field reads it and is dropped: np.loadtxt refuses a row with fewer
+    fields than its usecols reach, and the gate proves each block holds the
+    header's comma count times its lines, so a file it reads holds exactly
+    that many commas on every line. An integer field takes only an integer literal, [+-]?[0-9]+
     between whitespace, within its type's range, whose value is the
     float()-parsed value whenever the caller accepts it; when that pass fails,
-    on a label such as 2016.0, 1e0 or a group label of 128, a second pass
-    ("loadtxt_f8") reads every bound column as f8. Each field is copied out and
-    frozen, so that an RcsDataset adopts the copies as they are, all but the
-    int8 group column, which it widens to int64; the structured array, 8 bytes
-    a row per column but 1 for the group's, is alive beside them while they are
-    made.
+    on a label such as 2016.0, 1e0, a group label of 128 or a class label of
+    1.0 or 2**63, a second pass ("loadtxt_f8") reads every bound column as f8.
+    Each field is copied out once and frozen, the class labels' as float64,
+    so that an RcsDataset adopts the copies as they are, all but the int8
+    group column, which it widens to int64; the structured array, 8 bytes a
+    row per column but 1 for the group's, is alive beside them while they
+    are made.
     """
     if not isinstance(path, (str, os.PathLike)):
         return "not a path"
@@ -287,8 +307,10 @@ def _read_columns(path, bound, cluster, integers, period):
     if len(header) - 1 not in usecols:
         usecols.append(len(header) - 1)
         tail = [("tail", "U1")]
-    # the period is i8; the group column holds 0/1, so i1 takes every valid label
-    kinds = [{period: "i8"}.get(name, "i1") if name in integers else "f8" for name in names]
+    # the period and class labels are i8; the group column holds 0/1, so i1
+    # takes every valid label
+    kinds = [("i8" if name in (period, classes) else "i1") if name in integers else "f8"
+             for name in names]
 
     def parse(kinds):
         dtype = [(f"f{i}", kind) for i, kind in enumerate(kinds)] + tail
@@ -318,7 +340,14 @@ def _read_columns(path, bound, cluster, integers, period):
         return "period of magnitude 2**52"
     columns = {}
     for i, name in enumerate(names):
-        columns[name] = values[f"f{i}"].copy()
+        if name == classes:
+            # as float64 at once, which an RcsDataset adopts; an integer field
+            # reads -0 as +0.0, and the float one is made to
+            columns[name] = values[f"f{i}"].astype(float)
+            if kinds[i] == "f8":
+                columns[name] += 0.0
+        else:
+            columns[name] = values[f"f{i}"].copy()
         columns[name].setflags(write=False)
     return columns, codes, reader
 

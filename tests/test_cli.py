@@ -863,6 +863,36 @@ def test_clustered_estimate_never_imports_numpy_random(tmp_path):
         assert json.load(handle)["results"]["fit"]["vcov_kind"] == "cluster_sandwich"
 
 
+@pytest.mark.parametrize("n_clusters, n_treated, expected", [
+    # 4 clusters for 7 coefficients: the sandwich's rank is 4 at most
+    (4, 2, ["4 clusters for 7 coefficients", "2 of 4 clusters hold a row with treat = 1"]),
+    (7, 4, ["7 clusters for 7 coefficients", "4 of 7 clusters hold a row with treat = 1"]),
+    (20, 9, ["9 of 20 clusters hold a row with treat = 1"]),
+    (20, 10, []),
+])
+def test_estimate_warns_about_few_clusters(capsys, tmp_path, n_clusters, n_treated, expected):
+    # a Poisson fit with three periods, a covariate and the trend; the
+    # treated group's clusters are the first n_treated
+    rng = np.random.default_rng(8)
+    rows = []
+    for i in range(400):
+        c = i % n_clusters
+        rows.append([rng.poisson(2), int(c < n_treated), 2000 + i // n_clusters % 3,
+                     round(rng.random(), 3), f"psu-{c}"])
+    path = write_csv(tmp_path / "few.csv", ["y", "g", "t", "x", "c"], rows)
+    argv = ["estimate", "--family", "poisson", "--csv", path, "--outcome", "y", "--group", "g",
+            "--period", "t", "--post", "2002", "--covariates", "x", "--trend"]
+    code, _, payload = run_json(capsys, argv + ["--cluster", "c"])
+    assert code == 0
+    assert len(payload["results"]["fit"]["coefficients"]) == 7
+    warnings = payload["warnings"]
+    assert [w.partition(":")[0].partition(";")[0] for w in warnings] == expected
+    # the warnings add no results key, and an unclustered fit gets none
+    code, _, unclustered = run_json(capsys, argv)
+    assert code == 0 and unclustered["warnings"] == []
+    assert unclustered["results"].keys() == payload["results"].keys()
+
+
 def test_estimate_clips_round_off_negative_variance(capsys, tmp_path):
     # saturated: four rows in four cells, so every residual and every variance
     # is round-off, and some variances come out a hair below zero

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrdid import DesignSpec, build_design, fit_poisson_qmle
+from rrdid import DesignSpec, build_design, fit_multinomial_logit, fit_poisson_qmle
 from rrdid import io as csv_io
 from rrdid.blocks import _cluster_codes, _number_pairs
 from rrdid.cli import load_csv_dataset, run_cli
@@ -26,6 +26,9 @@ PLAIN = {
     "period": ["2001", "2002", "2003", " 2002 ", "2001.0", "2003.5", "-0", "+2002", "\u30002003"],
     "weight": ["1", "0.5", "2.25", " 3"],
     "cluster": ["a", "b", " a ", "\u00fc", "c#", "x y", "\u6f22", "#", "a\u3000"],
+    # integer values; 1.0, 2e0 and 2**63 fail the i8 pass
+    "label": ["0", "1", "2", "-0", "+1", " 2 ", "01", "\u30001", "1.0", "2e0",
+              "9223372036854775808"],
     "other": ["", "z", "#", "1_0", "\u00e9", "\u6f22", "\u30002003"],
 }
 # fields at least one reader rejects or reads differently
@@ -40,7 +43,7 @@ BIG_PERIODS = ["4503599627370496.5", "4503599627370496", "4503599627370497",
                "-4503599627370497.0", "4.5035996273704965e15", "9007199254740991",
                "9223372036854775807", "-9223372036854775808", "9223372036854775808", "1e19"]
 ROLES = {"y": "number", "g": "group", "t": "period", "w": "weight", "c": "cluster",
-         "x": "number", "z": "other"}
+         "x": "number", "z": "other", "k": "label"}
 # a field, or a header name, quoted where csv.reader and np.loadtxt read a
 # quote differently, or holding a separator: a space before the opening quote
 # or after the closing one, a quote left open, a quote mid-field, a doubled
@@ -61,18 +64,21 @@ def csv_files(draw):
     """(file bytes, bindings, plain): a CSV with every bound column and only
     fields and lines both readers accept, some of them, header names
     included, quoted as a whole, as R's write.csv quotes them, then up to two
-    flaws; a file whose only flaws are CRLF line ends is plain."""
+    flaws; a file whose only flaws are CRLF line ends is plain. With
+    class_labels, the outcome holds integer values, as a multinomial's do."""
     # a group or period column also bound as a number is read as floats
-    bindings = {"outcome": "g" if draw(st.integers(0, 5)) == 0 else "y",
+    class_labels = draw(st.booleans())
+    bindings = {"outcome": "g" if draw(st.integers(0, 5)) == 0 else "k" if class_labels else "y",
                 "group": "g", "period": "t",
                 "weights": "w" if draw(st.booleans()) else None,
                 "cluster": "c" if draw(st.booleans()) else None,
-                "covariates": draw(st.sampled_from([(), ("x",), ("t",), ("x", "g")]))}
+                "covariates": draw(st.sampled_from([(), ("x",), ("t",), ("x", "g")])),
+                "class_labels": class_labels}
     bound = {bindings["outcome"], "g", "t", *bindings["covariates"],
              *(b for b in (bindings["weights"], bindings["cluster"]) if b)}
     flaws = draw(st.lists(st.sampled_from(FLAWS), max_size=2))
 
-    extra = draw(st.lists(st.sampled_from(sorted({"y", "w", "c", "x", "z"} - bound)),
+    extra = draw(st.lists(st.sampled_from(sorted({"y", "w", "c", "x", "z", "k"} - bound)),
                           unique=True))
     names = draw(st.permutations(sorted(bound) + extra))
     if "missing_column" in flaws:
@@ -202,6 +208,19 @@ def _survey_lines(decimals=False):
     return lines
 
 
+def _class_lines(first_label="0"):
+    """A plain 120-row three-class CSV's lines, its first label written as
+    first_label."""
+    lines = ["y,g,t,w"]
+    for i in range(120):
+        lines.append(f"{(i * 7 + i // 3) % 3},{i % 2},{2016 + i // 2 % 3},{1 + i % 5 / 4}")
+    lines[1] = f"{first_label},{lines[1].partition(',')[2]}"
+    return lines
+
+
+_CLASSES = {"outcome": "y", "group": "g", "period": "t", "weights": "w", "class_labels": True}
+
+
 def _loadtxt_calls(monkeypatch):
     """The keyword arguments of every np.loadtxt call from now on."""
     calls = []
@@ -258,6 +277,34 @@ def test_plain_csv_never_reaches_row_parser(tmp_path, monkeypatch):
         load_csv_dataset(path, "visits", "treated", "year", cluster="visits")
 
 
+def test_multinomial_csv_is_read_in_one_pass(tmp_path, monkeypatch, capsys):
+    # the class labels join the integer fields of the one np.loadtxt pass
+    lines = _class_lines()
+    paths = {"plain": tmp_path / "plain.csv", "decimal": tmp_path / "decimal.csv"}
+    paths["plain"].write_text("\n".join(lines) + "\n")
+    paths["decimal"].write_text("\n".join(
+        lines[:1] + [line.replace(",", ".0,", 1) for line in lines[1:]]) + "\n")
+    expected = _load(paths["plain"], _CLASSES, "row")
+    with monkeypatch.context() as patched:
+        _refuse_row_parser(patched)
+        calls = _loadtxt_calls(patched)
+        assert _load(paths["plain"], _CLASSES, "fast") == expected
+        assert len(calls) == 1
+        assert _field_kinds(calls[0], lines[0].split(",")) == {
+            "y": "<i8", "g": "|i1", "t": "<i8", "w": "<f8"}
+    # labels written as 1.0 take the float pass, and the estimate is the same, byte for byte
+    results = {}
+    for name, path in paths.items():
+        code = run_cli(["estimate", "--family", "multinomial", "--csv", str(path),
+                        "--outcome", "y", "--group", "g", "--period", "t", "--weights", "w",
+                        "--post", "2018", "--format", "json"])
+        assert code == 0
+        results[name] = json.loads(capsys.readouterr().out)["results"]
+    assert results["plain"]["input"]["reader"] == "loadtxt"
+    assert results["decimal"]["input"]["reader"] == "loadtxt_f8"
+    assert json.dumps(results["plain"]["fit"]) == json.dumps(results["decimal"]["fit"])
+
+
 def test_byte_order_mark_keeps_a_file_plain(tmp_path, monkeypatch):
     # Excel's "CSV UTF-8" export starts the file with a byte-order mark,
     # which is no part of the first column's name
@@ -307,6 +354,47 @@ def test_group_labels_in_the_int8_field(tmp_path, monkeypatch, label):
     assert _load(path, bindings, "fast") == expected
     kinds = [_field_kinds(call, ["y", "g", "t"])["g"] for call in calls]
     assert kinds == (["|i1", "<f8"] if label in ("128", "1.0") else ["|i1"])
+
+
+@pytest.mark.parametrize("label", ["-0", "+1", " 1 ", "01", "-1", "2", "128", "1.0",
+                                   "9223372036854775808"])
+def test_class_labels_in_the_int64_field(tmp_path, monkeypatch, label):
+    # the class labels' i8 field takes integer literals within int64; 1.0
+    # and 2**63 fail the pass, and the all-float pass reads them. Either way
+    # the dataset, or the error, is the row parser's
+    path = tmp_path / "classes.csv"
+    path.write_text("\n".join(_class_lines(label)) + "\n")
+    expected = _load(path, _CLASSES, "row")
+    _refuse_row_parser(monkeypatch)
+    calls = _loadtxt_calls(monkeypatch)
+    assert _load(path, _CLASSES, "fast") == expected
+    kinds = [_field_kinds(call, ["y", "g", "t", "w"])["y"] for call in calls]
+    assert kinds == (["<i8", "<f8"] if label in ("1.0", "9223372036854775808") else ["<i8"])
+
+
+def test_negative_zero_class_label_is_zero(tmp_path):
+    # a class label's zero has no sign: -0 loads, and fits, as 0 on both readers
+    paths = {}
+    for name, label in [("zero", "0"), ("negative", "-0"), ("float", "-0.0")]:
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("\n".join(_class_lines(label)) + "\n")
+    expected = _load(paths["zero"], _CLASSES, "fast")
+    for path in paths.values():
+        for reader in ("fast", "row"):
+            assert _load(path, _CLASSES, reader) == expected
+    spec = DesignSpec(post_period=2)
+    fits = []
+    for path in paths.values():
+        dataset, _, _ = load_csv_dataset(path, **_CLASSES)
+        fits.append(fit_multinomial_logit(build_design(dataset, spec), dataset.y,
+                                          dataset.weights))
+    for fit in fits[1:]:
+        assert fit.coefficients.tobytes() == fits[0].coefficients.tobytes()
+        assert fit.vcov.tobytes() == fits[0].vcov.tobytes()
+    # without class_labels the outcome keeps float()'s -0.0
+    plain = dict(_CLASSES, class_labels=False)
+    assert load_csv_dataset(paths["negative"], **plain)[0].y[0].tobytes() == (
+        np.float64(-0.0).tobytes())
 
 
 @pytest.mark.parametrize("label", ["-9223372036854775808", "9223372036854775807"])
